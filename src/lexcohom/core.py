@@ -24,14 +24,38 @@ DEFAULT_CHAR = 32003
 _EXP_LIMIT = 1 << 40  # exponent overflow guard; degrees here stay tiny
 
 
+# Strong-probable-prime bases that decide primality exactly below the limit
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test; raises ValueError at or above
+    ``MR_LIMIT``, where it would no longer be a proof."""
+    if p >= MR_LIMIT:
+        raise ValueError(
+            f"char {p} is not below {MR_LIMIT}, the limit of the exact primality test"
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -1,16 +1,17 @@
 """Reduced simplicial homology ranks over GF(p).
 
 Complexes are given as collections of faces encoded as vertex bitmasks; the
-empty face is mask 0.  Conventions (these matter: an off-by-one here silently
-corrupts first syzygies):
+empty face is mask 0.  This module builds the package's only boundary
+matrices: Koszul and Takayama complexes are simplicial complexes, and the
+dual Taylor slices of the ext backend are order filters (see
+``reduced_homology_dims``).  Conventions (these matter: an off-by-one here
+silently corrupts first syzygies):
 
 * the void complex (no faces at all) has H~_k = 0 for every k;
 * the irrelevant complex {emptyset} has H~_{-1} = K and nothing else.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .linalg import rank_mod_p
 
@@ -19,10 +20,11 @@ def _popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
-    """Signed boundary matrix from the span of ``upper`` faces to ``lower``."""
+def boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
+    """Signed boundary matrix from the span of ``upper`` faces to ``lower``,
+    as rows indexed by ``lower``."""
     index = {f: i for i, f in enumerate(lower)}
-    mat = np.zeros((len(lower), len(upper)), dtype=np.int64)
+    mat = [[0] * len(upper) for _ in lower]
     for j, f in enumerate(upper):
         sign = 1
         v = f
@@ -31,7 +33,7 @@ def boundary_matrix(lower: list[int], upper: list[int]) -> np.ndarray:
             sub = f & ~low
             i = index.get(sub)
             if i is not None:
-                mat[i, j] = sign
+                mat[i][j] = sign
             sign = -sign
             v &= v - 1
     return mat
@@ -42,6 +44,11 @@ def reduced_homology_dims(faces, p: int) -> dict[int, int]:
 
     ``faces`` must be closed under taking subsets (including mask 0 when the
     complex is nonvoid); only nonzero dims are reported.
+
+    A family closed under taking supersets within a simplex (an order
+    filter) is accepted too: its restricted boundary maps are those of the
+    quotient chain complex, so the dims are those of the cochain complex on
+    the filter, shifted down by one (k counts the face size minus one).
     """
     faces = set(faces)
     if not faces:

@@ -1,66 +1,29 @@
 """Exact rank computations over GF(p).
 
-This is the hot kernel of the package: Betti tables and both local-cohomology
-backends reduce to many small-to-medium matrix ranks over a prime field.  A
-compiled Cython kernel (``lexcohom._gfrank``) is used when available and a
-vectorized numpy elimination is the fallback; both produce identical results.
+Betti tables and both local-cohomology backends reduce to many small matrix
+ranks over a prime field.  Entries are Python integers, so the elimination
+is exact in every characteristic.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-try:
-    from . import _gfrank  # compiled extension, built by setup.py
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over GF(p) of the matrix given as a list of equal-length integer
+    rows.
 
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - depends on build environment
-    _gfrank = None
-    HAVE_COMPILED = False
-
-
-def _as_matrix(mat, p):
-    a = np.asarray(mat, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    return np.mod(a, p)
-
-
-def rank_mod_p_python(mat, p: int) -> int:
-    """Row-reduction rank over GF(p), pure numpy implementation."""
-    a = _as_matrix(mat, p)
-    m, n = a.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv], :] = a[[piv, r], :]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r, :] = a[r, :] * inv % p
-        rows = np.nonzero(a[r + 1 :, c])[0] + r + 1
-        if rows.size:
-            # entries stay below p, so products stay below p**2 < 2**63
-            a[rows, :] = (a[rows, :] - np.outer(a[rows, c], a[r, :])) % p
-        r += 1
-    return r
-
-
-def rank_mod_p(mat, p: int, force: str | None = None) -> int:
-    """Rank of an integer matrix over GF(p).
-
-    ``force`` selects a backend explicitly ("compiled" or "python"); the
-    default picks the compiled kernel when it was built.
+    Each row is reduced against the pivot rows found so far; what is left of
+    it, if nonzero, is normalised and becomes the next pivot row.
     """
-    a = _as_matrix(mat, p)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    if force == "python" or (force is None and not HAVE_COMPILED):
-        return rank_mod_p_python(a, p)
-    if force == "compiled" and not HAVE_COMPILED:
-        raise RuntimeError("compiled kernel is not available")
-    return int(_gfrank.rank_mod_p(np.ascontiguousarray(a), p))
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+    for row in rows:
+        row = [v % p for v in row]
+        for c, piv in pivots:
+            f = row[c]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, piv)]
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            pivots.append((c, [v * inv % p for v in row]))
+    return len(pivots)

@@ -27,15 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .betti import betti_table
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import (hilbert_series, lagrange_interpolate, poly_nonneg_on_ray,
                       quotient_window)
 from .homology import reduced_homology_dims
-from .linalg import rank_mod_p
 
 DEFAULT_GENS_CAP = 18
 
@@ -111,78 +108,39 @@ def _combinatorial_rows(I: MonomialIdeal, lo: int, hi: int) -> dict[int, list[in
 # ext backend (dual Taylor complex + graded local duality)
 
 
-def _taylor_lcms(I: MonomialIdeal, cap: int) -> np.ndarray:
+def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
+    """Cells (fixed_sum, n_free, {k: dim Ext^k}) covering the multidegree
+    support of all Ext modules Ext^k(A/I, A).
+
+    At a multidegree c the dual Taylor slice is the order filter of generator
+    subsets S with lcm(S) >= c, i.e. those meeting {t : g_t[i] >= c_i} for
+    every coordinate with c_i > 0; the tuple of those bitmasks is the memo
+    key.
+    """
+    ctx = I.ctx
+    n, p = ctx.n, ctx.char
     g = len(I.gens)
     if g > cap:
         raise ResourceLimitError(
             f"{g} generators exceed the Taylor-complex cap {cap}"
         )
-    n = I.ctx.n
-    lcms = np.zeros((1 << g, n), dtype=np.int64)
-    exps = np.array([gen.exps for gen in I.gens], dtype=np.int64).reshape(g, n)
-    for mask in range(1, 1 << g):
-        low = (mask & -mask).bit_length() - 1
-        lcms[mask] = np.maximum(lcms[mask & (mask - 1)], exps[low])
-    return lcms
-
-
-def _pattern_homology(subsets: list[int], p: int) -> dict[int, int]:
-    """Cohomology dims of the dual Taylor slice on an upward-closed family
-    of generator subsets, by level ranks."""
-    by_size: dict[int, list[int]] = {}
-    for s in subsets:
-        by_size.setdefault(bin(s).count("1"), []).append(s)
-    for level in by_size.values():
-        level.sort()
-    if not by_size:
-        return {}
-    top = max(by_size)
-    ranks: dict[int, int] = {}
-    for k in range(top):
-        lower = by_size.get(k, [])
-        upper = by_size.get(k + 1, [])
-        if not lower or not upper:
-            ranks[k] = 0
-            continue
-        index = {s: c for c, s in enumerate(lower)}
-        mat = np.zeros((len(upper), len(lower)), dtype=np.int64)
-        for r, s_up in enumerate(upper):
-            v = s_up
-            while v:
-                bit = v & (-v)
-                sub = s_up & ~bit
-                c = index.get(sub)
-                if c is not None:
-                    below = bin(s_up & (bit - 1)).count("1")
-                    mat[r, c] = -1 if below % 2 else 1
-                v &= v - 1
-        ranks[k] = rank_mod_p(mat, p)
-    out = {}
-    for k in range(top + 1):
-        dim = len(by_size.get(k, [])) - ranks.get(k, 0) - ranks.get(k - 1, 0)
-        if dim:
-            out[k] = dim
-    return out
-
-
-def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
-    """Cells (fixed_sum, n_free, {k: dim Ext^k}) covering the multidegree
-    support of all Ext modules Ext^k(A/I, A)."""
-    ctx = I.ctx
-    n, p = ctx.n, ctx.char
-    lcms = _taylor_lcms(I, cap)
-    rho = lcms[-1] if len(I.gens) else np.zeros(n, dtype=np.int64)
-    memo: dict[bytes, dict[int, int]] = {}
+    gens = [gen.exps for gen in I.gens]
+    rho = [max((e[i] for e in gens), default=0) for i in range(n)]
+    above = [
+        [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
+        for i in range(n)
+    ]
+    memo: dict[tuple[int, ...], dict[int, int]] = {}
     cells = []
-    for c in itertools.product(*[range(int(rho[i]) + 1) for i in range(n)]):
-        mask = np.all(lcms >= np.array(c, dtype=np.int64), axis=1)
-        key = np.packbits(mask).tobytes()
+    for c in itertools.product(*[range(r + 1) for r in rho]):
+        key = tuple(above[i][ci] for i, ci in enumerate(c) if ci)
         hom = memo.get(key)
         if hom is None:
-            hom = _pattern_homology(np.nonzero(mask)[0].tolist(), p)
+            subsets = [S for S in range(1 << g) if all(S & m for m in key)]
+            hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
             memo[key] = hom
         if hom:
-            cells.append((sum(c), sum(1 for x in c if x == 0), hom))
+            cells.append((sum(c), c.count(0), hom))
     return cells
 
 

@@ -5,8 +5,6 @@ simple; exists only to cross-check the production path."""
 import itertools
 import random
 
-import numpy as np
-
 from lexcohom.betti import betti_table
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.linalg import rank_mod_p
@@ -37,14 +35,14 @@ def tor_betti_oracle(I, max_j):
         dom = basis(i, j)
         cod = basis(i - 1, j)
         index = {b: k for k, b in enumerate(cod)}
-        mat = np.zeros((len(cod), len(dom)), dtype=np.int64)
+        mat = [[0] * len(dom) for _ in cod]
         for col, (S, m) in enumerate(dom):
             for pos, s in enumerate(S):
                 S2 = S[:pos] + S[pos + 1:]
                 m2 = tuple(e + 1 if t == s else e for t, e in enumerate(m))
                 if I.contains(Monomial(m2)):
                     continue
-                mat[index[(S2, m2)], col] = (-1) ** pos
+                mat[index[(S2, m2)]][col] = (-1) ** pos
         return mat, len(dom)
 
     out = {}

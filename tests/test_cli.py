@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lexcohom.cli import main
-from lexcohom.core import RingContext
+from lexcohom.core import MR_LIMIT, RingContext
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
                                parse_ideal_file, write_ideal_file)
 
@@ -75,6 +75,23 @@ def test_cli_cohom_window(capsys, tmp_path):
     assert main(["cohom", "--input", str(f), "--window=-6:2"]) == 0
     out = capsys.readouterr().out
     assert "H^1" in out and "certified" in out
+
+
+def test_cli_cohom_backends_agree_above_2_32(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=4 char=4294967311\nx2*x3^2*x4\n")
+    outs = []
+    for backend in ("combinatorial", "ext"):
+        assert main(["cohom", "--input", str(f), "--backend", backend]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "H^3" in outs[0]
+
+
+def test_cli_char_above_primality_limit_exit_code(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text(f"ring n=1 char={MR_LIMIT + 2}\nx1\n")
+    assert main(["hilb", "--input", str(f)]) == 2
+    assert str(MR_LIMIT) in capsys.readouterr().err
 
 
 def test_cli_zstabilize_roundtrip(capsys, tmp_path):

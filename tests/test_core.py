@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon,
-                           colon_ideal, graded_piece_dim, ideal_intersection,
+from lexcohom.core import (MR_LIMIT, Monomial, MonomialIdeal, RingContext,
+                           _is_prime, colon, colon_ideal, graded_piece_dim, ideal_intersection,
                            ideal_product, ideal_sum, minimalize,
                            quotient_piece_dim, saturate)
 from lexcohom.errors import MixedContextError
@@ -148,3 +148,21 @@ def test_context_validation():
         RingContext(1, powers=(2, 2))
     ctz = RingContext(2, powers=(2,), z=True)  # one x variable plus z
     assert ctz.nx == 1 and ctz.var_names() == ("x1", "z")
+
+
+def test_primality_matches_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+    assert all(_is_prime(p) == trial(p) for p in range(5000))
+
+
+def test_large_characteristics():
+    assert RingContext(1, char=2**61 - 1).char == 2**61 - 1  # no O(sqrt p) scan
+    assert RingContext(1, char=4294967311).char == 4294967311
+    # strong pseudoprimes: to bases 2, 3, 5, 7 and to every prime base up to 37
+    for composite in (3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime"):
+            RingContext(1, char=composite)
+    with pytest.raises(ValueError, match=str(MR_LIMIT)):
+        RingContext(1, char=MR_LIMIT + 2)

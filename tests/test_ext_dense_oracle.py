@@ -6,8 +6,6 @@ inputs to validate it independently of the combinatorial backend."""
 import itertools
 import random
 
-import numpy as np
-
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.linalg import rank_mod_p
 from lexcohom.localcohom import cohomology_table
@@ -36,7 +34,7 @@ def dense_ext_dims(I, e_lo, e_hi):
         dom = [(S, m) for S in subsets if len(S) == k for m in slot_basis(S, e)]
         cod = [(S, m) for S in subsets if len(S) == k + 1 for m in slot_basis(S, e)]
         index = {b: r for r, b in enumerate(cod)}
-        mat = np.zeros((len(cod), len(dom)), dtype=np.int64)
+        mat = [[0] * len(dom) for _ in cod]
         for col, (S, m) in enumerate(dom):
             for t in range(g):
                 if t in S:
@@ -45,7 +43,7 @@ def dense_ext_dims(I, e_lo, e_hi):
                 mult = tuple(a - b for a, b in zip(lcm[S2], lcm[S]))
                 m2 = tuple(a + b for a, b in zip(m, mult))
                 sign = (-1) ** sum(1 for s in S if s < t)
-                mat[index[(S2, m2)], col] = sign
+                mat[index[(S2, m2)]][col] = sign
         return mat, len(dom)
 
     out = {}

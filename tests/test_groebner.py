@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from lexcohom.core import Monomial, RingContext
@@ -34,7 +33,7 @@ def ideal_dim_oracle(ctx, gens, d):
             rows.append(row)
     if not rows:
         return 0
-    return rank_mod_p(np.array(rows, dtype=np.int64), ctx.char)
+    return rank_mod_p(rows, ctx.char)
 
 
 def test_monomial_input_is_its_own_basis():

@@ -1,9 +1,12 @@
-import numpy as np
-import pytest
+import itertools
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom.linalg import HAVE_COMPILED, rank_mod_p, rank_mod_p_python
+from lexcohom.linalg import rank_mod_p
+
+BIG_P = 4294967311  # the smallest prime above 2**32
 
 
 def rank_oracle_fractions(mat):
@@ -28,13 +31,38 @@ def rank_oracle_fractions(mat):
     return r
 
 
+def leibniz_det(mat):
+    """Determinant as the signed sum over permutations."""
+    k = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def rank_oracle_minors(mat, p):
+    """Largest k with a k x k minor that is nonzero mod p."""
+    m, n = len(mat), len(mat[0]) if mat else 0
+    for k in range(min(m, n), 0, -1):
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                if leibniz_det([[mat[i][j] for j in cols] for i in rows]) % p:
+                    return k
+    return 0
+
+
 def test_known_ranks():
     p = 32003
-    assert rank_mod_p(np.eye(4, dtype=np.int64), p) == 4
-    assert rank_mod_p(np.zeros((3, 5), dtype=np.int64), p) == 0
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    assert rank_mod_p(eye, p) == 4
+    assert rank_mod_p([[0] * 5 for _ in range(3)], p) == 0
     assert rank_mod_p([[1, 2], [2, 4]], p) == 1
     assert rank_mod_p([[p, 1], [0, p]], p) == 1  # reduction mod p matters
-    assert rank_mod_p(np.zeros((0, 4)), p) == 0
+    assert rank_mod_p([], p) == 0
 
 
 def test_char_dependence():
@@ -45,22 +73,38 @@ def test_char_dependence():
 
 @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
-def test_backends_agree_and_match_oracle(m, n, seed):
-    rng = np.random.default_rng(seed)
-    mat = rng.integers(-1, 2, size=(m, n)).astype(np.int64)
+def test_matches_rational_oracle_on_sign_matrices(m, n, seed):
+    rng = random.Random(seed)
+    mat = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(m)]
     p = 32003
-    want = rank_oracle_fractions(mat.tolist()) if m and n else 0
-    assert rank_mod_p_python(mat, p) == want
-    if HAVE_COMPILED:
-        assert rank_mod_p(mat, p, force="compiled") == want
+    want = rank_oracle_fractions(mat) if m and n else 0
+    assert rank_mod_p(mat, p) == want
 
 
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_compiled_matches_python_on_random_mod_p_matrices():
-    rng = np.random.default_rng(42)
-    p = 32003
-    for _ in range(20):
-        m, n = rng.integers(1, 40, size=2)
-        mat = rng.integers(0, p, size=(m, n)).astype(np.int64)
-        assert rank_mod_p(mat, p, force="compiled") == \
-            rank_mod_p(mat, p, force="python")
+def test_rank_two_products_above_2_32():
+    # entries near 2**32 overflow 64-bit products during elimination
+    rng = random.Random(0)
+    for _ in range(200):
+        left = [[rng.randrange(BIG_P) for _ in range(2)] for _ in range(3)]
+        right = [[rng.randrange(BIG_P) for _ in range(4)] for _ in range(2)]
+        prod = [[sum(a * b for a, b in zip(row, col)) % BIG_P
+                 for col in zip(*right)] for row in left]
+        assert rank_mod_p(prod, BIG_P) == 2
+
+
+@st.composite
+def matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 32003, BIG_P]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.integers(0, p - 1)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                        min_size=m, max_size=m))
+    return mat, p
+
+
+@given(matrices_mod_p())
+@settings(max_examples=200, deadline=None)
+def test_matches_minor_oracle(case):
+    mat, p = case
+    assert rank_mod_p(mat, p) == rank_oracle_minors(mat, p)
