@@ -25,7 +25,11 @@ USAGE_ERROR, THEOREM_FAILURE, OK = 2, 1, 0
 
 
 def _read_ideal(args) -> MonomialIdeal:
-    text = open(args.input).read() if args.input else sys.stdin.read()
+    if args.input:
+        with open(args.input) as fh:
+            text = fh.read()
+    else:
+        text = sys.stdin.read()
     ctx, polys = parse_ideal_file(text)
     if args.char:
         ctx = RingContext(ctx.n, args.char, ctx.powers, ctx.z)
@@ -212,7 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, window=True)
     p.set_defaults(fn=cmd_hilb)
 
-    p = sub.add_parser("lex", help="lex-segment ideal with the same Hilbert function")
+    p = sub.add_parser(
+        "lex", help="lex-segment ideal truncated at degree maxgendeg + 2",
+        description="Print the lex-segment ideal truncated at degree maxgendeg + 2. "
+                    "Its Hilbert function matches the input's only up to that "
+                    "degree; the library's lex_ideal_of returns the full ideal.")
     common(p)
     p.set_defaults(fn=cmd_lex)
 

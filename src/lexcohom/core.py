@@ -218,27 +218,39 @@ class Monomial:
         return (self.degree, tuple(-e for e in self.exps))
 
     def __str__(self):
-        return "*".join(
-            f"x{i+1}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(self.exps) if e > 0
-        ) or "1"
+        return format_term([f"x{i+1}" for i in range(len(self.exps))], self.exps, 1)
+
+
+def format_term(names, exps, coeff: int) -> str:
+    """``coeff*x1^a1*...`` in the given variable names; the coefficient 1 is
+    left out and a constant term prints as its coefficient."""
+    mon = "*".join(
+        names[i] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e > 0
+    )
+    if not mon:
+        return str(coeff)
+    return mon if coeff == 1 else f"{coeff}*{mon}"
+
+
+def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
+    """The divisibility antichain of exponent vectors generating the same
+    monomial ideal, ascending in degree and lex-descending inside one."""
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e))):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+            kept.append(g)
+    return tuple(kept)
 
 
 def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
     """Divisibility antichain generating the same ideal; idempotent."""
-    gens = list(gens)
-    for g in gens:
-        if len(g.exps) != ctx.n:
+    by_exps = {g.exps: g for g in gens}
+    for e in by_exps:
+        if len(e) != ctx.n:
             raise MixedContextError(
-                f"monomial {g.exps} has {len(g.exps)} exponents, context has {ctx.n}"
+                f"monomial {e} has {len(e)} exponents, context has {ctx.n}"
             )
-    gens.sort(key=Monomial.grlex_key)
-    kept: list[Monomial] = []
-    for g in gens:
-        if any(h.divides(g) for h in kept):
-            continue
-        kept.append(g)
-    return MonomialIdeal(ctx, tuple(kept))
+    return MonomialIdeal(ctx, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +300,9 @@ class MonomialIdeal:
         return ideal_sum(self, self.ctx.powers_ideal())
 
     def __str__(self):
-        return "(" + ", ".join(map(str, self.gens)) + ")" if self.gens else "(0)"
+        names = self.ctx.var_names()
+        terms = ", ".join(format_term(names, g.exps, 1) for g in self.gens)
+        return f"({terms or '0'})"
 
 
 def _same_ctx(I: MonomialIdeal, J: MonomialIdeal):

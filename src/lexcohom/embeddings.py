@@ -5,6 +5,9 @@ quotient basis matching a requested ideal Hilbert function, and checks at
 runtime that the selection closes into an ideal.  That check turns the
 classical Macaulay/Clements-Lindstrom theorems from trusted input into
 verified invariants: for genuine Hilbert functions it can never fail.
+``cl_embed`` and ``lex_segment_ideal`` run it over explicit dims; the
+embeddings of an ideal read the dims off its exact Hilbert series and stop
+once the generated ideal has that series.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from .hilbert import HilbertFunctionSpec, hilbert_series, is_O_sequence
 
 
 def embedding_horizon(ctx: RingContext, max_gen_degree: int) -> int:
-    """Default construction depth: past every degree where the embedded
-    ideal of an ideal generated up to max_gen_degree can acquire generators
-    (verified post hoc by an exact Hilbert series comparison)."""
+    """A construction depth for an ideal generated up to max_gen_degree.
+
+    Embedded ideals can need generators well past it: ``lexcohom lex``
+    truncates here, and the certified embeddings stop by 32 times it.
+    """
     return sum(d - 1 for d in ctx.powers) + max_gen_degree + 2
 
 
@@ -44,24 +49,22 @@ def _values(H) -> tuple[int, ...]:
     return tuple(H)
 
 
-def _engine(ctx: RingContext, ideal_dims, strict_ideal_check: bool) -> EmbeddingResult:
-    """Degree-by-degree lex-first selection.
+def _engine(ctx: RingContext, ideal_dims, strict_ideal_check: bool):
+    """Degree-by-degree lex-first selection, yielding each degree's new
+    generators.
 
-    ``ideal_dims[d]`` is the requested dim of the ideal inside S_d (the
-    bounded monomial basis when the context has powers).  On failure raises
-    NotAttainableError, or NotAnIdealError when ``strict_ideal_check`` marks
-    a closure failure as impossible-by-theorem.
+    ``ideal_dims`` yields the requested dim of the ideal inside S_d (the
+    bounded monomial basis when the context has powers) for d = 0, 1, ...
+    On failure raises NotAttainableError, or NotAnIdealError when
+    ``strict_ideal_check`` marks a closure failure as impossible-by-theorem.
     """
-    dims = _values(ideal_dims)
-    ctx_B = RingContext(ctx.n, ctx.char, (), ctx.z)
-    image_gens: list[Monomial] = []
     prev_sel: set[tuple[int, ...]] = set()
     bounds = [ctx.exp_bound(i) for i in range(ctx.n)]
     if ctx.z:
         bounds[-1] = None
     fail = NotAnIdealError if strict_ideal_check else NotAttainableError
 
-    for d, want in enumerate(dims):
+    for d, want in enumerate(ideal_dims):
         s_basis = [m.exps for m in ctx.monomials(d, bounded=True)]
         closure = set()
         for e in prev_sel:
@@ -80,15 +83,8 @@ def _engine(ctx: RingContext, ideal_dims, strict_ideal_check: bool) -> Embedding
                 f"degree {d}: lex-first selection of size {want} is not closed "
                 f"under multiplication (needs {len(closure)} monomials)"
             )
-        image_gens.extend(Monomial(e) for e in sel if e not in closure)
+        yield [Monomial(e) for e in sel if e not in closure]
         prev_sel = sel_set
-
-    lex_ideal = minimalize(ctx_B, image_gens)
-    image = minimalize(ctx, image_gens)
-    if ctx.powers:
-        image = image.plus_powers()
-    qdims = tuple(ctx.dim(d) - dims[d] for d in range(len(dims)))
-    return EmbeddingResult(lex_ideal, image, qdims)
 
 
 def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
@@ -109,12 +105,18 @@ def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
         return MonomialIdeal.unit(ctx)
     if not is_O_sequence(qdims, ctx.n):
         raise NotOSequenceError(f"quotient dims {tuple(qdims)} violate Macaulay growth")
-    return _engine(ctx, dims, strict_ideal_check=True).image_in_S
+    gens = [g for new in _engine(ctx, dims, strict_ideal_check=True) for g in new]
+    return minimalize(ctx, gens)
 
 
 def cl_embed(ctx: RingContext, H) -> EmbeddingResult:
     """Clements-Lindstrom embedding: lex-first selection inside S = B/b."""
-    return _engine(ctx, H, strict_ideal_check=False)
+    dims = _values(H)
+    gens = [g for new in _engine(ctx, dims, strict_ideal_check=False) for g in new]
+    ctx_B = RingContext(ctx.n, ctx.char, (), ctx.z)
+    qdims = tuple(ctx.dim(d) - dims[d] for d in range(len(dims)))
+    image = minimalize(ctx, gens).plus_powers()
+    return EmbeddingResult(minimalize(ctx_B, gens), image, qdims)
 
 
 def ideal_dims(I: MonomialIdeal, upto: int) -> HilbertFunctionSpec:
@@ -124,48 +126,52 @@ def ideal_dims(I: MonomialIdeal, upto: int) -> HilbertFunctionSpec:
     )
 
 
-def _embed_ideal(I: MonomialIdeal, horizon: int | None) -> EmbeddingResult:
-    D = horizon if horizon is not None else embedding_horizon(I.ctx, I.max_gen_degree())
-    return cl_embed(I.ctx, ideal_dims(I, D))
-
-
-def lex_ideal_of(I: MonomialIdeal, horizon: int | None = None) -> MonomialIdeal:
+def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
     """The lex-segment ideal with the same Hilbert function as I (no powers)."""
     if I.ctx.powers:
         raise ValueError("lex_ideal_of expects a context without powers")
-    return _embed_matching_series(I, horizon)
+    return _embed_matching_series(I)
 
 
-def _embed_matching_series(I: MonomialIdeal, horizon: int | None) -> MonomialIdeal:
-    """Embed and verify the exact rational Hilbert series, doubling the
-    construction horizon while the embedded ideal is still acquiring
-    generators beyond it (lex ideals can need generators well past the
-    source ideal's degrees)."""
-    want = hilbert_series(I).numer
-    if horizon is not None:
-        res = _embed_ideal(I, horizon)
-        if hilbert_series(res.image_in_S).numer != want:
-            raise NotAttainableError(
-                f"embedded ideal differs from the requested Hilbert series at "
-                f"horizon {horizon}; widen it"
-            )
-        return res.image_in_S
-    D = embedding_horizon(I.ctx, I.max_gen_degree())
-    for _ in range(6):
-        res = _embed_ideal(I, D)
-        if hilbert_series(res.image_in_S).numer == want:
-            return res.image_in_S
-        D *= 2
+def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
+    """The lex-first embedding of the preimage I, selected with the ideal
+    dims read off the exact Hilbert series of I.
+
+    The certificate is the exact series equality of the generated ideal
+    with I.  It is checked at the first degree past the generators of I
+    that adds no generators, and after that only at the first such degree
+    following one that adds some.  A selection that has stopped gaining
+    generators and has the series of I is final, because m times a lex
+    segment is again a lex segment (Macaulay; Clements-Lindstrom in
+    S = B/b).  Without powers the first check holds: by Gotzmann
+    persistence the lex ideal has no generators past that degree.
+    """
+    ctx = I.ctx
+    series = hilbert_series(I)
+    top = I.max_gen_degree()
+    last = 32 * embedding_horizon(ctx, top) + 1
+    dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
+    gens: list[Monomial] = []
+    grew = True  # generators were added since the last check
+    for d, new in enumerate(_engine(ctx, dims, strict_ideal_check=False)):
+        gens.extend(new)
+        if new:
+            grew = True
+        elif grew and d > top:
+            grew = False
+            out = minimalize(ctx, gens).plus_powers()
+            if hilbert_series(out).numer == series.numer:
+                return out
     raise NotAttainableError(
-        "embedded ideal still acquiring generators at a very deep horizon (bug?)"
+        f"no embedded ideal with the requested Hilbert series by degree {last} (bug?)"
     )
 
 
-def lpp_ideal(I: MonomialIdeal, horizon: int | None = None) -> MonomialIdeal:
+def lpp_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """The lex-plus-power ideal with the Hilbert function of I (b <= I).
 
-    The result is L + b minimized, with an exact rational Hilbert series
-    equality check (widening the construction horizon as needed).
+    The result is L + b minimized, certified by an exact rational Hilbert
+    series equality.
     """
     ctx = I.ctx
     if not ctx.powers:
@@ -173,11 +179,10 @@ def lpp_ideal(I: MonomialIdeal, horizon: int | None = None) -> MonomialIdeal:
     b = ctx.powers_ideal()
     if not I.contains_ideal(b):
         raise ValueError("the ideal must contain the pure-power generators")
-    return _embed_matching_series(I, horizon)
+    return _embed_matching_series(I)
 
 
-def epsilon_one(I: MonomialIdeal, horizon: int | None = None,
-                check: bool = True) -> MonomialIdeal:
+def epsilon_one(I: MonomialIdeal, check: bool = True) -> MonomialIdeal:
     """Extended embedding on S[z]: lex-first selection one variable up.
 
     The result is stable under the last variable with embedded components;
@@ -188,7 +193,7 @@ def epsilon_one(I: MonomialIdeal, horizon: int | None = None,
     ctx = I.ctx
     if not ctx.z:
         raise ValueError("epsilon_one expects a context with z")
-    out = _embed_matching_series(I.plus_powers(), horizon)
+    out = _embed_matching_series(I.plus_powers())
     if check:
         dec = zstable.z_decompose(out)
         if not zstable.is_z_stable(dec):
@@ -199,16 +204,7 @@ def epsilon_one(I: MonomialIdeal, horizon: int | None = None,
     return out
 
 
-def is_embedded(J: MonomialIdeal, horizon: int | None = None) -> bool:
-    """True iff the degreewise lex-first embedding returns J itself."""
-    ctx = J.ctx
+def is_embedded(J: MonomialIdeal) -> bool:
+    """True iff the lex-first embedding of J + b returns J + b itself."""
     P = J.plus_powers()
-    if P.is_unit:
-        return True
-    D = horizon if horizon is not None else embedding_horizon(ctx, P.max_gen_degree())
-    try:
-        res = cl_embed(ctx, ideal_dims(P, D))
-    except NotAttainableError:
-        return False
-    return res.image_in_S == P and \
-        hilbert_series(res.image_in_S).numer == hilbert_series(P).numer
+    return _embed_matching_series(P) == P

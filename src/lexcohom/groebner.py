@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext
+from .core import Monomial, MonomialIdeal, RingContext, format_term
 from .errors import DegreeCapExceededError, MixedContextError
 
 DEFAULT_DEGREE_CAP = 20
@@ -84,16 +84,8 @@ class Polynomial:
 
     def __str__(self):
         names = self.ctx.var_names()
-
-        def term(e, c):
-            m = "*".join(
-                names[i] + (f"^{x}" if x > 1 else "")
-                for i, x in enumerate(e) if x > 0
-            ) or "1"
-            return m if c == 1 else f"{c}*{m}"
-
-        return " + ".join(term(e, c) for e, c in sorted(
-            self.coeffs, key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))) or "0"
+        terms = sorted(self.coeffs, key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
+        return " + ".join(format_term(names, e, c) for e, c in terms) or "0"
 
 
 def _mul_term(f: Polynomial, exps: tuple[int, ...], c: int) -> Polynomial:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
 
-from .core import MonomialIdeal, RingContext
+from .core import MonomialIdeal, RingContext, minimal_exponents
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -55,36 +55,15 @@ def _most_frequent_variable(gens) -> int | None:
     return best if counts[best] >= 2 else None
 
 
-def _first_shared_variable(gens) -> int | None:
-    """Alternative pivot strategy (first variable in >= 2 generators)."""
-    n = len(gens[0])
-    for i in range(n):
-        if sum(1 for g in gens if g[i] > 0) >= 2:
-            return i
-    return None
-
-
-_PIVOTS = {"most-frequent": _most_frequent_variable, "first": _first_shared_variable}
-
-
-def _minimalize_exps(gens):
-    gens = sorted(gens, key=lambda e: (sum(e), tuple(-x for x in e)))
-    kept = []
-    for g in gens:
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
-            kept.append(g)
-    return tuple(kept)
-
-
 @lru_cache(maxsize=200_000)
-def _numerator(gens: tuple[tuple[int, ...], ...], pivot: str) -> tuple[int, ...]:
+def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of Hilb(B/(gens)) over (1-t)^n by pivot recursion:
     Hilb(B/I) = Hilb(B/(I+(x))) + t * Hilb(B/(I:x))."""
     if not gens:
         return (1,)
     if any(sum(g) == 0 for g in gens):
         return (0,)
-    j = _PIVOTS[pivot](gens)
+    j = _most_frequent_variable(gens)
     if j is None:
         # pairwise coprime generators form a regular sequence
         out = (1,)
@@ -96,11 +75,11 @@ def _numerator(gens: tuple[tuple[int, ...], ...], pivot: str) -> tuple[int, ...]
         return out
     n = len(gens[0])
     xj = tuple(1 if i == j else 0 for i in range(n))
-    plus = _minimalize_exps([g for g in gens if g[j] == 0] + [xj])
-    col = _minimalize_exps(
+    plus = minimal_exponents([g for g in gens if g[j] == 0] + [xj])
+    col = minimal_exponents(
         [tuple(e - 1 if i == j and e > 0 else e for i, e in enumerate(g)) for g in gens]
     )
-    return _poly_add(_numerator(plus, pivot), _shift(_numerator(col, pivot), 1))
+    return _poly_add(_numerator(plus), _shift(_numerator(col), 1))
 
 
 @dataclass(frozen=True)
@@ -116,21 +95,16 @@ class HilbertSeries:
 
     def quotient_window(self, upto: int) -> tuple[int, ...]:
         """Values of the quotient Hilbert function on degrees 0..upto."""
-        vals = [0] * (upto + 1)
-        for d in range(upto + 1):
-            v = 0
-            for i, c in enumerate(self.numer):
-                if i > d:
-                    break
-                if c:
-                    v += c * comb(d - i + self.n - 1, self.n - 1)
-            vals[d] = v
-        return tuple(vals)
+        return tuple(self.value(d) for d in range(upto + 1))
 
     def value(self, d: int) -> int:
+        """The quotient Hilbert function in degree d."""
         if d < 0:
             return 0
-        return self.quotient_window(d)[d]
+        return sum(
+            c * comb(d - i + self.n - 1, self.n - 1)
+            for i, c in enumerate(self.numer[:d + 1]) if c
+        )
 
     def krull_dim(self) -> int:
         """n minus the order of vanishing of the numerator at t=1."""
@@ -150,10 +124,10 @@ class HilbertSeries:
         return dim
 
 
-def hilbert_series(I: MonomialIdeal, pivot: str = "most-frequent") -> HilbertSeries:
+def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients."""
     gens = tuple(g.exps for g in I.gens)
-    return HilbertSeries(I.ctx, _numerator(gens, pivot))
+    return HilbertSeries(I.ctx, _numerator(gens))
 
 
 def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:

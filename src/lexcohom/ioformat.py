@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Monomial, MonomialIdeal, RingContext
+from .core import Monomial, MonomialIdeal, RingContext, format_term
 from .groebner import Polynomial
 
 
@@ -29,12 +29,7 @@ class ParseError(ValueError):
 
 
 def format_monomial(ctx: RingContext, m: Monomial) -> str:
-    names = ctx.var_names()
-    parts = [
-        names[i] + (f"^{e}" if e > 1 else "")
-        for i, e in enumerate(m.exps) if e > 0
-    ]
-    return "*".join(parts) if parts else "1"
+    return format_term(ctx.var_names(), m.exps, 1)
 
 
 def format_ideal(I: MonomialIdeal) -> str:
@@ -43,19 +38,7 @@ def format_ideal(I: MonomialIdeal) -> str:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    names = p.ctx.var_names()
-    terms = []
-    for e, c in sorted(p.coeffs, key=lambda t: (sum(t[0]), tuple(-x for x in t[0]))):
-        mon = "*".join(
-            names[i] + (f"^{x}" if x > 1 else "") for i, x in enumerate(e) if x > 0
-        )
-        if not mon:
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(mon)
-        else:
-            terms.append(f"{c}*{mon}")
-    return " + ".join(terms) if terms else "0"
+    return str(p)
 
 
 def write_ideal_file(ctx: RingContext, gens, out=None) -> str:

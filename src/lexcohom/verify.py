@@ -8,6 +8,7 @@ failure is a defect and exits nonzero with a reproducible instance dump.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,8 +17,8 @@ from . import zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                    ideal_product, ideal_sum, minimalize, saturate)
-from .embeddings import (cl_embed, embedding_horizon, epsilon_one, ideal_dims,
-                         lex_ideal_of, lpp_ideal)
+from .embeddings import (embedding_horizon, epsilon_one, ideal_dims, lex_ideal_of,
+                         lpp_ideal)
 from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
@@ -362,11 +363,7 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     # saturations: eps(bar I)^sat == bar(eps_1 I)^sat
     barI = zstable.bar(dec)
     try:
-        if ctx_R.powers:
-            eps_bar = cl_embed(ctx_R, ideal_dims(
-                barI, embedding_horizon(ctx_R, barI.max_gen_degree()))).image_in_S
-        else:
-            eps_bar = lex_ideal_of(barI)
+        eps_bar = lpp_ideal(barI) if ctx_R.powers else lex_ideal_of(barI)
         lhs_sat = saturate(eps_bar, ctx_R.max_ideal())
         rhs_sat = saturate(zstable.bar(decE), ctx_R.max_ideal())
         checks["saturated_bars_agree"] = lhs_sat == rhs_sat
@@ -517,10 +514,16 @@ THEOREMS = {
 
 
 def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
-    """Run one theorem check over a family; records sorted by serialization."""
+    """Run one theorem check over a family; records sorted by serialization.
+
+    ``jobs`` worker processes share the instances, at most one per CPU.
+    """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from "
                          + ", ".join(sorted(THEOREMS)))
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     kind, op = THEOREMS[theorem]
     if kind == "stable":
         instances = list(stable_instances(spec))

@@ -21,7 +21,7 @@ from .core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                    ideal_product, minimalize)
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder, initial_ideal
-from .hilbert import hilbert_series, series_nonneg
+from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -136,28 +136,6 @@ def default_window(*ideals) -> int:
     return 2 * maxdeg + n + 2
 
 
-def _poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_add_shifted(a, b, k):
-    out = [0] * max(len(a), len(b) + k)
-    for i, v in enumerate(a):
-        out[i] += v
-    for i, v in enumerate(b):
-        out[i + k] += v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal, window: int | None = None) -> str:
     """Compare the partial-sum Hilbert functions of the component chains,
     returning "less", "equal", "greater" or "incomparable".
@@ -199,13 +177,14 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal, window: int | None = None)
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)
     numers_J = [hilbert_series(J.component(h)).numer for h in range(H + 1)]
-    numers_L = [hilbert_series(L.component(h)).numer for h in range(H + 1)]
+    negated_L = [tuple(-c for c in hilbert_series(L.component(h)).numer)
+                 for h in range(H + 1)]
     le = ge = True
     strict = False
-    diff = ()
+    diff = (0,)
     for h in range(H + 1):
-        diff = _poly_add_shifted(diff, _poly_sub(numers_J[h], numers_L[h]), h)
-        if not diff:
+        diff = _poly_add(diff, _shift(_poly_add(numers_J[h], negated_L[h]), h))
+        if not any(diff):
             continue
         strict = True
         if not series_nonneg(diff, n):
@@ -213,8 +192,8 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal, window: int | None = None)
         if not series_nonneg(tuple(-c for c in diff), n):
             ge = False
     # levels past H: cumulative comparison of the stabilized components
-    tail = _poly_sub(numers_J[H], numers_L[H])
-    if tail:
+    tail = _poly_add(numers_J[H], negated_L[H])
+    if any(tail):
         strict = True
         if not series_nonneg(tuple(-c for c in tail), n + 1):
             le = False

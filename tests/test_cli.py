@@ -115,6 +115,25 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert main(["betti", "--input", str(f)]) == 2
 
 
+def test_cli_verify_rejects_jobs_below_one(capsys):
+    argv = ["verify", "region", "--family", "n=2,d=2,maxdeg=3", "--samples", "2",
+            "--jobs", "0"]
+    assert main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_verify_clamps_jobs_to_cpu_count(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    argv = ["verify", "region", "--family", "n=2,d=2,maxdeg=3", "--samples", "2",
+            "--jobs", "64"]
+    assert main(argv) == 0
+    assert "2/2 instances passed" in capsys.readouterr().out
+
+
 def test_cli_verify_pass_and_json_determinism(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "lpp-cohomology", "--family", "n=2,d=2,maxdeg=3",

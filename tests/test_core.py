@@ -53,6 +53,13 @@ def test_minimalize_antichain_and_same_ideal(exps):
         assert I.contains(g)
 
 
+def test_ideal_str_names_z():
+    ctxz = RingContext(2).add_z()
+    assert str(MonomialIdeal.make(ctxz, [M(1, 0, 2), M(0, 3, 0)])) == "(x1*z^2, x2^3)"
+    assert str(MonomialIdeal.zero(ctxz)) == "(0)"
+    assert str(MonomialIdeal.unit(ctx2)) == "(1)"
+
+
 def test_mixed_context_rejected():
     with pytest.raises(MixedContextError):
         minimalize(ctx2, [Monomial((1, 0, 0))])

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from lexcohom import embeddings
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            graded_piece_dim, minimalize)
 from lexcohom.embeddings import (cl_embed, embedding_horizon, epsilon_one,
                                  ideal_dims, is_embedded, lex_ideal_of,
                                  lex_segment_ideal, lpp_ideal)
 from lexcohom.errors import NotAttainableError, NotOSequenceError
-from lexcohom.hilbert import hilbert_series
+from lexcohom.hilbert import HilbertSeries, hilbert_series
 
 from conftest import random_ideal
 
@@ -30,6 +31,18 @@ def test_lex_segment_examples():
         lex_segment_ideal(ctx2, (1, 0))  # unit then vanishing
 
 
+def _assert_lex_first(I, L):
+    """Through one degree past its last generator, every degree-d piece of L
+    is the lex-first block of I's dimension."""
+    D = L.max_gen_degree() + 1
+    dims = ideal_dims(I, D)
+    for d in range(D + 1):
+        basis = list(I.ctx.monomials(d))
+        members = [m for m in basis if L.contains(m)]
+        assert members == basis[: len(members)]
+        assert len(members) == dims[d]
+
+
 def test_lex_segment_is_lex_first_degreewise():
     rng = random.Random(17)
     for n in (2, 3):
@@ -38,14 +51,33 @@ def test_lex_segment_is_lex_first_degreewise():
             I = random_ideal(rng, ctx, 4, 4)
             L = lex_ideal_of(I)
             assert hilbert_series(L).numer == hilbert_series(I).numer
-            D = embedding_horizon(ctx, max(I.max_gen_degree(), 1))
-            dims = ideal_dims(I, D)
-            for d in range(D + 1):
-                # the degree-d piece of L is exactly the lex-first block
-                basis = list(ctx.monomials(d))
-                members = [m for m in basis if L.contains(m)]
-                assert members == basis[: len(members)]
-                assert len(members) == dims[d]
+            _assert_lex_first(I, L)
+    # a lex ideal with generators far past the input's degrees and horizon
+    ctx = RingContext(3)
+    I = MonomialIdeal.make(ctx, [M(4, 0, 0), M(0, 0, 4)])
+    L = lex_ideal_of(I)
+    assert len(L.gens) == 17 and L.max_gen_degree() == 16
+    assert L.max_gen_degree() > embedding_horizon(ctx, I.max_gen_degree())
+    assert hilbert_series(L).numer == hilbert_series(I).numer
+    _assert_lex_first(I, L)
+
+
+def test_embedding_without_certificate_stops_at_the_safety_bound(monkeypatch):
+    # a certificate that can never hold: every series after the input's is off
+    real = embeddings.hilbert_series
+    calls = []
+
+    def skewed(J):
+        calls.append(J)
+        hs = real(J)
+        return hs if len(calls) == 1 else HilbertSeries(hs.ctx, hs.numer + (1,))
+
+    monkeypatch.setattr(embeddings, "hilbert_series", skewed)
+    I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 2)])
+    with pytest.raises(NotAttainableError):
+        lex_ideal_of(I)
+    # one check: the selection never gains generators after it
+    assert len(calls) == 2
 
 
 def test_cl_embed_examples():

@@ -45,17 +45,6 @@ def test_powers_context_quotient_via_preimage():
     assert quotient_window(I, 4) == (1, 2, 0, 0, 0)
 
 
-def test_pivot_strategies_agree():
-    rng = random.Random(5)
-    ctx = RingContext(3)
-    for _ in range(30):
-        gens = [Monomial(tuple(rng.randint(0, 4) for _ in range(3)))
-                for _ in range(rng.randint(1, 6))]
-        I = minimalize(ctx, gens)
-        assert hilbert_series(I, pivot="most-frequent").numer == \
-            hilbert_series(I, pivot="first").numer
-
-
 def test_window_values_nonnegative_and_constant_term():
     rng = random.Random(9)
     ctx = RingContext(3)
