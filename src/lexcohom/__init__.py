@@ -12,7 +12,8 @@ from .embeddings import (EmbeddingResult, cl_embed, epsilon_one, is_embedded,
 from .hilbert import (HilbertFunctionSpec, HilbertSeries, hilbert_series,
                       is_O_sequence, macaulay_growth, macaulay_rep)
 from .localcohom import (CohomologyTable, check_extension_recurrence,
-                         cohomology_table, compare_tables, h0_via_saturation)
+                         cohomology_table, cohomology_tables, compare_tables,
+                         h0_via_saturation)
 from .verify import FamilySpec, Report, enumerate_family, run_family
 from .zstable import (ZGradedIdeal, bar, colon_z, distraction, is_z_stable,
                       z_decompose, z_order_compare, z_recompose, z_saturate,
@@ -24,7 +25,8 @@ __all__ = [
     "BettiTable", "CohomologyTable", "Corner", "EmbeddingResult", "FamilySpec",
     "HilbertFunctionSpec", "HilbertSeries", "Monomial", "MonomialIdeal",
     "Report", "RingContext", "ZGradedIdeal", "bar", "betti_table",
-    "check_extension_recurrence", "cl_embed", "cohomology_table", "colon",
+    "check_extension_recurrence", "cl_embed", "cohomology_table",
+    "cohomology_tables", "colon",
     "colon_ideal", "colon_z", "compare_tables", "corners", "distraction",
     "enumerate_family", "epsilon_one", "graded_piece_dim", "h0_via_saturation",
     "hilbert_series", "ideal_intersection", "ideal_product", "ideal_sum",

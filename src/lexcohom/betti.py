@@ -10,11 +10,10 @@ taken over GF(p), so tables carry the characteristic as a tag.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import Monomial, MonomialIdeal
+from .core import MonomialIdeal
 from .errors import ResourceLimitError
 from .hilbert import hilbert_series
 from .homology import reduced_homology_dims
@@ -46,17 +45,26 @@ def lcm_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[
 
 
 def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> list[int]:
-    """Faces (as vertex bitmasks) of the upper Koszul complex at b."""
-    verts = [i for i, e in enumerate(b) if e > 0]
+    """Faces (as vertex bitmasks) of the upper Koszul complex at b.
+
+    tau is a face iff x^(b - tau) lies in I, i.e. iff some generator g
+    divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
+    among the submasks of supp(b).
+    """
+    tight = [
+        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
+        for g in I.gens
+        if all(e <= top for e, top in zip(g.exps, b))
+    ]
+    supp = sum(1 << i for i, e in enumerate(b) if e > 0)
     faces = []
-    for size in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            shifted = tuple(
-                e - 1 if i in combo else e for i, e in enumerate(b)
-            )
-            if I.contains(Monomial(shifted)):
-                faces.append(sum(1 << v for v in combo))
-    return faces
+    tau = supp
+    while True:
+        if any(not tau & t for t in tight):
+            faces.append(tau)
+        if not tau:
+            return faces
+        tau = (tau - 1) & supp
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Exit codes: 0 = success / all checks passed, 1 = a theorem check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,7 +196,10 @@ def cmd_verify(args) -> int:
     return OK if report.passed else THEOREM_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls
+    (``parse_args`` fills a fresh namespace every time)."""
     ap = argparse.ArgumentParser(
         prog="lexcohom",
         description="Exact Hilbert series, Betti tables, local cohomology and "

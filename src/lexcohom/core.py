@@ -201,6 +201,10 @@ class Monomial:
         return sum(self.exps)
 
     def divides(self, other: "Monomial") -> bool:
+        if len(self.exps) != len(other.exps):
+            raise MixedContextError(
+                f"cannot compare {self.exps} with {other.exps}: lengths differ"
+            )
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def lcm(self, other: "Monomial") -> "Monomial":
@@ -288,7 +292,13 @@ class MonomialIdeal:
         return max((g.degree for g in self.gens), default=0)
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        e = m.exps
+        if len(e) != self.ctx.n:
+            raise MixedContextError(
+                f"monomial {e} has {len(e)} exponents, context has {self.ctx.n}"
+            )
+        # Monomial.divides inlined: every generator has the context's length
+        return any(all(a <= b for a, b in zip(g.exps, e)) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)

@@ -243,14 +243,9 @@ def macaulay_growth(a: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class HilbertFunctionSpec:
-    """A finite prefix of a Hilbert function plus a tail-determination flag.
-
-    ``tail_determined`` means no new generators (for ideal dims) appear
-    beyond the listed window, so the function is determined by closure.
-    """
+    """A finite prefix of a Hilbert function."""
 
     values: tuple[int, ...]
-    tail_determined: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))

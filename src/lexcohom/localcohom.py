@@ -17,7 +17,9 @@ counts (binomials).  The backends share nothing but the rank kernel:
 Tables live on a degree window [lo, hi]; below lo each row is described by a
 fitted tail polynomial whose certification is checked on the lowest points
 (the rows are eventually polynomial because the dual modules are finitely
-generated).
+generated).  Each backend takes the window top from its own cells: by
+Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
+degree of H^i_m(A/I), and every cell knows its top degree.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .betti import betti_table
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import (hilbert_series, lagrange_interpolate, poly_nonneg_on_ray,
@@ -47,31 +48,35 @@ def _takayama_cells(I: MonomialIdeal):
 
     A coordinate is either negative (free, <= -1) or pinned to a value below
     the generator-exponent bound rho_i; multidegrees with a_i >= rho_i give
-    cones, hence no homology, and are skipped.
+    cones, hence no homology, and are skipped.  On the pinned vertices a
+    generator's exceed mask marks where it lies above the pinned value; a
+    face is kept iff its complement meets every exceed mask, so the number
+    of pinned vertices and the set of masks are the memo key.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     gens = [g.exps for g in I.gens]
     rho = [max((g[i] for g in gens), default=0) for i in range(n)]
     NEG = -1
+    memo: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
     cells = []
     for combo in itertools.product(*[[NEG] + list(range(rho[i])) for i in range(n)]):
-        Fset = [i for i in range(n) if combo[i] == NEG]
         verts = [i for i in range(n) if combo[i] != NEG]
-        faces = []
-        for mask in range(1 << len(verts)):
-            outside = [
-                verts[t] for t in range(len(verts)) if not (mask >> t) & 1
+        exceed = frozenset(
+            sum(1 << t for t, k in enumerate(verts) if g[k] > combo[k]) for g in gens
+        )
+        key = (len(verts), exceed)
+        hom = memo.get(key)
+        if hom is None:
+            full = (1 << len(verts)) - 1
+            faces = [
+                mask for mask in range(full + 1)
+                if all((full ^ mask) & e for e in exceed)
             ]
-            blocked = any(
-                all(g[k] <= combo[k] for k in outside) for g in gens
-            )
-            if not blocked:
-                faces.append(mask)
-        hom = reduced_homology_dims(faces, p)
+            hom = memo[key] = reduced_homology_dims(faces, p)
         if not hom:
             continue
-        f = len(Fset)
+        f = n - len(verts)
         by_i = {}
         for k, dim in hom.items():
             i = k + f + 1
@@ -91,10 +96,9 @@ def _count_negatives(j: int, fixed_sum: int, f: int) -> int:
     return comb(m - 1, f - 1) if m >= f else 0
 
 
-def _combinatorial_rows(I: MonomialIdeal, lo: int, hi: int) -> dict[int, list[int]]:
-    n = I.ctx.n
+def _combinatorial_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
     rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
-    for fixed_sum, f, by_i in _takayama_cells(I):
+    for fixed_sum, f, by_i in cells:
         for i, dim in by_i.items():
             row = rows[i]
             for j in range(lo, hi + 1):
@@ -153,10 +157,7 @@ def _count_frees(e: int, fixed_sum: int, z: int) -> int:
     return comb(t + z - 1, z - 1) if t >= 0 else 0
 
 
-def _ext_rows(I: MonomialIdeal, lo: int, hi: int,
-              cap: int = DEFAULT_GENS_CAP) -> dict[int, list[int]]:
-    n = I.ctx.n
-    cells = _ext_cells(I, cap)
+def _ext_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
     rows = {}
     for i in range(n + 1):
         k = n - i
@@ -241,11 +242,64 @@ class CohomologyTable:
         return all(t.certified for t in self.tails.values())
 
 
+def _cells(I: MonomialIdeal, backend: str, gens_cap: int = DEFAULT_GENS_CAP):
+    if backend == "combinatorial":
+        return _takayama_cells(I)
+    if backend == "ext":
+        return _ext_cells(I, gens_cap)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def _regularity(cells, backend: str, n: int) -> int:
+    """reg(A/I) = max{i + j : H^i_m(A/I)_j != 0}, read off the cells; 0 when
+    there are none (the unit ideal).
+
+    A combinatorial cell reaches up to degree fixed_sum - f (every free
+    coordinate at -1).  An ext cell starts at degree -fixed_sum of Ext^k,
+    which is degree fixed_sum - n of H^{n-k}.
+    """
+    if backend == "combinatorial":
+        return max((fs - f + i for fs, f, by_i in cells for i in by_i), default=0)
+    return max((fs - k for fs, _, hom in cells for k in hom if 0 <= k <= n), default=0)
+
+
+def _window_lo(I: MonomialIdeal) -> int:
+    """Conservatively below the resolution twists."""
+    return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
+
+
+def _table(I: MonomialIdeal, backend: str, cells, reg: int,
+           lo: int, hi: int) -> CohomologyTable:
+    ctx = I.ctx
+    dim = hilbert_series(I).krull_dim()
+    if hi - lo + 1 < max(dim, 0) + 2:
+        raise ValueError(
+            f"window too short to certify tails (need {max(dim, 0) + 2} points)"
+        )
+    if backend == "combinatorial":
+        rows = _combinatorial_rows(cells, ctx.n, lo, hi)
+    else:
+        rows = _ext_rows(cells, ctx.n, lo, hi)
+    if any(v < 0 for row in rows.values() for v in row):
+        raise AssertionError("negative cohomology dimension (bug)")
+    tails = {i: _fit_tail(rows[i], lo, dim) for i in rows}
+    return CohomologyTable(
+        n=ctx.n,
+        char=ctx.char,
+        lo=lo,
+        hi=hi,
+        rows={i: tuple(v) for i, v in rows.items()},
+        tails=tails,
+        module_dim=dim,
+        hi_covers_reg=I.is_unit or hi >= reg,
+    )
+
+
 def default_window(I: MonomialIdeal) -> tuple[int, int]:
-    """hi from the regularity, lo conservatively below the resolution twists."""
-    reg = 0 if I.is_unit else betti_table(I, check=False).regularity
-    total = sum(g.degree for g in I.gens)
-    return (-(I.ctx.n + total) - 2, reg + 1)
+    """hi one above the regularity, lo conservatively below the resolution
+    twists."""
+    reg = _regularity(_takayama_cells(I), "combinatorial", I.ctx.n)
+    return (_window_lo(I), reg + 1)
 
 
 def cohomology_table(
@@ -258,41 +312,38 @@ def cohomology_table(
 
     ``backend`` is "combinatorial" or "ext"; both must agree entrywise on
     every input (this is the package's primary anti-bug oracle, exercised by
-    the test suite).
+    the test suite).  The default window is ``default_window(I)``, with the
+    regularity read off this backend's cells.
     """
-    ctx = I.ctx
-    if window is None:
-        lo, hi = default_window(I)
-        hi_covers = True
-    else:
-        lo, hi = window
-        hi_covers = I.is_unit or hi >= betti_table(I, check=False).regularity
-    if lo > hi:
+    if window is not None and window[0] > window[1]:
         raise ValueError("window must satisfy lo <= hi")
-    dim = hilbert_series(I).krull_dim()
-    if hi - lo + 1 < max(dim, 0) + 2:
-        raise ValueError(
-            f"window too short to certify tails (need {max(dim, 0) + 2} points)"
-        )
-    if backend == "combinatorial":
-        rows = _combinatorial_rows(I, lo, hi)
-    elif backend == "ext":
-        rows = _ext_rows(I, lo, hi, gens_cap)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    if any(v < 0 for row in rows.values() for v in row):
-        raise AssertionError("negative cohomology dimension (bug)")
-    tails = {i: _fit_tail(rows[i], lo, dim) for i in rows}
-    return CohomologyTable(
-        n=ctx.n,
-        char=ctx.char,
-        lo=lo,
-        hi=hi,
-        rows={i: tuple(v) for i, v in rows.items()},
-        tails=tails,
-        module_dim=dim,
-        hi_covers_reg=hi_covers,
-    )
+    cells = _cells(I, backend, gens_cap)
+    reg = _regularity(cells, backend, I.ctx.n)
+    lo, hi = window if window is not None else (_window_lo(I), reg + 1)
+    return _table(I, backend, cells, reg, lo, hi)
+
+
+WIDENINGS = 3  # windows tried by cohomology_tables, lo doubling each time
+
+
+def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
+    """Tables of several ideals on their shared default window.
+
+    Each ideal's cells are computed once.  While some tail is uncertified,
+    lo doubles, for at most ``WIDENINGS`` windows in all.
+    """
+    cells = [_cells(I, backend) for I in ideals]
+    regs = [_regularity(c, backend, I.ctx.n) for I, c in zip(ideals, cells)]
+    lo = min(_window_lo(I) for I in ideals)
+    hi = max(regs) + 1
+    for attempt in range(WIDENINGS):
+        if attempt:
+            lo *= 2
+        tables = [_table(I, backend, c, reg, lo, hi)
+                  for I, c, reg in zip(ideals, cells, regs)]
+        if all(T.all_certified() for T in tables):
+            return tables
+    raise WindowUncertifiedError(f"tails uncertified even at lo={lo}")
 
 
 def h0_via_saturation(I: MonomialIdeal, window: tuple[int, int]) -> tuple[int, ...]:

@@ -23,8 +23,8 @@ from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, check_extension_recurrence,
-                         cohomology_table, compare_tables,
-                         lemma_top_partial_sums, shared_window)
+                         cohomology_table, cohomology_tables, compare_tables,
+                         lemma_top_partial_sums)
 
 EXHAUSTIVE_CAP = 20_000
 
@@ -179,26 +179,12 @@ def _cohom_rows(T: CohomologyTable) -> list[dict]:
     return rows
 
 
-def _widening_tables(I, J, backend, attempts=3):
-    """Tables for I and J on a shared window, widening on uncertified tails."""
-    from .errors import WindowUncertifiedError
-
-    lo, hi = shared_window(I, J)
-    for attempt in range(attempts):
-        TA = cohomology_table(I, (lo, hi), backend=backend)
-        TB = cohomology_table(J, (lo, hi), backend=backend)
-        if TA.all_certified() and TB.all_certified():
-            return TA, TB
-        lo = 2 * lo
-    raise WindowUncertifiedError(f"tails uncertified even at lo={lo}")
-
-
 def verify_cohomology_lpp(I: MonomialIdeal,
                           backend: str = "combinatorial") -> InstanceRecord:
     """Coefficientwise H^i(A/I) <= H^i(A/LPP) for all i (window + tails)."""
     t0 = time.perf_counter()
     L = lpp_ideal(I)
-    TA, TB = _widening_tables(I, L, backend)
+    TA, TB = cohomology_tables((I, L), backend)
     ok, fail = compare_tables(TA, TB)
     rec = InstanceRecord(
         ideal=format_ideal(I),
@@ -220,7 +206,7 @@ def verify_lex_cohomology(I: MonomialIdeal,
     if ctx.powers:
         raise ValueError("lex-cohomology check expects a context without powers")
     L = lex_ideal_of(I)
-    TA, TB = _widening_tables(I, L, backend)
+    TA, TB = cohomology_tables((I, L), backend)
     ok, fail = compare_tables(TA, TB)
     rec = InstanceRecord(
         ideal=format_ideal(I),

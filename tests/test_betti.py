@@ -1,10 +1,12 @@
+import itertools
 import random
 from math import comb
 
 import pytest
 
 from lexcohom.betti import (Corner, betti_table, corners, corners_direct,
-                            corners_via_reg, lcm_lattice, region_dominates)
+                            corners_via_reg, lcm_lattice, region_dominates,
+                            upper_koszul_faces)
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.errors import ResourceLimitError
 from lexcohom.hilbert import hilbert_series
@@ -120,6 +122,26 @@ def test_lcm_lattice():
             M(3, 0, 0, 0), M(0, 3, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 3),
             M(1, 1, 1, 1), M(2, 2, 0, 0), M(0, 0, 2, 2), M(2, 0, 2, 0),
         ]), cap=10)
+
+
+def test_upper_koszul_faces_match_membership_oracle():
+    # tau is a face iff x^(b - tau) lies in I, tested by plain membership
+    rng = random.Random(107)
+    for n, powers in ((2, ()), (2, (2, 3)), (3, ()), (3, (2,)), (4, ()),
+                      (4, (2, 2)), (5, ()), (5, (2, 2, 3))):
+        ctx = RingContext(n, powers=powers)
+        for _ in range(6):
+            I = random_ideal(rng, ctx, 3, 4)
+            for b in lcm_lattice(I):
+                supp = [i for i, e in enumerate(b) if e > 0]
+                want = {
+                    sum(1 << i for i in tau)
+                    for size in range(len(supp) + 1)
+                    for tau in itertools.combinations(supp, size)
+                    if I.contains(M(*(e - (i in tau) for i, e in enumerate(b))))
+                }
+                faces = upper_koszul_faces(I, b)
+                assert len(faces) == len(want) and set(faces) == want
 
 
 def test_unit_ideal_rejected():

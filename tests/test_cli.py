@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lexcohom.cli import main
+from lexcohom.cli import build_parser, main
 from lexcohom.core import MR_LIMIT, RingContext
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
                                parse_ideal_file, write_ideal_file)
@@ -75,6 +75,18 @@ def test_cli_cohom_window(capsys, tmp_path):
     assert main(["cohom", "--input", str(f), "--window=-6:2"]) == 0
     out = capsys.readouterr().out
     assert "H^1" in out and "certified" in out
+
+
+def test_cli_parser_is_built_once_and_leaks_no_state(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text(SIMPLE)
+    out = tmp_path / "out.json"
+    assert main(["cohom", "--backend", "ext", "--input", str(f), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["backend"] == "ext"
+    assert main(["hilb", "--input", str(f)]) == 0
+    assert main(["cohom", "--input", str(f), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["backend"] == "combinatorial"
+    assert build_parser() is build_parser()
 
 
 def test_cli_cohom_backends_agree_above_2_32(capsys, tmp_path):

@@ -68,6 +68,18 @@ def test_mixed_context_rejected():
                   MonomialIdeal.make(RingContext(3), [Monomial((1, 0, 0))]))
 
 
+def test_wrongly_shaped_monomials_rejected():
+    I = MonomialIdeal.make(ctx2, [M(2, 0)])
+    for m in (Monomial((2,)), Monomial((2, 0, 5))):
+        with pytest.raises(MixedContextError):
+            I.contains(m)
+        with pytest.raises(MixedContextError):
+            M(2, 0).divides(m)
+        with pytest.raises(MixedContextError):
+            m.divides(M(2, 0))
+    assert I.contains(M(2, 1)) and not I.contains(M(1, 5))
+
+
 def test_sum_product_intersection_examples():
     I, J = MonomialIdeal.make(ctx2, [x1]), MonomialIdeal.make(ctx2, [x2])
     assert ideal_sum(I, J).gens == (x1, x2)

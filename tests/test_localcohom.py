@@ -141,6 +141,26 @@ def test_reg_and_projdim_from_cohomology():
         assert ctx.n - min(nonzero_is) == B.projdim
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_window_top_read_off_the_cells(backend):
+    # the default window's top is reg + 1, with reg from the Betti table
+    rng = random.Random(109)
+    ideals = [MonomialIdeal.zero(RingContext(3)), MonomialIdeal.unit(ctx2)]
+    for ctx in (RingContext(3, powers=(2, 2)), RingContext(4),
+                RingContext(2).add_z(), RingContext(2, powers=(2,)).add_z()):
+        ideals += [random_ideal(rng, ctx, 3, 4) for _ in range(5)]
+    for I in ideals:
+        T = cohomology_table(I, backend=backend)
+        lo, hi = default_window(I)
+        assert (T.lo, T.hi) == (lo, hi) and T.hi_covers_reg
+        reg = 0 if I.is_unit else betti_table(I).regularity
+        assert hi == reg + 1
+        assert cohomology_table(I, (lo, reg), backend=backend).hi_covers_reg
+        if not I.is_unit:
+            below = cohomology_table(I, (lo, reg - 1), backend=backend)
+            assert not below.hi_covers_reg
+
+
 def test_reg_h_characterization_matches_table():
     rng = random.Random(103)
     ctx = RingContext(3)

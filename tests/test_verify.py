@@ -1,9 +1,12 @@
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
+from lexcohom import betti, localcohom
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
-from lexcohom.errors import ResourceLimitError
+from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
 from lexcohom.ioformat import format_ideal
 from lexcohom.verify import (FamilySpec, corrupt_epsilon, enumerate_family,
                              nonstable_instances, run_family,
@@ -95,6 +98,72 @@ def test_corner_and_region_instances():
     assert verify_betti_lpp_corners(I).passed
     assert verify_region_inclusion(I).passed
     assert verify_betti_lpp_corners(ctxp.powers_ideal()).passed
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every binding of ``fn`` in the package's modules by a wrapper
+    that records the arguments of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lexcohom" or name.startswith("lexcohom."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+POWERS_EXAMPLE = MonomialIdeal.make(RingContext(3, powers=(2, 2)), [
+    M(2, 0, 0), M(0, 2, 0), M(1, 0, 2), M(0, 1, 3)])
+
+
+def test_harness_computes_each_table_once(monkeypatch):
+    betti_calls = count_calls(monkeypatch, betti.betti_table)
+    cell_calls = count_calls(monkeypatch, localcohom._takayama_cells)
+    ext_calls = count_calls(monkeypatch, localcohom._ext_cells)
+    I = POWERS_EXAMPLE
+    assert verify_cohomology_lpp(I).passed
+    assert verify_cohomology_lpp(I, backend="ext").passed
+    assert verify_lex_cohomology(MonomialIdeal.make(
+        RingContext(3), [M(1, 1, 0), M(0, 1, 2)])).passed
+    assert len(betti_calls) == 0
+    assert len(cell_calls) == 4 and len(ext_calls) == 2
+    assert verify_betti_lpp_corners(I).passed
+    assert len(betti_calls) == 2
+
+
+def test_widening_reuses_the_cells(monkeypatch):
+    cell_calls = count_calls(monkeypatch, localcohom._takayama_cells)
+    fit, los = localcohom._fit_tail, []
+
+    def first_window_uncertified(values, lo, module_dim):
+        los.append(lo)
+        tail = fit(values, lo, module_dim)
+        return replace(tail, certified=False) if lo == los[0] else tail
+
+    monkeypatch.setattr(localcohom, "_fit_tail", first_window_uncertified)
+    rec = verify_cohomology_lpp(POWERS_EXAMPLE)
+    assert rec.passed
+    assert sorted(set(los)) == [2 * los[0], los[0]]
+    assert rec.cohomology["quotient"][0]["lo"] == 2 * los[0]
+    assert len(cell_calls) == 2
+
+
+def test_widening_gives_up_after_three_windows(monkeypatch):
+    fit, los = localcohom._fit_tail, []
+
+    def never_certified(values, lo, module_dim):
+        los.append(lo)
+        return replace(fit(values, lo, module_dim), certified=False)
+
+    monkeypatch.setattr(localcohom, "_fit_tail", never_certified)
+    with pytest.raises(WindowUncertifiedError):
+        verify_cohomology_lpp(POWERS_EXAMPLE)
+    assert sorted(set(los)) == [4 * los[0], 2 * los[0], los[0]]
 
 
 def test_embedding_lemma_suite_and_mutation():
