@@ -221,9 +221,6 @@ class Monomial:
         """Sort key: ascending degree, lex-descending inside a degree."""
         return (self.degree, tuple(-e for e in self.exps))
 
-    def __str__(self):
-        return format_term([f"x{i+1}" for i in range(len(self.exps))], self.exps, 1)
-
 
 def format_term(names, exps, coeff: int) -> str:
     """``coeff*x1^a1*...`` in the given variable names; the coefficient 1 is

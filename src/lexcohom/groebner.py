@@ -4,10 +4,20 @@ Only what the distraction/stabilization pipeline needs: weight orders with a
 lex or revlex tiebreak, reduced Groebner bases, and initial ideals.  Inputs
 are always homogeneous, which keeps weight orders with zero entries (such as
 (1,...,1,0)) safe: reductions never leave the current degree.
+
+Each basis member's leading term is computed once, when the member enters
+the basis, and stored next to it; pairs, reductions, minimalization and
+inter-reduction read it from there.  The S-pairs wait in a heap under the
+normal selection order: the key (sum(lcm), lcm, i, j), smallest lcm degree
+first (Giovini et al., "One sugar cube, please", ISSAC 1991), with the lcm
+computed once, when the pair is pushed.  The key is unique, so the order in
+which pairs are processed, and the pair on which the degree cap raises, are
+fixed by the input.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import Monomial, MonomialIdeal, RingContext, format_term
@@ -88,67 +98,69 @@ class Polynomial:
         return " + ".join(format_term(names, e, c) for e, c in terms) or "0"
 
 
-def _mul_term(f: Polynomial, exps: tuple[int, ...], c: int) -> Polynomial:
-    p = f.ctx.char
-    return Polynomial(
-        f.ctx,
-        tuple(sorted((tuple(a + b for a, b in zip(e, exps)), cf * c % p)
-                     for e, cf in f.coeffs)),
-    )
+# A basis member is stored as the triple (lt, lc, poly): the exponents and
+# coefficient of its leading term, computed once, next to the polynomial.
+Entry = tuple[tuple[int, ...], int, Polynomial]
 
 
-def _sub(f: Polynomial, g: Polynomial) -> Polynomial:
-    p = f.ctx.char
-    acc = dict(f.coeffs)
-    for e, c in g.coeffs:
-        acc[e] = (acc.get(e, 0) - c) % p
-    return Polynomial(f.ctx, tuple(sorted((e, c) for e, c in acc.items() if c)))
-
-
-def _monic(f: Polynomial, order: TermOrder) -> Polynomial:
-    if f.is_zero:
-        return f
-    _, c = f.leading_term(order)
-    inv = pow(c, f.ctx.char - 2, f.ctx.char)
-    return _mul_term(f, (0,) * f.ctx.n, inv)
+def _monic_entry(f: Polynomial, order: TermOrder) -> Entry:
+    lt, lc = f.leading_term(order)
+    if lc != 1:
+        p = f.ctx.char
+        inv = pow(lc, p - 2, p)
+        f = Polynomial(f.ctx, tuple((e, c * inv % p) for e, c in f.coeffs))
+    return lt, 1, f
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder) -> Polynomial:
-    """Full remainder of f under division by basis (all terms reduced)."""
-    p = f.ctx.char
+def _reduce(ctx: RingContext, terms, basis: list[Entry], order: TermOrder) -> Polynomial:
+    """Full remainder of the sum of ``terms`` under division by ``basis``:
+    largest term first, each term is cancelled with the first member whose
+    leading term divides it, or else kept."""
+    p = ctx.char
+    key = order.key
     rem: dict[tuple[int, ...], int] = {}
-    work = dict(f.coeffs)
-    lts = [(g.leading_term(order), g) for g in basis]
+    work: dict[tuple[int, ...], int] = {}
+    for e, c in terms:
+        work[e] = (work.get(e, 0) + c) % p
     while work:
-        e = max(work, key=order.key)
+        e = max(work, key=key)
         c = work.pop(e)
         if not c:
             continue
-        for (le, lc), g in lts:
+        for le, lc, g in basis:
             if _divides(le, e):
                 q = tuple(a - b for a, b in zip(e, le))
-                factor = c * pow(lc, p - 2, p) % p
+                factor = c if lc == 1 else c * pow(lc, p - 2, p) % p
                 for ge, gc in g.coeffs:
-                    key = tuple(a + b for a, b in zip(ge, q))
-                    work[key] = (work.get(key, 0) - factor * gc) % p
-                work.pop(tuple(a + b for a, b in zip(le, q)), None)
+                    if ge != le:
+                        t = tuple(a + b for a, b in zip(ge, q))
+                        work[t] = (work.get(t, 0) - factor * gc) % p
                 break
         else:
-            rem[e] = c % p
-    return Polynomial(f.ctx, tuple(sorted((e, c) for e, c in rem.items() if c)))
+            rem[e] = c
+    return Polynomial(ctx, tuple(sorted(rem.items())))
 
 
-def _s_poly(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    (ef, cf), (eg, cg) = f.leading_term(order), g.leading_term(order)
+def normal_form(f: Polynomial, basis: list[Polynomial], order: TermOrder) -> Polynomial:
+    """Full remainder of f under division by basis (all terms reduced)."""
+    return _reduce(f.ctx, f.coeffs, [(*g.leading_term(order), g) for g in basis], order)
+
+
+def _s_terms(f: Entry, g: Entry):
+    """The terms of the S-polynomial of two monic members, leading terms
+    left out (they cancel)."""
+    (ef, _, pf), (eg, _, pg) = f, g
     lcm = tuple(map(max, ef, eg))
-    p = f.ctx.char
-    a = _mul_term(f, tuple(l - e for l, e in zip(lcm, ef)), pow(cf, p - 2, p))
-    b = _mul_term(g, tuple(l - e for l, e in zip(lcm, eg)), pow(cg, p - 2, p))
-    return _sub(a, b)
+    p = pf.ctx.char
+    for le, h, sign in ((ef, pf, 1), (eg, pg, p - 1)):
+        q = tuple(l - e for l, e in zip(lcm, le))
+        for e, c in h.coeffs:
+            if e != le:
+                yield tuple(a + b for a, b in zip(e, q)), c * sign
 
 
 def buchberger(
@@ -158,49 +170,53 @@ def buchberger(
 
     Raises DegreeCapExceededError if an S-pair degree exceeds the cap.
     """
-    basis = [_monic(g, order) for g in gens if not g.is_zero]
-    basis.sort(key=lambda g: (g.degree, order.key(g.leading_term(order)[0])))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pairs:
-        # normal selection: smallest lcm degree first, deterministic tiebreak
-        def pair_key(ij):
-            i, j = ij
-            lcm = tuple(map(max, basis[i].leading_term(order)[0],
-                            basis[j].leading_term(order)[0]))
-            return (sum(lcm), lcm, i, j)
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return []
+    ctx = gens[0].ctx
 
-        i, j = min(pairs, key=pair_key)
-        pairs.discard((i, j))
-        ei = basis[i].leading_term(order)[0]
-        ej = basis[j].leading_term(order)[0]
-        lcm = tuple(map(max, ei, ej))
-        if sum(lcm) > degree_cap:
+    def sort_key(entry: Entry):
+        return (sum(entry[0]), order.key(entry[0]))
+
+    basis = sorted((_monic_entry(g, order) for g in gens), key=sort_key)
+    # normal selection: smallest lcm degree first; (lcm, i, j) breaks ties
+    pairs = []
+    for j in range(1, len(basis)):
+        for i in range(j):
+            lcm = tuple(map(max, basis[i][0], basis[j][0]))
+            pairs.append((sum(lcm), lcm, i, j))
+    heapq.heapify(pairs)
+    while pairs:
+        deg, lcm, i, j = heapq.heappop(pairs)
+        if deg > degree_cap:
             raise DegreeCapExceededError(
-                f"S-pair degree {sum(lcm)} exceeds cap {degree_cap}"
+                f"S-pair degree {deg} exceeds cap {degree_cap}"
             )
+        ei, ej = basis[i][0], basis[j][0]
         if all(a + b == l for a, b, l in zip(ei, ej, lcm)):
             continue  # coprime leading terms reduce to zero
-        s = normal_form(_s_poly(basis[i], basis[j], order), basis, order)
+        s = _reduce(ctx, _s_terms(basis[i], basis[j]), basis, order)
         if s.is_zero:
             continue
-        s = _monic(s, order)
-        basis.append(s)
+        new = _monic_entry(s, order)
+        basis.append(new)
         k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        for i2 in range(k):
+            lcm = tuple(map(max, basis[i2][0], new[0]))
+            heapq.heappush(pairs, (sum(lcm), lcm, i2, k))
     # minimalize: drop members whose leading term another one divides
-    basis.sort(key=lambda g: (g.degree, order.key(g.leading_term(order)[0])))
-    minimal: list[Polynomial] = []
-    for g in basis:
-        lt = g.leading_term(order)[0]
-        if not any(_divides(h.leading_term(order)[0], lt) for h in minimal):
-            minimal.append(g)
-    # inter-reduce tails
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), order))
-    reduced.sort(key=lambda g: (g.degree, order.key(g.leading_term(order)[0])))
-    return reduced
+    basis.sort(key=sort_key)
+    minimal: list[Entry] = []
+    for entry in basis:
+        if not any(_divides(h[0], entry[0]) for h in minimal):
+            minimal.append(entry)
+    # inter-reduce tails; leading terms stay, so each member stays monic
+    reduced = [
+        (lt, 1, _reduce(ctx, g.coeffs, minimal[:idx] + minimal[idx + 1 :], order))
+        for idx, (lt, _, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=sort_key)
+    return [g for _, _, g in reduced]
 
 
 def initial_ideal(

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from . import zstable
 from .betti import betti_table, corners, region_dominates
-from .core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
-                   ideal_product, ideal_sum, minimalize, saturate)
+from .core import (Monomial, MonomialIdeal, RingContext, ideal_product, ideal_sum,
+                   minimalize, saturate)
 from .embeddings import (embedding_horizon, epsilon_one, ideal_dims, lex_ideal_of,
                          lpp_ideal)
 from .errors import ResourceLimitError
@@ -278,13 +278,19 @@ def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
 
 def _generator_tallies(P: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise counts of minimal generators of the quotient-ring ideal
-    P/b, i.e. dims of P/(m*P + b)."""
+    P/b, i.e. dims of P/(m*P + b), read off exact Hilbert series.
+
+    ``graded_piece_dim(J, d)`` counts the S-basis monomials in J, which is
+    H_{B/b}(d) - H_{B/(J+b)}(d).  So the count in degree d,
+    ``graded_piece_dim(P, d) - graded_piece_dim(mP, d)``, equals
+    H_{B/(mP+b)}(d) - H_{B/(P+b)}(d); this holds for every P, also for one
+    that does not contain b.
+    """
     ctx = P.ctx
-    mP = ideal_sum(ideal_product(ctx.max_ideal(), P), ctx.powers_ideal()) \
-        if ctx.powers else ideal_product(ctx.max_ideal(), P)
-    return tuple(
-        graded_piece_dim(P, d) - graded_piece_dim(mP, d) for d in range(upto + 1)
-    )
+    mP = ideal_product(ctx.max_ideal(), P).plus_powers()
+    hP = hilbert_series(P.plus_powers())
+    hmP = hilbert_series(mP)
+    return tuple(hmP.value(d) - hP.value(d) for d in range(upto + 1))
 
 
 def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:

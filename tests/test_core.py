@@ -60,6 +60,14 @@ def test_ideal_str_names_z():
     assert str(MonomialIdeal.unit(ctx2)) == "(1)"
 
 
+def test_monomial_str_names_no_variable():
+    # a bare Monomial has no ring context: in K[x1,x2][z] the exponents
+    # (1, 0, 2) are x1*z^2, so str() must not guess the name x3
+    text = str(Monomial((1, 0, 2)))
+    assert "x3" not in text
+    assert text == "Monomial(exps=(1, 0, 2))"
+
+
 def test_mixed_context_rejected():
     with pytest.raises(MixedContextError):
         minimalize(ctx2, [Monomial((1, 0, 0))])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom.core import Monomial, RingContext
 from lexcohom.errors import DegreeCapExceededError
@@ -118,6 +120,43 @@ def test_degeneration_with_zero_weight_on_z():
         assert ctx.dim(d) - qw[d] == ideal_dim_oracle(ctx, gens, d)
 
 
+def test_degree_cap_boundary():
+    # lex basis of (x1^2 - x2^2, x1*x2) is {x1*x2, x1^2 - x2^2, x2^3}; the
+    # largest pair popped is the coprime one (x1^2, x2^3), of degree 5: the
+    # cap is checked before the coprime skip
+    ctx = RingContext(2)
+    order = TermOrder((1, 1), "lex")
+    gens = [poly(ctx, ((2, 0), 1), ((0, 2), -1)), poly(ctx, ((1, 1), 1))]
+    assert len(buchberger(gens, order, degree_cap=5)) == 3
+    with pytest.raises(DegreeCapExceededError, match=r"^S-pair degree 5 exceeds cap 4$"):
+        buchberger(gens, order, degree_cap=4)
+
+
+def test_degree_cap_raises_at_the_first_pair_above_it():
+    # pairs are popped by ascending lcm degree, so at the smallest cap k that
+    # succeeds, the cap k - 1 fails on a pair of degree exactly k
+    rng = random.Random(3)
+    ctx = RingContext(3)
+    for tiebreak in ("lex", "revlex"):
+        order = TermOrder((1, 1, 1), tiebreak)
+        for _ in range(10):
+            gens = [poly(ctx, *((m.exps, rng.randint(1, P - 1))
+                                for m in rng.sample(list(ctx.monomials(d)), 2)))
+                    for d in (rng.randint(1, 3) for _ in range(rng.randint(2, 3)))]
+            k = 0
+            while True:
+                try:
+                    gb = buchberger(gens, order, degree_cap=k)
+                    break
+                except DegreeCapExceededError:
+                    k += 1
+            assert gb == buchberger(gens, order)
+            if k > 0:
+                with pytest.raises(DegreeCapExceededError,
+                                   match=rf"^S-pair degree {k} exceeds cap {k - 1}$"):
+                    buchberger(gens, order, degree_cap=k - 1)
+
+
 def test_degree_cap():
     ctx = RingContext(2)
     f1 = poly(ctx, ((2, 0), 1), ((0, 2), -1))
@@ -141,3 +180,90 @@ def test_homogeneity_enforced():
     ctx = RingContext(2)
     with pytest.raises(ValueError):
         poly(ctx, ((1, 0), 1), ((2, 0), 1))
+
+
+# --- the reduced Groebner basis, checked by engine-free oracles -------------
+
+
+def _remainder(f, basis, order):
+    """Textbook division of f by basis: cancel the largest term divisible by
+    some leading term, keep the others."""
+    p = f.ctx.char
+    work = dict(f.coeffs)
+    rem = {}
+    lts = [(g.leading_term(order), g) for g in basis]
+    while work:
+        e = max(work, key=order.key)
+        c = work[e]
+        if c == 0:
+            del work[e]
+            continue
+        for (le, lc), g in lts:
+            if all(a <= b for a, b in zip(le, e)):
+                # subtract (c / lc) * x^(e - le) * g, which cancels the term at e
+                factor = c * pow(lc, p - 2, p)
+                shift = [a - b for a, b in zip(e, le)]
+                for ge, gc in g.coeffs:
+                    t = tuple(a + b for a, b in zip(ge, shift))
+                    work[t] = (work.get(t, 0) - factor * gc) % p
+                break
+        else:
+            rem[e] = work.pop(e)
+    return rem
+
+
+def _s_polynomial(f, g, order):
+    (ef, cf), (eg, cg) = f.leading_term(order), g.leading_term(order)
+    lcm = tuple(map(max, ef, eg))
+    p = f.ctx.char
+    terms = []
+    for h, e, c, sign in ((f, ef, cf, 1), (g, eg, cg, -1)):
+        scale = sign * pow(c, p - 2, p)
+        terms += [(tuple(a + l - b for a, l, b in zip(he, lcm, e)), hc * scale)
+                  for he, hc in h.coeffs]
+    return Polynomial.make(f.ctx, terms)
+
+
+@st.composite
+def groebner_inputs(draw):
+    n = draw(st.integers(2, 3))
+    with_z = draw(st.booleans())
+    ctx = RingContext(n, z=with_z)
+    tiebreak = draw(st.sampled_from(["lex", "revlex"]))
+    if with_z and draw(st.booleans()):
+        order = TermOrder.x_weight(ctx, tiebreak)
+    else:
+        order = TermOrder.standard(ctx, tiebreak)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = [m.exps for m in ctx.monomials(draw(st.integers(1, 3)))]
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=3,
+                               unique=True))
+        gens.append(poly(ctx, *((e, draw(st.integers(1, P - 1))) for e in chosen)))
+    return ctx, order, gens
+
+
+@given(groebner_inputs())
+@settings(max_examples=60, deadline=None)
+def test_buchberger_returns_the_reduced_groebner_basis(case):
+    ctx, order, gens = case
+    gb = buchberger(gens, order)
+    assert gb
+    # the output generates the input
+    for f in gens:
+        assert not _remainder(f, gb, order)
+    # Buchberger's criterion: every S-pair of the output reduces to zero
+    for i, f in enumerate(gb):
+        for g in gb[i + 1:]:
+            assert not _remainder(_s_polynomial(f, g, order), gb, order)
+    # reduced: monic, and no term is divisible by another member's leading term
+    lts = [g.leading_term(order) for g in gb]
+    assert all(c == 1 for _, c in lts)
+    for i, g in enumerate(gb):
+        for j, (le, _) in enumerate(lts):
+            if i != j:
+                assert not any(all(a <= b for a, b in zip(le, e)) for e, _ in g.coeffs)
+    # the initial ideal has the Hilbert function of the input ideal
+    qw = quotient_window(initial_ideal(gens, order), 6)
+    for d in range(7):
+        assert ctx.dim(d) - qw[d] == ideal_dim_oracle(ctx, gens, d)

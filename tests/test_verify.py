@@ -1,20 +1,25 @@
 import json
+import random
 import sys
 from dataclasses import replace
 
 import pytest
 
 from lexcohom import betti, localcohom
-from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
+                           ideal_product, minimalize)
 from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
 from lexcohom.ioformat import format_ideal
-from lexcohom.verify import (FamilySpec, corrupt_epsilon, enumerate_family,
+from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
+                             enumerate_family,
                              nonstable_instances, run_family,
                              stable_instances, verify_betti_lpp_corners,
                              verify_cohomology_lpp, verify_embedding_lemmas,
                              verify_lex_cohomology,
                              verify_region_inclusion, verify_zstabilize)
 import lexcohom.zstable as zs
+
+from conftest import random_ideal
 
 
 def M(*exps):
@@ -178,6 +183,34 @@ def test_embedding_lemma_suite_and_mutation():
         for I in instances
     )
     assert failures >= 1
+
+
+def test_generator_tallies_match_the_monomial_count():
+    # the series identity against the definition: S-basis monomials of P
+    # minus those of m*P + b, degree by degree
+    rng = random.Random(5)
+    W = 7
+    for ctx in (RingContext(3), RingContext(3, powers=(2, 2)),
+                RingContext(2).add_z(), RingContext(2, powers=(2, 3)).add_z()):
+        ideals = [random_ideal(rng, ctx, 4, 4) for _ in range(10)]
+        ideals += [MonomialIdeal.zero(ctx), MonomialIdeal.unit(ctx)]
+        if ctx.powers:  # a P without b, as a corrupted embedding may return
+            ideals.append(MonomialIdeal.make(ctx, [ctx.variable(0).mul(ctx.variable(1))]))
+            assert not ideals[-1].contains_ideal(ctx.powers_ideal())
+        for P in ideals:
+            mP = ideal_product(ctx.max_ideal(), P).plus_powers()
+            brute = tuple(graded_piece_dim(P, d) - graded_piece_dim(mP, d)
+                          for d in range(W + 1))
+            assert _generator_tallies(P, W) == brute, (ctx, P)
+
+
+def test_corrupted_embedding_trips_generator_counts():
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True,
+                      count=8, seed=21)
+    assert any(
+        not verify_embedding_lemmas(I, epsilon=corrupt_epsilon).checks["generator_counts"]
+        for I in stable_instances(spec)
+    )
 
 
 def test_zstabilize_record():
