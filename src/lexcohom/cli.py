@@ -14,13 +14,14 @@ import sys
 from . import zstable
 from .betti import betti_table, corners
 from .core import MonomialIdeal, RingContext
-from .embeddings import embedding_horizon, ideal_dims, lex_segment_ideal, lpp_ideal
+from .embeddings import embedding_horizon, lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
-from .hilbert import hilbert_series
+from .hilbert import hilbert_series, ideal_window
 from .ioformat import (ParseError, as_monomial_ideal, format_ideal,
                        parse_ideal_file, write_ideal_file)
 from .localcohom import cohomology_table
-from .verify import THEOREMS, FamilySpec, run_family
+from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
+                     run_family)
 
 USAGE_ERROR, THEOREM_FAILURE, OK = 2, 1, 0
 
@@ -51,10 +52,6 @@ def _emit_json(args, payload: dict):
             fh.write("\n")
 
 
-def _ctx_json(ctx: RingContext) -> dict:
-    return {"n": ctx.nx, "char": ctx.char, "powers": list(ctx.powers), "z": ctx.z}
-
-
 def cmd_hilb(args) -> int:
     I = _read_ideal(args)
     hs = hilbert_series(I)
@@ -76,7 +73,7 @@ def cmd_lex(args) -> int:
         print("error: lex expects a ring without powers (use lpp)", file=sys.stderr)
         return USAGE_ERROR
     D = embedding_horizon(I.ctx, I.max_gen_degree())
-    L = lex_segment_ideal(I.ctx, ideal_dims(I, D))
+    L = lex_segment_ideal(I.ctx, ideal_window(I, D))
     print(format_ideal(L))
     _emit_json(args, {
         "schema_version": 1, "command": "lex", "context": _ctx_json(I.ctx),
@@ -108,7 +105,7 @@ def cmd_betti(args) -> int:
     _emit_json(args, {
         "schema_version": 1, "command": "betti", "context": _ctx_json(I.ctx),
         "ideal": format_ideal(I),
-        "betti": [[i, j, v] for (i, j), v in sorted(T.entries.items())],
+        "betti": _betti_triples(T),
         "projdim": T.projdim, "regularity": T.regularity,
         "corners": [[c.i, c.slope, c.value] for c in cs],
     })
@@ -131,12 +128,7 @@ def cmd_cohom(args) -> int:
     _emit_json(args, {
         "schema_version": 1, "command": "cohom", "context": _ctx_json(I.ctx),
         "ideal": format_ideal(I), "backend": args.backend,
-        "cohomology": [
-            {"i": i, "lo": T.lo, "hi": T.hi, "values": list(T.rows[i]),
-             "tail_poly": [str(c) for c in T.tails[i].coeffs],
-             "certified": T.tails[i].certified}
-            for i in range(T.n + 1)
-        ],
+        "cohomology": _cohom_rows(T),
     })
     return OK
 
@@ -214,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", help="write a JSON report to this path")
         if window:
             p.add_argument("--window", type=_parse_window, default=None,
-                           metavar="LO:HI")
+                           metavar="LO:HI",
+                           help="degree window; write a negative LO as "
+                                "--window=LO:HI (--window -4:3 reads -4:3 as a flag)")
 
     p = sub.add_parser("hilb", help="Hilbert series and quotient dims")
     common(p, window=True)

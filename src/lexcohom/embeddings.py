@@ -1,22 +1,27 @@
 """Lex-segment and Clements-Lindstrom embeddings, and lex-plus-power ideals.
 
-The central engine selects, degree by degree, the lex-first monomials of the
-quotient basis matching a requested ideal Hilbert function, and checks at
-runtime that the selection closes into an ideal.  That check turns the
-classical Macaulay/Clements-Lindstrom theorems from trusted input into
-verified invariants: for genuine Hilbert functions it can never fail.
-``cl_embed`` and ``lex_segment_ideal`` run it over explicit dims; the
-embeddings of an ideal read the dims off its exact Hilbert series and stop
-once the generated ideal has that series.
+One engine selects, degree by degree, the first ``want`` monomials in
+descending lex order of the monomial basis of S = B/b, by rank arithmetic:
+it counts bounded monomials and never lists a graded piece.  By the
+Clements-Lindstrom theorem (Macaulay's without powers) the shadow of a lex
+segment of S is a lex segment, so closure under multiplication is the one
+comparison c <= want, Macaulay's growth bound.  Here c - 1 is the rank of
+u * x_j, u is the last monomial selected one degree lower and x_j the last
+variable u can still be multiplied by in S.
+
+Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
+``epsilon_one``, ``is_embedded``) is certified: it stops only when the
+generated ideal has the exact Hilbert series of the input.  ``cl_embed``
+and ``lex_segment_ideal`` take explicit dims and the shadow theorem on trust.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext, graded_piece_dim, minimalize
+from .core import Monomial, MonomialIdeal, RingContext, _ring_dims, minimalize
 from .errors import NotAnIdealError, NotAttainableError, NotOSequenceError
-from .hilbert import HilbertFunctionSpec, hilbert_series, is_O_sequence
+from .hilbert import hilbert_series
 
 
 def embedding_horizon(ctx: RingContext, max_gen_degree: int) -> int:
@@ -43,87 +48,93 @@ class EmbeddingResult:
     quotient_dims: tuple[int, ...]  # achieved quotient Hilbert window
 
 
-def _values(H) -> tuple[int, ...]:
-    if isinstance(H, HilbertFunctionSpec):
-        return H.values
-    return tuple(H)
+def _rank(e: tuple[int, ...], bounds, count) -> int:
+    """Number of basis monomials of degree sum(e) before e in descending lex.
+
+    ``count[i][t]`` is the number of basis monomials of degree t in the
+    variables i..n-1.
+    """
+    r, rem = 0, sum(e)
+    for i, ei in enumerate(e[:-1]):
+        top = rem if bounds[i] is None else min(rem, bounds[i])
+        r += sum(count[i + 1][rem - a] for a in range(ei + 1, top + 1))
+        rem -= ei
+    return r
 
 
-def _engine(ctx: RingContext, ideal_dims, strict_ideal_check: bool):
+def _unrank(k: int, d: int, bounds, count) -> tuple[int, ...]:
+    """The basis monomial of degree d with rank k in descending lex."""
+    e, rem = [], d
+    for i in range(len(bounds) - 1):
+        a = rem if bounds[i] is None else min(rem, bounds[i])
+        while k >= count[i + 1][rem - a]:
+            k -= count[i + 1][rem - a]
+            a -= 1
+        e.append(a)
+        rem -= a
+    return tuple(e) + (rem,)
+
+
+def _shadow_end(u: tuple[int, ...], bounds) -> tuple[int, ...] | None:
+    """The lex-last monomial of the shadow of u in S: u * x_j for the last
+    variable x_j that u can still be multiplied by; None when u is the socle
+    monomial of S."""
+    for j in reversed(range(len(u))):
+        if bounds[j] is None or u[j] < bounds[j]:
+            return u[:j] + (u[j] + 1,) + u[j + 1:]
+    return None
+
+
+def _engine(ctx: RingContext, dims, fail: type[Exception]):
     """Degree-by-degree lex-first selection, yielding each degree's new
     generators.
 
-    ``ideal_dims`` yields the requested dim of the ideal inside S_d (the
+    ``dims`` yields the requested dim of the ideal inside S_d (the
     bounded monomial basis when the context has powers) for d = 0, 1, ...
-    On failure raises NotAttainableError, or NotAnIdealError when
-    ``strict_ideal_check`` marks a closure failure as impossible-by-theorem.
+    A dim above dim S_d, or below the shadow of the previous degree's
+    selection, raises ``fail``.
     """
-    prev_sel: set[tuple[int, ...]] = set()
-    bounds = [ctx.exp_bound(i) for i in range(ctx.n)]
-    if ctx.z:
-        bounds[-1] = None
-    fail = NotAnIdealError if strict_ideal_check else NotAttainableError
+    n = ctx.n
+    bounds = [ctx.exp_bound(i) for i in range(n)]  # z is never bounded
+    end = None  # the last monomial of the shadow of the previous selection
 
-    for d, want in enumerate(ideal_dims):
-        s_basis = [m.exps for m in ctx.monomials(d, bounded=True)]
-        closure = set()
-        for e in prev_sel:
-            for i in range(ctx.n):
-                if bounds[i] is not None and e[i] + 1 > bounds[i]:
-                    continue
-                closure.add(tuple(x + 1 if k == i else x for k, x in enumerate(e)))
-        if want > len(s_basis):
-            raise NotAttainableError(
-                f"degree {d}: requested ideal dim {want} exceeds ring dim {len(s_basis)}"
+    for d, want in enumerate(dims):
+        count = [_ring_dims(n - i, ctx.powers[i:], d) for i in range(n)]
+        if want > count[0][d]:
+            raise fail(
+                f"degree {d}: requested ideal dim {want} exceeds ring dim {count[0][d]}"
             )
-        sel = s_basis[:want]
-        sel_set = set(sel)
-        if not closure <= sel_set:
+        c = 0 if end is None else _rank(end, bounds, count) + 1  # the shadow's size
+        if c > want:
             raise fail(
                 f"degree {d}: lex-first selection of size {want} is not closed "
-                f"under multiplication (needs {len(closure)} monomials)"
+                f"under multiplication (needs {c} monomials)"
             )
-        yield [Monomial(e) for e in sel if e not in closure]
-        prev_sel = sel_set
+        yield [Monomial(_unrank(k, d, bounds, count)) for k in range(c, want)]
+        end = _shadow_end(_unrank(want - 1, d, bounds, count), bounds) if want else None
 
 
 def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
     """The lex-segment ideal of a plain polynomial ring with ideal dims H.
 
-    Raises NotOSequenceError when the complementary quotient function
-    violates Macaulay growth.
+    Raises NotOSequenceError unless the complementary quotient function is
+    an O-sequence (Macaulay's criterion) or that of the zero ring, whose lex
+    ideal is the unit ideal.
     """
     if ctx.powers:
         raise ValueError("lex_segment_ideal expects a context without powers")
-    dims = _values(H)
-    qdims = [ctx.dim(d) - dims[d] for d in range(len(dims))]
-    if any(q < 0 for q in qdims):
-        raise NotOSequenceError("ideal dims exceed the ring dimensions")
-    if qdims and qdims[0] == 0:
-        if any(qdims):
-            raise NotOSequenceError("the zero ring cannot grow back")
-        return MonomialIdeal.unit(ctx)
-    if not is_O_sequence(qdims, ctx.n):
-        raise NotOSequenceError(f"quotient dims {tuple(qdims)} violate Macaulay growth")
-    gens = [g for new in _engine(ctx, dims, strict_ideal_check=True) for g in new]
+    gens = [g for new in _engine(ctx, tuple(H), NotOSequenceError) for g in new]
     return minimalize(ctx, gens)
 
 
 def cl_embed(ctx: RingContext, H) -> EmbeddingResult:
     """Clements-Lindstrom embedding: lex-first selection inside S = B/b."""
-    dims = _values(H)
-    gens = [g for new in _engine(ctx, dims, strict_ideal_check=False) for g in new]
+    dims = tuple(H)
+    gens = [g for new in _engine(ctx, dims, NotAttainableError) for g in new]
     ctx_B = RingContext(ctx.n, ctx.char, (), ctx.z)
     qdims = tuple(ctx.dim(d) - dims[d] for d in range(len(dims)))
     image = minimalize(ctx, gens).plus_powers()
     return EmbeddingResult(minimalize(ctx_B, gens), image, qdims)
-
-
-def ideal_dims(I: MonomialIdeal, upto: int) -> HilbertFunctionSpec:
-    """Hilbert function of I inside S (bounded basis) on degrees 0..upto."""
-    return HilbertFunctionSpec(
-        tuple(graded_piece_dim(I, d) for d in range(upto + 1))
-    )
 
 
 def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
@@ -153,7 +164,7 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
     gens: list[Monomial] = []
     grew = True  # generators were added since the last check
-    for d, new in enumerate(_engine(ctx, dims, strict_ideal_check=False)):
+    for d, new in enumerate(_engine(ctx, dims, NotAttainableError)):
         gens.extend(new)
         if new:
             grew = True

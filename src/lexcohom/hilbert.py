@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb
 
-from .core import MonomialIdeal, RingContext, minimal_exponents
+from .core import MonomialIdeal, RingContext, _ring_dims, minimal_exponents
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -82,6 +82,16 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return _poly_add(_numerator(plus), _shift(_numerator(col), 1))
 
 
+def _series_coeffs(numer, nvars: int, upto: int) -> list[int]:
+    """Coefficients of numer(t) / (1-t)^nvars on degrees 0..upto: each
+    division by (1-t) is one running-sum pass."""
+    coeffs = (list(numer) + [0] * (upto + 1))[:upto + 1]
+    for _ in range(nvars):
+        for d in range(1, upto + 1):
+            coeffs[d] += coeffs[d - 1]
+    return coeffs
+
+
 @dataclass(frozen=True)
 class HilbertSeries:
     """Hilb(ring/I) = numer(t) / (1-t)^n with integer coefficients."""
@@ -95,7 +105,7 @@ class HilbertSeries:
 
     def quotient_window(self, upto: int) -> tuple[int, ...]:
         """Values of the quotient Hilbert function on degrees 0..upto."""
-        return tuple(self.value(d) for d in range(upto + 1))
+        return tuple(_series_coeffs(self.numer, self.n, upto))
 
     def value(self, d: int) -> int:
         """The quotient Hilbert function in degree d."""
@@ -136,8 +146,8 @@ def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
 
 def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise dims of the ideal I itself inside the full ring."""
-    qw = quotient_window(I, upto)
-    return tuple(I.ctx.dim(d) - qw[d] for d in range(upto + 1))
+    ring = _ring_dims(I.ctx.n, I.ctx.powers, upto)
+    return tuple(r - q for r, q in zip(ring, quotient_window(I, upto)))
 
 
 def lagrange_interpolate(xs, ys) -> list[Fraction]:
@@ -197,21 +207,13 @@ def series_nonneg(numer, nvars: int) -> bool:
     if not numer:
         return True
     D = len(numer) - 1
-
-    def coeff(d):
-        if nvars == 0:
-            return numer[d] if 0 <= d <= D else 0
-        return sum(
-            numer[i] * comb(d - i + nvars - 1, nvars - 1)
-            for i in range(min(d, D) + 1)
-        )
-
-    if any(coeff(d) < 0 for d in range(D + 1)):
+    coeffs = _series_coeffs(numer, nvars, D + nvars)
+    if any(c < 0 for c in coeffs[:D + 1]):
         return False
     if nvars == 0:
         return True
     xs = list(range(D + 1, D + nvars + 1))
-    poly = lagrange_interpolate(xs, [coeff(d) for d in xs])
+    poly = lagrange_interpolate(xs, coeffs[D + 1:])
     return poly_nonneg_on_ray(poly, D + 1, +1)
 
 

@@ -31,8 +31,8 @@ from math import comb
 
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
-from .hilbert import (hilbert_series, lagrange_interpolate, poly_nonneg_on_ray,
-                      quotient_window)
+from .hilbert import (hilbert_series, ideal_window, lagrange_interpolate,
+                      poly_nonneg_on_ray, quotient_window)
 from .homology import reduced_homology_dims
 
 DEFAULT_GENS_CAP = 18
@@ -190,7 +190,11 @@ class TailPoly:
 
 def _fit_tail(values: list[int], lo: int, module_dim: int) -> TailPoly:
     """Fit a polynomial of degree < module_dim through the lowest points and
-    certify it on the two spare ones."""
+    certify it on the two spare ones.
+
+    Every cell of either backend counts a polynomial in j on all of j <= -1,
+    but not beyond, so a certificate needs all fitted points at j <= -1.
+    """
     deg = max(module_dim, 0)
     pts = [(lo + t, Fraction(values[t])) for t in range(deg + 2)]
     if deg == 0:
@@ -199,7 +203,7 @@ def _fit_tail(values: list[int], lo: int, module_dim: int) -> TailPoly:
         poly = tuple(lagrange_interpolate([p[0] for p in pts[:deg]],
                                           [p[1] for p in pts[:deg]]))
     tail = TailPoly(poly, certified=True)
-    ok = all(tail.value(x) == y for x, y in pts)
+    ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
     return TailPoly(tail.coeffs, certified=ok)
 
 
@@ -458,7 +462,7 @@ def lemma_top_partial_sums(
     restriction inequality Hilb(I + (z^j)) >= Hilb(eps(I) + (z^j)), and the
     full sums at j = d agree because the Hilbert functions do)."""
     from . import zstable
-    from .embeddings import epsilon_one, ideal_dims
+    from .embeddings import epsilon_one
 
     dec = zstable.z_decompose(I)
     if not zstable.is_z_stable(dec):
@@ -468,8 +472,8 @@ def lemma_top_partial_sums(
         d = max(I.max_gen_degree(), eps.max_gen_degree()) + 2
     lhs_ideal = zstable.bar(zstable.z_saturate(dec))
     rhs_ideal = zstable.bar(zstable.z_saturate(zstable.z_decompose(eps)))
-    lhs = ideal_dims(lhs_ideal, d).values
-    rhs = ideal_dims(rhs_ideal, d).values
+    lhs = ideal_window(lhs_ideal.plus_powers(), d)
+    rhs = ideal_window(rhs_ideal.plus_powers(), d)
     acc_l = acc_r = 0
     for j in range(d + 1):
         acc_l += lhs[d - j]

@@ -17,8 +17,7 @@ from . import zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (Monomial, MonomialIdeal, RingContext, ideal_product, ideal_sum,
                    minimalize, saturate)
-from .embeddings import (embedding_horizon, epsilon_one, ideal_dims, lex_ideal_of,
-                         lpp_ideal)
+from .embeddings import embedding_horizon, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
@@ -158,6 +157,10 @@ class InstanceRecord:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
+
+
+def _ctx_json(ctx: RingContext) -> dict:
+    return {"n": ctx.nx, "char": ctx.char, "powers": list(ctx.powers), "z": ctx.z}
 
 
 def _betti_triples(T) -> list[list[int]]:
@@ -393,26 +396,13 @@ def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
     ctx = I.ctx
     P = I.plus_powers()
     D = embedding_horizon(ctx, P.max_gen_degree()) + 2
-    dims = ideal_dims(P, D)
-    chosen: list[Monomial] = []
-    prev: set[tuple[int, ...]] = set()
-    bounds = [ctx.exp_bound(i) for i in range(ctx.n)]
-    if ctx.z:
-        bounds[-1] = None
-    for d, want in enumerate(dims.values):
-        basis = [m.exps for m in ctx.monomials(d, bounded=True)][::-1]  # lex-last
-        closure = set()
-        for e in prev:
-            for i in range(ctx.n):
-                if bounds[i] is not None and e[i] + 1 > bounds[i]:
-                    continue
-                closure.add(tuple(x + 1 if k == i else x for k, x in enumerate(e)))
-        sel = list(closure) + [e for e in basis if e not in closure]
-        sel = sel[:want] if want >= len(closure) else list(closure)
-        chosen.extend(Monomial(e) for e in sel if e not in closure)
-        prev = set(sel)
-    out = minimalize(ctx, chosen)
-    return out.plus_powers() if ctx.powers else out
+    J = MonomialIdeal.zero(ctx)
+    for d, want in enumerate(ideal_window(P, D)):
+        outside = [m for m in ctx.monomials(d, bounded=True) if not J.contains(m)]
+        extra = want - (ctx.dim(d) - len(outside))
+        if extra > 0:
+            J = minimalize(ctx, J.gens + tuple(outside[::-1][:extra]))  # lex-last
+    return J.plus_powers()
 
 
 def verify_recurrences(I: MonomialIdeal,
@@ -468,16 +458,10 @@ class Report:
         }
 
     def to_json_dict(self) -> dict:
-        ctx = self.family.context()
         return {
             "schema_version": 1,
             "theorem": self.theorem,
-            "context": {
-                "n": ctx.nx,
-                "char": ctx.char,
-                "powers": list(ctx.powers),
-                "z": ctx.z,
-            },
+            "context": _ctx_json(self.family.context()),
             "family": self.family.describe(),
             "instances": [
                 {

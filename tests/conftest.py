@@ -1,7 +1,7 @@
 """Shared brute-force oracles: slow, simple, independent of the code paths
 they check."""
 
-from lexcohom.core import MonomialIdeal
+from lexcohom.core import Monomial, MonomialIdeal
 
 
 def all_monomials(ctx, d, bounded=False):
@@ -35,3 +35,28 @@ def random_ideal(rng, ctx, max_deg, max_gens):
     gens = rng.sample(pool, k) if k else []
     base = list(ctx.powers_ideal().gens) if ctx.powers else []
     return MonomialIdeal.make(ctx, base + gens)
+
+
+def brute_lex_first(ctx, dims, fail):
+    """Lex-first selection by listing every bounded monomial of each degree
+    and multiplying out the previous selection: each degree's new
+    generators, with the engine's error class and messages."""
+    bounds = [ctx.exp_bound(i) for i in range(ctx.n)]
+    out, prev = [], set()
+    for d, want in enumerate(dims):
+        basis = [m.exps for m in ctx.monomials(d, bounded=True)]
+        shadow = set()
+        for e in prev:
+            for i in range(ctx.n):
+                if bounds[i] is None or e[i] < bounds[i]:
+                    shadow.add(e[:i] + (e[i] + 1,) + e[i + 1:])
+        if want > len(basis):
+            raise fail(f"degree {d}: requested ideal dim {want} exceeds ring dim "
+                       f"{len(basis)}")
+        sel = basis[:max(want, 0)]
+        if want < 0 or not shadow <= set(sel):
+            raise fail(f"degree {d}: lex-first selection of size {want} is not "
+                       f"closed under multiplication (needs {len(shadow)} monomials)")
+        out.append([Monomial(e) for e in sel if e not in shadow])
+        prev = set(sel)
+    return out

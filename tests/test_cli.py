@@ -77,6 +77,13 @@ def test_cli_cohom_window(capsys, tmp_path):
     assert "H^1" in out and "certified" in out
 
 
+def test_cli_cohom_window_from_degree_zero_is_uncertified(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=2 char=32003\nx1\n")
+    assert main(["cohom", "--input", str(f), "--window=0:3"]) == 2
+    assert "UNCERTIFIED" in capsys.readouterr().out
+
+
 def test_cli_parser_is_built_once_and_leaks_no_state(capsys, tmp_path):
     f = tmp_path / "ideal.txt"
     f.write_text(SIMPLE)

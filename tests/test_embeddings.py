@@ -1,17 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom import embeddings
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            graded_piece_dim, minimalize)
-from lexcohom.embeddings import (cl_embed, embedding_horizon, epsilon_one,
-                                 ideal_dims, is_embedded, lex_ideal_of,
-                                 lex_segment_ideal, lpp_ideal)
+from lexcohom.embeddings import (_engine, cl_embed, embedding_horizon, epsilon_one,
+                                 is_embedded, lex_ideal_of, lex_segment_ideal,
+                                 lpp_ideal)
 from lexcohom.errors import NotAttainableError, NotOSequenceError
-from lexcohom.hilbert import HilbertSeries, hilbert_series
+from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
 
-from conftest import random_ideal
+from conftest import brute_lex_first, random_ideal
 
 
 def M(*exps):
@@ -35,7 +37,7 @@ def _assert_lex_first(I, L):
     """Through one degree past its last generator, every degree-d piece of L
     is the lex-first block of I's dimension."""
     D = L.max_gen_degree() + 1
-    dims = ideal_dims(I, D)
+    dims = ideal_window(I, D)
     for d in range(D + 1):
         basis = list(I.ctx.monomials(d))
         members = [m for m in basis if L.contains(m)]
@@ -162,6 +164,54 @@ def test_embedded_ideal_dims_match_request():
     for _ in range(10):
         I = random_ideal(rng, ctx, 3, 4)
         D = embedding_horizon(ctx, max(I.max_gen_degree(), 1))
-        res = cl_embed(ctx, ideal_dims(I, D))
+        res = cl_embed(ctx, ideal_window(I, D))
         for d in range(D + 1):
             assert graded_piece_dim(res.image_in_S, d) == graded_piece_dim(I, d)
+
+
+def _outcome(select):
+    try:
+        return list(select())
+    except (NotAttainableError, NotOSequenceError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def contexts(draw):
+    n = draw(st.integers(1, 4))
+    z = n >= 2 and draw(st.booleans())
+    nx = n - 1 if z else n
+    powers = sorted(draw(st.lists(st.integers(2, 4), max_size=nx)))
+    ctx = RingContext(nx, powers=tuple(powers))
+    return ctx.add_z() if z else ctx
+
+
+@given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9),
+       st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2)), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb):
+    # dims of a random ideal containing b, then optionally perturbed
+    dims = list(ideal_window(random_ideal(rng, ctx, 4, 4), D))
+    for d, delta in perturb:
+        if d <= D:
+            dims[d] += delta
+    for fail in (NotAttainableError, NotOSequenceError):
+        assert _outcome(lambda: _engine(ctx, dims, fail)) == \
+            _outcome(lambda: brute_lex_first(ctx, dims, fail))
+
+
+@given(st.integers(1, 3), st.lists(st.integers(0, 11), min_size=1, max_size=6),
+       st.integers(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_lex_segment_ideal_rejects_exactly_the_non_O_sequences(n, tail, q0):
+    ctx = RingContext(n)
+    q = [q0] + tail  # a quotient Hilbert function to realize
+    dims = [ctx.dim(d) - v for d, v in enumerate(q)]
+    if not any(q):  # the zero ring: the unit ideal, outside Macaulay's criterion
+        assert lex_segment_ideal(ctx, dims).is_unit
+    elif is_O_sequence(q, n):
+        L = lex_segment_ideal(ctx, dims)
+        assert ideal_window(L, len(q) - 1) == tuple(dims)
+    else:
+        with pytest.raises(NotOSequenceError):
+            lex_segment_ideal(ctx, dims)

@@ -5,6 +5,7 @@ import pytest
 
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
+from lexcohom.errors import WindowUncertifiedError
 from lexcohom.hilbert import hilbert_series, quotient_window
 from lexcohom.localcohom import (check_extension_recurrence, cohomology_table,
                                  compare_tables, default_window,
@@ -191,6 +192,20 @@ def test_corner_identity_display():
             T = cohomology_table(I)
             for c in corners(B):
                 assert c.value == T.value(n - c.i, c.j - n)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tails_are_certified_only_from_negative_degrees(backend):
+    # H^1 of A/(x1) = K[x2] is 1 in every degree <= -1 and 0 from degree 0 on,
+    # so points at j >= 0 cannot certify the tail below the window
+    I = MonomialIdeal.make(ctx2, [M(1, 0)])
+    T = cohomology_table(I, (0, 3), backend=backend)
+    assert not T.all_certified()
+    with pytest.raises(WindowUncertifiedError):
+        T.value(1, -1)
+    T = cohomology_table(I, (-3, 3), backend=backend)
+    assert T.all_certified()
+    assert [T.value(1, j) for j in (-9, -1, 0)] == [1, 1, 0]
 
 
 def test_compare_tables_and_window_mismatch():
