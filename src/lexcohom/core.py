@@ -30,9 +30,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=16)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test; raises ValueError at or above
-    ``MR_LIMIT``, where it would no longer be a proof."""
+    ``MR_LIMIT``, where it would no longer be a proof.  Memoized: every
+    ring context checks its characteristic, and a run uses a few."""
     if p >= MR_LIMIT:
         raise ValueError(
             f"char {p} is not below {MR_LIMIT}, the limit of the exact primality test"

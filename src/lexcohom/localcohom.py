@@ -52,38 +52,51 @@ def _takayama_cells(I: MonomialIdeal):
     generator's exceed mask marks where it lies above the pinned value; a
     face is kept iff its complement meets every exceed mask, so the number
     of pinned vertices and the set of masks are the memo key.
+
+    The multidegrees are walked depth first, coordinate by coordinate, in
+    the order of ``itertools.product`` over (negative, 0, ..., rho_i - 1),
+    so the cells come out in that order.  Each generator's exceed mask is
+    carried down the walk: pinning a coordinate adds its bit (the number of
+    coordinates pinned before it) to the masks of the generators lying
+    above the pinned value.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     gens = [g.exps for g in I.gens]
     rho = [max((g[i] for g in gens), default=0) for i in range(n)]
-    NEG = -1
     memo: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
     cells = []
-    for combo in itertools.product(*[[NEG] + list(range(rho[i])) for i in range(n)]):
-        verts = [i for i in range(n) if combo[i] != NEG]
-        exceed = frozenset(
-            sum(1 << t for t, k in enumerate(verts) if g[k] > combo[k]) for g in gens
-        )
-        key = (len(verts), exceed)
+    stack = [(0, 0, 0, (0,) * len(gens))]  # (coordinate, pinned, fixed_sum, masks)
+    while stack:
+        i, pinned, fixed_sum, masks = stack.pop()
+        if i < n:
+            bit = 1 << pinned
+            stack.extend(
+                (i + 1, pinned + 1, fixed_sum + a,
+                 tuple(m | bit if g[i] > a else m for m, g in zip(masks, gens)))
+                for a in reversed(range(rho[i]))
+            )
+            stack.append((i + 1, pinned, fixed_sum, masks))
+            continue
+        key = (pinned, frozenset(masks))
         hom = memo.get(key)
         if hom is None:
-            full = (1 << len(verts)) - 1
+            full = (1 << pinned) - 1
             faces = [
                 mask for mask in range(full + 1)
-                if all((full ^ mask) & e for e in exceed)
+                if all((full ^ mask) & e for e in key[1])
             ]
             hom = memo[key] = reduced_homology_dims(faces, p)
         if not hom:
             continue
-        f = n - len(verts)
+        f = n - pinned
         by_i = {}
         for k, dim in hom.items():
-            i = k + f + 1
-            if 0 <= i <= n:
-                by_i[i] = by_i.get(i, 0) + dim
+            row = k + f + 1
+            if 0 <= row <= n:
+                by_i[row] = by_i.get(row, 0) + dim
         if by_i:
-            cells.append((sum(combo[i] for i in verts), f, by_i))
+            cells.append((fixed_sum, f, by_i))
     return cells
 
 
@@ -120,6 +133,13 @@ def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
     subsets S with lcm(S) >= c, i.e. those meeting {t : g_t[i] >= c_i} for
     every coordinate with c_i > 0; the tuple of those bitmasks is the memo
     key.
+
+    A slice is a cone, with no cohomology, when some generator t lies in
+    none of the key's inclusion-minimal masks: a subset meets every mask iff
+    it meets every minimal one, which does not depend on whether it holds
+    t.  So the filter is F' times the two subsets (empty, {t}), where F' is
+    a filter on the other generators, and its cochain complex is acyclic.
+    Such slices are stored as {} without listing any subset.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
@@ -134,14 +154,23 @@ def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
         [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
         for i in range(n)
     ]
+    every = (1 << g) - 1
     memo: dict[tuple[int, ...], dict[int, int]] = {}
     cells = []
     for c in itertools.product(*[range(r + 1) for r in rho]):
         key = tuple(above[i][ci] for i, ci in enumerate(c) if ci)
         hom = memo.get(key)
         if hom is None:
-            subsets = [S for S in range(1 << g) if all(S & m for m in key)]
-            hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
+            masks = set(key)
+            minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+            union = 0
+            for m in minimal:
+                union |= m
+            if union != every:
+                hom = {}
+            else:
+                subsets = [S for S in range(1 << g) if all(S & m for m in minimal)]
+                hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
             memo[key] = hom
         if hom:
             cells.append((sum(c), c.count(0), hom))
@@ -194,17 +223,21 @@ def _fit_tail(values: list[int], lo: int, module_dim: int) -> TailPoly:
 
     Every cell of either backend counts a polynomial in j on all of j <= -1,
     but not beyond, so a certificate needs all fitted points at j <= -1.
+    The interpolant through the first deg points fits the two spare ones
+    iff the deg-th forward differences of the deg + 2 values vanish at both
+    positions, which is checked in integers.
     """
     deg = max(module_dim, 0)
-    pts = [(lo + t, Fraction(values[t])) for t in range(deg + 2)]
-    if deg == 0:
-        poly = (Fraction(0),)
+    window = values[:deg + 2]
+    diffs = window
+    for _ in range(deg):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    ok = lo + deg + 1 <= -1 and not any(diffs)
+    if any(window[:deg]):
+        poly = tuple(lagrange_interpolate(range(lo, lo + deg), window[:deg]))
     else:
-        poly = tuple(lagrange_interpolate([p[0] for p in pts[:deg]],
-                                          [p[1] for p in pts[:deg]]))
-    tail = TailPoly(poly, certified=True)
-    ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
-    return TailPoly(tail.coeffs, certified=ok)
+        poly = (Fraction(0),) * max(deg, 1)
+    return TailPoly(poly, certified=ok)
 
 
 @dataclass(frozen=True)

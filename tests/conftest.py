@@ -1,7 +1,13 @@
 """Shared brute-force oracles: slow, simple, independent of the code paths
 they check."""
 
+import itertools
+from fractions import Fraction
+
 from lexcohom.core import Monomial, MonomialIdeal
+from lexcohom.hilbert import lagrange_interpolate
+from lexcohom.homology import reduced_homology_dims
+from lexcohom.localcohom import TailPoly
 
 
 def all_monomials(ctx, d, bounded=False):
@@ -60,3 +66,75 @@ def brute_lex_first(ctx, dims, fail):
         out.append([Monomial(e) for e in sel if e not in shadow])
         prev = set(sel)
     return out
+
+
+def ref_takayama_cells(I):
+    """Takayama cells with every multidegree of the product visited and
+    every exceed mask rebuilt from scratch."""
+    n, p = I.ctx.n, I.ctx.char
+    gens = [g.exps for g in I.gens]
+    rho = [max((g[i] for g in gens), default=0) for i in range(n)]
+    NEG = -1
+    memo, cells = {}, []
+    for combo in itertools.product(*[[NEG] + list(range(rho[i])) for i in range(n)]):
+        verts = [i for i in range(n) if combo[i] != NEG]
+        exceed = frozenset(
+            sum(1 << t for t, k in enumerate(verts) if g[k] > combo[k]) for g in gens
+        )
+        key = (len(verts), exceed)
+        hom = memo.get(key)
+        if hom is None:
+            full = (1 << len(verts)) - 1
+            faces = [mask for mask in range(full + 1)
+                     if all((full ^ mask) & e for e in exceed)]
+            hom = memo[key] = reduced_homology_dims(faces, p)
+        if not hom:
+            continue
+        f = n - len(verts)
+        by_i = {}
+        for k, dim in hom.items():
+            i = k + f + 1
+            if 0 <= i <= n:
+                by_i[i] = by_i.get(i, 0) + dim
+        if by_i:
+            cells.append((sum(combo[i] for i in verts), f, by_i))
+    return cells
+
+
+def ref_ext_cells(I):
+    """Ext cells with every dual Taylor slice listed and ranked, cones
+    included."""
+    n, p = I.ctx.n, I.ctx.char
+    g = len(I.gens)
+    gens = [gen.exps for gen in I.gens]
+    rho = [max((e[i] for e in gens), default=0) for i in range(n)]
+    above = [
+        [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
+        for i in range(n)
+    ]
+    memo, cells = {}, []
+    for c in itertools.product(*[range(r + 1) for r in rho]):
+        key = tuple(above[i][ci] for i, ci in enumerate(c) if ci)
+        hom = memo.get(key)
+        if hom is None:
+            subsets = [S for S in range(1 << g) if all(S & m for m in key)]
+            hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
+            memo[key] = hom
+        if hom:
+            cells.append((sum(c), c.count(0), hom))
+    return cells
+
+
+def ref_fit_tail(values, lo, module_dim):
+    """Tail fit by exact Lagrange interpolation through Fraction points,
+    certified by evaluating the interpolant at every window point."""
+    deg = max(module_dim, 0)
+    pts = [(lo + t, Fraction(values[t])) for t in range(deg + 2)]
+    if deg == 0:
+        poly = (Fraction(0),)
+    else:
+        poly = tuple(lagrange_interpolate([x for x, _ in pts[:deg]],
+                                          [y for _, y in pts[:deg]]))
+    tail = TailPoly(poly, certified=True)
+    ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
+    return TailPoly(poly, certified=ok)

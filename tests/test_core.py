@@ -193,3 +193,10 @@ def test_large_characteristics():
             RingContext(1, char=composite)
     with pytest.raises(ValueError, match=str(MR_LIMIT)):
         RingContext(1, char=MR_LIMIT + 2)
+
+
+def test_primality_limit_raises_every_time():
+    # the primality test is memoized; a raised limit must not be
+    for _ in range(2):
+        with pytest.raises(ValueError, match=str(MR_LIMIT)):
+            RingContext(1, MR_LIMIT)

@@ -2,18 +2,23 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lexcohom import localcohom
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
-from lexcohom.errors import WindowUncertifiedError
+from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
 from lexcohom.hilbert import hilbert_series, quotient_window
+from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import (check_extension_recurrence, cohomology_table,
                                  compare_tables, default_window,
                                  h0_via_saturation, lemma_top_partial_sums,
                                  shared_window)
 from lexcohom.zstable import z_recompose, z_stabilize
 
-from conftest import random_ideal
+from conftest import (random_ideal, ref_ext_cells, ref_fit_tail,
+                      ref_takayama_cells)
 
 
 def M(*exps):
@@ -261,3 +266,96 @@ def test_lemma_top_partial_sums_strict_instance():
     import lexcohom.zstable as zs
     assert zs.is_z_stable(zs.z_decompose(I))
     assert lemma_top_partial_sums(I).passed
+
+
+@st.composite
+def small_ideals(draw):
+    n = draw(st.integers(2, 4))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=n))))
+    ctx = RingContext(n, powers=powers)
+    exps = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = draw(st.lists(exps, max_size=8 - len(powers)))
+    return MonomialIdeal.make(ctx, list(ctx.powers_ideal().gens)
+                              + [Monomial(e) for e in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+def test_cell_passes_match_the_full_enumerations(I):
+    assert localcohom._ext_cells(I) == ref_ext_cells(I)
+    assert localcohom._takayama_cells(I) == ref_takayama_cells(I)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda v: st.tuples(
+    st.just(v), st.lists(st.integers(1, (1 << v) - 1), max_size=6))))
+def test_a_vertex_outside_every_minimal_mask_gives_a_cone(case):
+    v, masks = case
+    minimal = [m for m in masks if not any(o & m == o != m for o in masks)]
+    union = 0
+    for m in minimal:
+        union |= m
+    filt = [S for S in range(1 << v) if all(S & m for m in masks)]
+    if union != (1 << v) - 1:
+        assert reduced_homology_dims(filt, 32003) == {}
+
+
+@pytest.mark.parametrize("ctx, gens, calls", [
+    (RingContext(3, powers=(2, 2)),
+     [M(2, 0, 0), M(0, 2, 0), M(1, 0, 2), M(0, 1, 3)], 6),
+    (RingContext(4),
+     [M(3, 0, 0, 0), M(2, 1, 0, 0), M(0, 3, 0, 0), M(1, 0, 2, 0),
+      M(0, 0, 1, 2), M(0, 1, 0, 3)], 15),
+])
+def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls):
+    # the full enumeration ranks 27 and 108 slices here
+    I = MonomialIdeal.make(ctx, gens)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return reduced_homology_dims(*args)
+
+    monkeypatch.setattr(localcohom, "reduced_homology_dims", counted)
+    assert localcohom._ext_cells(I) == ref_ext_cells(I)
+    assert len(seen) == calls
+
+
+def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
+    cap = localcohom.DEFAULT_GENS_CAP
+    I = MonomialIdeal.make(ctx2, [M(k, cap - k) for k in range(cap + 1)])
+    assert len(I.gens) == cap + 1
+
+    def no_slice(*args):
+        raise AssertionError("a slice was ranked above the cap")
+
+    monkeypatch.setattr(localcohom, "reduced_homology_dims", no_slice)
+    with pytest.raises(ResourceLimitError, match=str(cap)):
+        localcohom._ext_cells(I)
+    with pytest.raises(ResourceLimitError):
+        cohomology_table(I, backend="ext")
+
+
+@st.composite
+def tail_windows(draw):
+    module_dim = draw(st.integers(-1, 4))
+    deg = max(module_dim, 0)
+    lo = draw(st.integers(-deg - 5, -deg + 1))
+    size = deg + 2 + draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["zero", "poly", "random"]))
+    if kind == "zero":
+        values = [0] * size
+    elif kind == "poly":
+        coeffs = draw(st.lists(st.integers(-3, 3), max_size=deg + 1))
+        values = [sum(c * j ** k for k, c in enumerate(coeffs))
+                  for j in range(lo, lo + size)]
+    else:
+        values = draw(st.lists(st.integers(-2, 5), min_size=size, max_size=size))
+    return values, lo, module_dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_windows())
+def test_fit_tail_matches_lagrange(case):
+    tail, ref = localcohom._fit_tail(*case), ref_fit_tail(*case)
+    assert repr(tail) == repr(ref)
