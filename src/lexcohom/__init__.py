@@ -11,10 +11,10 @@ from .embeddings import (EmbeddingResult, cl_embed, epsilon_one, is_embedded,
                          lex_ideal_of, lex_segment_ideal, lpp_ideal)
 from .hilbert import (HilbertFunctionSpec, HilbertSeries, hilbert_series,
                       is_O_sequence, macaulay_growth, macaulay_rep)
-from .localcohom import (CohomologyTable, check_extension_recurrence,
-                         cohomology_table, cohomology_tables, compare_tables,
-                         h0_via_saturation)
-from .verify import FamilySpec, Report, enumerate_family, run_family
+from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
+                         compare_tables, h0_via_saturation)
+from .verify import (FamilySpec, Report, check_extension_recurrence,
+                     enumerate_family, run_family)
 from .zstable import (ZGradedIdeal, bar, colon_z, distraction, is_z_stable,
                       z_decompose, z_order_compare, z_recompose, z_saturate,
                       z_stabilize)

@@ -104,15 +104,8 @@ class BettiTable:
             out.pop()
         return tuple(out)
 
-    def rows(self) -> str:
-        lines = []
-        for (i, j) in sorted(self.entries):
-            lines.append(f"beta[{i},{j}] = {self.entries[(i, j)]}")
-        return "\n".join(lines)
 
-
-def betti_table(I: MonomialIdeal, check: bool = True,
-                lattice_cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
+def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     """Minimal graded Betti table of A/I over GF(p).
 
     ``check`` verifies the alternating-sum identity against the exact
@@ -124,7 +117,7 @@ def betti_table(I: MonomialIdeal, check: bool = True,
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if not I.is_zero:
         p = ctx.char
-        for b in lcm_lattice(I, lattice_cap):
+        for b in lcm_lattice(I):
             faces = upper_koszul_faces(I, b)
             hom = reduced_homology_dims(faces, p)
             j = sum(b)

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import replace
 
 from . import zstable
 from .betti import betti_table, corners
@@ -174,9 +175,8 @@ def _parse_family(text: str, args) -> FamilySpec:
 
 def cmd_verify(args) -> int:
     spec = _parse_family(args.family, args)
-    if args.theorem in ("embedding-lemmas", "recurrences", "zstabilize") \
-            and not spec.with_z:
-        spec = FamilySpec(**{**spec.__dict__, "with_z": True})
+    if THEOREMS[args.theorem][0] != "family":
+        spec = replace(spec, with_z=True)
     report = run_family(args.theorem, spec, jobs=args.jobs)
     s = report.summary()
     for r in report.records:

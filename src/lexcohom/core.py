@@ -351,14 +351,22 @@ def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I : J^infinity, by iterating the colon until it stabilizes."""
+    """I : J^infinity, the intersection over the generators g of J of
+    I : g^infinity, which sets the exponents on supp(g) to 0 in every
+    generator of I.  A zero J gives the unit ideal.
+
+    J^k contains (g_1^k, ..., g_r^k) and J^{rk} lies inside it, so both
+    powers give the same saturation, and I : (g_1^k, ..., g_r^k) is the
+    intersection of the I : g_t^k.
+    """
     _same_ctx(I, J)
-    cur = I
-    while True:
-        nxt = colon_ideal(cur, J)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    out = MonomialIdeal.unit(I.ctx)
+    for g in J.gens:
+        out = ideal_intersection(out, minimalize(I.ctx, [
+            Monomial(tuple(0 if gi else e for e, gi in zip(h.exps, g.exps)))
+            for h in I.gens
+        ]))
+    return out
 
 
 def graded_piece_dim(I: MonomialIdeal, d: int) -> int:

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext, _ring_dims, minimalize
+from . import zstable
+from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
 from .errors import NotAnIdealError, NotAttainableError, NotOSequenceError
 from .hilbert import hilbert_series
 
@@ -93,6 +94,13 @@ def _engine(ctx: RingContext, dims, fail: type[Exception]):
     bounded monomial basis when the context has powers) for d = 0, 1, ...
     A dim above dim S_d, or below the shadow of the previous degree's
     selection, raises ``fail``.
+
+    The generators come out minimal and in canonical order (ascending
+    degree, descending lex inside one), so the callers build their ideals
+    without ``minimalize``.  Each new generator has rank >= c, so it lies
+    outside the shadow of the previous degree's selection; every selection
+    holds the shadow of the one before, so no earlier generator divides it.
+    Inside a degree the ranks ascend, which is descending lex.
     """
     n = ctx.n
     bounds = [ctx.exp_bound(i) for i in range(n)]  # z is never bounded
@@ -123,18 +131,18 @@ def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
     """
     if ctx.powers:
         raise ValueError("lex_segment_ideal expects a context without powers")
-    gens = [g for new in _engine(ctx, tuple(H), NotOSequenceError) for g in new]
-    return minimalize(ctx, gens)
+    return MonomialIdeal(ctx, tuple(
+        g for new in _engine(ctx, tuple(H), NotOSequenceError) for g in new))
 
 
 def cl_embed(ctx: RingContext, H) -> EmbeddingResult:
     """Clements-Lindstrom embedding: lex-first selection inside S = B/b."""
     dims = tuple(H)
-    gens = [g for new in _engine(ctx, dims, NotAttainableError) for g in new]
+    gens = tuple(g for new in _engine(ctx, dims, NotAttainableError) for g in new)
     ctx_B = RingContext(ctx.n, ctx.char, (), ctx.z)
     qdims = tuple(ctx.dim(d) - dims[d] for d in range(len(dims)))
-    image = minimalize(ctx, gens).plus_powers()
-    return EmbeddingResult(minimalize(ctx_B, gens), image, qdims)
+    image = MonomialIdeal(ctx, gens).plus_powers()
+    return EmbeddingResult(MonomialIdeal(ctx_B, gens), image, qdims)
 
 
 def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
@@ -170,7 +178,7 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
             grew = True
         elif grew and d > top:
             grew = False
-            out = minimalize(ctx, gens).plus_powers()
+            out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
             if hilbert_series(out).numer == series.numer:
                 return out
     raise NotAttainableError(
@@ -199,8 +207,6 @@ def epsilon_one(I: MonomialIdeal, check: bool = True) -> MonomialIdeal:
     The result is stable under the last variable with embedded components;
     both properties are asserted when ``check`` is set.
     """
-    from . import zstable  # deferred: zstable does not import back
-
     ctx = I.ctx
     if not ctx.z:
         raise ValueError("epsilon_one expects a context with z")

@@ -77,10 +77,6 @@ class Polynomial:
             raise ValueError("polynomials must be homogeneous")
         return poly
 
-    @staticmethod
-    def from_monomial(ctx: RingContext, m: Monomial, c: int = 1) -> "Polynomial":
-        return Polynomial.make(ctx, [(m.exps, c)])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -31,8 +31,8 @@ from math import comb
 
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
-from .hilbert import (hilbert_series, ideal_window, lagrange_interpolate,
-                      poly_nonneg_on_ray, quotient_window)
+from .hilbert import (hilbert_series, lagrange_interpolate, poly_nonneg_on_ray,
+                      quotient_window)
 from .homology import reduced_homology_dims
 
 DEFAULT_GENS_CAP = 18
@@ -125,7 +125,7 @@ def _combinatorial_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]
 # ext backend (dual Taylor complex + graded local duality)
 
 
-def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
+def _ext_cells(I: MonomialIdeal):
     """Cells (fixed_sum, n_free, {k: dim Ext^k}) covering the multidegree
     support of all Ext modules Ext^k(A/I, A).
 
@@ -144,9 +144,9 @@ def _ext_cells(I: MonomialIdeal, cap: int = DEFAULT_GENS_CAP):
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     g = len(I.gens)
-    if g > cap:
+    if g > DEFAULT_GENS_CAP:
         raise ResourceLimitError(
-            f"{g} generators exceed the Taylor-complex cap {cap}"
+            f"{g} generators exceed the Taylor-complex cap {DEFAULT_GENS_CAP}"
         )
     gens = [gen.exps for gen in I.gens]
     rho = [max((e[i] for e in gens), default=0) for i in range(n)]
@@ -279,11 +279,11 @@ class CohomologyTable:
         return all(t.certified for t in self.tails.values())
 
 
-def _cells(I: MonomialIdeal, backend: str, gens_cap: int = DEFAULT_GENS_CAP):
+def _cells(I: MonomialIdeal, backend: str):
     if backend == "combinatorial":
         return _takayama_cells(I)
     if backend == "ext":
-        return _ext_cells(I, gens_cap)
+        return _ext_cells(I)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -301,7 +301,23 @@ def _regularity(cells, backend: str, n: int) -> int:
 
 
 def _window_lo(I: MonomialIdeal) -> int:
-    """Conservatively below the resolution twists."""
+    """The default window bottom, low enough that every tail is certified.
+
+    ``_fit_tail`` certifies from the deg + 2 lowest points, deg = max(dim, 0)
+    <= n, and needs them all at j <= -1: here lo + deg + 1 <= -sum(deg g) - 1
+    <= -1.  On j <= -1 every cell counts a polynomial in j:
+
+    * a combinatorial cell (fs, f) adds dim * C(fs - j - 1, f - 1), a
+      polynomial on j <= fs - 1, and fs >= 0;
+    * an ext cell (fs, z) adds dim * C(fs - n - j + z - 1, z - 1), a
+      polynomial on j <= fs - n + z - 1, and fs >= n - z since its n - z
+      pinned coordinates are >= 1;
+    * a cell with no free coordinate sits at one degree, which is >= 0.
+
+    Row i is the Hilbert function of H^i, dual to an Ext module of dimension
+    <= i <= dim, so its polynomial has degree < dim and the deg-th forward
+    differences vanish: the certificate always holds.
+    """
     return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
 
 
@@ -332,55 +348,39 @@ def _table(I: MonomialIdeal, backend: str, cells, reg: int,
     )
 
 
-def default_window(I: MonomialIdeal) -> tuple[int, int]:
-    """hi one above the regularity, lo conservatively below the resolution
-    twists."""
-    reg = _regularity(_takayama_cells(I), "combinatorial", I.ctx.n)
-    return (_window_lo(I), reg + 1)
-
-
 def cohomology_table(
     I: MonomialIdeal,
     window: tuple[int, int] | None = None,
     backend: str = "combinatorial",
-    gens_cap: int = DEFAULT_GENS_CAP,
 ) -> CohomologyTable:
     """Local-cohomology Hilbert functions of A/I over GF(p) on a window.
 
     ``backend`` is "combinatorial" or "ext"; both must agree entrywise on
     every input (this is the package's primary anti-bug oracle, exercised by
-    the test suite).  The default window is ``default_window(I)``, with the
-    regularity read off this backend's cells.
+    the test suite).  The default window is that of
+    ``cohomology_tables((I,), backend)``.
     """
-    if window is not None and window[0] > window[1]:
+    if window is None:
+        return cohomology_tables((I,), backend)[0]
+    if window[0] > window[1]:
         raise ValueError("window must satisfy lo <= hi")
-    cells = _cells(I, backend, gens_cap)
-    reg = _regularity(cells, backend, I.ctx.n)
-    lo, hi = window if window is not None else (_window_lo(I), reg + 1)
-    return _table(I, backend, cells, reg, lo, hi)
-
-
-WIDENINGS = 3  # windows tried by cohomology_tables, lo doubling each time
+    cells = _cells(I, backend)
+    return _table(I, backend, cells, _regularity(cells, backend, I.ctx.n), *window)
 
 
 def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
-    """Tables of several ideals on their shared default window.
+    """Tables of several ideals on their shared default window, computing
+    each ideal's cells once.
 
-    Each ideal's cells are computed once.  While some tail is uncertified,
-    lo doubles, for at most ``WIDENINGS`` windows in all.
+    The window runs from the lowest ``_window_lo`` to one above the largest
+    regularity read off this backend's cells.  Every tail is certified
+    there (see ``_window_lo``), so the window is never widened.
     """
     cells = [_cells(I, backend) for I in ideals]
     regs = [_regularity(c, backend, I.ctx.n) for I, c in zip(ideals, cells)]
     lo = min(_window_lo(I) for I in ideals)
     hi = max(regs) + 1
-    for attempt in range(WIDENINGS):
-        if attempt:
-            lo *= 2
-        tables = [_table(I, backend, c, reg, lo, hi)
-                  for I, c, reg in zip(ideals, cells, regs)]
-        if all(T.all_certified() for T in tables):
-            return tables
-    raise WindowUncertifiedError(f"tails uncertified even at lo={lo}")
+    return [_table(I, backend, c, reg, lo, hi) for I, c, reg in zip(ideals, cells, regs)]
 
 
 def h0_via_saturation(I: MonomialIdeal, window: tuple[int, int]) -> tuple[int, ...]:
@@ -394,8 +394,6 @@ def h0_via_saturation(I: MonomialIdeal, window: tuple[int, int]) -> tuple[int, .
     return tuple(
         (qi[j] - qs[j]) if j >= 0 else 0 for j in range(lo, hi + 1)
     )
-
-
 
 
 def compare_tables(
@@ -426,94 +424,3 @@ def compare_tables(
         if not poly_nonneg_on_ray(diff, A.lo - 1, -1):
             return False, (i, A.lo - 1)
     return True, None
-
-
-def shared_window(*ideals: MonomialIdeal) -> tuple[int, int]:
-    wins = [default_window(I) for I in ideals]
-    return (min(w[0] for w in wins), max(w[1] for w in wins))
-
-
-# ---------------------------------------------------------------------------
-# recurrence checks for extensions along z
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    first_mismatch: tuple[int, int] | None = None
-    detail: str = ""
-
-
-def check_extension_recurrence(
-    I: MonomialIdeal, window: tuple[int, int] | None = None,
-    backend: str = "combinatorial",
-) -> list[CheckReport]:
-    """Verify the two summation recurrences tying H^i over R[z] to H^{i-1}
-    over R, for a z-stable monomial ideal given by its preimage.
-
-    For i > 0 the row of H^i(R[z]/I) at h equals the upper partial sum of
-    the row of H^{i-1}(R/J) starting at h+1, where J is the z-saturation
-    pushed down to R; for i > 1 the same holds with the downstairs
-    saturation of the plain push-down.
-    """
-    from . import zstable
-
-    dec = zstable.z_decompose(I)
-    if not zstable.is_z_stable(dec):
-        raise ValueError("the recurrence requires a z-stable ideal")
-    ctx = I.ctx
-    big = cohomology_table(I, window, backend=backend)
-    lo, hi = big.lo, big.hi
-
-    J_sat = zstable.bar(zstable.z_saturate(dec))      # bar of the z-saturation
-    J_bar_sat = saturate(zstable.bar(dec), ctx.drop_z().max_ideal())
-
-    reports = []
-    for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", J_bar_sat, 2)):
-        small = cohomology_table(J, (lo, hi), backend=backend)
-        mismatch = None
-        for i in range(min_i, ctx.n + 1):
-            for h in range(lo, hi + 1):
-                rhs = sum(small.value(i - 1, m) for m in range(h + 1, small.hi + 1))
-                if big.value(i, h) != rhs:
-                    mismatch = (i, h)
-                    break
-            if mismatch:
-                break
-        reports.append(CheckReport(name, mismatch is None, mismatch))
-    return reports
-
-
-def lemma_top_partial_sums(
-    I: MonomialIdeal, d: int | None = None
-) -> CheckReport:
-    """Partial-sum inequality between the push-downs of the z-saturations of
-    a z-stable ideal and of its extended embedding, at a degree beyond all
-    generators: summing dims downward from degree d, the original ideal
-    dominates its embedding (this is the degreewise restatement of the
-    restriction inequality Hilb(I + (z^j)) >= Hilb(eps(I) + (z^j)), and the
-    full sums at j = d agree because the Hilbert functions do)."""
-    from . import zstable
-    from .embeddings import epsilon_one
-
-    dec = zstable.z_decompose(I)
-    if not zstable.is_z_stable(dec):
-        raise ValueError("requires a z-stable ideal")
-    eps = epsilon_one(I)
-    if d is None:
-        d = max(I.max_gen_degree(), eps.max_gen_degree()) + 2
-    lhs_ideal = zstable.bar(zstable.z_saturate(dec))
-    rhs_ideal = zstable.bar(zstable.z_saturate(zstable.z_decompose(eps)))
-    lhs = ideal_window(lhs_ideal.plus_powers(), d)
-    rhs = ideal_window(rhs_ideal.plus_powers(), d)
-    acc_l = acc_r = 0
-    for j in range(d + 1):
-        acc_l += lhs[d - j]
-        acc_r += rhs[d - j]
-        if acc_l < acc_r:
-            return CheckReport("top-partial-sums", False, (j, d - j))
-    if acc_l != acc_r:
-        return CheckReport("top-partial-sums", False, (d, 0),
-                           "full sums differ despite equal Hilbert functions")
-    return CheckReport("top-partial-sums", True)

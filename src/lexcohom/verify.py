@@ -7,11 +7,12 @@ failure is a defect and exits nonzero with a reproducible instance dump.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import zstable
 from .betti import betti_table, corners, region_dominates
@@ -21,9 +22,8 @@ from .embeddings import embedding_horizon, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
-from .localcohom import (CohomologyTable, check_extension_recurrence,
-                         cohomology_table, cohomology_tables, compare_tables,
-                         lemma_top_partial_sums)
+from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
+                         compare_tables)
 
 EXHAUSTIVE_CAP = 20_000
 
@@ -52,17 +52,9 @@ class FamilySpec:
         return ctx.add_z() if self.with_z else ctx
 
     def describe(self) -> dict:
-        return {
-            "n": self.n,
-            "char": self.char,
-            "powers": list(self.powers),
-            "max_deg": self.max_deg,
-            "mode": self.mode,
-            "count": self.count,
-            "seed": self.seed,
-            "with_z": self.with_z,
-            "max_extra_gens": self.max_extra_gens,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["powers"] = list(self.powers)
+        return out
 
 
 def _basis_pool(ctx: RingContext, max_deg: int) -> list[Monomial]:
@@ -131,9 +123,7 @@ def nonstable_instances(spec: FamilySpec):
             raise ResourceLimitError(
                 "family is too stable: could not sample enough non-stable ideals"
             )
-        widened = FamilySpec(**{**spec.__dict__, "seed": spec.seed + attempt,
-                                "count": 1})
-        I = next(enumerate_family(widened))
+        I = next(enumerate_family(replace(spec, seed=spec.seed + attempt, count=1)))
         if not zstable.is_z_stable(zstable.z_decompose(I)):
             produced += 1
             yield I
@@ -182,51 +172,39 @@ def _cohom_rows(T: CohomologyTable) -> list[dict]:
     return rows
 
 
-def verify_cohomology_lpp(I: MonomialIdeal,
-                          backend: str = "combinatorial") -> InstanceRecord:
-    """Coefficientwise H^i(A/I) <= H^i(A/LPP) for all i (window + tails)."""
-    t0 = time.perf_counter()
-    L = lpp_ideal(I)
+def _cohomology_le(I: MonomialIdeal, L: MonomialIdeal, key: str,
+                   backend: str) -> InstanceRecord:
+    """Coefficientwise H^i(A/I) <= H^i(A/L) for all i (window + tails)."""
     TA, TB = cohomology_tables((I, L), backend)
     ok, fail = compare_tables(TA, TB)
-    rec = InstanceRecord(
+    return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(L),
         checks={"cohomology_le": ok},
         first_fail=fail,
-        cohomology={"quotient": _cohom_rows(TA), "lpp": _cohom_rows(TB)},
+        cohomology={"quotient": _cohom_rows(TA), key: _cohom_rows(TB)},
         info={"equal_everywhere": ok and TA.rows == TB.rows},
     )
-    rec.seconds = time.perf_counter() - t0
-    return rec
+
+
+def verify_cohomology_lpp(I: MonomialIdeal,
+                          backend: str = "combinatorial") -> InstanceRecord:
+    """The lex-plus-power ideal maximizes local cohomology."""
+    return _cohomology_le(I, lpp_ideal(I), "lpp", backend)
 
 
 def verify_lex_cohomology(I: MonomialIdeal,
                           backend: str = "combinatorial") -> InstanceRecord:
     """The powers-free case: the lex-segment ideal maximizes local cohomology."""
-    t0 = time.perf_counter()
-    ctx = I.ctx
-    if ctx.powers:
+    if I.ctx.powers:
         raise ValueError("lex-cohomology check expects a context without powers")
-    L = lex_ideal_of(I)
-    TA, TB = cohomology_tables((I, L), backend)
-    ok, fail = compare_tables(TA, TB)
-    rec = InstanceRecord(
-        ideal=format_ideal(I),
-        lpp=format_ideal(L),
-        checks={"cohomology_le": ok},
-        first_fail=fail,
-        cohomology={"quotient": _cohom_rows(TA), "lex": _cohom_rows(TB)},
-    )
-    rec.seconds = time.perf_counter() - t0
-    return rec
+    return _cohomology_le(I, lex_ideal_of(I), "lex", backend)
 
 
 def verify_betti_lpp_corners(I: MonomialIdeal,
                              backend: str = "combinatorial") -> InstanceRecord:
     """At every corner of the LPP quotient, beta(A/I) <= beta(A/LPP); plus
     the corner identity beta_ij = H^{n-i} at j-n on both quotients."""
-    t0 = time.perf_counter()
     L = lpp_ideal(I)
     TI, TL = betti_table(I), betti_table(L)
     n = I.ctx.n
@@ -241,20 +219,17 @@ def verify_betti_lpp_corners(I: MonomialIdeal,
         for c in corners(T):
             if T.beta(c.i, c.j) != table.value(n - c.i, c.j - n):
                 cor_identity, fail = False, (c.i, c.j)
-    rec = InstanceRecord(
+    return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(L),
         checks={"corner_le": corner_ok, "corner_identity": cor_identity},
         first_fail=fail,
         betti={"quotient": _betti_triples(TI), "lpp": _betti_triples(TL)},
     )
-    rec.seconds = time.perf_counter() - t0
-    return rec
 
 
 def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
     """Every corner of A/I is dominated by a corner of A/LPP."""
-    t0 = time.perf_counter()
     L = lpp_ideal(I)
     TI, TL = betti_table(I), betti_table(L)
     cI, cL = corners(TI), corners(TL)
@@ -265,15 +240,13 @@ def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
             if not any(c.i <= d.i and c.slope <= d.slope for d in cL):
                 fail = (c.i, c.j)
                 break
-    rec = InstanceRecord(
+    return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(L),
         checks={"region_dominated": ok},
         first_fail=fail,
         betti={"quotient": _betti_triples(TI), "lpp": _betti_triples(TL)},
     )
-    rec.seconds = time.perf_counter() - t0
-    return rec
 
 
 # --- the lemma suite for embeddings -----------------------------------------
@@ -300,9 +273,9 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     """The supporting-lemma suite on a z-stable instance over S[z].
 
     ``epsilon`` substitutes the embedding map (used by mutation tests);
-    the default is the extended lex-first embedding.
+    the default is the extended lex-first embedding, computed once and
+    checked to be z-stable with embedded components.
     """
-    t0 = time.perf_counter()
     ctx = I.ctx
     if not ctx.z:
         raise ValueError("the lemma suite runs over a context with z")
@@ -310,8 +283,8 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     dec = zstable.z_decompose(I)
     if not zstable.is_z_stable(dec):
         raise ValueError("instance must be z-stable (use z_stabilize first)")
-    embed = epsilon if epsilon is not None else (lambda J: epsilon_one(J, check=False))
-    E = embed(I)
+    E = epsilon_one(I) if epsilon is None else epsilon(I)
+    embed = epsilon or functools.partial(epsilon_one, check=False)
     checks: dict[str, bool] = {}
     fail = None
     W = zstable.default_window(I, E)
@@ -326,12 +299,9 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     checks["image_z_stable"] = zstable.is_z_stable(decE)
 
     # m * eps(I) <= eps(m * I)
-    mI = ideal_sum(ideal_product(m, I), ctx.powers_ideal()) if ctx.powers \
-        else ideal_product(m, I)
     try:
-        EmI = embed(mI)
-        lhs = ideal_sum(ideal_product(m, E), ctx.powers_ideal()) if ctx.powers \
-            else ideal_product(m, E)
+        EmI = embed(ideal_product(m, I).plus_powers())
+        lhs = ideal_product(m, E).plus_powers()
         checks["multiply_then_embed"] = EmI.contains_ideal(lhs)
     except (ValueError, RuntimeError):
         checks["multiply_then_embed"] = False  # corrupted embeddings may not close
@@ -378,16 +348,14 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
 
     # top-degree partial sums (only meaningful for the genuine embedding)
     if epsilon is None:
-        checks["top_partial_sums"] = lemma_top_partial_sums(I).passed
+        checks["top_partial_sums"] = lemma_top_partial_sums(I, E).passed
 
-    rec = InstanceRecord(
+    return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(E),
         checks=checks,
         first_fail=fail,
     )
-    rec.seconds = time.perf_counter() - t0
-    return rec
 
 
 def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
@@ -405,23 +373,93 @@ def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
     return J.plus_powers()
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    name: str
+    passed: bool
+    first_mismatch: tuple[int, int] | None = None
+    detail: str = ""
+
+
+def lemma_top_partial_sums(I: MonomialIdeal, E: MonomialIdeal) -> CheckReport:
+    """Partial-sum inequality between the push-downs of the z-saturations of
+    a z-stable ideal I and of its extended embedding E, at a degree d beyond
+    all generators: summing dims downward from degree d, the original ideal
+    dominates its embedding (this is the degreewise restatement of the
+    restriction inequality Hilb(I + (z^j)) >= Hilb(E + (z^j)), and the full
+    sums at j = d agree because the Hilbert functions do)."""
+    dec = zstable.z_decompose(I)
+    if not zstable.is_z_stable(dec):
+        raise ValueError("requires a z-stable ideal")
+    d = max(I.max_gen_degree(), E.max_gen_degree()) + 2
+    lhs_ideal = zstable.bar(zstable.z_saturate(dec))
+    rhs_ideal = zstable.bar(zstable.z_saturate(zstable.z_decompose(E)))
+    lhs = ideal_window(lhs_ideal.plus_powers(), d)
+    rhs = ideal_window(rhs_ideal.plus_powers(), d)
+    acc_l = acc_r = 0
+    for j in range(d + 1):
+        acc_l += lhs[d - j]
+        acc_r += rhs[d - j]
+        if acc_l < acc_r:
+            return CheckReport("top-partial-sums", False, (j, d - j))
+    if acc_l != acc_r:
+        return CheckReport("top-partial-sums", False, (d, 0),
+                           "full sums differ despite equal Hilbert functions")
+    return CheckReport("top-partial-sums", True)
+
+
+# --- extension recurrences along z ------------------------------------------
+
+
+def check_extension_recurrence(I: MonomialIdeal,
+                               backend: str = "combinatorial") -> list[CheckReport]:
+    """Verify the two summation recurrences tying H^i over R[z] to H^{i-1}
+    over R, for a z-stable monomial ideal given by its preimage.
+
+    For i > 0 the row of H^i(R[z]/I) at h equals the upper partial sum of
+    the row of H^{i-1}(R/J) starting at h+1, where J is the z-saturation
+    pushed down to R; for i > 1 the same holds with the downstairs
+    saturation of the plain push-down.
+    """
+    dec = zstable.z_decompose(I)
+    if not zstable.is_z_stable(dec):
+        raise ValueError("the recurrence requires a z-stable ideal")
+    ctx = I.ctx
+    big = cohomology_table(I, backend=backend)
+    lo, hi = big.lo, big.hi
+
+    J_sat = zstable.bar(zstable.z_saturate(dec))      # bar of the z-saturation
+    J_bar_sat = saturate(zstable.bar(dec), ctx.drop_z().max_ideal())
+
+    reports = []
+    for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", J_bar_sat, 2)):
+        small = cohomology_table(J, (lo, hi), backend=backend)
+        mismatch = None
+        for i in range(min_i, ctx.n + 1):
+            for h in range(lo, hi + 1):
+                rhs = sum(small.value(i - 1, m) for m in range(h + 1, small.hi + 1))
+                if big.value(i, h) != rhs:
+                    mismatch = (i, h)
+                    break
+            if mismatch:
+                break
+        reports.append(CheckReport(name, mismatch is None, mismatch))
+    return reports
+
+
 def verify_recurrences(I: MonomialIdeal,
                        backend: str = "combinatorial") -> InstanceRecord:
-    t0 = time.perf_counter()
     reports = check_extension_recurrence(I, backend=backend)
-    rec = InstanceRecord(
+    return InstanceRecord(
         ideal=format_ideal(I),
         checks={r.name: r.passed for r in reports},
         first_fail=next((r.first_mismatch for r in reports if not r.passed), None),
     )
-    rec.seconds = time.perf_counter() - t0
-    return rec
 
 
 def verify_zstabilize(I: MonomialIdeal, max_iterations: int = 50) -> InstanceRecord:
     """Stabilizer contract: output stable, >= input in the partial order,
     Hilbert-window-identical, within the iteration budget."""
-    t0 = time.perf_counter()
     dec = zstable.z_decompose(I)
     out = zstable.z_stabilize(I, max_iterations=max_iterations)
     J = zstable.z_recompose(out)
@@ -430,9 +468,7 @@ def verify_zstabilize(I: MonomialIdeal, max_iterations: int = 50) -> InstanceRec
         "hilbert_preserved": hilbert_series(J).numer == hilbert_series(I).numer,
         "weakly_increased": zstable.z_order_compare(dec, out) in ("less", "equal"),
     }
-    rec = InstanceRecord(ideal=format_ideal(I), lpp=format_ideal(J), checks=checks)
-    rec.seconds = time.perf_counter() - t0
-    return rec
+    return InstanceRecord(ideal=format_ideal(I), lpp=format_ideal(J), checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +525,14 @@ THEOREMS = {
 }
 
 
+def _timed(op, I: MonomialIdeal) -> InstanceRecord:
+    """``op(I)``, with its wall time in the record's ``seconds``."""
+    t0 = time.perf_counter()
+    rec = op(I)
+    rec.seconds = time.perf_counter() - t0
+    return rec
+
+
 def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
     """Run one theorem check over a family; records sorted by serialization.
 
@@ -501,6 +545,7 @@ def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
     kind, op = THEOREMS[theorem]
+    timed = functools.partial(_timed, op)
     if kind == "stable":
         instances = list(stable_instances(spec))
     elif kind == "raw":
@@ -511,8 +556,8 @@ def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            records = pool.map(op, instances)
+            records = pool.map(timed, instances)
     else:
-        records = [op(I) for I in instances]
+        records = [timed(I) for I in instances]
     records.sort(key=lambda r: r.ideal)
     return Report(theorem, spec, records)

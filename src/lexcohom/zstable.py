@@ -23,6 +23,8 @@ from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder, initial_ideal
 from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
 
+DEGREE_CAP = 40  # S-pair degree cap of each stabilization round's initial ideal
+
 
 def _check_z_ctx(ctx: RingContext):
     if not ctx.z:
@@ -256,20 +258,15 @@ def _first_violation(Z: ZGradedIdeal) -> tuple[int, int] | None:
     return None
 
 
-def z_stabilize(
-    I: MonomialIdeal,
-    max_iterations: int = 500,
-    degree_cap: int = 40,
-    check: bool = True,
-) -> ZGradedIdeal:
+def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
     """Deform a monomial ideal of R[z] into a z-stable one with the same
     Hilbert function.
 
     Each round distracts the first failing component with l = x_j + z (x_j
     the smallest witness variable) and passes to the weight initial ideal;
     every round moves strictly up in the partial order, so the loop
-    terminates.  ``check`` verifies the strict increase and the Hilbert
-    function on every round.
+    terminates.  Every round checks the strict increase and the Hilbert
+    function.
     """
     _check_z_ctx(I.ctx)
     _check_preimage(I)
@@ -282,17 +279,16 @@ def z_stabilize(
             return cur
         d, j = viol
         D = distraction(cur, d, j)
-        nxt_ideal = initial_ideal(D, order, degree_cap)
+        nxt_ideal = initial_ideal(D, order, DEGREE_CAP)
         nxt = z_decompose(nxt_ideal)
-        if check:
-            if hilbert_series(nxt_ideal).numer != target:
-                raise HilbertMismatchError(
-                    "distraction step changed the Hilbert function (bug)"
-                )
-            if z_order_compare(cur, nxt) != "less":
-                raise IterationCapExceededError(
-                    "stabilization step did not strictly increase (bug)"
-                )
+        if hilbert_series(nxt_ideal).numer != target:
+            raise HilbertMismatchError(
+                "distraction step changed the Hilbert function (bug)"
+            )
+        if z_order_compare(cur, nxt) != "less":
+            raise IterationCapExceededError(
+                "stabilization step did not strictly increase (bug)"
+            )
         cur = nxt
     raise IterationCapExceededError(
         f"no z-stable ideal reached in {max_iterations} iterations"

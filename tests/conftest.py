@@ -4,7 +4,7 @@ they check."""
 import itertools
 from fractions import Fraction
 
-from lexcohom.core import Monomial, MonomialIdeal
+from lexcohom.core import Monomial, MonomialIdeal, colon_ideal
 from lexcohom.hilbert import lagrange_interpolate
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
@@ -66,6 +66,16 @@ def brute_lex_first(ctx, dims, fail):
         out.append([Monomial(e) for e in sel if e not in shadow])
         prev = set(sel)
     return out
+
+
+def ref_saturate(I, J):
+    """I : J^infinity by iterating the colon I : J until it stabilizes."""
+    cur = I
+    while True:
+        nxt = colon_ideal(cur, J)
+        if nxt == cur:
+            return cur
+        cur = nxt
 
 
 def ref_takayama_cells(I):

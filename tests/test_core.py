@@ -10,7 +10,7 @@ from lexcohom.core import (MR_LIMIT, Monomial, MonomialIdeal, RingContext,
                            quotient_piece_dim, saturate)
 from lexcohom.errors import MixedContextError
 
-from conftest import members_upto
+from conftest import members_upto, ref_saturate
 
 ctx2 = RingContext(2)
 x1, x2 = ctx2.variable(0), ctx2.variable(1)
@@ -130,6 +130,28 @@ def test_colon_saturate_against_bruteforce_membership():
                         want_sat.add(m.exps)
                         break
         assert got_sat == want_sat
+
+
+@st.composite
+def saturation_pairs(draw):
+    n = draw(st.integers(1, 4))
+    ctx = RingContext(n)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+
+    def ideal():
+        return minimalize(ctx, [Monomial(e) for e in draw(st.lists(exps, max_size=5))])
+
+    I, other = ideal(), ideal()
+    kind = draw(st.sampled_from(["zero", "unit", "I", "m", "other"]))
+    return I, {"zero": MonomialIdeal.zero(ctx), "unit": MonomialIdeal.unit(ctx),
+               "I": I, "m": ctx.max_ideal(), "other": other}[kind]
+
+
+@settings(max_examples=300, deadline=None)
+@given(saturation_pairs())
+def test_saturate_matches_the_colon_fixpoint(pair):
+    I, J = pair
+    assert saturate(I, J) == ref_saturate(I, J)
 
 
 def test_membership_and_graded_dims():

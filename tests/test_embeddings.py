@@ -200,6 +200,18 @@ def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb):
             _outcome(lambda: brute_lex_first(ctx, dims, fail))
 
 
+@given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_rank_engine_prefixes_are_minimal_and_canonical(ctx, rng, D):
+    # every prefix of the engine's output is its own minimalization, so the
+    # embeddings build their ideals from it directly
+    dims = ideal_window(random_ideal(rng, ctx, 4, 4), D)
+    gens = []
+    for new in _engine(ctx, dims, NotAttainableError):
+        gens.extend(new)
+        assert minimalize(ctx, gens).gens == tuple(gens)
+
+
 @given(st.integers(1, 3), st.lists(st.integers(0, 11), min_size=1, max_size=6),
        st.integers(0, 1))
 @settings(max_examples=150, deadline=None)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from lexcohom import localcohom
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
+from lexcohom.embeddings import epsilon_one
 from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
 from lexcohom.hilbert import hilbert_series, quotient_window
 from lexcohom.homology import reduced_homology_dims
-from lexcohom.localcohom import (check_extension_recurrence, cohomology_table,
-                                 compare_tables, default_window,
-                                 h0_via_saturation, lemma_top_partial_sums,
-                                 shared_window)
+from lexcohom.localcohom import (cohomology_table, cohomology_tables,
+                                 compare_tables, h0_via_saturation)
+from lexcohom.verify import check_extension_recurrence, lemma_top_partial_sums
 from lexcohom.zstable import z_recompose, z_stabilize
 
 from conftest import (random_ideal, ref_ext_cells, ref_fit_tail,
@@ -95,12 +95,12 @@ def test_h0_matches_backends():
         assert tuple(T.rows[0]) == h0_via_saturation(I, (T.lo, T.hi))
     # saturated ideal: zero row
     I = MonomialIdeal.make(ctx, [M(1, 0, 0)])
-    w = default_window(I)
-    assert set(h0_via_saturation(I, w)) == {0}
+    T = cohomology_table(I)
+    assert set(h0_via_saturation(I, (T.lo, T.hi))) == {0}
     # Artinian: the whole quotient Hilbert function
     Im = ctx.max_ideal()
-    w = default_window(Im)
-    assert h0_via_saturation(Im, w)[-w[0]] == 1
+    T = cohomology_table(Im)
+    assert h0_via_saturation(Im, (T.lo, T.hi))[-T.lo] == 1
 
 
 def test_duality_support_and_grothendieck_vanishing():
@@ -149,7 +149,8 @@ def test_reg_and_projdim_from_cohomology():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_window_top_read_off_the_cells(backend):
-    # the default window's top is reg + 1, with reg from the Betti table
+    # the default window's top is reg + 1, with reg from the Betti table,
+    # and a lone table has the window of cohomology_tables
     rng = random.Random(109)
     ideals = [MonomialIdeal.zero(RingContext(3)), MonomialIdeal.unit(ctx2)]
     for ctx in (RingContext(3, powers=(2, 2)), RingContext(4),
@@ -157,8 +158,9 @@ def test_window_top_read_off_the_cells(backend):
         ideals += [random_ideal(rng, ctx, 3, 4) for _ in range(5)]
     for I in ideals:
         T = cohomology_table(I, backend=backend)
-        lo, hi = default_window(I)
-        assert (T.lo, T.hi) == (lo, hi) and T.hi_covers_reg
+        assert cohomology_tables((I,), backend) == [T]
+        lo, hi = T.lo, T.hi
+        assert T.hi_covers_reg
         reg = 0 if I.is_unit else betti_table(I).regularity
         assert hi == reg + 1
         assert cohomology_table(I, (lo, reg), backend=backend).hi_covers_reg
@@ -215,8 +217,8 @@ def test_tails_are_certified_only_from_negative_degrees(backend):
 
 def test_compare_tables_and_window_mismatch():
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1)])
-    w = shared_window(I, I)
-    Ta = cohomology_table(I, w)
+    Ta = cohomology_table(I)
+    w = (Ta.lo, Ta.hi)
     Tb = cohomology_table(I, w)
     assert compare_tables(Ta, Tb) == (True, None)
     with pytest.raises(ValueError):
@@ -250,11 +252,11 @@ def test_lemma_top_partial_sums_cases():
     ctxe = RingContext(2, powers=(2, 2)).add_z()
     # already embedded: equality holds degreewise
     emb = MonomialIdeal.make(ctxe, [M(2, 0, 0), M(0, 2, 0), M(1, 0, 0)])
-    assert lemma_top_partial_sums(emb).passed
+    assert lemma_top_partial_sums(emb, epsilon_one(emb)).passed
     rng = random.Random(113)
     for _ in range(6):
         I = z_recompose(z_stabilize(random_ideal(rng, ctxe, 3, 3)))
-        assert lemma_top_partial_sums(I).passed
+        assert lemma_top_partial_sums(I, epsilon_one(I)).passed
 
 
 def test_lemma_top_partial_sums_strict_instance():
@@ -265,7 +267,7 @@ def test_lemma_top_partial_sums_strict_instance():
                                  M(1, 1, 2), M(0, 2, 3)])
     import lexcohom.zstable as zs
     assert zs.is_z_stable(zs.z_decompose(I))
-    assert lemma_top_partial_sums(I).passed
+    assert lemma_top_partial_sums(I, epsilon_one(I)).passed
 
 
 @st.composite

@@ -1,14 +1,13 @@
 import json
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
-from lexcohom import betti, localcohom
+from lexcohom import betti, embeddings, localcohom
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                            ideal_product, minimalize)
-from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
+from lexcohom.errors import ResourceLimitError
 from lexcohom.ioformat import format_ideal
 from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
                              enumerate_family,
@@ -141,34 +140,17 @@ def test_harness_computes_each_table_once(monkeypatch):
     assert len(betti_calls) == 2
 
 
-def test_widening_reuses_the_cells(monkeypatch):
-    cell_calls = count_calls(monkeypatch, localcohom._takayama_cells)
-    fit, los = localcohom._fit_tail, []
-
-    def first_window_uncertified(values, lo, module_dim):
-        los.append(lo)
-        tail = fit(values, lo, module_dim)
-        return replace(tail, certified=False) if lo == los[0] else tail
-
-    monkeypatch.setattr(localcohom, "_fit_tail", first_window_uncertified)
-    rec = verify_cohomology_lpp(POWERS_EXAMPLE)
-    assert rec.passed
-    assert sorted(set(los)) == [2 * los[0], los[0]]
-    assert rec.cohomology["quotient"][0]["lo"] == 2 * los[0]
-    assert len(cell_calls) == 2
-
-
-def test_widening_gives_up_after_three_windows(monkeypatch):
-    fit, los = localcohom._fit_tail, []
-
-    def never_certified(values, lo, module_dim):
-        los.append(lo)
-        return replace(fit(values, lo, module_dim), certified=False)
-
-    monkeypatch.setattr(localcohom, "_fit_tail", never_certified)
-    with pytest.raises(WindowUncertifiedError):
-        verify_cohomology_lpp(POWERS_EXAMPLE)
-    assert sorted(set(los)) == [4 * los[0], 2 * los[0], los[0]]
+def test_lemma_suite_embeds_the_instance_once(monkeypatch):
+    # the top-partial-sums lemma takes the suite's embedding instead of
+    # embedding the instance again
+    calls = count_calls(monkeypatch, embeddings._embed_matching_series)
+    ctx = RingContext(2, powers=(2, 2)).add_z()
+    I = MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 2, 0), M(1, 1, 0), M(0, 1, 1)])
+    assert zs.is_z_stable(zs.z_decompose(I))
+    rec = verify_embedding_lemmas(I)
+    assert rec.passed and "top_partial_sums" in rec.checks
+    assert sum(args[0] == I for args in calls) == 1
+    assert len(calls) > 1  # the components, m*I and the bar are embedded too
 
 
 def test_embedding_lemma_suite_and_mutation():
