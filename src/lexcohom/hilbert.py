@@ -9,9 +9,8 @@ machinery compute Hilb(S/I) directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, comb
+from math import comb
 
 from .core import MonomialIdeal, RingContext, _ring_dims, minimal_exponents
 
@@ -150,56 +149,39 @@ def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
     return tuple(r - q for r, q in zip(ring, quotient_window(I, upto)))
 
 
-def lagrange_interpolate(xs, ys) -> list[Fraction]:
-    """Exact interpolation through (xs, ys); coefficients low-to-high."""
-    m = len(xs)
-    coeffs = [Fraction(0)] * m
-    for t in range(m):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for u in range(m):
-            if u == t:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] += c
-                new[k] -= c * xs[u]
-            basis = new
-            denom *= xs[t] - xs[u]
-        scale = Fraction(ys[t]) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return coeffs
+def values_nonneg(values) -> bool:
+    """Whether P(0), P(1), P(2), ... are all >= 0, given the m values
+    P(0), ..., P(m-1) of a polynomial P of degree < m.
 
-
-def poly_nonneg_on_ray(coeffs, start: int, direction: int) -> bool:
-    """Exact test: the polynomial is >= 0 at every integer along the ray
-    from ``start`` in ``direction`` (+1 or -1)."""
-    q = [Fraction(c) for c in coeffs]
-    while q and q[-1] == 0:
-        q.pop()
-    if not q:
-        return True
-    d = len(q) - 1
-    lead = q[-1]
-    sign_at_inf = lead if (direction > 0 or d % 2 == 0) else -lead
-    if d > 0 and sign_at_inf < 0:
-        return False
-    if d == 0:
-        return lead >= 0
-    bound = ceil(1 + max(abs(c / lead) for c in q[:-1]))
-    stop = max(start, bound) if direction > 0 else min(start, -bound)
-    pts = range(start, stop + direction, direction)
-    return all(sum(c * j**k for k, c in enumerate(q)) >= 0 for j in pts)
+    The forward differences Delta^k at the current point fill a table with
+    Delta^m = 0.  One step to the next point is Delta^k += Delta^{k+1} for
+    k = 0, 1, ...  The answer is False at the first negative value, and
+    True at the first point where every difference is >= 0: from there
+    each difference is a running sum of nonnegative ones.  The walk ends
+    because the top nonzero difference is a constant c: if c > 0 each lower
+    difference in turn becomes positive and stays so, and if c < 0 each in
+    turn becomes negative, down to the values themselves.
+    """
+    diffs = list(values)
+    m = len(diffs)
+    for k in range(1, m):
+        for t in range(m - 1, k - 1, -1):
+            diffs[t] -= diffs[t - 1]
+    while any(d < 0 for d in diffs):
+        if diffs[0] < 0:
+            return False
+        for k in range(m - 1):
+            diffs[k] += diffs[k + 1]
+    return True
 
 
 def series_nonneg(numer, nvars: int) -> bool:
     """Whether every coefficient of numer(t) / (1-t)^nvars is >= 0 for
     degrees >= 0, decided exactly.
 
-    Coefficients are checked explicitly across the numerator's support;
-    past it they follow a single polynomial of degree < nvars, which is
-    tested on the ray.
+    Coefficients are checked explicitly across the numerator's support D;
+    from degree D + 1 - nvars on they follow one polynomial of degree
+    < nvars, so the nvars coefficients after D decide the rest.
     """
     numer = list(numer)
     while numer and numer[-1] == 0:
@@ -208,13 +190,7 @@ def series_nonneg(numer, nvars: int) -> bool:
         return True
     D = len(numer) - 1
     coeffs = _series_coeffs(numer, nvars, D + nvars)
-    if any(c < 0 for c in coeffs[:D + 1]):
-        return False
-    if nvars == 0:
-        return True
-    xs = list(range(D + 1, D + nvars + 1))
-    poly = lagrange_interpolate(xs, coeffs[D + 1:])
-    return poly_nonneg_on_ray(poly, D + 1, +1)
+    return all(c >= 0 for c in coeffs[:D + 1]) and values_nonneg(coeffs[D + 1:])
 
 
 def macaulay_rep(a: int, d: int) -> list[tuple[int, int]]:

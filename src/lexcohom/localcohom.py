@@ -27,12 +27,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
-from .hilbert import (hilbert_series, lagrange_interpolate, poly_nonneg_on_ray,
-                      quotient_window)
+from .hilbert import _poly_mul, hilbert_series, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
 DEFAULT_GENS_CAP = 18
@@ -223,21 +222,25 @@ def _fit_tail(values: list[int], lo: int, module_dim: int) -> TailPoly:
 
     Every cell of either backend counts a polynomial in j on all of j <= -1,
     but not beyond, so a certificate needs all fitted points at j <= -1.
-    The interpolant through the first deg points fits the two spare ones
-    iff the deg-th forward differences of the deg + 2 values vanish at both
+    With deg = max(module_dim, 0), the k-th forward differences D_k at lo
+    (k < deg) give the fit by Newton's forward formula
+    P(j) = sum_k D_k / k! * (j - lo) (j - lo - 1) ... (j - lo - k + 1),
+    expanded here into powers of j.  P fits the two spare points iff the
+    deg-th forward differences of the deg + 2 values vanish at both
     positions, which is checked in integers.
     """
     deg = max(module_dim, 0)
-    window = values[:deg + 2]
-    diffs = window
-    for _ in range(deg):
+    coeffs = [Fraction(0)] * max(deg, 1)
+    falling = (1,)  # (j - lo) ... (j - lo - k + 1), low-to-high powers of j
+    diffs = values[:deg + 2]
+    for k in range(deg):
+        scale = Fraction(diffs[0], factorial(k))
+        for e, c in enumerate(falling):
+            coeffs[e] += scale * c
+        falling = _poly_mul(falling, (-(lo + k), 1))
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     ok = lo + deg + 1 <= -1 and not any(diffs)
-    if any(window[:deg]):
-        poly = tuple(lagrange_interpolate(range(lo, lo + deg), window[:deg]))
-    else:
-        poly = (Fraction(0),) * max(deg, 1)
-    return TailPoly(poly, certified=ok)
+    return TailPoly(tuple(coeffs), certified=ok)
 
 
 @dataclass(frozen=True)
@@ -418,9 +421,7 @@ def compare_tables(
             raise WindowUncertifiedError(
                 f"row {i}: uncertified tail in comparison; widen the window"
             )
-        diff = list(tb.coeffs) + [Fraction(0)] * (len(ta.coeffs) - len(tb.coeffs))
-        for k, c in enumerate(ta.coeffs):
-            diff[k] -= c
-        if not poly_nonneg_on_ray(diff, A.lo - 1, -1):
+        below = range(A.lo - 1, A.lo - 1 - max(len(ta.coeffs), len(tb.coeffs)), -1)
+        if not values_nonneg([tb.value(j) - ta.value(j) for j in below]):
             return False, (i, A.lo - 1)
     return True, None

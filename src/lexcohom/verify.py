@@ -348,7 +348,7 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
 
     # top-degree partial sums (only meaningful for the genuine embedding)
     if epsilon is None:
-        checks["top_partial_sums"] = lemma_top_partial_sums(I, E).passed
+        checks["top_partial_sums"] = lemma_top_partial_sums(dec, decE).passed
 
     return InstanceRecord(
         ideal=format_ideal(I),
@@ -381,19 +381,20 @@ class CheckReport:
     detail: str = ""
 
 
-def lemma_top_partial_sums(I: MonomialIdeal, E: MonomialIdeal) -> CheckReport:
+def lemma_top_partial_sums(dec: zstable.ZGradedIdeal,
+                           decE: zstable.ZGradedIdeal) -> CheckReport:
     """Partial-sum inequality between the push-downs of the z-saturations of
-    a z-stable ideal I and of its extended embedding E, at a degree d beyond
-    all generators: summing dims downward from degree d, the original ideal
-    dominates its embedding (this is the degreewise restatement of the
-    restriction inequality Hilb(I + (z^j)) >= Hilb(E + (z^j)), and the full
-    sums at j = d agree because the Hilbert functions do)."""
-    dec = zstable.z_decompose(I)
+    a z-stable ideal I and of its extended embedding E, given as their
+    z-decompositions, at a degree d beyond all generators: summing dims
+    downward from degree d, the original ideal dominates its embedding (this
+    is the degreewise restatement of the restriction inequality
+    Hilb(I + (z^j)) >= Hilb(E + (z^j)), and the full sums at j = d agree
+    because the Hilbert functions do)."""
     if not zstable.is_z_stable(dec):
         raise ValueError("requires a z-stable ideal")
-    d = max(I.max_gen_degree(), E.max_gen_degree()) + 2
+    d = max(dec.max_gen_degree(), decE.max_gen_degree()) + 2
     lhs_ideal = zstable.bar(zstable.z_saturate(dec))
-    rhs_ideal = zstable.bar(zstable.z_saturate(zstable.z_decompose(E)))
+    rhs_ideal = zstable.bar(zstable.z_saturate(decE))
     lhs = ideal_window(lhs_ideal.plus_powers(), d)
     rhs = ideal_window(rhs_ideal.plus_powers(), d)
     acc_l = acc_r = 0

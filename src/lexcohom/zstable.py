@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
-                   ideal_product, minimalize)
+from .core import Monomial, MonomialIdeal, RingContext, ideal_product, minimalize
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder, initial_ideal
 from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
@@ -61,9 +60,13 @@ class ZGradedIdeal:
         return self.components[min(h, self.s)]
 
     def max_gen_degree(self) -> int:
+        """Top degree of a minimal generator of the recomposed ideal: those
+        are the x^a z^h with x^a a generator of component h outside
+        component h - 1."""
         return max(
-            max((g.degree for g in comp.gens), default=0) + h
-            for h, comp in enumerate(self.components)
+            (g.degree + h for h, comp in enumerate(self.components) for g in comp.gens
+             if h == 0 or not self.components[h - 1].contains(g)),
+            default=0,
         )
 
 
@@ -120,17 +123,6 @@ def z_saturate(Z: ZGradedIdeal) -> ZGradedIdeal:
     return ZGradedIdeal(Z.ctx, (Z.components[-1],))
 
 
-def partial_sum_dims(Z: ZGradedIdeal, h: int, upto: int) -> tuple[int, ...]:
-    """Hilbert function on degrees 0..upto of the submodule with z-degree <= h,
-    graded with deg z^k = k."""
-    vals = [0] * (upto + 1)
-    for k in range(min(h, upto) + 1):
-        comp = Z.component(k)
-        for d in range(upto + 1 - k):
-            vals[d + k] += graded_piece_dim(comp, d)
-    return tuple(vals)
-
-
 def default_window(*ideals) -> int:
     """Comparison window: past every generator degree of every ideal in play."""
     maxdeg = max(I.max_gen_degree() for I in ideals)
@@ -138,43 +130,23 @@ def default_window(*ideals) -> int:
     return 2 * maxdeg + n + 2
 
 
-def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal, window: int | None = None) -> str:
+def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     """Compare the partial-sum Hilbert functions of the component chains,
     returning "less", "equal", "greater" or "incomparable".
 
-    Both ideals must have the same Hilbert function (checked exactly).  By
-    default the comparison is exact at every degree and every level: for a
-    level h the difference of partial sums is a rational series
-    sum_k t^k (numer(R/J_k) - numer(R/L_k)) / (1-t)^n, whose sign is
-    decidable; levels past both stabilization indices reduce (using the
-    equality of total Hilbert functions) to one cumulative comparison of
-    the top components.  Passing ``window`` instead restricts to explicit
-    dims on [0, window].
+    Both ideals must have the same Hilbert function (checked exactly).  The
+    comparison is exact at every degree and every level: for a level h the
+    difference of partial sums is the series
+    sum_k t^k (numer(R/J_k) - numer(R/L_k)) / (1-t)^n, whose sign
+    ``series_nonneg`` decides; levels past both stabilization indices
+    reduce (using the equality of total Hilbert functions) to one
+    cumulative comparison of the top components.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
     IJ, IL = z_recompose(J), z_recompose(L)
     if hilbert_series(IJ).numer != hilbert_series(IL).numer:
         raise HilbertMismatchError("the ideals have different Hilbert functions")
-
-    if window is not None:
-        le = ge = True
-        strict_le = strict_ge = False
-        for h in range(max(J.s, L.s) + 1):
-            a = partial_sum_dims(J, h, window)
-            b = partial_sum_dims(L, h, window)
-            for x, y in zip(a, b):
-                if x < y:
-                    strict_le, ge = True, False
-                elif x > y:
-                    strict_ge, le = True, False
-        if le and ge:
-            return "equal"
-        if le:
-            return "less" if strict_le else "equal"
-        if ge:
-            return "greater" if strict_ge else "equal"
-        return "incomparable"
 
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)

@@ -3,9 +3,9 @@ they check."""
 
 import itertools
 from fractions import Fraction
+from math import ceil
 
-from lexcohom.core import Monomial, MonomialIdeal, colon_ideal
-from lexcohom.hilbert import lagrange_interpolate
+from lexcohom.core import Monomial, MonomialIdeal, colon_ideal, graded_piece_dim
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
 
@@ -148,3 +148,75 @@ def ref_fit_tail(values, lo, module_dim):
     tail = TailPoly(poly, certified=True)
     ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
     return TailPoly(poly, certified=ok)
+
+
+def lagrange_interpolate(xs, ys):
+    """Exact interpolation through (xs, ys); Fraction coefficients
+    low-to-high."""
+    m = len(xs)
+    coeffs = [Fraction(0)] * m
+    for t in range(m):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for u in range(m):
+            if u == t:
+                continue
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k + 1] += c
+                new[k] -= c * xs[u]
+            basis = new
+            denom *= xs[t] - xs[u]
+        scale = Fraction(ys[t]) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    return coeffs
+
+
+def poly_nonneg_on_ray(coeffs, start, direction):
+    """Whether the polynomial is >= 0 at every integer along the ray from
+    ``start`` in ``direction`` (+1 or -1): the sign at infinity, then every
+    point up to the Cauchy root bound."""
+    q = [Fraction(c) for c in coeffs]
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        return True
+    d = len(q) - 1
+    lead = q[-1]
+    sign_at_inf = lead if (direction > 0 or d % 2 == 0) else -lead
+    if d > 0 and sign_at_inf < 0:
+        return False
+    if d == 0:
+        return lead >= 0
+    bound = ceil(1 + max(abs(c / lead) for c in q[:-1]))
+    stop = max(start, bound) if direction > 0 else min(start, -bound)
+    pts = range(start, stop + direction, direction)
+    return all(sum(c * j**k for k, c in enumerate(q)) >= 0 for j in pts)
+
+
+def ref_z_order_compare(J, L, window):
+    """z-order comparison from explicit partial-sum dims on degrees
+    0..window at every level up to both stabilization indices."""
+    le = ge = True
+    strict_le = strict_ge = False
+    for h in range(max(J.s, L.s) + 1):
+        sums = []
+        for Z in (J, L):
+            vals = [0] * (window + 1)
+            for k in range(min(h, window) + 1):
+                for d in range(window + 1 - k):
+                    vals[d + k] += graded_piece_dim(Z.component(k), d)
+            sums.append(vals)
+        for x, y in zip(*sums):
+            if x < y:
+                strict_le, ge = True, False
+            elif x > y:
+                strict_ge, le = True, False
+    if le and ge:
+        return "equal"
+    if le:
+        return "less" if strict_le else "equal"
+    if ge:
+        return "greater" if strict_ge else "equal"
+    return "incomparable"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
 from lexcohom.hilbert import (HilbertFunctionSpec, hilbert_series, ideal_window,
                               is_O_sequence, macaulay_growth, macaulay_rep,
-                              quotient_window)
+                              quotient_window, values_nonneg)
 
-from conftest import brute_quotient_dims
+from conftest import brute_quotient_dims, lagrange_interpolate, poly_nonneg_on_ray
 
 
 def M(*exps):
@@ -142,18 +142,52 @@ def test_series_nonneg():
         assert series_nonneg(numer, n) == brute, (numer, n)
 
 
-def test_poly_nonneg_on_ray():
-    from fractions import Fraction as F
+def test_values_nonneg():
+    assert values_nonneg([1])                 # 1
+    assert values_nonneg([])                  # the zero polynomial
+    assert values_nonneg([0, 1])              # j from 0 up
+    assert not values_nonneg([-1, -2])        # j from -1 down
+    assert values_nonneg([1, 4, 9])           # j^2 from -1 down
+    assert values_nonneg([0, 0, 2])           # (j-2)(j-3) from 2 up
+    assert not values_nonneg([0, -1, 0])      # (j-2)(j-4) from 2 up, -1 at 3
+    assert values_nonneg([0, 3, 8])           # (j-2)(j-4) from 4 up
+    # far-out dips, from 0 up
+    assert values_nonneg([1600, 1521, 1444])           # (j-40)^2
+    assert values_nonneg([1640, 1560, 1482])           # (j-40)(j-41)
+    assert not values_nonneg([1680, 1599, 1520])       # (j-40)(j-42), -1 at 41
+    assert not values_nonneg([1599, 1520, 1443])       # (j-40)^2 - 1
 
-    from lexcohom.hilbert import poly_nonneg_on_ray
-    assert poly_nonneg_on_ray([F(1)], 0, +1)
-    assert poly_nonneg_on_ray([], 5, -1)
-    assert poly_nonneg_on_ray([F(0), F(1)], 0, +1)          # j >= 0
-    assert not poly_nonneg_on_ray([F(0), F(1)], -1, -1)     # j at -1
-    assert poly_nonneg_on_ray([F(0), F(0), F(1)], -1, -1)   # j^2
-    assert poly_nonneg_on_ray([F(6), F(-5), F(1)], 2, +1)      # (j-2)(j-3)
-    assert not poly_nonneg_on_ray([F(8), F(-6), F(1)], 2, +1)  # (j-2)(j-4) at 3
-    assert poly_nonneg_on_ray([F(8), F(-6), F(1)], 4, +1)
+
+@st.composite
+def polynomial_rays(draw):
+    """A polynomial given by m values on a ray, its start and direction."""
+    m = draw(st.integers(0, 5))
+    start = draw(st.integers(-6, 6))
+    direction = draw(st.sampled_from([1, -1]))
+    roots = draw(st.lists(st.integers(-12, 12), max_size=m - 1)) if m else []
+    shift = draw(st.integers(-3, 3))
+    scale = draw(st.sampled_from([1, -1, 2]))
+
+    def P(j):
+        out = scale
+        for r in roots:
+            out *= j - r
+        return out + shift
+
+    if draw(st.booleans()):
+        values = [P(start + direction * t) for t in range(m)]
+    else:
+        values = draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    return values, start, direction
+
+
+@settings(max_examples=400, deadline=None)
+@given(polynomial_rays())
+def test_values_nonneg_matches_the_root_bound_scan(case):
+    values, start, direction = case
+    xs = [start + direction * t for t in range(len(values))]
+    coeffs = lagrange_interpolate(xs, values)
+    assert values_nonneg(values) == poly_nonneg_on_ray(coeffs, start, direction)
 
 
 def test_krull_dim():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,10 +13,13 @@ from lexcohom.embeddings import epsilon_one
 from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
 from lexcohom.hilbert import hilbert_series, quotient_window
 from lexcohom.homology import reduced_homology_dims
-from lexcohom.localcohom import (cohomology_table, cohomology_tables,
-                                 compare_tables, h0_via_saturation)
-from lexcohom.verify import check_extension_recurrence, lemma_top_partial_sums
-from lexcohom.zstable import z_recompose, z_stabilize
+from lexcohom.localcohom import (CohomologyTable, TailPoly, cohomology_table,
+                                 cohomology_tables, compare_tables,
+                                 h0_via_saturation)
+from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
+                             lemma_top_partial_sums)
+from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
+                              z_stabilize)
 
 from conftest import (random_ideal, ref_ext_cells, ref_fit_tail,
                       ref_takayama_cells)
@@ -215,6 +219,36 @@ def test_tails_are_certified_only_from_negative_degrees(backend):
     assert [T.value(1, j) for j in (-9, -1, 0)] == [1, 1, 0]
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tail_display_of_a_hyperplane_in_four_variables(backend):
+    # A/(x1) = K[x2, x3, x4]: H^3 in degree j is C(-j-1, 2), whose tail
+    # polynomial is (j+1)(j+2)/2 = 1 + 3/2 j + 1/2 j^2
+    T = cohomology_table(MonomialIdeal.make(RingContext(4), [M(1, 0, 0, 0)]),
+                         backend=backend)
+    row = _cohom_rows(T)[3]
+    assert (row["lo"], row["hi"]) == (-7, 1)
+    assert row["values"] == [15, 10, 6, 3, 1, 0, 0, 0, 0]
+    assert row["tail_poly"] == ["1", "3/2", "1/2"] and row["certified"]
+    assert all(T.value(3, j) == comb(-j - 1, 2) for j in range(T.lo - 40, T.lo))
+
+
+def test_compare_tables_sees_tails_cross_below_the_window():
+    # the rows agree on the window; below it B's tail drops under A's
+    # constant 1 somewhere, and the failure is reported at lo - 1
+    def table(tail):
+        return CohomologyTable(
+            n=1, char=2, lo=-3, hi=0, rows={0: (0, 0, 0, 0), 1: (1, 1, 1, 0)},
+            tails={0: TailPoly((Fraction(0),), True),
+                   1: TailPoly(tuple(map(Fraction, tail)), True)},
+            module_dim=1, hi_covers_reg=True)
+
+    A = table([1])
+    assert compare_tables(A, table([6, 1])) == (False, (1, -4))  # j + 6 at -6
+    # (j+40)(j+42) + 1 is 0 at j = -41 only
+    assert compare_tables(A, table([1681, 82, 1])) == (False, (1, -4))
+    assert compare_tables(A, table([1601, 80, 1])) == (True, None)  # (j+40)^2 + 1
+
+
 def test_compare_tables_and_window_mismatch():
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1)])
     Ta = cohomology_table(I)
@@ -248,15 +282,19 @@ def test_recurrence_reports():
         check_extension_recurrence(MonomialIdeal.make(ctx, [M(1, 1)]))
 
 
+def top_partial_sums(I):
+    return lemma_top_partial_sums(z_decompose(I), z_decompose(epsilon_one(I)))
+
+
 def test_lemma_top_partial_sums_cases():
     ctxe = RingContext(2, powers=(2, 2)).add_z()
     # already embedded: equality holds degreewise
     emb = MonomialIdeal.make(ctxe, [M(2, 0, 0), M(0, 2, 0), M(1, 0, 0)])
-    assert lemma_top_partial_sums(emb, epsilon_one(emb)).passed
+    assert top_partial_sums(emb).passed
     rng = random.Random(113)
     for _ in range(6):
         I = z_recompose(z_stabilize(random_ideal(rng, ctxe, 3, 3)))
-        assert lemma_top_partial_sums(I, epsilon_one(I)).passed
+        assert top_partial_sums(I).passed
 
 
 def test_lemma_top_partial_sums_strict_instance():
@@ -265,9 +303,8 @@ def test_lemma_top_partial_sums_strict_instance():
     ctx = RingContext(2, powers=(2, 3)).add_z()
     I = MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 3, 0), M(1, 2, 1),
                                  M(1, 1, 2), M(0, 2, 3)])
-    import lexcohom.zstable as zs
-    assert zs.is_z_stable(zs.z_decompose(I))
-    assert lemma_top_partial_sums(I, epsilon_one(I)).passed
+    assert is_z_stable(z_decompose(I))
+    assert top_partial_sums(I).passed
 
 
 @st.composite

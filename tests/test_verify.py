@@ -153,6 +153,19 @@ def test_lemma_suite_embeds_the_instance_once(monkeypatch):
     assert len(calls) > 1  # the components, m*I and the bar are embedded too
 
 
+def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
+    # I once for the suite; E once in epsilon_one's own check and once for
+    # the suite, whose decompositions the top-partial-sums lemma reuses
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True,
+                      count=50, seed=0)
+    instances = list(stable_instances(spec))
+    calls = count_calls(monkeypatch, zs.z_decompose)
+    for I in instances:
+        calls.clear()
+        assert verify_embedding_lemmas(I).passed
+        assert len(calls) == 3
+
+
 def test_embedding_lemma_suite_and_mutation():
     spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True,
                       count=8, seed=21)

@@ -8,12 +8,12 @@ from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon_ideal,
 from lexcohom.errors import HilbertMismatchError
 from lexcohom.groebner import initial_ideal
 from lexcohom.hilbert import hilbert_series, ideal_window
-from lexcohom.zstable import (bar, colon_z, distraction,
+from lexcohom.zstable import (bar, colon_z, default_window, distraction,
                               is_z_stable, stabilization_order, z_decompose,
                               z_order_compare, z_recompose, z_saturate,
                               z_stabilize)
 
-from conftest import random_ideal
+from conftest import random_ideal, ref_z_order_compare
 
 
 def M(*exps):
@@ -38,7 +38,13 @@ def test_roundtrip_on_samples():
     rng = random.Random(13)
     for _ in range(30):
         I = random_ideal(rng, ctx2z, 4, 5)
-        assert z_recompose(z_decompose(I)) == I
+        dec = z_decompose(I)
+        assert z_recompose(dec) == I
+        assert dec.max_gen_degree() == I.max_gen_degree()
+    # x2^3 stays a generator of component 1 but is no generator x2^3 z of I
+    I = MonomialIdeal.make(ctx2z, [M(3, 0, 0), M(1, 1, 0), M(0, 3, 0), M(2, 0, 1)])
+    assert is_z_stable(z_decompose(I))
+    assert z_decompose(I).max_gen_degree() == I.max_gen_degree() == 3
 
 
 def test_stability_examples():
@@ -156,9 +162,8 @@ def test_exact_compare_agrees_with_windowed():
         key = hilbert_series(I).numer
         for other in groups.get(key, [])[:4]:
             J, L = z_decompose(I), z_decompose(other)
-            from lexcohom.zstable import default_window
             w = default_window(I, other)
-            assert z_order_compare(J, L) == z_order_compare(J, L, window=w)
+            assert z_order_compare(J, L) == ref_z_order_compare(J, L, w)
         groups.setdefault(key, []).append(I)
 
 
