@@ -6,6 +6,17 @@ homological position i and multidegree b is the reduced homology in
 dimension i-2 of the squarefree complex { tau : x^(b-tau) in I }; only
 multidegrees in the lcm lattice of the generators can contribute.  Ranks are
 taken over GF(p), so tables carry the characteristic as a tag.
+
+The homology of each upper Koszul complex is memoized across calls, for the
+whole process, under the key (supp(b), tight masks, p).  The face rule of
+``upper_koszul_faces`` reads nothing but supp(b) and the tight masks, so they
+determine the complex; p is in the key because the homology depends on the
+field.  Many ideals share these small complexes, so most lattice points of a
+run of many ideals are memo hits.  The memo holds at most KOSZUL_MEMO_SIZE
+entries and drops the oldest first; its values are tuples, so a caller
+cannot change them.  It is a dict, not an ``lru_cache``, because a miss
+lists the faces through ``upper_koszul_faces(I, b)``, whose arguments are
+not the key.
 """
 
 from __future__ import annotations
@@ -19,6 +30,10 @@ from .hilbert import hilbert_series
 from .homology import reduced_homology_dims
 
 DEFAULT_LATTICE_CAP = 20_000
+KOSZUL_MEMO_SIZE = 4_096
+
+# (supp(b), tight masks, p) -> ((k, dim H~_k), ...) of the upper Koszul complex
+_koszul_memo: dict[tuple[int, frozenset[int], int], tuple[tuple[int, int], ...]] = {}
 
 NEG_INF = float("-inf")
 
@@ -44,6 +59,17 @@ def lcm_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[
     return sorted(lattice)
 
 
+def _koszul_key(I: MonomialIdeal, b: tuple[int, ...]) -> tuple[int, frozenset[int]]:
+    """supp(b) and the tight masks {i : g_i = b_i > 0} of the generators g
+    dividing x^b, as vertex bitmasks: all that the face rule reads."""
+    tight = frozenset(
+        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
+        for g in I.gens
+        if all(e <= top for e, top in zip(g.exps, b))
+    )
+    return sum(1 << i for i, e in enumerate(b) if e > 0), tight
+
+
 def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> list[int]:
     """Faces (as vertex bitmasks) of the upper Koszul complex at b.
 
@@ -51,12 +77,7 @@ def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> list[int]:
     divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
     among the submasks of supp(b).
     """
-    tight = [
-        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
-        for g in I.gens
-        if all(e <= top for e, top in zip(g.exps, b))
-    ]
-    supp = sum(1 << i for i, e in enumerate(b) if e > 0)
+    supp, tight = _koszul_key(I, b)
     faces = []
     tau = supp
     while True:
@@ -109,7 +130,8 @@ def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     """Minimal graded Betti table of A/I over GF(p).
 
     ``check`` verifies the alternating-sum identity against the exact
-    Hilbert numerator (an independent correctness cross-check).
+    Hilbert numerator (an independent correctness cross-check).  Only a
+    memo miss lists the faces (see the module docstring).
     """
     ctx = I.ctx
     if I.is_unit:
@@ -118,13 +140,17 @@ def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     if not I.is_zero:
         p = ctx.char
         for b in lcm_lattice(I):
-            faces = upper_koszul_faces(I, b)
-            hom = reduced_homology_dims(faces, p)
+            key = (*_koszul_key(I, b), p)
+            hom = _koszul_memo.get(key)
+            if hom is None:
+                hom = tuple(reduced_homology_dims(upper_koszul_faces(I, b), p).items())
+                if len(_koszul_memo) >= KOSZUL_MEMO_SIZE:
+                    del _koszul_memo[next(iter(_koszul_memo))]
+                _koszul_memo[key] = hom
             j = sum(b)
-            for k, dim in hom.items():
+            for k, dim in hom:
                 i = k + 2  # H~_{i-2} of the upper Koszul complex at b
-                if dim:
-                    entries[(i, j)] = entries.get((i, j), 0) + dim
+                entries[(i, j)] = entries.get((i, j), 0) + dim
     table = BettiTable(ctx.n, ctx.char, entries)
     if check:
         numer = hilbert_series(I).numer

@@ -20,6 +20,14 @@ fitted tail polynomial whose certification is checked on the lowest points
 generated).  Each backend takes the window top from its own cells: by
 Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
 degree of H^i_m(A/I), and every cell knows its top degree.
+
+Each backend memoizes the homology of its complexes across calls, for the
+whole process, in its own ``lru_cache`` (``_takayama_dims``, ``_ext_dims``):
+a complex is named by a compact key that determines its faces, plus the
+characteristic p, and only a miss lists faces.  The two memos are separate,
+so one backend's cached answer never stands in for the other's.  Their
+values are immutable (a tuple of pairs; a read-only mapping, which the ext
+cells hold), and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
 
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
@@ -35,10 +45,21 @@ from .hilbert import _poly_mul, hilbert_series, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
 DEFAULT_GENS_CAP = 18
+TAKAYAMA_MEMO_SIZE = 4_096
+EXT_MEMO_SIZE = 8_192
 
 
 # ---------------------------------------------------------------------------
 # combinatorial backend
+
+
+@lru_cache(maxsize=TAKAYAMA_MEMO_SIZE)
+def _takayama_dims(pinned: int, exceed: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+    """((k, dim H~_k), ...) of the complex on ``pinned`` vertices whose
+    faces are the masks with a complement meeting every exceed mask."""
+    full = (1 << pinned) - 1
+    faces = [mask for mask in range(full + 1) if all((full ^ mask) & e for e in exceed)]
+    return tuple(reduced_homology_dims(faces, p).items())
 
 
 def _takayama_cells(I: MonomialIdeal):
@@ -50,7 +71,8 @@ def _takayama_cells(I: MonomialIdeal):
     cones, hence no homology, and are skipped.  On the pinned vertices a
     generator's exceed mask marks where it lies above the pinned value; a
     face is kept iff its complement meets every exceed mask, so the number
-    of pinned vertices and the set of masks are the memo key.
+    of pinned vertices and the set of masks, with p, are the memo key of
+    ``_takayama_dims``.
 
     The multidegrees are walked depth first, coordinate by coordinate, in
     the order of ``itertools.product`` over (negative, 0, ..., rho_i - 1),
@@ -63,7 +85,6 @@ def _takayama_cells(I: MonomialIdeal):
     n, p = ctx.n, ctx.char
     gens = [g.exps for g in I.gens]
     rho = [max((g[i] for g in gens), default=0) for i in range(n)]
-    memo: dict[tuple[int, frozenset[int]], dict[int, int]] = {}
     cells = []
     stack = [(0, 0, 0, (0,) * len(gens))]  # (coordinate, pinned, fixed_sum, masks)
     while stack:
@@ -77,20 +98,12 @@ def _takayama_cells(I: MonomialIdeal):
             )
             stack.append((i + 1, pinned, fixed_sum, masks))
             continue
-        key = (pinned, frozenset(masks))
-        hom = memo.get(key)
-        if hom is None:
-            full = (1 << pinned) - 1
-            faces = [
-                mask for mask in range(full + 1)
-                if all((full ^ mask) & e for e in key[1])
-            ]
-            hom = memo[key] = reduced_homology_dims(faces, p)
+        hom = _takayama_dims(pinned, frozenset(masks), p)
         if not hom:
             continue
         f = n - pinned
         by_i = {}
-        for k, dim in hom.items():
+        for k, dim in hom:
             row = k + f + 1
             if 0 <= row <= n:
                 by_i[row] = by_i.get(row, 0) + dim
@@ -124,14 +137,32 @@ def _combinatorial_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]
 # ext backend (dual Taylor complex + graded local duality)
 
 
+_ACYCLIC = MappingProxyType({})  # shared by every cone slice
+
+
+@lru_cache(maxsize=EXT_MEMO_SIZE)
+def _ext_dims(g: int, masks: frozenset[int], p: int) -> MappingProxyType:
+    """{k: dim} of the cochain complex on the order filter of subsets of g
+    generators that meet every mask, shifted to Ext degrees; empty for a
+    cone (see ``_ext_cells``) without listing any subset."""
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    union = 0
+    for m in minimal:
+        union |= m
+    if union != (1 << g) - 1:
+        return _ACYCLIC
+    subsets = [S for S in range(1 << g) if all(S & m for m in minimal)]
+    return MappingProxyType({k + 1: d for k, d in reduced_homology_dims(subsets, p).items()})
+
+
 def _ext_cells(I: MonomialIdeal):
     """Cells (fixed_sum, n_free, {k: dim Ext^k}) covering the multidegree
     support of all Ext modules Ext^k(A/I, A).
 
     At a multidegree c the dual Taylor slice is the order filter of generator
     subsets S with lcm(S) >= c, i.e. those meeting {t : g_t[i] >= c_i} for
-    every coordinate with c_i > 0; the tuple of those bitmasks is the memo
-    key.
+    every coordinate with c_i > 0; the number of generators and the set of
+    those bitmasks, with p, are the memo key of ``_ext_dims``.
 
     A slice is a cone, with no cohomology, when some generator t lies in
     none of the key's inclusion-minimal masks: a subset meets every mask iff
@@ -153,24 +184,9 @@ def _ext_cells(I: MonomialIdeal):
         [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
         for i in range(n)
     ]
-    every = (1 << g) - 1
-    memo: dict[tuple[int, ...], dict[int, int]] = {}
     cells = []
     for c in itertools.product(*[range(r + 1) for r in rho]):
-        key = tuple(above[i][ci] for i, ci in enumerate(c) if ci)
-        hom = memo.get(key)
-        if hom is None:
-            masks = set(key)
-            minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
-            union = 0
-            for m in minimal:
-                union |= m
-            if union != every:
-                hom = {}
-            else:
-                subsets = [S for S in range(1 << g) if all(S & m for m in minimal)]
-                hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
-            memo[key] = hom
+        hom = _ext_dims(g, frozenset(above[i][ci] for i, ci in enumerate(c) if ci), p)
         if hom:
             cells.append((sum(c), c.count(0), hom))
     return cells

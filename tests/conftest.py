@@ -5,9 +5,23 @@ import itertools
 from fractions import Fraction
 from math import ceil
 
+import pytest
+
+from lexcohom import betti, localcohom
+from lexcohom.betti import lcm_lattice, upper_koszul_faces
 from lexcohom.core import Monomial, MonomialIdeal, colon_ideal, graded_piece_dim
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the process-wide Koszul, Takayama and ext memos before each
+    test, so that a count of homology calls does not depend on the tests
+    run before it."""
+    betti._koszul_memo.clear()
+    localcohom._takayama_dims.cache_clear()
+    localcohom._ext_dims.cache_clear()
 
 
 def all_monomials(ctx, d, bounded=False):
@@ -133,6 +147,17 @@ def ref_ext_cells(I):
         if hom:
             cells.append((sum(c), c.count(0), hom))
     return cells
+
+
+def ref_betti_entries(I):
+    """Betti table entries with every upper Koszul complex listed and ranked
+    afresh."""
+    entries = {(0, 0): 1}
+    if not I.is_zero:
+        for b in lcm_lattice(I):
+            for k, dim in reduced_homology_dims(upper_koszul_faces(I, b), I.ctx.char).items():
+                entries[(k + 2, sum(b))] = entries.get((k + 2, sum(b)), 0) + dim
+    return entries
 
 
 def ref_fit_tail(values, lo, module_dim):
