@@ -8,16 +8,17 @@ Grammar (case-insensitive on input, canonical lowercase on output)::
     <generator>                 # one per line; blank lines and # comments ok
 
 Generators are monomials like ``x1^2*x3`` or homogeneous polynomials like
-``x1^2 + 3*x1*z``.  ``n`` counts the x variables only; with ``variable z``
-the ring is K[x1..xn][z].  Parse/print round-trips are the identity on
-canonical form.
+``x1^2 + 3*x1*z``; an exponent ``^<digits>`` follows its variable directly
+and is at most ``core._EXP_LIMIT``.  ``n`` counts the x variables only;
+with ``variable z`` the ring is K[x1..xn][z].  Parse/print round-trips are
+the identity on canonical form.
 """
 
 from __future__ import annotations
 
 import re
 
-from .core import Monomial, MonomialIdeal, RingContext, format_term
+from .core import _EXP_LIMIT, Monomial, MonomialIdeal, RingContext, format_term
 from .groebner import Polynomial
 
 
@@ -58,7 +59,7 @@ def write_ideal_file(ctx: RingContext, gens, out=None) -> str:
     return text
 
 
-_TOKEN = re.compile(r"\s*([a-z]\d*|\^|\*|\+|-|\d+)", re.IGNORECASE)
+_TOKEN = re.compile(r"\s*([a-z]\d*(?:\^\d+)?|\^|\*|\+|-|\d+)", re.IGNORECASE)
 
 
 def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
@@ -68,17 +69,15 @@ def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
     sign = 1
     cur_coeff = None
     cur_exps = None
-    last_var = None  # variable awaiting a ^exponent
-    expecting_exponent = False
 
     def flush(col):
-        nonlocal cur_coeff, cur_exps, sign, last_var
+        nonlocal cur_coeff, cur_exps, sign
         if cur_exps is None and cur_coeff is None:
             raise ParseError(line_no, col, "empty term")
         exps = cur_exps if cur_exps is not None else [0] * ctx.n
         coeff = cur_coeff if cur_coeff is not None else 1
         terms.append((tuple(exps), sign * coeff))
-        cur_coeff, cur_exps, sign, last_var = None, None, 1, None
+        cur_coeff, cur_exps, sign = None, None, 1
 
     while pos < len(line):
         m = _TOKEN.match(line, pos)
@@ -98,24 +97,22 @@ def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
         elif low == "*":
             continue
         elif low == "^":
-            if last_var is None:
-                raise ParseError(line_no, col, "exponent without a variable")
-            expecting_exponent = True
+            raise ParseError(line_no, col, "an exponent must follow a variable "
+                             "directly and be a digit string")
         elif tok.isdigit():
-            if expecting_exponent:
-                cur_exps[last_var] += int(tok) - 1
-                expecting_exponent = False
-            else:
-                cur_coeff = (1 if cur_coeff is None else cur_coeff) * int(tok)
+            cur_coeff = (1 if cur_coeff is None else cur_coeff) * int(tok)
         else:
-            if low not in names:
-                raise ParseError(line_no, col, f"unknown variable {tok!r}")
+            name, _, exp = low.partition("^")
+            if name not in names:
+                raise ParseError(line_no, col, f"unknown variable {tok[:len(name)]!r}")
             if cur_exps is None:
                 cur_exps = [0] * ctx.n
-            last_var = names[low]
-            cur_exps[last_var] += 1
-    if expecting_exponent:
-        raise ParseError(line_no, len(line), "dangling exponent")
+            i = names[name]
+            cur_exps[i] += int(exp) if exp else 1
+            if cur_exps[i] > _EXP_LIMIT:
+                raise ParseError(line_no, col + len(name) + 1 if exp else col,
+                                 f"exponent {cur_exps[i]} exceeds "
+                                 f"core._EXP_LIMIT = {_EXP_LIMIT}")
     if cur_exps is not None or cur_coeff is not None:
         flush(len(line))
     if not terms:

@@ -254,19 +254,15 @@ def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
 
 def _generator_tallies(P: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise counts of minimal generators of the quotient-ring ideal
-    P/b, i.e. dims of P/(m*P + b), read off exact Hilbert series.
-
-    ``graded_piece_dim(J, d)`` counts the S-basis monomials in J, which is
-    H_{B/b}(d) - H_{B/(J+b)}(d).  So the count in degree d,
-    ``graded_piece_dim(P, d) - graded_piece_dim(mP, d)``, equals
-    H_{B/(mP+b)}(d) - H_{B/(P+b)}(d); this holds for every P, also for one
-    that does not contain b.
-    """
-    ctx = P.ctx
-    mP = ideal_product(ctx.max_ideal(), P).plus_powers()
-    hP = hilbert_series(P.plus_powers())
-    hmP = hilbert_series(mP)
-    return tuple(hmP.value(d) - hP.value(d) for d in range(upto + 1))
+    P/b, i.e. dims of P/(m*P + b): the minimal generators of P + b outside
+    b, which are all but the power generators x_i^{d_i}.  This holds for
+    every P, also for one that does not contain b."""
+    powers = set(P.ctx.powers_ideal().gens)
+    tallies = [0] * (upto + 1)
+    for g in P.plus_powers().gens:
+        if g.degree <= upto and g not in powers:
+            tallies[g.degree] += 1
+    return tuple(tallies)
 
 
 def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
@@ -359,8 +355,10 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
 
 
 def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
-    """Deliberately wrong embedding for mutation tests: selects lex-last
-    monomials degree by degree (same Hilbert function, wrong structure)."""
+    """Deliberately wrong embedding for mutation tests: degree by degree it
+    adds lex-last monomials until the ideal reaches I's dimension.  Nothing
+    is taken back when the multiples of earlier picks overshoot, so the
+    Hilbert function often differs too (never below I's up to the horizon)."""
     ctx = I.ctx
     P = I.plus_powers()
     D = embedding_horizon(ctx, P.max_gen_degree()) + 2
@@ -393,10 +391,9 @@ def lemma_top_partial_sums(dec: zstable.ZGradedIdeal,
     if not zstable.is_z_stable(dec):
         raise ValueError("requires a z-stable ideal")
     d = max(dec.max_gen_degree(), decE.max_gen_degree()) + 2
-    lhs_ideal = zstable.bar(zstable.z_saturate(dec))
-    rhs_ideal = zstable.bar(zstable.z_saturate(decE))
-    lhs = ideal_window(lhs_ideal.plus_powers(), d)
-    rhs = ideal_window(rhs_ideal.plus_powers(), d)
+    # the components of a preimage's z-decomposition already hold b
+    lhs = ideal_window(zstable.bar(zstable.z_saturate(dec)), d)
+    rhs = ideal_window(zstable.bar(zstable.z_saturate(decE)), d)
     acc_l = acc_r = 0
     for j in range(d + 1):
         acc_l += lhs[d - j]

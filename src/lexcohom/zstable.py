@@ -9,6 +9,10 @@ distraction that replaces z with x_j + z in the top components and a weight
 initial ideal; the chain is finite, so the loop terminates in a stable ideal
 with the same Hilbert function.
 
+``_first_violation`` alone decides stability (``is_z_stable`` asks that it
+finds none), and ``z_order_compare`` reads its equal-Hilbert-function
+precondition off the component numerators, recomposing no chain.
+
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext, ideal_product, minimalize
+from .core import Monomial, MonomialIdeal, RingContext, minimalize
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder, initial_ideal
 from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
@@ -101,14 +105,10 @@ def bar(Z: ZGradedIdeal) -> MonomialIdeal:
 
 
 def is_z_stable(Z: ZGradedIdeal) -> bool:
-    """Check I_<k+1> * m_R <= I_<k> for every k below the stabilization index."""
-    ctx_R = Z.ctx.drop_z()
-    m_R = ctx_R.max_ideal()
-    for k in range(Z.s):
-        prod = ideal_product(Z.components[k + 1], m_R)
-        if not Z.components[k].contains_ideal(prod):
-            return False
-    return True
+    """Check I_<k+1> * m_R <= I_<k> for every k below the stabilization
+    index: generator by generator and variable by variable, which is the
+    same as containing the product I_<k+1> * m_R."""
+    return _first_violation(Z) is None
 
 
 def colon_z(Z: ZGradedIdeal) -> ZGradedIdeal:
@@ -141,13 +141,14 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     ``series_nonneg`` decides; levels past both stabilization indices
     reduce (using the equality of total Hilbert functions) to one
     cumulative comparison of the top components.
+
+    The precondition is read off the same numerators: the total series of
+    the recomposed ideals differ by ((1-t) diff_H + t^(H+1) tail) /
+    (1-t)^(n+1), with diff_H the level sum at H = max(J.s, L.s) and tail
+    the difference of the level-H numerators.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
-    IJ, IL = z_recompose(J), z_recompose(L)
-    if hilbert_series(IJ).numer != hilbert_series(IL).numer:
-        raise HilbertMismatchError("the ideals have different Hilbert functions")
-
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)
     numers_J = [hilbert_series(J.component(h)).numer for h in range(H + 1)]
@@ -165,8 +166,11 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
             le = False
         if not series_nonneg(tuple(-c for c in diff), n):
             ge = False
-    # levels past H: cumulative comparison of the stabilized components
     tail = _poly_add(numers_J[H], negated_L[H])
+    if any(_poly_add(_poly_add(diff, _shift(tuple(-c for c in diff), 1)),
+                     _shift(tail, H + 1))):
+        raise HilbertMismatchError("the ideals have different Hilbert functions")
+    # levels past H: cumulative comparison of the stabilized components
     if any(tail):
         strict = True
         if not series_nonneg(tuple(-c for c in tail), n + 1):
@@ -240,11 +244,9 @@ def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
     terminates.  Every round checks the strict increase and the Hilbert
     function.
     """
-    _check_z_ctx(I.ctx)
-    _check_preimage(I)
+    cur = z_decompose(I)
     order = stabilization_order(I.ctx)
     target = hilbert_series(I).numer
-    cur = z_decompose(I)
     for _ in range(max_iterations):
         viol = _first_violation(cur)
         if viol is None:

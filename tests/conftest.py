@@ -2,6 +2,7 @@
 they check."""
 
 import itertools
+import sys
 from fractions import Fraction
 from math import ceil
 
@@ -9,7 +10,9 @@ import pytest
 
 from lexcohom import betti, localcohom
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
-from lexcohom.core import Monomial, MonomialIdeal, colon_ideal, graded_piece_dim
+from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
+                           ideal_product)
+from lexcohom.hilbert import hilbert_series
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
 
@@ -22,6 +25,23 @@ def cold_memos():
     betti._koszul_memo.clear()
     localcohom._takayama_dims.cache_clear()
     localcohom._ext_dims.cache_clear()
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every binding of ``fn`` in the package's modules by a wrapper
+    that records the arguments of each call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lexcohom" or name.startswith("lexcohom."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
 
 
 def all_monomials(ctx, d, bounded=False):
@@ -245,3 +265,19 @@ def ref_z_order_compare(J, L, window):
     if ge:
         return "greater" if strict_ge else "equal"
     return "incomparable"
+
+
+def ref_is_z_stable(Z):
+    """z-stability by its definition: each component times the maximal
+    ideal of R, formed as a product ideal, lies in the component below."""
+    m_R = Z.ctx.drop_z().max_ideal()
+    return all(Z.components[k].contains_ideal(ideal_product(Z.components[k + 1], m_R))
+               for k in range(Z.s))
+
+
+def ref_generator_tallies(P, upto):
+    """Degreewise dims of P/(m*P + b) from two exact Hilbert series:
+    H_{B/(mP+b)}(d) - H_{B/(P+b)}(d)."""
+    mP = ideal_product(P.ctx.max_ideal(), P).plus_powers()
+    hP, hmP = hilbert_series(P.plus_powers()), hilbert_series(mP)
+    return tuple(hmP.value(d) - hP.value(d) for d in range(upto + 1))

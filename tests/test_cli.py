@@ -3,7 +3,7 @@ import json
 import pytest
 
 from lexcohom.cli import build_parser, main
-from lexcohom.core import MR_LIMIT, RingContext
+from lexcohom.core import _EXP_LIMIT, MR_LIMIT, RingContext
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
                                parse_ideal_file, write_ideal_file)
 
@@ -42,6 +42,31 @@ def test_parse_errors_carry_location():
     assert ei.value.line_no == 2
     with pytest.raises(ParseError):
         parse_ideal_file("x1\n")  # missing header
+
+
+@pytest.mark.parametrize("gen, col", [
+    ("x1^2^3", 5), ("x1*2^3", 5), ("x2^2*3^2", 7), ("x1*^2", 4), ("x1^-1", 3),
+    ("x1 ^2", 4), ("x1^", 3),
+])
+def test_parse_exponent_only_directly_after_a_variable(gen, col, tmp_path):
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_file(f"ring n=2 char=32003\n{gen}\n")
+    assert (ei.value.line_no, ei.value.col) == (2, col)
+    f = tmp_path / "bad.txt"
+    f.write_text(f"ring n=2 char=32003\n{gen}\n")
+    assert main(["hilb", "--input", str(f)]) == 2
+
+
+def test_parse_exponent_overflow_names_the_limit(capsys, tmp_path):
+    for gen, col in (("x1^99999999999999", 4), (f"x1^{_EXP_LIMIT}*x2*x1", 21)):
+        with pytest.raises(ParseError) as ei:
+            parse_ideal_file(f"ring n=2 char=32003\n{gen}\n")
+        assert (ei.value.line_no, ei.value.col) == (2, col)
+        assert "core._EXP_LIMIT" in str(ei.value)
+    f = tmp_path / "big.txt"
+    f.write_text("ring n=2 char=32003\nx1^99999999999999\n")
+    assert main(["hilb", "--input", str(f)]) == 2
+    assert "core._EXP_LIMIT" in capsys.readouterr().err
 
 
 def test_cli_lpp(capsys, tmp_path):

@@ -1,13 +1,15 @@
 import json
 import random
-import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom import betti, embeddings, localcohom
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                            ideal_product, minimalize)
 from lexcohom.errors import ResourceLimitError
+from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import format_ideal
 from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
                              enumerate_family,
@@ -18,7 +20,7 @@ from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
                              verify_region_inclusion, verify_zstabilize)
 import lexcohom.zstable as zs
 
-from conftest import random_ideal
+from conftest import count_calls, random_ideal, ref_generator_tallies
 
 
 def M(*exps):
@@ -104,23 +106,6 @@ def test_corner_and_region_instances():
     assert verify_betti_lpp_corners(ctxp.powers_ideal()).passed
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Replace every binding of ``fn`` in the package's modules by a wrapper
-    that records the arguments of each call."""
-    calls = []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "lexcohom" or name.startswith("lexcohom."):
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, wrapper)
-    return calls
-
-
 POWERS_EXAMPLE = MonomialIdeal.make(RingContext(3, powers=(2, 2)), [
     M(2, 0, 0), M(0, 2, 0), M(1, 0, 2), M(0, 1, 3)])
 
@@ -197,6 +182,46 @@ def test_generator_tallies_match_the_monomial_count():
             brute = tuple(graded_piece_dim(P, d) - graded_piece_dim(mP, d)
                           for d in range(W + 1))
             assert _generator_tallies(P, W) == brute, (ctx, P)
+
+
+@st.composite
+def tally_inputs(draw):
+    """A context with or without powers and z, and an ideal of it: random
+    (holding b), zero, unit, or a P without b."""
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers)
+    ctx = ctx.add_z() if draw(st.booleans()) else ctx
+    kind = draw(st.sampled_from(["random", "zero", "unit", "without b"]))
+    if kind == "zero":
+        P = MonomialIdeal.zero(ctx)
+    elif kind == "unit":
+        P = MonomialIdeal.unit(ctx)
+    else:
+        rng = draw(st.randoms(use_true_random=False))
+        P = random_ideal(rng, ctx, 4, 4)
+        if kind == "without b":
+            P = MonomialIdeal.make(ctx, [g for g in P.gens
+                                         if not ctx.powers_ideal().contains(g)])
+    return P
+
+
+@given(tally_inputs(), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_generator_tallies_match_the_series_reference(P, upto):
+    assert _generator_tallies(P, upto) == ref_generator_tallies(P, upto)
+
+
+def test_generator_tallies_compute_no_hilbert_series(monkeypatch):
+    calls = count_calls(monkeypatch, hilbert_series)
+    ctx = RingContext(2, powers=(2, 3)).add_z()
+    for P in (MonomialIdeal.make(ctx, [M(1, 1, 0), M(0, 1, 1)]),
+              MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 3, 0), M(0, 2, 1)]),
+              MonomialIdeal.zero(ctx), MonomialIdeal.unit(ctx)):
+        assert _generator_tallies(P, 6) == ref_generator_tallies(P, 6)
+        calls.clear()
+        _generator_tallies(P, 6)
+        assert calls == []
 
 
 def test_corrupted_embedding_trips_generator_counts():

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon_ideal,
-                           minimalize, saturate)
+                           ideal_product, minimalize, saturate)
 from lexcohom.errors import HilbertMismatchError
 from lexcohom.groebner import initial_ideal
 from lexcohom.hilbert import hilbert_series, ideal_window
@@ -13,7 +15,7 @@ from lexcohom.zstable import (bar, colon_z, default_window, distraction,
                               z_order_compare, z_recompose, z_saturate,
                               z_stabilize)
 
-from conftest import random_ideal, ref_z_order_compare
+from conftest import count_calls, random_ideal, ref_is_z_stable, ref_z_order_compare
 
 
 def M(*exps):
@@ -225,3 +227,94 @@ def test_preimage_required_in_powers_context():
     ctxp = RingContext(2, powers=(2, 2)).add_z()
     with pytest.raises(ValueError):
         z_decompose(MonomialIdeal.make(ctxp, [M(1, 1, 0)]))
+
+
+@st.composite
+def z_contexts(draw):
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    return RingContext(nx, powers=powers).add_z()
+
+
+def z_ideal(draw, ctx):
+    """A preimage in ctx: random, or the smallest (b) or the unit ideal."""
+    kind = draw(st.sampled_from(["random", "random", "zero", "unit"]))
+    if kind == "zero":
+        return ctx.powers_ideal() if ctx.powers else MonomialIdeal.zero(ctx)
+    if kind == "unit":
+        return MonomialIdeal.unit(ctx)
+    return random_ideal(draw(st.randoms(use_true_random=False)), ctx, 4, 5)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_stability_matches_the_product_definition(data):
+    ctx = data.draw(z_contexts())
+    dec = z_decompose(z_ideal(data.draw, ctx))
+    assert is_z_stable(dec) == ref_is_z_stable(dec)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_order_compare_raises_exactly_on_a_hilbert_mismatch(data):
+    # the partner is random, the ideal itself, or its stabilization (equal
+    # Hilbert function, often another stabilization index)
+    ctx = data.draw(z_contexts().filter(lambda c: c.nx <= 2))
+    I = z_ideal(data.draw, ctx)
+    kind = data.draw(st.sampled_from(["random", "same", "stabilized"]))
+    other = {"random": lambda: z_ideal(data.draw, ctx), "same": lambda: I,
+             "stabilized": lambda: z_recompose(z_stabilize(I))}[kind]()
+    J, L = z_decompose(I), z_decompose(other)
+    mismatch = hilbert_series(z_recompose(J)).numer != hilbert_series(z_recompose(L)).numer
+    try:
+        outcome = z_order_compare(J, L)
+    except HilbertMismatchError:
+        outcome = None
+    assert (outcome is None) == mismatch
+    if kind == "same":
+        assert outcome == "equal"
+
+
+def test_order_compare_sees_tails_behind_equal_level_sums():
+    # (x1^3, x1 z) and (x1^2) in K[x1][z]: the level sums at H = 1 agree,
+    # sum_k t^k (numer(R/J_k) - numer(R/L_k)) = 0, but the stabilized
+    # components (x1) and (x1^2) differ, and so do the total series
+    pairs = [
+        ([M(3, 0), M(1, 1)], [M(2, 0)]),
+        ([M(4, 0), M(2, 1)], [M(3, 0)]),
+        ([M(2, 0)], [M(3, 0), M(1, 1)]),
+    ]
+    for gJ, gL in pairs:
+        J = z_decompose(MonomialIdeal.make(ctx1z, gJ))
+        L = z_decompose(MonomialIdeal.make(ctx1z, gL))
+        assert J.s != L.s
+        H = max(J.s, L.s)
+        level = [0] * 8
+        for k in range(H + 1):
+            for Z, sgn in ((J, 1), (L, -1)):
+                for i, c in enumerate(hilbert_series(Z.component(k)).numer):
+                    level[i + k] += sgn * c
+        assert not any(level)
+        assert hilbert_series(J.component(H)).numer != hilbert_series(L.component(H)).numer
+        assert hilbert_series(z_recompose(J)).numer != hilbert_series(z_recompose(L)).numer
+        with pytest.raises(HilbertMismatchError):
+            z_order_compare(J, L)
+
+
+def test_order_compare_and_stabilize_recompose_no_chain(monkeypatch):
+    calls = count_calls(monkeypatch, z_recompose)
+    rng = random.Random(61)
+    for _ in range(10):
+        I = random_ideal(rng, ctx2z, 3, 4)
+        out = z_stabilize(I)
+        assert z_order_compare(z_decompose(I), out) in ("less", "equal")
+    assert calls == []
+
+
+def test_stability_forms_no_product_ideal(monkeypatch):
+    calls = count_calls(monkeypatch, ideal_product)
+    rng = random.Random(67)
+    for _ in range(20):
+        dec = z_decompose(random_ideal(rng, ctx2z, 3, 4))
+        is_z_stable(dec)
+    assert calls == []
