@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import merge
 from math import comb
 
 from .errors import MixedContextError
@@ -146,13 +147,19 @@ class RingContext:
             return 0
         return _ring_dims(self.n, self.powers, d)[d]
 
+    @lru_cache(maxsize=32)
     def powers_ideal(self) -> "MonomialIdeal":
+        """The power ideal b = (x1^d1, ..., xr^dr), built once per context.
+
+        The generators are already the canonical antichain: the degrees
+        ascend, and equal degrees list x_i before x_{i+1}.
+        """
         gens = []
         for i, di in enumerate(self.powers):
             e = [0] * self.n
             e[i] = di
             gens.append(Monomial(tuple(e)))
-        return MonomialIdeal.make(self, gens)
+        return MonomialIdeal(self, tuple(gens))
 
     def max_ideal(self) -> "MonomialIdeal":
         gens = []
@@ -260,8 +267,12 @@ def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
 class MonomialIdeal:
     """Monomial ideal given by its minimal generators, canonically sorted.
 
-    Construct through :func:`minimalize` / :meth:`make`; the raw constructor
-    trusts its input.
+    Construct through :func:`minimalize` / :meth:`make`.  The raw
+    constructor trusts its input to be the canonical form: a divisibility
+    antichain in grlex order (ascending degree, lex-descending inside one
+    degree).  :func:`ideal_sum`, :meth:`RingContext.powers_ideal` and
+    ``zstable.z_decompose`` build ideals that way without re-minimalizing,
+    and rely on their inputs holding the invariant.
     """
 
     ctx: RingContext
@@ -320,8 +331,23 @@ def _same_ctx(I: MonomialIdeal, J: MonomialIdeal):
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I + J from two canonical antichains, without ``minimalize``.
+
+    The generators of J that no generator of I divides survive.  A
+    generator of I survives unless one of those divides it: a generator of
+    J that some g of I divides can divide no other generator of I, so a
+    shared generator is kept once.  The survivors merge in grlex order.
+    """
     _same_ctx(I, J)
-    return minimalize(I.ctx, I.gens + J.gens)
+    iexps = [g.exps for g in I.gens]
+    right = [h for h in J.gens
+             if not any(all(a <= b for a, b in zip(g, h.exps)) for g in iexps)]
+    if not right:
+        return I
+    rexps = [h.exps for h in right]
+    left = [g for g in I.gens
+            if not any(all(a <= b for a, b in zip(h, g.exps)) for h in rexps)]
+    return MonomialIdeal(I.ctx, tuple(merge(left, right, key=Monomial.grlex_key)))
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -13,6 +13,15 @@ from functools import lru_cache
 from math import comb
 
 from .core import MonomialIdeal, RingContext, _ring_dims, minimal_exponents
+from .errors import ResourceLimitError
+
+# Largest lcm degree sum_i max_g e_i of the generators that hilbert_series
+# accepts.  It bounds the numerator's degree, hence its coefficient lists,
+# and the pivot recursion's depth: each level either lowers the lcm degree
+# or isolates a new variable, so there are at most lcm degree + n levels.
+# At two interpreter frames a level, that stays below Python's default
+# recursion limit of 1000 for n up to about 80.
+NUMERATOR_DEGREE_LIMIT = 400
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -134,8 +143,18 @@ class HilbertSeries:
 
 
 def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
-    """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients."""
+    """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients.
+
+    Raises ResourceLimitError when the lcm degree of the generators exceeds
+    ``NUMERATOR_DEGREE_LIMIT``.
+    """
     gens = tuple(g.exps for g in I.gens)
+    lcm_degree = sum(map(max, zip(*gens))) if gens else 0
+    if lcm_degree > NUMERATOR_DEGREE_LIMIT:
+        raise ResourceLimitError(
+            f"the generators' lcm has degree {lcm_degree}, above "
+            f"hilbert.NUMERATOR_DEGREE_LIMIT = {NUMERATOR_DEGREE_LIMIT}"
+        )
     return HilbertSeries(I.ctx, _numerator(gens))
 
 
@@ -145,8 +164,9 @@ def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
 
 def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise dims of the ideal I itself inside the full ring."""
+    quotient = quotient_window(I, upto)  # first: it checks the degree limit
     ring = _ring_dims(I.ctx.n, I.ctx.powers, upto)
-    return tuple(r - q for r, q in zip(ring, quotient_window(I, upto)))
+    return tuple(r - q for r, q in zip(ring, quotient))
 
 
 def values_nonneg(values) -> bool:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext, minimalize
+from .core import Monomial, MonomialIdeal, RingContext, ideal_sum, minimalize
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder, initial_ideal
 from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
@@ -79,15 +79,24 @@ def _strip_z(e: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
-    """Split a monomial ideal of R[z] into its z-degree components."""
+    """Split a monomial ideal of R[z] into its z-degree components.
+
+    Component h is component h - 1 plus the generators of z-degree h with
+    z stripped.  Those form a canonical antichain of R: they are minimal
+    and grlex-sorted in R[z] and share one z-degree; and no generator of a
+    lower z-degree divides one of them, so ``ideal_sum`` needs no
+    ``minimalize``.
+    """
     _check_z_ctx(I.ctx)
     _check_preimage(I)
     ctx_R = I.ctx.drop_z()
     s = max((g.exps[-1] for g in I.gens), default=0)
-    comps = []
-    for h in range(s + 1):
-        gens = [Monomial(_strip_z(g.exps)) for g in I.gens if g.exps[-1] <= h]
-        comps.append(minimalize(ctx_R, gens))
+    levels: list[list[Monomial]] = [[] for _ in range(s + 1)]
+    for g in I.gens:
+        levels[g.exps[-1]].append(Monomial(_strip_z(g.exps)))
+    comps = [MonomialIdeal(ctx_R, tuple(levels[0]))]
+    for level in levels[1:]:
+        comps.append(ideal_sum(comps[-1], MonomialIdeal(ctx_R, tuple(level))))
     return ZGradedIdeal(I.ctx, tuple(comps))
 
 

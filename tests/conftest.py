@@ -11,10 +11,12 @@ import pytest
 from lexcohom import betti, localcohom
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
-                           ideal_product)
-from lexcohom.hilbert import hilbert_series
+                           ideal_product, minimalize)
+from lexcohom.errors import MixedContextError
+from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
+from lexcohom.zstable import ZGradedIdeal
 
 
 @pytest.fixture(autouse=True)
@@ -281,3 +283,33 @@ def ref_generator_tallies(P, upto):
     mP = ideal_product(P.ctx.max_ideal(), P).plus_powers()
     hP, hmP = hilbert_series(P.plus_powers()), hilbert_series(mP)
     return tuple(hmP.value(d) - hP.value(d) for d in range(upto + 1))
+
+
+def ref_ideal_sum(I, J):
+    """I + J by minimalizing the union of both generator sets."""
+    if I.ctx != J.ctx:
+        raise MixedContextError(f"contexts differ: {I.ctx} vs {J.ctx}")
+    return minimalize(I.ctx, I.gens + J.gens)
+
+
+def ref_z_decompose(I):
+    """z-components, each minimalized from every generator of z-degree at
+    most its level."""
+    ctx_R = I.ctx.drop_z()
+    s = max((g.exps[-1] for g in I.gens), default=0)
+    return ZGradedIdeal(I.ctx, tuple(
+        minimalize(ctx_R, [Monomial(g.exps[:-1]) for g in I.gens if g.exps[-1] <= h])
+        for h in range(s + 1)))
+
+
+def ref_restriction(I, E, W):
+    """Hilb(I + (z^j)) >= Hilb(E + (z^j)) for j = 0..W, from the ideal
+    windows of both sums in R[z]: (holds, first failing (j, d) or None)."""
+    ctx = I.ctx
+    for j in range(W + 1):
+        zj = MonomialIdeal.make(ctx, [Monomial((0,) * (ctx.n - 1) + (j,))])
+        a = ideal_window(ref_ideal_sum(I, zj), W)
+        b = ideal_window(ref_ideal_sum(E, zj), W)
+        if any(x < y for x, y in zip(a, b)):
+            return False, (j, next(d for d in range(W + 1) if a[d] < b[d]))
+    return True, None

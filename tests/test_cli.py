@@ -69,6 +69,16 @@ def test_parse_exponent_overflow_names_the_limit(capsys, tmp_path):
     assert "core._EXP_LIMIT" in capsys.readouterr().err
 
 
+def test_numerator_degree_limit_exits_2(capsys, tmp_path):
+    # an exponent at the parse limit parses; its Hilbert numerator would
+    # need 2^40 + 1 coefficients
+    f = tmp_path / "huge.txt"
+    f.write_text(f"ring n=2 char=32003\nx1^{_EXP_LIMIT}\n")
+    for cmd in ("hilb", "lex", "betti"):
+        assert main([cmd, "--input", str(f)]) == 2
+        assert "hilbert.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
+
+
 def test_cli_lpp(capsys, tmp_path):
     f = tmp_path / "ideal.txt"
     f.write_text("ring n=2 char=32003\npowers d=2\nx1^2\nx2^3\n")

@@ -10,7 +10,7 @@ from lexcohom.core import (MR_LIMIT, Monomial, MonomialIdeal, RingContext,
                            quotient_piece_dim, saturate)
 from lexcohom.errors import MixedContextError
 
-from conftest import members_upto, ref_saturate
+from conftest import count_calls, members_upto, ref_ideal_sum, ref_saturate
 
 ctx2 = RingContext(2)
 x1, x2 = ctx2.variable(0), ctx2.variable(1)
@@ -94,6 +94,61 @@ def test_sum_product_intersection_examples():
     assert ideal_intersection(I, J).gens == (M(1, 1),)
     P = ideal_product(MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1)]), J)
     assert set(P.gens) == {M(2, 1), M(1, 2)}
+
+
+@st.composite
+def sum_pairs(draw):
+    """Two ideals of one context with or without powers and z, each random,
+    zero, unit or the power ideal; optionally J repeats generators of I."""
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers)
+    ctx = ctx.add_z() if draw(st.booleans()) else ctx
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.n)
+
+    def ideal():
+        kind = draw(st.sampled_from(["random", "random", "zero", "unit", "powers"]))
+        if kind == "random":
+            return minimalize(ctx, [Monomial(e) for e in draw(st.lists(exps, max_size=6))])
+        return {"zero": MonomialIdeal.zero(ctx), "unit": MonomialIdeal.unit(ctx),
+                "powers": ctx.powers_ideal()}[kind]
+
+    I, J = ideal(), ideal()
+    shared = draw(st.integers(0, len(I.gens)))
+    return I, minimalize(ctx, J.gens + I.gens[:shared])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_pairs())
+def test_ideal_sum_matches_the_minimalized_union(pair):
+    I, J = pair
+    assert ideal_sum(I, J).gens == ref_ideal_sum(I, J).gens
+    assert ideal_sum(J, I).gens == ref_ideal_sum(I, J).gens
+    assert I.plus_powers().gens == ref_ideal_sum(I, I.ctx.powers_ideal()).gens
+
+
+def test_ideal_sum_of_mixed_contexts_raises_like_the_reference():
+    ctxs = (RingContext(2), RingContext(2, powers=(2,)), RingContext(2).add_z(),
+            RingContext(2, char=101))
+    for A in ctxs:
+        for B in ctxs:
+            if A != B:
+                for fn in (ideal_sum, ref_ideal_sum):
+                    with pytest.raises(MixedContextError):
+                        fn(MonomialIdeal.unit(A), MonomialIdeal.zero(B))
+
+
+def test_sums_of_minimal_ideals_and_the_power_ideal_minimalize_nothing(monkeypatch):
+    ctx = RingContext(3, powers=(2, 3, 3))
+    I = MonomialIdeal.make(ctx, [M(1, 1, 0), M(0, 2, 1), M(3, 0, 0)])
+    J = MonomialIdeal.make(ctx, [M(1, 0, 1), M(0, 2, 1), M(2, 0, 0)])
+    calls = count_calls(monkeypatch, minimalize)
+    b = ctx.powers_ideal()
+    assert b.gens == (M(2, 0, 0), M(0, 3, 0), M(0, 0, 3))
+    assert ideal_sum(I, J).gens == (M(2, 0, 0), M(1, 1, 0), M(1, 0, 1), M(0, 2, 1))
+    assert I.plus_powers().gens == (M(2, 0, 0), M(1, 1, 0), M(0, 3, 0),
+                                    M(0, 2, 1), M(0, 0, 3))
+    assert calls == []
 
 
 def test_colon_and_saturate_examples():

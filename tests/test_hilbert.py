@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
-from lexcohom.hilbert import (HilbertFunctionSpec, hilbert_series, ideal_window,
+from lexcohom.errors import ResourceLimitError
+from lexcohom.hilbert import (NUMERATOR_DEGREE_LIMIT, HilbertFunctionSpec, _numerator,
+                              hilbert_series, ideal_window,
                               is_O_sequence, macaulay_growth, macaulay_rep,
                               quotient_window, values_nonneg)
 
@@ -196,3 +198,17 @@ def test_krull_dim():
     assert hilbert_series(MonomialIdeal.make(ctx, [M(1, 0, 0)])).krull_dim() == 2
     assert hilbert_series(ctx.max_ideal()).krull_dim() == 0
     assert hilbert_series(MonomialIdeal.unit(ctx)).krull_dim() == -1
+
+
+def test_numerator_degree_limit():
+    # lcm degree exactly at the limit: the pivot recursion descends about
+    # that many levels and stays below the interpreter's recursion limit
+    ctx = RingContext(2)
+    L = NUMERATOR_DEGREE_LIMIT
+    at = MonomialIdeal.make(ctx, [Monomial((L - 2, 1)), Monomial((L - 3, 2))])
+    _numerator.cache_clear()
+    assert quotient_window(at, L + 1) == brute_quotient_dims(at, L + 1)
+    for gens in ([Monomial((L - 1, 1)), Monomial((L - 2, 2))], [Monomial((L + 1, 0))],
+                 [Monomial((L, 0)), Monomial((0, 1))]):
+        with pytest.raises(ResourceLimitError, match="NUMERATOR_DEGREE_LIMIT"):
+            hilbert_series(MonomialIdeal.make(ctx, gens))

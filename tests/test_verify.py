@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, embeddings, localcohom
+from lexcohom import betti, core, embeddings, localcohom
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                            ideal_product, minimalize)
 from lexcohom.errors import ResourceLimitError
@@ -20,7 +20,7 @@ from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
                              verify_region_inclusion, verify_zstabilize)
 import lexcohom.zstable as zs
 
-from conftest import count_calls, random_ideal, ref_generator_tallies
+from conftest import count_calls, random_ideal, ref_generator_tallies, ref_restriction
 
 
 def M(*exps):
@@ -163,6 +163,57 @@ def test_embedding_lemma_suite_and_mutation():
         for I in instances
     )
     assert failures >= 1
+
+
+@st.composite
+def stable_lemma_inputs(draw):
+    """A z-stable instance with or without powers, and the genuine or the
+    corrupted embedding."""
+    nx = draw(st.integers(1, 2))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers).add_z()
+    rng = draw(st.randoms(use_true_random=False))
+    I = zs.z_recompose(zs.z_stabilize(random_ideal(rng, ctx, 3, 4)))
+    return I, draw(st.sampled_from([None, corrupt_epsilon]))
+
+
+def _check_restriction_against_reference(I, epsilon):
+    rec = verify_embedding_lemmas(I, epsilon=epsilon)
+    P = I.plus_powers()
+    E = embeddings.epsilon_one(P) if epsilon is None else epsilon(P)
+    ok, fail = ref_restriction(P, E, zs.default_window(P, E))
+    assert rec.checks["restriction_ineq"] == ok
+    if rec.checks["generator_counts"]:  # otherwise that check's fail comes first
+        assert rec.first_fail == fail
+    return ok
+
+
+@given(stable_lemma_inputs())
+@settings(max_examples=60, deadline=None)
+def test_restriction_check_matches_the_sum_window_reference(inputs):
+    _check_restriction_against_reference(*inputs)
+
+
+def test_corrupted_embedding_trips_the_restriction_like_the_reference():
+    trips = 0
+    for spec in (FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True, count=8, seed=21),
+                 FamilySpec(n=1, powers=(2,), max_deg=3, with_z=True, count=12, seed=2)):
+        for I in stable_instances(spec):
+            assert _check_restriction_against_reference(I, None)
+            trips += not _check_restriction_against_reference(I, corrupt_epsilon)
+    assert trips >= 1
+
+
+def test_lemma_suite_adds_no_z_power_to_an_ideal(monkeypatch):
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True, count=10, seed=0)
+    instances = list(stable_instances(spec))
+    calls = count_calls(monkeypatch, core.ideal_sum)
+    for I in instances:
+        assert verify_embedding_lemmas(I).passed
+    assert calls  # plus_powers still sums with b
+    for args in calls:
+        for J in args:
+            assert not (J.ctx.z and len(J.gens) == 1 and not any(J.gens[0].exps[:-1]))
 
 
 def test_generator_tallies_match_the_monomial_count():

@@ -15,7 +15,8 @@ from lexcohom.zstable import (bar, colon_z, default_window, distraction,
                               z_order_compare, z_recompose, z_saturate,
                               z_stabilize)
 
-from conftest import count_calls, random_ideal, ref_is_z_stable, ref_z_order_compare
+from conftest import (count_calls, random_ideal, ref_is_z_stable, ref_z_decompose,
+                      ref_z_order_compare)
 
 
 def M(*exps):
@@ -34,6 +35,38 @@ def test_decompose_examples():
     assert len(ext.components) == 1 and ext.components[0].gens == (M(1),)
     dz = z_decompose(MonomialIdeal.make(ctx1z, [M(0, 2)]))
     assert [c.gens for c in dz.components] == [(), (), (M(0),)]
+
+
+@st.composite
+def z_preimages(draw):
+    """An ideal of R[z] holding b, with or without powers: random, the
+    power ideal alone (zero without powers) or the unit ideal."""
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers).add_z()
+    kind = draw(st.sampled_from(["random", "random", "zero", "unit"]))
+    if kind == "unit":
+        return MonomialIdeal.unit(ctx)
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.n)
+    gens = draw(st.lists(exps, max_size=7)) if kind == "random" else []
+    return minimalize(ctx, [Monomial(e) for e in gens]).plus_powers()
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_preimages())
+def test_decompose_matches_the_per_level_reference(I):
+    got, want = z_decompose(I), ref_z_decompose(I)
+    assert [c.gens for c in got.components] == [c.gens for c in want.components]
+    assert z_recompose(got) == I
+
+
+def test_decompose_minimalizes_nothing(monkeypatch):
+    ideals = [random_ideal(random.Random(k), ctx, 4, 6) for k in range(20)
+              for ctx in (ctx2z, RingContext(2, powers=(2, 3)).add_z())]
+    calls = count_calls(monkeypatch, minimalize)
+    for I in ideals:
+        z_decompose(I)
+    assert calls == []
 
 
 def test_roundtrip_on_samples():
