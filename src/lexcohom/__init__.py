@@ -15,9 +15,9 @@ from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables, h0_via_saturation)
 from .verify import (FamilySpec, Report, check_extension_recurrence,
                      enumerate_family, run_family)
-from .zstable import (ZGradedIdeal, bar, colon_z, distraction, is_z_stable,
-                      z_decompose, z_order_compare, z_recompose, z_saturate,
-                      z_stabilize)
+from .zstable import (ZGradedIdeal, bar, colon_z, distraction,
+                      distraction_initial, is_z_stable, z_decompose,
+                      z_order_compare, z_recompose, z_saturate, z_stabilize)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,7 @@ __all__ = [
     "check_extension_recurrence", "cl_embed", "cohomology_table",
     "cohomology_tables", "colon",
     "colon_ideal", "colon_z", "compare_tables", "corners", "distraction",
+    "distraction_initial",
     "enumerate_family", "epsilon_one", "graded_piece_dim", "h0_via_saturation",
     "hilbert_series", "ideal_intersection", "ideal_product", "ideal_sum",
     "is_O_sequence", "is_embedded", "is_z_stable", "lex_ideal_of",

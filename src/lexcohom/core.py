@@ -114,7 +114,9 @@ class RingContext:
             raise ValueError("context already has z")
         return RingContext(self.n + 1, self.char, self.powers, z=True)
 
+    @lru_cache(maxsize=32)
     def drop_z(self) -> "RingContext":
+        """The context without z, built (and validated) once per context."""
         if not self.z:
             raise ValueError("context has no z")
         return RingContext(self.n - 1, self.char, self.powers, z=False)

@@ -1,7 +1,10 @@
 """A minimal Buchberger engine over GF(p) for homogeneous ideals.
 
-Only what the distraction/stabilization pipeline needs: weight orders with a
-lex or revlex tiebreak, reduced Groebner bases, and initial ideals.  Inputs
+Weight orders with a lex or revlex tiebreak, reduced Groebner bases, and
+initial ideals.  The stabilization loop of ``zstable`` does not call it:
+the initial ideal of a distraction has a closed form there
+(``zstable.distraction_initial``), and this engine is the tests' oracle
+for it.  Inputs
 are always homogeneous, which keeps weight orders with zero entries (such as
 (1,...,1,0)) safe: reductions never leave the current degree.
 

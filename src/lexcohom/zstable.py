@@ -7,7 +7,10 @@ I_<k+1> * m_R lands inside I_<k>.  Non-stable ideals are pushed up a strictly
 increasing chain (in the partial order compared here) by alternating a
 distraction that replaces z with x_j + z in the top components and a weight
 initial ideal; the chain is finite, so the loop terminates in a stable ideal
-with the same Hilbert function.
+with the same Hilbert function.  ``distraction_initial`` gives the
+components of that initial ideal in closed form, from monomial sums, colons
+and intersections, so the loop runs no Groebner basis; ``distraction`` and
+the Buchberger engine of ``groebner`` are its test oracle.
 
 ``_first_violation`` alone decides stability (``is_z_stable`` asks that it
 finds none), and ``z_order_compare`` reads its equal-Hilbert-function
@@ -21,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Monomial, MonomialIdeal, RingContext, ideal_sum, minimalize
+from .core import (Monomial, MonomialIdeal, RingContext, colon, ideal_intersection,
+                   ideal_sum, minimalize)
 from .errors import HilbertMismatchError, IterationCapExceededError
-from .groebner import Polynomial, TermOrder, initial_ideal
-from .hilbert import _poly_add, _shift, hilbert_series, series_nonneg
-
-DEGREE_CAP = 40  # S-pair degree cap of each stabilization round's initial ideal
+from .groebner import Polynomial, TermOrder
+from .hilbert import _poly_add, _poly_mul, _shift, hilbert_series, series_nonneg
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -132,6 +134,17 @@ def z_saturate(Z: ZGradedIdeal) -> ZGradedIdeal:
     return ZGradedIdeal(Z.ctx, (Z.components[-1],))
 
 
+def _total_numerator(numers) -> tuple[int, ...]:
+    """Numerator of Hilb(R[z]/I) over (1-t)^n from the numerators
+    N_0, ..., N_H of components 0..H, the last one standing for every
+    h >= H: (1-t) sum_{h<H} t^h N_h + t^H N_H.  Any H from the
+    stabilization index on gives the same polynomial."""
+    below = (0,)
+    for h, numer in enumerate(numers[:-1]):
+        below = _poly_add(below, _shift(numer, h))
+    return _poly_add(_poly_mul(below, (1, -1)), _shift(numers[-1], len(numers) - 1))
+
+
 def default_window(*ideals) -> int:
     """Comparison window: past every generator degree of every ideal in play."""
     maxdeg = max(I.max_gen_degree() for I in ideals)
@@ -151,18 +164,18 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     reduce (using the equality of total Hilbert functions) to one
     cumulative comparison of the top components.
 
-    The precondition is read off the same numerators: the total series of
-    the recomposed ideals differ by ((1-t) diff_H + t^(H+1) tail) /
-    (1-t)^(n+1), with diff_H the level sum at H = max(J.s, L.s) and tail
-    the difference of the level-H numerators.
+    The precondition is read off the same numerators (``_total_numerator``
+    at H = max(J.s, L.s)), recomposing neither chain.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)
     numers_J = [hilbert_series(J.component(h)).numer for h in range(H + 1)]
-    negated_L = [tuple(-c for c in hilbert_series(L.component(h)).numer)
-                 for h in range(H + 1)]
+    numers_L = [hilbert_series(L.component(h)).numer for h in range(H + 1)]
+    if _total_numerator(numers_J) != _total_numerator(numers_L):
+        raise HilbertMismatchError("the ideals have different Hilbert functions")
+    negated_L = [tuple(-c for c in numer) for numer in numers_L]
     le = ge = True
     strict = False
     diff = (0,)
@@ -176,9 +189,6 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
         if not series_nonneg(tuple(-c for c in diff), n):
             ge = False
     tail = _poly_add(numers_J[H], negated_L[H])
-    if any(_poly_add(_poly_add(diff, _shift(tuple(-c for c in diff), 1)),
-                     _shift(tail, H + 1))):
-        raise HilbertMismatchError("the ideals have different Hilbert functions")
     # levels past H: cumulative comparison of the stabilized components
     if any(tail):
         strict = True
@@ -231,16 +241,87 @@ def stabilization_order(ctx: RingContext) -> TermOrder:
 
 
 def _first_violation(Z: ZGradedIdeal) -> tuple[int, int] | None:
-    """Least (d, j) with component d times x_{j+1} not inside component d-1."""
-    ctx_R = Z.ctx.drop_z()
-    nx = ctx_R.n
+    """Least (d, j) with component d times x_{j+1} not inside component d-1.
+
+    Works on exponent tuples: g * x_{j+1} is g's tuple with entry j raised
+    by one, tested against the generators of component d-1.
+    """
     for d in range(1, Z.s + 1):
-        lower = Z.components[d - 1]
-        for j in range(nx):
-            xj = ctx_R.variable(j)
-            if not all(lower.contains(g.mul(xj)) for g in Z.components[d].gens):
-                return d, j
+        lower = [g.exps for g in Z.components[d - 1].gens]
+        upper = [g.exps for g in Z.components[d].gens]
+        for j in range(Z.ctx.n - 1):
+            for e in upper:
+                ej = e[:j] + (e[j] + 1,) + e[j + 1:]
+                if not any(all(a <= b for a, b in zip(h, ej)) for h in lower):
+                    return d, j
     return None
+
+
+def _times_variable(I: MonomialIdeal, j: int) -> MonomialIdeal:
+    """x_{j+1} * I: the same degree shift for every generator keeps the
+    canonical antichain, so no ``minimalize``."""
+    return MonomialIdeal(I.ctx, tuple(
+        Monomial(g.exps[:j] + (g.exps[j] + 1,) + g.exps[j + 1:]) for g in I.gens))
+
+
+def distraction_initial(Z: ZGradedIdeal, d: int, j: int) -> ZGradedIdeal:
+    """The components of in(D), D the (d, x_{j+1} + z)-distraction of Z,
+    under ``stabilization_order``: a closed form that needs no Groebner
+    basis, only monomial sums, colons and intersections.
+
+    With I_h = I_s for h > s and x = x_{j+1}, the components are
+    J_e = I_e for e < d - 1 and J_e = I_{d-1} + x I_{e+1} + P_e for
+    e >= d - 1, where P_{d-1} = 0 and
+    P_e = I_e meet ((I_{d-1} + P_{e-1}) : x).
+    Here Q_e = I_{d-1} + P_e is computed instead: Q_{d-1} = I_{d-1} and
+    Q_e = I_e meet (Q_{e-1} : x), since I_{d-1} lies in both I_e and
+    Q_{e-1} : x; then J_e = Q_e + x I_{e+1}.
+
+    Proof.  D = M + (x + z) N with the monomial ideals
+    M = sum_{h<d} I_h z^h and N = sum_{h>=d} I_h z^(h-1).  Fix a degree
+    and work modulo M, whose monomials all lie in in(D).  For a monomial u
+    of N, (x + z) u = x u + z u lives on one chain a x^k z^(m-k) (a prime
+    to x, m fixed): it is an edge {w_k, w_(k+1)}, or a single vertex when
+    the other end lies in M.  Chains share no monomial, so in(D) is M plus
+    the leading monomials found chain by chain.  The weight order ranks
+    more x higher, so the leading monomials of a run of edges are all its
+    vertices but the bottom one, or all of them when the run reaches M.
+    A vertex v z^e is the top of an edge iff v lies in x I_(e+1).  It is
+    the bottom of an edge iff v lies in I_e (and e >= d), and the run goes
+    on up through x v z^(e-1), which lies in M iff x v lies in I_{d-1}.
+    So the bottoms whose run reaches M are the P_e: the recursion walks up
+    the chain until it reaches M.
+
+    Q_e only grows, and for e > s it depends on Q_{e-1} alone, so the walk
+    stops at the first e > s with Q_e = Q_{e-1}.  The trailing components
+    equal to their predecessor are then trimmed, which gives the chain
+    ``z_decompose`` returns for in(D).
+    """
+    if not 1 <= d <= Z.s + 1:
+        raise ValueError(f"d must lie in 1..{Z.s + 1}")
+    if not 0 <= j < Z.ctx.nx:
+        raise ValueError(f"j must lie in 0..{Z.ctx.nx - 1}")
+    x = Z.components[0].ctx.variable(j)
+    x_top = _times_variable(Z.components[-1], j)
+
+    def x_times(h: int) -> MonomialIdeal:  # x I_h, where I_h = I_s for h >= s
+        return _times_variable(Z.components[h], j) if h < Z.s else x_top
+
+    Q = Z.components[d - 1]
+    Q_colon_x = colon(Q, x)
+    comps = [*Z.components[:d - 1], ideal_sum(Q, x_times(d))]
+    e = d
+    while True:
+        nxt = ideal_intersection(Z.component(e), Q_colon_x)
+        if nxt != Q:
+            Q, Q_colon_x = nxt, colon(nxt, x)
+        elif e > Z.s:
+            break
+        comps.append(ideal_sum(Q, x_times(e + 1)))
+        e += 1
+    while len(comps) > 1 and comps[-1] == comps[-2]:
+        comps.pop()
+    return ZGradedIdeal(Z.ctx, tuple(comps))
 
 
 def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
@@ -248,23 +329,21 @@ def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
     Hilbert function.
 
     Each round distracts the first failing component with l = x_j + z (x_j
-    the smallest witness variable) and passes to the weight initial ideal;
-    every round moves strictly up in the partial order, so the loop
-    terminates.  Every round checks the strict increase and the Hilbert
-    function.
+    the smallest witness variable) and passes to the weight initial ideal,
+    whose components ``distraction_initial`` gives in closed form; every
+    round moves strictly up in the partial order, so the loop terminates.
+    Every round checks the Hilbert function, read off the component
+    numerators, and the strict increase.
     """
     cur = z_decompose(I)
-    order = stabilization_order(I.ctx)
     target = hilbert_series(I).numer
     for _ in range(max_iterations):
         viol = _first_violation(cur)
         if viol is None:
             return cur
-        d, j = viol
-        D = distraction(cur, d, j)
-        nxt_ideal = initial_ideal(D, order, DEGREE_CAP)
-        nxt = z_decompose(nxt_ideal)
-        if hilbert_series(nxt_ideal).numer != target:
+        nxt = distraction_initial(cur, *viol)
+        numers = [hilbert_series(c).numer for c in nxt.components]
+        if _total_numerator(numers) != target:
             raise HilbertMismatchError(
                 "distraction step changed the Hilbert function (bug)"
             )

@@ -79,6 +79,15 @@ def test_numerator_degree_limit_exits_2(capsys, tmp_path):
         assert "hilbert.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
 
 
+def test_cell_limit_exits_2(capsys, tmp_path):
+    # both backends would walk 2^40 + 1 multidegrees of x1^(2^40)
+    f = tmp_path / "huge.txt"
+    f.write_text(f"ring n=2 char=32003\nx1^{_EXP_LIMIT}\n")
+    for backend in ("combinatorial", "ext"):
+        assert main(["cohom", "--input", str(f), "--backend", backend]) == 2
+        assert "localcohom.CELL_LIMIT" in capsys.readouterr().err
+
+
 def test_cli_lpp(capsys, tmp_path):
     f = tmp_path / "ideal.txt"
     f.write_text("ring n=2 char=32003\npowers d=2\nx1^2\nx2^3\n")

@@ -375,6 +375,18 @@ def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
         cohomology_table(I, backend="ext")
 
 
+@pytest.mark.parametrize("backend", ["combinatorial", "ext"])
+def test_cell_limit_bounds_the_walk(monkeypatch, backend):
+    # rho = (2, 3): the walk covers (2 + 1) * (3 + 1) = 12 multidegrees
+    I = MonomialIdeal.make(ctx2, [M(2, 1), M(0, 3)])
+    want = cohomology_table(I, backend=backend).rows
+    monkeypatch.setattr(localcohom, "CELL_LIMIT", 12)
+    assert cohomology_table(I, backend=backend).rows == want
+    monkeypatch.setattr(localcohom, "CELL_LIMIT", 11)
+    with pytest.raises(ResourceLimitError, match="localcohom.CELL_LIMIT = 11"):
+        cohomology_table(I, backend=backend)
+
+
 @st.composite
 def tail_windows(draw):
     module_dim = draw(st.integers(-1, 4))

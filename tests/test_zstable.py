@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon_ideal,
                            ideal_product, minimalize, saturate)
 from lexcohom.errors import HilbertMismatchError
-from lexcohom.groebner import initial_ideal
+from lexcohom.groebner import buchberger, initial_ideal
 from lexcohom.hilbert import hilbert_series, ideal_window
-from lexcohom.zstable import (bar, colon_z, default_window, distraction,
-                              is_z_stable, stabilization_order, z_decompose,
-                              z_order_compare, z_recompose, z_saturate,
-                              z_stabilize)
+from lexcohom.zstable import (_first_violation, bar, colon_z, default_window,
+                              distraction, distraction_initial, is_z_stable,
+                              stabilization_order, z_decompose, z_order_compare,
+                              z_recompose, z_saturate, z_stabilize)
 
 from conftest import (count_calls, random_ideal, ref_is_z_stable, ref_z_decompose,
                       ref_z_order_compare)
@@ -351,3 +351,102 @@ def test_stability_forms_no_product_ideal(monkeypatch):
         dec = z_decompose(random_ideal(rng, ctx2z, 3, 4))
         is_z_stable(dec)
     assert calls == []
+
+
+def buchberger_distraction_initial(Z, d, j):
+    """The components of in(D) the long way: the distraction's generators,
+    a Groebner basis under the stabilization order, and a decomposition."""
+    D = distraction(Z, d, j)
+    if not D:  # the zero ideal distracts to itself
+        return Z
+    return z_decompose(initial_ideal(D, stabilization_order(Z.ctx), degree_cap=40))
+
+
+@st.composite
+def distraction_inputs(draw):
+    """An ideal of K[x1..xn][z], n = 2 or 3, in char 2 or 32003, with or
+    without powers."""
+    nx = draw(st.sampled_from([2, 3]))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, char=draw(st.sampled_from([2, 32003])), powers=powers).add_z()
+    return random_ideal(draw(st.randoms(use_true_random=False)), ctx, 4, 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(distraction_inputs())
+def test_distraction_initial_matches_buchberger(I):
+    # every failing level d in 1..s, the level s + 1 past the top and every
+    # x variable, then again along the ideal's own stabilization rounds
+    Z = z_decompose(I)
+    for d in range(1, Z.s + 2):
+        for j in range(Z.ctx.nx):
+            want = buchberger_distraction_initial(Z, d, j)
+            assert distraction_initial(Z, d, j) == want
+    while (viol := _first_violation(Z)) is not None:
+        nxt = distraction_initial(Z, *viol)
+        assert nxt == buchberger_distraction_initial(Z, *viol)
+        Z = nxt
+
+
+def test_distraction_initial_examples():
+    # (x1 z): the distraction (x1 (x1 + z)) has initial ideal (x1^2)
+    Z = z_decompose(MonomialIdeal.make(ctx1z, [M(1, 1)]))
+    x1_squared = MonomialIdeal.make(ctx1z.drop_z(), [M(2)])
+    assert distraction_initial(Z, 1, 0).components == (x1_squared,)
+    # a level past the top leaves the ideal alone
+    Z = z_decompose(MonomialIdeal.make(ctx2z, [M(1, 0, 1), M(0, 2, 0)]))
+    assert distraction_initial(Z, Z.s + 1, 1) == Z
+    with pytest.raises(ValueError):
+        distraction_initial(Z, 0, 0)
+    for d, j in ((Z.s + 2, 0), (1, -1), (1, 2)):
+        with pytest.raises(ValueError):
+            distraction_initial(Z, d, j)
+
+
+def test_stabilize_runs_no_buchberger(monkeypatch):
+    calls = count_calls(monkeypatch, buchberger)
+    rng = random.Random(71)
+    rounds = 0
+    ctxs = (ctx2z, RingContext(3, powers=(2, 3)).add_z(), RingContext(3, char=2).add_z())
+    for ctx in ctxs:
+        for _ in range(10):
+            I = random_ideal(rng, ctx, 4, 5)
+            rounds += not is_z_stable(z_decompose(I))
+            assert is_z_stable(z_stabilize(I))
+    assert rounds and calls == []
+
+
+def ref_first_violation(Z):
+    """Least (d, j) with component d times x_{j+1} outside component d - 1,
+    multiplying monomials."""
+    ctx_R = Z.ctx.drop_z()
+    for d in range(1, Z.s + 1):
+        for j in range(ctx_R.nx):
+            xj = ctx_R.variable(j)
+            lower = Z.components[d - 1]
+            if not all(lower.contains(g.mul(xj)) for g in Z.components[d].gens):
+                return d, j
+    return None
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_violation_matches_the_monomial_products(data):
+    dec = z_decompose(z_ideal(data.draw, data.draw(z_contexts())))
+    assert _first_violation(dec) == ref_first_violation(dec)
+
+
+def test_first_violation_builds_no_monomial(monkeypatch):
+    decs = [z_decompose(random_ideal(random.Random(k), ctx, 4, 6))
+            for k in range(20) for ctx in (ctx2z, RingContext(3, powers=(2,)).add_z())]
+    built = []
+    monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self.exps))
+    for dec in decs:
+        _first_violation(dec)
+    assert built == []
+
+
+def test_drop_z_is_built_once_per_context():
+    ctx = RingContext(3, char=101, powers=(2,)).add_z()
+    assert ctx.drop_z() is ctx.drop_z()
+    assert ctx.drop_z() == RingContext(3, char=101, powers=(2,))
