@@ -8,21 +8,19 @@ multidegrees in the lcm lattice of the generators can contribute.  Ranks are
 taken over GF(p), so tables carry the characteristic as a tag.
 
 The homology of each upper Koszul complex is memoized across calls, for the
-whole process, under the key (supp(b), tight masks, p).  The face rule of
-``upper_koszul_faces`` reads nothing but supp(b) and the tight masks, so they
-determine the complex; p is in the key because the homology depends on the
-field.  Many ideals share these small complexes, so most lattice points of a
-run of many ideals are memo hits.  The memo holds at most KOSZUL_MEMO_SIZE
-entries and drops the oldest first; its values are tuples, so a caller
-cannot change them.  It is a dict, not an ``lru_cache``, because a miss
-lists the faces through ``upper_koszul_faces(I, b)``, whose arguments are
-not the key.
+whole process, in the ``lru_cache`` ``_koszul_dims``, under the key
+(supp(b), tight masks, p).  The face rule of ``upper_koszul_faces`` reads
+nothing but supp(b) and the tight masks, so they determine the complex; p is
+in the key because the homology depends on the field.  Many ideals share
+these small complexes, so most lattice points of a run of many ideals are
+memo hits.  KOSZUL_MEMO_SIZE bounds the memo; its values are tuples, so a
+caller cannot change them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import MonomialIdeal
 from .errors import ResourceLimitError
@@ -32,13 +30,10 @@ from .homology import reduced_homology_dims
 DEFAULT_LATTICE_CAP = 20_000
 KOSZUL_MEMO_SIZE = 4_096
 
-# (supp(b), tight masks, p) -> ((k, dim H~_k), ...) of the upper Koszul complex
-_koszul_memo: dict[tuple[int, frozenset[int], int], tuple[tuple[int, int], ...]] = {}
-
 NEG_INF = float("-inf")
 
 
-def lcm_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[int, ...]]:
+def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
     """All joins of nonempty generator subsets, deduplicated (pairwise-join
     closure)."""
     lattice = {g.exps for g in I.gens}
@@ -51,9 +46,10 @@ def lcm_lattice(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[
                 if j not in lattice:
                     new.add(j)
         lattice |= new
-        if len(lattice) > cap:
+        if len(lattice) > DEFAULT_LATTICE_CAP:
             raise ResourceLimitError(
-                f"lcm lattice exceeds cap {cap}; raise the cap or shrink the ideal"
+                f"the lcm lattice has more than betti.DEFAULT_LATTICE_CAP = "
+                f"{DEFAULT_LATTICE_CAP} points"
             )
         frontier = new
     return sorted(lattice)
@@ -70,14 +66,14 @@ def _koszul_key(I: MonomialIdeal, b: tuple[int, ...]) -> tuple[int, frozenset[in
     return sum(1 << i for i, e in enumerate(b) if e > 0), tight
 
 
-def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> list[int]:
-    """Faces (as vertex bitmasks) of the upper Koszul complex at b.
+def upper_koszul_faces(supp: int, tight: frozenset[int]) -> list[int]:
+    """Faces (as vertex bitmasks) of the upper Koszul complex at b, from its
+    key ``_koszul_key(I, b)``.
 
     tau is a face iff x^(b - tau) lies in I, i.e. iff some generator g
     divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
     among the submasks of supp(b).
     """
-    supp, tight = _koszul_key(I, b)
     faces = []
     tau = supp
     while True:
@@ -86,6 +82,12 @@ def upper_koszul_faces(I: MonomialIdeal, b: tuple[int, ...]) -> list[int]:
         if not tau:
             return faces
         tau = (tau - 1) & supp
+
+
+@lru_cache(maxsize=KOSZUL_MEMO_SIZE)
+def _koszul_dims(supp: int, tight: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+    """((k, dim H~_k), ...) of the upper Koszul complex with key (supp, tight)."""
+    return tuple(reduced_homology_dims(upper_koszul_faces(supp, tight), p).items())
 
 
 @dataclass(frozen=True)
@@ -140,15 +142,8 @@ def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     if not I.is_zero:
         p = ctx.char
         for b in lcm_lattice(I):
-            key = (*_koszul_key(I, b), p)
-            hom = _koszul_memo.get(key)
-            if hom is None:
-                hom = tuple(reduced_homology_dims(upper_koszul_faces(I, b), p).items())
-                if len(_koszul_memo) >= KOSZUL_MEMO_SIZE:
-                    del _koszul_memo[next(iter(_koszul_memo))]
-                _koszul_memo[key] = hom
             j = sum(b)
-            for k, dim in hom:
+            for k, dim in _koszul_dims(*_koszul_key(I, b), p):
                 i = k + 2  # H~_{i-2} of the upper Koszul complex at b
                 entries[(i, j)] = entries.get((i, j), 0) + dim
     table = BettiTable(ctx.n, ctx.char, entries)

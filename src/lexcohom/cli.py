@@ -15,7 +15,7 @@ from dataclasses import replace
 from . import zstable
 from .betti import betti_table, corners
 from .core import MonomialIdeal, RingContext
-from .embeddings import embedding_horizon, lex_segment_ideal, lpp_ideal
+from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import (ParseError, as_monomial_ideal, format_ideal,
@@ -73,8 +73,7 @@ def cmd_lex(args) -> int:
     if I.ctx.powers:
         print("error: lex expects a ring without powers (use lpp)", file=sys.stderr)
         return USAGE_ERROR
-    D = embedding_horizon(I.ctx, I.max_gen_degree())
-    L = lex_segment_ideal(I.ctx, ideal_window(I, D))
+    L = lex_segment_ideal(I.ctx, ideal_window(I, I.max_gen_degree() + 2))
     print(format_ideal(L))
     _emit_json(args, {
         "schema_version": 1, "command": "lex", "context": _ctx_json(I.ctx),

@@ -11,27 +11,21 @@ variable u can still be multiplied by in S.
 
 Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
-generated ideal has the exact Hilbert series of the input.  ``cl_embed``
-and ``lex_segment_ideal`` take explicit dims and the shadow theorem on trust.
+generated ideal has the exact Hilbert series of the input, and it refuses,
+with the ``ResourceLimitError`` of ``hilbert.NUMERATOR_DEGREE_LIMIT``, an
+answer whose certificate that limit would refuse.  ``cl_embed`` and
+``lex_segment_ideal`` take explicit dims and the shadow theorem on trust.
+The properties of the extended embedding along z (z-stability, embedded
+components) are theorems that the lemma suite of ``verify`` checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import zstable
 from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
-from .errors import NotAnIdealError, NotAttainableError, NotOSequenceError
-from .hilbert import hilbert_series
-
-
-def embedding_horizon(ctx: RingContext, max_gen_degree: int) -> int:
-    """A construction depth for an ideal generated up to max_gen_degree.
-
-    Embedded ideals can need generators well past it: ``lexcohom lex``
-    truncates here, and the certified embeddings stop by 32 times it.
-    """
-    return sum(d - 1 for d in ctx.powers) + max_gen_degree + 2
+from .errors import NotAttainableError, NotOSequenceError, ResourceLimitError
+from .hilbert import NUMERATOR_DEGREE_LIMIT, hilbert_series
 
 
 @dataclass(frozen=True)
@@ -164,11 +158,20 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     segment is again a lex segment (Macaulay; Clements-Lindstrom in
     S = B/b).  Without powers the first check holds: by Gotzmann
     persistence the lex ideal has no generators past that degree.
+
+    The loop needs no degree beyond NUMERATOR_DEGREE_LIMIT + 1.  Let G be
+    the top generator degree of the answer and top that of I.  From degree
+    G on the selection generates the answer, so the loop certifies at
+    degree max(G, top) + 1 at the latest.  Here top <= the limit, because
+    ``hilbert_series(I)`` has passed and the lcm degree of I is at least
+    top.  A generator above the limit puts the lcm degree of the answer
+    above it, and ``hilbert_series`` would refuse the certificate anyway.
+    So a loop that ends uncertified raises that limit's error.
     """
     ctx = I.ctx
     series = hilbert_series(I)
     top = I.max_gen_degree()
-    last = 32 * embedding_horizon(ctx, top) + 1
+    last = NUMERATOR_DEGREE_LIMIT + 1
     dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
     gens: list[Monomial] = []
     grew = True  # generators were added since the last check
@@ -181,8 +184,9 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
             if hilbert_series(out).numer == series.numer:
                 return out
-    raise NotAttainableError(
-        f"no embedded ideal with the requested Hilbert series by degree {last} (bug?)"
+    raise ResourceLimitError(
+        f"no certified embedding by degree {last}: its generators pass "
+        f"hilbert.NUMERATOR_DEGREE_LIMIT = {NUMERATOR_DEGREE_LIMIT}"
     )
 
 
@@ -201,24 +205,15 @@ def lpp_ideal(I: MonomialIdeal) -> MonomialIdeal:
     return _embed_matching_series(I)
 
 
-def epsilon_one(I: MonomialIdeal, check: bool = True) -> MonomialIdeal:
+def epsilon_one(I: MonomialIdeal) -> MonomialIdeal:
     """Extended embedding on S[z]: lex-first selection one variable up.
 
     The result is stable under the last variable with embedded components;
-    both properties are asserted when ``check`` is set.
+    ``verify.verify_embedding_lemmas`` checks both.
     """
-    ctx = I.ctx
-    if not ctx.z:
+    if not I.ctx.z:
         raise ValueError("epsilon_one expects a context with z")
-    out = _embed_matching_series(I.plus_powers())
-    if check:
-        dec = zstable.z_decompose(out)
-        if not zstable.is_z_stable(dec):
-            raise NotAnIdealError("extended embedding produced a non-z-stable ideal")
-        for comp in dec.components:
-            if not is_embedded(comp):
-                raise NotAnIdealError("extended embedding has a non-embedded component")
-    return out
+    return _embed_matching_series(I.plus_powers())
 
 
 def is_embedded(J: MonomialIdeal) -> bool:

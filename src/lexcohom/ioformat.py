@@ -42,7 +42,7 @@ def format_polynomial(p: Polynomial) -> str:
     return str(p)
 
 
-def write_ideal_file(ctx: RingContext, gens, out=None) -> str:
+def write_ideal_file(ctx: RingContext, gens) -> str:
     lines = [f"ring n={ctx.nx} char={ctx.char}"]
     if ctx.powers:
         lines.append("powers d=" + ",".join(map(str, ctx.powers)))
@@ -53,10 +53,7 @@ def write_ideal_file(ctx: RingContext, gens, out=None) -> str:
             lines.append(format_monomial(ctx, g))
         else:
             lines.append(format_polynomial(g))
-    text = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 _TOKEN = re.compile(r"\s*([a-z]\d*(?:\^\d+)?|\^|\*|\+|-|\d+)", re.IGNORECASE)

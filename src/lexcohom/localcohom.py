@@ -200,7 +200,8 @@ def _ext_cells(I: MonomialIdeal):
     g = len(I.gens)
     if g > DEFAULT_GENS_CAP:
         raise ResourceLimitError(
-            f"{g} generators exceed the Taylor-complex cap {DEFAULT_GENS_CAP}"
+            f"{g} generators exceed the Taylor-complex cap "
+            f"localcohom.DEFAULT_GENS_CAP = {DEFAULT_GENS_CAP}"
         )
     gens = [gen.exps for gen in I.gens]
     rho = _exponent_bounds(gens, n)

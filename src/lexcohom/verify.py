@@ -18,8 +18,8 @@ from . import zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (Monomial, MonomialIdeal, RingContext, ideal_product,
                    minimalize, saturate)
-from .embeddings import embedding_horizon, epsilon_one, lex_ideal_of, lpp_ideal
-from .errors import ResourceLimitError
+from .embeddings import epsilon_one, is_embedded, lex_ideal_of, lpp_ideal
+from .errors import NotAnIdealError, ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
@@ -75,8 +75,8 @@ def enumerate_family(spec: FamilySpec):
     if spec.mode == "exhaustive":
         if 2 ** len(pool) > EXHAUSTIVE_CAP:
             raise ResourceLimitError(
-                f"exhaustive family would scan 2^{len(pool)} subsets; cap is "
-                f"{EXHAUSTIVE_CAP}"
+                f"exhaustive family would scan 2^{len(pool)} subsets, above "
+                f"verify.EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}"
             )
         seen = set()
         ideals = []
@@ -269,8 +269,9 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     """The supporting-lemma suite on a z-stable instance over S[z].
 
     ``epsilon`` substitutes the embedding map (used by mutation tests);
-    the default is the extended lex-first embedding, computed once and
-    checked to be z-stable with embedded components.
+    the default is the extended lex-first embedding, computed once.  The
+    genuine embedding must be z-stable with embedded components: a failure
+    of either is a defect and raises NotAnIdealError.
     """
     ctx = I.ctx
     if not ctx.z:
@@ -279,8 +280,8 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     dec = zstable.z_decompose(I)
     if not zstable.is_z_stable(dec):
         raise ValueError("instance must be z-stable (use z_stabilize first)")
-    E = epsilon_one(I) if epsilon is None else epsilon(I)
-    embed = epsilon or functools.partial(epsilon_one, check=False)
+    embed = epsilon or epsilon_one
+    E = embed(I)
     checks: dict[str, bool] = {}
     fail = None
     W = zstable.default_window(I, E)
@@ -293,6 +294,11 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     # the image is z-stable with embedded components
     decE = zstable.z_decompose(E)
     checks["image_z_stable"] = zstable.is_z_stable(decE)
+    if epsilon is None:
+        if not checks["image_z_stable"]:
+            raise NotAnIdealError("extended embedding produced a non-z-stable ideal")
+        if not all(is_embedded(c) for c in decE.components):
+            raise NotAnIdealError("extended embedding has a non-embedded component")
 
     # m * eps(I) <= eps(m * I)
     try:
@@ -366,10 +372,10 @@ def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
     """Deliberately wrong embedding for mutation tests: degree by degree it
     adds lex-last monomials until the ideal reaches I's dimension.  Nothing
     is taken back when the multiples of earlier picks overshoot, so the
-    Hilbert function often differs too (never below I's up to the horizon)."""
+    Hilbert function often differs too (never below I's up to degree D)."""
     ctx = I.ctx
     P = I.plus_powers()
-    D = embedding_horizon(ctx, P.max_gen_degree()) + 2
+    D = sum(d - 1 for d in ctx.powers) + P.max_gen_degree() + 4
     J = MonomialIdeal.zero(ctx)
     for d, want in enumerate(ideal_window(P, D)):
         outside = [m for m in ctx.monomials(d, bounded=True) if not J.contains(m)]

@@ -9,7 +9,7 @@ from math import ceil
 import pytest
 
 from lexcohom import betti, localcohom
-from lexcohom.betti import lcm_lattice, upper_koszul_faces
+from lexcohom.betti import _koszul_key, lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
                            ideal_product, minimalize)
 from lexcohom.errors import MixedContextError
@@ -24,7 +24,7 @@ def cold_memos():
     """Empty the process-wide Koszul, Takayama and ext memos before each
     test, so that a count of homology calls does not depend on the tests
     run before it."""
-    betti._koszul_memo.clear()
+    betti._koszul_dims.cache_clear()
     localcohom._takayama_dims.cache_clear()
     localcohom._ext_dims.cache_clear()
 
@@ -177,7 +177,8 @@ def ref_betti_entries(I):
     entries = {(0, 0): 1}
     if not I.is_zero:
         for b in lcm_lattice(I):
-            for k, dim in reduced_homology_dims(upper_koszul_faces(I, b), I.ctx.char).items():
+            faces = upper_koszul_faces(*_koszul_key(I, b))
+            for k, dim in reduced_homology_dims(faces, I.ctx.char).items():
                 entries[(k + 2, sum(b))] = entries.get((k + 2, sum(b)), 0) + dim
     return entries
 

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from lexcohom.betti import (Corner, betti_table, corners, corners_direct,
+from lexcohom import betti
+from lexcohom.betti import (Corner, _koszul_key, betti_table, corners, corners_direct,
                             corners_via_reg, lcm_lattice, region_dominates,
                             upper_koszul_faces)
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
@@ -113,15 +114,16 @@ def test_region_dominates():
                             [Corner(3, 2, 1)])
 
 
-def test_lcm_lattice():
+def test_lcm_lattice(monkeypatch):
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1), M(0, 3)])
     lat = lcm_lattice(I)
     assert set(lat) == {(2, 0), (1, 1), (0, 3), (2, 1), (1, 3), (2, 3)}
-    with pytest.raises(ResourceLimitError):
+    monkeypatch.setattr(betti, "DEFAULT_LATTICE_CAP", 10)
+    with pytest.raises(ResourceLimitError, match="betti.DEFAULT_LATTICE_CAP"):
         lcm_lattice(MonomialIdeal.make(RingContext(4), [
             M(3, 0, 0, 0), M(0, 3, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 3),
             M(1, 1, 1, 1), M(2, 2, 0, 0), M(0, 0, 2, 2), M(2, 0, 2, 0),
-        ]), cap=10)
+        ]))
 
 
 def test_upper_koszul_faces_match_membership_oracle():
@@ -140,7 +142,7 @@ def test_upper_koszul_faces_match_membership_oracle():
                     for tau in itertools.combinations(supp, size)
                     if I.contains(M(*(e - (i in tau) for i, e in enumerate(b))))
                 }
-                faces = upper_koszul_faces(I, b)
+                faces = upper_koszul_faces(*_koszul_key(I, b))
                 assert len(faces) == len(want) and set(faces) == want
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lexcohom import verify
 from lexcohom.cli import build_parser, main
 from lexcohom.core import _EXP_LIMIT, MR_LIMIT, RingContext
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
@@ -86,6 +87,15 @@ def test_cell_limit_exits_2(capsys, tmp_path):
     for backend in ("combinatorial", "ext"):
         assert main(["cohom", "--input", str(f), "--backend", backend]) == 2
         assert "localcohom.CELL_LIMIT" in capsys.readouterr().err
+
+
+def test_lex_cohomology_past_the_numerator_limit_exits_2(monkeypatch, capsys):
+    # a family of one ideal whose lex ideal has generators past the limit
+    I = as_monomial_ideal(*parse_ideal_file("ring n=5 char=32003\nx1^4\nx1*x3^2*x4\n"))
+    monkeypatch.setattr(verify, "enumerate_family", lambda spec: iter([I]))
+    assert main(["verify", "lex-cohomology", "--family", "n=5,maxdeg=4",
+                 "--samples", "1"]) == 2
+    assert "hilbert.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
 
 
 def test_cli_lpp(capsys, tmp_path):

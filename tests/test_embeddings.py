@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,9 @@ from hypothesis import strategies as st
 from lexcohom import embeddings
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            graded_piece_dim, minimalize)
-from lexcohom.embeddings import (_engine, cl_embed, embedding_horizon, epsilon_one,
-                                 is_embedded, lex_ideal_of, lex_segment_ideal,
-                                 lpp_ideal)
-from lexcohom.errors import NotAttainableError, NotOSequenceError
+from lexcohom.embeddings import (_engine, cl_embed, epsilon_one, is_embedded,
+                                 lex_ideal_of, lex_segment_ideal, lpp_ideal)
+from lexcohom.errors import NotAttainableError, NotOSequenceError, ResourceLimitError
 from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
 
 from conftest import brute_lex_first, random_ideal
@@ -54,12 +54,13 @@ def test_lex_segment_is_lex_first_degreewise():
             L = lex_ideal_of(I)
             assert hilbert_series(L).numer == hilbert_series(I).numer
             _assert_lex_first(I, L)
-    # a lex ideal with generators far past the input's degrees and horizon
+    # a lex ideal with generators far past the input's degrees and past the
+    # degree maxgendeg + 2 at which `lexcohom lex` truncates
     ctx = RingContext(3)
     I = MonomialIdeal.make(ctx, [M(4, 0, 0), M(0, 0, 4)])
     L = lex_ideal_of(I)
     assert len(L.gens) == 17 and L.max_gen_degree() == 16
-    assert L.max_gen_degree() > embedding_horizon(ctx, I.max_gen_degree())
+    assert L.max_gen_degree() > I.max_gen_degree() + 2
     assert hilbert_series(L).numer == hilbert_series(I).numer
     _assert_lex_first(I, L)
 
@@ -76,10 +77,20 @@ def test_embedding_without_certificate_stops_at_the_safety_bound(monkeypatch):
 
     monkeypatch.setattr(embeddings, "hilbert_series", skewed)
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 2)])
-    with pytest.raises(NotAttainableError):
+    with pytest.raises(ResourceLimitError, match="hilbert.NUMERATOR_DEGREE_LIMIT"):
         lex_ideal_of(I)
     # one check: the selection never gains generators after it
     assert len(calls) == 2
+
+
+def test_lex_ideal_past_the_numerator_limit_names_it():
+    # its lex ideal needs generators whose lcm degree passes the limit, so
+    # the certificate's Hilbert series refuses it
+    I = MonomialIdeal.make(RingContext(5), [M(4, 0, 0, 0, 0), M(1, 0, 2, 1, 0)])
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="hilbert.NUMERATOR_DEGREE_LIMIT"):
+        lex_ideal_of(I)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cl_embed_examples():
@@ -163,7 +174,7 @@ def test_embedded_ideal_dims_match_request():
     rng = random.Random(3)
     for _ in range(10):
         I = random_ideal(rng, ctx, 3, 4)
-        D = embedding_horizon(ctx, max(I.max_gen_degree(), 1))
+        D = sum(d - 1 for d in ctx.powers) + max(I.max_gen_degree(), 1) + 2
         res = cl_embed(ctx, ideal_window(I, D))
         for d in range(D + 1):
             assert graded_piece_dim(res.image_in_S, d) == graded_piece_dim(I, d)

@@ -369,7 +369,7 @@ def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
         raise AssertionError("a slice was ranked above the cap")
 
     monkeypatch.setattr(localcohom, "reduced_homology_dims", no_slice)
-    with pytest.raises(ResourceLimitError, match=str(cap)):
+    with pytest.raises(ResourceLimitError, match=f"localcohom.DEFAULT_GENS_CAP = {cap}"):
         localcohom._ext_cells(I)
     with pytest.raises(ResourceLimitError):
         cohomology_table(I, backend="ext")

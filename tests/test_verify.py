@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, core, embeddings, localcohom
+from lexcohom import betti, core, embeddings, localcohom, verify
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                            ideal_product, minimalize)
-from lexcohom.errors import ResourceLimitError
+from lexcohom.errors import NotAnIdealError, ResourceLimitError
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import format_ideal
 from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
@@ -51,7 +51,7 @@ def test_random_family_determinism():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="verify.EXHAUSTIVE_CAP"):
         list(enumerate_family(FamilySpec(n=4, max_deg=4, mode="exhaustive")))
 
 
@@ -139,8 +139,8 @@ def test_lemma_suite_embeds_the_instance_once(monkeypatch):
 
 
 def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
-    # I once for the suite; E once in epsilon_one's own check and once for
-    # the suite, whose decompositions the top-partial-sums lemma reuses
+    # I and E once each for the suite, whose decompositions the checks of
+    # the genuine embedding and the top-partial-sums lemma reuse
     spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True,
                       count=50, seed=0)
     instances = list(stable_instances(spec))
@@ -148,7 +148,24 @@ def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
     for I in instances:
         calls.clear()
         assert verify_embedding_lemmas(I).passed
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+
+def test_lemma_suite_refuses_a_genuine_embedding_that_breaks_its_theorems(monkeypatch):
+    # the default embedding must be z-stable with embedded components; the
+    # suite checks both on its own decomposition of E
+    ctx = RingContext(2, powers=(2, 2)).add_z()
+    I = MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 2, 0), M(1, 1, 0), M(0, 1, 1)])
+    not_stable = MonomialIdeal.make(ctx, [M(0, 1, 1)]).plus_powers()
+    monkeypatch.setattr(verify, "epsilon_one", lambda P: not_stable)
+    with pytest.raises(NotAnIdealError, match="non-z-stable"):
+        verify_embedding_lemmas(I)
+    monkeypatch.setattr(verify, "epsilon_one", embeddings.epsilon_one)
+    monkeypatch.setattr(verify, "is_embedded", lambda J: False)
+    with pytest.raises(NotAnIdealError, match="non-embedded component"):
+        verify_embedding_lemmas(I)
+    # a substituted embedding is the mutation tests' business, not a defect
+    assert not verify_embedding_lemmas(I, epsilon=lambda P: not_stable).checks["image_z_stable"]
 
 
 def test_embedding_lemma_suite_and_mutation():
