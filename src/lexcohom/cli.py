@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import zstable
 from .betti import betti_table, corners
-from .core import MonomialIdeal, RingContext
+from .core import MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import hilbert_series, ideal_window
@@ -33,12 +33,7 @@ def _read_ideal(args) -> MonomialIdeal:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    ctx, polys = parse_ideal_file(text)
-    if args.char:
-        ctx = RingContext(ctx.n, args.char, ctx.powers, ctx.z)
-        from .groebner import Polynomial
-        polys = [Polynomial.make(ctx, list(p.coeffs)) for p in polys]
-    return as_monomial_ideal(ctx, polys)
+    return as_monomial_ideal(*parse_ideal_file(text))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -53,6 +48,13 @@ def _emit_json(args, payload: dict):
             fh.write("\n")
 
 
+def _emit_ideal_json(args, I: MonomialIdeal, **fields):
+    """The report of a single-ideal command: the shared header (schema
+    version, command, context, input ideal) and the command's own fields."""
+    _emit_json(args, {"schema_version": 1, "command": args.command,
+                      "context": _ctx_json(I.ctx), "ideal": format_ideal(I), **fields})
+
+
 def cmd_hilb(args) -> int:
     I = _read_ideal(args)
     hs = hilbert_series(I)
@@ -60,11 +62,7 @@ def cmd_hilb(args) -> int:
     window = hs.quotient_window(upto)
     print("numerator:", " ".join(map(str, hs.numer)))
     print(f"quotient dims 0..{upto}:", " ".join(map(str, window)))
-    _emit_json(args, {
-        "schema_version": 1, "command": "hilb", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I), "numerator": list(hs.numer),
-        "quotient_dims": list(window),
-    })
+    _emit_ideal_json(args, I, numerator=list(hs.numer), quotient_dims=list(window))
     return OK
 
 
@@ -75,10 +73,7 @@ def cmd_lex(args) -> int:
         return USAGE_ERROR
     L = lex_segment_ideal(I.ctx, ideal_window(I, I.max_gen_degree() + 2))
     print(format_ideal(L))
-    _emit_json(args, {
-        "schema_version": 1, "command": "lex", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I), "lex": format_ideal(L),
-    })
+    _emit_ideal_json(args, I, lex=format_ideal(L))
     return OK
 
 
@@ -86,10 +81,7 @@ def cmd_lpp(args) -> int:
     I = _read_ideal(args)
     L = lpp_ideal(I)
     print(format_ideal(L))
-    _emit_json(args, {
-        "schema_version": 1, "command": "lpp", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I), "lpp": format_ideal(L),
-    })
+    _emit_ideal_json(args, I, lpp=format_ideal(L))
     return OK
 
 
@@ -102,13 +94,9 @@ def cmd_betti(args) -> int:
     cs = corners(T)
     print(f"projdim {T.projdim}  regularity {T.regularity}  corners "
           + " ".join(f"({c.i},{c.slope})" for c in cs))
-    _emit_json(args, {
-        "schema_version": 1, "command": "betti", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I),
-        "betti": _betti_triples(T),
-        "projdim": T.projdim, "regularity": T.regularity,
-        "corners": [[c.i, c.slope, c.value] for c in cs],
-    })
+    _emit_ideal_json(args, I, betti=_betti_triples(T), projdim=T.projdim,
+                     regularity=T.regularity,
+                     corners=[[c.i, c.slope, c.value] for c in cs])
     return OK
 
 
@@ -125,11 +113,7 @@ def cmd_cohom(args) -> int:
         print("error: tail not certified; widen the window with --window",
               file=sys.stderr)
         return USAGE_ERROR
-    _emit_json(args, {
-        "schema_version": 1, "command": "cohom", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I), "backend": args.backend,
-        "cohomology": _cohom_rows(T),
-    })
+    _emit_ideal_json(args, I, backend=args.backend, cohomology=_cohom_rows(T))
     return OK
 
 
@@ -138,11 +122,8 @@ def cmd_zstabilize(args) -> int:
     dec = zstable.z_stabilize(I)
     J = zstable.z_recompose(dec)
     sys.stdout.write(write_ideal_file(J.ctx, J.gens))
-    _emit_json(args, {
-        "schema_version": 1, "command": "zstabilize", "context": _ctx_json(I.ctx),
-        "ideal": format_ideal(I), "stabilized": format_ideal(J),
-        "components": [format_ideal(c) for c in dec.components],
-    })
+    _emit_ideal_json(args, I, stabilized=format_ideal(J),
+                     components=[format_ideal(c) for c in dec.components])
     return OK
 
 
@@ -163,8 +144,6 @@ def _parse_family(text: str, args) -> FamilySpec:
             raise ValueError(f"unknown family key {key!r}")
     if "n" not in fields:
         raise ValueError("family needs n=<int>")
-    if args.max_deg is not None:
-        fields["max_deg"] = args.max_deg
     fields["char"] = args.char or 32003
     fields["seed"] = args.seed
     fields["count"] = args.samples
@@ -200,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, window=False):
         p.add_argument("--input", help="ideal file (default: stdin)")
-        p.add_argument("--char", type=int, default=None,
-                       help="override the coefficient characteristic")
         p.add_argument("--json", help="write a JSON report to this path")
         if window:
             p.add_argument("--window", type=_parse_window, default=None,
@@ -245,11 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. n=2,d=2:2,maxdeg=3 (d values separated by ':')")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-deg", type=int, default=None, dest="max_deg",
-                   help="override the family's maxdeg")
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=int, default=None,
+                   help="coefficient characteristic of the family (default 32003)")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(fn=cmd_verify)
     return ap

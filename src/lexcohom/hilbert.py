@@ -76,10 +76,7 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         # pairwise coprime generators form a regular sequence
         out = (1,)
         for g in gens:
-            factor = [0] * (sum(g) + 1)
-            factor[0] = 1
-            factor[sum(g)] = -1
-            out = _poly_mul(out, tuple(factor))
+            out = _poly_mul(out, _poly_add((1,), _shift((-1,), sum(g))))
         return out
     n = len(gens[0])
     xj = tuple(1 if i == j else 0 for i in range(n))
@@ -126,18 +123,13 @@ class HilbertSeries:
 
     def krull_dim(self) -> int:
         """n minus the order of vanishing of the numerator at t=1."""
-        poly = list(self.numer)
-        if all(c == 0 for c in poly):
+        poly = self.numer
+        if not any(poly):
             return -1  # the zero ring
         dim = self.n
         while dim > 0 and sum(poly) == 0:
-            # synthetic division by (1-t): q(t) = p(t)/(1-t)
-            q = [0] * (len(poly) - 1)
-            acc = 0
-            for i in range(len(poly) - 1):
-                acc += poly[i]
-                q[i] = acc
-            poly = q if q else [0]
+            # p(1) = 0, so p(t)/(1-t) is a polynomial of degree deg p - 1
+            poly = _series_coeffs(poly, 1, len(poly) - 2)
             dim -= 1
         return dim
 

@@ -29,17 +29,10 @@ class ParseError(ValueError):
         self.col = col
 
 
-def format_monomial(ctx: RingContext, m: Monomial) -> str:
-    return format_term(ctx.var_names(), m.exps, 1)
-
-
 def format_ideal(I: MonomialIdeal) -> str:
     """Canonical one-line form: generators sorted, comma-separated."""
-    return ", ".join(format_monomial(I.ctx, g) for g in I.gens) or "0"
-
-
-def format_polynomial(p: Polynomial) -> str:
-    return str(p)
+    names = I.ctx.var_names()
+    return ", ".join(format_term(names, g.exps, 1) for g in I.gens) or "0"
 
 
 def write_ideal_file(ctx: RingContext, gens) -> str:
@@ -48,19 +41,20 @@ def write_ideal_file(ctx: RingContext, gens) -> str:
         lines.append("powers d=" + ",".join(map(str, ctx.powers)))
     if ctx.z:
         lines.append("variable z")
+    names = ctx.var_names()
     for g in gens:
-        if isinstance(g, Monomial):
-            lines.append(format_monomial(ctx, g))
-        else:
-            lines.append(format_polynomial(g))
+        lines.append(format_term(names, g.exps, 1) if isinstance(g, Monomial) else str(g))
     return "\n".join(lines) + "\n"
 
 
 _TOKEN = re.compile(r"\s*([a-z]\d*(?:\^\d+)?|\^|\*|\+|-|\d+)", re.IGNORECASE)
 
 
-def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
-    names = {name: i for i, name in enumerate(ctx.var_names())}
+def _parse_terms(names: dict[str, int], line: str,
+                 line_no: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (exponents, coefficient) terms of one generator line; ``names``
+    maps each variable name to its index."""
+    n = len(names)
     pos = 0
     terms: list[tuple[tuple[int, ...], int]] = []
     sign = 1
@@ -71,7 +65,7 @@ def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
         nonlocal cur_coeff, cur_exps, sign
         if cur_exps is None and cur_coeff is None:
             raise ParseError(line_no, col, "empty term")
-        exps = cur_exps if cur_exps is not None else [0] * ctx.n
+        exps = cur_exps if cur_exps is not None else [0] * n
         coeff = cur_coeff if cur_coeff is not None else 1
         terms.append((tuple(exps), sign * coeff))
         cur_coeff, cur_exps, sign = None, None, 1
@@ -103,7 +97,7 @@ def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
             if name not in names:
                 raise ParseError(line_no, col, f"unknown variable {tok[:len(name)]!r}")
             if cur_exps is None:
-                cur_exps = [0] * ctx.n
+                cur_exps = [0] * n
             i = names[name]
             cur_exps[i] += int(exp) if exp else 1
             if cur_exps[i] > _EXP_LIMIT:
@@ -114,11 +108,10 @@ def _parse_generator(ctx: RingContext, line: str, line_no: int) -> Polynomial:
         flush(len(line))
     if not terms:
         raise ParseError(line_no, 1, "empty generator")
-    return Polynomial.make(ctx, terms)
+    return terms
 
 
 def parse_ideal_file(text: str) -> tuple[RingContext, list[Polynomial]]:
-    ctx = None
     powers: tuple[int, ...] = ()
     with_z = False
     n = None
@@ -151,7 +144,9 @@ def parse_ideal_file(text: str) -> tuple[RingContext, list[Polynomial]]:
     if n is None:
         raise ParseError(1, 1, "missing ring header")
     ctx = RingContext(n + (1 if with_z else 0), char, powers, z=with_z)
-    polys = [_parse_generator(ctx, g, ln) for g, ln in zip(gens, gen_lines)]
+    names = {name: i for i, name in enumerate(ctx.var_names())}
+    polys = [Polynomial.make(ctx, _parse_terms(names, g, ln))
+             for g, ln in zip(gens, gen_lines)]
     return ctx, polys
 
 
@@ -160,7 +155,7 @@ def as_monomial_ideal(ctx: RingContext, polys: list[Polynomial]) -> MonomialIdea
     gens = []
     for p in polys:
         if len(p.coeffs) != 1:
-            raise ValueError(f"generator {format_polynomial(p)} is not a monomial")
+            raise ValueError(f"generator {p} is not a monomial")
         exps, _ = p.coeffs[0]
         gens.append(Monomial(exps))
     return MonomialIdeal.make(ctx, gens)

@@ -207,16 +207,17 @@ def verify_betti_lpp_corners(I: MonomialIdeal,
     the corner identity beta_ij = H^{n-i} at j-n on both quotients."""
     L = lpp_ideal(I)
     TI, TL = betti_table(I), betti_table(L)
+    cI, cL = corners(TI), corners(TL)
     n = I.ctx.n
     corner_ok, fail = True, None
-    for c in corners(TL):
+    for c in cL:
         if TI.beta(c.i, c.j) > c.value:
             corner_ok, fail = False, (c.i, c.j)
             break
     cor_identity = True
-    for J, T in ((I, TI), (L, TL)):
+    for J, T, cs in ((I, TI, cI), (L, TL, cL)):
         table = cohomology_table(J, backend=backend)
-        for c in corners(T):
+        for c in cs:
             if T.beta(c.i, c.j) != table.value(n - c.i, c.j - n):
                 cor_identity, fail = False, (c.i, c.j)
     return InstanceRecord(
@@ -233,17 +234,11 @@ def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
     L = lpp_ideal(I)
     TI, TL = betti_table(I), betti_table(L)
     cI, cL = corners(TI), corners(TL)
-    ok = region_dominates(cI, cL)
-    fail = None
-    if not ok:
-        for c in cI:
-            if not any(c.i <= d.i and c.slope <= d.slope for d in cL):
-                fail = (c.i, c.j)
-                break
+    fail = next(((c.i, c.j) for c in cI if not region_dominates([c], cL)), None)
     return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(L),
-        checks={"region_dominated": ok},
+        checks={"region_dominated": fail is None},
         first_fail=fail,
         betti={"quotient": _betti_triples(TI), "lpp": _betti_triples(TL)},
     )

@@ -177,13 +177,11 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
         raise HilbertMismatchError("the ideals have different Hilbert functions")
     negated_L = [tuple(-c for c in numer) for numer in numers_L]
     le = ge = True
-    strict = False
     diff = (0,)
     for h in range(H + 1):
         diff = _poly_add(diff, _shift(_poly_add(numers_J[h], negated_L[h]), h))
         if not any(diff):
             continue
-        strict = True
         if not series_nonneg(diff, n):
             le = False
         if not series_nonneg(tuple(-c for c in diff), n):
@@ -191,17 +189,18 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     tail = _poly_add(numers_J[H], negated_L[H])
     # levels past H: cumulative comparison of the stabilized components
     if any(tail):
-        strict = True
         if not series_nonneg(tuple(-c for c in tail), n + 1):
             le = False
         if not series_nonneg(tail, n + 1):
             ge = False
+    # a nonzero difference is a nonzero series, which fails one of the two
+    # sign tests: le and ge together mean every difference vanished
     if le and ge:
         return "equal"
     if le:
-        return "less" if strict else "equal"
+        return "less"
     if ge:
-        return "greater" if strict else "equal"
+        return "greater"
     return "incomparable"
 
 

@@ -236,3 +236,53 @@ def test_cli_verify_theorem_failure_exit_code(monkeypatch):
 def test_cli_verify_z_theorems_force_z():
     assert main(["verify", "zstabilize", "--family", "n=2,maxdeg=2",
                  "--samples", "2", "--seed", "3"]) == 0
+
+
+def test_formatting_and_parsing_build_the_variable_names_once(monkeypatch):
+    calls = []
+    var_names = RingContext.var_names
+
+    def counting(self):
+        calls.append(self)
+        return var_names(self)
+
+    monkeypatch.setattr(RingContext, "var_names", counting)
+    text = "ring n=2 char=32003\nvariable z\nx1*x2\nx1^3\nx2^2*z\n"
+    ctx, polys = parse_ideal_file(text)
+    assert len(calls) == 1
+    I = as_monomial_ideal(ctx, polys)
+    calls.clear()
+    assert format_ideal(I) == "x1*x2, x1^3, x2^2*z"
+    assert len(calls) == 1
+    calls.clear()
+    assert write_ideal_file(ctx, I.gens) == text
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilb"], ["lex"], ["lpp"], ["betti"], ["cohom"], ["cohom", "--backend", "ext"],
+    ["zstabilize"],
+])
+def test_single_ideal_json_reports_share_one_header(argv, capsys, tmp_path):
+    # lex refuses powers and lpp needs them; every command takes z
+    powers = "" if argv[0] == "lex" else "powers d=3\n"
+    f, out = tmp_path / "ideal.txt", tmp_path / "out.json"
+    f.write_text(f"ring n=2 char=101\n{powers}variable z\nx1^3\nx2*z\n")
+    assert main(argv + ["--input", str(f), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert {k: payload[k] for k in ("schema_version", "command", "context", "ideal")} == {
+        "schema_version": 1, "command": argv[0],
+        "context": {"n": 2, "char": 101, "powers": [3] if powers else [], "z": True},
+        "ideal": "x2*z, x1^3",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, "--char", "3"] for cmd in ("hilb", "lex", "lpp", "betti", "cohom", "zstabilize")
+] + [["verify", "region", "--family", "n=2,maxdeg=3", "--max-deg", "3"]])
+def test_options_that_duplicate_the_input_are_gone(argv, capsys):
+    # the ideal file's char= header and the family's maxdeg= key set these
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -198,6 +199,42 @@ def test_krull_dim():
     assert hilbert_series(MonomialIdeal.make(ctx, [M(1, 0, 0)])).krull_dim() == 2
     assert hilbert_series(ctx.max_ideal()).krull_dim() == 0
     assert hilbert_series(MonomialIdeal.unit(ctx)).krull_dim() == -1
+
+
+def _krull_dim_oracle(I):
+    """The size of the largest set of variables that contains the support of
+    no generator; -1 when every set does (the unit ideal)."""
+    supports = [{i for i, e in enumerate(g.exps) if e} for g in I.gens]
+    for k in range(I.ctx.n, -1, -1):
+        for F in itertools.combinations(range(I.ctx.n), k):
+            if not any(s <= set(F) for s in supports):
+                return k
+    return -1
+
+
+@st.composite
+def krull_dim_cases(draw):
+    n = draw(st.integers(1, 5))
+    with_z = n >= 2 and draw(st.booleans())
+    nx = n - with_z
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(n, powers=powers, z=with_z)
+    kind = draw(st.sampled_from(("gens", "zero", "unit")))
+    if kind == "zero":
+        I = MonomialIdeal.zero(ctx)
+    elif kind == "unit":
+        I = MonomialIdeal.unit(ctx)
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * n)
+        I = MonomialIdeal.make(ctx, map(Monomial, draw(st.lists(exps, min_size=1,
+                                                               max_size=5))))
+    return I.plus_powers()
+
+
+@settings(max_examples=300, deadline=None)
+@given(krull_dim_cases())
+def test_krull_dim_is_the_largest_free_set_of_variables(I):
+    assert hilbert_series(I).krull_dim() == _krull_dim_oracle(I)
 
 
 def test_numerator_degree_limit():
