@@ -14,12 +14,11 @@ from dataclasses import replace
 
 from . import zstable
 from .betti import betti_table, corners
-from .core import MonomialIdeal
+from .core import DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import hilbert_series, ideal_window
-from .ioformat import (ParseError, as_monomial_ideal, format_ideal,
-                       parse_ideal_file, write_ideal_file)
+from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal_file
 from .localcohom import cohomology_table
 from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
                      run_family)
@@ -33,7 +32,7 @@ def _read_ideal(args) -> MonomialIdeal:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return as_monomial_ideal(*parse_ideal_file(text))
+    return MonomialIdeal.make(*parse_ideal_file(text))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -58,10 +57,13 @@ def _emit_ideal_json(args, I: MonomialIdeal, **fields):
 def cmd_hilb(args) -> int:
     I = _read_ideal(args)
     hs = hilbert_series(I)
-    upto = args.window[1] if args.window else 2 * max(I.max_gen_degree(), 1) + I.ctx.n
-    window = hs.quotient_window(upto)
+    lo, hi = args.window or (0, 2 * max(I.max_gen_degree(), 1) + I.ctx.n)
+    if lo > hi:
+        raise ValueError("window must satisfy lo <= hi")
+    # the quotient has nothing below degree 0
+    window = (0,) * (min(hi + 1, 0) - min(lo, 0)) + hs.quotient_window(hi)[max(lo, 0):]
     print("numerator:", " ".join(map(str, hs.numer)))
-    print(f"quotient dims 0..{upto}:", " ".join(map(str, window)))
+    print(f"quotient dims {lo}..{hi}:", " ".join(map(str, window)))
     _emit_ideal_json(args, I, numerator=list(hs.numer), quotient_dims=list(window))
     return OK
 
@@ -144,7 +146,7 @@ def _parse_family(text: str, args) -> FamilySpec:
             raise ValueError(f"unknown family key {key!r}")
     if "n" not in fields:
         raise ValueError("family needs n=<int>")
-    fields["char"] = args.char or 32003
+    fields["char"] = args.char
     fields["seed"] = args.seed
     fields["count"] = args.samples
     fields["mode"] = "exhaustive" if args.exhaustive else "random"
@@ -224,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--char", type=int, default=None,
-                   help="coefficient characteristic of the family (default 32003)")
+    p.add_argument("--char", type=int, default=DEFAULT_CHAR,
+                   help="characteristic of the family (default %(default)s)")
     p.add_argument("--json", help="write the JSON report to this path")
     p.set_defaults(fn=cmd_verify)
     return ap

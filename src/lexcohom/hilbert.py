@@ -89,8 +89,8 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 def _series_coeffs(numer, nvars: int, upto: int) -> list[int]:
     """Coefficients of numer(t) / (1-t)^nvars on degrees 0..upto: each
-    division by (1-t) is one running-sum pass."""
-    coeffs = (list(numer) + [0] * (upto + 1))[:upto + 1]
+    division by (1-t) is one running-sum pass.  None when upto < 0."""
+    coeffs = (list(numer) + [0] * (upto + 1))[:max(upto + 1, 0)]
     for _ in range(nvars):
         for d in range(1, upto + 1):
             coeffs[d] += coeffs[d - 1]

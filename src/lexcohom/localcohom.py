@@ -248,7 +248,7 @@ def _ext_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
 
 @dataclass(frozen=True)
 class TailPoly:
-    """Polynomial describing a row for degrees below the window."""
+    """The polynomial describing a row for degrees below the window."""
 
     coeffs: tuple[Fraction, ...]  # low-to-high powers of j
     certified: bool

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import zstable
 from .betti import betti_table, corners, region_dominates
-from .core import (Monomial, MonomialIdeal, RingContext, ideal_product,
-                   minimalize, saturate)
+from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext,
+                   ideal_product, minimalize, saturate)
 from .embeddings import epsilon_one, is_embedded, lex_ideal_of, lpp_ideal
 from .errors import NotAnIdealError, ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
@@ -38,7 +38,7 @@ class FamilySpec:
     """
 
     n: int
-    char: int = 32003
+    char: int = DEFAULT_CHAR
     powers: tuple[int, ...] = ()
     max_deg: int = 3
     mode: str = "random"

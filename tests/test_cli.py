@@ -1,10 +1,17 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom import verify
 from lexcohom.cli import build_parser, main
-from lexcohom.core import _EXP_LIMIT, MR_LIMIT, RingContext
+from lexcohom.core import (_EXP_LIMIT, DEFAULT_CHAR, MR_LIMIT, Monomial, MonomialIdeal,
+                           RingContext)
+from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
                                parse_ideal_file, write_ideal_file)
 
@@ -19,22 +26,23 @@ def test_parse_print_roundtrip():
 
 
 def test_parse_powers_and_z():
-    text = "ring n=2 char=101\npowers d=2,3\nvariable z\nx1*z^2\nx2^2 + 3*x1*x2\n"
-    ctx, polys = parse_ideal_file(text)
+    text = "ring n=2 char=101\npowers d=2,3\nvariable z\nx1*z^2\n"
+    ctx, gens = parse_ideal_file(text)
     assert ctx.nx == 2 and ctx.z and ctx.powers == (2, 3) and ctx.char == 101
-    assert polys[0].coeffs == (((1, 0, 2), 1),)
-    assert set(polys[1].coeffs) == {((0, 2, 0), 1), ((1, 1, 0), 3)}
+    assert [g.exps for g in gens] == [(1, 0, 2)]
     # canonical form is a fixpoint of parse/print
-    canonical = write_ideal_file(ctx, polys)
-    ctx2, polys2 = parse_ideal_file(canonical)
-    assert (ctx2, [p.coeffs for p in polys2]) == (ctx, [p.coeffs for p in polys])
-    assert write_ideal_file(ctx2, polys2) == canonical
+    canonical = write_ideal_file(ctx, gens)
+    assert parse_ideal_file(canonical) == (ctx, gens)
+    # a sum of terms is not a generator: the error points at its sign
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_file(text + "x2^2 + 3*x1*x2\n")
+    assert (ei.value.line_no, ei.value.col) == (5, 6)
 
 
 def test_parse_case_insensitive_and_comments():
     text = "RING n=2 CHAR=32003\n# a comment\nX1^2*X2\n\n"
-    ctx, polys = parse_ideal_file(text)
-    assert polys[0].coeffs == (((2, 1), 1),)
+    ctx, gens = parse_ideal_file(text)
+    assert gens[0].exps == (2, 1)
 
 
 def test_parse_errors_carry_location():
@@ -68,6 +76,59 @@ def test_parse_exponent_overflow_names_the_limit(capsys, tmp_path):
     f.write_text("ring n=2 char=32003\nx1^99999999999999\n")
     assert main(["hilb", "--input", str(f)]) == 2
     assert "core._EXP_LIMIT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header, gen, col, words", [
+    ("ring n=2 char=32003", "x1 + x2 - x2", 4, "'+'"),
+    ("ring n=2 char=32003", "x1^2 + 3*x1*x2", 6, "'+'"),
+    ("ring n=2 char=32003", "x1 - x1", 4, "'-'"),
+    ("ring n=2 char=2", "2*x1", 1, "coefficient 2 vanishes modulo char=2"),
+    ("ring n=2 char=3", "x1*2*3*x2", 6, "coefficient 3 vanishes modulo char=3"),
+])
+def test_a_generator_is_one_monomial(header, gen, col, words, capsys, tmp_path):
+    with pytest.raises(ParseError) as ei:
+        parse_ideal_file(f"{header}\n{gen}\n")
+    assert (ei.value.line_no, ei.value.col) == (2, col)
+    assert words in str(ei.value)
+    f = tmp_path / "bad.txt"
+    f.write_text(f"{header}\n{gen}\n")
+    assert main(["hilb", "--input", str(f)]) == 2
+    assert words in capsys.readouterr().err
+
+
+@st.composite
+def ideal_files(draw):
+    nx = draw(st.integers(1, 4))
+    with_z = draw(st.booleans())
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 4), max_size=nx))))
+    char = draw(st.sampled_from((2, 3, 32003)))
+    ctx = RingContext(nx + with_z, char, powers, z=with_z)
+    exps = st.tuples(*[st.integers(0, 12)] * ctx.n)
+    return MonomialIdeal.make(ctx, map(Monomial, draw(st.lists(exps, max_size=6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ideal_files())
+def test_ideal_files_round_trip(I):
+    assert parse_ideal_file(write_ideal_file(I.ctx, I.gens)) == (I.ctx, list(I.gens))
+
+
+_FUZZ_TOKENS = ("x1", "X2", "x3", "z", "^", "0", "1", "2", "9", "*", "+", "-", " ", "$")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 32003)), st.booleans(),
+       st.lists(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=10), max_size=3))
+def test_random_generator_lines_exit_0_or_2(char, with_z, lines):
+    text = f"ring n=2 char={char}\n" + ("variable z\n" if with_z else "")
+    text += "".join("".join(line) + "\n" for line in lines)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), \
+            redirect_stderr(err):
+        code = main(["hilb"])
+    assert code in (0, 2), err.getvalue()
+    if any(tok in line for line in lines for tok in "+-$"):
+        assert code == 2
 
 
 def test_numerator_degree_limit_exits_2(capsys, tmp_path):
@@ -121,6 +182,36 @@ def test_cli_hilb_json(capsys, tmp_path):
     payload = json.loads(out_json.read_text())
     assert payload["numerator"] == [1, 0, -2, 0, 1]
     assert payload["quotient_dims"][:4] == [1, 2, 1, 0]
+
+
+@pytest.mark.parametrize("window, dims", [
+    ("-3:2", "quotient dims -3..2: 0 0 0 1 2 1"),
+    ("2:5", "quotient dims 2..5: 1 0 0 0"),
+    ("-4:-2", "quotient dims -4..-2: 0 0 0"),
+])
+def test_cli_hilb_window_prints_lo_to_hi(window, dims, capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=2 char=32003\nx1^2\nx1*x2\nx2^3\n")
+    out_json = tmp_path / "out.json"
+    assert main(["hilb", "--input", str(f), f"--window={window}",
+                 "--json", str(out_json)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == dims
+    assert json.loads(out_json.read_text())["quotient_dims"] == \
+        [int(v) for v in dims.split(": ")[1].split()]
+
+
+def test_cli_hilb_window_lo_above_hi_exits_2(capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text(SIMPLE)
+    for window in ("3:1", "0:-3"):
+        assert main(["hilb", "--input", str(f), f"--window={window}"]) == 2
+        assert "lo <= hi" in capsys.readouterr().err
+
+
+def test_quotient_window_below_degree_zero_is_empty():
+    hs = hilbert_series(as_monomial_ideal(*parse_ideal_file(SIMPLE)))
+    assert [hs.quotient_window(upto) for upto in (-1, -2, -3)] == [(), (), ()]
+    assert hs.quotient_window(0) == (1,)
 
 
 def test_cli_cohom_window(capsys, tmp_path):
@@ -193,6 +284,14 @@ def test_cli_verify_rejects_jobs_below_one(capsys):
             "--jobs", "0"]
     assert main(argv) == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_verify_char_is_passed_through(capsys):
+    argv = ["verify", "region", "--family", "n=2,d=2,maxdeg=3", "--samples", "2"]
+    assert build_parser().parse_args(argv).char == DEFAULT_CHAR
+    assert main(argv + ["--char", "0"]) == 2
+    assert "char must be prime, got 0" in capsys.readouterr().err
+    assert verify.FamilySpec(2).char == DEFAULT_CHAR
 
 
 def test_cli_verify_clamps_jobs_to_cpu_count(monkeypatch, capsys):
