@@ -7,10 +7,10 @@ from .betti import BettiTable, Corner, betti_table, corners, region_dominates
 from .core import (Monomial, MonomialIdeal, RingContext, colon, colon_ideal,
                    graded_piece_dim, ideal_intersection, ideal_product,
                    ideal_sum, minimalize, quotient_piece_dim, saturate)
-from .embeddings import (EmbeddingResult, cl_embed, epsilon_one, is_embedded,
-                         lex_ideal_of, lex_segment_ideal, lpp_ideal)
-from .hilbert import (HilbertFunctionSpec, HilbertSeries, hilbert_series,
-                      is_O_sequence, macaulay_growth, macaulay_rep)
+from .embeddings import (epsilon_one, is_embedded, lex_ideal_of,
+                         lex_segment_ideal, lpp_ideal)
+from .hilbert import (HilbertSeries, hilbert_series, is_O_sequence,
+                      macaulay_growth, macaulay_rep)
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables, h0_via_saturation)
 from .verify import (FamilySpec, Report, check_extension_recurrence,
@@ -22,10 +22,9 @@ from .zstable import (ZGradedIdeal, bar, colon_z, distraction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BettiTable", "CohomologyTable", "Corner", "EmbeddingResult", "FamilySpec",
-    "HilbertFunctionSpec", "HilbertSeries", "Monomial", "MonomialIdeal",
-    "Report", "RingContext", "ZGradedIdeal", "bar", "betti_table",
-    "check_extension_recurrence", "cl_embed", "cohomology_table",
+    "BettiTable", "CohomologyTable", "Corner", "FamilySpec", "HilbertSeries",
+    "Monomial", "MonomialIdeal", "Report", "RingContext", "ZGradedIdeal",
+    "bar", "betti_table", "check_extension_recurrence", "cohomology_table",
     "cohomology_tables", "colon",
     "colon_ideal", "colon_z", "compare_tables", "corners", "distraction",
     "distraction_initial",

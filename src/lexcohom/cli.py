@@ -25,6 +25,11 @@ from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_jso
 
 USAGE_ERROR, THEOREM_FAILURE, OK = 2, 1, 0
 
+# Most degrees a --window may span: hilb and cohom print one value per
+# degree.  Every default window is far narrower; the widest seen, a cohom
+# window of a lex ideal in four variables, spans about 9,000 degrees.
+WINDOW_SPAN_LIMIT = 100_000
+
 
 def _read_ideal(args) -> MonomialIdeal:
     if args.input:
@@ -37,7 +42,12 @@ def _read_ideal(args) -> MonomialIdeal:
 
 def _parse_window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if hi - lo + 1 > WINDOW_SPAN_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"window {lo}:{hi} spans {hi - lo + 1} degrees, above "
+            f"cli.WINDOW_SPAN_LIMIT = {WINDOW_SPAN_LIMIT}")
+    return lo, hi
 
 
 def _emit_json(args, payload: dict):
@@ -64,7 +74,8 @@ def cmd_hilb(args) -> int:
     window = (0,) * (min(hi + 1, 0) - min(lo, 0)) + hs.quotient_window(hi)[max(lo, 0):]
     print("numerator:", " ".join(map(str, hs.numer)))
     print(f"quotient dims {lo}..{hi}:", " ".join(map(str, window)))
-    _emit_ideal_json(args, I, numerator=list(hs.numer), quotient_dims=list(window))
+    _emit_ideal_json(args, I, numerator=list(hs.numer), lo=lo, hi=hi,
+                     quotient_dims=list(window))
     return OK
 
 

@@ -13,34 +13,17 @@ Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
 generated ideal has the exact Hilbert series of the input, and it refuses,
 with the ``ResourceLimitError`` of ``hilbert.NUMERATOR_DEGREE_LIMIT``, an
-answer whose certificate that limit would refuse.  ``cl_embed`` and
-``lex_segment_ideal`` take explicit dims and the shadow theorem on trust.
+answer whose certificate that limit would refuse.  ``lex_segment_ideal``
+takes explicit dims and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
-from .errors import NotAttainableError, NotOSequenceError, ResourceLimitError
+from .errors import NotAttainableError, ResourceLimitError
 from .hilbert import NUMERATOR_DEGREE_LIMIT, hilbert_series
-
-
-@dataclass(frozen=True)
-class EmbeddingResult:
-    """Outcome of a degreewise lex-first embedding.
-
-    ``lex_ideal_in_B`` is generated by the selected basis monomials viewed in
-    the plain polynomial ring (for a context without powers this is the
-    classical lex-segment ideal); ``image_in_S`` is lex_ideal_in_B plus the
-    power generators, minimized.
-    """
-
-    lex_ideal_in_B: MonomialIdeal
-    image_in_S: MonomialIdeal
-    quotient_dims: tuple[int, ...]  # achieved quotient Hilbert window
 
 
 def _rank(e: tuple[int, ...], bounds, count) -> int:
@@ -80,14 +63,14 @@ def _shadow_end(u: tuple[int, ...], bounds) -> tuple[int, ...] | None:
     return None
 
 
-def _engine(ctx: RingContext, dims, fail: type[Exception]):
+def _engine(ctx: RingContext, dims):
     """Degree-by-degree lex-first selection, yielding each degree's new
     generators.
 
     ``dims`` yields the requested dim of the ideal inside S_d (the
     bounded monomial basis when the context has powers) for d = 0, 1, ...
     A dim above dim S_d, or below the shadow of the previous degree's
-    selection, raises ``fail``.
+    selection, raises NotAttainableError.
 
     The generators come out minimal and in canonical order (ascending
     degree, descending lex inside one), so the callers build their ideals
@@ -103,12 +86,12 @@ def _engine(ctx: RingContext, dims, fail: type[Exception]):
     for d, want in enumerate(dims):
         count = [_ring_dims(n - i, ctx.powers[i:], d) for i in range(n)]
         if want > count[0][d]:
-            raise fail(
+            raise NotAttainableError(
                 f"degree {d}: requested ideal dim {want} exceeds ring dim {count[0][d]}"
             )
         c = 0 if end is None else _rank(end, bounds, count) + 1  # the shadow's size
         if c > want:
-            raise fail(
+            raise NotAttainableError(
                 f"degree {d}: lex-first selection of size {want} is not closed "
                 f"under multiplication (needs {c} monomials)"
             )
@@ -117,26 +100,18 @@ def _engine(ctx: RingContext, dims, fail: type[Exception]):
 
 
 def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
-    """The lex-segment ideal of a plain polynomial ring with ideal dims H.
+    """The lex-first ideal of S = B/b with ideal dims H on degrees 0..len(H)-1,
+    as its preimage L + b (without powers, the lex-segment ideal L itself).
 
-    Raises NotOSequenceError unless the complementary quotient function is
-    an O-sequence (Macaulay's criterion) or that of the zero ring, whose lex
-    ideal is the unit ideal.
+    ``H[d]`` is the dim of the ideal inside S_d.  The selection exists
+    exactly when the quotient function dim S_d - H[d] is attainable:
+    by the Clements-Lindstrom theorem when the context has powers, and by
+    Macaulay's criterion (an O-sequence, or the zero ring, whose lex ideal
+    is the unit ideal) when it has none.  Otherwise NotAttainableError
+    names the first degree at which the selection fails.
     """
-    if ctx.powers:
-        raise ValueError("lex_segment_ideal expects a context without powers")
-    return MonomialIdeal(ctx, tuple(
-        g for new in _engine(ctx, tuple(H), NotOSequenceError) for g in new))
-
-
-def cl_embed(ctx: RingContext, H) -> EmbeddingResult:
-    """Clements-Lindstrom embedding: lex-first selection inside S = B/b."""
-    dims = tuple(H)
-    gens = tuple(g for new in _engine(ctx, dims, NotAttainableError) for g in new)
-    ctx_B = RingContext(ctx.n, ctx.char, (), ctx.z)
-    qdims = tuple(ctx.dim(d) - dims[d] for d in range(len(dims)))
-    image = MonomialIdeal(ctx, gens).plus_powers()
-    return EmbeddingResult(MonomialIdeal(ctx_B, gens), image, qdims)
+    gens = tuple(g for new in _engine(ctx, H) for g in new)
+    return MonomialIdeal(ctx, gens).plus_powers()
 
 
 def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
@@ -175,7 +150,7 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
     gens: list[Monomial] = []
     grew = True  # generators were added since the last check
-    for d, new in enumerate(_engine(ctx, dims, NotAttainableError)):
+    for d, new in enumerate(_engine(ctx, dims)):
         gens.extend(new)
         if new:
             grew = True

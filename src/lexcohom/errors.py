@@ -5,10 +5,6 @@ class MixedContextError(ValueError):
     """Operands live in different ring contexts."""
 
 
-class NotOSequenceError(ValueError):
-    """A requested Hilbert function violates Macaulay growth."""
-
-
 class NotAttainableError(ValueError):
     """A requested Hilbert function is not attainable in the target quotient."""
 

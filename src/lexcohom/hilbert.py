@@ -231,29 +231,9 @@ def macaulay_growth(a: int, d: int) -> int:
     return sum(comb(k + 1, i + 1) for k, i in macaulay_rep(a, d))
 
 
-@dataclass(frozen=True)
-class HilbertFunctionSpec:
-    """A finite prefix of a Hilbert function."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if any(v < 0 for v in self.values):
-            raise ValueError("Hilbert function values must be nonnegative")
-        if self.values and self.values[0] not in (0, 1):
-            raise ValueError("value in degree 0 must be 0 or 1")
-
-    def __getitem__(self, d: int) -> int:
-        return self.values[d]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def is_O_sequence(H, n: int) -> bool:
     """Macaulay's criterion for quotient Hilbert functions in n variables."""
-    vals = tuple(H.values if isinstance(H, HilbertFunctionSpec) else H)
+    vals = tuple(H)
     if not vals:
         return True
     if vals[0] != 1:

@@ -11,11 +11,11 @@ A generator is one monomial: a product of factors joined by optional
 ``*``, such as ``x1^2*x3`` or ``3*x1 x2^2``.  A factor is a variable with
 an optional exponent ``^<digits>``, which follows the variable directly
 (exponents of a repeated variable add up, to at most ``core._EXP_LIMIT``),
-or a digit-string coefficient.  Coefficients only have to be nonzero
-modulo the characteristic; they are then dropped.  A ``+`` or ``-`` is a
-parse error: sums of terms are not monomials.  ``n`` counts the x
-variables only; with ``variable z`` the ring is K[x1..xn][z].  Parse/print
-round-trips are the identity on canonical form.
+or a digit-string coefficient.  Coefficients, of any length, only have to
+be nonzero modulo the characteristic; they are then dropped.  A ``+`` or
+``-`` is a parse error: sums of terms are not monomials.  ``n`` counts the
+x variables only; with ``variable z`` the ring is K[x1..xn][z].
+Parse/print round-trips are the identity on canonical form.
 """
 
 from __future__ import annotations
@@ -52,6 +52,19 @@ def write_ideal_file(ctx: RingContext, gens) -> str:
 
 _TOKEN = re.compile(r"\s*(([a-z]\d*)(\^\d+)?|(\d+)|\S)", re.IGNORECASE)
 
+# int() refuses digit strings past 4,300 digits (Python 3.11 and later), so
+# the grammar bounds an exponent by its digit count and reduces a
+# coefficient mod p one digit at a time
+_EXP_DIGITS = len(str(_EXP_LIMIT))
+
+
+def _mod_digits(digits: str, p: int) -> int:
+    """The digit string's value mod p."""
+    r = 0
+    for c in digits:
+        r = (r * 10 + int(c)) % p
+    return r
+
 
 def _parse_monomial(names: dict[str, int], char: int, line: str,
                     line_no: int) -> Monomial:
@@ -73,13 +86,18 @@ def _parse_monomial(names: dict[str, int], char: int, line: str,
             if low not in names:
                 raise ParseError(line_no, col, f"unknown variable {name!r}")
             i = names[low]
-            exps[i] += int(exp[1:]) if exp else 1
+            digits = exp[1:].lstrip("0") if exp else "1"
+            if len(digits) > _EXP_DIGITS:
+                raise ParseError(line_no, m.start(3) + 2, f"exponent of "
+                                 f"{len(digits)} digits exceeds "
+                                 f"core._EXP_LIMIT = {_EXP_LIMIT}")
+            exps[i] += int(digits or "0")
             if exps[i] > _EXP_LIMIT:
                 raise ParseError(line_no, m.start(3) + 2 if exp else col,
                                  f"exponent {exps[i]} exceeds "
                                  f"core._EXP_LIMIT = {_EXP_LIMIT}")
         elif coeff:
-            if int(coeff) % char == 0:
+            if _mod_digits(coeff, char) == 0:
                 raise ParseError(line_no, col, f"coefficient {coeff} vanishes "
                                  f"modulo char={char}")
         elif tok == "*":

@@ -31,7 +31,7 @@ cells hold), and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
 Both backends walk prod_i (rho_i + 1) multidegrees, rho_i the largest
 exponent of x_i in a generator; each checks that count against CELL_LIMIT
-before the walk starts.
+before the walk starts, and the number of variables against VARIABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ EXT_MEMO_SIZE = 8_192
 # degree up to 74 in four variables), far below the 2^40 + 1 of one
 # generator at the parser's exponent limit.
 CELL_LIMIT = 2_000_000
+# Most variables a table accepts.  Each tail fit takes about (n + 1) * n^2
+# Fraction operations: on an Intel Xeon, one table of the hyperplane (x1)
+# takes 0.12 s at n = 32 in either backend, and 0.7-0.9 s at n = 64.
+VARIABLE_LIMIT = 32
 
 
 def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
@@ -324,6 +328,11 @@ class CohomologyTable:
 
 
 def _cells(I: MonomialIdeal, backend: str):
+    if I.ctx.n > VARIABLE_LIMIT:
+        raise ResourceLimitError(
+            f"the ring has {I.ctx.n} variables, above "
+            f"localcohom.VARIABLE_LIMIT = {VARIABLE_LIMIT}"
+        )
     if backend == "combinatorial":
         return _takayama_cells(I)
     if backend == "ext":

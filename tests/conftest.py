@@ -12,7 +12,7 @@ from lexcohom import betti, localcohom
 from lexcohom.betti import _koszul_key, lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
                            ideal_product, minimalize)
-from lexcohom.errors import MixedContextError
+from lexcohom.errors import MixedContextError, NotAttainableError
 from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
@@ -79,10 +79,10 @@ def random_ideal(rng, ctx, max_deg, max_gens):
     return MonomialIdeal.make(ctx, base + gens)
 
 
-def brute_lex_first(ctx, dims, fail):
+def brute_lex_first(ctx, dims):
     """Lex-first selection by listing every bounded monomial of each degree
     and multiplying out the previous selection: each degree's new
-    generators, with the engine's error class and messages."""
+    generators, with the engine's NotAttainableError messages."""
     bounds = [ctx.exp_bound(i) for i in range(ctx.n)]
     out, prev = [], set()
     for d, want in enumerate(dims):
@@ -93,12 +93,13 @@ def brute_lex_first(ctx, dims, fail):
                 if bounds[i] is None or e[i] < bounds[i]:
                     shadow.add(e[:i] + (e[i] + 1,) + e[i + 1:])
         if want > len(basis):
-            raise fail(f"degree {d}: requested ideal dim {want} exceeds ring dim "
-                       f"{len(basis)}")
+            raise NotAttainableError(f"degree {d}: requested ideal dim {want} "
+                                     f"exceeds ring dim {len(basis)}")
         sel = basis[:max(want, 0)]
         if want < 0 or not shadow <= set(sel):
-            raise fail(f"degree {d}: lex-first selection of size {want} is not "
-                       f"closed under multiplication (needs {len(shadow)} monomials)")
+            raise NotAttainableError(
+                f"degree {d}: lex-first selection of size {want} is not closed "
+                f"under multiplication (needs {len(shadow)} monomials)")
         out.append([Monomial(e) for e in sel if e not in shadow])
         prev = set(sel)
     return out

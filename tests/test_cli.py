@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import verify
-from lexcohom.cli import build_parser, main
+from lexcohom.cli import WINDOW_SPAN_LIMIT, build_parser, main
 from lexcohom.core import (_EXP_LIMIT, DEFAULT_CHAR, MR_LIMIT, Monomial, MonomialIdeal,
                            RingContext)
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
                                parse_ideal_file, write_ideal_file)
+from lexcohom.localcohom import VARIABLE_LIMIT
 
 SIMPLE = "ring n=2 char=32003\nx1^2\nx2^3\n"
 
@@ -67,15 +69,31 @@ def test_parse_exponent_only_directly_after_a_variable(gen, col, tmp_path):
 
 
 def test_parse_exponent_overflow_names_the_limit(capsys, tmp_path):
-    for gen, col in (("x1^99999999999999", 4), (f"x1^{_EXP_LIMIT}*x2*x1", 21)):
+    for gen, col in (("x1^99999999999999", 4), (f"x1^{_EXP_LIMIT}*x2*x1", 21),
+                     ("x1^" + "9" * 5000, 4),
+                     ("x1^" + "0" * 5000 + str(_EXP_LIMIT + 1), 4)):
         with pytest.raises(ParseError) as ei:
             parse_ideal_file(f"ring n=2 char=32003\n{gen}\n")
         assert (ei.value.line_no, ei.value.col) == (2, col)
         assert "core._EXP_LIMIT" in str(ei.value)
+    # leading zeros do not count towards the limit
+    text = "ring n=2 char=32003\nx1^" + "0" * 5000 + f"{_EXP_LIMIT}\n"
+    assert parse_ideal_file(text)[1] == [Monomial((_EXP_LIMIT, 0))]
     f = tmp_path / "big.txt"
     f.write_text("ring n=2 char=32003\nx1^99999999999999\n")
     assert main(["hilb", "--input", str(f)]) == 2
     assert "core._EXP_LIMIT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gen", ["7" * 5000 + "*x1", "x1^" + "0" * 5000 + "1"])
+def test_digit_strings_past_the_int_conversion_limit(gen, capsys, tmp_path):
+    # int() refuses strings of more than 4,300 digits; the coefficient is
+    # 20,982 mod 32003 and the zero-padded exponent is 1
+    assert parse_ideal_file(f"ring n=2 char=32003\n{gen}\n")[1] == [Monomial((1, 0))]
+    f = tmp_path / "long.txt"
+    f.write_text(f"ring n=2 char=32003\n{gen}\n")
+    assert main(["hilb", "--input", str(f)]) == 0
+    assert capsys.readouterr().out.startswith("numerator: 1 -1\n")
 
 
 @pytest.mark.parametrize("header, gen, col, words", [
@@ -196,8 +214,9 @@ def test_cli_hilb_window_prints_lo_to_hi(window, dims, capsys, tmp_path):
     assert main(["hilb", "--input", str(f), f"--window={window}",
                  "--json", str(out_json)]) == 0
     assert capsys.readouterr().out.splitlines()[1] == dims
-    assert json.loads(out_json.read_text())["quotient_dims"] == \
-        [int(v) for v in dims.split(": ")[1].split()]
+    payload = json.loads(out_json.read_text())
+    assert payload["quotient_dims"] == [int(v) for v in dims.split(": ")[1].split()]
+    assert [payload["lo"], payload["hi"]] == [int(v) for v in window.split(":")]
 
 
 def test_cli_hilb_window_lo_above_hi_exits_2(capsys, tmp_path):
@@ -206,6 +225,21 @@ def test_cli_hilb_window_lo_above_hi_exits_2(capsys, tmp_path):
     for window in ("3:1", "0:-3"):
         assert main(["hilb", "--input", str(f), f"--window={window}"]) == 2
         assert "lo <= hi" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd, lo", [("hilb", 0), ("cohom", 1 - WINDOW_SPAN_LIMIT)])
+def test_window_span_limit(cmd, lo, capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=2 char=32003\nx1\n")
+    hi = lo + WINDOW_SPAN_LIMIT - 1
+    assert main([cmd, "--input", str(f), f"--window={lo}:{hi}"]) == 0
+    capsys.readouterr()
+    for window in (f"{lo}:{hi + 1}", f"{lo - 1}:{hi}"):
+        with pytest.raises(SystemExit) as ei:
+            main([cmd, "--input", str(f), f"--window={window}"])
+        assert ei.value.code == 2
+        assert f"spans {WINDOW_SPAN_LIMIT + 1} degrees, above " \
+            "cli.WINDOW_SPAN_LIMIT" in capsys.readouterr().err
 
 
 def test_quotient_window_below_degree_zero_is_empty():
@@ -227,6 +261,19 @@ def test_cli_cohom_window_from_degree_zero_is_uncertified(capsys, tmp_path):
     f.write_text("ring n=2 char=32003\nx1\n")
     assert main(["cohom", "--input", str(f), "--window=0:3"]) == 2
     assert "UNCERTIFIED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend", ["combinatorial", "ext"])
+def test_cohom_variable_limit(backend, capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    for n, code in ((VARIABLE_LIMIT, 0), (VARIABLE_LIMIT + 1, 2), (400, 2)):
+        f.write_text(f"ring n={n} char=32003\nx1\n")
+        t0 = time.perf_counter()
+        assert main(["cohom", "--backend", backend, "--input", str(f)]) == code
+        assert time.perf_counter() - t0 < 1.0
+        if code:
+            assert f"the ring has {n} variables, above localcohom.VARIABLE_LIMIT" \
+                in capsys.readouterr().err
 
 
 def test_cli_parser_is_built_once_and_leaks_no_state(capsys, tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from lexcohom import embeddings
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            graded_piece_dim, minimalize)
-from lexcohom.embeddings import (_engine, cl_embed, epsilon_one, is_embedded,
-                                 lex_ideal_of, lex_segment_ideal, lpp_ideal)
-from lexcohom.errors import NotAttainableError, NotOSequenceError, ResourceLimitError
+from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of,
+                                 lex_segment_ideal, lpp_ideal)
+from lexcohom.errors import NotAttainableError, ResourceLimitError
 from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
 
 from conftest import brute_lex_first, random_ideal
@@ -27,9 +27,10 @@ def test_lex_segment_examples():
     assert lex_segment_ideal(ctx2, (0, 1, 2, 3, 4)).gens == (M(1, 0),)
     L = lex_segment_ideal(ctx2, (0, 0, 2, 4, 5, 6))  # quotient (1,2,1,0,...)
     assert set(g.exps for g in L.gens) == {(2, 0), (1, 1), (0, 3)}
-    with pytest.raises(NotOSequenceError):
+    with pytest.raises(NotAttainableError, match="degree 3: lex-first selection "
+                       "of size 2 is not closed under multiplication"):
         lex_segment_ideal(ctx2, (0, 0, 2, 2))  # quotient (1,2,1,2) grows back
-    with pytest.raises(NotOSequenceError):
+    with pytest.raises(NotAttainableError, match="degree 1"):
         lex_segment_ideal(ctx2, (1, 0))  # unit then vanishing
 
 
@@ -93,19 +94,20 @@ def test_lex_ideal_past_the_numerator_limit_names_it():
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_cl_embed_examples():
+def test_lex_segment_ideal_with_powers_examples():
+    # Clements-Lindstrom: the lex-first selection inside S = B/b, returned
+    # as its preimage L + b
     ctxp = RingContext(2, powers=(2, 2))
-    res = cl_embed(ctxp, (0, 1, 1))
-    assert set(g.exps for g in res.image_in_S.gens) == {(1, 0), (0, 2)}
-    assert res.lex_ideal_in_B.gens == (M(1, 0),)
+    assert set(g.exps for g in lex_segment_ideal(ctxp, (0, 1, 1)).gens) == \
+        {(1, 0), (0, 2)}
     ctxq = RingContext(2, powers=(2,))
-    res2 = cl_embed(ctxq, (0, 0, 0, 1, 2, 2, 2))
-    assert set(g.exps for g in res2.lex_ideal_in_B.gens) == {(1, 2), (0, 4)}
+    L = lex_segment_ideal(ctxq, (0, 0, 0, 1, 2, 2, 2))
+    assert set(g.exps for g in L.gens) == {(2, 0), (1, 2), (0, 4)}
     # the zero ideal embeds to the zero ideal of S (preimage = b)
-    res3 = cl_embed(ctxp, (0, 0, 0))
-    assert res3.image_in_S == ctxp.powers_ideal()
-    with pytest.raises(NotAttainableError):
-        cl_embed(ctxp, (0, 3))  # S_1 only has dim 2
+    assert lex_segment_ideal(ctxp, (0, 0, 0)) == ctxp.powers_ideal()
+    with pytest.raises(NotAttainableError, match="degree 1: requested ideal "
+                       "dim 3 exceeds ring dim 2"):
+        lex_segment_ideal(ctxp, (0, 3))  # S_1 only has dim 2
 
 
 def test_lpp_examples():
@@ -175,16 +177,16 @@ def test_embedded_ideal_dims_match_request():
     for _ in range(10):
         I = random_ideal(rng, ctx, 3, 4)
         D = sum(d - 1 for d in ctx.powers) + max(I.max_gen_degree(), 1) + 2
-        res = cl_embed(ctx, ideal_window(I, D))
+        L = lex_segment_ideal(ctx, ideal_window(I, D))
         for d in range(D + 1):
-            assert graded_piece_dim(res.image_in_S, d) == graded_piece_dim(I, d)
+            assert graded_piece_dim(L, d) == graded_piece_dim(I, d)
 
 
 def _outcome(select):
     try:
         return list(select())
-    except (NotAttainableError, NotOSequenceError) as exc:
-        return type(exc), str(exc)
+    except NotAttainableError as exc:
+        return str(exc)
 
 
 @st.composite
@@ -206,9 +208,8 @@ def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb):
     for d, delta in perturb:
         if d <= D:
             dims[d] += delta
-    for fail in (NotAttainableError, NotOSequenceError):
-        assert _outcome(lambda: _engine(ctx, dims, fail)) == \
-            _outcome(lambda: brute_lex_first(ctx, dims, fail))
+    assert _outcome(lambda: _engine(ctx, dims)) == \
+        _outcome(lambda: brute_lex_first(ctx, dims))
 
 
 @given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9))
@@ -218,7 +219,7 @@ def test_rank_engine_prefixes_are_minimal_and_canonical(ctx, rng, D):
     # embeddings build their ideals from it directly
     dims = ideal_window(random_ideal(rng, ctx, 4, 4), D)
     gens = []
-    for new in _engine(ctx, dims, NotAttainableError):
+    for new in _engine(ctx, dims):
         gens.extend(new)
         assert minimalize(ctx, gens).gens == tuple(gens)
 
@@ -236,5 +237,16 @@ def test_lex_segment_ideal_rejects_exactly_the_non_O_sequences(n, tail, q0):
         L = lex_segment_ideal(ctx, dims)
         assert ideal_window(L, len(q) - 1) == tuple(dims)
     else:
-        with pytest.raises(NotOSequenceError):
+        with pytest.raises(NotAttainableError):
             lex_segment_ideal(ctx, dims)
+
+
+@given(contexts(), st.randoms(use_true_random=False), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_lex_segment_ideal_of_a_window_is_the_certified_embedding(ctx, rng, extra):
+    # the explicit-dims entry point, given the ideal's dims through the top
+    # generator degree of its certified embedding or further, returns it
+    I = random_ideal(rng, ctx, 4, 4)
+    certified = lpp_ideal(I) if ctx.powers else lex_ideal_of(I)
+    D = certified.max_gen_degree() + extra
+    assert lex_segment_ideal(ctx, ideal_window(I, D)) == certified

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import (NUMERATOR_DEGREE_LIMIT, HilbertFunctionSpec, _numerator,
+from lexcohom.hilbert import (NUMERATOR_DEGREE_LIMIT, _numerator,
                               hilbert_series, ideal_window,
                               is_O_sequence, macaulay_growth, macaulay_rep,
                               quotient_window, values_nonneg)
@@ -107,15 +107,6 @@ def test_O_sequence():
     assert not is_O_sequence((1, 2, 4), 2)
     assert is_O_sequence((1,), 1)
     assert not is_O_sequence((2,), 5)
-
-
-def test_hilbert_function_spec_validation():
-    with pytest.raises(ValueError):
-        HilbertFunctionSpec((2, 1))
-    with pytest.raises(ValueError):
-        HilbertFunctionSpec((0, -1))
-    spec = HilbertFunctionSpec((0, 1, 2))
-    assert spec[2] == 2 and len(spec) == 3
 
 
 def test_series_nonneg():
