@@ -14,11 +14,12 @@ from dataclasses import replace
 
 from . import zstable
 from .betti import betti_table, corners
-from .core import DEFAULT_CHAR, MonomialIdeal
+from .core import _EXP_LIMIT, DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import hilbert_series, ideal_window
-from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal_file
+from .ioformat import (FILE_VARIABLE_LIMIT, ParseError, format_ideal, parse_ideal_file,
+                       write_ideal_file)
 from .localcohom import cohomology_table
 from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
                      run_family)
@@ -32,12 +33,14 @@ WINDOW_SPAN_LIMIT = 100_000
 
 
 def _read_ideal(args) -> MonomialIdeal:
+    """The ideal of S = B/b that the file's generators generate, as its
+    preimage: the power generators are added when the file leaves them out."""
     if args.input:
         with open(args.input) as fh:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    return MonomialIdeal.make(*parse_ideal_file(text))
+    return MonomialIdeal.make(*parse_ideal_file(text)).plus_powers()
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -140,15 +143,25 @@ def cmd_zstabilize(args) -> int:
     return OK
 
 
+def _family_int(key: str, val: str, limit: int, limit_name: str) -> int:
+    """int(val), refused above ``limit``: by its digit count before int()
+    reads it."""
+    if len(val.strip().lstrip("+0")) > len(str(limit)) or int(val) > limit:
+        raise ValueError(f"family {key} exceeds {limit_name} = {limit}")
+    return int(val)
+
+
 def _parse_family(text: str, args) -> FamilySpec:
     fields: dict = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
         key = key.strip().lower()
         if key == "n":
-            fields["n"] = int(val)
+            fields["n"] = _family_int("n", val, FILE_VARIABLE_LIMIT,
+                                      "ioformat.FILE_VARIABLE_LIMIT")
         elif key == "d":
-            fields["powers"] = tuple(int(x) for x in val.split(":") if x)
+            fields["powers"] = tuple(_family_int("d", x, _EXP_LIMIT, "core._EXP_LIMIT")
+                                     for x in val.split(":") if x)
         elif key in ("maxdeg", "max_deg"):
             fields["max_deg"] = int(val)
         elif key == "z":

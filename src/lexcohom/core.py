@@ -125,23 +125,39 @@ class RingContext:
         """Degree-d monomials in lex-descending order.
 
         With ``bounded=True`` only the monomial basis of S = B/b is listed
-        (exponents below the power bounds); z is never bounded.
+        (exponents below the power bounds); z is never bounded.  Each step
+        to the next monomial takes O(n) work and no recursion.
         """
-        bounds = [self.exp_bound(i) if bounded else None for i in range(self.n)]
-        if self.z:
-            bounds[-1] = None
+        n = self.n
+        caps = [d] * n
+        if bounded:
+            caps[:self.r] = [min(di - 1, d) for di in self.powers]
+        room = [0] * (n + 1)  # room[i]: the most degree variables i.. can hold
+        for i in range(n - 1, -1, -1):
+            room[i] = room[i + 1] + caps[i]
+        if d < 0 or room[0] < d:
+            return
+        e = [0] * n
 
-        def rec(i, rem):
-            if i == self.n - 1:
-                if bounds[i] is None or rem <= bounds[i]:
-                    yield (rem,)
+        def fill(i, rem):  # the lex-first exponents of variables i.. of degree rem
+            for k in range(i, n):
+                e[k] = min(caps[k], rem)
+                rem -= e[k]
+
+        fill(0, d)
+        while True:
+            yield Monomial(tuple(e))
+            # lower the last exponent whose followers can take one more
+            # degree, and refill the followers lex-first
+            tail = 0
+            for i in range(n - 2, -1, -1):
+                tail += e[i + 1]
+                if e[i] and tail < room[i + 1]:
+                    e[i] -= 1
+                    fill(i + 1, tail + 1)
+                    break
+            else:
                 return
-            top = rem if bounds[i] is None else min(rem, bounds[i])
-            for e in range(top, -1, -1):
-                for tail in rec(i + 1, rem - e):
-                    yield (e,) + tail
-
-        yield from map(Monomial, rec(0, d))
 
     def dim(self, d: int) -> int:
         """dim_K of the degree-d piece of the full ring S (or B if no powers)."""

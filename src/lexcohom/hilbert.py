@@ -17,10 +17,10 @@ from .errors import ResourceLimitError
 
 # Largest lcm degree sum_i max_g e_i of the generators that hilbert_series
 # accepts.  It bounds the numerator's degree, hence its coefficient lists,
-# and the pivot recursion's depth: each level either lowers the lcm degree
-# or isolates a new variable, so there are at most lcm degree + n levels.
-# At two interpreter frames a level, that stays below Python's default
-# recursion limit of 1000 for n up to about 80.
+# and the pivot recursion's depth: each level lowers the lcm degree by at
+# least one, so there are at most lcm degree levels, whatever n is.  At two
+# interpreter frames a level, that stays below Python's default recursion
+# limit of 1000.
 NUMERATOR_DEGREE_LIMIT = 400
 
 
@@ -50,41 +50,32 @@ def _shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (0,) * k + tuple(a)
 
 
-def _most_frequent_variable(gens) -> int | None:
-    """Index of the variable hitting the most generators, or None if the
-    generators are pairwise coprime (every variable in at most one of them)."""
-    n = len(gens[0])
-    counts = [0] * n
-    for g in gens:
-        for i, e in enumerate(g):
-            if e > 0:
-                counts[i] += 1
-    best = max(range(n), key=lambda i: counts[i])
-    return best if counts[best] >= 2 else None
-
-
 @lru_cache(maxsize=200_000)
 def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Numerator of Hilb(B/(gens)) over (1-t)^n by pivot recursion:
-    Hilb(B/I) = Hilb(B/(I+(x))) + t * Hilb(B/(I:x))."""
+    """Numerator of Hilb(B/(gens)) over (1-t)^n, for a canonical antichain.
+
+    A generator that shares no variable with the others splits off as the
+    factor 1 - t^deg.  On the rest, pivot on the variable x found in the
+    most of them, the lowest index on ties:
+    Hilb(B/I) = Hilb(B/(I+(x))) + t * Hilb(B/(I:x)), where the numerator of
+    I + (x) is (1-t) times that of the generators prime to x."""
     if not gens:
         return (1,)
     if any(sum(g) == 0 for g in gens):
         return (0,)
-    j = _most_frequent_variable(gens)
-    if j is None:
-        # pairwise coprime generators form a regular sequence
-        out = (1,)
-        for g in gens:
+    counts = [sum(e > 0 for e in column) for column in zip(*gens)]
+    out, shared = (1,), []
+    for g in gens:
+        if all(counts[i] == 1 for i, e in enumerate(g) if e):
             out = _poly_mul(out, _poly_add((1,), _shift((-1,), sum(g))))
+        else:
+            shared.append(g)
+    if not shared:
         return out
-    n = len(gens[0])
-    xj = tuple(1 if i == j else 0 for i in range(n))
-    plus = minimal_exponents([g for g in gens if g[j] == 0] + [xj])
-    col = minimal_exponents(
-        [tuple(e - 1 if i == j and e > 0 else e for i, e in enumerate(g)) for g in gens]
-    )
-    return _poly_add(_numerator(plus), _shift(_numerator(col), 1))
+    j = max(range(len(counts)), key=counts.__getitem__)
+    plus = _poly_mul((1, -1), _numerator(tuple(g for g in shared if not g[j])))
+    col = minimal_exponents([g[:j] + (max(g[j] - 1, 0),) + g[j + 1:] for g in shared])
+    return _poly_mul(out, _poly_add(plus, _shift(_numerator(col), 1)))
 
 
 def _series_coeffs(numer, nvars: int, upto: int) -> list[int]:

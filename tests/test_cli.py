@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from lexcohom import verify
 from lexcohom.cli import WINDOW_SPAN_LIMIT, build_parser, main
 from lexcohom.core import (_EXP_LIMIT, DEFAULT_CHAR, MR_LIMIT, Monomial, MonomialIdeal,
-                           RingContext)
+                           RingContext, _is_prime)
 from lexcohom.hilbert import hilbert_series
-from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal,
-                               parse_ideal_file, write_ideal_file)
+from lexcohom.ioformat import (FILE_VARIABLE_LIMIT, ParseError, as_monomial_ideal,
+                               format_ideal, parse_ideal_file, write_ideal_file)
 from lexcohom.localcohom import VARIABLE_LIMIT
 
 SIMPLE = "ring n=2 char=32003\nx1^2\nx2^3\n"
@@ -112,6 +112,58 @@ def test_a_generator_is_one_monomial(header, gen, col, words, capsys, tmp_path):
     f.write_text(f"{header}\n{gen}\n")
     assert main(["hilb", "--input", str(f)]) == 2
     assert words in capsys.readouterr().err
+
+
+def _largest_prime_below(n):
+    p = n - 1
+    while not _is_prime(p):
+        p -= 1
+    return p
+
+
+@pytest.mark.parametrize("header, at, limit, line, col, name", [
+    ("ring n={} char=32003", FILE_VARIABLE_LIMIT, FILE_VARIABLE_LIMIT, 1, 8,
+     "ioformat.FILE_VARIABLE_LIMIT"),
+    # a char of MR_LIMIT itself passes the parser and fails the primality test
+    ("ring n=2 char={}", _largest_prime_below(MR_LIMIT), MR_LIMIT, 1, 15,
+     "core.MR_LIMIT"),
+    ("ring n=2 char=32003\npowers d=2, {}", _EXP_LIMIT, _EXP_LIMIT, 2, 13,
+     "core._EXP_LIMIT"),
+])
+def test_header_integers_name_their_limits(header, at, limit, line, col, name,
+                                           capsys, tmp_path):
+    ctx, _ = parse_ideal_file(header.format(at) + "\n")
+    assert at in (ctx.nx, ctx.char) + ctx.powers
+    f = tmp_path / "ideal.txt"
+    for past in (str(limit + 1), "1" * 5000, "0" * 5000 + str(limit + 1)):
+        text = header.format(past) + "\nx1\n"
+        with pytest.raises(ParseError) as ei:
+            parse_ideal_file(text)
+        assert (ei.value.line_no, ei.value.col) == (line, col)
+        assert name in str(ei.value)
+        f.write_text(text)
+        t0 = time.perf_counter()
+        assert main(["hilb", "--input", str(f)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["hilb"], ["betti"], ["lpp"],
+                                  ["cohom", "--backend", "combinatorial"],
+                                  ["cohom", "--backend", "ext"]])
+def test_generators_are_read_as_an_ideal_of_S(argv, capsys, tmp_path):
+    # powers d=2 declares S = K[x1,x2]/(x1^2): a file that leaves x1^2 out
+    # reads as the same ideal as one that lists it
+    outs = []
+    for name, gens in (("without", "x2^3\n"), ("with", "x1^2\nx2^3\n")):
+        f = tmp_path / f"{name}.txt"
+        f.write_text("ring n=2 char=32003\npowers d=2\n" + gens)
+        report = tmp_path / f"{name}.json"
+        code = main(argv + ["--input", str(f), "--json", str(report)])
+        outs.append((code, capsys.readouterr(), report.read_text()))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    if argv == ["hilb"]:
+        assert "quotient dims 0..8: 1 2 2 1 0 0 0 0 0\n" in outs[0][1].out
 
 
 @st.composite
@@ -324,6 +376,23 @@ def test_cli_parse_error_exit_code(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("ring n=2 char=32003\nx7^2\n")
     assert main(["betti", "--input", str(f)]) == 2
+
+
+def test_cli_verify_family_limits(capsys):
+    # in one variable a family draws one candidate per degree
+    argv = ["verify", "lex-cohomology", "--samples", "1", "--family"]
+    for family, name in ((f"n=1,maxdeg={verify.POOL_LIMIT + 1}", "verify.POOL_LIMIT"),
+                         (f"n={FILE_VARIABLE_LIMIT + 1}", "ioformat.FILE_VARIABLE_LIMIT"),
+                         ("n=" + "1" * 5000, "ioformat.FILE_VARIABLE_LIMIT"),
+                         ("n=2,d=2:" + "3" * 5000, "core._EXP_LIMIT")):
+        t0 = time.perf_counter()
+        assert main(argv + [family]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert name in capsys.readouterr().err
+    # at the limit the family samples: its first ideal, a power of x1, is
+    # refused later, by the numerator limit
+    main(argv + [f"n=1,maxdeg={verify.POOL_LIMIT}"])
+    assert "POOL_LIMIT" not in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_jobs_below_one(capsys):

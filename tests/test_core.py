@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -277,3 +279,26 @@ def test_primality_limit_raises_every_time():
     for _ in range(2):
         with pytest.raises(ValueError, match=str(MR_LIMIT)):
             RingContext(1, MR_LIMIT)
+
+
+@pytest.mark.parametrize("n, z", [(1, False), (3, False), (3, True), (4, True)])
+def test_monomials_are_the_degree_d_vectors_in_lex_descending_order(n, z):
+    for powers in ((), (2,), (2, 3), (3, 3, 3)):
+        if len(powers) > n - z:
+            continue
+        ctx = RingContext(n, powers=powers, z=z)
+        for d in range(-1, 7):
+            for bounded in (False, True):
+                want = sorted((e for e in itertools.product(range(d + 1), repeat=n)
+                               if sum(e) == d and not (bounded and any(
+                                   e[i] >= p for i, p in enumerate(powers)))),
+                              reverse=True)
+                assert [m.exps for m in ctx.monomials(d, bounded=bounded)] == want
+
+
+def test_monomials_in_many_variables_need_no_recursion():
+    # one step costs O(n): 3,000 linear forms of 3,000 variables
+    t0 = time.perf_counter()
+    mons = list(RingContext(3000).monomials(1))
+    assert len(mons) == 3000 and mons[-1].exps[-1] == 1
+    assert time.perf_counter() - t0 < 10

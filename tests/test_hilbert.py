@@ -240,3 +240,46 @@ def test_numerator_degree_limit():
                  [Monomial((L, 0)), Monomial((0, 1))]):
         with pytest.raises(ResourceLimitError, match="NUMERATOR_DEGREE_LIMIT"):
             hilbert_series(MonomialIdeal.make(ctx, gens))
+
+
+@st.composite
+def split_and_pivot_cases(draw):
+    """Ideals whose generators fall into coprime blocks of variables, plus
+    linear generators and generators on any variables, in contexts with and
+    without powers (the ideal is then a preimage, containing them)."""
+    n = draw(st.integers(1, 6))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=n))))
+    ctx = RingContext(n, powers=powers)
+    block = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    gens = []
+    for b in set(block):
+        for _ in range(draw(st.integers(0, 3))):
+            gens.append(tuple(draw(st.integers(0, 2)) if block[i] == b else 0
+                              for i in range(n)))
+    gens += [tuple(int(i == k) for i in range(n))
+             for k in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=2))
+    return MonomialIdeal.make(ctx, map(Monomial, gens)).plus_powers()
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_and_pivot_cases())
+def test_numerator_matches_bruteforce_on_coprime_blocks(I):
+    # the numerator's degree is at most the lcm degree, so the window up to
+    # it pins every coefficient
+    lcm_degree = sum(map(max, zip(*(g.exps for g in I.gens)))) if I.gens else 0
+    _numerator.cache_clear()
+    assert hilbert_series(I).quotient_window(lcm_degree) == \
+        brute_quotient_dims(I, lcm_degree)
+
+
+def test_path_ideal_numerator_memo_is_linear():
+    # the edge ideal of a path, (x1x2, x2x3, ..., x29x30): each split-off
+    # leaves a shorter path, so the memo grows with n and not with 2^n
+    n = 30
+    ctx = RingContext(n)
+    I = MonomialIdeal.make(ctx, [ctx.variable(i).mul(ctx.variable(i + 1))
+                                 for i in range(n - 1)])
+    _numerator.cache_clear()
+    hilbert_series(I)
+    assert _numerator.cache_info().currsize <= 60

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,8 @@ from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_di
 from lexcohom.errors import NotAnIdealError, ResourceLimitError
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import format_ideal
-from lexcohom.verify import (FamilySpec, _generator_tallies, corrupt_epsilon,
+from lexcohom.verify import (POOL_LIMIT, FamilySpec, _basis_pool, _generator_tallies,
+                             corrupt_epsilon,
                              enumerate_family,
                              nonstable_instances, run_family,
                              stable_instances, verify_betti_lpp_corners,
@@ -53,6 +55,36 @@ def test_random_family_determinism():
 def test_exhaustive_cap():
     with pytest.raises(ResourceLimitError, match="verify.EXHAUSTIVE_CAP"):
         list(enumerate_family(FamilySpec(n=4, max_deg=4, mode="exhaustive")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.lists(st.integers(2, 5), max_size=5),
+       st.integers(0, 10))
+def test_pool_is_counted_before_it_is_listed(nx, with_z, powers, max_deg):
+    ctx = FamilySpec(nx, powers=tuple(sorted(powers))[:nx], with_z=with_z).context()
+    lo = ctx.powers[-1] if ctx.powers else 1
+    want = [m for d in range(lo, max_deg + 1) for m in ctx.monomials(d, bounded=True)]
+    if len(want) <= POOL_LIMIT:
+        assert _basis_pool(ctx, max_deg) == want
+    else:
+        with pytest.raises(ResourceLimitError, match="verify.POOL_LIMIT"):
+            _basis_pool(ctx, max_deg)
+
+
+def test_pool_limit():
+    # in one variable the pool is one candidate per degree
+    assert len(_basis_pool(RingContext(1), POOL_LIMIT)) == POOL_LIMIT
+    assert next(enumerate_family(FamilySpec(1, max_deg=POOL_LIMIT)))
+    t0 = time.perf_counter()
+    for spec in (FamilySpec(1, max_deg=POOL_LIMIT + 1),
+                 FamilySpec(POOL_LIMIT + 1, max_deg=1),  # one past in degree 1
+                 FamilySpec(10**9, max_deg=3), FamilySpec(3, max_deg=10**12),
+                 FamilySpec(2, powers=(10**12, 10**12), max_deg=10**15)):
+        with pytest.raises(ResourceLimitError, match="verify.POOL_LIMIT"):
+            next(enumerate_family(spec))
+    # a bounded basis ends: one candidate, x1*x2^(10^12 - 1), whatever max_deg
+    assert len(_basis_pool(RingContext(2, powers=(2, 10**12)), 10**15)) == 1
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_family_ideals_contain_powers():
