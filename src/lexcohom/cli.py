@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = success / all checks passed, 1 = a theorem check failed,
-2 = usage, parse or resource errors (including uncertified windows).
+2 = usage, parse or resource errors (including uncertified windows and a
+verify family with no instances to check).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _parse_family(text: str, args) -> FamilySpec:
             fields["powers"] = tuple(_family_int("d", x, _EXP_LIMIT, "core._EXP_LIMIT")
                                      for x in val.split(":") if x)
         elif key in ("maxdeg", "max_deg"):
-            fields["max_deg"] = int(val)
+            fields["max_deg"] = _family_int("maxdeg", val, _EXP_LIMIT, "core._EXP_LIMIT")
         elif key == "z":
             fields["with_z"] = val.strip() in ("", "1", "true", "yes")
         else:
@@ -182,6 +183,8 @@ def cmd_verify(args) -> int:
     if THEOREMS[args.theorem][0] != "family":
         spec = replace(spec, with_z=True)
     report = run_family(args.theorem, spec, jobs=args.jobs)
+    if not report.records:
+        raise ValueError(f"the family has no {args.theorem} instances: nothing was checked")
     s = report.summary()
     for r in report.records:
         if not r.passed:

@@ -260,11 +260,17 @@ def format_term(names, exps, coeff: int) -> str:
     return mon if coeff == 1 else f"{coeff}*{mon}"
 
 
+def _grlex_key(e: tuple[int, ...]):
+    """Sort key of an exponent vector: ascending degree, lex-descending
+    inside a degree."""
+    return (sum(e), tuple(-x for x in e))
+
+
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility antichain of exponent vectors generating the same
-    monomial ideal, ascending in degree and lex-descending inside one."""
+    monomial ideal, in ``_grlex_key`` order."""
     kept: list[tuple[int, ...]] = []
-    for g in sorted(exps, key=lambda e: (sum(e), tuple(-x for x in e))):
+    for g in sorted(exps, key=_grlex_key):
         if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
             kept.append(g)
     return tuple(kept)

@@ -10,10 +10,11 @@ class NotAttainableError(ValueError):
 
 
 class NotAnIdealError(RuntimeError):
-    """A lex selection failed the ideal-closure check.
+    """The extended lex-first embedding of a z-stable ideal is not z-stable,
+    or has a component that is not embedded.
 
-    For valid inputs this is dead code (Macaulay's theorem); if it fires,
-    either the input precondition was violated or there is a bug upstream.
+    ``verify.verify_embedding_lemmas`` raises it; for a z-stable input it
+    signals a bug upstream.
     """
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import merge
 from math import comb
 
-from .core import MonomialIdeal, RingContext, _ring_dims, minimal_exponents
+from .core import MonomialIdeal, RingContext, _ring_dims, _grlex_key
 from .errors import ResourceLimitError
 
 # Largest lcm degree sum_i max_g e_i of the generators that hilbert_series
@@ -58,7 +59,10 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     factor 1 - t^deg.  On the rest, pivot on the variable x found in the
     most of them, the lowest index on ties:
     Hilb(B/I) = Hilb(B/(I+(x))) + t * Hilb(B/(I:x)), where the numerator of
-    I + (x) is (1-t) times that of the generators prime to x."""
+    I + (x) is (1-t) times that of the generators prime to x.  In I : x only
+    the generators that contain x drop by one in x; they stay an antichain
+    in canonical order, and a generator prime to x survives unless one of
+    them divides it, so the two canonical lists merge."""
     if not gens:
         return (1,)
     if any(sum(g) == 0 for g in gens):
@@ -73,8 +77,11 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     if not shared:
         return out
     j = max(range(len(counts)), key=counts.__getitem__)
-    plus = _poly_mul((1, -1), _numerator(tuple(g for g in shared if not g[j])))
-    col = minimal_exponents([g[:j] + (max(g[j] - 1, 0),) + g[j + 1:] for g in shared])
+    prime = tuple(g for g in shared if not g[j])
+    plus = _poly_mul((1, -1), _numerator(prime))
+    lowered = [g[:j] + (g[j] - 1,) + g[j + 1:] for g in shared if g[j]]
+    kept = [h for h in prime if not any(all(a <= b for a, b in zip(g, h)) for g in lowered)]
+    col = tuple(merge(lowered, kept, key=_grlex_key))
     return _poly_mul(out, _poly_add(plus, _shift(_numerator(col), 1)))
 
 

@@ -1,9 +1,14 @@
 """Hilbert functions of local cohomology of monomial quotients, two ways.
 
 Both backends decompose by multidegree and group multidegrees into finitely
-many cells on which the relevant complex is constant, so each row of the
-table is assembled exactly from per-cell homology dims times lattice-point
-counts (binomials).  The backends share nothing but the rank kernel:
+many cells on which the relevant complex is constant.  What each backend
+owns is its cell decomposition: its walk, its complexes and its memo.  Both
+hand over cells of one shape, (fixed_sum, f, {i: dim H^i}) for the
+multidegrees of H^i_m(A/I) with f coordinates <= -1 and the others pinned
+at values summing to fixed_sum, so one routine assembles the rows of
+either from per-cell dims times lattice-point counts (binomials), and one
+reads the regularity.  Besides that assembly they share the rank kernel and
+the homology routine:
 
 * ``ext``: graded local duality.  The dual of the Taylor complex of I is
   sliced per multidegree; the slice pattern only depends on clamp(-a, 0, rho)
@@ -26,8 +31,8 @@ whole process, in its own ``lru_cache`` (``_takayama_dims``, ``_ext_dims``):
 a complex is named by a compact key that determines its faces, plus the
 characteristic p, and only a miss lists faces.  The two memos are separate,
 so one backend's cached answer never stands in for the other's.  Their
-values are immutable (a tuple of pairs; a read-only mapping, which the ext
-cells hold), and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
+values are immutable tuples of pairs, copied into fresh dicts in the cells,
+and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
 Both backends walk prod_i (rho_i + 1) multidegrees, rho_i the largest
 exponent of x_i in a generator; each checks that count against CELL_LIMIT
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from types import MappingProxyType
 
 from .core import MonomialIdeal, saturate
 from .errors import ResourceLimitError, WindowUncertifiedError
@@ -140,64 +144,46 @@ def _takayama_cells(I: MonomialIdeal):
     return cells
 
 
-def _count_negatives(j: int, fixed_sum: int, f: int) -> int:
-    """Number of multidegrees with f coordinates <= -1 summing to
-    j - fixed_sum (the other coordinates being pinned)."""
-    if f == 0:
-        return 1 if j == fixed_sum else 0
-    m = fixed_sum - j
-    return comb(m - 1, f - 1) if m >= f else 0
-
-
-def _combinatorial_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
-    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
-    for fixed_sum, f, by_i in cells:
-        for i, dim in by_i.items():
-            row = rows[i]
-            for j in range(lo, hi + 1):
-                cnt = _count_negatives(j, fixed_sum, f)
-                if cnt:
-                    row[j - lo] += dim * cnt
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # ext backend (dual Taylor complex + graded local duality)
 
 
-_ACYCLIC = MappingProxyType({})  # shared by every cone slice
-
-
 @lru_cache(maxsize=EXT_MEMO_SIZE)
-def _ext_dims(g: int, masks: frozenset[int], p: int) -> MappingProxyType:
-    """{k: dim} of the cochain complex on the order filter of subsets of g
-    generators that meet every mask, shifted to Ext degrees; empty for a
-    cone (see ``_ext_cells``) without listing any subset."""
+def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+    """((k, dim Ext^k), ...) of the cochain complex on the order filter of
+    subsets of g generators that meet every mask; empty for a cone (see
+    ``_ext_cells``) without listing any subset."""
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
     union = 0
     for m in minimal:
         union |= m
     if union != (1 << g) - 1:
-        return _ACYCLIC
+        return ()
     subsets = [S for S in range(1 << g) if all(S & m for m in minimal)]
-    return MappingProxyType({k + 1: d for k, d in reduced_homology_dims(subsets, p).items()})
+    return tuple((k + 1, d) for k, d in reduced_homology_dims(subsets, p).items())
 
 
 def _ext_cells(I: MonomialIdeal):
-    """Cells (fixed_sum, n_free, {k: dim Ext^k}) covering the multidegree
-    support of all Ext modules Ext^k(A/I, A).
+    """Cells (fixed_sum, n_negative, {i: dim}) in the shape of
+    ``_takayama_cells``, read off the Ext modules Ext^k(A/I, A).
 
-    At a multidegree c the dual Taylor slice is the order filter of generator
-    subsets S with lcm(S) >= c, i.e. those meeting {t : g_t[i] >= c_i} for
-    every coordinate with c_i > 0; the number of generators and the set of
-    those bitmasks, with p, are the memo key of ``_ext_dims``.
+    At a multidegree c of prod_i [0, rho_i] the dual Taylor slice is the
+    order filter of generator subsets S with lcm(S) >= c, i.e. those meeting
+    {t : g_t[i] >= c_i} for every coordinate with c_i > 0; the number of
+    generators and the set of those bitmasks, with p, are the memo key of
+    ``_ext_dims``.  Its cohomology is Ext^k in the multidegrees b with
+    b_i = -c_i where c_i > 0 and b_i >= 0 where c_i = 0.  By multigraded
+    local duality, dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1}, so these
+    are the multidegrees a of H^{n-k} with a_i pinned at c_i - 1 where
+    c_i > 0 and a_i <= -1 at the z coordinates where c_i = 0: a cell
+    (sum(c) - n + z, z, {n - k: dim}).
 
     A slice is a cone, with no cohomology, when some generator t lies in
     none of the key's inclusion-minimal masks: a subset meets every mask iff
     it meets every minimal one, which does not depend on whether it holds
     t.  So the filter is F' times the two subsets (empty, {t}), where F' is
     a filter on the other generators, and its cochain complex is acyclic.
-    Such slices are stored as {} without listing any subset.
+    Such slices are memoized as () without listing any subset.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
@@ -217,37 +203,34 @@ def _ext_cells(I: MonomialIdeal):
     for c in itertools.product(*[range(r + 1) for r in rho]):
         hom = _ext_dims(g, frozenset(above[i][ci] for i, ci in enumerate(c) if ci), p)
         if hom:
-            cells.append((sum(c), c.count(0), hom))
+            z = c.count(0)
+            cells.append((sum(c) - n + z, z, {n - k: dim for k, dim in hom if k <= n}))
     return cells
 
 
-def _count_frees(e: int, fixed_sum: int, z: int) -> int:
-    """Number of multidegrees with z free coordinates >= 0 and the rest
-    pinned at negatives summing to -fixed_sum, with total degree e."""
-    if z == 0:
-        return 1 if e == -fixed_sum else 0
-    t = e + fixed_sum
-    return comb(t + z - 1, z - 1) if t >= 0 else 0
-
-
-def _ext_rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
-    rows = {}
-    for i in range(n + 1):
-        k = n - i
-        row = [0] * (hi - lo + 1)
-        for j in range(lo, hi + 1):
-            e = -n - j
-            row[j - lo] = sum(
-                hom.get(k, 0) * _count_frees(e, fs, z)
-                for fs, z, hom in cells
-                if k in hom
-            )
-        rows[i] = row
-    return rows
-
-
 # ---------------------------------------------------------------------------
-# tables, tails, comparisons
+# rows, tables, tails, comparisons
+
+
+def _count_negatives(j: int, fixed_sum: int, f: int) -> int:
+    """Number of multidegrees with f coordinates <= -1 summing to
+    j - fixed_sum (the other coordinates being pinned)."""
+    if f == 0:
+        return 1 if j == fixed_sum else 0
+    m = fixed_sum - j
+    return comb(m - 1, f - 1) if m >= f else 0
+
+
+def _rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
+    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
+    for fixed_sum, f, by_i in cells:
+        for i, dim in by_i.items():
+            row = rows[i]
+            for j in range(lo, hi + 1):
+                cnt = _count_negatives(j, fixed_sum, f)
+                if cnt:
+                    row[j - lo] += dim * cnt
+    return rows
 
 
 @dataclass(frozen=True)
@@ -320,9 +303,6 @@ class CohomologyTable:
             raise WindowUncertifiedError(f"row {i}: non-integral tail value at {j}")
         return int(v)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
-
     def all_certified(self) -> bool:
         return all(t.certified for t in self.tails.values())
 
@@ -340,17 +320,11 @@ def _cells(I: MonomialIdeal, backend: str):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _regularity(cells, backend: str, n: int) -> int:
+def _regularity(cells) -> int:
     """reg(A/I) = max{i + j : H^i_m(A/I)_j != 0}, read off the cells; 0 when
-    there are none (the unit ideal).
-
-    A combinatorial cell reaches up to degree fixed_sum - f (every free
-    coordinate at -1).  An ext cell starts at degree -fixed_sum of Ext^k,
-    which is degree fixed_sum - n of H^{n-k}.
-    """
-    if backend == "combinatorial":
-        return max((fs - f + i for fs, f, by_i in cells for i in by_i), default=0)
-    return max((fs - k for fs, _, hom in cells for k in hom if 0 <= k <= n), default=0)
+    there are none (the unit ideal).  A cell reaches up to degree
+    fixed_sum - f, every negative coordinate at -1."""
+    return max((fs - f + i for fs, f, by_i in cells for i in by_i), default=0)
 
 
 def _window_lo(I: MonomialIdeal) -> int:
@@ -358,14 +332,10 @@ def _window_lo(I: MonomialIdeal) -> int:
 
     ``_fit_tail`` certifies from the deg + 2 lowest points, deg = max(dim, 0)
     <= n, and needs them all at j <= -1: here lo + deg + 1 <= -sum(deg g) - 1
-    <= -1.  On j <= -1 every cell counts a polynomial in j:
-
-    * a combinatorial cell (fs, f) adds dim * C(fs - j - 1, f - 1), a
-      polynomial on j <= fs - 1, and fs >= 0;
-    * an ext cell (fs, z) adds dim * C(fs - n - j + z - 1, z - 1), a
-      polynomial on j <= fs - n + z - 1, and fs >= n - z since its n - z
-      pinned coordinates are >= 1;
-    * a cell with no free coordinate sits at one degree, which is >= 0.
+    <= -1.  On j <= -1 every cell counts a polynomial in j: a cell
+    (fs, f) adds dim * C(fs - j - 1, f - 1), a polynomial on j <= fs - 1,
+    and fs >= 0 since its pinned coordinates are >= 0; a cell with f = 0
+    sits at the one degree fs >= 0.
 
     Row i is the Hilbert function of H^i, dual to an Ext module of dimension
     <= i <= dim, so its polynomial has degree < dim and the deg-th forward
@@ -374,18 +344,14 @@ def _window_lo(I: MonomialIdeal) -> int:
     return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
 
 
-def _table(I: MonomialIdeal, backend: str, cells, reg: int,
-           lo: int, hi: int) -> CohomologyTable:
+def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTable:
     ctx = I.ctx
     dim = hilbert_series(I).krull_dim()
     if hi - lo + 1 < max(dim, 0) + 2:
         raise ValueError(
             f"window too short to certify tails (need {max(dim, 0) + 2} points)"
         )
-    if backend == "combinatorial":
-        rows = _combinatorial_rows(cells, ctx.n, lo, hi)
-    else:
-        rows = _ext_rows(cells, ctx.n, lo, hi)
+    rows = _rows(cells, ctx.n, lo, hi)
     if any(v < 0 for row in rows.values() for v in row):
         raise AssertionError("negative cohomology dimension (bug)")
     tails = {i: _fit_tail(rows[i], lo, dim) for i in rows}
@@ -418,7 +384,7 @@ def cohomology_table(
     if window[0] > window[1]:
         raise ValueError("window must satisfy lo <= hi")
     cells = _cells(I, backend)
-    return _table(I, backend, cells, _regularity(cells, backend, I.ctx.n), *window)
+    return _table(I, cells, _regularity(cells), *window)
 
 
 def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
@@ -430,10 +396,10 @@ def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
     there (see ``_window_lo``), so the window is never widened.
     """
     cells = [_cells(I, backend) for I in ideals]
-    regs = [_regularity(c, backend, I.ctx.n) for I, c in zip(ideals, cells)]
+    regs = [_regularity(c) for c in cells]
     lo = min(_window_lo(I) for I in ideals)
     hi = max(regs) + 1
-    return [_table(I, backend, c, reg, lo, hi) for I, c, reg in zip(ideals, cells, regs)]
+    return [_table(I, c, reg, lo, hi) for I, c, reg in zip(ideals, cells, regs)]
 
 
 def h0_via_saturation(I: MonomialIdeal, window: tuple[int, int]) -> tuple[int, ...]:

@@ -150,7 +150,8 @@ def ref_takayama_cells(I):
 
 def ref_ext_cells(I):
     """Ext cells with every dual Taylor slice listed and ranked, cones
-    included."""
+    included, each mapped by local duality to the local-cohomology cell
+    (fixed_sum - n + z, z, {n - k: dim})."""
     n, p = I.ctx.n, I.ctx.char
     g = len(I.gens)
     gens = [gen.exps for gen in I.gens]
@@ -168,7 +169,8 @@ def ref_ext_cells(I):
             hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
             memo[key] = hom
         if hom:
-            cells.append((sum(c), c.count(0), hom))
+            z = c.count(0)
+            cells.append((sum(c) - n + z, z, {n - k: d for k, d in hom.items() if k <= n}))
     return cells
 
 

@@ -384,7 +384,9 @@ def test_cli_verify_family_limits(capsys):
     for family, name in ((f"n=1,maxdeg={verify.POOL_LIMIT + 1}", "verify.POOL_LIMIT"),
                          (f"n={FILE_VARIABLE_LIMIT + 1}", "ioformat.FILE_VARIABLE_LIMIT"),
                          ("n=" + "1" * 5000, "ioformat.FILE_VARIABLE_LIMIT"),
-                         ("n=2,d=2:" + "3" * 5000, "core._EXP_LIMIT")):
+                         ("n=2,d=2:" + "3" * 5000, "core._EXP_LIMIT"),
+                         ("n=2,d=2:2,maxdeg=" + "7" * 5000, "core._EXP_LIMIT"),
+                         (f"n=2,d=2:2,maxdeg=0{_EXP_LIMIT + 1}", "core._EXP_LIMIT")):
         t0 = time.perf_counter()
         assert main(argv + [family]) == 2
         assert time.perf_counter() - t0 < 1.0
@@ -393,6 +395,23 @@ def test_cli_verify_family_limits(capsys):
     # refused later, by the numerator limit
     main(argv + [f"n=1,maxdeg={verify.POOL_LIMIT}"])
     assert "POOL_LIMIT" not in capsys.readouterr().err
+    # at the exponent limit the pool stops at the top degree of S, here 2
+    assert main(["verify", "lpp-cohomology", "--samples", "1",
+                 "--family", f"n=2,d=2:2,maxdeg={_EXP_LIMIT}"]) == 0
+    assert "1/1 instances passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--family", "n=2,d=2:2,maxdeg=3", "--samples", "-1"],
+    ["region", "--family", "n=2,d=2:2,maxdeg=3", "--samples", "0"],
+    # the only ideal of the family is b, which is z-stable
+    ["zstabilize", "--family", "n=2,d=2:2,z=1,maxdeg=1", "--exhaustive"],
+])
+def test_cli_verify_without_instances_exits_2(argv, capsys):
+    assert main(["verify"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert "instances passed" not in out
+    assert "no " + argv[0] + " instances: nothing was checked" in err
 
 
 def test_cli_verify_rejects_jobs_below_one(capsys):

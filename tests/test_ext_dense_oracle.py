@@ -60,17 +60,18 @@ def dense_ext_dims(I, e_lo, e_hi):
 
 def test_ext_backend_matches_dense_oracle():
     rng = random.Random(307)
-    ctx = RingContext(2, char=P)
-    for _ in range(8):
-        I = random_ideal(rng, ctx, 3, 3)
-        if I.is_unit or I.is_zero:
-            continue
-        T = cohomology_table(I, (-6, 4), backend="ext")
-        dense = dense_ext_dims(I, -2 - 4, -2 + 6)
-        for i in range(ctx.n + 1):
-            for j in range(-6, 5):
-                assert T.value(i, j) == dense.get((ctx.n - i, -ctx.n - j), 0), \
-                    (str(I), i, j)
+    for ctx, count in ((RingContext(2, char=P), 8), (RingContext(3, char=P), 6),
+                       (RingContext(3, char=P, powers=(2, 2)), 6)):
+        n = ctx.n
+        for _ in range(count):
+            I = random_ideal(rng, ctx, 3, 3)
+            if I.is_unit or I.is_zero:
+                continue
+            T = cohomology_table(I, (-6, 4), backend="ext")
+            dense = dense_ext_dims(I, -n - 4, -n + 6)
+            for i in range(n + 1):
+                for j in range(-6, 5):
+                    assert T.value(i, j) == dense.get((n - i, -n - j), 0), (str(I), i, j)
 
 
 def test_dense_oracle_on_hand_example():
