@@ -22,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from . import limits
 from .core import MonomialIdeal
-from .errors import ResourceLimitError
 from .hilbert import hilbert_series
 from .homology import reduced_homology_dims
 
-DEFAULT_LATTICE_CAP = 20_000
 KOSZUL_MEMO_SIZE = 4_096
 
 NEG_INF = float("-inf")
@@ -46,11 +45,8 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
                 if j not in lattice:
                     new.add(j)
         lattice |= new
-        if len(lattice) > DEFAULT_LATTICE_CAP:
-            raise ResourceLimitError(
-                f"the lcm lattice has more than betti.DEFAULT_LATTICE_CAP = "
-                f"{DEFAULT_LATTICE_CAP} points"
-            )
+        limits.check("LATTICE_LIMIT", len(lattice),
+                     f"the lcm lattice has at least {len(lattice)} points")
         frontier = new
     return sorted(lattice)
 

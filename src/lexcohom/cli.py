@@ -13,24 +13,18 @@ import json
 import sys
 from dataclasses import replace
 
-from . import zstable
+from . import limits, zstable
 from .betti import betti_table, corners
-from .core import _EXP_LIMIT, DEFAULT_CHAR, MonomialIdeal
+from .core import DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError, WindowUncertifiedError
 from .hilbert import hilbert_series, ideal_window
-from .ioformat import (FILE_VARIABLE_LIMIT, ParseError, format_ideal, parse_ideal_file,
-                       write_ideal_file)
+from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal_file
 from .localcohom import cohomology_table
 from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
                      run_family)
 
 USAGE_ERROR, THEOREM_FAILURE, OK = 2, 1, 0
-
-# Most degrees a --window may span: hilb and cohom print one value per
-# degree.  Every default window is far narrower; the widest seen, a cohom
-# window of a lex ideal in four variables, spans about 9,000 degrees.
-WINDOW_SPAN_LIMIT = 100_000
 
 
 def _read_ideal(args) -> MonomialIdeal:
@@ -47,10 +41,8 @@ def _read_ideal(args) -> MonomialIdeal:
 def _parse_window(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     lo, hi = int(lo), int(hi)
-    if hi - lo + 1 > WINDOW_SPAN_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"window {lo}:{hi} spans {hi - lo + 1} degrees, above "
-            f"cli.WINDOW_SPAN_LIMIT = {WINDOW_SPAN_LIMIT}")
+    limits.check("WINDOW_SPAN_LIMIT", hi - lo + 1,
+                 f"window {lo}:{hi} spans {hi - lo + 1} degrees", argparse.ArgumentTypeError)
     return lo, hi
 
 
@@ -144,27 +136,18 @@ def cmd_zstabilize(args) -> int:
     return OK
 
 
-def _family_int(key: str, val: str, limit: int, limit_name: str) -> int:
-    """int(val), refused above ``limit``: by its digit count before int()
-    reads it."""
-    if len(val.strip().lstrip("+0")) > len(str(limit)) or int(val) > limit:
-        raise ValueError(f"family {key} exceeds {limit_name} = {limit}")
-    return int(val)
-
-
 def _parse_family(text: str, args) -> FamilySpec:
     fields: dict = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
         key = key.strip().lower()
         if key == "n":
-            fields["n"] = _family_int("n", val, FILE_VARIABLE_LIMIT,
-                                      "ioformat.FILE_VARIABLE_LIMIT")
+            fields["n"] = limits.read_int("FILE_VARIABLE_LIMIT", val, "family n")
         elif key == "d":
-            fields["powers"] = tuple(_family_int("d", x, _EXP_LIMIT, "core._EXP_LIMIT")
+            fields["powers"] = tuple(limits.read_int("EXPONENT_LIMIT", x, "family d")
                                      for x in val.split(":") if x)
         elif key in ("maxdeg", "max_deg"):
-            fields["max_deg"] = _family_int("maxdeg", val, _EXP_LIMIT, "core._EXP_LIMIT")
+            fields["max_deg"] = limits.read_int("EXPONENT_LIMIT", val, "family maxdeg")
         elif key == "z":
             fields["with_z"] = val.strip() in ("", "1", "true", "yes")
         else:

@@ -18,28 +18,25 @@ from functools import lru_cache
 from heapq import merge
 from math import comb
 
+from . import limits
 from .errors import MixedContextError
 
 DEFAULT_CHAR = 32003
 
-_EXP_LIMIT = 1 << 40  # exponent overflow guard; degrees here stay tiny
-
-
-# Strong-probable-prime bases that decide primality exactly below the limit
-# (Sorenson and Webster, 2015).
+# Strong-probable-prime bases that decide primality exactly below
+# limits.MR_LIMIT (Sorenson and Webster, 2015).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @lru_cache(maxsize=16)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test; raises ValueError at or above
-    ``MR_LIMIT``, where it would no longer be a proof.  Memoized: every
-    ring context checks its characteristic, and a run uses a few."""
-    if p >= MR_LIMIT:
-        raise ValueError(
-            f"char {p} is not below {MR_LIMIT}, the limit of the exact primality test"
-        )
+    ``limits.MR_LIMIT``, where it would no longer be a proof (the one limit
+    that refuses its own value).  Memoized: every ring context checks its
+    characteristic, and a run uses a few."""
+    if p >= limits.MR_LIMIT:
+        raise ValueError(f"char {p} is not below limits.MR_LIMIT = {limits.MR_LIMIT}, "
+                         "the limit of the exact primality test")
     if p < 2:
         return False
     for a in _MR_BASES:
@@ -220,7 +217,8 @@ class Monomial:
     def __post_init__(self):
         if any(e < 0 for e in self.exps):
             raise ValueError(f"negative exponent in {self.exps}")
-        if any(e > _EXP_LIMIT for e in self.exps):
+        limit = limits.EXPONENT_LIMIT
+        if any(e > limit for e in self.exps):
             raise OverflowError(f"exponent overflow in {self.exps}")
 
     @property

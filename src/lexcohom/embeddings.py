@@ -12,7 +12,7 @@ variable u can still be multiplied by in S.
 Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
 generated ideal has the exact Hilbert series of the input, and it refuses,
-with the ``ResourceLimitError`` of ``hilbert.NUMERATOR_DEGREE_LIMIT``, an
+with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
 answer whose certificate that limit would refuse.  ``lex_segment_ideal``
 takes explicit dims and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
@@ -21,9 +21,10 @@ components) are theorems that the lemma suite of ``verify`` checks.
 
 from __future__ import annotations
 
+from . import limits
 from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
-from .errors import NotAttainableError, ResourceLimitError
-from .hilbert import NUMERATOR_DEGREE_LIMIT, hilbert_series
+from .errors import NotAttainableError
+from .hilbert import hilbert_series
 
 
 def _rank(e: tuple[int, ...], bounds, count) -> int:
@@ -134,19 +135,19 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     S = B/b).  Without powers the first check holds: by Gotzmann
     persistence the lex ideal has no generators past that degree.
 
-    The loop needs no degree beyond NUMERATOR_DEGREE_LIMIT + 1.  Let G be
-    the top generator degree of the answer and top that of I.  From degree
-    G on the selection generates the answer, so the loop certifies at
-    degree max(G, top) + 1 at the latest.  Here top <= the limit, because
-    ``hilbert_series(I)`` has passed and the lcm degree of I is at least
-    top.  A generator above the limit puts the lcm degree of the answer
-    above it, and ``hilbert_series`` would refuse the certificate anyway.
-    So a loop that ends uncertified raises that limit's error.
+    The loop needs no degree beyond limits.NUMERATOR_DEGREE_LIMIT + 1.  Let
+    G be the top generator degree of the answer and top that of I.  From
+    degree G on the selection generates the answer, so the loop certifies
+    at degree max(G, top) + 1 at the latest.  Here top <= the limit,
+    because ``hilbert_series(I)`` has passed and the lcm degree of I is at
+    least top.  A generator above the limit puts the lcm degree of the
+    answer above it, and ``hilbert_series`` would refuse the certificate
+    anyway.  So a loop that ends uncertified raises that limit's error.
     """
     ctx = I.ctx
     series = hilbert_series(I)
     top = I.max_gen_degree()
-    last = NUMERATOR_DEGREE_LIMIT + 1
+    last = limits.NUMERATOR_DEGREE_LIMIT + 1
     dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
     gens: list[Monomial] = []
     grew = True  # generators were added since the last check
@@ -159,10 +160,8 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
             if hilbert_series(out).numer == series.numer:
                 return out
-    raise ResourceLimitError(
-        f"no certified embedding by degree {last}: its generators pass "
-        f"hilbert.NUMERATOR_DEGREE_LIMIT = {NUMERATOR_DEGREE_LIMIT}"
-    )
+    # last is past the limit, so this refuses
+    limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")
 
 
 def lpp_ideal(I: MonomialIdeal) -> MonomialIdeal:

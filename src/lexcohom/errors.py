@@ -23,7 +23,8 @@ class HilbertMismatchError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configurable resource cap was exceeded."""
+    """An input broke a resource or input limit; the message names its
+    ``limits`` constant."""
 
 
 class DegreeCapExceededError(ResourceLimitError):
@@ -31,7 +32,8 @@ class DegreeCapExceededError(ResourceLimitError):
 
 
 class IterationCapExceededError(ResourceLimitError):
-    """A stabilization loop failed to terminate within its cap (bug signal)."""
+    """z_stabilize needed more than ``limits.STABILIZATION_ROUND_LIMIT``
+    rounds, or a round failed to move up (bug signal)."""
 
 
 class WindowUncertifiedError(RuntimeError):

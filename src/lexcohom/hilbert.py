@@ -13,16 +13,8 @@ from functools import lru_cache
 from heapq import merge
 from math import comb
 
+from . import limits
 from .core import MonomialIdeal, RingContext, _ring_dims, _grlex_key
-from .errors import ResourceLimitError
-
-# Largest lcm degree sum_i max_g e_i of the generators that hilbert_series
-# accepts.  It bounds the numerator's degree, hence its coefficient lists,
-# and the pivot recursion's depth: each level lowers the lcm degree by at
-# least one, so there are at most lcm degree levels, whatever n is.  At two
-# interpreter frames a level, that stays below Python's default recursion
-# limit of 1000.
-NUMERATOR_DEGREE_LIMIT = 400
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -67,7 +59,7 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         return (1,)
     if any(sum(g) == 0 for g in gens):
         return (0,)
-    counts = [sum(e > 0 for e in column) for column in zip(*gens)]
+    counts = [len(column) - column.count(0) for column in zip(*gens)]
     out, shared = (1,), []
     for g in gens:
         if all(counts[i] == 1 for i, e in enumerate(g) if e):
@@ -136,15 +128,12 @@ def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients.
 
     Raises ResourceLimitError when the lcm degree of the generators exceeds
-    ``NUMERATOR_DEGREE_LIMIT``.
+    ``limits.NUMERATOR_DEGREE_LIMIT``.
     """
     gens = tuple(g.exps for g in I.gens)
     lcm_degree = sum(map(max, zip(*gens))) if gens else 0
-    if lcm_degree > NUMERATOR_DEGREE_LIMIT:
-        raise ResourceLimitError(
-            f"the generators' lcm has degree {lcm_degree}, above "
-            f"hilbert.NUMERATOR_DEGREE_LIMIT = {NUMERATOR_DEGREE_LIMIT}"
-        )
+    limits.check("NUMERATOR_DEGREE_LIMIT", lcm_degree,
+                 f"the generators' lcm has degree {lcm_degree}")
     return HilbertSeries(I.ctx, _numerator(gens))
 
 

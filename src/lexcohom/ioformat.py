@@ -10,27 +10,24 @@ Grammar (case-insensitive on input, canonical lowercase on output)::
 A generator is one monomial: a product of factors joined by optional
 ``*``, such as ``x1^2*x3`` or ``3*x1 x2^2``.  A factor is a variable with
 an optional exponent ``^<digits>``, which follows the variable directly
-(exponents of a repeated variable add up, to at most ``core._EXP_LIMIT``),
-or a digit-string coefficient.  Coefficients, of any length, only have to
-be nonzero modulo the characteristic; they are then dropped.  A ``+`` or
-``-`` is a parse error: sums of terms are not monomials.  ``n`` counts the
-x variables only; with ``variable z`` the ring is K[x1..xn][z].  A header
-integer above its limit is a parse error: ``n`` above
-``FILE_VARIABLE_LIMIT``, ``char`` above ``core.MR_LIMIT``, a ``d`` above
-``core._EXP_LIMIT``.
+(exponents of a repeated variable add up, to at most
+``limits.EXPONENT_LIMIT``), or a digit-string coefficient.  Coefficients,
+of any length, only have to be nonzero modulo the characteristic; they are
+then dropped.  A ``+`` or ``-`` is a parse error: sums of terms are not
+monomials.  ``n`` counts the x variables only; with ``variable z`` the ring
+is K[x1..xn][z].  A header integer above its limit is a parse error: ``n``
+above ``limits.FILE_VARIABLE_LIMIT``, ``char`` above ``limits.MR_LIMIT``, a
+``d`` above ``limits.EXPONENT_LIMIT``.
 Parse/print round-trips are the identity on canonical form.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 
-from .core import _EXP_LIMIT, MR_LIMIT, Monomial, MonomialIdeal, RingContext, format_term
-
-# Most x variables a file may declare.  The default hilb window grows with n,
-# and hilb makes n running-sum passes over it: on (x1) it takes about 1.3 s
-# at the limit on a 2-vCPU Xeon host, 0.5 s at n = 1,000 and 2.1 s at 2,500.
-FILE_VARIABLE_LIMIT = 2_000
+from . import limits
+from .core import Monomial, MonomialIdeal, RingContext, format_term
 
 
 class ParseError(ValueError):
@@ -60,28 +57,10 @@ def write_ideal_file(ctx: RingContext, gens) -> str:
 
 _TOKEN = re.compile(r"\s*(([a-z]\d*)(\^\d+)?|(\d+)|\S)", re.IGNORECASE)
 
-# int() refuses digit strings past 4,300 digits (Python 3.11 and later), so
-# the grammar bounds an exponent by its digit count and reduces a
-# coefficient mod p one digit at a time
-_EXP_DIGITS = len(str(_EXP_LIMIT))
-
-
-def _header_int(line_no: int, col: int, field: str, digits: str, limit: int,
-                limit_name: str) -> int:
-    """The value of a header field's digit string, refused with a located
-    ParseError above ``limit``: by its digit count before int() reads it."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > len(str(limit)):
-        raise ParseError(line_no, col, f"{field} of {len(digits)} digits exceeds "
-                         f"{limit_name} = {limit}")
-    value = int(digits)
-    if value > limit:
-        raise ParseError(line_no, col, f"{field}={value} exceeds {limit_name} = {limit}")
-    return value
-
 
 def _mod_digits(digits: str, p: int) -> int:
-    """The digit string's value mod p."""
+    """The digit string's value mod p, read one digit at a time: int()
+    refuses strings of more than 4,300 digits."""
     r = 0
     for c in digits:
         r = (r * 10 + int(c)) % p
@@ -108,16 +87,10 @@ def _parse_monomial(names: dict[str, int], char: int, line: str,
             if low not in names:
                 raise ParseError(line_no, col, f"unknown variable {name!r}")
             i = names[low]
-            digits = exp[1:].lstrip("0") if exp else "1"
-            if len(digits) > _EXP_DIGITS:
-                raise ParseError(line_no, m.start(3) + 2, f"exponent of "
-                                 f"{len(digits)} digits exceeds "
-                                 f"core._EXP_LIMIT = {_EXP_LIMIT}")
-            exps[i] += int(digits or "0")
-            if exps[i] > _EXP_LIMIT:
-                raise ParseError(line_no, m.start(3) + 2 if exp else col,
-                                 f"exponent {exps[i]} exceeds "
-                                 f"core._EXP_LIMIT = {_EXP_LIMIT}")
+            at = partial(ParseError, line_no, m.start(3) + 2 if exp else col)
+            exps[i] += limits.read_int("EXPONENT_LIMIT", exp[1:], "exponent",
+                                       at) if exp else 1
+            limits.check("EXPONENT_LIMIT", exps[i], f"exponent={exps[i]}", at)
         elif coeff:
             if _mod_digits(coeff, char) == 0:
                 raise ParseError(line_no, col, f"coefficient {coeff} vanishes "
@@ -154,16 +127,16 @@ def parse_ideal_file(text: str) -> tuple[RingContext, list[Monomial]]:
             m = re.fullmatch(r"ring\s+n=(\d+)\s+char=(\d+)", low)
             if not m:
                 raise ParseError(line_no, 1, "expected: ring n=<int> char=<prime>")
-            n = _header_int(line_no, m.start(1) + 1, "n", m.group(1),
-                            FILE_VARIABLE_LIMIT, "ioformat.FILE_VARIABLE_LIMIT")
-            char = _header_int(line_no, m.start(2) + 1, "char", m.group(2),
-                               MR_LIMIT, "core.MR_LIMIT")
+            n = limits.read_int("FILE_VARIABLE_LIMIT", m.group(1), "n",
+                                partial(ParseError, line_no, m.start(1) + 1))
+            char = limits.read_int("MR_LIMIT", m.group(2), "char",
+                                   partial(ParseError, line_no, m.start(2) + 1))
         elif low.startswith("powers"):
             m = re.fullmatch(r"powers\s+d=(\d+(\s*,\s*\d+)*)", low)
             if not m:
                 raise ParseError(line_no, 1, "expected: powers d=<d1,...,dr>")
-            powers = tuple(_header_int(line_no, d.start() + 1, "d", d.group(),
-                                       _EXP_LIMIT, "core._EXP_LIMIT")
+            powers = tuple(limits.read_int("EXPONENT_LIMIT", d.group(), "d",
+                                           partial(ParseError, line_no, d.start() + 1))
                            for d in re.finditer(r"\d+", low))
         elif low.startswith("variable"):
             m = re.fullmatch(r"variable\s+z", low)

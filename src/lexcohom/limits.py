@@ -1,0 +1,74 @@
+"""Every resource and input limit, with the reason for its value, and the
+two routines that refuse input above one.  A refusal names its constant as
+``limits.<NAME>``; both routines look the limit up when called.
+"""
+
+from __future__ import annotations
+
+from .errors import ResourceLimitError
+
+# Largest exponent, in an ideal file, a family's d and maxdeg, and every
+# Monomial: an overflow guard, since the degrees reached here stay tiny.
+EXPONENT_LIMIT = 1 << 40
+# A char must lie below it: there, strong-probable-prime tests to the prime
+# bases up to 41 decide primality exactly (Sorenson and Webster, 2015).
+MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# Most x variables of an ideal file or a verify family.  The default hilb
+# window grows with n, and hilb makes n running-sum passes over it: on (x1)
+# it takes about 1.3 s at the limit on a 2-vCPU Xeon host, 0.5 s at
+# n = 1,000 and 2.1 s at 2,500.
+FILE_VARIABLE_LIMIT = 2_000
+# Most degrees a --window may span: hilb and cohom print one value per
+# degree.  The widest default window seen, a cohom window of a lex ideal in
+# four variables, spans about 9,000 degrees.
+WINDOW_SPAN_LIMIT = 100_000
+# Largest lcm degree sum_i max_g e_i of the generators of a Hilbert series.
+# It bounds the numerator's degree and the pivot recursion's depth: each
+# level lowers the lcm degree, so at two interpreter frames a level the
+# recursion stays below Python's default limit of 1000, whatever n is.
+NUMERATOR_DEGREE_LIMIT = 400
+# Most multidegrees prod_i (rho_i + 1) a cohomology cell walk visits: over
+# four times the 449,875 of the largest lex ideal tried (240 generators of
+# degree up to 74 in four variables).
+CELL_LIMIT = 2_000_000
+# Most variables of a cohomology table.  A tail fit takes about n^3 Fraction
+# operations: on an Intel Xeon, a table of (x1) takes 0.12 s at n = 32 in
+# either backend, and 0.7-0.9 s at n = 64.
+COHOM_VARIABLE_LIMIT = 32
+# Most generators of the ext backend: its dual Taylor complex has 2^g faces.
+EXT_GENERATOR_LIMIT = 18
+# Most points of an lcm lattice, each a Koszul complex for the Betti table.
+LATTICE_LIMIT = 20_000
+# Most candidate generators a verify family draws from, counted before they
+# are listed: at the limit, listing the pool of 2,000 variables in degree 1
+# takes about 1.5 s and 32 MB on a 2-vCPU Xeon host.
+POOL_LIMIT = 2_000
+# Most instances of a verify family: the samples of a random one, the
+# subsets an exhaustive one scans.  The acceptance suite runs at most 500.
+INSTANCE_LIMIT = 20_000
+# Most rounds of z_stabilize, each a strict step up a finite chain.  The
+# longest among 1,080 sampled non-stable ideals (2..4 x variables and z,
+# powers (), (2) or (2, 2), maxdeg 3) took 9 rounds.
+STABILIZATION_ROUND_LIMIT = 500
+
+
+def check(name: str, value: int, what: str, error=ResourceLimitError) -> int:
+    """``value``, refused with ``error("<what>, above limits.<name> =
+    <limit>")`` when it exceeds the limit ``name``."""
+    limit = globals()[name]
+    if value > limit:
+        raise error(f"{what}, above limits.{name} = {limit}")
+    return value
+
+
+def read_int(name: str, digits: str, what: str, error=ResourceLimitError) -> int:
+    """The integer ``digits`` spells, refused above the limit ``name`` by its
+    digit count before int(), which refuses more than 4,300 digits, reads it.
+    Blanks around it, a leading + and leading zeros do not count."""
+    digits = digits.strip()
+    body = digits.lstrip("+0") or digits[-1:]  # zeros only: the last one
+    limit = globals()[name]
+    if len(body) > len(str(limit)):
+        raise error(f"{what} of {len(body)} digits, above limits.{name} = {limit}")
+    value = int(body)
+    return check(name, value, f"{what}={value}", error)

@@ -35,8 +35,10 @@ values are immutable tuples of pairs, copied into fresh dicts in the cells,
 and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
 Both backends walk prod_i (rho_i + 1) multidegrees, rho_i the largest
-exponent of x_i in a generator; each checks that count against CELL_LIMIT
-before the walk starts, and the number of variables against VARIABLE_LIMIT.
+exponent of x_i in a generator; each checks that count against
+``limits.CELL_LIMIT`` before the walk starts, and the number of variables
+against ``limits.COHOM_VARIABLE_LIMIT``.  The ext backend also checks its
+generators against ``limits.EXT_GENERATOR_LIMIT``.
 """
 
 from __future__ import annotations
@@ -47,37 +49,24 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from . import limits
 from .core import MonomialIdeal, saturate
-from .errors import ResourceLimitError, WindowUncertifiedError
+from .errors import WindowUncertifiedError
 from .hilbert import _poly_mul, hilbert_series, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
-DEFAULT_GENS_CAP = 18
 TAKAYAMA_MEMO_SIZE = 4_096
 EXT_MEMO_SIZE = 8_192
-# Largest number of multidegrees prod_i (rho_i + 1) a cell walk visits: over
-# four times the 449,875 of the largest lex ideal tried (240 generators of
-# degree up to 74 in four variables), far below the 2^40 + 1 of one
-# generator at the parser's exponent limit.
-CELL_LIMIT = 2_000_000
-# Most variables a table accepts.  Each tail fit takes about (n + 1) * n^2
-# Fraction operations: on an Intel Xeon, one table of the hyperplane (x1)
-# takes 0.12 s at n = 32 in either backend, and 0.7-0.9 s at n = 64.
-VARIABLE_LIMIT = 32
 
 
 def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
     """rho_i = max_g g_i for each coordinate, after checking that the walk
-    over prod_i (rho_i + 1) multidegrees stays within CELL_LIMIT."""
+    over prod_i (rho_i + 1) multidegrees stays within ``limits.CELL_LIMIT``."""
     rho = [max((g[i] for g in gens), default=0) for i in range(n)]
     cells = 1
     for r in rho:
         cells *= r + 1
-    if cells > CELL_LIMIT:
-        raise ResourceLimitError(
-            f"the cell walk covers {cells} multidegrees, above "
-            f"localcohom.CELL_LIMIT = {CELL_LIMIT}"
-        )
+    limits.check("CELL_LIMIT", cells, f"the cell walk covers {cells} multidegrees")
     return rho
 
 
@@ -188,11 +177,7 @@ def _ext_cells(I: MonomialIdeal):
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     g = len(I.gens)
-    if g > DEFAULT_GENS_CAP:
-        raise ResourceLimitError(
-            f"{g} generators exceed the Taylor-complex cap "
-            f"localcohom.DEFAULT_GENS_CAP = {DEFAULT_GENS_CAP}"
-        )
+    limits.check("EXT_GENERATOR_LIMIT", g, f"{g} generators for the Taylor complex")
     gens = [gen.exps for gen in I.gens]
     rho = _exponent_bounds(gens, n)
     above = [
@@ -308,11 +293,7 @@ class CohomologyTable:
 
 
 def _cells(I: MonomialIdeal, backend: str):
-    if I.ctx.n > VARIABLE_LIMIT:
-        raise ResourceLimitError(
-            f"the ring has {I.ctx.n} variables, above "
-            f"localcohom.VARIABLE_LIMIT = {VARIABLE_LIMIT}"
-        )
+    limits.check("COHOM_VARIABLE_LIMIT", I.ctx.n, f"the ring has {I.ctx.n} variables")
     if backend == "combinatorial":
         return _takayama_cells(I)
     if backend == "ext":

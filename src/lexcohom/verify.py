@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from . import zstable
+from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext,
                    ideal_product, minimalize, saturate)
@@ -24,12 +24,6 @@ from .hilbert import hilbert_series, ideal_window
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables)
-
-EXHAUSTIVE_CAP = 20_000
-# Most candidate extra generators a family may draw from.  The pool is listed
-# before the first sample; at the limit, in 2,000 variables and degree 1,
-# that takes about 1.5 s and 32 MB on a 2-vCPU Xeon host.
-POOL_LIMIT = 2_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class FamilySpec:
 
 def _pool_size(ctx: RingContext, lo: int, hi: int) -> int:
     """How many bounded-basis monomials have degree lo..hi, found without
-    listing them; a ResourceLimitError when more than ``POOL_LIMIT``.
+    listing them; a ResourceLimitError when more than ``limits.POOL_LIMIT``.
 
     Before any work that grows with n or hi, three sets of candidates bound
     the count from below: n - 1 in degree lo; one in each degree of lo..hi,
@@ -80,7 +74,9 @@ def _pool_size(ctx: RingContext, lo: int, hi: int) -> int:
     hi = min(hi, top)
     if hi < lo:
         return 0
-    if max(ctx.n - 1, hi - lo + 1, min(lo, top - lo + 1)) <= POOL_LIMIT:
+    limit = limits.POOL_LIMIT
+    size = max(ctx.n - 1, hi - lo + 1, min(lo, top - lo + 1))
+    if size <= limit:
         if top - lo < hi:
             lo, hi = top - hi, top - lo
         size, coeffs = 0, [1] + [0] * hi
@@ -89,13 +85,10 @@ def _pool_size(ctx: RingContext, lo: int, hi: int) -> int:
             coeffs = [sums[k] - (sums[k - cap - 1] if k > cap else 0)
                       for k in range(hi + 1)]
             size = sum(coeffs[lo:])
-            if size > POOL_LIMIT:
+            if size > limit:
                 break
-        else:
-            return size
-    raise ResourceLimitError(
-        f"the family draws from more than verify.POOL_LIMIT = {POOL_LIMIT} "
-        f"candidate generators")
+    return limits.check("POOL_LIMIT", size,
+                        f"the family draws from at least {size} candidate generators")
 
 
 def _basis_pool(ctx: RingContext, max_deg: int) -> list[Monomial]:
@@ -117,11 +110,8 @@ def enumerate_family(spec: FamilySpec):
     b = ctx.powers_ideal()
     pool = _basis_pool(ctx, spec.max_deg)
     if spec.mode == "exhaustive":
-        if 2 ** len(pool) > EXHAUSTIVE_CAP:
-            raise ResourceLimitError(
-                f"exhaustive family would scan 2^{len(pool)} subsets, above "
-                f"verify.EXHAUSTIVE_CAP = {EXHAUSTIVE_CAP}"
-            )
+        limits.check("INSTANCE_LIMIT", 2 ** len(pool),
+                     f"exhaustive family would scan 2^{len(pool)} subsets")
         seen = set()
         ideals = []
         for size in range(len(pool) + 1):
@@ -429,7 +419,6 @@ class CheckReport:
     name: str
     passed: bool
     first_mismatch: tuple[int, int] | None = None
-    detail: str = ""
 
 
 def lemma_top_partial_sums(dec: zstable.ZGradedIdeal,
@@ -453,9 +442,8 @@ def lemma_top_partial_sums(dec: zstable.ZGradedIdeal,
         acc_r += rhs[d - j]
         if acc_l < acc_r:
             return CheckReport("top-partial-sums", False, (j, d - j))
-    if acc_l != acc_r:
-        return CheckReport("top-partial-sums", False, (d, 0),
-                           "full sums differ despite equal Hilbert functions")
+    if acc_l != acc_r:  # the full sums differ despite equal Hilbert functions
+        return CheckReport("top-partial-sums", False, (d, 0))
     return CheckReport("top-partial-sums", True)
 
 
@@ -508,11 +496,12 @@ def verify_recurrences(I: MonomialIdeal,
     )
 
 
-def verify_zstabilize(I: MonomialIdeal, max_iterations: int = 50) -> InstanceRecord:
+def verify_zstabilize(I: MonomialIdeal) -> InstanceRecord:
     """Stabilizer contract: output stable, >= input in the partial order,
-    Hilbert-window-identical, within the iteration budget."""
+    Hilbert-window-identical, within ``limits.STABILIZATION_ROUND_LIMIT``
+    rounds."""
     dec = zstable.z_decompose(I)
-    out = zstable.z_stabilize(I, max_iterations=max_iterations)
+    out = zstable.z_stabilize(I)
     J = zstable.z_recompose(out)
     checks = {
         "stable": zstable.is_z_stable(out),
@@ -587,13 +576,17 @@ def _timed(op, I: MonomialIdeal) -> InstanceRecord:
 def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
     """Run one theorem check over a family; records sorted by serialization.
 
-    ``jobs`` worker processes share the instances, at most one per CPU.
+    ``jobs`` worker processes share the instances, at most one per CPU.  A
+    random family of more than ``limits.INSTANCE_LIMIT`` samples is refused
+    before any is drawn, like an exhaustive one of more subsets.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from "
                          + ", ".join(sorted(THEOREMS)))
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    if spec.mode == "random":
+        limits.check("INSTANCE_LIMIT", spec.count, f"the family asks for {spec.count} samples")
     jobs = min(jobs, os.cpu_count() or 1)
     kind, op = THEOREMS[theorem]
     timed = functools.partial(_timed, op)

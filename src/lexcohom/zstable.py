@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import limits
 from .core import (Monomial, MonomialIdeal, RingContext, colon, ideal_intersection,
                    ideal_sum, minimalize)
 from .errors import HilbertMismatchError, IterationCapExceededError
@@ -323,7 +324,7 @@ def distraction_initial(Z: ZGradedIdeal, d: int, j: int) -> ZGradedIdeal:
     return ZGradedIdeal(Z.ctx, tuple(comps))
 
 
-def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
+def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     """Deform a monomial ideal of R[z] into a z-stable one with the same
     Hilbert function.
 
@@ -332,14 +333,18 @@ def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
     whose components ``distraction_initial`` gives in closed form; every
     round moves strictly up in the partial order, so the loop terminates.
     Every round checks the Hilbert function, read off the component
-    numerators, and the strict increase.
+    numerators, and the strict increase.  A chain longer than
+    ``limits.STABILIZATION_ROUND_LIMIT`` rounds raises
+    IterationCapExceededError.
     """
     cur = z_decompose(I)
     target = hilbert_series(I).numer
-    for _ in range(max_iterations):
-        viol = _first_violation(cur)
-        if viol is None:
-            return cur
+    rounds = 0
+    while (viol := _first_violation(cur)) is not None:
+        rounds += 1
+        limits.check("STABILIZATION_ROUND_LIMIT", rounds,
+                     f"z_stabilize needs round {rounds}",
+                     IterationCapExceededError)
         nxt = distraction_initial(cur, *viol)
         numers = [hilbert_series(c).numer for c in nxt.components]
         if _total_numerator(numers) != target:
@@ -351,6 +356,4 @@ def z_stabilize(I: MonomialIdeal, max_iterations: int = 500) -> ZGradedIdeal:
                 "stabilization step did not strictly increase (bug)"
             )
         cur = nxt
-    raise IterationCapExceededError(
-        f"no z-stable ideal reached in {max_iterations} iterations"
-    )
+    return cur

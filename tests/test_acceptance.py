@@ -5,6 +5,7 @@ pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``."""
 import json
 import time
 
+from lexcohom import limits
 from lexcohom.betti import betti_table
 from lexcohom.hilbert import hilbert_series
 from lexcohom.localcohom import cohomology_table
@@ -148,8 +149,9 @@ def test_criterion_7_recurrences():
               f"({total} stable instances, {time.perf_counter() - t0:.1f}s)")
 
 
-def test_criterion_8_stabilizer():
+def test_criterion_8_stabilizer(monkeypatch):
     """The stabilization loop on 100 non-stable ideals, budget 50 rounds."""
+    monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 50)
     t0 = time.perf_counter()
     specs = [
         FamilySpec(n=2, char=P, max_deg=3, with_z=True, count=50, seed=29,
@@ -160,7 +162,7 @@ def test_criterion_8_stabilizer():
     total = 0
     for spec in specs:
         for I in nonstable_instances(spec):
-            rec = verify_zstabilize(I, max_iterations=50)
+            rec = verify_zstabilize(I)
             assert rec.passed, f"stabilizer contract failed on {rec.ideal}"
             total += 1
     _announce("8 stabilizer", total >= 100,

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from lexcohom import betti
+from lexcohom import limits
 from lexcohom.betti import (Corner, _koszul_key, betti_table, corners, corners_direct,
                             corners_via_reg, lcm_lattice, region_dominates,
                             upper_koszul_faces)
@@ -118,8 +118,8 @@ def test_lcm_lattice(monkeypatch):
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1), M(0, 3)])
     lat = lcm_lattice(I)
     assert set(lat) == {(2, 0), (1, 1), (0, 3), (2, 1), (1, 3), (2, 3)}
-    monkeypatch.setattr(betti, "DEFAULT_LATTICE_CAP", 10)
-    with pytest.raises(ResourceLimitError, match="betti.DEFAULT_LATTICE_CAP"):
+    monkeypatch.setattr(limits, "LATTICE_LIMIT", 10)
+    with pytest.raises(ResourceLimitError, match="limits.LATTICE_LIMIT"):
         lcm_lattice(MonomialIdeal.make(RingContext(4), [
             M(3, 0, 0, 0), M(0, 3, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 3),
             M(1, 1, 1, 1), M(2, 2, 0, 0), M(0, 0, 2, 2), M(2, 0, 2, 0),

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import verify
-from lexcohom.cli import WINDOW_SPAN_LIMIT, build_parser, main
-from lexcohom.core import (_EXP_LIMIT, DEFAULT_CHAR, MR_LIMIT, Monomial, MonomialIdeal,
-                           RingContext, _is_prime)
+from lexcohom.cli import build_parser, main
+from lexcohom.core import DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _is_prime
 from lexcohom.hilbert import hilbert_series
-from lexcohom.ioformat import (FILE_VARIABLE_LIMIT, ParseError, as_monomial_ideal,
-                               format_ideal, parse_ideal_file, write_ideal_file)
-from lexcohom.localcohom import VARIABLE_LIMIT
+from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal, parse_ideal_file,
+                               write_ideal_file)
+from lexcohom.limits import (COHOM_VARIABLE_LIMIT, EXPONENT_LIMIT, FILE_VARIABLE_LIMIT,
+                             MR_LIMIT, POOL_LIMIT, WINDOW_SPAN_LIMIT)
 
 SIMPLE = "ring n=2 char=32003\nx1^2\nx2^3\n"
 
@@ -69,20 +69,20 @@ def test_parse_exponent_only_directly_after_a_variable(gen, col, tmp_path):
 
 
 def test_parse_exponent_overflow_names_the_limit(capsys, tmp_path):
-    for gen, col in (("x1^99999999999999", 4), (f"x1^{_EXP_LIMIT}*x2*x1", 21),
+    for gen, col in (("x1^99999999999999", 4), (f"x1^{EXPONENT_LIMIT}*x2*x1", 21),
                      ("x1^" + "9" * 5000, 4),
-                     ("x1^" + "0" * 5000 + str(_EXP_LIMIT + 1), 4)):
+                     ("x1^" + "0" * 5000 + str(EXPONENT_LIMIT + 1), 4)):
         with pytest.raises(ParseError) as ei:
             parse_ideal_file(f"ring n=2 char=32003\n{gen}\n")
         assert (ei.value.line_no, ei.value.col) == (2, col)
-        assert "core._EXP_LIMIT" in str(ei.value)
+        assert "limits.EXPONENT_LIMIT" in str(ei.value)
     # leading zeros do not count towards the limit
-    text = "ring n=2 char=32003\nx1^" + "0" * 5000 + f"{_EXP_LIMIT}\n"
-    assert parse_ideal_file(text)[1] == [Monomial((_EXP_LIMIT, 0))]
+    text = "ring n=2 char=32003\nx1^" + "0" * 5000 + f"{EXPONENT_LIMIT}\n"
+    assert parse_ideal_file(text)[1] == [Monomial((EXPONENT_LIMIT, 0))]
     f = tmp_path / "big.txt"
     f.write_text("ring n=2 char=32003\nx1^99999999999999\n")
     assert main(["hilb", "--input", str(f)]) == 2
-    assert "core._EXP_LIMIT" in capsys.readouterr().err
+    assert "limits.EXPONENT_LIMIT" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("gen", ["7" * 5000 + "*x1", "x1^" + "0" * 5000 + "1"])
@@ -123,12 +123,12 @@ def _largest_prime_below(n):
 
 @pytest.mark.parametrize("header, at, limit, line, col, name", [
     ("ring n={} char=32003", FILE_VARIABLE_LIMIT, FILE_VARIABLE_LIMIT, 1, 8,
-     "ioformat.FILE_VARIABLE_LIMIT"),
+     "limits.FILE_VARIABLE_LIMIT"),
     # a char of MR_LIMIT itself passes the parser and fails the primality test
     ("ring n=2 char={}", _largest_prime_below(MR_LIMIT), MR_LIMIT, 1, 15,
-     "core.MR_LIMIT"),
-    ("ring n=2 char=32003\npowers d=2, {}", _EXP_LIMIT, _EXP_LIMIT, 2, 13,
-     "core._EXP_LIMIT"),
+     "limits.MR_LIMIT"),
+    ("ring n=2 char=32003\npowers d=2, {}", EXPONENT_LIMIT, EXPONENT_LIMIT, 2, 13,
+     "limits.EXPONENT_LIMIT"),
 ])
 def test_header_integers_name_their_limits(header, at, limit, line, col, name,
                                            capsys, tmp_path):
@@ -205,19 +205,19 @@ def test_numerator_degree_limit_exits_2(capsys, tmp_path):
     # an exponent at the parse limit parses; its Hilbert numerator would
     # need 2^40 + 1 coefficients
     f = tmp_path / "huge.txt"
-    f.write_text(f"ring n=2 char=32003\nx1^{_EXP_LIMIT}\n")
+    f.write_text(f"ring n=2 char=32003\nx1^{EXPONENT_LIMIT}\n")
     for cmd in ("hilb", "lex", "betti"):
         assert main([cmd, "--input", str(f)]) == 2
-        assert "hilbert.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
+        assert "limits.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
 
 
 def test_cell_limit_exits_2(capsys, tmp_path):
     # both backends would walk 2^40 + 1 multidegrees of x1^(2^40)
     f = tmp_path / "huge.txt"
-    f.write_text(f"ring n=2 char=32003\nx1^{_EXP_LIMIT}\n")
+    f.write_text(f"ring n=2 char=32003\nx1^{EXPONENT_LIMIT}\n")
     for backend in ("combinatorial", "ext"):
         assert main(["cohom", "--input", str(f), "--backend", backend]) == 2
-        assert "localcohom.CELL_LIMIT" in capsys.readouterr().err
+        assert "limits.CELL_LIMIT" in capsys.readouterr().err
 
 
 def test_lex_cohomology_past_the_numerator_limit_exits_2(monkeypatch, capsys):
@@ -226,7 +226,7 @@ def test_lex_cohomology_past_the_numerator_limit_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(verify, "enumerate_family", lambda spec: iter([I]))
     assert main(["verify", "lex-cohomology", "--family", "n=5,maxdeg=4",
                  "--samples", "1"]) == 2
-    assert "hilbert.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
+    assert "limits.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
 
 
 def test_cli_lpp(capsys, tmp_path):
@@ -291,7 +291,7 @@ def test_window_span_limit(cmd, lo, capsys, tmp_path):
             main([cmd, "--input", str(f), f"--window={window}"])
         assert ei.value.code == 2
         assert f"spans {WINDOW_SPAN_LIMIT + 1} degrees, above " \
-            "cli.WINDOW_SPAN_LIMIT" in capsys.readouterr().err
+            "limits.WINDOW_SPAN_LIMIT" in capsys.readouterr().err
 
 
 def test_quotient_window_below_degree_zero_is_empty():
@@ -318,13 +318,13 @@ def test_cli_cohom_window_from_degree_zero_is_uncertified(capsys, tmp_path):
 @pytest.mark.parametrize("backend", ["combinatorial", "ext"])
 def test_cohom_variable_limit(backend, capsys, tmp_path):
     f = tmp_path / "ideal.txt"
-    for n, code in ((VARIABLE_LIMIT, 0), (VARIABLE_LIMIT + 1, 2), (400, 2)):
+    for n, code in ((COHOM_VARIABLE_LIMIT, 0), (COHOM_VARIABLE_LIMIT + 1, 2), (400, 2)):
         f.write_text(f"ring n={n} char=32003\nx1\n")
         t0 = time.perf_counter()
         assert main(["cohom", "--backend", backend, "--input", str(f)]) == code
         assert time.perf_counter() - t0 < 1.0
         if code:
-            assert f"the ring has {n} variables, above localcohom.VARIABLE_LIMIT" \
+            assert f"the ring has {n} variables, above limits.COHOM_VARIABLE_LIMIT" \
                 in capsys.readouterr().err
 
 
@@ -381,23 +381,23 @@ def test_cli_parse_error_exit_code(tmp_path):
 def test_cli_verify_family_limits(capsys):
     # in one variable a family draws one candidate per degree
     argv = ["verify", "lex-cohomology", "--samples", "1", "--family"]
-    for family, name in ((f"n=1,maxdeg={verify.POOL_LIMIT + 1}", "verify.POOL_LIMIT"),
-                         (f"n={FILE_VARIABLE_LIMIT + 1}", "ioformat.FILE_VARIABLE_LIMIT"),
-                         ("n=" + "1" * 5000, "ioformat.FILE_VARIABLE_LIMIT"),
-                         ("n=2,d=2:" + "3" * 5000, "core._EXP_LIMIT"),
-                         ("n=2,d=2:2,maxdeg=" + "7" * 5000, "core._EXP_LIMIT"),
-                         (f"n=2,d=2:2,maxdeg=0{_EXP_LIMIT + 1}", "core._EXP_LIMIT")):
+    for family, name in ((f"n=1,maxdeg={POOL_LIMIT + 1}", "limits.POOL_LIMIT"),
+                         (f"n={FILE_VARIABLE_LIMIT + 1}", "limits.FILE_VARIABLE_LIMIT"),
+                         ("n=" + "1" * 5000, "limits.FILE_VARIABLE_LIMIT"),
+                         ("n=2,d=2:" + "3" * 5000, "limits.EXPONENT_LIMIT"),
+                         ("n=2,d=2:2,maxdeg=" + "7" * 5000, "limits.EXPONENT_LIMIT"),
+                         (f"n=2,d=2:2,maxdeg=0{EXPONENT_LIMIT + 1}", "limits.EXPONENT_LIMIT")):
         t0 = time.perf_counter()
         assert main(argv + [family]) == 2
         assert time.perf_counter() - t0 < 1.0
         assert name in capsys.readouterr().err
     # at the limit the family samples: its first ideal, a power of x1, is
     # refused later, by the numerator limit
-    main(argv + [f"n=1,maxdeg={verify.POOL_LIMIT}"])
+    main(argv + [f"n=1,maxdeg={POOL_LIMIT}"])
     assert "POOL_LIMIT" not in capsys.readouterr().err
     # at the exponent limit the pool stops at the top degree of S, here 2
     assert main(["verify", "lpp-cohomology", "--samples", "1",
-                 "--family", f"n=2,d=2:2,maxdeg={_EXP_LIMIT}"]) == 0
+                 "--family", f"n=2,d=2:2,maxdeg={EXPONENT_LIMIT}"]) == 0
     assert "1/1 instances passed" in capsys.readouterr().out
 
 

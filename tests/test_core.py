@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom.core import (MR_LIMIT, Monomial, MonomialIdeal, RingContext,
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            _is_prime, colon, colon_ideal, graded_piece_dim, ideal_intersection,
                            ideal_product, ideal_sum, minimalize,
                            quotient_piece_dim, saturate)
 from lexcohom.errors import MixedContextError
+from lexcohom.limits import MR_LIMIT
 
 from conftest import count_calls, members_upto, ref_ideal_sum, ref_saturate
 

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import (NUMERATOR_DEGREE_LIMIT, _numerator,
+from lexcohom.hilbert import (_numerator,
                               hilbert_series, ideal_window,
                               is_O_sequence, macaulay_growth, macaulay_rep,
                               quotient_window, values_nonneg)
+from lexcohom.limits import NUMERATOR_DEGREE_LIMIT
 
 from conftest import brute_quotient_dims, lagrange_interpolate, poly_nonneg_on_ray
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import localcohom
+from lexcohom import limits, localcohom
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.embeddings import epsilon_one
@@ -361,7 +361,7 @@ def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls):
 
 
 def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
-    cap = localcohom.DEFAULT_GENS_CAP
+    cap = limits.EXT_GENERATOR_LIMIT
     I = MonomialIdeal.make(ctx2, [M(k, cap - k) for k in range(cap + 1)])
     assert len(I.gens) == cap + 1
 
@@ -369,7 +369,7 @@ def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
         raise AssertionError("a slice was ranked above the cap")
 
     monkeypatch.setattr(localcohom, "reduced_homology_dims", no_slice)
-    with pytest.raises(ResourceLimitError, match=f"localcohom.DEFAULT_GENS_CAP = {cap}"):
+    with pytest.raises(ResourceLimitError, match=f"limits.EXT_GENERATOR_LIMIT = {cap}"):
         localcohom._ext_cells(I)
     with pytest.raises(ResourceLimitError):
         cohomology_table(I, backend="ext")
@@ -380,10 +380,10 @@ def test_cell_limit_bounds_the_walk(monkeypatch, backend):
     # rho = (2, 3): the walk covers (2 + 1) * (3 + 1) = 12 multidegrees
     I = MonomialIdeal.make(ctx2, [M(2, 1), M(0, 3)])
     want = cohomology_table(I, backend=backend).rows
-    monkeypatch.setattr(localcohom, "CELL_LIMIT", 12)
+    monkeypatch.setattr(limits, "CELL_LIMIT", 12)
     assert cohomology_table(I, backend=backend).rows == want
-    monkeypatch.setattr(localcohom, "CELL_LIMIT", 11)
-    with pytest.raises(ResourceLimitError, match="localcohom.CELL_LIMIT = 11"):
+    monkeypatch.setattr(limits, "CELL_LIMIT", 11)
+    with pytest.raises(ResourceLimitError, match="limits.CELL_LIMIT = 11"):
         cohomology_table(I, backend=backend)
 
 

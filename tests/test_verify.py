@@ -12,7 +12,8 @@ from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_di
 from lexcohom.errors import NotAnIdealError, ResourceLimitError
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import format_ideal
-from lexcohom.verify import (POOL_LIMIT, FamilySpec, _basis_pool, _generator_tallies,
+from lexcohom.limits import POOL_LIMIT
+from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
                              corrupt_epsilon,
                              enumerate_family,
                              nonstable_instances, run_family,
@@ -53,7 +54,7 @@ def test_random_family_determinism():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ResourceLimitError, match="verify.EXHAUSTIVE_CAP"):
+    with pytest.raises(ResourceLimitError, match="limits.INSTANCE_LIMIT"):
         list(enumerate_family(FamilySpec(n=4, max_deg=4, mode="exhaustive")))
 
 
@@ -67,7 +68,7 @@ def test_pool_is_counted_before_it_is_listed(nx, with_z, powers, max_deg):
     if len(want) <= POOL_LIMIT:
         assert _basis_pool(ctx, max_deg) == want
     else:
-        with pytest.raises(ResourceLimitError, match="verify.POOL_LIMIT"):
+        with pytest.raises(ResourceLimitError, match="limits.POOL_LIMIT"):
             _basis_pool(ctx, max_deg)
 
 
@@ -80,7 +81,7 @@ def test_pool_limit():
                  FamilySpec(POOL_LIMIT + 1, max_deg=1),  # one past in degree 1
                  FamilySpec(10**9, max_deg=3), FamilySpec(3, max_deg=10**12),
                  FamilySpec(2, powers=(10**12, 10**12), max_deg=10**15)):
-        with pytest.raises(ResourceLimitError, match="verify.POOL_LIMIT"):
+        with pytest.raises(ResourceLimitError, match="limits.POOL_LIMIT"):
             next(enumerate_family(spec))
     # a bounded basis ends: one candidate, x1*x2^(10^12 - 1), whatever max_deg
     assert len(_basis_pool(RingContext(2, powers=(2, 10**12)), 10**15)) == 1
