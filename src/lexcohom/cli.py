@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 = success / all checks passed, 1 = a theorem check failed,
-2 = usage, parse or resource errors (including uncertified windows and a
-verify family with no instances to check).
+2 = usage, parse or resource errors (including a verify family with no
+instances to check).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import limits, zstable
 from .betti import betti_table, corners
 from .core import DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
-from .errors import ResourceLimitError, WindowUncertifiedError
+from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
 from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal_file
 from .localcohom import cohomology_table
@@ -113,15 +113,9 @@ def cmd_cohom(args) -> int:
     I = _read_ideal(args)
     T = cohomology_table(I, args.window, backend=args.backend)
     for i in range(T.n + 1):
-        tail = T.tails[i]
-        mark = "certified" if tail.certified else "UNCERTIFIED"
         print(f"H^{i} on [{T.lo},{T.hi}]: "
               + " ".join(map(str, T.rows[i]))
-              + f"   tail {[str(c) for c in tail.coeffs]} ({mark})")
-    if not T.all_certified():
-        print("error: tail not certified; widen the window with --window",
-              file=sys.stderr)
-        return USAGE_ERROR
+              + f"   tail {[str(c) for c in T.tails[i].coeffs]}")
     _emit_ideal_json(args, I, backend=args.backend, cohomology=_cohom_rows(T))
     return OK
 
@@ -250,9 +244,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except WindowUncertifiedError as exc:
-        print(f"error: {exc}\nhint: widen the window with --window", file=sys.stderr)
         return USAGE_ERROR
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

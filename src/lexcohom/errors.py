@@ -34,10 +34,3 @@ class DegreeCapExceededError(ResourceLimitError):
 class IterationCapExceededError(ResourceLimitError):
     """z_stabilize needed more than ``limits.STABILIZATION_ROUND_LIMIT``
     rounds, or a round failed to move up (bug signal)."""
-
-
-class WindowUncertifiedError(RuntimeError):
-    """The tail of a cohomology window could not be certified.
-
-    Callers should widen the window (more negative ``lo``) and retry.
-    """

@@ -31,9 +31,11 @@ NUMERATOR_DEGREE_LIMIT = 400
 # four times the 449,875 of the largest lex ideal tried (240 generators of
 # degree up to 74 in four variables).
 CELL_LIMIT = 2_000_000
-# Most variables of a cohomology table.  A tail fit takes about n^3 Fraction
-# operations: on an Intel Xeon, a table of (x1) takes 0.12 s at n = 32 in
-# either backend, and 0.7-0.9 s at n = 64.
+# Most variables of a cohomology table.  Its n + 1 tails hold n Fraction
+# coefficients each, and building those now dominates a table of (x1): on a
+# 2-vCPU Xeon host `cohom` on it takes about 0.004 s at n = 32 in either
+# backend, and 0.012 s at n = 64.  A walk over prod_i (rho_i + 1) >= 2^n
+# multidegrees meets CELL_LIMIT first once the generators use 21 variables.
 COHOM_VARIABLE_LIMIT = 32
 # Most generators of the ext backend: its dual Taylor complex has 2^g faces.
 EXT_GENERATOR_LIMIT = 18
@@ -46,6 +48,12 @@ POOL_LIMIT = 2_000
 # Most instances of a verify family: the samples of a random one, the
 # subsets an exhaustive one scans.  The acceptance suite runs at most 500.
 INSTANCE_LIMIT = 20_000
+# Most draws per requested sample of a random non-stable family, before it
+# is refused as too stable.  The z families sampled in the tests, CI and
+# benchmark (1..3 x variables, powers (), (2) or (2, 2), maxdeg 2..4) are
+# 20-64% non-stable, so they need 1.6-5 draws per sample; a draw takes
+# about 0.2 ms on a 2-vCPU Xeon host.
+DRAWS_PER_SAMPLE_LIMIT = 200
 # Most rounds of z_stabilize, each a strict step up a finite chain.  The
 # longest among 1,080 sampled non-stable ideals (2..4 x variables and z,
 # powers (), (2) or (2, 2), maxdeg 3) took 9 rounds.

@@ -19,10 +19,10 @@ the homology routine:
   complex depending only on the negative support of a and its clamped
   positive part.
 
-Tables live on a degree window [lo, hi]; below lo each row is described by a
-fitted tail polynomial whose certification is checked on the lowest points
-(the rows are eventually polynomial because the dual modules are finitely
-generated).  Each backend takes the window top from its own cells: by
+Tables live on a degree window [lo, hi].  On all degrees j <= -1 each row is
+a polynomial in j, its tail, which is summed off the cells (``_tails``), so
+a window from lo <= 0 leaves no degree uncovered below it.  Each backend
+takes the window top from its own cells: by
 Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
 degree of H^i_m(A/I), and every cell knows its top degree.
 
@@ -51,8 +51,7 @@ from math import comb, factorial
 
 from . import limits
 from .core import MonomialIdeal, saturate
-from .errors import WindowUncertifiedError
-from .hilbert import _poly_mul, hilbert_series, quotient_window, values_nonneg
+from .hilbert import _poly_mul, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
 TAKAYAMA_MEMO_SIZE = 4_096
@@ -220,40 +219,41 @@ def _rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
 
 @dataclass(frozen=True)
 class TailPoly:
-    """The polynomial describing a row for degrees below the window."""
+    """The polynomial that a row equals on every degree j <= -1."""
 
     coeffs: tuple[Fraction, ...]  # low-to-high powers of j
-    certified: bool
 
     def value(self, j: int) -> Fraction:
         return sum(c * j**k for k, c in enumerate(self.coeffs))
 
 
-def _fit_tail(values: list[int], lo: int, module_dim: int) -> TailPoly:
-    """Fit a polynomial of degree < module_dim through the lowest points and
-    certify it on the two spare ones.
+def _tails(cells, n: int, module_dim: int) -> dict[int, TailPoly]:
+    """Each row's polynomial on j <= -1, summed off the cells, with
+    width = max(module_dim, 1) coefficients.
 
-    Every cell of either backend counts a polynomial in j on all of j <= -1,
-    but not beyond, so a certificate needs all fitted points at j <= -1.
-    With deg = max(module_dim, 0), the k-th forward differences D_k at lo
-    (k < deg) give the fit by Newton's forward formula
-    P(j) = sum_k D_k / k! * (j - lo) (j - lo - 1) ... (j - lo - k + 1),
-    expanded here into powers of j.  P fits the two spare points iff the
-    deg-th forward differences of the deg + 2 values vanish at both
-    positions, which is checked in integers.
+    A cell (fs, f) with f >= 1 adds dim * C(fs - j - 1, f - 1) to its row in
+    degree j (``_count_negatives``).  Its pinned coordinates are >= 0, so
+    fs >= 0 and fs - j - 1 >= 0 on j <= -1, where that binomial is the
+    polynomial (fs - j - 1) (fs - j - 2) ... (fs - j - f + 1) / (f - 1)!
+    of degree f - 1, positive as j -> -oo.  A cell with f = 0 sits at the
+    one degree fs >= 0.  Row i is dual to the Hilbert function of an Ext
+    module of dimension <= i, so its cells have f - 1 < i <= module_dim.
+    The sum is kept in integers scaled by (width - 1)!, which every
+    (f - 1)! divides.
     """
-    deg = max(module_dim, 0)
-    coeffs = [Fraction(0)] * max(deg, 1)
-    falling = (1,)  # (j - lo) ... (j - lo - k + 1), low-to-high powers of j
-    diffs = values[:deg + 2]
-    for k in range(deg):
-        scale = Fraction(diffs[0], factorial(k))
-        for e, c in enumerate(falling):
-            coeffs[e] += scale * c
-        falling = _poly_mul(falling, (-(lo + k), 1))
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    ok = lo + deg + 1 <= -1 and not any(diffs)
-    return TailPoly(tuple(coeffs), certified=ok)
+    width = max(module_dim, 1)
+    scale = factorial(width - 1)
+    sums = {i: [0] * width for i in range(n + 1)}
+    for fs, f, by_i in cells:
+        if not f:
+            continue
+        poly = (scale // factorial(f - 1),)
+        for t in range(1, f):
+            poly = _poly_mul(poly, (fs - t, -1))
+        for i, dim in by_i.items():
+            for e, c in enumerate(poly):
+                sums[i][e] += dim * c
+    return {i: TailPoly(tuple(Fraction(c, scale) for c in row)) for i, row in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -278,18 +278,17 @@ class CohomologyTable:
             if not self.hi_covers_reg:
                 raise ValueError(f"degree {j} above the window top {self.hi}")
             return 0
-        tail = self.tails[i]
-        if not tail.certified:
-            raise WindowUncertifiedError(
-                f"row {i}: tail not certified, cannot evaluate below {self.lo}"
-            )
-        v = tail.value(j)
+        if j >= 0:
+            raise ValueError(f"degree {j} below the window bottom {self.lo}: "
+                             "the tails cover degrees <= -1 only")
+        v = self.tails[i].value(j)
         if v.denominator != 1:
-            raise WindowUncertifiedError(f"row {i}: non-integral tail value at {j}")
+            raise AssertionError(f"row {i}: non-integral tail value at {j} (bug)")
         return int(v)
 
     def all_certified(self) -> bool:
-        return all(t.certified for t in self.tails.values())
+        # every tail is exact; kept while perfbench/workloads.py calls it
+        return True
 
 
 def _cells(I: MonomialIdeal, backend: str):
@@ -309,40 +308,31 @@ def _regularity(cells) -> int:
 
 
 def _window_lo(I: MonomialIdeal) -> int:
-    """The default window bottom, low enough that every tail is certified.
+    """The default window bottom, -(n + sum deg g) - 2.
 
-    ``_fit_tail`` certifies from the deg + 2 lowest points, deg = max(dim, 0)
-    <= n, and needs them all at j <= -1: here lo + deg + 1 <= -sum(deg g) - 1
-    <= -1.  On j <= -1 every cell counts a polynomial in j: a cell
-    (fs, f) adds dim * C(fs - j - 1, f - 1), a polynomial on j <= fs - 1,
-    and fs >= 0 since its pinned coordinates are >= 0; a cell with f = 0
-    sits at the one degree fs >= 0.
-
-    Row i is the Hilbert function of H^i, dual to an Ext module of dimension
-    <= i <= dim, so its polynomial has degree < dim and the deg-th forward
-    differences vanish: the certificate always holds.
+    The tails need no window points (see ``_tails``), so any bottom <= 0
+    would do.  This one is kept because reports and the benchmark's
+    recorded digests print the rows from it, byte for byte; a bottom that
+    depends on n alone waits for a change that records the digests again.
     """
     return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
 
 
 def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTable:
     ctx = I.ctx
-    dim = hilbert_series(I).krull_dim()
-    if hi - lo + 1 < max(dim, 0) + 2:
-        raise ValueError(
-            f"window too short to certify tails (need {max(dim, 0) + 2} points)"
-        )
+    # by Grothendieck vanishing and non-vanishing, the top nonzero row is
+    # the Krull dimension; -1 for the unit ideal, which has no cells
+    dim = max((i for _, _, by_i in cells for i in by_i), default=-1)
     rows = _rows(cells, ctx.n, lo, hi)
     if any(v < 0 for row in rows.values() for v in row):
         raise AssertionError("negative cohomology dimension (bug)")
-    tails = {i: _fit_tail(rows[i], lo, dim) for i in rows}
     return CohomologyTable(
         n=ctx.n,
         char=ctx.char,
         lo=lo,
         hi=hi,
         rows={i: tuple(v) for i, v in rows.items()},
-        tails=tails,
+        tails=_tails(cells, ctx.n, dim),
         module_dim=dim,
         hi_covers_reg=I.is_unit or hi >= reg,
     )
@@ -373,8 +363,7 @@ def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
     each ideal's cells once.
 
     The window runs from the lowest ``_window_lo`` to one above the largest
-    regularity read off this backend's cells.  Every tail is certified
-    there (see ``_window_lo``), so the window is never widened.
+    regularity read off this backend's cells.
     """
     cells = [_cells(I, backend) for I in ideals]
     regs = [_regularity(c) for c in cells]
@@ -402,22 +391,21 @@ def compare_tables(
     """Entrywise A <= B on the shared window and below it via tails.
 
     Returns (holds, first_failure_coordinates).  Raises on mixed
-    characteristics or uncertified tails (never silently truncates).
+    characteristics, and on a window from lo > 0, whose degrees 0..lo - 1
+    neither the rows nor the tails cover (never silently truncates).
     """
     if A.char != B.char:
         raise ValueError("mixed-characteristic comparison rejected")
     if A.n != B.n or A.lo != B.lo or A.hi != B.hi:
         raise ValueError("tables must be computed on a shared window")
+    if A.lo > 0:
+        raise ValueError(f"window from degree {A.lo} leaves degrees 0..{A.lo - 1} uncovered")
     for i in range(A.n + 1):
         for j in range(A.lo, A.hi + 1):
             if A.value(i, j) > B.value(i, j):
                 return False, (i, j)
     for i in range(A.n + 1):
         ta, tb = A.tails[i], B.tails[i]
-        if not (ta.certified and tb.certified):
-            raise WindowUncertifiedError(
-                f"row {i}: uncertified tail in comparison; widen the window"
-            )
         below = range(A.lo - 1, A.lo - 1 - max(len(ta.coeffs), len(tb.coeffs)), -1)
         if not values_nonneg([tb.value(j) - ta.value(j) for j in below]):
             return False, (i, A.lo - 1)

@@ -187,8 +187,9 @@ def ref_betti_entries(I):
 
 
 def ref_fit_tail(values, lo, module_dim):
-    """Tail fit by exact Lagrange interpolation through Fraction points,
-    certified by evaluating the interpolant at every window point."""
+    """Tail fit by exact Lagrange interpolation through the deg lowest
+    window points, deg = max(module_dim, 0); None unless the fit is
+    certified by matching two spare points, all of them at degrees <= -1."""
     deg = max(module_dim, 0)
     pts = [(lo + t, Fraction(values[t])) for t in range(deg + 2)]
     if deg == 0:
@@ -196,9 +197,9 @@ def ref_fit_tail(values, lo, module_dim):
     else:
         poly = tuple(lagrange_interpolate([x for x, _ in pts[:deg]],
                                           [y for _, y in pts[:deg]]))
-    tail = TailPoly(poly, certified=True)
+    tail = TailPoly(poly)
     ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
-    return TailPoly(poly, certified=ok)
+    return tail if ok else None
 
 
 def lagrange_interpolate(xs, ys):

@@ -305,14 +305,17 @@ def test_cli_cohom_window(capsys, tmp_path):
     f.write_text("ring n=2 char=32003\nx1^2\nx1*x2\n")
     assert main(["cohom", "--input", str(f), "--window=-6:2"]) == 0
     out = capsys.readouterr().out
-    assert "H^1" in out and "certified" in out
+    assert "H^1" in out and "tail" in out
 
 
-def test_cli_cohom_window_from_degree_zero_is_uncertified(capsys, tmp_path):
+def test_cli_cohom_window_from_degree_zero_has_the_exact_tail(capsys, tmp_path):
+    # H^1 of A/(x1) is 1 in every degree <= -1, as on the default window
     f = tmp_path / "ideal.txt"
     f.write_text("ring n=2 char=32003\nx1\n")
-    assert main(["cohom", "--input", str(f), "--window=0:3"]) == 2
-    assert "UNCERTIFIED" in capsys.readouterr().out
+    assert main(["cohom", "--input", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith("   tail ['1']")
+    assert main(["cohom", "--input", str(f), "--window=0:3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "H^1 on [0,3]: 0 0 0 0   tail ['1']"
 
 
 @pytest.mark.parametrize("backend", ["combinatorial", "ext"])

@@ -67,6 +67,20 @@ def test_cli_samples_past_the_instance_limit_exit_2(capsys):
     assert "limits.INSTANCE_LIMIT" in capsys.readouterr().err
 
 
+def test_a_too_stable_family_is_refused_after_its_draws(monkeypatch, capsys):
+    # the only ideal of this family is (x1^2, x2^2), which is z-stable
+    t0 = time.perf_counter()
+    assert main(["verify", "zstabilize", "--family", "n=2,d=2:2,z=1,maxdeg=1",
+                 "--samples", "1"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "201 draws for 1 non-stable samples found 0, above " \
+        "limits.DRAWS_PER_SAMPLE_LIMIT = 200" in capsys.readouterr().err
+    monkeypatch.setattr(limits, "DRAWS_PER_SAMPLE_LIMIT", 3)
+    spec = FamilySpec(2, powers=(2, 2), max_deg=1, with_z=True, count=2)
+    with pytest.raises(ResourceLimitError, match="^7 draws for 2 non-stable"):
+        list(verify.nonstable_instances(spec))
+
+
 def test_stabilization_round_limit(monkeypatch):
     # (z^3) in K[x1, x2][z] reaches a z-stable ideal in three rounds
     I = MonomialIdeal.make(RingContext(2).add_z(), [Monomial((0, 0, 3))])

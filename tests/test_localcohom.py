@@ -10,7 +10,7 @@ from lexcohom import limits, localcohom
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.embeddings import epsilon_one
-from lexcohom.errors import ResourceLimitError, WindowUncertifiedError
+from lexcohom.errors import ResourceLimitError
 from lexcohom.hilbert import hilbert_series, quotient_window
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import (CohomologyTable, TailPoly, cohomology_table,
@@ -77,15 +77,21 @@ def test_top_cohomology_of_polynomial_ring(backend):
 
 
 def test_backend_agreement_on_samples():
+    # the tails read off the cells are the Lagrange fits through the lowest
+    # window points, certified on two spare ones, and the top nonzero row
+    # is the Krull dimension
     rng = random.Random(83)
     for n, powers in ((2, ()), (3, ()), (3, (2,)), (4, ()), (2, (2, 2))):
         ctx = RingContext(n, powers=powers)
-        for _ in range(12):
-            I = random_ideal(rng, ctx, 4, 5)
+        ideals = [random_ideal(rng, ctx, 4, 5) for _ in range(12)]
+        for I in ideals + [MonomialIdeal.zero(ctx), MonomialIdeal.unit(ctx)]:
             Ta = cohomology_table(I, backend="combinatorial")
             Tb = cohomology_table(I, backend="ext")
-            assert Ta.rows == Tb.rows
-            assert Ta.all_certified() and Tb.all_certified()
+            assert Ta.rows == Tb.rows and Ta.tails == Tb.tails
+            dim = hilbert_series(I).krull_dim()
+            assert Ta.module_dim == Tb.module_dim == dim
+            for i in Ta.rows:
+                assert Ta.tails[i] == ref_fit_tail(Ta.rows[i], Ta.lo, dim)
 
 
 def test_h0_matches_backends():
@@ -206,17 +212,19 @@ def test_corner_identity_display():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_tails_are_certified_only_from_negative_degrees(backend):
-    # H^1 of A/(x1) = K[x2] is 1 in every degree <= -1 and 0 from degree 0 on,
-    # so points at j >= 0 cannot certify the tail below the window
+def test_tails_are_exact_on_negative_degrees_from_any_window(backend):
+    # H^1 of A/(x1) = K[x2] is 1 in every degree <= -1 and 0 from degree 0 on;
+    # the tails come from the cells, so a window that starts at 0, or holds
+    # fewer than dim + 2 points, gives the default window's tails
     I = MonomialIdeal.make(ctx2, [M(1, 0)])
-    T = cohomology_table(I, (0, 3), backend=backend)
-    assert not T.all_certified()
-    with pytest.raises(WindowUncertifiedError):
-        T.value(1, -1)
-    T = cohomology_table(I, (-3, 3), backend=backend)
-    assert T.all_certified()
-    assert [T.value(1, j) for j in (-9, -1, 0)] == [1, 1, 0]
+    want = cohomology_table(I, backend=backend).tails
+    for window in ((0, 3), (-3, 3), (-1, 0)):
+        T = cohomology_table(I, window, backend=backend)
+        assert T.tails == want
+        assert [T.value(1, j) for j in (-9, -1)] == [1, 1]
+    # degrees from 0 up to a window bottom above 0 are covered by nothing
+    with pytest.raises(ValueError, match="below the window bottom 2"):
+        cohomology_table(I, (2, 3), backend=backend).value(1, 0)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -230,6 +238,10 @@ def test_tail_display_of_a_hyperplane_in_four_variables(backend):
     assert row["values"] == [15, 10, 6, 3, 1, 0, 0, 0, 0]
     assert row["tail_poly"] == ["1", "3/2", "1/2"] and row["certified"]
     assert all(T.value(3, j) == comb(-j - 1, 2) for j in range(T.lo - 40, T.lo))
+    # three points, fewer than dim + 2 = 5, give the same tail
+    T = cohomology_table(MonomialIdeal.make(RingContext(4), [M(1, 0, 0, 0)]),
+                         (-2, 0), backend=backend)
+    assert _cohom_rows(T)[3]["tail_poly"] == ["1", "3/2", "1/2"]
 
 
 def test_compare_tables_sees_tails_cross_below_the_window():
@@ -238,8 +250,8 @@ def test_compare_tables_sees_tails_cross_below_the_window():
     def table(tail):
         return CohomologyTable(
             n=1, char=2, lo=-3, hi=0, rows={0: (0, 0, 0, 0), 1: (1, 1, 1, 0)},
-            tails={0: TailPoly((Fraction(0),), True),
-                   1: TailPoly(tuple(map(Fraction, tail)), True)},
+            tails={0: TailPoly((Fraction(0),)),
+                   1: TailPoly(tuple(map(Fraction, tail)))},
             module_dim=1, hi_covers_reg=True)
 
     A = table([1])
@@ -261,6 +273,12 @@ def test_compare_tables_and_window_mismatch():
     object.__setattr__(Tc, "char", 7)
     with pytest.raises(ValueError):
         compare_tables(Ta, Tc)
+    # a shared window from degree 1 leaves degree 0 to neither rows nor tails
+    Td = cohomology_table(I, (1, w[1]))
+    with pytest.raises(ValueError, match="leaves degrees 0..0 uncovered"):
+        compare_tables(Td, Td)
+    T0 = cohomology_table(I, (0, w[1]))
+    assert compare_tables(T0, T0) == (True, None)
 
 
 def test_value_above_uncovered_window_raises():
@@ -385,28 +403,3 @@ def test_cell_limit_bounds_the_walk(monkeypatch, backend):
     monkeypatch.setattr(limits, "CELL_LIMIT", 11)
     with pytest.raises(ResourceLimitError, match="limits.CELL_LIMIT = 11"):
         cohomology_table(I, backend=backend)
-
-
-@st.composite
-def tail_windows(draw):
-    module_dim = draw(st.integers(-1, 4))
-    deg = max(module_dim, 0)
-    lo = draw(st.integers(-deg - 5, -deg + 1))
-    size = deg + 2 + draw(st.integers(0, 2))
-    kind = draw(st.sampled_from(["zero", "poly", "random"]))
-    if kind == "zero":
-        values = [0] * size
-    elif kind == "poly":
-        coeffs = draw(st.lists(st.integers(-3, 3), max_size=deg + 1))
-        values = [sum(c * j ** k for k, c in enumerate(coeffs))
-                  for j in range(lo, lo + size)]
-    else:
-        values = draw(st.lists(st.integers(-2, 5), min_size=size, max_size=size))
-    return values, lo, module_dim
-
-
-@settings(max_examples=300, deadline=None)
-@given(tail_windows())
-def test_fit_tail_matches_lagrange(case):
-    tail, ref = localcohom._fit_tail(*case), ref_fit_tail(*case)
-    assert repr(tail) == repr(ref)
