@@ -33,21 +33,18 @@ NEG_INF = float("-inf")
 
 
 def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All joins of nonempty generator subsets, deduplicated (pairwise-join
-    closure)."""
-    lattice = {g.exps for g in I.gens}
-    frontier = set(lattice)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for g in I.gens:
-                j = tuple(map(max, a, g.exps))
-                if j not in lattice:
-                    new.add(j)
-        lattice |= new
+    """All joins of nonempty generator subsets, deduplicated and sorted.
+
+    The joins of g_1..g_k are those of g_1..g_{k-1}, g_k itself, and the
+    join of g_k with each of them: one pass per generator, each at most
+    doubling the set, so a refusal comes by 2 * LATTICE_LIMIT + 1 points.
+    """
+    lattice: set[tuple[int, ...]] = set()
+    for g in I.gens:
+        lattice |= {tuple(map(max, a, g.exps)) for a in lattice}
+        lattice.add(g.exps)
         limits.check("LATTICE_LIMIT", len(lattice),
                      f"the lcm lattice has at least {len(lattice)} points")
-        frontier = new
     return sorted(lattice)
 
 

@@ -196,6 +196,9 @@ def macaulay_rep(a: int, d: int) -> list[tuple[int, int]]:
     """The unique d-th Macaulay representation a = sum C(k_i, i).
 
     Returns [(k_d, d), (k_{d-1}, d-1), ...] with k_d > k_{d-1} > ... >= i >= 1.
+    Each k_i is the largest k with C(k, i) <= rem, the part of a still left.
+    As C(k, i) >= k - i + 1, it lies in [i, rem + i - 1], and bisection
+    finds it in O(log rem) binomials.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -204,11 +207,12 @@ def macaulay_rep(a: int, d: int) -> list[tuple[int, int]]:
     rep = []
     rem, i = a, d
     while rem > 0 and i >= 1:
-        k = i
-        while comb(k + 1, i) <= rem:
-            k += 1
-        rep.append((k, i))
-        rem -= comb(k, i)
+        lo, hi = i, rem + i - 1  # C(lo, i) <= rem < C(hi + 1, i)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if comb(mid, i) <= rem else (lo, mid - 1)
+        rep.append((lo, i))
+        rem -= comb(lo, i)
         i -= 1
     return rep
 

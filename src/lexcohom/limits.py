@@ -37,8 +37,13 @@ CELL_LIMIT = 2_000_000
 # backend, and 0.012 s at n = 64.  A walk over prod_i (rho_i + 1) >= 2^n
 # multidegrees meets CELL_LIMIT first once the generators use 21 variables.
 COHOM_VARIABLE_LIMIT = 32
-# Most generators of the ext backend: its dual Taylor complex has 2^g faces.
-EXT_GENERATOR_LIMIT = 18
+# Most generators of the ext backend: its dual Taylor complex has 2^g faces,
+# and its boundary matrices are dense.  On a 2-vCPU Xeon host a cold ext
+# table of an LPP ideal or a sample in four variables (powers (2, 2),
+# (2, 3) or (3, 3)) takes 0.4-1.5 s at 10 generators (20 ideals), 5.0-10.3 s
+# at 11 (5 ideals), and one of 18 died of a MemoryError after 168 s under a
+# 3 GB cap.  The combinatorial backend takes at most 5 ms on each of them.
+EXT_GENERATOR_LIMIT = 10
 # Most points of an lcm lattice, each a Koszul complex for the Betti table.
 LATTICE_LIMIT = 20_000
 # Most candidate generators a verify family draws from, counted before they

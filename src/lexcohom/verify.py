@@ -12,7 +12,7 @@ import itertools
 import os
 import random
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
@@ -104,14 +104,22 @@ def _basis_pool(ctx: RingContext, max_deg: int) -> list[Monomial]:
     return pool
 
 
+def _draw(spec: FamilySpec, ctx: RingContext, pool: list[Monomial],
+          rng: random.Random) -> MonomialIdeal:
+    """One random ideal of the family: b plus up to ``spec.max_extra_gens``
+    candidates sampled from ``pool``."""
+    k = rng.randint(0, min(spec.max_extra_gens, len(pool)))
+    return minimalize(ctx, ctx.powers_ideal().gens + tuple(rng.sample(pool, k)))
+
+
 def enumerate_family(spec: FamilySpec):
     """Deterministic stream of monomial ideals containing b."""
     ctx = spec.context()
-    b = ctx.powers_ideal()
     pool = _basis_pool(ctx, spec.max_deg)
     if spec.mode == "exhaustive":
         limits.check("INSTANCE_LIMIT", 2 ** len(pool),
                      f"exhaustive family would scan 2^{len(pool)} subsets")
+        b = ctx.powers_ideal()
         seen = set()
         ideals = []
         for size in range(len(pool) + 1):
@@ -125,9 +133,7 @@ def enumerate_family(spec: FamilySpec):
     elif spec.mode == "random":
         rng = random.Random(spec.seed)
         for _ in range(spec.count):
-            k = rng.randint(0, min(spec.max_extra_gens, len(pool)))
-            extra = rng.sample(pool, k) if k else []
-            yield minimalize(ctx, list(b.gens) + extra)
+            yield _draw(spec, ctx, pool, rng)
     else:
         raise ValueError(f"unknown family mode {spec.mode!r}")
 
@@ -141,23 +147,26 @@ def stable_instances(spec: FamilySpec):
 def nonstable_instances(spec: FamilySpec):
     """Sampled ideals that genuinely fail z-stability (stabilizer inputs).
 
-    In random mode the stream keeps drawing until ``count`` non-stable
-    ideals were produced, and is refused after more than
+    In random mode the pool is listed once, and draw number ``attempt``
+    (from 1) is the first sample of the family with seed
+    ``spec.seed + attempt``.  The stream keeps drawing until ``count``
+    non-stable ideals were produced, and is refused after more than
     ``limits.DRAWS_PER_SAMPLE_LIMIT`` draws per sample.
     """
-    if spec.mode == "exhaustive":
+    if spec.mode != "random":  # exhaustive, or refused by enumerate_family
         for I in enumerate_family(spec):
             if not zstable.is_z_stable(zstable.z_decompose(I)):
                 yield I
         return
-    produced = 0
-    attempt = 0
+    ctx = spec.context()
+    pool = _basis_pool(ctx, spec.max_deg)
+    produced = attempt = 0
     while produced < spec.count:
         attempt += 1
         # draws per sample rounded up, above the limit iff attempt > limit * count
         limits.check("DRAWS_PER_SAMPLE_LIMIT", -(-attempt // spec.count),
                      f"{attempt} draws for {spec.count} non-stable samples found {produced}")
-        I = next(enumerate_family(replace(spec, seed=spec.seed + attempt, count=1)))
+        I = _draw(spec, ctx, pool, random.Random(spec.seed + attempt))
         if not zstable.is_z_stable(zstable.z_decompose(I)):
             produced += 1
             yield I
@@ -175,7 +184,6 @@ class InstanceRecord:
     first_fail: tuple[int, int] | None = None
     betti: dict[str, list[list[int]]] = field(default_factory=dict)
     cohomology: dict[str, list[dict]] = field(default_factory=dict)
-    info: dict[str, bool] = field(default_factory=dict)  # profile, not pass/fail
     seconds: float = 0.0
 
     @property
@@ -217,7 +225,6 @@ def _cohomology_le(I: MonomialIdeal, L: MonomialIdeal, key: str,
         checks={"cohomology_le": ok},
         first_fail=fail,
         cohomology={"quotient": _cohom_rows(TA), key: _cohom_rows(TB)},
-        info={"equal_everywhere": ok and TA.rows == TB.rows},
     )
 
 
@@ -235,13 +242,18 @@ def verify_lex_cohomology(I: MonomialIdeal,
     return _cohomology_le(I, lex_ideal_of(I), "lex", backend)
 
 
+def _lpp_betti(I: MonomialIdeal):
+    """L = LPP(I), the Betti tables of A/I and A/L, and their corners."""
+    L = lpp_ideal(I)
+    TI, TL = betti_table(I), betti_table(L)
+    return L, TI, TL, corners(TI), corners(TL)
+
+
 def verify_betti_lpp_corners(I: MonomialIdeal,
                              backend: str = "combinatorial") -> InstanceRecord:
     """At every corner of the LPP quotient, beta(A/I) <= beta(A/LPP); plus
     the corner identity beta_ij = H^{n-i} at j-n on both quotients."""
-    L = lpp_ideal(I)
-    TI, TL = betti_table(I), betti_table(L)
-    cI, cL = corners(TI), corners(TL)
+    L, TI, TL, cI, cL = _lpp_betti(I)
     n = I.ctx.n
     corner_ok, fail = True, None
     for c in cL:
@@ -265,9 +277,7 @@ def verify_betti_lpp_corners(I: MonomialIdeal,
 
 def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
     """Every corner of A/I is dominated by a corner of A/LPP."""
-    L = lpp_ideal(I)
-    TI, TL = betti_table(I), betti_table(L)
-    cI, cL = corners(TI), corners(TL)
+    L, TI, TL, cI, cL = _lpp_betti(I)
     fail = next(((c.i, c.j) for c in cI if not region_dominates([c], cL)), None)
     return InstanceRecord(
         ideal=format_ideal(I),

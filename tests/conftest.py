@@ -3,6 +3,7 @@ they check."""
 
 import itertools
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil
 
@@ -16,6 +17,7 @@ from lexcohom.errors import MixedContextError, NotAttainableError
 from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
+from lexcohom.verify import enumerate_family
 from lexcohom.zstable import ZGradedIdeal
 
 
@@ -318,3 +320,16 @@ def ref_restriction(I, E, W):
         if any(x < y for x, y in zip(a, b)):
             return False, (j, next(d for d in range(W + 1) if a[d] < b[d]))
     return True, None
+
+
+def ref_nonstable_instances(spec):
+    """The non-stable ideals of a random family, one family per draw: draw
+    number a (from 1) is the only sample of the family with seed
+    spec.seed + a, its context, power ideal and pool built anew."""
+    produced = attempt = 0
+    while produced < spec.count:
+        attempt += 1
+        I = next(enumerate_family(replace(spec, seed=spec.seed + attempt, count=1)))
+        if not ref_is_z_stable(ref_z_decompose(I)):
+            produced += 1
+            yield I

@@ -3,6 +3,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcohom import limits
 from lexcohom.betti import (Corner, _koszul_key, betti_table, corners, corners_direct,
@@ -124,6 +126,27 @@ def test_lcm_lattice(monkeypatch):
             M(3, 0, 0, 0), M(0, 3, 0, 0), M(0, 0, 3, 0), M(0, 0, 0, 3),
             M(1, 1, 1, 1), M(2, 2, 0, 0), M(0, 0, 2, 2), M(2, 0, 2, 0),
         ]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=8)))
+def test_lcm_lattice_is_every_subset_join(exps):
+    I = MonomialIdeal.make(RingContext(len(exps[0])), [Monomial(e) for e in exps])
+    gens = [g.exps for g in I.gens]
+    joins = {tuple(map(max, zip(*subset)))
+             for k in range(1, len(gens) + 1)
+             for subset in itertools.combinations(gens, k)}
+    assert lcm_lattice(I) == sorted(joins)
+
+
+def test_lattice_refusal_comes_by_twice_the_limit(monkeypatch):
+    # the 2^8 - 1 = 255 joins of eight coprime powers are all distinct
+    I = MonomialIdeal.make(RingContext(8), [
+        Monomial(tuple(2 if i == j else 0 for i in range(8))) for j in range(8)])
+    monkeypatch.setattr(limits, "LATTICE_LIMIT", 10)
+    with pytest.raises(ResourceLimitError, match="has at least (1[1-9]|2[01]) points"):
+        lcm_lattice(I)
 
 
 def test_upper_koszul_faces_match_membership_oracle():

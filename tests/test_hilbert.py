@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,19 @@ def test_macaulay_rep_reconstructs(a, d):
     assert ks == sorted(ks, reverse=True) and len(set(ks)) == len(ks)
     assert iis == list(range(d, d - len(rep), -1))
     assert all(k >= i >= 1 for k, i in rep)
+
+
+@pytest.mark.parametrize("a, d", [(10**12, 1), (10**12, 2), (10**100, 5)])
+def test_macaulay_rep_of_huge_values_is_fast_and_exact(a, d):
+    t0 = time.perf_counter()
+    rep = macaulay_rep(a, d)
+    assert time.perf_counter() - t0 < 1.0
+    assert sum(comb(k, i) for k, i in rep) == a
+    assert [i for _, i in rep] == list(range(d, d - len(rep), -1))
+    assert all(k >= i for k, i in rep)
+    assert all(k > k_next for (k, _), (k_next, _) in zip(rep, rep[1:]))
+    if d == 1:
+        assert rep == [(a, 1)] and macaulay_growth(a, 1) == comb(a + 1, 2)
 
 
 def test_O_sequence():
