@@ -15,6 +15,14 @@ in the key because the homology depends on the field.  Many ideals share
 these small complexes, so most lattice points of a run of many ideals are
 memo hits.  KOSZUL_MEMO_SIZE bounds the memo; its values are tuples, so a
 caller cannot change them.
+
+One level up, ``betti_table`` memoizes the entries that the lattice walk
+finds, for the whole process, in the ``lru_cache`` ``_lattice_entries``
+keyed on I, which carries its ring and so p.  An entry is the lattice's
+size and a tuple of ((i, j), beta_ij); every call builds a fresh
+``BettiTable`` from it.  ``limits.LATTICE_LIMIT`` is checked against the
+stored size and the Hilbert identity runs on every call: a hit skips
+computation, never a refusal or a check.  BETTI_MEMO_SIZE bounds the memo.
 """
 
 from __future__ import annotations
@@ -28,6 +36,11 @@ from .hilbert import hilbert_series
 from .homology import reduced_homology_dims
 
 KOSZUL_MEMO_SIZE = 4_096
+# Entries of the Betti memo, one per ideal.  The seed-0 ops of a 15 s
+# cohom-harness run (perfbench) build 740 tables of 162 distinct ideals;
+# 256 entries keep all 578 hits.  Those entries take 0.6-1.8 KB each
+# (1.2 KB on average), so a full memo of them takes about 0.3 MB.
+BETTI_MEMO_SIZE = 256
 
 NEG_INF = float("-inf")
 
@@ -48,20 +61,48 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(lattice)
 
 
-def _koszul_key(I: MonomialIdeal, b: tuple[int, ...]) -> tuple[int, frozenset[int]]:
-    """supp(b) and the tight masks {i : g_i = b_i > 0} of the generators g
-    dividing x^b, as vertex bitmasks: all that the face rule reads."""
-    tight = frozenset(
-        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
-        for g in I.gens
-        if all(e <= top for e, top in zip(g.exps, b))
-    )
-    return sum(1 << i for i, e in enumerate(b) if e > 0), tight
+def _koszul_keys(I: MonomialIdeal, lattice):
+    """(deg b, supp(b), tight masks) for each point b of the lattice: the
+    tight masks {i : g_i = b_i > 0} of the generators g dividing x^b, as
+    vertex bitmasks, are all that the face rule reads.
+
+    Generators are bits too.  For each coordinate i and each distinct
+    exponent e of x_i among the generators there is the set of generators
+    with g_i <= e and the set with g_i = e; every coordinate of a lattice
+    point is such an exponent.  The divisors of x^b are then the AND over i
+    of the sets with g_i <= b_i, and a divisor is tight at i iff it lies in
+    the set with g_i = b_i.
+    """
+    gens = [g.exps for g in I.gens]
+    below, equal = [], []
+    for i in range(I.ctx.n):
+        eq: dict[int, int] = {}
+        for t, g in enumerate(gens):
+            eq[g[i]] = eq.get(g[i], 0) | 1 << t
+        le, acc = {}, 0
+        for e in sorted(eq):
+            acc |= eq[e]
+            le[e] = acc
+        below.append(le)
+        equal.append(eq)
+    everyone = (1 << len(gens)) - 1
+    for b in lattice:
+        divisors = everyone
+        for le, e in zip(below, b):
+            divisors &= le[e]
+        tight = [(1 << i, equal[i][e] & divisors) for i, e in enumerate(b) if e]
+        masks = set()
+        rest = divisors
+        while rest:
+            t = rest & -rest
+            masks.add(sum(bit for bit, T in tight if T & t))
+            rest ^= t
+        yield sum(b), sum(bit for bit, _ in tight), frozenset(masks)
 
 
 def upper_koszul_faces(supp: int, tight: frozenset[int]) -> list[int]:
     """Faces (as vertex bitmasks) of the upper Koszul complex at b, from its
-    key ``_koszul_key(I, b)``.
+    key (supp(b), tight masks) of ``_koszul_keys``.
 
     tau is a face iff x^(b - tau) lies in I, i.e. iff some generator g
     divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
@@ -121,25 +162,36 @@ class BettiTable:
         return tuple(out)
 
 
+@lru_cache(maxsize=BETTI_MEMO_SIZE)
+def _lattice_entries(I: MonomialIdeal) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
+    """(points, entries): the size of the lcm lattice of I and the Betti
+    entries ((i, j), beta_ij) that the walk over it finds."""
+    entries: dict[tuple[int, int], int] = {(0, 0): 1}
+    if I.is_zero:
+        return 0, tuple(entries.items())
+    p = I.ctx.char
+    lattice = lcm_lattice(I)
+    for j, supp, tight in _koszul_keys(I, lattice):
+        for k, dim in _koszul_dims(supp, tight, p):
+            i = k + 2  # H~_{i-2} of the upper Koszul complex at b
+            entries[(i, j)] = entries.get((i, j), 0) + dim
+    return len(lattice), tuple(entries.items())
+
+
 def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     """Minimal graded Betti table of A/I over GF(p).
 
     ``check`` verifies the alternating-sum identity against the exact
-    Hilbert numerator (an independent correctness cross-check).  Only a
-    memo miss lists the faces (see the module docstring).
+    Hilbert numerator (an independent correctness cross-check), on every
+    call.  Only a memo miss walks the lattice, and only a miss there lists
+    faces (see the module docstring).
     """
     ctx = I.ctx
     if I.is_unit:
         raise ValueError("the ideal must be proper")
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    if not I.is_zero:
-        p = ctx.char
-        for b in lcm_lattice(I):
-            j = sum(b)
-            for k, dim in _koszul_dims(*_koszul_key(I, b), p):
-                i = k + 2  # H~_{i-2} of the upper Koszul complex at b
-                entries[(i, j)] = entries.get((i, j), 0) + dim
-    table = BettiTable(ctx.n, ctx.char, entries)
+    points, entries = _lattice_entries(I)
+    limits.check("LATTICE_LIMIT", points, f"the lcm lattice has {points} points")
+    table = BettiTable(ctx.n, ctx.char, dict(entries))
     if check:
         numer = hilbert_series(I).numer
         alt = table.alternating_sum()

@@ -21,7 +21,10 @@ the homology routine:
 
 Tables live on a degree window [lo, hi].  On all degrees j <= -1 each row is
 a polynomial in j, its tail, which is summed off the cells (``_tails``), so
-a window from lo <= 0 leaves no degree uncovered below it.  Each backend
+a window from lo <= 0 leaves no degree uncovered below it.  The rows
+evaluate the tails there and walk each cell only over the degrees >= 0 it
+reaches (``_rows``), so a window far below 0 costs its span times the
+tails' width, not times the number of cells.  Each backend
 takes the window top from its own cells: by
 Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
 degree of H^i_m(A/I), and every cell knows its top degree.
@@ -34,11 +37,24 @@ so one backend's cached answer never stands in for the other's.  Their
 values are immutable tuples of pairs, copied into fresh dicts in the cells,
 and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
+One level up, ``_cells`` memoizes each ideal's cells, for the whole
+process, in the ``lru_cache`` ``_merged_cells`` keyed on (I, backend); I
+carries its ring, so p is in the key.  The two backends get separate
+entries, so the two-backend oracle still compares two independent
+computations.  An entry holds the cells merged by (fixed_sum, f), as
+tuples of ints: rows, tails, the module dimension and the regularity are
+sums and maxima over cells, so merging changes no table, and an entry has
+at most (sum_i rho_i + 1)(n + 1) cells however many multidegrees the walk
+visits.  Every limit of the walk is checked before the lookup, and the
+checks of ``_table`` run on every call: a hit skips computation, never a
+refusal or a check.  CELL_MEMO_SIZE bounds the memo.
+
 Both backends walk prod_i (rho_i + 1) multidegrees, rho_i the largest
-exponent of x_i in a generator; each checks that count against
-``limits.CELL_LIMIT`` before the walk starts, and the number of variables
-against ``limits.COHOM_VARIABLE_LIMIT``.  The ext backend also checks its
-generators against ``limits.EXT_GENERATOR_LIMIT``.
+exponent of x_i in a generator; ``_cells`` checks that count against
+``limits.CELL_LIMIT``, and the number of variables against
+``limits.COHOM_VARIABLE_LIMIT``, on every call, and each walk checks the
+count again before it starts.  For the ext backend ``_cells`` and the walk
+also check the generators against ``limits.EXT_GENERATOR_LIMIT``.
 """
 
 from __future__ import annotations
@@ -56,6 +72,14 @@ from .homology import reduced_homology_dims
 
 TAKAYAMA_MEMO_SIZE = 4_096
 EXT_MEMO_SIZE = 8_192
+# Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
+# ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs
+# 1,850 times: 256 entries keep 1,186 of the 1,282 hits of an unbounded
+# memo, for 0.31 MB more traced memory after the run than with no memo
+# (1,024 entries keep all of them, for 0.66 MB).  The largest entry seen,
+# the 240-generator lex ideal in four variables of degree up to 74, holds
+# 146 merged cells (2,330 unmerged) in 28 KB.
+CELL_MEMO_SIZE = 256
 
 
 def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
@@ -196,27 +220,6 @@ def _ext_cells(I: MonomialIdeal):
 # rows, tables, tails, comparisons
 
 
-def _count_negatives(j: int, fixed_sum: int, f: int) -> int:
-    """Number of multidegrees with f coordinates <= -1 summing to
-    j - fixed_sum (the other coordinates being pinned)."""
-    if f == 0:
-        return 1 if j == fixed_sum else 0
-    m = fixed_sum - j
-    return comb(m - 1, f - 1) if m >= f else 0
-
-
-def _rows(cells, n: int, lo: int, hi: int) -> dict[int, list[int]]:
-    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
-    for fixed_sum, f, by_i in cells:
-        for i, dim in by_i.items():
-            row = rows[i]
-            for j in range(lo, hi + 1):
-                cnt = _count_negatives(j, fixed_sum, f)
-                if cnt:
-                    row[j - lo] += dim * cnt
-    return rows
-
-
 @dataclass(frozen=True)
 class TailPoly:
     """The polynomial that a row equals on every degree j <= -1."""
@@ -227,33 +230,67 @@ class TailPoly:
         return sum(c * j**k for k, c in enumerate(self.coeffs))
 
 
-def _tails(cells, n: int, module_dim: int) -> dict[int, TailPoly]:
-    """Each row's polynomial on j <= -1, summed off the cells, with
-    width = max(module_dim, 1) coefficients.
+def _tails(cells, n: int, module_dim: int) -> tuple[int, dict[int, list[int]]]:
+    """(scale, sums): each row's polynomial on j <= -1, summed off the cells,
+    as width = max(module_dim, 1) integer coefficients scaled by
+    scale = (width - 1)!.
 
     A cell (fs, f) with f >= 1 adds dim * C(fs - j - 1, f - 1) to its row in
-    degree j (``_count_negatives``).  Its pinned coordinates are >= 0, so
+    degree j, one for each multidegree with f coordinates <= -1 summing to
+    j - fs (none when fs - j < f).  Its pinned coordinates are >= 0, so
     fs >= 0 and fs - j - 1 >= 0 on j <= -1, where that binomial is the
     polynomial (fs - j - 1) (fs - j - 2) ... (fs - j - f + 1) / (f - 1)!
     of degree f - 1, positive as j -> -oo.  A cell with f = 0 sits at the
     one degree fs >= 0.  Row i is dual to the Hilbert function of an Ext
-    module of dimension <= i, so its cells have f - 1 < i <= module_dim.
-    The sum is kept in integers scaled by (width - 1)!, which every
-    (f - 1)! divides.
+    module of dimension <= i, so its cells have f - 1 < i <= module_dim,
+    and every (f - 1)! divides the scale.
     """
     width = max(module_dim, 1)
     scale = factorial(width - 1)
     sums = {i: [0] * width for i in range(n + 1)}
-    for fs, f, by_i in cells:
+    for fs, f, dims in cells:
         if not f:
             continue
         poly = (scale // factorial(f - 1),)
         for t in range(1, f):
             poly = _poly_mul(poly, (fs - t, -1))
-        for i, dim in by_i.items():
+        for i, dim in dims:
             for e, c in enumerate(poly):
                 sums[i][e] += dim * c
-    return {i: TailPoly(tuple(Fraction(c, scale) for c in row)) for i, row in sums.items()}
+    return scale, sums
+
+
+def _rows(cells, n: int, lo: int, hi: int, scale: int,
+          sums: dict[int, list[int]]) -> dict[int, list[int]]:
+    """Each row on the window [lo, hi], from the scaled tail sums of
+    ``_tails`` on the degrees <= -1 and from the cells on the degrees >= 0.
+
+    Below 0 each row is its tail, evaluated in integers and divided by the
+    scale, which must leave no remainder.  From 0 up each cell is walked
+    over the degrees it reaches: a cell with f = 0 only the degree fs, one
+    with f >= 1 the degrees j <= fs - f, where it adds
+    dim * C(fs - j - 1, f - 1).
+    """
+    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
+    for i, coeffs in sums.items():
+        if not any(coeffs):
+            continue
+        row = rows[i]
+        for j in range(lo, min(hi, -1) + 1):
+            v = 0
+            for c in reversed(coeffs):
+                v = v * j + c
+            q, r = divmod(v, scale)
+            if r:
+                raise AssertionError(f"row {i}: non-integral tail value at {j} (bug)")
+            row[j - lo] = q
+    start = max(lo, 0)
+    for fs, f, dims in cells:
+        for j in range(start if f else max(start, fs), min(hi, fs - f) + 1):
+            cnt = comb(fs - j - 1, f - 1) if f else 1
+            for i, dim in dims:
+                rows[i][j - lo] += dim * cnt
+    return rows
 
 
 @dataclass(frozen=True)
@@ -292,19 +329,42 @@ class CohomologyTable:
 
 
 def _cells(I: MonomialIdeal, backend: str):
-    limits.check("COHOM_VARIABLE_LIMIT", I.ctx.n, f"the ring has {I.ctx.n} variables")
-    if backend == "combinatorial":
-        return _takayama_cells(I)
+    """The cells of I in ``backend``, merged by (fixed_sum, f), as
+    ((fixed_sum, f, ((i, dim), ...)), ...) in sorted order.
+
+    Every limit that the backend's walk checks is checked here first, on
+    every call, so a memo hit skips the walk and never a refusal.
+    """
+    n = I.ctx.n
+    limits.check("COHOM_VARIABLE_LIMIT", n, f"the ring has {n} variables")
     if backend == "ext":
-        return _ext_cells(I)
-    raise ValueError(f"unknown backend {backend!r}")
+        g = len(I.gens)
+        limits.check("EXT_GENERATOR_LIMIT", g, f"{g} generators for the Taylor complex")
+    elif backend != "combinatorial":
+        raise ValueError(f"unknown backend {backend!r}")
+    _exponent_bounds([g.exps for g in I.gens], n)
+    return _merged_cells(I, backend)
+
+
+@lru_cache(maxsize=CELL_MEMO_SIZE)
+def _merged_cells(I: MonomialIdeal, backend: str):
+    """``_cells`` without the limit checks: the backend's walk, its cells
+    with equal (fixed_sum, f) summed into one."""
+    walk = _takayama_cells if backend == "combinatorial" else _ext_cells
+    merged: dict[tuple[int, int], dict[int, int]] = {}
+    for fs, f, by_i in walk(I):
+        dims = merged.setdefault((fs, f), {})
+        for i, dim in by_i.items():
+            dims[i] = dims.get(i, 0) + dim
+    return tuple((fs, f, tuple(sorted(dims.items())))
+                 for (fs, f), dims in sorted(merged.items()) if dims)
 
 
 def _regularity(cells) -> int:
     """reg(A/I) = max{i + j : H^i_m(A/I)_j != 0}, read off the cells; 0 when
     there are none (the unit ideal).  A cell reaches up to degree
     fixed_sum - f, every negative coordinate at -1."""
-    return max((fs - f + i for fs, f, by_i in cells for i in by_i), default=0)
+    return max((fs - f + i for fs, f, dims in cells for i, _ in dims), default=0)
 
 
 def _window_lo(I: MonomialIdeal) -> int:
@@ -322,8 +382,9 @@ def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTab
     ctx = I.ctx
     # by Grothendieck vanishing and non-vanishing, the top nonzero row is
     # the Krull dimension; -1 for the unit ideal, which has no cells
-    dim = max((i for _, _, by_i in cells for i in by_i), default=-1)
-    rows = _rows(cells, ctx.n, lo, hi)
+    dim = max((i for _, _, dims in cells for i, _ in dims), default=-1)
+    scale, sums = _tails(cells, ctx.n, dim)
+    rows = _rows(cells, ctx.n, lo, hi, scale, sums)
     if any(v < 0 for row in rows.values() for v in row):
         raise AssertionError("negative cohomology dimension (bug)")
     return CohomologyTable(
@@ -332,7 +393,7 @@ def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTab
         lo=lo,
         hi=hi,
         rows={i: tuple(v) for i, v in rows.items()},
-        tails=_tails(cells, ctx.n, dim),
+        tails={i: TailPoly(tuple(Fraction(c, scale) for c in row)) for i, row in sums.items()},
         module_dim=dim,
         hi_covers_reg=I.is_unit or hi >= reg,
     )
@@ -401,8 +462,8 @@ def compare_tables(
     if A.lo > 0:
         raise ValueError(f"window from degree {A.lo} leaves degrees 0..{A.lo - 1} uncovered")
     for i in range(A.n + 1):
-        for j in range(A.lo, A.hi + 1):
-            if A.value(i, j) > B.value(i, j):
+        for j, (a, b) in enumerate(zip(A.rows[i], B.rows[i]), A.lo):
+            if a > b:
                 return False, (i, j)
     for i in range(A.n + 1):
         ta, tb = A.tails[i], B.tails[i]

@@ -5,12 +5,12 @@ import itertools
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, comb
 
 import pytest
 
 from lexcohom import betti, localcohom
-from lexcohom.betti import _koszul_key, lcm_lattice, upper_koszul_faces
+from lexcohom.betti import lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
                            ideal_product, minimalize)
 from lexcohom.errors import MixedContextError, NotAttainableError
@@ -23,12 +23,15 @@ from lexcohom.zstable import ZGradedIdeal
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the process-wide Koszul, Takayama and ext memos before each
-    test, so that a count of homology calls does not depend on the tests
-    run before it."""
+    """Empty the process-wide memos before each test: the Koszul, Takayama
+    and ext homology memos, the Betti entries and the merged cells, so
+    that a count of homology, walk or lattice calls does not depend on the
+    tests run before it."""
     betti._koszul_dims.cache_clear()
+    betti._lattice_entries.cache_clear()
     localcohom._takayama_dims.cache_clear()
     localcohom._ext_dims.cache_clear()
+    localcohom._merged_cells.cache_clear()
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -176,13 +179,55 @@ def ref_ext_cells(I):
     return cells
 
 
+def merge_cells(cells):
+    """Cells (fixed_sum, f, {i: dim}) summed by (fixed_sum, f), in the
+    sorted shape of ``localcohom._cells``: ((fs, f, ((i, dim), ...)), ...)."""
+    merged = {}
+    for fs, f, by_i in cells:
+        for i, dim in by_i.items():
+            key = (fs, f, i)
+            merged[key] = merged.get(key, 0) + dim
+    out = {}
+    for (fs, f, i), dim in sorted(merged.items()):
+        out.setdefault((fs, f), []).append((i, dim))
+    return tuple((fs, f, tuple(dims)) for (fs, f), dims in out.items())
+
+
+def ref_rows(cells, n, lo, hi):
+    """Each row on the window [lo, hi], every cell counted at every degree
+    of the window: dim times the number of multidegrees with f coordinates
+    <= -1 summing to j - fixed_sum."""
+    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
+    for fixed_sum, f, by_i in cells:
+        for i, dim in dict(by_i).items():
+            for j in range(lo, hi + 1):
+                if f == 0:
+                    cnt = 1 if j == fixed_sum else 0
+                else:
+                    m = fixed_sum - j
+                    cnt = comb(m - 1, f - 1) if m >= f else 0
+                rows[i][j - lo] += dim * cnt
+    return rows
+
+
+def ref_koszul_key(I, b):
+    """supp(b) and the tight masks {i : g_i = b_i > 0} of the generators g
+    dividing x^b, as vertex bitmasks, from the generators one at a time."""
+    tight = frozenset(
+        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
+        for g in I.gens
+        if all(e <= top for e, top in zip(g.exps, b))
+    )
+    return sum(1 << i for i, e in enumerate(b) if e > 0), tight
+
+
 def ref_betti_entries(I):
     """Betti table entries with every upper Koszul complex listed and ranked
     afresh."""
     entries = {(0, 0): 1}
     if not I.is_zero:
         for b in lcm_lattice(I):
-            faces = upper_koszul_faces(*_koszul_key(I, b))
+            faces = upper_koszul_faces(*ref_koszul_key(I, b))
             for k, dim in reduced_homology_dims(faces, I.ctx.char).items():
                 entries[(k + 2, sum(b))] = entries.get((k + 2, sum(b)), 0) + dim
     return entries

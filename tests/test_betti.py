@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import limits
-from lexcohom.betti import (Corner, _koszul_key, betti_table, corners, corners_direct,
+from lexcohom.betti import (Corner, _koszul_keys, betti_table, corners, corners_direct,
                             corners_via_reg, lcm_lattice, region_dominates,
                             upper_koszul_faces)
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.errors import ResourceLimitError
 from lexcohom.hilbert import hilbert_series
 
-from conftest import random_ideal
+from conftest import random_ideal, ref_koszul_key
 
 NEG_INF = float("-inf")
 
@@ -165,8 +165,23 @@ def test_upper_koszul_faces_match_membership_oracle():
                     for tau in itertools.combinations(supp, size)
                     if I.contains(M(*(e - (i in tau) for i, e in enumerate(b))))
                 }
-                faces = upper_koszul_faces(*_koszul_key(I, b))
+                faces = upper_koszul_faces(*ref_koszul_key(I, b))
                 assert len(faces) == len(want) and set(faces) == want
+
+
+def test_koszul_keys_match_the_generator_by_generator_keys():
+    rng = random.Random(131)
+    # the tables are keyed by the exponents present, not by every one up to 2^40
+    ideals = [MonomialIdeal.make(ctx2, [M(1 << 40, 1), M(0, 3)])]
+    for n, powers in ((2, ()), (3, ()), (3, (2, 2)), (4, ()), (4, (2, 3)), (5, ())):
+        ctx = RingContext(n, powers=powers)
+        ideals += [random_ideal(rng, ctx, 4, 6) for _ in range(8)]
+    for I in ideals:
+        if I.is_zero:
+            continue
+        lattice = lcm_lattice(I)
+        assert list(_koszul_keys(I, lattice)) == [
+            (sum(b), *ref_koszul_key(I, b)) for b in lattice]
 
 
 def test_unit_ideal_rejected():

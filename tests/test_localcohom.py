@@ -21,7 +21,7 @@ from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
-from conftest import (random_ideal, ref_ext_cells, ref_fit_tail,
+from conftest import (random_ideal, ref_ext_cells, ref_fit_tail, ref_rows,
                       ref_takayama_cells)
 
 
@@ -341,6 +341,37 @@ def small_ideals(draw):
 def test_cell_passes_match_the_full_enumerations(I):
     assert localcohom._ext_cells(I) == ref_ext_cells(I)
     assert localcohom._takayama_cells(I) == ref_takayama_cells(I)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(), st.sampled_from(BACKENDS), st.integers(-120, 0), st.integers(0, 30))
+def test_rows_match_every_cell_counted_at_every_degree(I, backend, lo, above):
+    # the default window, and a wide one reaching far below it, against
+    # rows summed over every unmerged cell at every degree of the window
+    cells = (ref_takayama_cells if backend == "combinatorial" else ref_ext_cells)(I)
+    T = cohomology_table(I, backend=backend)
+    W = cohomology_table(I, (lo, T.hi + above), backend=backend)
+    for t in (T, W):
+        want = ref_rows(cells, I.ctx.n, t.lo, t.hi)
+        assert t.rows == {i: tuple(row) for i, row in want.items()}
+
+
+def test_compare_tables_reports_the_first_entry_that_fails():
+    # on the window, the first (i, j) with A > B, i outer and j inner, as
+    # read through value()
+    rng = random.Random(127)
+    for n in (2, 3):
+        ctx = RingContext(n)
+        for _ in range(15):
+            I, J = random_ideal(rng, ctx, 3, 4), random_ideal(rng, ctx, 3, 4)
+            A, B = cohomology_tables((I, J), "combinatorial")
+            first = next(((i, j) for i in range(n + 1) for j in range(A.lo, A.hi + 1)
+                          if A.value(i, j) > B.value(i, j)), None)
+            ok, fail = compare_tables(A, B)
+            if first is not None:
+                assert (ok, fail) == (False, first)
+            else:
+                assert fail is None or fail[1] == A.lo - 1
 
 
 @settings(max_examples=200, deadline=None)
