@@ -176,13 +176,14 @@ class RingContext:
             gens.append(Monomial(tuple(e)))
         return MonomialIdeal(self, tuple(gens))
 
+    @lru_cache(maxsize=32)
     def max_ideal(self) -> "MonomialIdeal":
-        gens = []
-        for i in range(self.n):
-            e = [0] * self.n
-            e[i] = 1
-            gens.append(Monomial(tuple(e)))
-        return MonomialIdeal.make(self, gens)
+        """The maximal ideal (x1, ..., xn), built once per context.
+
+        The variables in order are already the canonical antichain: one
+        degree, descending lex.
+        """
+        return MonomialIdeal(self, tuple(self.variable(i) for i in range(self.n)))
 
     def variable(self, i: int) -> "Monomial":
         e = [0] * self.n

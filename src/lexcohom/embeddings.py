@@ -13,18 +13,26 @@ Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
 generated ideal has the exact Hilbert series of the input, and it refuses,
 with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
-answer whose certificate that limit would refuse.  ``lex_segment_ideal``
-takes explicit dims and the shadow theorem on trust.
+answer whose certificate that limit would refuse.  The certified answers
+are memoized for the whole process, in the ``lru_cache``
+``_certified_embedding`` keyed on the Hilbert series, with the answer's lcm
+degree: every call computes the series of its input and checks both lcm
+degrees against the limit, so a hit returns the certified answer for the
+same series and never skips a refusal, and a refusal is never stored.
+EMBED_MEMO_SIZE bounds the memo.  ``lex_segment_ideal`` takes explicit
+dims and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import limits
 from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
 from .errors import NotAttainableError
-from .hilbert import hilbert_series
+from .hilbert import HilbertSeries, hilbert_series, lcm_degree
 
 
 def _rank(e: tuple[int, ...], bounds, count) -> int:
@@ -123,30 +131,64 @@ def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
 
 
 def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
-    """The lex-first embedding of the preimage I, selected with the ideal
-    dims read off the exact Hilbert series of I.
+    """The lex-first embedding of the preimage I: the certified lex-first
+    ideal with the Hilbert series of I.
 
-    The certificate is the exact series equality of the generated ideal
-    with I.  It is checked at the first degree past the generators of I
-    that adds no generators, and after that only at the first such degree
-    following one that adds some.  A selection that has stopped gaining
-    generators and has the series of I is final, because m times a lex
-    segment is again a lex segment (Macaulay; Clements-Lindstrom in
-    S = B/b).  Without powers the first check holds: by Gotzmann
-    persistence the lex ideal has no generators past that degree.
+    ``hilbert_series(I)`` runs on every call, and with it the check of the
+    lcm degree of I against limits.NUMERATOR_DEGREE_LIMIT.  The answer is
+    then read from the memo ``_certified_embedding``, keyed on the series,
+    and its stored lcm degree is checked against the same limit on every
+    call, so a hit returns the certified answer for the same series and
+    never skips a refusal.
+
+    Keying on the series alone is sound: a certified answer is an ideal
+    whose graded pieces are lex segments (lex-plus-power segments with
+    powers) of the dims that the series fixes, and that ideal is unique.
+    So the answer depends on the series only, not on I's generators or
+    their top degree.
+    """
+    out, degree = _certified_embedding(hilbert_series(I))
+    limits.check("NUMERATOR_DEGREE_LIMIT", degree,
+                 f"the certified embedding's lcm has degree {degree}")
+    return out
+
+
+# Entries of the embedding memo, one per Hilbert series.  The seed-0 ops of
+# 15 s benchmark runs (perfbench) look up 72 distinct series 5,361 times in
+# zstab-harness, 56 distinct series 925 times in cohom-harness, and 457
+# distinct series 1,350 times in embed-cli, where 256 entries keep 843 of
+# the 893 hits of an unbounded memo, for 0.50 MB more traced memory after
+# the run than with no memo (unbounded: 0.78 MB).  An entry there takes
+# 1.5-9.9 KB (at most 43 generators); the largest entry seen, the
+# 240-generator lex ideal in four variables of degree up to 74, takes 52 KB.
+EMBED_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=EMBED_MEMO_SIZE)
+def _certified_embedding(series: HilbertSeries) -> tuple[MonomialIdeal, int]:
+    """(L, lcm degree of L): the lex-first ideal L selected with the ideal
+    dims read off ``series``, certified by the exact equality of its series
+    with ``series``.  A refusal raises, so it is never stored.
+
+    The certificate is checked at the first degree past the numerator's
+    degree that adds no generators, and after that only at the first such
+    degree following one that adds some.  A selection that has stopped
+    gaining generators and has the given series is final, because m times
+    a lex segment is again a lex segment (Macaulay; Clements-Lindstrom in
+    S = B/b).
 
     The loop needs no degree beyond limits.NUMERATOR_DEGREE_LIMIT + 1.  Let
-    G be the top generator degree of the answer and top that of I.  From
-    degree G on the selection generates the answer, so the loop certifies
-    at degree max(G, top) + 1 at the latest.  Here top <= the limit,
-    because ``hilbert_series(I)`` has passed and the lcm degree of I is at
-    least top.  A generator above the limit puts the lcm degree of the
-    answer above it, and ``hilbert_series`` would refuse the certificate
-    anyway.  So a loop that ends uncertified raises that limit's error.
+    G be the top generator degree of the answer and top the numerator's
+    degree.  From degree G on the selection generates the answer, so the
+    loop certifies at degree max(G, top) + 1 at the latest.  Here top <= the
+    limit, because the series is that of an ideal whose lcm degree, at
+    least top, has passed the limit.  A generator above the limit puts the
+    lcm degree of the answer above it, and ``hilbert_series`` would refuse
+    the certificate anyway.  So a loop that ends uncertified raises that
+    limit's error.
     """
-    ctx = I.ctx
-    series = hilbert_series(I)
-    top = I.max_gen_degree()
+    ctx = series.ctx
+    top = len(series.numer) - 1
     last = limits.NUMERATOR_DEGREE_LIMIT + 1
     dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
     gens: list[Monomial] = []
@@ -159,7 +201,7 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
             grew = False
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
             if hilbert_series(out).numer == series.numer:
-                return out
+                return out, lcm_degree(out)
     # last is past the limit, so this refuses
     limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")
 

@@ -130,11 +130,15 @@ def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     Raises ResourceLimitError when the lcm degree of the generators exceeds
     ``limits.NUMERATOR_DEGREE_LIMIT``.
     """
-    gens = tuple(g.exps for g in I.gens)
-    lcm_degree = sum(map(max, zip(*gens))) if gens else 0
-    limits.check("NUMERATOR_DEGREE_LIMIT", lcm_degree,
-                 f"the generators' lcm has degree {lcm_degree}")
-    return HilbertSeries(I.ctx, _numerator(gens))
+    degree = lcm_degree(I)
+    limits.check("NUMERATOR_DEGREE_LIMIT", degree,
+                 f"the generators' lcm has degree {degree}")
+    return HilbertSeries(I.ctx, _numerator(tuple(g.exps for g in I.gens)))
+
+
+def lcm_degree(I: MonomialIdeal) -> int:
+    """sum_i max_g e_i over the generators g of I: the degree of their lcm."""
+    return sum(map(max, zip(*(g.exps for g in I.gens)))) if I.gens else 0
 
 
 def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:

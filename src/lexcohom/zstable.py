@@ -16,6 +16,13 @@ the Buchberger engine of ``groebner`` are its test oracle.
 finds none), and ``z_order_compare`` reads its equal-Hilbert-function
 precondition off the component numerators, recomposing no chain.
 
+``z_stabilize`` memoizes each ideal's stable chain and round count for
+the whole process, in the ``lru_cache`` ``_stable_chain`` keyed on the
+ideal, which carries its ring.  Every round of a computed entry checks the
+Hilbert function and the strict increase; the round count is checked
+against ``limits.STABILIZATION_ROUND_LIMIT`` on every call, so a hit
+skips computation, never a refusal.  STABLE_MEMO_SIZE bounds the memo.
+
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
 """
@@ -23,6 +30,7 @@ the context has powers the component ideals carry the power generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import limits
 from .core import (Monomial, MonomialIdeal, RingContext, colon, ideal_intersection,
@@ -332,10 +340,36 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     the smallest witness variable) and passes to the weight initial ideal,
     whose components ``distraction_initial`` gives in closed form; every
     round moves strictly up in the partial order, so the loop terminates.
-    Every round checks the Hilbert function, read off the component
-    numerators, and the strict increase.  A chain longer than
-    ``limits.STABILIZATION_ROUND_LIMIT`` rounds raises
+    A chain longer than ``limits.STABILIZATION_ROUND_LIMIT`` rounds raises
     IterationCapExceededError.
+
+    The chain and its round count are memoized for the whole process, in
+    the ``lru_cache`` ``_stable_chain`` keyed on I.  The round count is
+    checked against the limit on every call, so a hit skips the rounds,
+    never the refusal; a refusal or a failed check is never stored.
+    """
+    chain, rounds = _stable_chain(I)
+    limits.check("STABILIZATION_ROUND_LIMIT", rounds,
+                 f"z_stabilize needs {rounds} rounds", IterationCapExceededError)
+    return chain
+
+
+# Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
+# 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
+# times: 512 entries keep all 1,183 hits, for 0.70 MB more traced memory
+# after the run than with no memo (256 entries keep 1,122, for 0.44 MB).
+# An entry there takes 1.9 KB on average; the largest seen, a chain of 8
+# components with 22 generators in all, takes 5.6 KB.
+STABLE_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=STABLE_MEMO_SIZE)
+def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
+    """(the z-stable chain of I, the number of rounds it took).
+
+    Every round checks the Hilbert function, read off the component
+    numerators, and the strict increase, and the round limit is checked
+    before each round, so the loop stops at the first round past it.
     """
     cur = z_decompose(I)
     target = hilbert_series(I).numer
@@ -356,4 +390,4 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
                 "stabilization step did not strictly increase (bug)"
             )
         cur = nxt
-    return cur
+    return cur, rounds

@@ -9,11 +9,12 @@ from math import ceil, comb
 
 import pytest
 
-from lexcohom import betti, localcohom
+from lexcohom import betti, embeddings, limits, localcohom, zstable
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
                            ideal_product, minimalize)
-from lexcohom.errors import MixedContextError, NotAttainableError
+from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
+                             MixedContextError, NotAttainableError)
 from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import TailPoly
@@ -24,14 +25,17 @@ from lexcohom.zstable import ZGradedIdeal
 @pytest.fixture(autouse=True)
 def cold_memos():
     """Empty the process-wide memos before each test: the Koszul, Takayama
-    and ext homology memos, the Betti entries and the merged cells, so
-    that a count of homology, walk or lattice calls does not depend on the
-    tests run before it."""
+    and ext homology memos, the Betti entries, the merged cells, the
+    certified embeddings and the stable chains, so that a count of
+    homology, walk, lattice, certificate or round calls does not depend on
+    the tests run before it."""
     betti._koszul_dims.cache_clear()
     betti._lattice_entries.cache_clear()
     localcohom._takayama_dims.cache_clear()
     localcohom._ext_dims.cache_clear()
     localcohom._merged_cells.cache_clear()
+    embeddings._certified_embedding.cache_clear()
+    zstable._stable_chain.cache_clear()
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -108,6 +112,49 @@ def brute_lex_first(ctx, dims):
         out.append([Monomial(e) for e in sel if e not in shadow])
         prev = set(sel)
     return out
+
+
+def ref_embed_matching_series(I):
+    """The lex-first embedding of the preimage I, unmemoized: the selection
+    with the dims of the series of I, its certificate checked from the
+    first degree past the generators of I that adds no generators."""
+    ctx = I.ctx
+    series = hilbert_series(I)
+    top = I.max_gen_degree()
+    last = limits.NUMERATOR_DEGREE_LIMIT + 1
+    dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
+    gens = []
+    grew = True  # generators were added since the last check
+    for d, new in enumerate(embeddings._engine(ctx, dims)):
+        gens.extend(new)
+        if new:
+            grew = True
+        elif grew and d > top:
+            grew = False
+            out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
+            if hilbert_series(out).numer == series.numer:
+                return out
+    limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")
+
+
+def ref_z_stabilize(I):
+    """z_stabilize unmemoized: every round checks the round limit, the
+    Hilbert function and the strict increase."""
+    cur = zstable.z_decompose(I)
+    target = hilbert_series(I).numer
+    rounds = 0
+    while (viol := zstable._first_violation(cur)) is not None:
+        rounds += 1
+        limits.check("STABILIZATION_ROUND_LIMIT", rounds,
+                     f"z_stabilize needs round {rounds}", IterationCapExceededError)
+        nxt = zstable.distraction_initial(cur, *viol)
+        numers = [hilbert_series(c).numer for c in nxt.components]
+        if zstable._total_numerator(numers) != target:
+            raise HilbertMismatchError("distraction step changed the Hilbert function")
+        if zstable.z_order_compare(cur, nxt) != "less":
+            raise IterationCapExceededError("stabilization step did not strictly increase")
+        cur = nxt
+    return cur
 
 
 def ref_saturate(I, J):

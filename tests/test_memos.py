@@ -1,8 +1,9 @@
 """The process-wide memos: the homology of the Koszul, Takayama and ext
-complexes, and per ideal the Betti entries and the merged cells of each
-backend.  They are keyed by the characteristic, hit on a second pass,
-immutable, equal to the unmemoized computations when warm, and a hit
-still meets every limit."""
+complexes, per ideal the Betti entries, the merged cells of each backend
+and the stable chain, per Hilbert series the certified embedding, and per
+context the maximal ideal.  They are keyed by the characteristic, hit on a
+second pass, immutable, equal to the unmemoized computations when warm,
+and a hit still meets every limit."""
 
 import itertools
 
@@ -10,15 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, limits, localcohom
+from lexcohom import betti, core, embeddings, limits, localcohom, zstable
 from lexcohom.betti import BettiTable, betti_table, lcm_lattice
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
-from lexcohom.errors import ResourceLimitError
+from lexcohom.embeddings import epsilon_one, lex_ideal_of, lpp_ideal
+from lexcohom.errors import IterationCapExceededError, ResourceLimitError
+from lexcohom.hilbert import hilbert_series, lcm_degree
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import cohomology_table
+from lexcohom.verify import (FamilySpec, corrupt_epsilon, stable_instances,
+                             verify_embedding_lemmas)
+from lexcohom.zstable import z_stabilize
 
-from conftest import (count_calls, merge_cells, ref_betti_entries, ref_ext_cells,
-                      ref_takayama_cells)
+from conftest import (count_calls, merge_cells, ref_betti_entries,
+                      ref_embed_matching_series, ref_ext_cells, ref_takayama_cells,
+                      ref_z_stabilize)
 
 BACKENDS = ("combinatorial", "ext")
 
@@ -176,3 +183,130 @@ def test_warm_memos_match_the_unmemoized_computations(I):
     assert localcohom._cells(I, "combinatorial") == merge_cells(ref_takayama_cells(I))
     assert localcohom._cells(I, "ext") == merge_cells(ref_ext_cells(I))
     assert betti_table(I).entries == ref_betti_entries(I)
+
+
+@st.composite
+def z_ideals(draw):
+    """An ideal of R[z], R with 2 or 3 x variables, with or without powers."""
+    nx = draw(st.sampled_from([2, 3]))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers).add_z()
+    exps = st.tuples(*[st.integers(0, 2)] * ctx.n).filter(any)
+    gens = draw(st.lists(exps, max_size=4))
+    return MonomialIdeal.make(ctx, list(ctx.powers_ideal().gens)
+                              + [Monomial(e) for e in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_ideals())
+def test_warm_and_cold_stabilizations_match_the_unmemoized_loop(I):
+    # the examples share one memo, so the first call may read an entry of
+    # an earlier example; the second call is a hit on this one
+    warm = z_stabilize(I)
+    cold, _ = zstable._stable_chain.__wrapped__(I)
+    assert warm == cold == ref_z_stabilize(I)
+    assert z_stabilize(I) is warm
+
+
+def test_a_stabilization_memo_hit_still_refuses(monkeypatch):
+    # (z^3) in K[x1, x2][z] takes three rounds
+    I = MonomialIdeal.make(RingContext(2).add_z(), [Monomial((0, 0, 3))])
+    monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 2)
+    with pytest.raises(IterationCapExceededError, match="needs round 3"):
+        z_stabilize(I)
+    assert zstable._stable_chain.cache_info().currsize == 0  # never stored
+    monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 3)
+    want = z_stabilize(I)
+    assert want == ref_z_stabilize(I)
+    monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 2)
+    with pytest.raises(IterationCapExceededError,
+                       match="needs 3 rounds, above limits.STABILIZATION_ROUND_LIMIT = 2"):
+        z_stabilize(I)
+    assert zstable._stable_chain.cache_info().hits == 1
+
+
+def same_series_pairs():
+    """(I, J, embed): two different ideals with one Hilbert series, J the
+    embedding of I, without powers, with powers and over R[z]."""
+    M = Monomial
+    ctx2, ctxp = RingContext(2), RingContext(3, powers=(2, 2))
+    ctxz = RingContext(2, powers=(2, 2)).add_z()
+    ideals = [
+        (MonomialIdeal.make(ctx2, [M((2, 0)), M((0, 2))]), lex_ideal_of),
+        (MonomialIdeal.make(ctxp, list(ctxp.powers_ideal().gens)
+                            + [M((1, 0, 1)), M((0, 1, 1))]), lpp_ideal),
+        (MonomialIdeal.make(ctxz, list(ctxz.powers_ideal().gens)
+                            + [M((0, 1, 2))]), epsilon_one),
+    ]
+    return [(I, ref_embed_matching_series(I), embed) for I, embed in ideals]
+
+
+@pytest.mark.parametrize("I, J, embed", same_series_pairs())
+def test_two_ideals_with_one_series_share_one_embedding(I, J, embed):
+    assert I != J and hilbert_series(I) == hilbert_series(J)
+    assert I.max_gen_degree() < J.max_gen_degree()
+    first = embed(I)
+    second = embed(J)
+    info = embeddings._certified_embedding.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert second is first
+    assert first == ref_embed_matching_series(I) == ref_embed_matching_series(J) == J
+
+
+def test_an_embedding_memo_hit_still_refuses(monkeypatch):
+    # the lex ideal of (x1^4, x3^4) has 17 generators up to degree 16: its
+    # lcm degree is far above the input's 8
+    I = MonomialIdeal.make(RingContext(3), [Monomial((4, 0, 0)), Monomial((0, 0, 4))])
+    want = lex_ideal_of(I)
+    top = lcm_degree(want)
+    assert lcm_degree(I) < top - 1
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top)
+    assert lex_ideal_of(I) is want
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
+    with pytest.raises(ResourceLimitError, match=f"limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"):
+        lex_ideal_of(I)
+    assert embeddings._certified_embedding.cache_info().hits == 2
+    # cold, the same limit refuses the certificate, and the refusal is not stored
+    embeddings._certified_embedding.cache_clear()
+    with pytest.raises(ResourceLimitError, match=f"limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"):
+        lex_ideal_of(I)
+    assert embeddings._certified_embedding.cache_info().currsize == 0
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top)
+    assert lex_ideal_of(I) == want == ref_embed_matching_series(I)
+
+
+def test_the_corrupted_embedding_still_fails_after_the_genuine_one_is_cached():
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True, count=8, seed=21)
+    instances = list(stable_instances(spec))
+    cold = [verify_embedding_lemmas(I, epsilon=corrupt_epsilon) for I in instances]
+    for I in instances:
+        assert verify_embedding_lemmas(I).passed
+    assert embeddings._certified_embedding.cache_info().currsize > 0
+    warm = [verify_embedding_lemmas(I, epsilon=corrupt_epsilon) for I in instances]
+    assert warm == cold
+    assert any(not rec.passed for rec in warm)
+    assert any(not rec.checks["generator_counts"] for rec in warm)
+
+
+def test_the_maximal_ideal_is_built_once_per_context(monkeypatch):
+    built = []
+    real = RingContext.max_ideal
+
+    def recording(self):
+        built.append(real(self))
+        return built[-1]
+
+    monkeypatch.setattr(RingContext, "max_ideal", recording)
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True, count=8, seed=21)
+    for I in stable_instances(spec):
+        verify_embedding_lemmas(I)
+    # one object per context, R[z] and R, however many calls
+    assert len(built) > 2
+    assert len({id(m) for m in built}) == 2
+    # the canonical antichain, built without minimalize
+    calls = count_calls(monkeypatch, core.minimalize)
+    ctx = RingContext(5, powers=(2, 3)).add_z()
+    m = real(ctx)
+    assert real(RingContext(5, powers=(2, 3)).add_z()) is m
+    assert calls == []
+    assert m.gens == MonomialIdeal.make(ctx, [ctx.variable(i) for i in range(ctx.n)]).gens
