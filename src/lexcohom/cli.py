@@ -115,7 +115,7 @@ def cmd_cohom(args) -> int:
     for i in range(T.n + 1):
         print(f"H^{i} on [{T.lo},{T.hi}]: "
               + " ".join(map(str, T.rows[i]))
-              + f"   tail {[str(c) for c in T.tails[i].coeffs]}")
+              + f"   tail {T.tails[i].printed()}")
     _emit_ideal_json(args, I, backend=args.backend, cohomology=_cohom_rows(T))
     return OK
 

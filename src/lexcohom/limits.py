@@ -31,11 +31,13 @@ NUMERATOR_DEGREE_LIMIT = 400
 # four times the 449,875 of the largest lex ideal tried (240 generators of
 # degree up to 74 in four variables).
 CELL_LIMIT = 2_000_000
-# Most variables of a cohomology table.  Its n + 1 tails hold n Fraction
-# coefficients each, and building those now dominates a table of (x1): on a
-# 2-vCPU Xeon host `cohom` on it takes about 0.004 s at n = 32 in either
-# backend, and 0.012 s at n = 64.  A walk over prod_i (rho_i + 1) >= 2^n
-# multidegrees meets CELL_LIMIT first once the generators use 21 variables.
+# Most variables of a cohomology table.  Its n + 1 tails hold n integer
+# coefficients each, and a table of (x1) is dominated by their polynomial
+# products (a third of it) and by its n + 1 rows on a window that widens
+# with n: on a 2-vCPU Xeon host `cohomology_table` of it, with cold memos,
+# takes about 0.8 ms at n = 32 in either backend, and 2.7 ms at n = 64.
+# A walk over prod_i (rho_i + 1) >= 2^n multidegrees meets CELL_LIMIT first
+# once the generators use 21 variables.
 COHOM_VARIABLE_LIMIT = 32
 # Most generators of the ext backend: its dual Taylor complex has 2^g faces,
 # and its boundary matrices are dense.  On a 2-vCPU Xeon host a cold ext

@@ -3,12 +3,17 @@
 Both backends decompose by multidegree and group multidegrees into finitely
 many cells on which the relevant complex is constant.  What each backend
 owns is its cell decomposition: its walk, its complexes and its memo.  Both
-hand over cells of one shape, (fixed_sum, f, {i: dim H^i}) for the
-multidegrees of H^i_m(A/I) with f coordinates <= -1 and the others pinned
-at values summing to fixed_sum, so one routine assembles the rows of
-either from per-cell dims times lattice-point counts (binomials), and one
-reads the regularity.  Besides that assembly they share the rank kernel and
-the homology routine:
+hand over cells of one shape, ((fixed_sum, f, ((i, dim H^i), ...)), ...)
+in sorted order, a cell for the multidegrees of H^i_m(A/I) with f
+coordinates <= -1 and the others pinned at values summing to fixed_sum.
+Each walk adds every multidegree's dims into the sums of its
+(fixed_sum, f, i) as it goes: rows, tails, the module dimension and the
+regularity are sums and maxima over cells, so merging changes no table,
+the walk's order does not matter, and there are at most
+(sum_i rho_i + 1)(n + 1) cells however many multidegrees the walk visits.
+One routine assembles the rows of either backend from per-cell dims times
+lattice-point counts (binomials), and one reads the regularity.  Besides
+that assembly they share the rank kernel and the homology routine:
 
 * ``ext``: graded local duality.  The dual of the Taylor complex of I is
   sliced per multidegree; the slice pattern only depends on clamp(-a, 0, rho)
@@ -21,10 +26,12 @@ the homology routine:
 
 Tables live on a degree window [lo, hi].  On all degrees j <= -1 each row is
 a polynomial in j, its tail, which is summed off the cells (``_tails``), so
-a window from lo <= 0 leaves no degree uncovered below it.  The rows
-evaluate the tails there and walk each cell only over the degrees >= 0 it
-reaches (``_rows``), so a window far below 0 costs its span times the
-tails' width, not times the number of cells.  Each backend
+a window from lo <= 0 leaves no degree uncovered below it.  A tail is held
+exactly, as integer coefficients over one scale (``TailPoly``); its value
+at a degree is one exact division, and fractions appear only when it is
+printed.  The rows evaluate the tails there and walk each cell only over
+the degrees >= 0 it reaches (``_rows``), so a window far below 0 costs its
+span times the tails' width, not times the number of cells.  Each backend
 takes the window top from its own cells: by
 Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
 degree of H^i_m(A/I), and every cell knows its top degree.
@@ -34,18 +41,15 @@ whole process, in its own ``lru_cache`` (``_takayama_dims``, ``_ext_dims``):
 a complex is named by a compact key that determines its faces, plus the
 characteristic p, and only a miss lists faces.  The two memos are separate,
 so one backend's cached answer never stands in for the other's.  Their
-values are immutable tuples of pairs, copied into fresh dicts in the cells,
-and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
+values are immutable tuples of pairs, added into the walk's sums, and
+TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
 One level up, ``_cells`` memoizes each ideal's cells, for the whole
 process, in the ``lru_cache`` ``_merged_cells`` keyed on (I, backend); I
 carries its ring, so p is in the key.  The two backends get separate
 entries, so the two-backend oracle still compares two independent
-computations.  An entry holds the cells merged by (fixed_sum, f), as
-tuples of ints: rows, tails, the module dimension and the regularity are
-sums and maxima over cells, so merging changes no table, and an entry has
-at most (sum_i rho_i + 1)(n + 1) cells however many multidegrees the walk
-visits.  Every limit of the walk is checked before the lookup, and the
+computations.  An entry is the walk's answer, tuples of ints all the way
+down.  Every limit of the walk is checked before the lookup, and the
 checks of ``_table`` run on every call: a hit skips computation, never a
 refusal or a check.  CELL_MEMO_SIZE bounds the memo.
 
@@ -70,7 +74,14 @@ from .core import MonomialIdeal, saturate
 from .hilbert import _poly_mul, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
+# Entries of the Takayama homology memo, one per (pinned, exceed masks, p).
+# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 651
+# distinct complexes 22,588 times, about 660 bytes each, so 4,096 entries
+# never fill there and a full memo takes about 2.7 MB.
 TAKAYAMA_MEMO_SIZE = 4_096
+# Entries of the ext slice memo, one per (generators, masks, p).  The same
+# ops look up 2,262 distinct slices 12,238 times, about 370 bytes each, so
+# 8,192 entries never fill there and a full memo takes about 3.0 MB.
 EXT_MEMO_SIZE = 8_192
 # Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
 # ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs
@@ -78,7 +89,7 @@ EXT_MEMO_SIZE = 8_192
 # memo, for 0.31 MB more traced memory after the run than with no memo
 # (1,024 entries keep all of them, for 0.66 MB).  The largest entry seen,
 # the 240-generator lex ideal in four variables of degree up to 74, holds
-# 146 merged cells (2,330 unmerged) in 28 KB.
+# 146 cells, summed from 2,330 multidegrees with cohomology, in 28 KB.
 CELL_MEMO_SIZE = 256
 
 
@@ -91,6 +102,16 @@ def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
         cells *= r + 1
     limits.check("CELL_LIMIT", cells, f"the cell walk covers {cells} multidegrees")
     return rho
+
+
+def _cell_tuple(dims: dict[tuple[int, int, int], int]):
+    """A walk's sums (fixed_sum, f, i) -> dim as the cells
+    ((fixed_sum, f, ((i, dim), ...)), ...), in sorted order."""
+    return tuple(
+        (fs, f, tuple((i, dim) for (_, _, i), dim in group))
+        for (fs, f), group in itertools.groupby(sorted(dims.items()),
+                                                key=lambda item: item[0][:2])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +128,9 @@ def _takayama_dims(pinned: int, exceed: frozenset[int], p: int) -> tuple[tuple[i
 
 
 def _takayama_cells(I: MonomialIdeal):
-    """Cells (fixed_sum, n_negative, {i: dim}) covering every multidegree
-    with nonzero cohomology.
+    """The cells ((fixed_sum, f, ((i, dim), ...)), ...) covering every
+    multidegree with nonzero cohomology, f the number of negative
+    coordinates.
 
     A coordinate is either negative (free, <= -1) or pinned to a value below
     the generator-exponent bound rho_i; multidegrees with a_i >= rho_i give
@@ -118,18 +140,18 @@ def _takayama_cells(I: MonomialIdeal):
     of pinned vertices and the set of masks, with p, are the memo key of
     ``_takayama_dims``.
 
-    The multidegrees are walked depth first, coordinate by coordinate, in
-    the order of ``itertools.product`` over (negative, 0, ..., rho_i - 1),
-    so the cells come out in that order.  Each generator's exceed mask is
-    carried down the walk: pinning a coordinate adds its bit (the number of
-    coordinates pinned before it) to the masks of the generators lying
-    above the pinned value.
+    The multidegrees are walked depth first, coordinate by coordinate.
+    Each generator's exceed mask is carried down the walk: pinning a
+    coordinate adds its bit (the number of coordinates pinned before it) to
+    the masks of the generators lying above the pinned value.  Each leaf
+    adds its dims to the sums of its (fixed_sum, f, row), so the cells come
+    out merged and sorted, whatever the order of the walk.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     gens = [g.exps for g in I.gens]
     rho = _exponent_bounds(gens, n)
-    cells = []
+    dims: dict[tuple[int, int, int], int] = {}
     stack = [(0, 0, 0, (0,) * len(gens))]  # (coordinate, pinned, fixed_sum, masks)
     while stack:
         i, pinned, fixed_sum, masks = stack.pop()
@@ -142,18 +164,13 @@ def _takayama_cells(I: MonomialIdeal):
             )
             stack.append((i + 1, pinned, fixed_sum, masks))
             continue
-        hom = _takayama_dims(pinned, frozenset(masks), p)
-        if not hom:
-            continue
         f = n - pinned
-        by_i = {}
-        for k, dim in hom:
-            row = k + f + 1
-            if 0 <= row <= n:
-                by_i[row] = by_i.get(row, 0) + dim
-        if by_i:
-            cells.append((fixed_sum, f, by_i))
-    return cells
+        # the complex lives on the pinned vertices, so -1 <= k <= pinned - 1
+        # and the row k + f + 1 always lies in f..n
+        for k, dim in _takayama_dims(pinned, frozenset(masks), p):
+            key = (fixed_sum, f, k + f + 1)
+            dims[key] = dims.get(key, 0) + dim
+    return _cell_tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +193,8 @@ def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], .
 
 
 def _ext_cells(I: MonomialIdeal):
-    """Cells (fixed_sum, n_negative, {i: dim}) in the shape of
-    ``_takayama_cells``, read off the Ext modules Ext^k(A/I, A).
+    """The cells of ``_takayama_cells``, merged and sorted alike, read off
+    the Ext modules Ext^k(A/I, A).
 
     At a multidegree c of prod_i [0, rho_i] the dual Taylor slice is the
     order filter of generator subsets S with lcm(S) >= c, i.e. those meeting
@@ -188,7 +205,8 @@ def _ext_cells(I: MonomialIdeal):
     local duality, dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1}, so these
     are the multidegrees a of H^{n-k} with a_i pinned at c_i - 1 where
     c_i > 0 and a_i <= -1 at the z coordinates where c_i = 0: a cell
-    (sum(c) - n + z, z, {n - k: dim}).
+    (sum(c) - n + z, z) in row n - k.  Ext^k(A/I, A) = 0 for k > n (A has
+    global dimension n), so a slice with cohomology there is a bug.
 
     A slice is a cone, with no cohomology, when some generator t lies in
     none of the key's inclusion-minimal masks: a subset meets every mask iff
@@ -207,13 +225,15 @@ def _ext_cells(I: MonomialIdeal):
         [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
         for i in range(n)
     ]
-    cells = []
+    dims: dict[tuple[int, int, int], int] = {}
     for c in itertools.product(*[range(r + 1) for r in rho]):
-        hom = _ext_dims(g, frozenset(above[i][ci] for i, ci in enumerate(c) if ci), p)
-        if hom:
+        for k, dim in _ext_dims(g, frozenset(above[i][ci] for i, ci in enumerate(c) if ci), p):
+            if k > n:
+                raise AssertionError(f"Ext^{k}(A/I, A) != 0 in {n} variables (bug)")
             z = c.count(0)
-            cells.append((sum(c) - n + z, z, {n - k: dim for k, dim in hom if k <= n}))
-    return cells
+            key = (sum(c) - n + z, z, n - k)
+            dims[key] = dims.get(key, 0) + dim
+    return _cell_tuple(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +242,32 @@ def _ext_cells(I: MonomialIdeal):
 
 @dataclass(frozen=True)
 class TailPoly:
-    """The polynomial that a row equals on every degree j <= -1."""
+    """The polynomial that a row equals on every degree j <= -1, as integer
+    coefficients over one scale: sum_e coeffs[e] j^e / scale."""
 
-    coeffs: tuple[Fraction, ...]  # low-to-high powers of j
+    scale: int
+    coeffs: tuple[int, ...]  # low-to-high powers of j, times the scale
 
-    def value(self, j: int) -> Fraction:
-        return sum(c * j**k for k, c in enumerate(self.coeffs))
+    def value(self, j: int) -> int:
+        """The row at degree j <= -1, by Horner's rule and one exact
+        division."""
+        v = 0
+        for c in reversed(self.coeffs):
+            v = v * j + c
+        q, r = divmod(v, self.scale)
+        if r:
+            raise AssertionError(f"non-integral tail value at {j} (bug)")
+        return q
+
+    def printed(self) -> list[str]:
+        """The coefficients as reduced fractions, as reports print them."""
+        return [str(Fraction(c, self.scale)) for c in self.coeffs]
 
 
-def _tails(cells, n: int, module_dim: int) -> tuple[int, dict[int, list[int]]]:
-    """(scale, sums): each row's polynomial on j <= -1, summed off the cells,
-    as width = max(module_dim, 1) integer coefficients scaled by
-    scale = (width - 1)!.
+def _tails(cells, n: int, module_dim: int) -> dict[int, TailPoly]:
+    """Each row's polynomial on j <= -1, summed off the cells, as
+    width = max(module_dim, 1) integer coefficients over the one scale
+    (width - 1)!.
 
     A cell (fs, f) with f >= 1 adds dim * C(fs - j - 1, f - 1) to its row in
     degree j, one for each multidegree with f coordinates <= -1 summing to
@@ -257,33 +291,22 @@ def _tails(cells, n: int, module_dim: int) -> tuple[int, dict[int, list[int]]]:
         for i, dim in dims:
             for e, c in enumerate(poly):
                 sums[i][e] += dim * c
-    return scale, sums
+    return {i: TailPoly(scale, tuple(row)) for i, row in sums.items()}
 
 
-def _rows(cells, n: int, lo: int, hi: int, scale: int,
-          sums: dict[int, list[int]]) -> dict[int, list[int]]:
-    """Each row on the window [lo, hi], from the scaled tail sums of
-    ``_tails`` on the degrees <= -1 and from the cells on the degrees >= 0.
+def _rows(cells, lo: int, hi: int, tails: dict[int, TailPoly]) -> dict[int, list[int]]:
+    """Each row on the window [lo, hi], from its tail on the degrees <= -1
+    and from the cells on the degrees >= 0.
 
-    Below 0 each row is its tail, evaluated in integers and divided by the
-    scale, which must leave no remainder.  From 0 up each cell is walked
-    over the degrees it reaches: a cell with f = 0 only the degree fs, one
-    with f >= 1 the degrees j <= fs - f, where it adds
-    dim * C(fs - j - 1, f - 1).
+    From 0 up each cell is walked over the degrees it reaches: a cell with
+    f = 0 only the degree fs, one with f >= 1 the degrees j <= fs - f,
+    where it adds dim * C(fs - j - 1, f - 1).
     """
-    rows = {i: [0] * (hi - lo + 1) for i in range(n + 1)}
-    for i, coeffs in sums.items():
-        if not any(coeffs):
-            continue
-        row = rows[i]
-        for j in range(lo, min(hi, -1) + 1):
-            v = 0
-            for c in reversed(coeffs):
-                v = v * j + c
-            q, r = divmod(v, scale)
-            if r:
-                raise AssertionError(f"row {i}: non-integral tail value at {j} (bug)")
-            row[j - lo] = q
+    rows = {i: [0] * (hi - lo + 1) for i in tails}
+    for i, tail in tails.items():
+        if any(tail.coeffs):
+            for j in range(lo, min(hi, -1) + 1):
+                rows[i][j - lo] = tail.value(j)
     start = max(lo, 0)
     for fs, f, dims in cells:
         for j in range(start if f else max(start, fs), min(hi, fs - f) + 1):
@@ -318,10 +341,7 @@ class CohomologyTable:
         if j >= 0:
             raise ValueError(f"degree {j} below the window bottom {self.lo}: "
                              "the tails cover degrees <= -1 only")
-        v = self.tails[i].value(j)
-        if v.denominator != 1:
-            raise AssertionError(f"row {i}: non-integral tail value at {j} (bug)")
-        return int(v)
+        return self.tails[i].value(j)
 
     def all_certified(self) -> bool:
         # every tail is exact; kept while perfbench/workloads.py calls it
@@ -348,16 +368,8 @@ def _cells(I: MonomialIdeal, backend: str):
 
 @lru_cache(maxsize=CELL_MEMO_SIZE)
 def _merged_cells(I: MonomialIdeal, backend: str):
-    """``_cells`` without the limit checks: the backend's walk, its cells
-    with equal (fixed_sum, f) summed into one."""
-    walk = _takayama_cells if backend == "combinatorial" else _ext_cells
-    merged: dict[tuple[int, int], dict[int, int]] = {}
-    for fs, f, by_i in walk(I):
-        dims = merged.setdefault((fs, f), {})
-        for i, dim in by_i.items():
-            dims[i] = dims.get(i, 0) + dim
-    return tuple((fs, f, tuple(sorted(dims.items())))
-                 for (fs, f), dims in sorted(merged.items()) if dims)
+    """``_cells`` without the limit checks: the backend's walk."""
+    return (_takayama_cells if backend == "combinatorial" else _ext_cells)(I)
 
 
 def _regularity(cells) -> int:
@@ -383,8 +395,8 @@ def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTab
     # by Grothendieck vanishing and non-vanishing, the top nonzero row is
     # the Krull dimension; -1 for the unit ideal, which has no cells
     dim = max((i for _, _, dims in cells for i, _ in dims), default=-1)
-    scale, sums = _tails(cells, ctx.n, dim)
-    rows = _rows(cells, ctx.n, lo, hi, scale, sums)
+    tails = _tails(cells, ctx.n, dim)
+    rows = _rows(cells, lo, hi, tails)
     if any(v < 0 for row in rows.values() for v in row):
         raise AssertionError("negative cohomology dimension (bug)")
     return CohomologyTable(
@@ -393,7 +405,7 @@ def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTab
         lo=lo,
         hi=hi,
         rows={i: tuple(v) for i, v in rows.items()},
-        tails={i: TailPoly(tuple(Fraction(c, scale) for c in row)) for i, row in sums.items()},
+        tails=tails,
         module_dim=dim,
         hi_covers_reg=I.is_unit or hi >= reg,
     )

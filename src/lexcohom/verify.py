@@ -202,13 +202,12 @@ def _betti_triples(T) -> list[list[int]]:
 def _cohom_rows(T: CohomologyTable) -> list[dict]:
     rows = []
     for i in range(T.n + 1):
-        tail = T.tails[i]
         rows.append({
             "i": i,
             "lo": T.lo,
             "hi": T.hi,
             "values": list(T.rows[i]),
-            "tail_poly": [str(c) for c in tail.coeffs],
+            "tail_poly": T.tails[i].printed(),
             "certified": True,  # every tail is exact; kept for the recorded digests
         })
     return rows

@@ -17,7 +17,6 @@ from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
                              MixedContextError, NotAttainableError)
 from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.homology import reduced_homology_dims
-from lexcohom.localcohom import TailPoly
 from lexcohom.verify import enumerate_family
 from lexcohom.zstable import ZGradedIdeal
 
@@ -282,8 +281,9 @@ def ref_betti_entries(I):
 
 def ref_fit_tail(values, lo, module_dim):
     """Tail fit by exact Lagrange interpolation through the deg lowest
-    window points, deg = max(module_dim, 0); None unless the fit is
-    certified by matching two spare points, all of them at degrees <= -1."""
+    window points, deg = max(module_dim, 0), as its Fraction coefficients
+    from low to high powers; None unless the fit is certified by matching
+    two spare points, all of them at degrees <= -1."""
     deg = max(module_dim, 0)
     pts = [(lo + t, Fraction(values[t])) for t in range(deg + 2)]
     if deg == 0:
@@ -291,9 +291,9 @@ def ref_fit_tail(values, lo, module_dim):
     else:
         poly = tuple(lagrange_interpolate([x for x, _ in pts[:deg]],
                                           [y for _, y in pts[:deg]]))
-    tail = TailPoly(poly)
-    ok = lo + deg + 1 <= -1 and all(tail.value(x) == y for x, y in pts)
-    return tail if ok else None
+    ok = lo + deg + 1 <= -1 and all(
+        sum(c * x**k for k, c in enumerate(poly)) == y for x, y in pts)
+    return poly if ok else None
 
 
 def lagrange_interpolate(xs, ys):

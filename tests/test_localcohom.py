@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -21,8 +20,8 @@ from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
-from conftest import (random_ideal, ref_ext_cells, ref_fit_tail, ref_rows,
-                      ref_takayama_cells)
+from conftest import (merge_cells, random_ideal, ref_ext_cells, ref_fit_tail,
+                      ref_rows, ref_takayama_cells)
 
 
 def M(*exps):
@@ -91,7 +90,8 @@ def test_backend_agreement_on_samples():
             dim = hilbert_series(I).krull_dim()
             assert Ta.module_dim == Tb.module_dim == dim
             for i in Ta.rows:
-                assert Ta.tails[i] == ref_fit_tail(Ta.rows[i], Ta.lo, dim)
+                fit = ref_fit_tail(Ta.rows[i], Ta.lo, dim)
+                assert fit is not None and Ta.tails[i].printed() == [str(c) for c in fit]
 
 
 def test_h0_matches_backends():
@@ -250,8 +250,7 @@ def test_compare_tables_sees_tails_cross_below_the_window():
     def table(tail):
         return CohomologyTable(
             n=1, char=2, lo=-3, hi=0, rows={0: (0, 0, 0, 0), 1: (1, 1, 1, 0)},
-            tails={0: TailPoly((Fraction(0),)),
-                   1: TailPoly(tuple(map(Fraction, tail)))},
+            tails={0: TailPoly(1, (0,)), 1: TailPoly(1, tuple(tail))},
             module_dim=1, hi_covers_reg=True)
 
     A = table([1])
@@ -339,18 +338,19 @@ def small_ideals(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_ideals())
 def test_cell_passes_match_the_full_enumerations(I):
-    assert localcohom._ext_cells(I) == ref_ext_cells(I)
-    assert localcohom._takayama_cells(I) == ref_takayama_cells(I)
+    assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
+    assert localcohom._takayama_cells(I) == merge_cells(ref_takayama_cells(I))
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_ideals(), st.sampled_from(BACKENDS), st.integers(-120, 0), st.integers(0, 30))
+@given(small_ideals(), st.sampled_from(BACKENDS), st.integers(-120, 8), st.integers(0, 30))
 def test_rows_match_every_cell_counted_at_every_degree(I, backend, lo, above):
-    # the default window, and a wide one reaching far below it, against
-    # rows summed over every unmerged cell at every degree of the window
+    # the default window, and one from lo, far below it or above degree 0,
+    # against rows summed over every unmerged cell at every degree of the
+    # window
     cells = (ref_takayama_cells if backend == "combinatorial" else ref_ext_cells)(I)
     T = cohomology_table(I, backend=backend)
-    W = cohomology_table(I, (lo, T.hi + above), backend=backend)
+    W = cohomology_table(I, (lo, max(lo, T.hi) + above), backend=backend)
     for t in (T, W):
         want = ref_rows(cells, I.ctx.n, t.lo, t.hi)
         assert t.rows == {i: tuple(row) for i, row in want.items()}
@@ -405,7 +405,7 @@ def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls):
         return reduced_homology_dims(*args)
 
     monkeypatch.setattr(localcohom, "reduced_homology_dims", counted)
-    assert localcohom._ext_cells(I) == ref_ext_cells(I)
+    assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
     assert len(seen) == calls
 
 

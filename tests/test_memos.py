@@ -145,8 +145,6 @@ def test_a_caller_cannot_change_the_memos():
     T = betti_table(I)
     tables = [cohomology_table(I, backend=b) for b in BACKENDS]
     want = (repr(tak), repr(ext), dict(T.entries), [repr(t) for t in tables])
-    for _, _, by_i in tak + ext:
-        by_i[0] = 99
     T.entries[(0, 0)] = 99
     for t in tables:
         t.rows[0] = ()
@@ -178,8 +176,8 @@ def ideals_in_chars(draw):
 def test_warm_memos_match_the_unmemoized_computations(I):
     # the memos are emptied once per test, not per example, so the examples
     # share memos filled in all three characteristics
-    assert localcohom._takayama_cells(I) == ref_takayama_cells(I)
-    assert localcohom._ext_cells(I) == ref_ext_cells(I)
+    assert localcohom._takayama_cells(I) == merge_cells(ref_takayama_cells(I))
+    assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
     assert localcohom._cells(I, "combinatorial") == merge_cells(ref_takayama_cells(I))
     assert localcohom._cells(I, "ext") == merge_cells(ref_ext_cells(I))
     assert betti_table(I).entries == ref_betti_entries(I)
