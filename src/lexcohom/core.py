@@ -243,10 +243,6 @@ class Monomial:
         """self / gcd(self, other) -- the generator of (self) : (other)."""
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exps, other.exps)))
 
-    def grlex_key(self):
-        """Sort key: ascending degree, lex-descending inside a degree."""
-        return (self.degree, tuple(-e for e in self.exps))
-
 
 def format_term(names, exps, coeff: int) -> str:
     """``coeff*x1^a1*...`` in the given variable names; the coefficient 1 is
@@ -370,7 +366,7 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     rexps = [h.exps for h in right]
     left = [g for g in I.gens
             if not any(all(a <= b for a, b in zip(h, g.exps)) for h in rexps)]
-    return MonomialIdeal(I.ctx, tuple(merge(left, right, key=Monomial.grlex_key)))
+    return MonomialIdeal(I.ctx, tuple(merge(left, right, key=lambda g: _grlex_key(g.exps))))
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -55,11 +55,12 @@ POOL_LIMIT = 2_000
 # Most instances of a verify family: the samples of a random one, the
 # subsets an exhaustive one scans.  The acceptance suite runs at most 500.
 INSTANCE_LIMIT = 20_000
-# Most draws per requested sample of a random non-stable family, before it
-# is refused as too stable.  The z families sampled in the tests, CI and
-# benchmark (1..3 x variables, powers (), (2) or (2, 2), maxdeg 2..4) are
-# 20-64% non-stable, so they need 1.6-5 draws per sample; a draw takes
-# about 0.2 ms on a 2-vCPU Xeon host.
+# Most draws in a row of a random non-stable family that find no non-stable
+# ideal, before it is refused as too stable, whatever its sample count.  The
+# z families sampled in the tests, CI and benchmark (1..3 x variables,
+# powers (), (2) or (2, 2), maxdeg 2..4) are 20-64% non-stable, so a run of
+# 200 stable draws has probability at most 0.8^200 < 10^-19 there; a draw
+# takes about 0.2 ms on a 2-vCPU Xeon host.
 DRAWS_PER_SAMPLE_LIMIT = 200
 # Most rounds of z_stabilize, each a strict step up a finite chain.  The
 # longest among 1,080 sampled non-stable ideals (2..4 x variables and z,

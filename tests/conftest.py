@@ -156,6 +156,31 @@ def ref_z_stabilize(I):
     return cur
 
 
+def ref_extension_recurrence(I, backend="combinatorial"):
+    """check_extension_recurrence with each right-hand side summed anew:
+    [(name, passed, first mismatch (i, h) or None)] for the upper-sum and
+    bar-saturated recurrences."""
+    dec = zstable.z_decompose(I)
+    big = localcohom.cohomology_table(I, backend=backend)
+    lo, hi = big.lo, big.hi
+    J_sat = zstable.bar(zstable.z_saturate(dec))
+    J_bar_sat = ref_saturate(zstable.bar(dec), I.ctx.drop_z().max_ideal())
+    out = []
+    for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", J_bar_sat, 2)):
+        small = localcohom.cohomology_table(J, (lo, hi), backend=backend)
+        mismatch = None
+        for i in range(min_i, I.ctx.n + 1):
+            for h in range(lo, hi + 1):
+                rhs = sum(small.value(i - 1, m) for m in range(h + 1, small.hi + 1))
+                if big.value(i, h) != rhs:
+                    mismatch = (i, h)
+                    break
+            if mismatch:
+                break
+        out.append((name, mismatch is None, mismatch))
+    return out
+
+
 def ref_saturate(I, J):
     """I : J^infinity by iterating the colon I : J until it stabilizes."""
     cur = I

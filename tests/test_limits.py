@@ -75,10 +75,33 @@ def test_a_too_stable_family_is_refused_after_its_draws(monkeypatch, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert "201 draws for 1 non-stable samples found 0, above " \
         "limits.DRAWS_PER_SAMPLE_LIMIT = 200" in capsys.readouterr().err
+    # the limit counts the draws in a row that found no non-stable ideal,
+    # so asking for more samples does not draw more before the refusal
+    t0 = time.perf_counter()
+    assert main(["verify", "zstabilize", "--family", "n=2,d=2:2,z=1,maxdeg=1",
+                 "--samples", "2000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "201 draws for 2000 non-stable samples found 0, above " \
+        "limits.DRAWS_PER_SAMPLE_LIMIT = 200" in capsys.readouterr().err
     monkeypatch.setattr(limits, "DRAWS_PER_SAMPLE_LIMIT", 3)
     spec = FamilySpec(2, powers=(2, 2), max_deg=1, with_z=True, count=2)
-    with pytest.raises(ResourceLimitError, match="^7 draws for 2 non-stable"):
+    with pytest.raises(ResourceLimitError, match="^4 draws for 2 non-stable"):
         list(verify.nonstable_instances(spec))
+
+
+def test_stabilization_refuses_an_lcm_degree_past_the_numerator_limit(monkeypatch):
+    # before any round: the chain of (x1^2, z^399) alone has 400 components,
+    # and a memo hit is refused too
+    ctx = RingContext(1).add_z()
+    I = MonomialIdeal.make(ctx, [Monomial((2, 0)), Monomial((0, 399))])
+    with pytest.raises(ResourceLimitError,
+                       match="degree 401, above limits.NUMERATOR_DEGREE_LIMIT = 400"):
+        z_stabilize(I)
+    J = MonomialIdeal.make(ctx, [Monomial((2, 0)), Monomial((0, 300))])
+    assert is_z_stable(z_stabilize(J))
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 301)
+    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT = 301"):
+        z_stabilize(J)
 
 
 def test_stabilization_round_limit(monkeypatch):

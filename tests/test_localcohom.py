@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import limits, localcohom
+from lexcohom import limits, localcohom, verify
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.embeddings import epsilon_one
@@ -20,8 +21,8 @@ from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
-from conftest import (merge_cells, random_ideal, ref_ext_cells, ref_fit_tail,
-                      ref_rows, ref_takayama_cells)
+from conftest import (merge_cells, random_ideal, ref_ext_cells, ref_extension_recurrence,
+                      ref_fit_tail, ref_rows, ref_takayama_cells)
 
 
 def M(*exps):
@@ -297,6 +298,46 @@ def test_recurrence_reports():
             assert r.passed, (str(I), r)
     with pytest.raises(ValueError):
         check_extension_recurrence(MonomialIdeal.make(ctx, [M(1, 1)]))
+
+
+@st.composite
+def moved_recurrence_inputs(draw):
+    """A z-stable ideal with or without powers, and one table entry to move
+    by one: in the ideal's own table (True) or in the smaller ones (False),
+    or none."""
+    nx = draw(st.integers(1, 2))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers).add_z()
+    rng = draw(st.randoms(use_true_random=False))
+    I = z_recompose(z_stabilize(random_ideal(rng, ctx, 3, 4)))
+    move = draw(st.none() | st.tuples(st.booleans(), st.integers(0, 3),
+                                      st.integers(0, 60), st.sampled_from((-1, 1))))
+    return I, move
+
+
+@given(moved_recurrence_inputs())
+@settings(max_examples=80, deadline=None)
+def test_recurrence_check_matches_the_quadratic_reference(inputs):
+    # a moved entry puts the first mismatch anywhere, or nowhere when it is
+    # row i - 1's bottom entry, which no sum reads
+    I, move = inputs
+    computed = cohomology_table
+
+    def table(J, window=None, backend="combinatorial"):
+        T = computed(J, window, backend)
+        if move is None or move[0] != (window is None):
+            return T
+        _, i, k, delta = move
+        i %= T.n + 1
+        row = list(T.rows[i])
+        row[k % len(row)] += delta
+        return replace(T, rows={**T.rows, i: tuple(row)})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "cohomology_table", table)
+        mp.setattr(localcohom, "cohomology_table", table)
+        got = [(r.name, r.passed, r.first_mismatch) for r in check_extension_recurrence(I)]
+        assert got == ref_extension_recurrence(I)
 
 
 def top_partial_sums(I):

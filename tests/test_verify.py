@@ -10,7 +10,7 @@ from lexcohom import betti, core, embeddings, localcohom, verify
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
                            ideal_product, minimalize)
 from lexcohom.errors import NotAnIdealError, ResourceLimitError
-from lexcohom.hilbert import hilbert_series
+from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.ioformat import format_ideal
 from lexcohom.limits import POOL_LIMIT
 from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
@@ -201,6 +201,34 @@ def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
         calls.clear()
         assert verify_embedding_lemmas(I).passed
         assert len(calls) == 2
+
+
+def test_lemma_suite_reads_each_component_window_once(monkeypatch):
+    # one window per component of each chain, the bars' among them, and
+    # the pair of the top-partial-sums lemma
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True,
+                      count=30, seed=0)
+    expected = []
+    instances = list(stable_instances(spec))
+    for I in instances:
+        P = I.plus_powers()
+        E = embeddings.epsilon_one(P)
+        expected.append(len(zs.z_decompose(P).components)
+                        + len(zs.z_decompose(E).components) + 2)
+    calls = count_calls(monkeypatch, ideal_window)
+    for I, want in zip(instances, expected):
+        calls.clear()
+        assert verify_embedding_lemmas(I).passed
+        assert len(calls) == want
+
+
+def test_lemma_suite_raises_a_refusal_of_the_genuine_embedding():
+    # m*(x1, z^399) = (x1^2, x1*z, z^400) has lcm degree 402: the embedding
+    # of m*I is refused, which is no failed lemma
+    ctx = RingContext(1, powers=(2,)).add_z()
+    I = MonomialIdeal.make(ctx, [M(1, 0), M(0, 399)])
+    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
+        verify_embedding_lemmas(I)
 
 
 def test_lemma_suite_refuses_a_genuine_embedding_that_breaks_its_theorems(monkeypatch):

@@ -344,6 +344,24 @@ def test_order_compare_and_stabilize_recompose_no_chain(monkeypatch):
     assert calls == []
 
 
+def test_a_stabilization_round_reads_one_numerator_list_per_chain(monkeypatch):
+    # the round's z_order_compare is its one Hilbert check: it reads the
+    # numerators of components 0..max(s) of the chain before and after
+    calls = count_calls(monkeypatch, hilbert_series)
+    rng = random.Random(71)
+    rounds = 0
+    for _ in range(20):
+        I = random_ideal(rng, ctx2z, 3, 4)
+        chains = [z_decompose(I)]
+        while (viol := _first_violation(chains[-1])) is not None:
+            chains.append(distraction_initial(chains[-1], *viol))
+        rounds += len(chains) - 1
+        calls.clear()
+        z_stabilize(I)
+        assert len(calls) == sum(2 * (max(a.s, b.s) + 1) for a, b in zip(chains, chains[1:]))
+    assert rounds > 10
+
+
 def test_stability_forms_no_product_ideal(monkeypatch):
     calls = count_calls(monkeypatch, ideal_product)
     rng = random.Random(67)
