@@ -9,6 +9,20 @@ Conventions used throughout the package:
   i.e. monomial ideals containing b.  ``graded_piece_dim`` counts within the
   monomial basis of S when the context carries powers.
 * All values are immutable and safe to share between threads.
+
+Where monomials are validated: ``Monomial.__post_init__`` checks every
+Monomial built by its public constructor -- by the parser, by
+``RingContext.monomials``, ``variable`` and ``one``, by the validated methods
+``Monomial.mul``, ``lcm`` and ``colon``, and by user code -- so each
+monomial is checked once, where it enters the package.  The ideal
+operations (``ideal_product``, ``ideal_intersection``, ``colon``,
+``saturate``, and ``z_decompose`` / ``z_recompose`` in ``zstable``) work on
+exponent tuples and build their results through :func:`_minimal_ideal`,
+the one constructor that skips that check, used only where the exponents
+are in range by construction: an lcm, a colon, a saturation, a product
+whose coordinate maxima were checked against ``limits.EXPONENT_LIMIT``,
+removing z, or appending a z-degree taken from the input.  ``ideal_sum``
+builds no monomial: its result keeps the generators of its inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import merge
 from math import comb
+from operator import add, le
 
 from . import limits
 from .errors import MixedContextError
@@ -261,12 +276,26 @@ def _grlex_key(e: tuple[int, ...]):
     return (sum(e), tuple(-x for x in e))
 
 
+def _divides_any(exps, e: tuple[int, ...]) -> bool:
+    """Whether some exponent vector of ``exps`` divides ``e``."""
+    for h in exps:
+        if all(map(le, h, e)):
+            return True
+    return False
+
+
 def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     """The divisibility antichain of exponent vectors generating the same
-    monomial ideal, in ``_grlex_key`` order."""
+    monomial ideal, in ``_grlex_key`` order.
+
+    Two stable sorts give that order without a key tuple per vector:
+    lex-descending first, then by degree.
+    """
+    order = sorted(exps, reverse=True)
+    order.sort(key=sum)
     kept: list[tuple[int, ...]] = []
-    for g in sorted(exps, key=_grlex_key):
-        if not any(all(a <= b for a, b in zip(h, g)) for h in kept):
+    for g in order:
+        if not _divides_any(kept, g):
             kept.append(g)
     return tuple(kept)
 
@@ -280,6 +309,22 @@ def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
                 f"monomial {e} has {len(e)} exponents, context has {ctx.n}"
             )
     return MonomialIdeal(ctx, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
+
+
+def _minimal_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
+    """The ideal of ``ctx`` generated by exponent vectors that are in range
+    by construction, each of length ``ctx.n``: ``minimal_exponents`` once,
+    and one Monomial per minimal generator.
+
+    The one place that builds a Monomial without ``Monomial.__post_init__``;
+    the module docstring lists the operations that may call it.
+    """
+    gens = []
+    for e in minimal_exponents(exps):
+        g = object.__new__(Monomial)
+        object.__setattr__(g, "exps", e)
+        gens.append(g)
+    return MonomialIdeal(ctx, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -327,7 +372,10 @@ class MonomialIdeal:
                 f"monomial {e} has {len(e)} exponents, context has {self.ctx.n}"
             )
         # Monomial.divides inlined: every generator has the context's length
-        return any(all(a <= b for a, b in zip(g.exps, e)) for g in self.gens)
+        for g in self.gens:
+            if all(map(le, g.exps, e)):
+                return True
+        return False
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -359,29 +407,47 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """
     _same_ctx(I, J)
     iexps = [g.exps for g in I.gens]
-    right = [h for h in J.gens
-             if not any(all(a <= b for a, b in zip(g, h.exps)) for g in iexps)]
+    right = [h for h in J.gens if not _divides_any(iexps, h.exps)]
     if not right:
         return I
     rexps = [h.exps for h in right]
-    left = [g for g in I.gens
-            if not any(all(a <= b for a, b in zip(h, g.exps)) for h in rexps)]
+    left = [g for g in I.gens if not _divides_any(rexps, g.exps)]
     return MonomialIdeal(I.ctx, tuple(merge(left, right, key=lambda g: _grlex_key(g.exps))))
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I * J from the sums of the generators' exponent vectors.
+
+    Some product passes ``limits.EXPONENT_LIMIT``, minimal or not, exactly
+    when the coordinatewise maxima of the two generator sets add up past
+    it; then the validated products raise OverflowError at the first one.
+    """
     _same_ctx(I, J)
-    return minimalize(I.ctx, [a.mul(b) for a in I.gens for b in J.gens])
+    iexps = [a.exps for a in I.gens]
+    jexps = [b.exps for b in J.gens]
+    if iexps and jexps:
+        top = max(map(add, map(max, zip(*iexps)), map(max, zip(*jexps))))
+        if top > limits.EXPONENT_LIMIT:
+            for a in I.gens:
+                for b in J.gens:
+                    a.mul(b)  # the validated product raises at the first overflow
+    return _minimal_ideal(I.ctx, [tuple(map(add, a, b)) for a in iexps for b in jexps])
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I meet J, generated by the lcms of the generator pairs."""
     _same_ctx(I, J)
-    return minimalize(I.ctx, [a.lcm(b) for a in I.gens for b in J.gens])
+    jexps = [b.exps for b in J.gens]
+    return _minimal_ideal(I.ctx, [tuple(map(max, a.exps, b)) for a in I.gens for b in jexps])
 
 
 def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """The quotient ideal I : (m)."""
-    return minimalize(I.ctx, [g.colon(m) for g in I.gens])
+    """The quotient ideal I : (m), generated by the g / gcd(g, m)."""
+    e = m.exps
+    if len(e) != I.ctx.n:
+        raise MixedContextError(f"monomial {e} has {len(e)} exponents, context has {I.ctx.n}")
+    return _minimal_ideal(I.ctx, [tuple([a - b if a > b else 0 for a, b in zip(g.exps, e)])
+                                  for g in I.gens])
 
 
 def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -403,15 +469,18 @@ def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     J^k contains (g_1^k, ..., g_r^k) and J^{rk} lies inside it, so both
     powers give the same saturation, and I : (g_1^k, ..., g_r^k) is the
     intersection of the I : g_t^k.
+
+    The intersection runs on exponent tuples, minimalized at each step,
+    and only its minimal generators become Monomials.
     """
     _same_ctx(I, J)
-    out = MonomialIdeal.unit(I.ctx)
+    lcms = [(0,) * I.ctx.n]  # the unit ideal, the answer for a zero J
     for g in J.gens:
-        out = ideal_intersection(out, minimalize(I.ctx, [
-            Monomial(tuple(0 if gi else e for e, gi in zip(h.exps, g.exps)))
-            for h in I.gens
-        ]))
-    return out
+        support = g.exps
+        part = minimal_exponents(tuple([0 if s else e for e, s in zip(h.exps, support)])
+                                 for h in I.gens)
+        lcms = [tuple(map(max, a, b)) for a in minimal_exponents(lcms) for b in part]
+    return _minimal_ideal(I.ctx, lcms)
 
 
 def graded_piece_dim(I: MonomialIdeal, d: int) -> int:

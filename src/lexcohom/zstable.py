@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import limits
-from .core import (Monomial, MonomialIdeal, RingContext, colon, ideal_intersection,
-                   ideal_sum, minimalize)
+from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal,
+                   colon, ideal_intersection, ideal_sum)
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
 from .hilbert import (_poly_add, _poly_mul, _shift, hilbert_series, lcm_degree,
@@ -90,10 +90,6 @@ class ZGradedIdeal:
         )
 
 
-def _strip_z(e: tuple[int, ...]) -> tuple[int, ...]:
-    return e[:-1]
-
-
 def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     """Split a monomial ideal of R[z] into its z-degree components.
 
@@ -101,27 +97,27 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     z stripped.  Those form a canonical antichain of R: they are minimal
     and grlex-sorted in R[z] and share one z-degree; and no generator of a
     lower z-degree divides one of them, so ``ideal_sum`` needs no
-    ``minimalize``.
+    ``minimalize``.  The stripped exponent tuples of each z-degree become
+    Monomials once, through ``core._minimal_ideal``.
     """
     _check_z_ctx(I.ctx)
     _check_preimage(I)
     ctx_R = I.ctx.drop_z()
     s = max((g.exps[-1] for g in I.gens), default=0)
-    levels: list[list[Monomial]] = [[] for _ in range(s + 1)]
+    levels: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
     for g in I.gens:
-        levels[g.exps[-1]].append(Monomial(_strip_z(g.exps)))
-    comps = [MonomialIdeal(ctx_R, tuple(levels[0]))]
+        levels[g.exps[-1]].append(g.exps[:-1])
+    comps = [_minimal_ideal(ctx_R, levels[0])]
     for level in levels[1:]:
-        comps.append(ideal_sum(comps[-1], MonomialIdeal(ctx_R, tuple(level))))
+        comps.append(ideal_sum(comps[-1], _minimal_ideal(ctx_R, level)))
     return ZGradedIdeal(I.ctx, tuple(comps))
 
 
 def z_recompose(Z: ZGradedIdeal) -> MonomialIdeal:
-    """Inverse of z_decompose."""
-    gens = []
-    for h, comp in enumerate(Z.components):
-        gens.extend(Monomial(g.exps + (h,)) for g in comp.gens)
-    return minimalize(Z.ctx, gens)
+    """Inverse of z_decompose: the x^a z^h for the generators x^a of each
+    component h, minimalized on exponent tuples."""
+    return _minimal_ideal(Z.ctx, [g.exps + (h,) for h, comp in enumerate(Z.components)
+                                  for g in comp.gens])
 
 
 def bar(Z: ZGradedIdeal) -> MonomialIdeal:
@@ -265,7 +261,7 @@ def _first_violation(Z: ZGradedIdeal) -> tuple[int, int] | None:
         for j in range(Z.ctx.n - 1):
             for e in upper:
                 ej = e[:j] + (e[j] + 1,) + e[j + 1:]
-                if not any(all(a <= b for a, b in zip(h, ej)) for h in lower):
+                if not _divides_any(lower, ej):
                     return d, j
     return None
 

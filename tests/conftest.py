@@ -416,6 +416,43 @@ def ref_ideal_sum(I, J):
     return minimalize(I.ctx, I.gens + J.gens)
 
 
+def ref_ideal_product(I, J):
+    """I * J by minimalizing the validated products of the generators."""
+    if I.ctx != J.ctx:
+        raise MixedContextError(f"contexts differ: {I.ctx} vs {J.ctx}")
+    return minimalize(I.ctx, [a.mul(b) for a in I.gens for b in J.gens])
+
+
+def ref_ideal_intersection(I, J):
+    """I meet J by minimalizing the validated lcms of the generators."""
+    if I.ctx != J.ctx:
+        raise MixedContextError(f"contexts differ: {I.ctx} vs {J.ctx}")
+    return minimalize(I.ctx, [a.lcm(b) for a in I.gens for b in J.gens])
+
+
+def ref_colon(I, m):
+    """I : (m) by minimalizing the validated colons of the generators."""
+    return minimalize(I.ctx, [g.colon(m) for g in I.gens])
+
+
+def ref_saturate_by_parts(I, J):
+    """I : J^infinity as the intersection of the I : g^infinity, each built
+    from validated Monomials and minimalized."""
+    out = MonomialIdeal.unit(I.ctx)
+    for g in J.gens:
+        out = ref_ideal_intersection(out, minimalize(I.ctx, [
+            Monomial(tuple(0 if gi else e for e, gi in zip(h.exps, g.exps)))
+            for h in I.gens]))
+    return out
+
+
+def ref_z_recompose(Z):
+    """The ideal of R[z] minimalized from every x^a z^h, x^a a generator
+    of component h, built as validated Monomials."""
+    return minimalize(Z.ctx, [Monomial(g.exps + (h,))
+                              for h, comp in enumerate(Z.components) for g in comp.gens])
+
+
 def ref_z_decompose(I):
     """z-components, each minimalized from every generator of z-degree at
     most its level."""

@@ -190,6 +190,21 @@ def test_lemma_suite_embeds_the_instance_once(monkeypatch):
     assert len(calls) > 1  # the components, m*I and the bar are embedded too
 
 
+def test_lemma_suite_checks_each_chain_for_stability_once(monkeypatch):
+    # is_z_stable on I and on E; the top-partial-sums lemma reuses the
+    # suite's check of I instead of running its precondition again
+    calls = count_calls(monkeypatch, zs._first_violation)
+    ctx = RingContext(2, powers=(2, 2)).add_z()
+    I = MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 2, 0), M(1, 1, 0), M(0, 1, 1)])
+    rec = verify_embedding_lemmas(I)
+    assert rec.passed and "top_partial_sums" in rec.checks
+    assert len(calls) == 2
+    # the public lemma keeps its precondition
+    not_stable = zs.z_decompose(MonomialIdeal.make(ctx, [M(0, 1, 1)]).plus_powers())
+    with pytest.raises(ValueError, match="z-stable"):
+        verify.lemma_top_partial_sums(not_stable, zs.z_decompose(I))
+
+
 def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
     # I and E once each for the suite, whose decompositions the checks of
     # the genuine embedding and the top-partial-sums lemma reuse
@@ -289,6 +304,33 @@ def _check_restriction_against_reference(I, epsilon):
 @settings(max_examples=60, deadline=None)
 def test_restriction_check_matches_the_sum_window_reference(inputs):
     _check_restriction_against_reference(*inputs)
+
+
+@given(stable_lemma_inputs())
+@settings(max_examples=60, deadline=None)
+def test_multiply_then_embed_needs_no_product_of_the_image(inputs):
+    # eps(m*I) >= m*E + b, read generator by generator, against the
+    # containment of the product ideal, for the genuine and the corrupted
+    # images on either side
+    I, _ = inputs
+    P = I.plus_powers()
+    m = P.ctx.max_ideal()
+    images = [(embed(P), embed(ideal_product(m, P).plus_powers()))
+              for embed in (embeddings.epsilon_one, corrupt_epsilon)]
+    for E, _ in images:
+        for _, EmI in images:
+            assert verify._holds_m_times(EmI, E) == \
+                EmI.contains_ideal(ideal_product(m, E).plus_powers())
+
+
+def test_multiply_then_embed_asks_for_the_powers_too():
+    # P = (x1^3, z) holds m * (z^5) but not b = (x1^2)
+    ctx = RingContext(1, powers=(2,)).add_z()
+    P = MonomialIdeal.make(ctx, [M(3, 0), M(0, 1)])
+    E = MonomialIdeal.make(ctx, [M(0, 5)])
+    assert not P.contains_ideal(ideal_product(ctx.max_ideal(), E).plus_powers())
+    assert not verify._holds_m_times(P, E)
+    assert verify._holds_m_times(P.plus_powers(), E)
 
 
 def test_corrupted_embedding_trips_the_restriction_like_the_reference():
@@ -403,6 +445,30 @@ def test_parallel_pool_matches_sequential():
     par = run_family("region", spec, jobs=2)
     assert json.dumps(seq.to_json_dict(), sort_keys=True) == \
         json.dumps(par.to_json_dict(), sort_keys=True)
+
+
+@pytest.mark.parametrize("theorem, spec", [
+    ("region", FamilySpec(n=2, powers=(2,), max_deg=3, count=40, seed=3)),
+    ("embedding-lemmas", FamilySpec(n=1, powers=(2,), max_deg=3, with_z=True,
+                                    count=20, seed=1)),
+])
+def test_run_family_checks_each_distinct_instance_once(monkeypatch, theorem, spec):
+    kind, op = verify.THEOREMS[theorem]
+    instances = list({"family": enumerate_family,
+                      "stable": stable_instances}[kind](spec))
+    assert len(set(instances)) < len(instances)  # the family repeats ideals
+    calls = []
+
+    def counted(I):
+        calls.append(I)
+        return op(I)
+
+    monkeypatch.setitem(verify.THEOREMS, theorem, (kind, counted))
+    report = run_family(theorem, spec)
+    assert len(calls) == len(set(calls)) == len(set(instances))
+    # the same report as checking every sample
+    every = sorted((op(I) for I in instances), key=lambda r: r.ideal)
+    assert report.to_json_dict() == verify.Report(theorem, spec, every).to_json_dict()
 
 
 def test_report_records_sorted_by_serialization():
