@@ -178,22 +178,25 @@ def values_nonneg(values) -> bool:
     return True
 
 
-def series_nonneg(numer, nvars: int) -> bool:
-    """Whether every coefficient of numer(t) / (1-t)^nvars is >= 0 for
-    degrees >= 0, decided exactly.
+def series_signs(numer, nvars: int) -> tuple[bool, bool]:
+    """(every coefficient of numer(t) / (1-t)^nvars is >= 0, every one is
+    <= 0), over all degrees >= 0, decided exactly from one pass.
 
     Coefficients are checked explicitly across the numerator's support D;
     from degree D + 1 - nvars on they follow one polynomial of degree
-    < nvars, so the nvars coefficients after D decide the rest.
+    < nvars, so the nvars coefficients after D decide the rest, for either
+    sign.  Trailing zeros of ``numer`` do not count towards D.
     """
-    numer = list(numer)
-    while numer and numer[-1] == 0:
-        numer.pop()
-    if not numer:
-        return True
     D = len(numer) - 1
-    coeffs = _series_coeffs(numer, nvars, D + nvars)
-    return all(c >= 0 for c in coeffs[:D + 1]) and values_nonneg(coeffs[D + 1:])
+    while D >= 0 and numer[D] == 0:
+        D -= 1
+    if D < 0:
+        return True, True
+    coeffs = _series_coeffs(numer[:D + 1], nvars, D + nvars)
+    head, tail = coeffs[:D + 1], coeffs[D + 1:]
+    nonneg = min(head) >= 0 and values_nonneg(tail)
+    nonpos = max(head) <= 0 and values_nonneg([-c for c in tail])
+    return nonneg, nonpos
 
 
 def macaulay_rep(a: int, d: int) -> list[tuple[int, int]]:

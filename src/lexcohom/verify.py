@@ -363,9 +363,10 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     # j <= W.  In degree d both sides hold every monomial of z-degree >= j, so
     #   dim(I + (z^j))_d - dim(E + (z^j))_d
     #     = sum_{h<j} dim(I_<h>)_{d-h} - dim(E_<h>)_{d-h},
-    # a running total over the component windows (j = 0 gives 0).
-    winI = [ideal_window(c, W) for c in dec.components]
-    winE = [ideal_window(c, W) for c in decE.components]
+    # a running total over the component windows (j = 0 gives 0), read off
+    # the chains' stored numerators.
+    winI = [dec.window(h, W) for h in range(dec.s + 1)]
+    winE = [decE.window(h, W) for h in range(decE.s + 1)]
     gap = [0] * (W + 1)
     restriction = True
     for j in range(1, W + 1):
@@ -465,9 +466,11 @@ def _top_partial_sums(dec: zstable.ZGradedIdeal,
     """``lemma_top_partial_sums`` without its stability precondition, for
     the lemma suite, which has checked it already."""
     d = max(dec.max_gen_degree(), decE.max_gen_degree()) + 2
-    # the components of a preimage's z-decomposition already hold b
-    lhs = ideal_window(zstable.bar(zstable.z_saturate(dec)), d)
-    rhs = ideal_window(zstable.bar(zstable.z_saturate(decE)), d)
+    # the bar of the z-saturation is the top component, whose window is
+    # read off its stored numerator; the components of a preimage's
+    # z-decomposition already hold b
+    lhs = dec.window(dec.s, d)
+    rhs = decE.window(decE.s, d)
     acc_l = acc_r = 0
     for j in range(d + 1):
         acc_l += lhs[d - j]

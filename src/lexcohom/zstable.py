@@ -12,20 +12,30 @@ components of that initial ideal in closed form, from monomial sums, colons
 and intersections, so the loop runs no Groebner basis; ``distraction`` and
 the Buchberger engine of ``groebner`` are its test oracle.
 
-``_first_violation`` alone decides stability (``is_z_stable`` asks that it
-finds none), and ``z_order_compare`` reads its equal-Hilbert-function
-precondition off the component numerators, recomposing no chain.
+A chain stores the facts read from it, each computed on first use: its
+component numerators (one ``hilbert_series`` per component), their largest
+lcm degree, the total numerator and the answer of ``_first_violation``.
+``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
+chains' stored numerators (its equal-Hilbert-function precondition compares
+the stored totals, recomposing no chain), and ``ZGradedIdeal.window`` reads a
+component's window off its numerator.  Every read of a numerator checks the
+stored lcm degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a stored
+chain never skips a refusal.
 
-``z_stabilize`` memoizes each ideal's stable chain and round count for
-the whole process, in the ``lru_cache`` ``_stable_chain`` keyed on the
-ideal, which carries its ring.  Every round of a computed entry compares
-the new chain with the one before by ``z_order_compare``, and that one
-comparison is the round's Hilbert check (a changed Hilbert function raises
-HilbertMismatchError) and its check of the strict increase.  The ideal's
-lcm degree and the round count are checked against
-``limits.NUMERATOR_DEGREE_LIMIT`` and ``limits.STABILIZATION_ROUND_LIMIT``
-on every call, so a hit skips computation, never a refusal.
-STABLE_MEMO_SIZE bounds the memo.
+Two ``lru_cache`` memos, keyed on the ideal (which carries its ring), hold
+chains for the whole process.  ``z_decompose`` reads ``_decomposition``
+(DECOMPOSE_MEMO_SIZE entries), so each ideal is decomposed once and its
+chain, with the facts stored on it, is shared by every caller; its refusals
+of a context without z and of an ideal that is no preimage are raised on
+every call and never stored.  ``z_stabilize`` reads ``_stable_chain``
+(STABLE_MEMO_SIZE entries), each ideal's stable chain and round count.
+Every round of a computed entry compares the new chain with the one before
+by ``z_order_compare``, and that one comparison is the round's Hilbert
+check (a changed Hilbert function raises HilbertMismatchError) and its
+check of the strict increase.  The ideal's lcm degree and the round count
+are checked against ``limits.NUMERATOR_DEGREE_LIMIT`` and
+``limits.STABILIZATION_ROUND_LIMIT`` on every call, so a hit skips
+computation, never a refusal.
 
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
@@ -34,15 +44,14 @@ the context has powers the component ideals carry the power generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import limits
 from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal,
-                   colon, ideal_intersection, ideal_sum)
+                   _ring_dims, colon, ideal_intersection, ideal_sum)
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
-from .hilbert import (_poly_add, _poly_mul, _shift, hilbert_series, lcm_degree,
-                      series_nonneg)
+from .hilbert import _series_coeffs, hilbert_series, lcm_degree, series_signs
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -62,7 +71,10 @@ class ZGradedIdeal:
     """The component chain I_<0> <= ... <= I_<s> of a z-graded ideal.
 
     Components live in the context with z dropped and are constant from the
-    stabilization index s = len(components) - 1 on.
+    stabilization index s = len(components) - 1 on.  The facts read from
+    the chain (numerators, lcm degree, total numerator, first violation)
+    are computed on first use and stored on it; they take no part in its
+    equality or hash.
     """
 
     ctx: RingContext                      # the R[z] context
@@ -89,6 +101,49 @@ class ZGradedIdeal:
             default=0,
         )
 
+    @cached_property
+    def _lcm_degree(self) -> int:
+        return max(map(lcm_degree, self.components))
+
+    @cached_property
+    def _numers(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(hilbert_series(c).numer for c in self.components)
+
+    @cached_property
+    def _total(self) -> tuple[int, ...]:
+        return _total_numerator(self._numers)
+
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """The numerators of Hilb(R/I_<h>) over (1-t)^n for h = 0..s.
+
+        They are computed once per chain; every read checks the largest lcm
+        degree of a component against ``limits.NUMERATOR_DEGREE_LIMIT``, as
+        ``hilbert_series`` would, so a stored chain never skips a refusal.
+        """
+        degree = self._lcm_degree
+        limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
+        return self._numers
+
+    def total_numerator(self) -> tuple[int, ...]:
+        """The numerator of Hilb(R[z]/I) over (1-t)^(n+1), from the stored
+        component numerators (``_total_numerator``)."""
+        self.numerators()  # checks the limit
+        return self._total
+
+    def window(self, h: int, upto: int) -> tuple[int, ...]:
+        """Degreewise dims of component h (component s from s on) inside R
+        on degrees 0..upto: ``ideal_window`` of the component, read off its
+        stored numerator."""
+        numer = self.numerators()[min(h, self.s)]
+        ctx_R = self.components[0].ctx
+        ring = _ring_dims(ctx_R.n, ctx_R.powers, upto)
+        return tuple(r - q for r, q in zip(ring, _series_coeffs(numer, ctx_R.n, upto)))
+
+    @cached_property
+    def violation(self) -> tuple[int, int] | None:
+        """``_first_violation`` of the chain, found once."""
+        return _first_violation(self)
+
 
 def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     """Split a monomial ideal of R[z] into its z-degree components.
@@ -99,9 +154,29 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     lower z-degree divides one of them, so ``ideal_sum`` needs no
     ``minimalize``.  The stripped exponent tuples of each z-degree become
     Monomials once, through ``core._minimal_ideal``.
+
+    The chain is memoized for the whole process, in the ``lru_cache``
+    ``_decomposition`` keyed on I, so every caller shares one chain per
+    ideal and the facts stored on it.  Both refusals (no z in the context,
+    an ideal that is no preimage) are raised on every call, never stored.
     """
     _check_z_ctx(I.ctx)
     _check_preimage(I)
+    return _decomposition(I)
+
+
+# Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
+# 15 s zstab-harness run (perfbench), with the draws of their non-stable
+# inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
+# 3,702 hits, for 0.51 MB more traced memory after the run than with no
+# memo, the chains' stored numerators included (256 entries keep 3,619,
+# for 0.26 MB).
+DECOMPOSE_MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=DECOMPOSE_MEMO_SIZE)
+def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
+    """The chain of ``z_decompose``, for an I it has checked."""
     ctx_R = I.ctx.drop_z()
     s = max((g.exps[-1] for g in I.gens), default=0)
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
@@ -128,8 +203,9 @@ def bar(Z: ZGradedIdeal) -> MonomialIdeal:
 def is_z_stable(Z: ZGradedIdeal) -> bool:
     """Check I_<k+1> * m_R <= I_<k> for every k below the stabilization
     index: generator by generator and variable by variable, which is the
-    same as containing the product I_<k+1> * m_R."""
-    return _first_violation(Z) is None
+    same as containing the product I_<k+1> * m_R.  Reads the chain's
+    stored answer of ``_first_violation``."""
+    return Z.violation is None
 
 
 def colon_z(Z: ZGradedIdeal) -> ZGradedIdeal:
@@ -148,11 +224,20 @@ def _total_numerator(numers) -> tuple[int, ...]:
     """Numerator of Hilb(R[z]/I) over (1-t)^n from the numerators
     N_0, ..., N_H of components 0..H, the last one standing for every
     h >= H: (1-t) sum_{h<H} t^h N_h + t^H N_H.  Any H from the
-    stabilization index on gives the same polynomial."""
-    below = (0,)
+    stabilization index on gives the same polynomial.  Each coefficient is
+    added into one list in place, so the cost is the numerators' total
+    length, not H times the widest."""
+    H = len(numers) - 1
+    out = [0] * (H + 1 + max(map(len, numers)))
     for h, numer in enumerate(numers[:-1]):
-        below = _poly_add(below, _shift(numer, h))
-    return _poly_add(_poly_mul(below, (1, -1)), _shift(numers[-1], len(numers) - 1))
+        for i, c in enumerate(numer):
+            out[h + i] += c
+            out[h + i + 1] -= c
+    for i, c in enumerate(numers[-1]):
+        out[H + i] += c
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def default_window(*ideals) -> int:
@@ -169,40 +254,48 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     Both ideals must have the same Hilbert function (checked exactly).  The
     comparison is exact at every degree and every level: for a level h the
     difference of partial sums is the series
-    sum_k t^k (numer(R/J_k) - numer(R/L_k)) / (1-t)^n, whose sign
-    ``series_nonneg`` decides; levels past both stabilization indices
-    reduce (using the equality of total Hilbert functions) to one
+    sum_k t^k (numer(R/J_k) - numer(R/L_k)) / (1-t)^n, whose two signs
+    ``series_signs`` decides from one pass; levels past both stabilization
+    indices reduce (using the equality of total Hilbert functions) to one
     cumulative comparison of the top components.
 
-    The precondition is read off the same numerators (``_total_numerator``
-    at H = max(J.s, L.s)), recomposing neither chain.
+    Everything is read off the two chains' stored numerators: the
+    precondition compares their stored totals, recomposing neither chain.
+    A level where the two numerators are equal leaves the running
+    difference, and so both sign tests, unchanged, and is skipped; the
+    others are added into one list in place.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
+    numers_J, numers_L = J.numerators(), L.numerators()
+    if J.total_numerator() != L.total_numerator():
+        raise HilbertMismatchError("the ideals have different Hilbert functions")
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)
-    numers_J = [hilbert_series(J.component(h)).numer for h in range(H + 1)]
-    numers_L = [hilbert_series(L.component(h)).numer for h in range(H + 1)]
-    if _total_numerator(numers_J) != _total_numerator(numers_L):
-        raise HilbertMismatchError("the ideals have different Hilbert functions")
-    negated_L = [tuple(-c for c in numer) for numer in numers_L]
+    diff = [0] * (H + max(map(len, numers_J + numers_L)))
     le = ge = True
-    diff = (0,)
     for h in range(H + 1):
-        diff = _poly_add(diff, _shift(_poly_add(numers_J[h], negated_L[h]), h))
-        if not any(diff):
+        a, b = numers_J[min(h, J.s)], numers_L[min(h, L.s)]
+        if a == b:
             continue
-        if not series_nonneg(diff, n):
-            le = False
-        if not series_nonneg(tuple(-c for c in diff), n):
-            ge = False
-    tail = _poly_add(numers_J[H], negated_L[H])
+        for i, c in enumerate(a):
+            diff[h + i] += c
+        for i, c in enumerate(b):
+            diff[h + i] -= c
+        nonneg, nonpos = series_signs(diff, n)
+        le, ge = le and nonneg, ge and nonpos
+        if not (le or ge):
+            return "incomparable"
     # levels past H: cumulative comparison of the stabilized components
-    if any(tail):
-        if not series_nonneg(tuple(-c for c in tail), n + 1):
-            le = False
-        if not series_nonneg(tail, n + 1):
-            ge = False
+    a, b = numers_J[-1], numers_L[-1]
+    if a != b:
+        tail = [0] * max(len(a), len(b))
+        for i, c in enumerate(a):
+            tail[i] += c
+        for i, c in enumerate(b):
+            tail[i] -= c
+        nonneg, nonpos = series_signs(tail, n + 1)
+        le, ge = le and nonpos, ge and nonneg
     # a nonzero difference is a nonzero series, which fails one of the two
     # sign tests: le and ge together mean every difference vanished
     if le and ge:
@@ -374,7 +467,8 @@ def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
     """(the z-stable chain of I, the number of rounds it took).
 
     Every round's ``z_order_compare(cur, nxt)`` is its one Hilbert check:
-    it reads one numerator list off each chain and raises
+    it reads the stored numerators of both chains, so each chain's are
+    computed once, in the round that makes it, and raises
     HilbertMismatchError when their Hilbert functions differ, so the chain
     keeps the Hilbert function of ``z_decompose(I)``, which is I's.  Its
     answer is the check of the strict increase.  The round limit is
@@ -383,7 +477,7 @@ def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
     """
     cur = z_decompose(I)
     rounds = 0
-    while (viol := _first_violation(cur)) is not None:
+    while (viol := cur.violation) is not None:
         rounds += 1
         limits.check("STABILIZATION_ROUND_LIMIT", rounds,
                      f"z_stabilize needs round {rounds}",

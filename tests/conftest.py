@@ -15,7 +15,8 @@ from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_di
                            ideal_product, minimalize)
 from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
                              MixedContextError, NotAttainableError)
-from lexcohom.hilbert import hilbert_series, ideal_window
+from lexcohom.hilbert import (_poly_add, _poly_mul, _series_coeffs, _shift, hilbert_series,
+                              ideal_window, values_nonneg)
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.verify import enumerate_family
 from lexcohom.zstable import ZGradedIdeal
@@ -25,15 +26,17 @@ from lexcohom.zstable import ZGradedIdeal
 def cold_memos():
     """Empty the process-wide memos before each test: the Koszul, Takayama
     and ext homology memos, the Betti entries, the merged cells, the
-    certified embeddings and the stable chains, so that a count of
-    homology, walk, lattice, certificate or round calls does not depend on
-    the tests run before it."""
+    certified embeddings, the decompositions and the stable chains, so that a count of
+    homology, walk, lattice, certificate, round, numerator or stability
+    calls does not depend on the tests run before it.  Clearing the
+    decompositions drops the facts stored on their chains too."""
     betti._koszul_dims.cache_clear()
     betti._lattice_entries.cache_clear()
     localcohom._takayama_dims.cache_clear()
     localcohom._ext_dims.cache_clear()
     localcohom._merged_cells.cache_clear()
     embeddings._certified_embedding.cache_clear()
+    zstable._decomposition.cache_clear()
     zstable._stable_chain.cache_clear()
 
 
@@ -148,7 +151,7 @@ def ref_z_stabilize(I):
                      f"z_stabilize needs round {rounds}", IterationCapExceededError)
         nxt = zstable.distraction_initial(cur, *viol)
         numers = [hilbert_series(c).numer for c in nxt.components]
-        if zstable._total_numerator(numers) != target:
+        if ref_total_numerator(numers) != target:
             raise HilbertMismatchError("distraction step changed the Hilbert function")
         if zstable.z_order_compare(cur, nxt) != "less":
             raise IterationCapExceededError("stabilization step did not strictly increase")
@@ -366,7 +369,68 @@ def poly_nonneg_on_ray(coeffs, start, direction):
     return all(sum(c * j**k for k, c in enumerate(q)) >= 0 for j in pts)
 
 
-def ref_z_order_compare(J, L, window):
+def ref_series_nonneg(numer, nvars):
+    """Whether every coefficient of numer(t) / (1-t)^nvars is >= 0: the
+    numerator's support D checked explicitly, then the nvars coefficients
+    after D, which follow one polynomial of degree < nvars."""
+    numer = list(numer)
+    while numer and numer[-1] == 0:
+        numer.pop()
+    if not numer:
+        return True
+    D = len(numer) - 1
+    coeffs = _series_coeffs(numer, nvars, D + nvars)
+    return all(c >= 0 for c in coeffs[:D + 1]) and values_nonneg(coeffs[D + 1:])
+
+
+def ref_total_numerator(numers):
+    """(1-t) sum_{h<H} t^h N_h + t^H N_H from the component numerators
+    N_0, ..., N_H, by polynomial sums of shifted tuples."""
+    below = (0,)
+    for h, numer in enumerate(numers[:-1]):
+        below = _poly_add(below, _shift(numer, h))
+    return _poly_add(_poly_mul(below, (1, -1)), _shift(numers[-1], len(numers) - 1))
+
+
+def ref_z_order_compare(J, L):
+    """z_order_compare with every numerator computed afresh per level by
+    ``hilbert_series``, the precondition from two recomputed totals, and
+    each sign tested on its own at every level."""
+    if J.ctx != L.ctx:
+        raise HilbertMismatchError("contexts differ")
+    n = J.ctx.drop_z().n
+    H = max(J.s, L.s)
+    numers_J = [hilbert_series(J.component(h)).numer for h in range(H + 1)]
+    numers_L = [hilbert_series(L.component(h)).numer for h in range(H + 1)]
+    if ref_total_numerator(numers_J) != ref_total_numerator(numers_L):
+        raise HilbertMismatchError("the ideals have different Hilbert functions")
+    negated_L = [tuple(-c for c in numer) for numer in numers_L]
+    le = ge = True
+    diff = (0,)
+    for h in range(H + 1):
+        diff = _poly_add(diff, _shift(_poly_add(numers_J[h], negated_L[h]), h))
+        if not any(diff):
+            continue
+        if not ref_series_nonneg(diff, n):
+            le = False
+        if not ref_series_nonneg(tuple(-c for c in diff), n):
+            ge = False
+    tail = _poly_add(numers_J[H], negated_L[H])
+    if any(tail):
+        if not ref_series_nonneg(tuple(-c for c in tail), n + 1):
+            le = False
+        if not ref_series_nonneg(tail, n + 1):
+            ge = False
+    if le and ge:
+        return "equal"
+    if le:
+        return "less"
+    if ge:
+        return "greater"
+    return "incomparable"
+
+
+def ref_windowed_z_order_compare(J, L, window):
     """z-order comparison from explicit partial-sum dims on degrees
     0..window at every level up to both stabilization indices."""
     le = ge = True

@@ -126,30 +126,39 @@ def test_O_sequence():
 
 
 def test_series_nonneg():
-    from lexcohom.hilbert import series_nonneg
-    assert series_nonneg((1,), 2)
-    assert series_nonneg((0, 0, 1), 1)          # 0,0,1,1,...
-    assert not series_nonneg((0, -1, 1), 2)     # -t/(1-t)
-    assert series_nonneg((1, -1), 1)            # constant 1
-    assert series_nonneg((), 3)
-    assert not series_nonneg((1, -3), 1)        # 1,-2,-2,...
-    assert not series_nonneg((1, -2, 1), 1)     # 1-t has a negative coefficient
-    assert series_nonneg((2, -1), 1)            # 2,1,1,...
-    assert series_nonneg((5,), 0)
-    assert not series_nonneg((0, -1), 0)
-    # against brute-force expansion on random numerators
+    # series_signs decides both signs from one pass: a series is >= 0
+    # exactly when its negation is <= 0
+    from lexcohom.hilbert import series_signs
+    cases = [
+        ((1,), 2, True),
+        ((0, 0, 1), 1, True),       # 0,0,1,1,...
+        ((0, -1, 1), 2, False),     # -t/(1-t)
+        ((1, -1), 1, True),         # constant 1
+        ((), 3, True),
+        ((1, -3), 1, False),        # 1,-2,-2,...
+        ((1, -2, 1), 1, False),     # 1-t has a negative coefficient
+        ((2, -1), 1, True),         # 2,1,1,...
+        ((5,), 0, True),
+        ((0, -1), 0, False),
+    ]
+    for numer, n, nonneg in cases:
+        assert series_signs(numer, n)[0] == nonneg, (numer, n)
+        assert series_signs(tuple(-c for c in numer), n)[1] == nonneg, (numer, n)
+    assert series_signs((), 3) == series_signs([0, 0], 2) == (True, True)
+    assert series_signs([1, -1, 0, 0], 1) == (True, False)  # trailing zeros count for nothing
+    # against brute-force expansion on random numerators, with and without
+    # trailing zeros (z_order_compare passes a list padded with them)
     rng = random.Random(2)
     from math import comb
     for _ in range(200):
         n = rng.randint(1, 3)
         numer = tuple(rng.randint(-2, 3) for _ in range(rng.randint(1, 5)))
         D = len(numer) - 1
-        brute = all(
-            sum(numer[i] * comb(d - i + n - 1, n - 1)
-                for i in range(min(d, D) + 1)) >= 0
-            for d in range(D + n + 12)
-        )
-        assert series_nonneg(numer, n) == brute, (numer, n)
+        coeffs = [sum(numer[i] * comb(d - i + n - 1, n - 1) for i in range(min(d, D) + 1))
+                  for d in range(D + n + 12)]
+        brute = (all(c >= 0 for c in coeffs), all(c <= 0 for c in coeffs))
+        assert series_signs(numer, n) == brute, (numer, n)
+        assert series_signs(list(numer) + [0, 0], n) == brute, (numer, n)
 
 
 def test_values_nonneg():

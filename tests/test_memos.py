@@ -1,6 +1,6 @@
 """The process-wide memos: the homology of the Koszul, Takayama and ext
-complexes, per ideal the Betti entries, the merged cells of each backend
-and the stable chain, per Hilbert series the certified embedding, and per
+complexes, per ideal the Betti entries, the merged cells of each backend,
+the z-decomposition and the stable chain, per Hilbert series the certified embedding, and per
 context the maximal ideal.  They are keyed by the characteristic, hit on a
 second pass, immutable, equal to the unmemoized computations when warm,
 and a hit still meets every limit."""
@@ -25,7 +25,7 @@ from lexcohom.zstable import z_stabilize
 
 from conftest import (count_calls, merge_cells, ref_betti_entries,
                       ref_embed_matching_series, ref_ext_cells, ref_takayama_cells,
-                      ref_z_stabilize)
+                      ref_z_decompose, ref_z_stabilize)
 
 BACKENDS = ("combinatorial", "ext")
 
@@ -221,6 +221,54 @@ def test_a_stabilization_memo_hit_still_refuses(monkeypatch):
                        match="needs 3 rounds, above limits.STABILIZATION_ROUND_LIMIT = 2"):
         z_stabilize(I)
     assert zstable._stable_chain.cache_info().hits == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_ideals())
+def test_warm_and_cold_decompositions_match_the_reference(I):
+    # the examples share one memo; the unwrapped call is cold, and a second
+    # call, also with an equal ideal built anew, is a hit on this entry
+    warm = zstable.z_decompose(I)
+    cold = zstable._decomposition.__wrapped__(I)
+    want = ref_z_decompose(I)
+    assert warm == cold == want
+    assert [c.gens for c in warm.components] == [c.gens for c in want.components]
+    assert zstable.z_decompose(MonomialIdeal(I.ctx, I.gens)) is warm
+
+
+def test_a_decomposition_refusal_is_raised_on_every_call():
+    no_z = MonomialIdeal.make(RingContext(2), [Monomial((1, 1))])
+    not_preimage = MonomialIdeal.make(RingContext(2, powers=(2, 2)).add_z(),
+                                      [Monomial((1, 1, 0))])
+    for I, match in ((no_z, "z as last variable"), (not_preimage, "power generators")):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                zstable.z_decompose(I)
+    assert zstable._decomposition.cache_info().currsize == 0  # never stored
+
+
+def test_a_stored_chain_still_refuses_past_the_numerator_limit(monkeypatch):
+    # (x1^3, x1*x2*z, x2^4*z^2) in K[x1, x2][z]: components (x1^3),
+    # (x1^3, x1*x2) and (x1^3, x1*x2, x2^4), of lcm degrees 3, 4 and 7
+    ctx = RingContext(2).add_z()
+    I = MonomialIdeal.make(ctx, [Monomial((3, 0, 0)), Monomial((1, 1, 1)),
+                                 Monomial((0, 4, 2))])
+    Z = zstable.z_decompose(I)
+    assert [lcm_degree(c) for c in Z.components] == [3, 4, 7]
+    numers, total = Z.numerators(), Z.total_numerator()
+    calls = count_calls(monkeypatch, hilbert_series)
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 6)
+    reads = (Z.numerators, Z.total_numerator, lambda: Z.window(0, 5),
+             lambda: zstable.z_order_compare(Z, Z),
+             lambda: zstable.z_decompose(I).numerators())
+    for read in reads:
+        with pytest.raises(ResourceLimitError,
+                           match="degree 7, above limits.NUMERATOR_DEGREE_LIMIT = 6"):
+            read()
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 7)
+    assert Z.numerators() is numers and Z.total_numerator() == total
+    assert zstable.z_order_compare(Z, Z) == "equal"
+    assert calls == []  # every read used the stored numerators
 
 
 def same_series_pairs():

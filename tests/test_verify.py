@@ -191,13 +191,18 @@ def test_lemma_suite_embeds_the_instance_once(monkeypatch):
 
 
 def test_lemma_suite_checks_each_chain_for_stability_once(monkeypatch):
-    # is_z_stable on I and on E; the top-partial-sums lemma reuses the
-    # suite's check of I instead of running its precondition again
+    # is_z_stable on I and on E searches each chain once; the chains are
+    # memoized with their answers, which the public top-partial-sums lemma
+    # and a second run of the suite read back
     calls = count_calls(monkeypatch, zs._first_violation)
     ctx = RingContext(2, powers=(2, 2)).add_z()
     I = MonomialIdeal.make(ctx, [M(2, 0, 0), M(0, 2, 0), M(1, 1, 0), M(0, 1, 1)])
     rec = verify_embedding_lemmas(I)
     assert rec.passed and "top_partial_sums" in rec.checks
+    assert len(calls) == 2
+    dec, decE = zs.z_decompose(I), zs.z_decompose(embeddings.epsilon_one(I))
+    assert verify.lemma_top_partial_sums(dec, decE).passed
+    assert verify_embedding_lemmas(I).passed
     assert len(calls) == 2
     # the public lemma keeps its precondition
     not_stable = zs.z_decompose(MonomialIdeal.make(ctx, [M(0, 1, 1)]).plus_powers())
@@ -219,8 +224,9 @@ def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
 
 
 def test_lemma_suite_reads_each_component_window_once(monkeypatch):
-    # one window per component of each chain, the bars' among them, and
-    # the pair of the top-partial-sums lemma
+    # every window (the restriction inequality's, the bars' and the
+    # top-partial-sums lemma's) is read off the chains' stored numerators:
+    # no ideal_window, and one hilbert_series per component of each chain
     spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True,
                       count=30, seed=0)
     expected = []
@@ -228,13 +234,21 @@ def test_lemma_suite_reads_each_component_window_once(monkeypatch):
     for I in instances:
         P = I.plus_powers()
         E = embeddings.epsilon_one(P)
-        expected.append(len(zs.z_decompose(P).components)
-                        + len(zs.z_decompose(E).components) + 2)
-    calls = count_calls(monkeypatch, ideal_window)
+        expected.append(sum(len(zs.z_decompose(X).components) for X in {P, E}))
+    windows = count_calls(monkeypatch, ideal_window)
+    numerators = []  # the chains' hilbert_series calls
+
+    def counted(J):
+        numerators.append(J)
+        return hilbert_series(J)
+
+    monkeypatch.setattr(zs, "hilbert_series", counted)
     for I, want in zip(instances, expected):
-        calls.clear()
+        zs._decomposition.cache_clear()  # fresh chains, none of their facts stored
+        numerators.clear()
         assert verify_embedding_lemmas(I).passed
-        assert len(calls) == want
+        assert len(numerators) == want
+    assert windows == []
 
 
 def test_lemma_suite_raises_a_refusal_of_the_genuine_embedding():
