@@ -81,16 +81,18 @@ def cmd_lex(args) -> int:
         print("error: lex expects a ring without powers (use lpp)", file=sys.stderr)
         return USAGE_ERROR
     L = lex_segment_ideal(I.ctx, ideal_window(I, I.max_gen_degree() + 2))
-    print(format_ideal(L))
-    _emit_ideal_json(args, I, lex=format_ideal(L))
+    text = format_ideal(L)
+    print(text)
+    _emit_ideal_json(args, I, lex=text)
     return OK
 
 
 def cmd_lpp(args) -> int:
     I = _read_ideal(args)
     L = lpp_ideal(I)
-    print(format_ideal(L))
-    _emit_ideal_json(args, I, lpp=format_ideal(L))
+    text = format_ideal(L)
+    print(text)
+    _emit_ideal_json(args, I, lpp=text)
     return OK
 
 

@@ -3,7 +3,7 @@
 Complexes are given as collections of faces encoded as vertex bitmasks; the
 empty face is mask 0.  This module builds the package's only boundary
 matrices: Koszul and Takayama complexes are simplicial complexes, and the
-dual Taylor slices of the ext backend are order filters (see
+dual Taylor slices of the ext backend are nerves or order filters (see
 ``reduced_homology_dims``).  Conventions (these matter: an off-by-one here
 silently corrupts first syzygies):
 
@@ -49,6 +49,11 @@ def reduced_homology_dims(faces, p: int) -> dict[int, int]:
     filter) is accepted too: its restricted boundary maps are those of the
     quotient chain complex, so the dims are those of the cochain complex on
     the filter, shifted down by one (k counts the face size minus one).
+    That quotient is the chain complex of the simplex relative to the
+    complex Gamma of the faces outside the filter.  On a simplex with at
+    least one vertex the augmented chain complex is acyclic, so the dims
+    reported at k are those of H~_{k-1}(Gamma); ``localcohom._ext_dims``
+    reads them off a nerve of Gamma this way.
     """
     faces = set(faces)
     if not faces:

@@ -39,12 +39,16 @@ CELL_LIMIT = 2_000_000
 # A walk over prod_i (rho_i + 1) >= 2^n multidegrees meets CELL_LIMIT first
 # once the generators use 21 variables.
 COHOM_VARIABLE_LIMIT = 32
-# Most generators of the ext backend: its dual Taylor complex has 2^g faces,
-# and its boundary matrices are dense.  On a 2-vCPU Xeon host a cold ext
-# table of an LPP ideal or a sample in four variables (powers (2, 2),
-# (2, 3) or (3, 3)) takes 0.4-1.5 s at 10 generators (20 ideals), 5.0-10.3 s
-# at 11 (5 ideals), and one of 18 died of a MemoryError after 168 s under a
-# 3 GB cap.  The combinatorial backend takes at most 5 ms on each of them.
+# Most generators of the ext backend.  Its dual Taylor complex has 2^g
+# faces, and the value was set when each slice listed its subsets: on a
+# 2-vCPU Xeon host a cold ext table of an LPP ideal or a sample in four
+# variables (powers (2, 2), (2, 3) or (3, 3), maxdeg 3) took 0.4-1.1 s at 10
+# generators (15 ideals) and 1.9-8.5 s at 11 (10 ideals), and one of 18 died
+# of a MemoryError after 168 s under a 3 GB cap.  A slice now ranks at most
+# 2^min(n, g) faces (localcohom._ext_dims), and with this cap raised the
+# same tables take 0.7-2.7 ms at 10, 1.0-3.9 ms at 11 and 2.0-4.2 ms at 18
+# (19 ideals, that one among them), about what the combinatorial backend
+# takes.  The cap stays until a change decides to answer above it.
 EXT_GENERATOR_LIMIT = 10
 # Most points of an lcm lattice, each a Koszul complex for the Betti table.
 LATTICE_LIMIT = 20_000

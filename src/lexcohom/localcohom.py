@@ -36,13 +36,22 @@ takes the window top from its own cells: by
 Eisenbud-Goto, reg(A/I) = max_i (a_i + i) where a_i is the top nonzero
 degree of H^i_m(A/I), and every cell knows its top degree.
 
+Both walks skip every multidegree below a node where some generator can no
+longer enter any of the node's masks: it lies in no mask chosen so far and
+has no positive exponent on the coordinates left.  Below such a node every
+Takayama complex is void and every ext slice is a cone, so no cell
+changes.  Each walk applies this one rule to its own masks (see
+``_takayama_cells`` and ``_ext_cells``).
+
 Each backend memoizes the homology of its complexes across calls, for the
 whole process, in its own ``lru_cache`` (``_takayama_dims``, ``_ext_dims``):
 a complex is named by a compact key that determines its faces, plus the
-characteristic p, and only a miss lists faces.  The two memos are separate,
-so one backend's cached answer never stands in for the other's.  Their
-values are immutable tuples of pairs, added into the walk's sums, and
-TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
+characteristic p, and only a miss lists faces.  An ext slice is ranked on
+the nerve of its minimal masks, at most n vertices, when that is smaller
+than its order filter of up to 2^g generator subsets (``_ext_dims``).  The
+two memos are separate, so one backend's cached answer never stands in for
+the other's.  Their values are immutable tuples of pairs, added into the
+walk's sums, and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
 
 One level up, ``_cells`` memoizes each ideal's cells, for the whole
 process, in the ``lru_cache`` ``_merged_cells`` keyed on (I, backend); I
@@ -53,8 +62,8 @@ down.  Every limit of the walk is checked before the lookup, and the
 checks of ``_table`` run on every call: a hit skips computation, never a
 refusal or a check.  CELL_MEMO_SIZE bounds the memo.
 
-Both backends walk prod_i (rho_i + 1) multidegrees, rho_i the largest
-exponent of x_i in a generator; ``_cells`` checks that count against
+Both backends walk at most prod_i (rho_i + 1) multidegrees, rho_i the
+largest exponent of x_i in a generator; ``_cells`` checks that count against
 ``limits.CELL_LIMIT``, and the number of variables against
 ``limits.COHOM_VARIABLE_LIMIT``, on every call, and each walk checks the
 count again before it starts.  For the ext backend ``_cells`` and the walk
@@ -75,13 +84,13 @@ from .hilbert import _poly_mul, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
 
 # Entries of the Takayama homology memo, one per (pinned, exceed masks, p).
-# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 651
-# distinct complexes 22,588 times, about 660 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 2.7 MB.
+# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 528
+# distinct complexes 5,566 times, about 680 bytes each, so 4,096 entries
+# never fill there and a full memo takes about 2.8 MB.
 TAKAYAMA_MEMO_SIZE = 4_096
 # Entries of the ext slice memo, one per (generators, masks, p).  The same
-# ops look up 2,262 distinct slices 12,238 times, about 370 bytes each, so
-# 8,192 entries never fill there and a full memo takes about 3.0 MB.
+# ops look up 982 distinct slices 4,301 times, about 420 bytes each, so
+# 8,192 entries never fill there and a full memo takes about 3.5 MB.
 EXT_MEMO_SIZE = 8_192
 # Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
 # ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs
@@ -127,6 +136,19 @@ def _takayama_dims(pinned: int, exceed: frozenset[int], p: int) -> tuple[tuple[i
     return tuple(reduced_homology_dims(faces, p).items())
 
 
+def _ended(gens: list[tuple[int, ...]], n: int) -> list[int]:
+    """ended[i], for i = 0..n, the bitmask of the generators with no
+    positive exponent on the coordinates i..n-1 (all of them at i = n)."""
+    ended = [0] * (n + 1)
+    for t, e in enumerate(gens):
+        i = n
+        while i and not e[i - 1]:
+            i -= 1
+        for k in range(i, n + 1):
+            ended[k] |= 1 << t
+    return ended
+
+
 def _takayama_cells(I: MonomialIdeal):
     """The cells ((fixed_sum, f, ((i, dim), ...)), ...) covering every
     multidegree with nonzero cohomology, f the number of negative
@@ -141,33 +163,63 @@ def _takayama_cells(I: MonomialIdeal):
     ``_takayama_dims``.
 
     The multidegrees are walked depth first, coordinate by coordinate.
-    Each generator's exceed mask is carried down the walk: pinning a
-    coordinate adds its bit (the number of coordinates pinned before it) to
-    the masks of the generators lying above the pinned value.  Each leaf
-    adds its dims to the sums of its (fixed_sum, f, row), so the cells come
-    out merged and sorted, whatever the order of the walk.
+    The generators are carried down the walk in blocks of equal exceed
+    mask, pairs (mask, bitmask of the generators with that mask): pinning
+    coordinate i at a splits each block by ``exceeds[i][a]``, those with
+    g_t[i] > a, and adds its bit (the number of coordinates pinned before
+    it) to the mask of the part inside.  So a node costs its blocks, at
+    most min(g, 2^pinned), not its g generators, and the leaf's key is the
+    set of the blocks' masks.  The walk also carries ``covered``, the
+    generators whose mask is not empty.  Each leaf adds its dims to the
+    sums of its (fixed_sum, f, row), so the cells come out merged and
+    sorted, whatever the order of the walk.
+
+    A node at coordinate i is skipped, with all the multidegrees below it,
+    when some generator t outside ``covered`` has no positive exponent on
+    the coordinates i..n-1 (``_ended``): a later coordinate k adds a bit to
+    t's mask only if g_t[k] > a_k >= 0, so t's mask stays empty, and no
+    complement meets an empty mask.  Every leaf below is the void complex,
+    with no homology.  At i = n this drops every void leaf before its
+    lookup.  Since exceeds[i][a] shrinks as a grows, the values of a
+    coordinate are tried upwards until the first one that is skipped.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
     gens = [g.exps for g in I.gens]
     rho = _exponent_bounds(gens, n)
+    exceeds = [
+        [sum(1 << t for t, e in enumerate(gens) if e[i] > a) for a in range(rho[i])]
+        for i in range(n)
+    ]
+    ended = _ended(gens, n)
     dims: dict[tuple[int, int, int], int] = {}
-    stack = [(0, 0, 0, (0,) * len(gens))]  # (coordinate, pinned, fixed_sum, masks)
+    blocks = ((0, (1 << len(gens)) - 1),) if gens else ()
+    # (coordinate, pinned, fixed_sum, blocks, covered)
+    stack = [] if ended[0] else [(0, 0, 0, blocks, 0)]
     while stack:
-        i, pinned, fixed_sum, masks = stack.pop()
+        i, pinned, fixed_sum, blocks, covered = stack.pop()
         if i < n:
+            need = ended[i + 1]
+            if not need & ~covered:
+                stack.append((i + 1, pinned, fixed_sum, blocks, covered))
             bit = 1 << pinned
-            stack.extend(
-                (i + 1, pinned + 1, fixed_sum + a,
-                 tuple(m | bit if g[i] > a else m for m, g in zip(masks, gens)))
-                for a in reversed(range(rho[i]))
-            )
-            stack.append((i + 1, pinned, fixed_sum, masks))
+            for a, exceed in enumerate(exceeds[i]):
+                cov = covered | exceed
+                if need & ~cov:
+                    break
+                split = []
+                for mask, members in blocks:
+                    inside = members & exceed
+                    if inside:
+                        split.append((mask | bit, inside))
+                    if inside != members:
+                        split.append((mask, members ^ inside))
+                stack.append((i + 1, pinned + 1, fixed_sum + a, tuple(split), cov))
             continue
         f = n - pinned
         # the complex lives on the pinned vertices, so -1 <= k <= pinned - 1
         # and the row k + f + 1 always lies in f..n
-        for k, dim in _takayama_dims(pinned, frozenset(masks), p):
+        for k, dim in _takayama_dims(pinned, frozenset(mask for mask, _ in blocks), p):
             key = (fixed_sum, f, k + f + 1)
             dims[key] = dims.get(key, 0) + dim
     return _cell_tuple(dims)
@@ -179,15 +231,40 @@ def _takayama_cells(I: MonomialIdeal):
 
 @lru_cache(maxsize=EXT_MEMO_SIZE)
 def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    """((k, dim Ext^k), ...) of the cochain complex on the order filter of
-    subsets of g generators that meet every mask; empty for a cone (see
-    ``_ext_cells``) without listing any subset."""
+    """((k, dim Ext^k), ...) of the cochain complex on the order filter F of
+    subsets of g generators that meet every mask.
+
+    Only the inclusion-minimal masks M matter, since a subset meets every
+    mask iff it meets every minimal one.  A cone (see ``_ext_cells``) is
+    empty without listing anything.  Otherwise, for g >= 1, F is the full
+    simplex on the generators minus Gamma, the union of the simplices
+    2^([g] \\ m) over m in M, and ``reduced_homology_dims`` of F is the
+    relative homology of that pair.  The simplex is acyclic, so
+    H_k(F) = H~_{k-1}(Gamma).  An intersection of those simplices is the
+    simplex on [g] minus the union of their masks, nonempty iff the masks
+    do not cover [g].  So by the nerve lemma (Borsuk 1948; Bjorner,
+    "Topological methods", 1995) Gamma has the reduced homology of the
+    nerve N = {Q subset of M : the union of Q is not [g]}, whose faces
+    include Q = {}, and Ext^{k+2} = H~_k(N).  M = {[g]} gives N = {{}} and
+    Ext^1 = K, the filter of nonempty subsets.
+
+    N has at most 2^|M| faces and F at most 2^g, so N is ranked when
+    |M| < g and F otherwise; g = 0 lists F = {{}}.
+    """
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    full = (1 << g) - 1
     union = 0
     for m in minimal:
         union |= m
-    if union != (1 << g) - 1:
+    if union != full:
         return ()
+    if len(minimal) < g:
+        unions = [0] * (1 << len(minimal))
+        for Q in range(1, len(unions)):
+            low = Q & -Q
+            unions[Q] = unions[Q ^ low] | minimal[low.bit_length() - 1]
+        nerve = [Q for Q, u in enumerate(unions) if u != full]
+        return tuple((k + 2, d) for k, d in reduced_homology_dims(nerve, p).items())
     subsets = [S for S in range(1 << g) if all(S & m for m in minimal)]
     return tuple((k + 1, d) for k, d in reduced_homology_dims(subsets, p).items())
 
@@ -198,13 +275,13 @@ def _ext_cells(I: MonomialIdeal):
 
     At a multidegree c of prod_i [0, rho_i] the dual Taylor slice is the
     order filter of generator subsets S with lcm(S) >= c, i.e. those meeting
-    {t : g_t[i] >= c_i} for every coordinate with c_i > 0; the number of
-    generators and the set of those bitmasks, with p, are the memo key of
-    ``_ext_dims``.  Its cohomology is Ext^k in the multidegrees b with
-    b_i = -c_i where c_i > 0 and b_i >= 0 where c_i = 0.  By multigraded
-    local duality, dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1}, so these
-    are the multidegrees a of H^{n-k} with a_i pinned at c_i - 1 where
-    c_i > 0 and a_i <= -1 at the z coordinates where c_i = 0: a cell
+    above[i][c_i] = {t : g_t[i] >= c_i} for every coordinate with c_i > 0;
+    the number of generators and the set of those bitmasks, with p, are the
+    memo key of ``_ext_dims``.  Its cohomology is Ext^k in the multidegrees
+    b with b_i = -c_i where c_i > 0 and b_i >= 0 where c_i = 0.  By
+    multigraded local duality, dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1},
+    so these are the multidegrees a of H^{n-k} with a_i pinned at c_i - 1
+    where c_i > 0 and a_i <= -1 at the z coordinates where c_i = 0: a cell
     (sum(c) - n + z, z) in row n - k.  Ext^k(A/I, A) = 0 for k > n (A has
     global dimension n), so a slice with cohomology there is a bug.
 
@@ -214,6 +291,17 @@ def _ext_cells(I: MonomialIdeal):
     t.  So the filter is F' times the two subsets (empty, {t}), where F' is
     a filter on the other generators, and its cochain complex is acyclic.
     Such slices are memoized as () without listing any subset.
+
+    The multidegrees are walked depth first, coordinate by coordinate, like
+    those of ``_takayama_cells``, carrying the masks chosen so far and
+    ``covered``, their union.  A node at coordinate i is skipped, with all
+    the multidegrees below it, when some generator t outside ``covered``
+    has no positive exponent on the coordinates i..n-1 (``_ended``): a
+    later mask above[k][c_k] with c_k >= 1 holds t only if g_t[k] >= 1, so
+    t lies in no mask and every slice below is a cone.  At i = n this
+    drops every slice whose masks miss a generator before its lookup.
+    Since above[i][c] shrinks as c grows, the values of a coordinate are
+    tried upwards until the first one that is skipped.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
@@ -222,16 +310,29 @@ def _ext_cells(I: MonomialIdeal):
     gens = [gen.exps for gen in I.gens]
     rho = _exponent_bounds(gens, n)
     above = [
-        [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(rho[i] + 1)]
+        [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(1, rho[i] + 1)]
         for i in range(n)
     ]
+    ended = _ended(gens, n)
     dims: dict[tuple[int, int, int], int] = {}
-    for c in itertools.product(*[range(r + 1) for r in rho]):
-        for k, dim in _ext_dims(g, frozenset(above[i][ci] for i, ci in enumerate(c) if ci), p):
+    # (coordinate, sum(c), zero coordinates, masks, covered)
+    stack = [] if ended[0] else [(0, 0, 0, (), 0)]
+    while stack:
+        i, total, z, masks, covered = stack.pop()
+        if i < n:
+            need = ended[i + 1]
+            if not need & ~covered:
+                stack.append((i + 1, total, z + 1, masks, covered))
+            for c, mask in enumerate(above[i], 1):
+                cov = covered | mask
+                if need & ~cov:
+                    break
+                stack.append((i + 1, total + c, z, masks + (mask,), cov))
+            continue
+        for k, dim in _ext_dims(g, frozenset(masks), p):
             if k > n:
                 raise AssertionError(f"Ext^{k}(A/I, A) != 0 in {n} variables (bug)")
-            z = c.count(0)
-            key = (sum(c) - n + z, z, n - k)
+            key = (total - n + z, z, n - k)
             dims[key] = dims.get(key, 0) + dim
     return _cell_tuple(dims)
 

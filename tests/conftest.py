@@ -244,13 +244,19 @@ def ref_ext_cells(I):
         key = tuple(above[i][ci] for i, ci in enumerate(c) if ci)
         hom = memo.get(key)
         if hom is None:
-            subsets = [S for S in range(1 << g) if all(S & m for m in key)]
-            hom = {k + 1: d for k, d in reduced_homology_dims(subsets, p).items()}
-            memo[key] = hom
+            hom = memo[key] = dict(ref_ext_dims(g, key, p))
         if hom:
             z = c.count(0)
             cells.append((sum(c) - n + z, z, {n - k: d for k, d in hom.items() if k <= n}))
     return cells
+
+
+def ref_ext_dims(g, masks, p):
+    """((k, dim Ext^k), ...) of a dual Taylor slice, with every subset of
+    the order filter listed: the subsets of g generators that meet every
+    mask, cones included."""
+    subsets = [S for S in range(1 << g) if all(S & m for m in masks)]
+    return tuple((k + 1, d) for k, d in reduced_homology_dims(subsets, p).items())
 
 
 def merge_cells(cells):

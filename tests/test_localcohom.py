@@ -21,8 +21,8 @@ from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
-from conftest import (merge_cells, random_ideal, ref_ext_cells, ref_extension_recurrence,
-                      ref_fit_tail, ref_rows, ref_takayama_cells)
+from conftest import (count_calls, merge_cells, random_ideal, ref_ext_cells, ref_ext_dims,
+                      ref_extension_recurrence, ref_fit_tail, ref_rows, ref_takayama_cells)
 
 
 def M(*exps):
@@ -429,25 +429,65 @@ def test_a_vertex_outside_every_minimal_mask_gives_a_cone(case):
         assert reduced_homology_dims(filt, 32003) == {}
 
 
-@pytest.mark.parametrize("ctx, gens, calls", [
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+def test_no_walk_looks_up_a_complex_without_homology(I):
+    # every Takayama leaf looked up has no empty exceed mask, so it is not
+    # the void complex, and every ext slice looked up has masks covering
+    # all g >= 1 generators, so no generator outside them makes it a cone
+    g = len(I.gens)
+    with pytest.MonkeyPatch.context() as mp:
+        takayama = count_calls(mp, localcohom._takayama_dims)
+        ext = count_calls(mp, localcohom._ext_dims)
+        assert localcohom._takayama_cells(I) == merge_cells(ref_takayama_cells(I))
+        assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
+    assert all(0 not in exceed for _, exceed, _ in takayama)
+    for _, masks, _ in ext:
+        union = 0
+        for m in masks:
+            union |= m
+        assert not g or union == (1 << g) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda g: st.tuples(
+    st.just(g),
+    st.frozensets(st.integers(1, (1 << g) - 1), max_size=6) if g else st.just(frozenset()),
+    st.sampled_from((2, 3, 32003)))))
+def test_ext_dims_match_the_listed_filter(case):
+    assert localcohom._ext_dims.__wrapped__(*case) == ref_ext_dims(*case)
+
+
+@pytest.mark.parametrize("g, masks, want", [
+    (0, [], ((0, 1),)),  # the zero ideal's one slice: Ext^0(A, A)
+    (3, [], ()),  # the empty key, a cone
+    (3, [0b111], ((1, 1),)),  # the single full mask: the nonempty subsets
+    (3, [0b011, 0b010, 0b100], ()),  # 0b001 lies in no minimal mask: a cone
+    (4, [0b0011, 0b1100], ((2, 1),)),  # |M| < g: a nerve of two points
+    (3, [0b011, 0b101, 0b110], ((2, 2),)),  # |M| >= g: the filter is listed
+])
+def test_ext_dims_examples(g, masks, want):
+    for p in (2, 32003):
+        key = frozenset(masks)
+        assert localcohom._ext_dims.__wrapped__(g, key, p) == ref_ext_dims(g, key, p) == want
+
+
+@pytest.mark.parametrize("ctx, gens, calls, lookups", [
     (RingContext(3, powers=(2, 2)),
-     [M(2, 0, 0), M(0, 2, 0), M(1, 0, 2), M(0, 1, 3)], 6),
+     [M(2, 0, 0), M(0, 2, 0), M(1, 0, 2), M(0, 1, 3)], 6, 11),
     (RingContext(4),
      [M(3, 0, 0, 0), M(2, 1, 0, 0), M(0, 3, 0, 0), M(1, 0, 2, 0),
-      M(0, 0, 1, 2), M(0, 1, 0, 3)], 15),
+      M(0, 0, 1, 2), M(0, 1, 0, 3)], 15, 44),
 ])
-def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls):
-    # the full enumeration ranks 27 and 108 slices here
+def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls, lookups):
+    # the full enumeration ranks 27 and 108 slices here, and a walk over
+    # every multidegree looks up 36 and 192
     I = MonomialIdeal.make(ctx, gens)
-    seen = []
-
-    def counted(*args):
-        seen.append(args)
-        return reduced_homology_dims(*args)
-
-    monkeypatch.setattr(localcohom, "reduced_homology_dims", counted)
+    seen = count_calls(monkeypatch, reduced_homology_dims)
+    looked_up = count_calls(monkeypatch, localcohom._ext_dims)
     assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
     assert len(seen) == calls
+    assert len(looked_up) == lookups
 
 
 def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
