@@ -8,43 +8,31 @@ multidegrees in the lcm lattice of the generators can contribute.  Ranks are
 taken over GF(p), so tables carry the characteristic as a tag.
 
 The homology of each upper Koszul complex is memoized across calls, for the
-whole process, in the ``lru_cache`` ``_koszul_dims``, under the key
+whole process, in the memo ``_koszul_dims``, under the key
 (supp(b), tight masks, p).  The face rule of ``upper_koszul_faces`` reads
 nothing but supp(b) and the tight masks, so they determine the complex; p is
 in the key because the homology depends on the field.  Many ideals share
 these small complexes, so most lattice points of a run of many ideals are
-memo hits.  KOSZUL_MEMO_SIZE bounds the memo; its values are tuples, so a
-caller cannot change them.
+memo hits.  Its values are tuples, so a caller cannot change them.
 
 One level up, ``betti_table`` memoizes the entries that the lattice walk
-finds, for the whole process, in the ``lru_cache`` ``_lattice_entries``
+finds, for the whole process, in the memo ``_lattice_entries``
 keyed on I, which carries its ring and so p.  An entry is the lattice's
 size and a tuple of ((i, j), beta_ij); every call builds a fresh
 ``BettiTable`` from it.  ``limits.LATTICE_LIMIT`` is checked against the
 stored size and the Hilbert identity runs on every call: a hit skips
-computation, never a refusal or a check.  BETTI_MEMO_SIZE bounds the memo.
+computation, never a refusal or a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from . import limits
+from . import limits, memos
 from .core import MonomialIdeal
 from .hilbert import hilbert_series
 from .homology import reduced_homology_dims
-
-# Entries of the Koszul homology memo, one per (supp(b), tight masks, p).
-# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 322
-# distinct complexes 5,032 times, about 450 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 1.8 MB.
-KOSZUL_MEMO_SIZE = 4_096
-# Entries of the Betti memo, one per ideal.  The seed-0 ops of a 15 s
-# cohom-harness run (perfbench) build 740 tables of 162 distinct ideals;
-# 256 entries keep all 578 hits.  Those entries take 0.6-1.8 KB each
-# (1.2 KB on average), so a full memo of them takes about 0.3 MB.
-BETTI_MEMO_SIZE = 256
 
 NEG_INF = float("-inf")
 
@@ -122,7 +110,7 @@ def upper_koszul_faces(supp: int, tight: frozenset[int]) -> list[int]:
         tau = (tau - 1) & supp
 
 
-@lru_cache(maxsize=KOSZUL_MEMO_SIZE)
+@memos.memo(memos.KOSZUL_MEMO_SIZE)
 def _koszul_dims(supp: int, tight: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim H~_k), ...) of the upper Koszul complex with key (supp, tight)."""
     return tuple(reduced_homology_dims(upper_koszul_faces(supp, tight), p).items())
@@ -166,7 +154,7 @@ class BettiTable:
         return tuple(out)
 
 
-@lru_cache(maxsize=BETTI_MEMO_SIZE)
+@memos.memo(memos.BETTI_MEMO_SIZE)
 def _lattice_entries(I: MonomialIdeal) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
     """(points, entries): the size of the lcm lattice of I and the Betti
     entries ((i, j), beta_ij) that the walk over it finds."""

@@ -8,12 +8,11 @@ instances to check).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import replace
 
-from . import limits, zstable
+from . import limits, memos, zstable
 from .betti import betti_table, corners
 from .core import DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
@@ -174,7 +173,7 @@ def cmd_verify(args) -> int:
     return OK if report.passed else THEOREM_FAILURE
 
 
-@functools.cache
+@memos.memo(memos.PARSER_MEMO_SIZE)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by later calls
     (``parse_args`` fills a fresh namespace every time)."""

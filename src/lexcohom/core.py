@@ -28,12 +28,11 @@ builds no monomial: its result keeps the generators of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import merge
 from math import comb
 from operator import add, le
 
-from . import limits
+from . import limits, memos
 from .errors import MixedContextError
 
 DEFAULT_CHAR = 32003
@@ -43,7 +42,7 @@ DEFAULT_CHAR = 32003
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@lru_cache(maxsize=16)
+@memos.memo(memos.PRIME_MEMO_SIZE)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test; raises ValueError at or above
     ``limits.MR_LIMIT``, where it would no longer be a proof (the one limit
@@ -126,7 +125,7 @@ class RingContext:
             raise ValueError("context already has z")
         return RingContext(self.n + 1, self.char, self.powers, z=True)
 
-    @lru_cache(maxsize=32)
+    @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def drop_z(self) -> "RingContext":
         """The context without z, built (and validated) once per context."""
         if not self.z:
@@ -177,7 +176,7 @@ class RingContext:
             return 0
         return _ring_dims(self.n, self.powers, d)[d]
 
-    @lru_cache(maxsize=32)
+    @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def powers_ideal(self) -> "MonomialIdeal":
         """The power ideal b = (x1^d1, ..., xr^dr), built once per context.
 
@@ -191,7 +190,7 @@ class RingContext:
             gens.append(Monomial(tuple(e)))
         return MonomialIdeal(self, tuple(gens))
 
-    @lru_cache(maxsize=32)
+    @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def max_ideal(self) -> "MonomialIdeal":
         """The maximal ideal (x1, ..., xn), built once per context.
 
@@ -209,7 +208,7 @@ class RingContext:
         return Monomial((0,) * self.n)
 
 
-@lru_cache(maxsize=None)
+@memos.memo(memos.RING_DIMS_MEMO_SIZE)
 def _ring_dims(n: int, powers: tuple[int, ...], upto: int) -> tuple[int, ...]:
     """Hilbert function of B/(powers) on degrees 0..upto."""
     dims = [0] * (upto + 1)

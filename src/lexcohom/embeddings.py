@@ -14,22 +14,19 @@ Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 generated ideal has the exact Hilbert series of the input, and it refuses,
 with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
 answer whose certificate that limit would refuse.  The certified answers
-are memoized for the whole process, in the ``lru_cache``
-``_certified_embedding`` keyed on the Hilbert series, with the answer's lcm
-degree: every call computes the series of its input and checks both lcm
-degrees against the limit, so a hit returns the certified answer for the
-same series and never skips a refusal, and a refusal is never stored.
-EMBED_MEMO_SIZE bounds the memo.  ``lex_segment_ideal`` takes explicit
-dims and the shadow theorem on trust.
+are memoized for the whole process, in the memo ``_certified_embedding``
+keyed on the Hilbert series, with the answer's lcm degree: every call
+computes the series of its input and checks both lcm degrees against the
+limit, so a hit returns the certified answer for the same series and never
+skips a refusal, and a refusal is never stored.  ``lex_segment_ideal``
+takes explicit dims and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from . import limits
+from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
 from .errors import NotAttainableError
 from .hilbert import HilbertSeries, hilbert_series, lcm_degree
@@ -153,18 +150,7 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     return out
 
 
-# Entries of the embedding memo, one per Hilbert series.  The seed-0 ops of
-# 15 s benchmark runs (perfbench) look up 72 distinct series 5,361 times in
-# zstab-harness, 56 distinct series 925 times in cohom-harness, and 457
-# distinct series 1,350 times in embed-cli, where 256 entries keep 843 of
-# the 893 hits of an unbounded memo, for 0.50 MB more traced memory after
-# the run than with no memo (unbounded: 0.78 MB).  An entry there takes
-# 1.5-9.9 KB (at most 43 generators); the largest entry seen, the
-# 240-generator lex ideal in four variables of degree up to 74, takes 52 KB.
-EMBED_MEMO_SIZE = 256
-
-
-@lru_cache(maxsize=EMBED_MEMO_SIZE)
+@memos.memo(memos.EMBED_MEMO_SIZE)
 def _certified_embedding(series: HilbertSeries) -> tuple[MonomialIdeal, int]:
     """(L, lcm degree of L): the lex-first ideal L selected with the ideal
     dims read off ``series``, certified by the exact equality of its series

@@ -9,11 +9,10 @@ machinery compute Hilb(S/I) directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import merge
 from math import comb
 
-from . import limits
+from . import limits, memos
 from .core import MonomialIdeal, RingContext, _ring_dims, _grlex_key
 
 
@@ -43,7 +42,7 @@ def _shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (0,) * k + tuple(a)
 
 
-@lru_cache(maxsize=200_000)
+@memos.memo(memos.NUMERATOR_MEMO_SIZE)
 def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of Hilb(B/(gens)) over (1-t)^n, for a canonical antichain.
 

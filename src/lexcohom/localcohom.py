@@ -44,23 +44,23 @@ changes.  Each walk applies this one rule to its own masks (see
 ``_takayama_cells`` and ``_ext_cells``).
 
 Each backend memoizes the homology of its complexes across calls, for the
-whole process, in its own ``lru_cache`` (``_takayama_dims``, ``_ext_dims``):
+whole process, in its own memo (``_takayama_dims``, ``_ext_dims``):
 a complex is named by a compact key that determines its faces, plus the
 characteristic p, and only a miss lists faces.  An ext slice is ranked on
 the nerve of its minimal masks, at most n vertices, when that is smaller
 than its order filter of up to 2^g generator subsets (``_ext_dims``).  The
 two memos are separate, so one backend's cached answer never stands in for
 the other's.  Their values are immutable tuples of pairs, added into the
-walk's sums, and TAKAYAMA_MEMO_SIZE and EXT_MEMO_SIZE bound them.
+walk's sums.
 
 One level up, ``_cells`` memoizes each ideal's cells, for the whole
-process, in the ``lru_cache`` ``_merged_cells`` keyed on (I, backend); I
+process, in the memo ``_merged_cells`` keyed on (I, backend); I
 carries its ring, so p is in the key.  The two backends get separate
 entries, so the two-backend oracle still compares two independent
 computations.  An entry is the walk's answer, tuples of ints all the way
 down.  Every limit of the walk is checked before the lookup, and the
 checks of ``_table`` run on every call: a hit skips computation, never a
-refusal or a check.  CELL_MEMO_SIZE bounds the memo.
+refusal or a check.
 
 Both backends walk at most prod_i (rho_i + 1) multidegrees, rho_i the
 largest exponent of x_i in a generator; ``_cells`` checks that count against
@@ -75,31 +75,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
-from . import limits
+from . import limits, memos
 from .core import MonomialIdeal, saturate
 from .hilbert import _poly_mul, quotient_window, values_nonneg
 from .homology import reduced_homology_dims
-
-# Entries of the Takayama homology memo, one per (pinned, exceed masks, p).
-# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 528
-# distinct complexes 5,566 times, about 680 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 2.8 MB.
-TAKAYAMA_MEMO_SIZE = 4_096
-# Entries of the ext slice memo, one per (generators, masks, p).  The same
-# ops look up 982 distinct slices 4,301 times, about 420 bytes each, so
-# 8,192 entries never fill there and a full memo takes about 3.5 MB.
-EXT_MEMO_SIZE = 8_192
-# Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
-# ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs
-# 1,850 times: 256 entries keep 1,186 of the 1,282 hits of an unbounded
-# memo, for 0.31 MB more traced memory after the run than with no memo
-# (1,024 entries keep all of them, for 0.66 MB).  The largest entry seen,
-# the 240-generator lex ideal in four variables of degree up to 74, holds
-# 146 cells, summed from 2,330 multidegrees with cohomology, in 28 KB.
-CELL_MEMO_SIZE = 256
 
 
 def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
@@ -127,7 +108,7 @@ def _cell_tuple(dims: dict[tuple[int, int, int], int]):
 # combinatorial backend
 
 
-@lru_cache(maxsize=TAKAYAMA_MEMO_SIZE)
+@memos.memo(memos.TAKAYAMA_MEMO_SIZE)
 def _takayama_dims(pinned: int, exceed: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim H~_k), ...) of the complex on ``pinned`` vertices whose
     faces are the masks with a complement meeting every exceed mask."""
@@ -229,7 +210,7 @@ def _takayama_cells(I: MonomialIdeal):
 # ext backend (dual Taylor complex + graded local duality)
 
 
-@lru_cache(maxsize=EXT_MEMO_SIZE)
+@memos.memo(memos.EXT_MEMO_SIZE)
 def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim Ext^k), ...) of the cochain complex on the order filter F of
     subsets of g generators that meet every mask.
@@ -467,7 +448,7 @@ def _cells(I: MonomialIdeal, backend: str):
     return _merged_cells(I, backend)
 
 
-@lru_cache(maxsize=CELL_MEMO_SIZE)
+@memos.memo(memos.CELL_MEMO_SIZE)
 def _merged_cells(I: MonomialIdeal, backend: str):
     """``_cells`` without the limit checks: the backend's walk."""
     return (_takayama_cells if backend == "combinatorial" else _ext_cells)(I)

@@ -22,17 +22,16 @@ component's window off its numerator.  Every read of a numerator checks the
 stored lcm degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a stored
 chain never skips a refusal.
 
-Two ``lru_cache`` memos, keyed on the ideal (which carries its ring), hold
-chains for the whole process.  ``z_decompose`` reads ``_decomposition``
-(DECOMPOSE_MEMO_SIZE entries), so each ideal is decomposed once and its
-chain, with the facts stored on it, is shared by every caller; its refusals
-of a context without z and of an ideal that is no preimage are raised on
-every call and never stored.  ``z_stabilize`` reads ``_stable_chain``
-(STABLE_MEMO_SIZE entries), each ideal's stable chain and round count.
-Every round of a computed entry compares the new chain with the one before
-by ``z_order_compare``, and that one comparison is the round's Hilbert
-check (a changed Hilbert function raises HilbertMismatchError) and its
-check of the strict increase.  The ideal's lcm degree and the round count
+Two memos, keyed on the ideal (which carries its ring), hold chains for
+the whole process.  ``z_decompose`` reads ``_decomposition``, so each
+ideal is decomposed once and its chain, with the facts stored on it, is
+shared by every caller; its refusals of a context without z and of an
+ideal that is no preimage are raised on every call and never stored.
+``z_stabilize`` reads ``_stable_chain``, each ideal's stable chain and
+round count.  Every round of a computed entry compares the new chain with
+the one before by ``z_order_compare``, and that one comparison is the
+round's Hilbert check (a changed Hilbert function raises
+HilbertMismatchError) and its check of the strict increase.  The ideal's lcm degree and the round count
 are checked against ``limits.NUMERATOR_DEGREE_LIMIT`` and
 ``limits.STABILIZATION_ROUND_LIMIT`` on every call, so a hit skips
 computation, never a refusal.
@@ -44,9 +43,9 @@ the context has powers the component ideals carry the power generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from . import limits
+from . import limits, memos
 from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal,
                    _ring_dims, colon, ideal_intersection, ideal_sum)
 from .errors import HilbertMismatchError, IterationCapExceededError
@@ -155,7 +154,7 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     ``minimalize``.  The stripped exponent tuples of each z-degree become
     Monomials once, through ``core._minimal_ideal``.
 
-    The chain is memoized for the whole process, in the ``lru_cache``
+    The chain is memoized for the whole process, in the memo
     ``_decomposition`` keyed on I, so every caller shares one chain per
     ideal and the facts stored on it.  Both refusals (no z in the context,
     an ideal that is no preimage) are raised on every call, never stored.
@@ -165,16 +164,7 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
     return _decomposition(I)
 
 
-# Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
-# 15 s zstab-harness run (perfbench), with the draws of their non-stable
-# inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.51 MB more traced memory after the run than with no
-# memo, the chains' stored numerators included (256 entries keep 3,619,
-# for 0.26 MB).
-DECOMPOSE_MEMO_SIZE = 512
-
-
-@lru_cache(maxsize=DECOMPOSE_MEMO_SIZE)
+@memos.memo(memos.DECOMPOSE_MEMO_SIZE)
 def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
     """The chain of ``z_decompose``, for an I it has checked."""
     ctx_R = I.ctx.drop_z()
@@ -441,7 +431,7 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     of I, so the length of the chain the rounds start from.
 
     The chain and its round count are memoized for the whole process, in
-    the ``lru_cache`` ``_stable_chain`` keyed on I.  Both limits are
+    the memo ``_stable_chain`` keyed on I.  Both limits are
     checked on every call, so a hit skips the rounds, never a refusal; a
     refusal or a failed check is never stored.
     """
@@ -453,16 +443,7 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     return chain
 
 
-# Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
-# 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
-# times: 512 entries keep all 1,183 hits, for 0.70 MB more traced memory
-# after the run than with no memo (256 entries keep 1,122, for 0.44 MB).
-# An entry there takes 1.9 KB on average; the largest seen, a chain of 8
-# components with 22 generators in all, takes 5.6 KB.
-STABLE_MEMO_SIZE = 512
-
-
-@lru_cache(maxsize=STABLE_MEMO_SIZE)
+@memos.memo(memos.STABLE_MEMO_SIZE)
 def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
     """(the z-stable chain of I, the number of rounds it took).
 

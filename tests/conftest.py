@@ -9,7 +9,7 @@ from math import ceil, comb
 
 import pytest
 
-from lexcohom import betti, embeddings, limits, localcohom, zstable
+from lexcohom import embeddings, limits, localcohom, memos, zstable
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
 from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
                            ideal_product, minimalize)
@@ -24,20 +24,10 @@ from lexcohom.zstable import ZGradedIdeal
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Empty the process-wide memos before each test: the Koszul, Takayama
-    and ext homology memos, the Betti entries, the merged cells, the
-    certified embeddings, the decompositions and the stable chains, so that a count of
+    """Empty every process-wide memo before each test, so that a count of
     homology, walk, lattice, certificate, round, numerator or stability
-    calls does not depend on the tests run before it.  Clearing the
-    decompositions drops the facts stored on their chains too."""
-    betti._koszul_dims.cache_clear()
-    betti._lattice_entries.cache_clear()
-    localcohom._takayama_dims.cache_clear()
-    localcohom._ext_dims.cache_clear()
-    localcohom._merged_cells.cache_clear()
-    embeddings._certified_embedding.cache_clear()
-    zstable._decomposition.cache_clear()
-    zstable._stable_chain.cache_clear()
+    calls does not depend on the tests run before it."""
+    memos.clear_all()
 
 
 def count_calls(monkeypatch, fn) -> list:

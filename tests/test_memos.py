@@ -1,17 +1,21 @@
 """The process-wide memos: the homology of the Koszul, Takayama and ext
 complexes, per ideal the Betti entries, the merged cells of each backend,
-the z-decomposition and the stable chain, per Hilbert series the certified embedding, and per
-context the maximal ideal.  They are keyed by the characteristic, hit on a
-second pass, immutable, equal to the unmemoized computations when warm,
-and a hit still meets every limit."""
+the z-decomposition and the stable chain, per Hilbert series the certified
+embedding, and per context the maximal ideal.  They are all made, bounded
+and emptied by ``memos``, keyed by the characteristic, hit on a second
+pass, immutable, equal to the unmemoized computations when warm, and a hit
+still meets every limit."""
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, core, embeddings, limits, localcohom, zstable
+import lexcohom
+from lexcohom import betti, cli, core, embeddings, limits, localcohom, memos, zstable
 from lexcohom.betti import BettiTable, betti_table, lcm_lattice
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.embeddings import epsilon_one, lex_ideal_of, lpp_ideal
@@ -356,3 +360,62 @@ def test_the_maximal_ideal_is_built_once_per_context(monkeypatch):
     assert real(RingContext(5, powers=(2, 3)).add_z()) is m
     assert calls == []
     assert m.gens == MonomialIdeal.make(ctx, [ctx.variable(i) for i in range(ctx.n)]).gens
+
+
+def package_caches():
+    """Every object with ``cache_info`` bound in a module of the package or
+    in one of its classes, by id."""
+    found = {}
+    for info in pkgutil.iter_modules(lexcohom.__path__, "lexcohom."):
+        module = importlib.import_module(info.name)
+        spaces = [vars(module)] + [vars(cls) for cls in vars(module).values()
+                                   if isinstance(cls, type) and cls.__module__ == info.name]
+        for space in spaces:
+            found.update((id(obj), obj) for obj in space.values() if hasattr(obj, "cache_info"))
+    return found
+
+
+def test_only_memos_makes_a_memo():
+    caches = package_caches()
+    assert len(caches) == 15
+    assert caches.keys() == {id(m) for m in memos.registry}
+    assert all(m.cache_info().maxsize is not None for m in memos.registry)
+    bound = {}
+    for info in pkgutil.iter_modules(lexcohom.__path__, "lexcohom."):
+        if info.name == "lexcohom.memos":
+            continue
+        names = [name for name in vars(importlib.import_module(info.name))
+                 if name.endswith("_MEMO_SIZE")]
+        if names:
+            bound[info.name] = names
+    assert bound == {}
+
+
+def test_clear_all_empties_every_memo(tmp_path, capsys):
+    ctx = RingContext(3, powers=(2, 2))
+    I = MonomialIdeal.make(ctx, list(ctx.powers_ideal().gens) + [Monomial((1, 0, 2))])
+    for backend in BACKENDS:
+        cohomology_table(I, backend=backend)
+    localcohom.h0_via_saturation(I, (0, 3))
+    betti_table(I)
+    lpp_ideal(I)
+    lex_ideal_of(MonomialIdeal.make(RingContext(3), [Monomial((2, 1, 0)), Monomial((0, 0, 3))]))
+    zctx = RingContext(2).add_z()
+    z_stabilize(MonomialIdeal.make(zctx, [Monomial((0, 1, 1)), Monomial((3, 0, 0))]))
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=2 char=32003\nx1^2\nx2^3\n")
+    assert cli.main(["hilb", "--input", str(f)]) == 0
+    capsys.readouterr()
+    assert [m.__qualname__ for m in memos.registry if not m.cache_info().currsize] == []
+    memos.clear_all()
+    assert [m.cache_info().currsize for m in memos.registry] == [0] * len(memos.registry)
+
+
+def test_a_refused_lex_ideal_leaves_a_bounded_ring_dims_memo():
+    # seed 0 of the n = 5 ladder family: the certificate's series is refused
+    # at lcm degree 772, after the selection has filled 1,920 ring dims
+    I = MonomialIdeal.make(RingContext(5), [Monomial(e) for e in (
+        (2, 0, 0, 1, 1), (0, 4, 0, 0, 0), (0, 1, 1, 2, 0), (0, 0, 1, 3, 0))])
+    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
+        lex_ideal_of(I)
+    assert core._ring_dims.cache_info().currsize <= memos.RING_DIMS_MEMO_SIZE
