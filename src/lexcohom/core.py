@@ -7,7 +7,11 @@ Conventions used throughout the package:
 * A quotient S = B/b by pure powers b = (x1^d1, ..., xr^dr) is never a
   separate ring type: ideals of S are represented by their preimages in B,
   i.e. monomial ideals containing b.  ``graded_piece_dim`` counts within the
-  monomial basis of S when the context carries powers.
+  monomial basis of S when the context carries powers.  The Hilbert function
+  of S itself is read like every other series: S is the tensor product of
+  the K[x_i]/(x_i^di) and the free variables, so its numerator over (1-t)^n
+  is the power ideal's prod (1 - t^di), built only up to the degree asked
+  (``RingContext.powers_numerator``, read by ``series_value``).
 * All values are immutable and safe to share between threads.
 
 Where monomials are validated: ``Monomial.__post_init__`` checks every
@@ -171,10 +175,18 @@ class RingContext:
                 return
 
     def dim(self, d: int) -> int:
-        """dim_K of the degree-d piece of the full ring S (or B if no powers)."""
-        if d < 0:
-            return 0
-        return _ring_dims(self.n, self.powers, d)[d]
+        """dim_K of the degree-d piece of the full ring S (or B if no powers),
+        read off the power ideal's numerator as every series is."""
+        return series_value(self.powers_numerator(d), self.n, d)
+
+    def powers_numerator(self, upto: int) -> list[int]:
+        """The numerator prod (1 - t^di) of Hilb(S) over (1-t)^n, truncated
+        at degree upto: a power may be far above every degree asked, so the
+        product is never built past it."""
+        numer = [1] + [0] * upto
+        for di in self.powers:
+            numer[di:] = [a - b for a, b in zip(numer[di:], numer)]
+        return numer
 
     @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def powers_ideal(self) -> "MonomialIdeal":
@@ -208,19 +220,11 @@ class RingContext:
         return Monomial((0,) * self.n)
 
 
-@memos.memo(memos.RING_DIMS_MEMO_SIZE)
-def _ring_dims(n: int, powers: tuple[int, ...], upto: int) -> tuple[int, ...]:
-    """Hilbert function of B/(powers) on degrees 0..upto."""
-    dims = [0] * (upto + 1)
-    free = n - len(powers)
-    for d in range(upto + 1):
-        dims[d] = comb(d + free - 1, free - 1) if free > 0 else (1 if d == 0 else 0)
-    for di in powers:
-        new = [0] * (upto + 1)
-        for d in range(upto + 1):
-            new[d] = sum(dims[d - e] for e in range(min(di - 1, d) + 1))
-        dims = new
-    return tuple(dims)
+def series_value(numer, n: int, d: int) -> int:
+    """The degree-d coefficient of numer(t) / (1-t)^n."""
+    if d < 0:
+        return 0
+    return sum(c * comb(d - i + n - 1, n - 1) for i, c in enumerate(numer[:d + 1]) if c)
 
 
 @dataclass(frozen=True)

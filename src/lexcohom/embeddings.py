@@ -2,7 +2,10 @@
 
 One engine selects, degree by degree, the first ``want`` monomials in
 descending lex order of the monomial basis of S = B/b, by rank arithmetic:
-it counts bounded monomials and never lists a graded piece.  By the
+it counts bounded monomials and never lists a graded piece.  The counts are
+the dims of the suffix rings of S, in one table that grows by a degree at a
+time; the dims of S wanted by the callers come from the power ideal's
+numerator (``RingContext.dim``), as every Hilbert function does.  By the
 Clements-Lindstrom theorem (Macaulay's without powers) the shadow of a lex
 segment of S is a lex segment, so closure under multiplication is the one
 comparison c <= want, Macaulay's growth bound.  Here c - 1 is the rank of
@@ -27,7 +30,7 @@ components) are theorems that the lemma suite of ``verify`` checks.
 from __future__ import annotations
 
 from . import limits, memos
-from .core import Monomial, MonomialIdeal, RingContext, _ring_dims
+from .core import Monomial, MonomialIdeal, RingContext
 from .errors import NotAttainableError
 from .hilbert import HilbertSeries, hilbert_series, lcm_degree
 
@@ -84,13 +87,25 @@ def _engine(ctx: RingContext, dims):
     outside the shadow of the previous degree's selection; every selection
     holds the shadow of the one before, so no earlier generator divides it.
     Inside a degree the ranks ascend, which is descending lex.
+
+    ``count[i][t]``, the dim in degree t of the ring in the variables i..n-1
+    (``count[n]``: no variables), grows by one entry per degree: adding a
+    variable with exponents up to b_i sums b_i + 1 shifts, so
+    count[i][d] = count[i][d-1] + count[i+1][d] - count[i+1][d-b_i-1],
+    the last term only when b_i is finite and d > b_i.
     """
     n = ctx.n
     bounds = [ctx.exp_bound(i) for i in range(n)]  # z is never bounded
     end = None  # the last monomial of the shadow of the previous selection
+    count = [[] for _ in range(n + 1)]
 
     for d, want in enumerate(dims):
-        count = [_ring_dims(n - i, ctx.powers[i:], d) for i in range(n)]
+        count[n].append(int(d == 0))
+        for i in reversed(range(n)):
+            dim = count[i + 1][d] + (count[i][d - 1] if d else 0)
+            if bounds[i] is not None and d > bounds[i]:
+                dim -= count[i + 1][d - bounds[i] - 1]
+            count[i].append(dim)
         if want > count[0][d]:
             raise NotAttainableError(
                 f"degree {d}: requested ideal dim {want} exceeds ring dim {count[0][d]}"

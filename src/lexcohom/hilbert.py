@@ -3,7 +3,10 @@
 The series of B/I is stored as an integer-coefficient numerator over
 (1-t)^n.  When an ideal of a power quotient S = B/b is meant, callers pass
 the preimage (I containing the power generators), which makes the same
-machinery compute Hilb(S/I) directly.
+machinery compute Hilb(S/I) directly.  Hilb(S) is the power ideal's
+numerator prod (1 - t^di) over (1-t)^n, built by
+``RingContext.powers_numerator`` only up to the degree asked, so an ideal's
+own dims (``ideal_coeffs``) are one pass over the difference of numerators.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from heapq import merge
 from math import comb
 
 from . import limits, memos
-from .core import MonomialIdeal, RingContext, _ring_dims, _grlex_key
+from .core import MonomialIdeal, RingContext, _grlex_key, series_value
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,12 +106,7 @@ class HilbertSeries:
 
     def value(self, d: int) -> int:
         """The quotient Hilbert function in degree d."""
-        if d < 0:
-            return 0
-        return sum(
-            c * comb(d - i + self.n - 1, self.n - 1)
-            for i, c in enumerate(self.numer[:d + 1]) if c
-        )
+        return series_value(self.numer, self.n, d)
 
     def krull_dim(self) -> int:
         """n minus the order of vanishing of the numerator at t=1."""
@@ -146,9 +144,18 @@ def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
 
 def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise dims of the ideal I itself inside the full ring."""
-    quotient = quotient_window(I, upto)  # first: it checks the degree limit
-    ring = _ring_dims(I.ctx.n, I.ctx.powers, upto)
-    return tuple(r - q for r, q in zip(ring, quotient))
+    return ideal_coeffs(I.ctx, hilbert_series(I).numer, upto)
+
+
+def ideal_coeffs(ctx: RingContext, numer, upto: int) -> tuple[int, ...]:
+    """Dims on degrees 0..upto of the ideal whose quotient has the numerator
+    ``numer``: one ``_series_coeffs`` pass over N_b - numer, where N_b is
+    the power ideal's numerator truncated at upto
+    (``RingContext.powers_numerator``)."""
+    diff = ctx.powers_numerator(upto)
+    for i, c in enumerate(numer[:len(diff)]):
+        diff[i] -= c
+    return tuple(_series_coeffs(diff, ctx.n, upto))
 
 
 def values_nonneg(values) -> bool:

@@ -21,14 +21,6 @@ PRIME_MEMO_SIZE = 16
 # and ``max_ideal``), one per ring context.  The seed-0 ops of the three
 # 15 s benchmark runs (perfbench) fill at most 3 entries in each.
 CONTEXT_MEMO_SIZE = 32
-# Entries of the ring Hilbert-function memo ``core._ring_dims``, one per
-# (n, powers, degree).  The seed-0 ops of 15 s benchmark runs (perfbench)
-# fill 70 in cohom-harness, 53 in zstab-harness and 144 in embed-cli, so
-# 256 entries never fill there.  An entry holds the dims up to its degree:
-# unbounded, the one refused lex_ideal_of of (x1^2*x4*x5, x2^4,
-# x2*x3*x4^2, x3*x4^3) in five variables left 1,920 entries in 9.45 MB of
-# traced memory, and 256 entries hold 2.6 MB of it.
-RING_DIMS_MEMO_SIZE = 256
 # Entries of the Hilbert numerator memo ``hilbert._numerator``, one per
 # canonical antichain, about 1.45 KB each.  The seed-0 ops of 15 s
 # benchmark runs (perfbench) fill 332 in cohom-harness, 698 in

@@ -18,9 +18,10 @@ lcm degree, the total numerator and the answer of ``_first_violation``.
 ``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
 chains' stored numerators (its equal-Hilbert-function precondition compares
 the stored totals, recomposing no chain), and ``ZGradedIdeal.window`` reads a
-component's window off its numerator.  Every read of a numerator checks the
-stored lcm degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a stored
-chain never skips a refusal.
+component's window off its numerator and the numerator of R's power ideal
+(``hilbert.ideal_coeffs``), the one source of R's Hilbert function.  Every
+read of a numerator checks the stored lcm degree against
+``limits.NUMERATOR_DEGREE_LIMIT``, so a stored chain never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -31,10 +32,10 @@ ideal that is no preimage are raised on every call and never stored.
 round count.  Every round of a computed entry compares the new chain with
 the one before by ``z_order_compare``, and that one comparison is the
 round's Hilbert check (a changed Hilbert function raises
-HilbertMismatchError) and its check of the strict increase.  The ideal's lcm degree and the round count
-are checked against ``limits.NUMERATOR_DEGREE_LIMIT`` and
-``limits.STABILIZATION_ROUND_LIMIT`` on every call, so a hit skips
-computation, never a refusal.
+HilbertMismatchError) and its check of the strict increase.  The ideal's
+lcm degree and the round count are checked against
+``limits.NUMERATOR_DEGREE_LIMIT`` and ``limits.STABILIZATION_ROUND_LIMIT``
+on every call, so a hit skips computation, never a refusal.
 
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
@@ -46,11 +47,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import limits, memos
-from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal,
-                   _ring_dims, colon, ideal_intersection, ideal_sum)
+from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal, colon,
+                   ideal_intersection, ideal_sum)
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
-from .hilbert import _series_coeffs, hilbert_series, lcm_degree, series_signs
+from .hilbert import hilbert_series, ideal_coeffs, lcm_degree, series_signs
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -132,11 +133,8 @@ class ZGradedIdeal:
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R
         on degrees 0..upto: ``ideal_window`` of the component, read off its
-        stored numerator."""
-        numer = self.numerators()[min(h, self.s)]
-        ctx_R = self.components[0].ctx
-        ring = _ring_dims(ctx_R.n, ctx_R.powers, upto)
-        return tuple(r - q for r, q in zip(ring, _series_coeffs(numer, ctx_R.n, upto)))
+        stored numerator by ``ideal_coeffs``."""
+        return ideal_coeffs(self.components[0].ctx, self.numerators()[min(h, self.s)], upto)
 
     @cached_property
     def violation(self) -> tuple[int, int] | None:

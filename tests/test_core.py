@@ -11,7 +11,8 @@ from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
                            ideal_product, ideal_sum, minimalize,
                            quotient_piece_dim, saturate)
 from lexcohom.errors import MixedContextError
-from lexcohom.limits import MR_LIMIT
+from lexcohom.hilbert import ideal_window
+from lexcohom.limits import MR_LIMIT, NUMERATOR_DEGREE_LIMIT
 
 from conftest import count_calls, members_upto, ref_ideal_sum, ref_saturate
 
@@ -220,13 +221,23 @@ def test_membership_and_graded_dims():
     assert graded_piece_dim(MonomialIdeal.zero(ctx2), 4) == 0
 
 
+# with z, and with a power above every degree asked: the ring's dims come
+# from the power ideal's numerator truncated at that degree
+DIM_CONTEXTS = (ctx2, RingContext(2, powers=(2, 10**12)), RingContext(3, powers=(2, 50)),
+                RingContext(2, powers=(3,)).add_z(), RingContext(1, powers=(2,)).add_z())
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_dim_identity(d):
     rng = random.Random(d)
-    for _ in range(10):
-        gens = [M(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(3)]
-        I = minimalize(ctx2, gens)
-        assert graded_piece_dim(I, d) + quotient_piece_dim(I, d) == ctx2.dim(d)
+    for ctx in DIM_CONTEXTS:
+        assert ctx.dim(d) == len(list(ctx.monomials(d, bounded=True)))
+        for _ in range(10):
+            gens = [Monomial(tuple(rng.randint(0, 3) for _ in range(ctx.n))) for _ in range(3)]
+            I = MonomialIdeal.make(ctx, gens).plus_powers()
+            assert graded_piece_dim(I, d) + quotient_piece_dim(I, d) == ctx.dim(d)
+            if max(ctx.powers, default=0) <= NUMERATOR_DEGREE_LIMIT:  # else refused
+                assert ideal_window(I, d) == tuple(graded_piece_dim(I, t) for t in range(d + 1))
 
 
 def test_powers_context_basis_counting():

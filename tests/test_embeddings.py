@@ -1,5 +1,6 @@
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -200,16 +201,30 @@ def contexts(draw):
 
 
 @given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9),
-       st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2)), max_size=3))
+       st.lists(st.tuples(st.integers(0, 9), st.integers(-2, 2)), max_size=3), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb):
-    # dims of a random ideal containing b, then optionally perturbed
+def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb, far):
+    # dims of a random ideal containing b, then optionally perturbed; with
+    # ``far`` they are asked of the ring whose top power is above every degree
     dims = list(ideal_window(random_ideal(rng, ctx, 4, 4), D))
     for d, delta in perturb:
         if d <= D:
             dims[d] += delta
-    assert _outcome(lambda: _engine(ctx, dims)) == \
-        _outcome(lambda: brute_lex_first(ctx, dims))
+    if far and ctx.powers:
+        ctx = RingContext(ctx.n, powers=ctx.powers[:-1] + (10**12,), z=ctx.z)
+    tables, real_unrank = [], embeddings._unrank
+
+    def unrank(k, d, bounds, count):
+        tables.append(count)
+        return real_unrank(k, d, bounds, count)
+
+    with mock.patch.object(embeddings, "_unrank", unrank):
+        outcome = _outcome(lambda: _engine(ctx, dims))
+    assert outcome == _outcome(lambda: brute_lex_first(ctx, dims))
+    # the engine's count of each suffix ring in each degree is its listed basis
+    for i, row in enumerate(tables[-1] if tables else ()):
+        assert row == [sum(not any(m.exps[:i]) for m in ctx.monomials(t, bounded=True))
+                       for t in range(len(row))]
 
 
 @given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9))

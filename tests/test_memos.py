@@ -9,6 +9,7 @@ still meets every limit."""
 import importlib
 import itertools
 import pkgutil
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -377,7 +378,7 @@ def package_caches():
 
 def test_only_memos_makes_a_memo():
     caches = package_caches()
-    assert len(caches) == 15
+    assert len(caches) == 14
     assert caches.keys() == {id(m) for m in memos.registry}
     assert all(m.cache_info().maxsize is not None for m in memos.registry)
     bound = {}
@@ -411,11 +412,18 @@ def test_clear_all_empties_every_memo(tmp_path, capsys):
     assert [m.cache_info().currsize for m in memos.registry] == [0] * len(memos.registry)
 
 
-def test_a_refused_lex_ideal_leaves_a_bounded_ring_dims_memo():
+def test_a_refused_lex_ideal_keeps_under_a_megabyte():
     # seed 0 of the n = 5 ladder family: the certificate's series is refused
-    # at lcm degree 772, after the selection has filled 1,920 ring dims
+    # at lcm degree 772, after the selection has counted the ring's dims up
+    # to that degree; a memo of those dims per top degree kept 2.6 MB
     I = MonomialIdeal.make(RingContext(5), [Monomial(e) for e in (
         (2, 0, 0, 1, 1), (0, 4, 0, 0, 0), (0, 1, 1, 2, 0), (0, 0, 1, 3, 0))])
-    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
-        lex_ideal_of(I)
-    assert core._ring_dims.cache_info().currsize <= memos.RING_DIMS_MEMO_SIZE
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
+            lex_ideal_of(I)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
