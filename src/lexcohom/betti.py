@@ -170,13 +170,13 @@ def _lattice_entries(I: MonomialIdeal) -> tuple[int, tuple[tuple[tuple[int, int]
     return len(lattice), tuple(entries.items())
 
 
-def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
+def betti_table(I: MonomialIdeal) -> BettiTable:
     """Minimal graded Betti table of A/I over GF(p).
 
-    ``check`` verifies the alternating-sum identity against the exact
-    Hilbert numerator (an independent correctness cross-check), on every
-    call.  Only a memo miss walks the lattice, and only a miss there lists
-    faces (see the module docstring).
+    Every call checks the alternating-sum identity against the exact
+    Hilbert numerator (an independent correctness cross-check).  Only a
+    memo miss walks the lattice, and only a miss there lists faces (see the
+    module docstring).
     """
     ctx = I.ctx
     if I.is_unit:
@@ -184,13 +184,10 @@ def betti_table(I: MonomialIdeal, check: bool = True) -> BettiTable:
     points, entries = _lattice_entries(I)
     limits.check("LATTICE_LIMIT", points, f"the lcm lattice has {points} points")
     table = BettiTable(ctx.n, ctx.char, dict(entries))
-    if check:
-        numer = hilbert_series(I).numer
-        alt = table.alternating_sum()
-        if alt != numer:
-            raise AssertionError(
-                f"Betti table fails the Hilbert identity: {alt} vs {numer}"
-            )
+    numer = hilbert_series(I).numer
+    alt = table.alternating_sum()
+    if alt != numer:
+        raise AssertionError(f"Betti table fails the Hilbert identity: {alt} vs {numer}")
     return table
 
 

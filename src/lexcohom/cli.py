@@ -131,22 +131,32 @@ def cmd_zstabilize(args) -> int:
     return OK
 
 
+# the values of the family key z; a bare ``z`` reads as true
+_Z_VALUES = {"": True, "1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 def _parse_family(text: str, args) -> FamilySpec:
     fields: dict = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
-        key = key.strip().lower()
+        key, val = key.strip().lower(), val.strip()
         if key == "n":
-            fields["n"] = limits.read_int("FILE_VARIABLE_LIMIT", val, "family n")
+            field, value = "n", limits.read_int("FILE_VARIABLE_LIMIT", val, "family n")
         elif key == "d":
-            fields["powers"] = tuple(limits.read_int("EXPONENT_LIMIT", x, "family d")
-                                     for x in val.split(":") if x)
+            field, value = "powers", tuple(limits.read_int("EXPONENT_LIMIT", x, "family d")
+                                           for x in val.split(":") if x)
         elif key in ("maxdeg", "max_deg"):
-            fields["max_deg"] = limits.read_int("EXPONENT_LIMIT", val, "family maxdeg")
+            field, value = "max_deg", limits.read_int("EXPONENT_LIMIT", val, "family maxdeg")
+        elif key == "z" and val.lower() in _Z_VALUES:
+            field, value = "with_z", _Z_VALUES[val.lower()]
         elif key == "z":
-            fields["with_z"] = val.strip() in ("", "1", "true", "yes")
+            raise ValueError(f"family key 'z' takes 1, true, yes, 0, false or no, not {val!r}")
         else:
             raise ValueError(f"unknown family key {key!r}")
+        if field in fields:
+            raise ValueError(f"family key {key!r} is given twice")
+        fields[field] = value
     if "n" not in fields:
         raise ValueError("family needs n=<int>")
     fields["char"] = args.char

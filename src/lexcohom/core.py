@@ -6,8 +6,8 @@ Conventions used throughout the package:
   distinguished last variable).  Lex order always refers to this order.
 * A quotient S = B/b by pure powers b = (x1^d1, ..., xr^dr) is never a
   separate ring type: ideals of S are represented by their preimages in B,
-  i.e. monomial ideals containing b.  ``graded_piece_dim`` counts within the
-  monomial basis of S when the context carries powers.  The Hilbert function
+  i.e. monomial ideals containing b.  ``RingContext.monomials`` with
+  ``bounded=True`` lists the monomial basis of S.  The Hilbert function
   of S itself is read like every other series: S is the tensor product of
   the K[x_i]/(x_i^di) and the free variables, so its numerator over (1-t)^n
   is the power ideal's prod (1 - t^di), built only up to the degree asked
@@ -453,17 +453,6 @@ def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
                                   for g in I.gens])
 
 
-def colon_ideal(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I : J = intersection of I : g over the generators g of J."""
-    _same_ctx(I, J)
-    if J.is_zero:
-        return MonomialIdeal.unit(I.ctx)
-    out = colon(I, J.gens[0])
-    for g in J.gens[1:]:
-        out = ideal_intersection(out, colon(I, g))
-    return out
-
-
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I : J^infinity, the intersection over the generators g of J of
     I : g^infinity, which sets the exponents on supp(g) to 0 in every
@@ -485,20 +474,3 @@ def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         lcms = [tuple(map(max, a, b)) for a in minimal_exponents(lcms) for b in part]
     return _minimal_ideal(I.ctx, lcms)
 
-
-def graded_piece_dim(I: MonomialIdeal, d: int) -> int:
-    """Number of degree-d basis monomials lying in I.
-
-    The basis is all of B_d, or the monomial basis of S = B/b when the
-    context has powers; so for a preimage P >= b this is dim_K (P/b)_d.
-    """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if I.is_zero:
-        return 0
-    return sum(1 for m in I.ctx.monomials(d, bounded=True) if I.contains(m))
-
-
-def quotient_piece_dim(I: MonomialIdeal, d: int) -> int:
-    """dim of the degree-d piece of (S or B)/I, counting basis monomials."""
-    return I.ctx.dim(d) - graded_piece_dim(I, d)

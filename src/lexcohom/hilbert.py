@@ -108,18 +108,6 @@ class HilbertSeries:
         """The quotient Hilbert function in degree d."""
         return series_value(self.numer, self.n, d)
 
-    def krull_dim(self) -> int:
-        """n minus the order of vanishing of the numerator at t=1."""
-        poly = self.numer
-        if not any(poly):
-            return -1  # the zero ring
-        dim = self.n
-        while dim > 0 and sum(poly) == 0:
-            # p(1) = 0, so p(t)/(1-t) is a polynomial of degree deg p - 1
-            poly = _series_coeffs(poly, 1, len(poly) - 2)
-            dim -= 1
-        return dim
-
 
 def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients.
@@ -136,10 +124,6 @@ def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
 def lcm_degree(I: MonomialIdeal) -> int:
     """sum_i max_g e_i over the generators g of I: the degree of their lcm."""
     return sum(map(max, zip(*(g.exps for g in I.gens)))) if I.gens else 0
-
-
-def quotient_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:
-    return hilbert_series(I).quotient_window(upto)
 
 
 def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:

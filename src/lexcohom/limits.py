@@ -48,7 +48,11 @@ COHOM_VARIABLE_LIMIT = 32
 # 2^min(n, g) faces (localcohom._ext_dims), and with this cap raised the
 # same tables take 0.7-2.7 ms at 10, 1.0-3.9 ms at 11 and 2.0-4.2 ms at 18
 # (19 ideals, that one among them), about what the combinatorial backend
-# takes.  The cap stays until a change decides to answer above it.
+# takes.  Those ideals have n = 4; with n growing beside g a slice's 2^n
+# faces still cost: on the path ideal x_i*x_{i+1}, with the cap raised and
+# cold memos, an ext table takes 2.5-3.7 s at 11 generators (n = 12) and
+# 14.5-15.7 s at 12 (n = 13), where the combinatorial one takes 0.17-0.19 s
+# and 0.73-0.75 s and gives the same table.  So the cap still bounds a cost.
 EXT_GENERATOR_LIMIT = 10
 # Most points of an lcm lattice, each a Koszul complex for the Betti table.
 LATTICE_LIMIT = 20_000

@@ -78,8 +78,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import limits, memos
-from .core import MonomialIdeal, saturate
-from .hilbert import _poly_mul, quotient_window, values_nonneg
+from .core import MonomialIdeal
+from .hilbert import _poly_mul, values_nonneg
 from .homology import reduced_homology_dims
 
 
@@ -525,19 +525,6 @@ def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
     lo = min(_window_lo(I) for I in ideals)
     hi = max(regs) + 1
     return [_table(I, c, reg, lo, hi) for I, c, reg in zip(ideals, cells, regs)]
-
-
-def h0_via_saturation(I: MonomialIdeal, window: tuple[int, int]) -> tuple[int, ...]:
-    """H^0 row from the saturation: Hilb(A/I) - Hilb(A/I^sat) on the window."""
-    lo, hi = window
-    sat = saturate(I, I.ctx.max_ideal())
-    if hi < 0:
-        return (0,) * (hi - lo + 1)
-    qi = quotient_window(I, hi)
-    qs = quotient_window(sat, hi)
-    return tuple(
-        (qi[j] - qs[j]) if j >= 0 else 0 for j in range(lo, hi + 1)
-    )
 
 
 def compare_tables(

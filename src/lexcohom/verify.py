@@ -20,7 +20,7 @@ from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _divides_
                    _grlex_key, ideal_product, minimalize, saturate)
 from .embeddings import epsilon_one, is_embedded, lex_ideal_of, lpp_ideal
 from .errors import NotAnIdealError
-from .hilbert import hilbert_series, ideal_window
+from .hilbert import hilbert_series
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables)
@@ -421,23 +421,6 @@ def _holds_m_times(P: MonomialIdeal, E: MonomialIdeal) -> bool:
                 _divides_any(pexps, e[:i] + (e[i] + 1,) + e[i + 1:]) for i in range(len(e))):
             return False
     return P.contains_ideal(P.ctx.powers_ideal())
-
-
-def corrupt_epsilon(I: MonomialIdeal) -> MonomialIdeal:
-    """Deliberately wrong embedding for mutation tests: degree by degree it
-    adds lex-last monomials until the ideal reaches I's dimension.  Nothing
-    is taken back when the multiples of earlier picks overshoot, so the
-    Hilbert function often differs too (never below I's up to degree D)."""
-    ctx = I.ctx
-    P = I.plus_powers()
-    D = sum(d - 1 for d in ctx.powers) + P.max_gen_degree() + 4
-    J = MonomialIdeal.zero(ctx)
-    for d, want in enumerate(ideal_window(P, D)):
-        outside = [m for m in ctx.monomials(d, bounded=True) if not J.contains(m)]
-        extra = want - (ctx.dim(d) - len(outside))
-        if extra > 0:
-            J = minimalize(ctx, J.gens + tuple(outside[::-1][:extra]))  # lex-last
-    return J.plus_powers()
 
 
 @dataclass(frozen=True)

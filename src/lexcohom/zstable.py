@@ -196,13 +196,6 @@ def is_z_stable(Z: ZGradedIdeal) -> bool:
     return Z.violation is None
 
 
-def colon_z(Z: ZGradedIdeal) -> ZGradedIdeal:
-    """I : z, which shifts the component chain down by one."""
-    if Z.s == 0:
-        return Z
-    return ZGradedIdeal(Z.ctx, Z.components[1:])
-
-
 def z_saturate(Z: ZGradedIdeal) -> ZGradedIdeal:
     """I : z^infinity: the extension of the top component."""
     return ZGradedIdeal(Z.ctx, (Z.components[-1],))

@@ -11,8 +11,8 @@ import pytest
 
 from lexcohom import embeddings, limits, localcohom, memos, zstable
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
-from lexcohom.core import (Monomial, MonomialIdeal, colon_ideal, graded_piece_dim,
-                           ideal_product, minimalize)
+from lexcohom.core import (Monomial, MonomialIdeal, colon, ideal_intersection, ideal_product,
+                           minimalize, saturate)
 from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
                              MixedContextError, NotAttainableError)
 from lexcohom.hilbert import (_poly_add, _poly_mul, _series_coeffs, _shift, hilbert_series,
@@ -69,6 +69,79 @@ def brute_quotient_dims(I, D):
                         if not I.contains(m)))
     return tuple(dims)
 
+
+def graded_piece_dim(I, d):
+    """Number of degree-d basis monomials lying in I.
+
+    The basis is all of B_d, or the monomial basis of S = B/b when the
+    context has powers; so for a preimage P >= b this is dim_K (P/b)_d.
+    """
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if I.is_zero:
+        return 0
+    return sum(1 for m in I.ctx.monomials(d, bounded=True) if I.contains(m))
+
+
+def colon_ideal(I, J):
+    """I : J = intersection of I : g over the generators g of J."""
+    if I.ctx != J.ctx:
+        raise MixedContextError(f"contexts differ: {I.ctx} vs {J.ctx}")
+    if J.is_zero:
+        return MonomialIdeal.unit(I.ctx)
+    out = colon(I, J.gens[0])
+    for g in J.gens[1:]:
+        out = ideal_intersection(out, colon(I, g))
+    return out
+
+
+def h0_via_saturation(I, window):
+    """H^0 row from the saturation: Hilb(A/I) - Hilb(A/I^sat) on the window."""
+    lo, hi = window
+    sat = saturate(I, I.ctx.max_ideal())
+    if hi < 0:
+        return (0,) * (hi - lo + 1)
+    qi = hilbert_series(I).quotient_window(hi)
+    qs = hilbert_series(sat).quotient_window(hi)
+    return tuple((qi[j] - qs[j]) if j >= 0 else 0 for j in range(lo, hi + 1))
+
+
+def krull_dim(hs):
+    """The Krull dimension of a HilbertSeries: n minus the order of
+    vanishing of its numerator at t=1, and -1 for the zero ring."""
+    poly = hs.numer
+    if not any(poly):
+        return -1
+    dim = hs.n
+    while dim > 0 and sum(poly) == 0:
+        # p(1) = 0, so p(t)/(1-t) is a polynomial of degree deg p - 1
+        poly = _series_coeffs(poly, 1, len(poly) - 2)
+        dim -= 1
+    return dim
+
+
+def colon_z(Z):
+    """I : z, which shifts the component chain down by one."""
+    if Z.s == 0:
+        return Z
+    return ZGradedIdeal(Z.ctx, Z.components[1:])
+
+
+def corrupt_epsilon(I):
+    """Deliberately wrong embedding for mutation tests: degree by degree it
+    adds lex-last monomials until the ideal reaches I's dimension.  Nothing
+    is taken back when the multiples of earlier picks overshoot, so the
+    Hilbert function often differs too (never below I's up to degree D)."""
+    ctx = I.ctx
+    P = I.plus_powers()
+    D = sum(d - 1 for d in ctx.powers) + P.max_gen_degree() + 4
+    J = MonomialIdeal.zero(ctx)
+    for d, want in enumerate(ideal_window(P, D)):
+        outside = [m for m in ctx.monomials(d, bounded=True) if not J.contains(m)]
+        extra = want - (ctx.dim(d) - len(outside))
+        if extra > 0:
+            J = minimalize(ctx, J.gens + tuple(outside[::-1][:extra]))  # lex-last
+    return J.plus_powers()
 
 def random_ideal(rng, ctx, max_deg, max_gens):
     pool = []

@@ -404,6 +404,21 @@ def test_cli_verify_family_limits(capsys):
     assert "1/1 instances passed" in capsys.readouterr().out
 
 
+def test_cli_verify_family_key_values(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    argv = ["verify", "region", "--samples", "1", "--json", str(out), "--family"]
+    for z, with_z in (("z", True), ("z=1", True), ("z=true", True), ("z=yes", True),
+                      ("z=0", False), ("z=false", False), ("z=no", False)):
+        assert main(argv + ["n=2,d=2,maxdeg=3," + z]) == 0
+        assert json.loads(out.read_text())["family"]["with_z"] is with_z
+    capsys.readouterr()
+    # an unknown z value and a repeated key are refused, naming the key
+    for family, key in (("n=2,d=2,maxdeg=3,z=2", "'z'"), ("n=2,n=3", "'n'"),
+                        ("n=2,maxdeg=2,max_deg=3", "'max_deg'"), ("n=2,z,z=0", "'z'")):
+        assert main(argv + [family]) == 2
+        assert f"family key {key}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["region", "--family", "n=2,d=2:2,maxdeg=3", "--samples", "-1"],
     ["region", "--family", "n=2,d=2:2,maxdeg=3", "--samples", "0"],

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import embeddings
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext,
-                           graded_piece_dim, minimalize)
+from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
 from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of,
                                  lex_segment_ideal, lpp_ideal)
 from lexcohom.errors import NotAttainableError, ResourceLimitError
 from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
 
-from conftest import brute_lex_first, random_ideal
+from conftest import brute_lex_first, graded_piece_dim, random_ideal
 
 
 def M(*exps):

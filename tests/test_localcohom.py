@@ -11,18 +11,18 @@ from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.embeddings import epsilon_one
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import hilbert_series, quotient_window
+from lexcohom.hilbert import hilbert_series
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import (CohomologyTable, TailPoly, cohomology_table,
-                                 cohomology_tables, compare_tables,
-                                 h0_via_saturation)
+                                 cohomology_tables, compare_tables)
 from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
                              lemma_top_partial_sums)
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
-from conftest import (count_calls, merge_cells, random_ideal, ref_ext_cells, ref_ext_dims,
-                      ref_extension_recurrence, ref_fit_tail, ref_rows, ref_takayama_cells)
+from conftest import (count_calls, h0_via_saturation, krull_dim, merge_cells, random_ideal,
+                      ref_ext_cells, ref_ext_dims, ref_extension_recurrence, ref_fit_tail,
+                      ref_rows, ref_takayama_cells)
 
 
 def M(*exps):
@@ -43,7 +43,7 @@ def test_hand_examples(backend):
     # Artinian: the zeroth row is the quotient Hilbert function
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 1), M(0, 3)])
     T = cohomology_table(I, backend=backend)
-    qw = quotient_window(I, T.hi)
+    qw = hilbert_series(I).quotient_window(T.hi)
     for j in range(T.lo, T.hi + 1):
         assert T.value(0, j) == (qw[j] if j >= 0 else 0)
         assert T.value(1, j) == 0 and T.value(2, j) == 0
@@ -88,7 +88,7 @@ def test_backend_agreement_on_samples():
             Ta = cohomology_table(I, backend="combinatorial")
             Tb = cohomology_table(I, backend="ext")
             assert Ta.rows == Tb.rows and Ta.tails == Tb.tails
-            dim = hilbert_series(I).krull_dim()
+            dim = krull_dim(hilbert_series(I))
             assert Ta.module_dim == Tb.module_dim == dim
             for i in Ta.rows:
                 fit = ref_fit_tail(Ta.rows[i], Ta.lo, dim)
@@ -123,7 +123,7 @@ def test_duality_support_and_grothendieck_vanishing():
             continue
         T = cohomology_table(I)
         reg = betti_table(I).regularity
-        dim = hilbert_series(I).krull_dim()
+        dim = krull_dim(hilbert_series(I))
         depth = ctx.n - betti_table(I).projdim
         for i in range(ctx.n + 1):
             for j in range(T.lo, T.hi + 1):

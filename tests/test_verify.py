@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import betti, core, embeddings, localcohom, verify
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext, graded_piece_dim,
-                           ideal_product, minimalize)
+from lexcohom.core import Monomial, MonomialIdeal, RingContext, ideal_product, minimalize
 from lexcohom.errors import NotAnIdealError, ResourceLimitError
 from lexcohom.hilbert import hilbert_series, ideal_window
 from lexcohom.ioformat import format_ideal
 from lexcohom.limits import POOL_LIMIT
 from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
-                             corrupt_epsilon,
                              enumerate_family,
                              nonstable_instances, run_family,
                              stable_instances, verify_betti_lpp_corners,
@@ -23,8 +21,8 @@ from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
                              verify_region_inclusion, verify_zstabilize)
 import lexcohom.zstable as zs
 
-from conftest import (count_calls, random_ideal, ref_generator_tallies,
-                      ref_nonstable_instances, ref_restriction)
+from conftest import (corrupt_epsilon, count_calls, graded_piece_dim, random_ideal,
+                      ref_generator_tallies, ref_nonstable_instances, ref_restriction)
 
 
 def M(*exps):

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon_ideal,
-                           ideal_product, minimalize, saturate)
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
+                           saturate)
 from lexcohom.errors import HilbertMismatchError
 from lexcohom.groebner import buchberger, initial_ideal
 from lexcohom.hilbert import hilbert_series, ideal_window
-from lexcohom.zstable import (_first_violation, bar, colon_z, default_window,
+from lexcohom.zstable import (_first_violation, bar, default_window,
                               distraction, distraction_initial, is_z_stable,
                               stabilization_order, z_decompose, z_order_compare,
                               z_recompose, z_saturate, z_stabilize)
 
-from conftest import (count_calls, random_ideal, ref_is_z_stable,
+from conftest import (colon_ideal, colon_z, count_calls, random_ideal, ref_is_z_stable,
                       ref_windowed_z_order_compare, ref_z_decompose, ref_z_order_compare)
 
 
