@@ -10,8 +10,8 @@ Conventions used throughout the package:
   ``bounded=True`` lists the monomial basis of S.  The Hilbert function
   of S itself is read like every other series: S is the tensor product of
   the K[x_i]/(x_i^di) and the free variables, so its numerator over (1-t)^n
-  is the power ideal's prod (1 - t^di), built only up to the degree asked
-  (``RingContext.powers_numerator``, read by ``series_value``).
+  is the power ideal's prod (1 - t^di), a lazy product that
+  ``hilbert.ideal_stream`` reads degree by degree.
 * All values are immutable and safe to share between threads.
 
 Where monomials are validated: ``Monomial.__post_init__`` checks every
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import merge
-from math import comb
 from operator import add, le
 
 from . import limits, memos
@@ -174,20 +173,6 @@ class RingContext:
             else:
                 return
 
-    def dim(self, d: int) -> int:
-        """dim_K of the degree-d piece of the full ring S (or B if no powers),
-        read off the power ideal's numerator as every series is."""
-        return series_value(self.powers_numerator(d), self.n, d)
-
-    def powers_numerator(self, upto: int) -> list[int]:
-        """The numerator prod (1 - t^di) of Hilb(S) over (1-t)^n, truncated
-        at degree upto: a power may be far above every degree asked, so the
-        product is never built past it."""
-        numer = [1] + [0] * upto
-        for di in self.powers:
-            numer[di:] = [a - b for a, b in zip(numer[di:], numer)]
-        return numer
-
     @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def powers_ideal(self) -> "MonomialIdeal":
         """The power ideal b = (x1^d1, ..., xr^dr), built once per context.
@@ -218,13 +203,6 @@ class RingContext:
 
     def one(self) -> "Monomial":
         return Monomial((0,) * self.n)
-
-
-def series_value(numer, n: int, d: int) -> int:
-    """The degree-d coefficient of numer(t) / (1-t)^n."""
-    if d < 0:
-        return 0
-    return sum(c * comb(d - i + n - 1, n - 1) for i, c in enumerate(numer[:d + 1]) if c)
 
 
 @dataclass(frozen=True)

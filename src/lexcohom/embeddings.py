@@ -4,13 +4,13 @@ One engine selects, degree by degree, the first ``want`` monomials in
 descending lex order of the monomial basis of S = B/b, by rank arithmetic:
 it counts bounded monomials and never lists a graded piece.  The counts are
 the dims of the suffix rings of S, in one table that grows by a degree at a
-time; the dims of S wanted by the callers come from the power ideal's
-numerator (``RingContext.dim``), as every Hilbert function does.  By the
-Clements-Lindstrom theorem (Macaulay's without powers) the shadow of a lex
-segment of S is a lex segment, so closure under multiplication is the one
-comparison c <= want, Macaulay's growth bound.  Here c - 1 is the rank of
-u * x_j, u is the last monomial selected one degree lower and x_j the last
-variable u can still be multiplied by in S.
+time; the ideal dims wanted by the callers are read off the lazy stream of
+the difference of numerators (``hilbert.ideal_stream``), as every Hilbert
+function is.  By the Clements-Lindstrom theorem (Macaulay's without powers)
+the shadow of a lex segment of S is a lex segment, so closure under
+multiplication is the one comparison c <= want, Macaulay's growth bound.
+Here c - 1 is the rank of u * x_j, u is the last monomial selected one
+degree lower and x_j the last variable u can still be multiplied by in S.
 
 Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
@@ -29,10 +29,12 @@ components) are theorems that the lemma suite of ``verify`` checks.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext
 from .errors import NotAttainableError
-from .hilbert import HilbertSeries, hilbert_series, lcm_degree
+from .hilbert import HilbertSeries, hilbert_series, ideal_stream, lcm_degree
 
 
 def _rank(e: tuple[int, ...], bounds, count) -> int:
@@ -191,7 +193,7 @@ def _certified_embedding(series: HilbertSeries) -> tuple[MonomialIdeal, int]:
     ctx = series.ctx
     top = len(series.numer) - 1
     last = limits.NUMERATOR_DEGREE_LIMIT + 1
-    dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
+    dims = islice(ideal_stream(ctx, series.numer), last + 1)
     gens: list[Monomial] = []
     grew = True  # generators were added since the last check
     for d, new in enumerate(_engine(ctx, dims)):

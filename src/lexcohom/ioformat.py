@@ -15,7 +15,8 @@ an optional exponent ``^<digits>``, which follows the variable directly
 of any length, only have to be nonzero modulo the characteristic; they are
 then dropped.  A ``+`` or ``-`` is a parse error: sums of terms are not
 monomials.  ``n`` counts the x variables only; with ``variable z`` the ring
-is K[x1..xn][z].  A header integer above its limit is a parse error: ``n``
+is K[x1..xn][z].  A second ``ring``, ``powers`` or ``variable`` line is a
+parse error.  A header integer above its limit is a parse error: ``n``
 above ``limits.FILE_VARIABLE_LIMIT``, ``char`` above ``limits.MR_LIMIT``, a
 ``d`` above ``limits.EXPONENT_LIMIT``.
 Parse/print round-trips are the identity on canonical form.
@@ -118,12 +119,17 @@ def parse_ideal_file(text: str) -> tuple[RingContext, list[Monomial]]:
     char = None
     gens: list[str] = []
     gen_lines: list[int] = []
+    header_lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         low = line.lower()
-        if low.startswith("ring"):
+        header = next((h for h in ("ring", "powers", "variable") if low.startswith(h)), None)
+        if header and header_lines.setdefault(header, line_no) != line_no:
+            raise ParseError(line_no, 1, f"a second {header} line: the first is "
+                             f"line {header_lines[header]}")
+        if header == "ring":
             m = re.fullmatch(r"ring\s+n=(\d+)\s+char=(\d+)", low)
             if not m:
                 raise ParseError(line_no, 1, "expected: ring n=<int> char=<prime>")
@@ -131,14 +137,14 @@ def parse_ideal_file(text: str) -> tuple[RingContext, list[Monomial]]:
                                 partial(ParseError, line_no, m.start(1) + 1))
             char = limits.read_int("MR_LIMIT", m.group(2), "char",
                                    partial(ParseError, line_no, m.start(2) + 1))
-        elif low.startswith("powers"):
+        elif header == "powers":
             m = re.fullmatch(r"powers\s+d=(\d+(\s*,\s*\d+)*)", low)
             if not m:
                 raise ParseError(line_no, 1, "expected: powers d=<d1,...,dr>")
             powers = tuple(limits.read_int("EXPONENT_LIMIT", d.group(), "d",
                                            partial(ParseError, line_no, d.start() + 1))
                            for d in re.finditer(r"\d+", low))
-        elif low.startswith("variable"):
+        elif header == "variable":
             m = re.fullmatch(r"variable\s+z", low)
             if not m:
                 raise ParseError(line_no, 1, "expected: variable z")

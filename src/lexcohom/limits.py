@@ -14,9 +14,9 @@ EXPONENT_LIMIT = 1 << 40
 # bases up to 41 decide primality exactly (Sorenson and Webster, 2015).
 MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # Most x variables of an ideal file or a verify family.  The default hilb
-# window grows with n, and hilb makes n running-sum passes over it: on (x1)
-# it takes about 1.3 s at the limit on a 2-vCPU Xeon host, 0.5 s at
-# n = 1,000 and 2.1 s at 2,500.
+# window grows with n, and hilb reads it off n nested running sums: on (x1)
+# a whole run takes about 0.4 s at the limit on a 2-vCPU Xeon host, 0.16 s
+# at n = 1,000 and 0.75 s at 2,500 (with the limit raised).
 FILE_VARIABLE_LIMIT = 2_000
 # Most degrees a --window may span: hilb and cohom print one value per
 # degree.  The widest default window seen, a cohom window of a lex ideal in

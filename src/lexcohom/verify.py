@@ -430,24 +430,16 @@ class CheckReport:
     first_mismatch: tuple[int, int] | None = None
 
 
-def lemma_top_partial_sums(dec: zstable.ZGradedIdeal,
-                           decE: zstable.ZGradedIdeal) -> CheckReport:
+def _top_partial_sums(dec: zstable.ZGradedIdeal,
+                      decE: zstable.ZGradedIdeal) -> CheckReport:
     """Partial-sum inequality between the push-downs of the z-saturations of
     a z-stable ideal I and of its extended embedding E, given as their
     z-decompositions, at a degree d beyond all generators: summing dims
     downward from degree d, the original ideal dominates its embedding (this
     is the degreewise restatement of the restriction inequality
     Hilb(I + (z^j)) >= Hilb(E + (z^j)), and the full sums at j = d agree
-    because the Hilbert functions do)."""
-    if not zstable.is_z_stable(dec):
-        raise ValueError("requires a z-stable ideal")
-    return _top_partial_sums(dec, decE)
-
-
-def _top_partial_sums(dec: zstable.ZGradedIdeal,
-                      decE: zstable.ZGradedIdeal) -> CheckReport:
-    """``lemma_top_partial_sums`` without its stability precondition, for
-    the lemma suite, which has checked it already."""
+    because the Hilbert functions do).  The lemma suite, its one caller,
+    has checked that I is z-stable."""
     d = max(dec.max_gen_degree(), decE.max_gen_degree()) + 2
     # the bar of the z-saturation is the top component, whose window is
     # read off its stored numerator; the components of a preimage's

@@ -19,7 +19,7 @@ lcm degree, the total numerator and the answer of ``_first_violation``.
 chains' stored numerators (its equal-Hilbert-function precondition compares
 the stored totals, recomposing no chain), and ``ZGradedIdeal.window`` reads a
 component's window off its numerator and the numerator of R's power ideal
-(``hilbert.ideal_coeffs``), the one source of R's Hilbert function.  Every
+(``hilbert.ideal_stream``), the one source of R's Hilbert function.  Every
 read of a numerator checks the stored lcm degree against
 ``limits.NUMERATOR_DEGREE_LIMIT``, so a stored chain never skips a refusal.
 
@@ -51,7 +51,7 @@ from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_
                    ideal_intersection, ideal_sum)
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
-from .hilbert import hilbert_series, ideal_coeffs, lcm_degree, series_signs
+from .hilbert import hilbert_series, ideal_stream, lcm_degree, series_signs, window
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -133,8 +133,9 @@ class ZGradedIdeal:
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R
         on degrees 0..upto: ``ideal_window`` of the component, read off its
-        stored numerator by ``ideal_coeffs``."""
-        return ideal_coeffs(self.components[0].ctx, self.numerators()[min(h, self.s)], upto)
+        stored numerator by ``ideal_stream``."""
+        numer = self.numerators()[min(h, self.s)]
+        return window(ideal_stream(self.components[0].ctx, numer), upto)
 
     @cached_property
     def violation(self) -> tuple[int, int] | None:

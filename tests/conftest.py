@@ -15,8 +15,8 @@ from lexcohom.core import (Monomial, MonomialIdeal, colon, ideal_intersection, i
                            minimalize, saturate)
 from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
                              MixedContextError, NotAttainableError)
-from lexcohom.hilbert import (_poly_add, _poly_mul, _series_coeffs, _shift, hilbert_series,
-                              ideal_window, values_nonneg)
+from lexcohom.hilbert import (_poly_add, _poly_mul, _shift, hilbert_series, ideal_window,
+                              series_stream, values_nonneg, window)
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.verify import enumerate_family
 from lexcohom.zstable import ZGradedIdeal
@@ -59,6 +59,14 @@ def members_upto(I, D, bounded=False):
             if I.contains(m):
                 out.add(m.exps)
     return out
+
+
+def ref_series_value(numer, n, d):
+    """The degree-d coefficient of numer(t) / (1-t)^n as a sum of binomials:
+    t^i / (1-t)^n has C(d - i + n - 1, n - 1) in degree d."""
+    if d < 0:
+        return 0
+    return sum(c * comb(d - i + n - 1, n - 1) for i, c in enumerate(numer[:d + 1]) if c)
 
 
 def brute_quotient_dims(I, D):
@@ -115,7 +123,7 @@ def krull_dim(hs):
     dim = hs.n
     while dim > 0 and sum(poly) == 0:
         # p(1) = 0, so p(t)/(1-t) is a polynomial of degree deg p - 1
-        poly = _series_coeffs(poly, 1, len(poly) - 2)
+        poly = window(series_stream(poly, 1), len(poly) - 2)
         dim -= 1
     return dim
 
@@ -137,8 +145,9 @@ def corrupt_epsilon(I):
     D = sum(d - 1 for d in ctx.powers) + P.max_gen_degree() + 4
     J = MonomialIdeal.zero(ctx)
     for d, want in enumerate(ideal_window(P, D)):
-        outside = [m for m in ctx.monomials(d, bounded=True) if not J.contains(m)]
-        extra = want - (ctx.dim(d) - len(outside))
+        basis = all_monomials(ctx, d, bounded=True)
+        outside = [m for m in basis if not J.contains(m)]
+        extra = want - (len(basis) - len(outside))
         if extra > 0:
             J = minimalize(ctx, J.gens + tuple(outside[::-1][:extra]))  # lex-last
     return J.plus_powers()
@@ -181,13 +190,15 @@ def brute_lex_first(ctx, dims):
 
 def ref_embed_matching_series(I):
     """The lex-first embedding of the preimage I, unmemoized: the selection
-    with the dims of the series of I, its certificate checked from the
+    with the dims of the series of I (the listed bounded basis less the
+    binomial sums of ``ref_series_value``), its certificate checked from the
     first degree past the generators of I that adds no generators."""
     ctx = I.ctx
     series = hilbert_series(I)
     top = I.max_gen_degree()
     last = limits.NUMERATOR_DEGREE_LIMIT + 1
-    dims = (ctx.dim(d) - series.value(d) for d in range(last + 1))
+    dims = (len(all_monomials(ctx, d, bounded=True)) - ref_series_value(series.numer, ctx.n, d)
+            for d in range(last + 1))
     gens = []
     grew = True  # generators were added since the last check
     for d, new in enumerate(embeddings._engine(ctx, dims)):
@@ -448,7 +459,7 @@ def ref_series_nonneg(numer, nvars):
     if not numer:
         return True
     D = len(numer) - 1
-    coeffs = _series_coeffs(numer, nvars, D + nvars)
+    coeffs = window(series_stream(numer, nvars), D + nvars)
     return all(c >= 0 for c in coeffs[:D + 1]) and values_nonneg(coeffs[D + 1:])
 
 
@@ -539,7 +550,8 @@ def ref_generator_tallies(P, upto):
     H_{B/(mP+b)}(d) - H_{B/(P+b)}(d)."""
     mP = ideal_product(P.ctx.max_ideal(), P).plus_powers()
     hP, hmP = hilbert_series(P.plus_powers()), hilbert_series(mP)
-    return tuple(hmP.value(d) - hP.value(d) for d in range(upto + 1))
+    return tuple(ref_series_value(hmP.numer, P.ctx.n, d) - ref_series_value(hP.numer, P.ctx.n, d)
+                 for d in range(upto + 1))
 
 
 def ref_ideal_sum(I, J):

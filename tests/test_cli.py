@@ -55,6 +55,21 @@ def test_parse_errors_carry_location():
         parse_ideal_file("x1\n")  # missing header
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("ring n=2 char=32003\nx1\nring n=3 char=32003\nx3\n", 3),
+    ("ring n=2 char=32003\npowers d=2\nx1\n\npowers d=3\n", 5),
+    ("variable z\nring n=2 char=32003\nVARIABLE z\nx1\n", 3),
+])
+def test_parse_a_second_header_line_is_an_error(text, line_no, tmp_path, capsys):
+    with pytest.raises(ParseError, match="a second") as ei:
+        parse_ideal_file(text)
+    assert ei.value.line_no == line_no
+    f = tmp_path / "twice.txt"
+    f.write_text(text)
+    assert main(["hilb", "--input", str(f)]) == 2
+    assert f"line {line_no}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gen, col", [
     ("x1^2^3", 5), ("x1*2^3", 5), ("x2^2*3^2", 7), ("x1*^2", 4), ("x1^-1", 3),
     ("x1 ^2", 4), ("x1^", 3),

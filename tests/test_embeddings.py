@@ -13,7 +13,7 @@ from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of
 from lexcohom.errors import NotAttainableError, ResourceLimitError
 from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
 
-from conftest import brute_lex_first, graded_piece_dim, random_ideal
+from conftest import all_monomials, brute_lex_first, graded_piece_dim, random_ideal
 
 
 def M(*exps):
@@ -244,7 +244,7 @@ def test_rank_engine_prefixes_are_minimal_and_canonical(ctx, rng, D):
 def test_lex_segment_ideal_rejects_exactly_the_non_O_sequences(n, tail, q0):
     ctx = RingContext(n)
     q = [q0] + tail  # a quotient Hilbert function to realize
-    dims = [ctx.dim(d) - v for d, v in enumerate(q)]
+    dims = [len(all_monomials(ctx, d)) - v for d, v in enumerate(q)]
     if not any(q):  # the zero ring: the unit ideal, outside Macaulay's criterion
         assert lex_segment_ideal(ctx, dims).is_unit
     elif is_O_sequence(q, n):

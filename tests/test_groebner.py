@@ -11,6 +11,8 @@ from lexcohom.groebner import (Polynomial, TermOrder, buchberger,
 from lexcohom.hilbert import hilbert_series
 from lexcohom.linalg import rank_mod_p
 
+from conftest import all_monomials
+
 P = 32003
 
 
@@ -106,7 +108,7 @@ def test_degeneration_preserves_hilbert_function(tiebreak):
         ini = initial_ideal(gens, order)
         qw = hilbert_series(ini).quotient_window(8)
         for d in range(9):
-            assert ctx.dim(d) - qw[d] == ideal_dim_oracle(ctx, gens, d)
+            assert len(all_monomials(ctx, d)) - qw[d] == ideal_dim_oracle(ctx, gens, d)
 
 
 def test_degeneration_with_zero_weight_on_z():
@@ -117,7 +119,7 @@ def test_degeneration_with_zero_weight_on_z():
     ini = initial_ideal(gens, order)
     qw = hilbert_series(ini).quotient_window(8)
     for d in range(9):
-        assert ctx.dim(d) - qw[d] == ideal_dim_oracle(ctx, gens, d)
+        assert len(all_monomials(ctx, d)) - qw[d] == ideal_dim_oracle(ctx, gens, d)
 
 
 def test_degree_cap_boundary():
@@ -266,4 +268,4 @@ def test_buchberger_returns_the_reduced_groebner_basis(case):
     # the initial ideal has the Hilbert function of the input ideal
     qw = hilbert_series(initial_ideal(gens, order)).quotient_window(6)
     for d in range(7):
-        assert ctx.dim(d) - qw[d] == ideal_dim_oracle(ctx, gens, d)
+        assert len(all_monomials(ctx, d)) - qw[d] == ideal_dim_oracle(ctx, gens, d)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import (_numerator,
-                              hilbert_series, ideal_window,
-                              is_O_sequence, macaulay_growth, macaulay_rep,
-                              values_nonneg)
+from lexcohom.hilbert import (_numerator, hilbert_series, ideal_window, is_O_sequence,
+                              macaulay_growth, macaulay_rep, series_stream, values_nonneg,
+                              window)
 from lexcohom.limits import NUMERATOR_DEGREE_LIMIT
 
-from conftest import brute_quotient_dims, krull_dim, lagrange_interpolate, poly_nonneg_on_ray
+from conftest import (all_monomials, brute_quotient_dims, krull_dim, lagrange_interpolate,
+                      poly_nonneg_on_ray, ref_series_value)
 
 
 def M(*exps):
@@ -74,13 +74,13 @@ def lex_growth_oracle(a, d, n=3):
     sel = basis[: len(basis) - a]  # ideal part, lex-first
     span = {tuple(x + 1 if k == i else x for k, x in enumerate(m.exps))
             for m in sel for i in range(n)}
-    return ctx.dim(d + 1) - len(span)
+    return len(all_monomials(ctx, d + 1)) - len(span)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_macaulay_growth_against_lex_oracle(d):
     ctx = RingContext(3)
-    for a in range(ctx.dim(d) + 1):
+    for a in range(len(all_monomials(ctx, d)) + 1):
         assert macaulay_growth(a, d) == lex_growth_oracle(a, d)
 
 
@@ -124,6 +124,14 @@ def test_O_sequence():
     assert not is_O_sequence((1, 2, 4), 2)
     assert is_O_sequence((1,), 1)
     assert not is_O_sequence((2,), 5)
+
+
+@given(st.lists(st.integers(-50, 50), max_size=8), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_series_stream_against_binomial_sums(numer, nvars):
+    upto = len(numer) + 2 * nvars
+    assert window(series_stream(numer, nvars), upto) == \
+        tuple(ref_series_value(numer, nvars, d) for d in range(upto + 1))
 
 
 def test_series_nonneg():

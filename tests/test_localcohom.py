@@ -15,8 +15,7 @@ from lexcohom.hilbert import hilbert_series
 from lexcohom.homology import reduced_homology_dims
 from lexcohom.localcohom import (CohomologyTable, TailPoly, cohomology_table,
                                  cohomology_tables, compare_tables)
-from lexcohom.verify import (_cohom_rows, check_extension_recurrence,
-                             lemma_top_partial_sums)
+from lexcohom.verify import _cohom_rows, _top_partial_sums, check_extension_recurrence
 from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
                               z_stabilize)
 
@@ -341,7 +340,9 @@ def test_recurrence_check_matches_the_quadratic_reference(inputs):
 
 
 def top_partial_sums(I):
-    return lemma_top_partial_sums(z_decompose(I), z_decompose(epsilon_one(I)))
+    dec = z_decompose(I)
+    assert is_z_stable(dec)  # the lemma's hypothesis
+    return _top_partial_sums(dec, z_decompose(epsilon_one(I)))
 
 
 def test_lemma_top_partial_sums_cases():
