@@ -76,6 +76,44 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _lex_walk(caps, d: int, after=None):
+    """The exponent tuples of degree d with e_i <= caps[i], in descending lex:
+    from the lex-first one, or from the one after ``after`` (itself such a
+    tuple).  Each step to the next tuple takes O(n) work and no recursion.
+    """
+    n = len(caps)
+    room = [0] * (n + 1)  # room[i]: the most degree variables i.. can hold
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    if d < 0 or room[0] < d:
+        return
+    e = [0] * n
+
+    def fill(i, rem):  # the lex-first exponents of variables i.. of degree rem
+        for k in range(i, n):
+            e[k] = min(caps[k], rem)
+            rem -= e[k]
+
+    if after is None:
+        fill(0, d)
+        yield tuple(e)
+    else:
+        e[:] = after
+    while True:
+        # lower the last exponent whose followers can take one more degree,
+        # and refill the followers lex-first
+        tail = 0
+        for i in range(n - 2, -1, -1):
+            tail += e[i + 1]
+            if e[i] and tail < room[i + 1]:
+                e[i] -= 1
+                fill(i + 1, tail + 1)
+                break
+        else:
+            return
+        yield tuple(e)
+
+
 @dataclass(frozen=True)
 class RingContext:
     """Ambient polynomial ring K[x1..xn] over GF(char), with optional powers.
@@ -139,39 +177,12 @@ class RingContext:
         """Degree-d monomials in lex-descending order.
 
         With ``bounded=True`` only the monomial basis of S = B/b is listed
-        (exponents below the power bounds); z is never bounded.  Each step
-        to the next monomial takes O(n) work and no recursion.
+        (exponents below the power bounds); z is never bounded.
         """
-        n = self.n
-        caps = [d] * n
+        caps = [d] * self.n
         if bounded:
             caps[:self.r] = [min(di - 1, d) for di in self.powers]
-        room = [0] * (n + 1)  # room[i]: the most degree variables i.. can hold
-        for i in range(n - 1, -1, -1):
-            room[i] = room[i + 1] + caps[i]
-        if d < 0 or room[0] < d:
-            return
-        e = [0] * n
-
-        def fill(i, rem):  # the lex-first exponents of variables i.. of degree rem
-            for k in range(i, n):
-                e[k] = min(caps[k], rem)
-                rem -= e[k]
-
-        fill(0, d)
-        while True:
-            yield Monomial(tuple(e))
-            # lower the last exponent whose followers can take one more
-            # degree, and refill the followers lex-first
-            tail = 0
-            for i in range(n - 2, -1, -1):
-                tail += e[i + 1]
-                if e[i] and tail < room[i + 1]:
-                    e[i] -= 1
-                    fill(i + 1, tail + 1)
-                    break
-            else:
-                return
+        return map(Monomial, _lex_walk(caps, d))
 
     @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def powers_ideal(self) -> "MonomialIdeal":

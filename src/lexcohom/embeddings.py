@@ -1,16 +1,19 @@
 """Lex-segment and Clements-Lindstrom embeddings, and lex-plus-power ideals.
 
 One engine selects, degree by degree, the first ``want`` monomials in
-descending lex order of the monomial basis of S = B/b, by rank arithmetic:
-it counts bounded monomials and never lists a graded piece.  The counts are
-the dims of the suffix rings of S, in one table that grows by a degree at a
-time; the ideal dims wanted by the callers are read off the lazy stream of
-the difference of numerators (``hilbert.ideal_stream``), as every Hilbert
-function is.  By the Clements-Lindstrom theorem (Macaulay's without powers)
-the shadow of a lex segment of S is a lex segment, so closure under
-multiplication is the one comparison c <= want, Macaulay's growth bound.
-Here c - 1 is the rank of u * x_j, u is the last monomial selected one
-degree lower and x_j the last variable u can still be multiplied by in S.
+descending lex order of the monomial basis of S = B/b, and never lists a
+graded piece: it computes one rank per degree, that of the shadow's last
+monomial, and steps from there to each new generator by the lex successor
+of ``core._lex_walk``, the walk behind ``RingContext.monomials``.  The rank
+is read off the dims of the suffix rings of S, in one table that grows by a
+degree at a time; the ideal dims wanted by the callers are read off the
+lazy stream of the difference of numerators (``hilbert.ideal_stream``), as
+every Hilbert function is.  By the Clements-Lindstrom theorem (Macaulay's
+without powers) the shadow of a lex segment of S is a lex segment, so
+closure under multiplication is the one comparison c <= want, Macaulay's
+growth bound.  Here c - 1 is the rank of u * x_j, u is the last monomial
+selected one degree lower and x_j the last variable u can still be
+multiplied by in S.
 
 Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
@@ -32,36 +35,25 @@ from __future__ import annotations
 from itertools import islice
 
 from . import limits, memos
-from .core import Monomial, MonomialIdeal, RingContext
+from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
 from .hilbert import HilbertSeries, hilbert_series, ideal_stream, lcm_degree
 
 
-def _rank(e: tuple[int, ...], bounds, count) -> int:
+def _rank(e: tuple[int, ...], count) -> int:
     """Number of basis monomials of degree sum(e) before e in descending lex.
 
     ``count[i][t]`` is the number of basis monomials of degree t in the
-    variables i..n-1.
+    variables i..n-1.  Those before e that agree with it on the variables
+    before i, and so have a larger exponent of x_i, number count[i][rem]
+    less the ones whose exponent of x_i is at most e_i, which bounds the
+    work by O(n + sum(e)) whether x_i is bounded or free.
     """
     r, rem = 0, sum(e)
     for i, ei in enumerate(e[:-1]):
-        top = rem if bounds[i] is None else min(rem, bounds[i])
-        r += sum(count[i + 1][rem - a] for a in range(ei + 1, top + 1))
+        r += count[i][rem] - sum(count[i + 1][rem - a] for a in range(ei + 1))
         rem -= ei
     return r
-
-
-def _unrank(k: int, d: int, bounds, count) -> tuple[int, ...]:
-    """The basis monomial of degree d with rank k in descending lex."""
-    e, rem = [], d
-    for i in range(len(bounds) - 1):
-        a = rem if bounds[i] is None else min(rem, bounds[i])
-        while k >= count[i + 1][rem - a]:
-            k -= count[i + 1][rem - a]
-            a -= 1
-        e.append(a)
-        rem -= a
-    return tuple(e) + (rem,)
 
 
 def _shadow_end(u: tuple[int, ...], bounds) -> tuple[int, ...] | None:
@@ -90,6 +82,10 @@ def _engine(ctx: RingContext, dims):
     holds the shadow of the one before, so no earlier generator divides it.
     Inside a degree the ranks ascend, which is descending lex.
 
+    One rank per degree fixes the selection: the shadow's last monomial has
+    rank c - 1, so the new generators, of ranks c..want-1, are the
+    want - c lex successors of it (from the lex-first monomial when c = 0).
+
     ``count[i][t]``, the dim in degree t of the ring in the variables i..n-1
     (``count[n]``: no variables), grows by one entry per degree: adding a
     variable with exponents up to b_i sums b_i + 1 shifts, so
@@ -112,14 +108,17 @@ def _engine(ctx: RingContext, dims):
             raise NotAttainableError(
                 f"degree {d}: requested ideal dim {want} exceeds ring dim {count[0][d]}"
             )
-        c = 0 if end is None else _rank(end, bounds, count) + 1  # the shadow's size
+        c = 0 if end is None else _rank(end, count) + 1  # the shadow's size
         if c > want:
             raise NotAttainableError(
                 f"degree {d}: lex-first selection of size {want} is not closed "
                 f"under multiplication (needs {c} monomials)"
             )
-        yield [Monomial(_unrank(k, d, bounds, count)) for k in range(c, want)]
-        end = _shadow_end(_unrank(want - 1, d, bounds, count), bounds) if want else None
+        caps = [d if b is None else min(b, d) for b in bounds]
+        new = list(islice(_lex_walk(caps, d, end), want - c))
+        yield list(map(Monomial, new))
+        last = new[-1] if new else end  # the last monomial selected
+        end = None if last is None else _shadow_end(last, bounds)
 
 
 def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:

@@ -16,7 +16,11 @@ MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # Most x variables of an ideal file or a verify family.  The default hilb
 # window grows with n, and hilb reads it off n nested running sums: on (x1)
 # a whole run takes about 0.4 s at the limit on a 2-vCPU Xeon host, 0.16 s
-# at n = 1,000 and 0.75 s at 2,500 (with the limit raised).
+# at n = 1,000 and 0.75 s at 2,500 (with the limit raised).  lpp grows its
+# table of suffix-ring dims by n entries a degree, to just past the
+# numerator's degree, which is at most the lcm degree: at the limit, on
+# x1*x3 and 200 squares (lcm degree 400) a run takes 1.4-1.9 s, and with
+# 50 squares 0.4-0.5 s.
 FILE_VARIABLE_LIMIT = 2_000
 # Most degrees a --window may span: hilb and cohom print one value per
 # degree.  The widest default window seen, a cohom window of a lex ideal in

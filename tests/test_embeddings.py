@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import embeddings
-from lexcohom.core import Monomial, MonomialIdeal, RingContext, minimalize
+from lexcohom.core import Monomial, MonomialIdeal, RingContext, _lex_walk, minimalize
 from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of,
                                  lex_segment_ideal, lpp_ideal)
 from lexcohom.errors import NotAttainableError, ResourceLimitError
@@ -209,21 +209,50 @@ def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb, far):
     for d, delta in perturb:
         if d <= D:
             dims[d] += delta
-    if far and ctx.powers:
-        ctx = RingContext(ctx.n, powers=ctx.powers[:-1] + (10**12,), z=ctx.z)
-    tables, real_unrank = [], embeddings._unrank
+    ctx = _with_far_top_power(ctx, far)
+    tables, real_rank = [], embeddings._rank
 
-    def unrank(k, d, bounds, count):
+    def rank(e, count):
         tables.append(count)
-        return real_unrank(k, d, bounds, count)
+        return real_rank(e, count)
 
-    with mock.patch.object(embeddings, "_unrank", unrank):
+    with mock.patch.object(embeddings, "_rank", rank):
         outcome = _outcome(lambda: _engine(ctx, dims))
     assert outcome == _outcome(lambda: brute_lex_first(ctx, dims))
     # the engine's count of each suffix ring in each degree is its listed basis
     for i, row in enumerate(tables[-1] if tables else ()):
         assert row == [sum(not any(m.exps[:i]) for m in ctx.monomials(t, bounded=True))
                        for t in range(len(row))]
+
+
+def _with_far_top_power(ctx, far):
+    # the ring whose top power is above every degree reached
+    if far and ctx.powers:
+        return RingContext(ctx.n, powers=ctx.powers[:-1] + (10**12,), z=ctx.z)
+    return ctx
+
+
+@given(contexts(), st.integers(0, 7), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_rank_is_the_index_in_the_bounded_listing(ctx, D, far):
+    ctx = _with_far_top_power(ctx, far)
+    listings = [[m.exps for m in ctx.monomials(d, bounded=True)] for d in range(D + 1)]
+    # count[i][t]: the bounded monomials of degree t in the variables i..n-1
+    count = [[sum(not any(e[:i]) for e in basis) for basis in listings]
+             for i in range(ctx.n + 1)]
+    for basis in listings:
+        assert [embeddings._rank(e, count) for e in basis] == list(range(len(basis)))
+
+
+@given(contexts(), st.integers(0, 7), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_lex_walk_after_a_monomial_is_the_rest_of_the_listing(ctx, d, bounded, far):
+    ctx = _with_far_top_power(ctx, far)
+    caps = [d if b is None or not bounded else min(b, d)
+            for b in map(ctx.exp_bound, range(ctx.n))]
+    listing = [m.exps for m in ctx.monomials(d, bounded=bounded)]
+    for k, e in enumerate(listing):
+        assert list(_lex_walk(caps, d, after=e)) == listing[k + 1:]
 
 
 @given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9))
