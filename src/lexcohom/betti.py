@@ -17,11 +17,9 @@ memo hits.  Its values are tuples, so a caller cannot change them.
 
 One level up, ``betti_table`` memoizes the entries that the lattice walk
 finds, for the whole process, in the memo ``_lattice_entries``
-keyed on I, which carries its ring and so p.  An entry is the lattice's
-size and a tuple of ((i, j), beta_ij); every call builds a fresh
-``BettiTable`` from it.  ``limits.LATTICE_LIMIT`` is checked against the
-stored size and the Hilbert identity runs on every call: a hit skips
-computation, never a refusal or a check.
+keyed on I, which carries its ring and so p.  An entry is a tuple of
+((i, j), beta_ij); every call builds a fresh ``BettiTable`` from it and
+checks the Hilbert identity, so a hit skips computation, never the check.
 """
 
 from __future__ import annotations
@@ -155,19 +153,17 @@ class BettiTable:
 
 
 @memos.memo(memos.BETTI_MEMO_SIZE)
-def _lattice_entries(I: MonomialIdeal) -> tuple[int, tuple[tuple[tuple[int, int], int], ...]]:
-    """(points, entries): the size of the lcm lattice of I and the Betti
-    entries ((i, j), beta_ij) that the walk over it finds."""
+def _lattice_entries(I: MonomialIdeal) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The Betti entries ((i, j), beta_ij) that the walk over the lcm
+    lattice of I finds."""
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    if I.is_zero:
-        return 0, tuple(entries.items())
-    p = I.ctx.char
-    lattice = lcm_lattice(I)
-    for j, supp, tight in _koszul_keys(I, lattice):
-        for k, dim in _koszul_dims(supp, tight, p):
-            i = k + 2  # H~_{i-2} of the upper Koszul complex at b
-            entries[(i, j)] = entries.get((i, j), 0) + dim
-    return len(lattice), tuple(entries.items())
+    if not I.is_zero:
+        p = I.ctx.char
+        for j, supp, tight in _koszul_keys(I, lcm_lattice(I)):
+            for k, dim in _koszul_dims(supp, tight, p):
+                i = k + 2  # H~_{i-2} of the upper Koszul complex at b
+                entries[(i, j)] = entries.get((i, j), 0) + dim
+    return tuple(entries.items())
 
 
 def betti_table(I: MonomialIdeal) -> BettiTable:
@@ -181,9 +177,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     ctx = I.ctx
     if I.is_unit:
         raise ValueError("the ideal must be proper")
-    points, entries = _lattice_entries(I)
-    limits.check("LATTICE_LIMIT", points, f"the lcm lattice has {points} points")
-    table = BettiTable(ctx.n, ctx.char, dict(entries))
+    table = BettiTable(ctx.n, ctx.char, dict(_lattice_entries(I)))
     numer = hilbert_series(I).numer
     alt = table.alternating_sum()
     if alt != numer:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import limits, memos, zstable
 from .betti import betti_table, corners
@@ -163,13 +162,13 @@ def _parse_family(text: str, args) -> FamilySpec:
     fields["seed"] = args.seed
     fields["count"] = args.samples
     fields["mode"] = "exhaustive" if args.exhaustive else "random"
+    if THEOREMS[args.theorem][0] != "family" and not fields.setdefault("with_z", True):
+        raise ValueError(f"family key 'z' is false, but {args.theorem} runs over R[z]")
     return FamilySpec(**fields)
 
 
 def cmd_verify(args) -> int:
     spec = _parse_family(args.family, args)
-    if THEOREMS[args.theorem][0] != "family":
-        spec = replace(spec, with_z=True)
     report = run_family(args.theorem, spec, jobs=args.jobs)
     if not report.records:
         raise ValueError(f"the family has no {args.theorem} instances: nothing was checked")

@@ -21,11 +21,8 @@ generated ideal has the exact Hilbert series of the input, and it refuses,
 with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
 answer whose certificate that limit would refuse.  The certified answers
 are memoized for the whole process, in the memo ``_certified_embedding``
-keyed on the Hilbert series, with the answer's lcm degree: every call
-computes the series of its input and checks both lcm degrees against the
-limit, so a hit returns the certified answer for the same series and never
-skips a refusal, and a refusal is never stored.  ``lex_segment_ideal``
-takes explicit dims and the shadow theorem on trust.
+keyed on the Hilbert series.  ``lex_segment_ideal`` takes explicit dims
+and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
@@ -37,7 +34,7 @@ from itertools import islice
 from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
-from .hilbert import HilbertSeries, hilbert_series, ideal_stream, lcm_degree
+from .hilbert import HilbertSeries, hilbert_series, ideal_stream
 
 
 def _rank(e: tuple[int, ...], count) -> int:
@@ -145,14 +142,8 @@ def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
 
 def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     """The lex-first embedding of the preimage I: the certified lex-first
-    ideal with the Hilbert series of I.
-
-    ``hilbert_series(I)`` runs on every call, and with it the check of the
-    lcm degree of I against limits.NUMERATOR_DEGREE_LIMIT.  The answer is
-    then read from the memo ``_certified_embedding``, keyed on the series,
-    and its stored lcm degree is checked against the same limit on every
-    call, so a hit returns the certified answer for the same series and
-    never skips a refusal.
+    ideal with the Hilbert series of I, read from the memo
+    ``_certified_embedding`` keyed on that series.
 
     Keying on the series alone is sound: a certified answer is an ideal
     whose graded pieces are lex segments (lex-plus-power segments with
@@ -160,17 +151,14 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
     So the answer depends on the series only, not on I's generators or
     their top degree.
     """
-    out, degree = _certified_embedding(hilbert_series(I))
-    limits.check("NUMERATOR_DEGREE_LIMIT", degree,
-                 f"the certified embedding's lcm has degree {degree}")
-    return out
+    return _certified_embedding(hilbert_series(I))
 
 
 @memos.memo(memos.EMBED_MEMO_SIZE)
-def _certified_embedding(series: HilbertSeries) -> tuple[MonomialIdeal, int]:
-    """(L, lcm degree of L): the lex-first ideal L selected with the ideal
-    dims read off ``series``, certified by the exact equality of its series
-    with ``series``.  A refusal raises, so it is never stored.
+def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
+    """The lex-first ideal selected with the ideal dims read off
+    ``series``, certified by the exact equality of its series with
+    ``series``.
 
     The certificate is checked at the first degree past the numerator's
     degree that adds no generators, and after that only at the first such
@@ -203,7 +191,7 @@ def _certified_embedding(series: HilbertSeries) -> tuple[MonomialIdeal, int]:
             grew = False
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
             if hilbert_series(out).numer == series.numer:
-                return out, lcm_degree(out)
+                return out
     # last is past the limit, so this refuses
     limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")
 

@@ -33,4 +33,4 @@ class DegreeCapExceededError(ResourceLimitError):
 
 class IterationCapExceededError(ResourceLimitError):
     """z_stabilize needed more than ``limits.STABILIZATION_ROUND_LIMIT``
-    rounds, or a round failed to move up (bug signal)."""
+    rounds."""

@@ -1,10 +1,20 @@
 """Every resource and input limit, with the reason for its value, and the
 two routines that refuse input above one.  A refusal names its constant as
 ``limits.<NAME>``; both routines look the limit up when called.
+
+No code of the package sets a limit; a test may, as
+``monkeypatch.setattr(limits, "CELL_LIMIT", 11)``.  Setting one empties
+every memo (``memos.clear_all``), so a memo only ever holds answers
+computed under the current limits, and a memo hit never stands in for a
+refusal.
 """
 
 from __future__ import annotations
 
+import sys
+from types import ModuleType
+
+from . import memos
 from .errors import ResourceLimitError
 
 # Largest exponent, in an ideal file, a family's d and maxdeg, and every
@@ -100,3 +110,14 @@ def read_int(name: str, digits: str, what: str, error=ResourceLimitError) -> int
         raise error(f"{what} of {len(body)} digits, above limits.{name} = {limit}")
     value = int(body)
     return check(name, value, f"{what}={value}", error)
+
+
+class _Limits(ModuleType):
+    """The class of this module: setting an attribute empties every memo."""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        memos.clear_all()
+
+
+sys.modules[__name__].__class__ = _Limits

@@ -53,21 +53,19 @@ two memos are separate, so one backend's cached answer never stands in for
 the other's.  Their values are immutable tuples of pairs, added into the
 walk's sums.
 
-One level up, ``_cells`` memoizes each ideal's cells, for the whole
-process, in the memo ``_merged_cells`` keyed on (I, backend); I
-carries its ring, so p is in the key.  The two backends get separate
-entries, so the two-backend oracle still compares two independent
-computations.  An entry is the walk's answer, tuples of ints all the way
-down.  Every limit of the walk is checked before the lookup, and the
-checks of ``_table`` run on every call: a hit skips computation, never a
-refusal or a check.
+One level up, the memo ``_cells`` holds each ideal's cells, for the whole
+process, keyed on (I, backend); I carries its ring, so p is in the key.
+The two backends get separate entries, so the two-backend oracle still
+compares two independent computations.  An entry is the walk's answer,
+tuples of ints all the way down, and the checks of ``_table`` run on every
+call: a hit skips computation, never a check.
 
-Both backends walk at most prod_i (rho_i + 1) multidegrees, rho_i the
-largest exponent of x_i in a generator; ``_cells`` checks that count against
-``limits.CELL_LIMIT``, and the number of variables against
-``limits.COHOM_VARIABLE_LIMIT``, on every call, and each walk checks the
-count again before it starts.  For the ext backend ``_cells`` and the walk
-also check the generators against ``limits.EXT_GENERATOR_LIMIT``.
+``_cells`` checks the number of variables against
+``limits.COHOM_VARIABLE_LIMIT``.  Both backends walk at most
+prod_i (rho_i + 1) multidegrees, rho_i the largest exponent of x_i in a
+generator, and each walk checks that count against ``limits.CELL_LIMIT``
+before it starts; the ext walk first checks the generators against
+``limits.EXT_GENERATOR_LIMIT``.
 """
 
 from __future__ import annotations
@@ -430,27 +428,15 @@ class CohomologyTable:
         return True
 
 
+@memos.memo(memos.CELL_MEMO_SIZE)
 def _cells(I: MonomialIdeal, backend: str):
     """The cells of I in ``backend``, merged by (fixed_sum, f), as
-    ((fixed_sum, f, ((i, dim), ...)), ...) in sorted order.
-
-    Every limit that the backend's walk checks is checked here first, on
-    every call, so a memo hit skips the walk and never a refusal.
-    """
+    ((fixed_sum, f, ((i, dim), ...)), ...) in sorted order: the backend's
+    walk."""
     n = I.ctx.n
     limits.check("COHOM_VARIABLE_LIMIT", n, f"the ring has {n} variables")
-    if backend == "ext":
-        g = len(I.gens)
-        limits.check("EXT_GENERATOR_LIMIT", g, f"{g} generators for the Taylor complex")
-    elif backend != "combinatorial":
+    if backend not in ("combinatorial", "ext"):
         raise ValueError(f"unknown backend {backend!r}")
-    _exponent_bounds([g.exps for g in I.gens], n)
-    return _merged_cells(I, backend)
-
-
-@memos.memo(memos.CELL_MEMO_SIZE)
-def _merged_cells(I: MonomialIdeal, backend: str):
-    """``_cells`` without the limit checks: the backend's walk."""
     return (_takayama_cells if backend == "combinatorial" else _ext_cells)(I)
 
 

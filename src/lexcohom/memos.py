@@ -2,11 +2,11 @@
 routines that make and empty them.
 
 A memo is an ``lru_cache`` of a function whose answer depends on nothing
-but its key; the module that uses it argues why its key is sound.  Each
-memo sits behind an entry function that checks every limit and every
-check on each call, so a hit skips computation, never a refusal or a
-check, and a refusal raises, so it is never stored.  The memos live as
-long as the process: each worker of ``verify --jobs N`` fills its own.
+but its key and the limits; the module that uses it argues why its key is
+sound.  Setting a limit empties every memo (see ``limits``), so a memo
+holds bare answers computed under the current limits: a refusal raises,
+so it is never stored, and a hit never skips one.  The memos live as long
+as the process: each worker of ``verify --jobs N`` fills its own.
 """
 
 from __future__ import annotations

@@ -21,21 +21,18 @@ the stored totals, recomposing no chain), and ``ZGradedIdeal.window`` reads a
 component's window off its numerator and the numerator of R's power ideal
 (``hilbert.ideal_stream``), the one source of R's Hilbert function.  Every
 read of a numerator checks the stored lcm degree against
-``limits.NUMERATOR_DEGREE_LIMIT``, so a stored chain never skips a refusal.
+``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller holds across a
+change of that limit never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
 ideal is decomposed once and its chain, with the facts stored on it, is
 shared by every caller; its refusals of a context without z and of an
 ideal that is no preimage are raised on every call and never stored.
-``z_stabilize`` reads ``_stable_chain``, each ideal's stable chain and
-round count.  Every round of a computed entry compares the new chain with
-the one before by ``z_order_compare``, and that one comparison is the
-round's Hilbert check (a changed Hilbert function raises
-HilbertMismatchError) and its check of the strict increase.  The ideal's
-lcm degree and the round count are checked against
-``limits.NUMERATOR_DEGREE_LIMIT`` and ``limits.STABILIZATION_ROUND_LIMIT``
-on every call, so a hit skips computation, never a refusal.
+``z_stabilize`` reads ``_stable_chain``, each ideal's stable chain.  Every
+round of a computed entry compares the new chain with the one before by
+``z_order_compare``, and that one comparison is the round's Hilbert check
+and its check of the strict increase; a failure of either is a bug.
 
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
@@ -118,7 +115,8 @@ class ZGradedIdeal:
 
         They are computed once per chain; every read checks the largest lcm
         degree of a component against ``limits.NUMERATOR_DEGREE_LIMIT``, as
-        ``hilbert_series`` would, so a stored chain never skips a refusal.
+        ``hilbert_series`` would, so a chain held across a change of that
+        limit never skips a refusal.
         """
         degree = self._lcm_degree
         limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
@@ -420,33 +418,27 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     IterationCapExceededError.  An I whose generators' lcm degree exceeds
     ``limits.NUMERATOR_DEGREE_LIMIT`` is refused before any round, as
     ``hilbert_series(I)`` would refuse it: that degree bounds the z-degree
-    of I, so the length of the chain the rounds start from.
-
-    The chain and its round count are memoized for the whole process, in
-    the memo ``_stable_chain`` keyed on I.  Both limits are
-    checked on every call, so a hit skips the rounds, never a refusal; a
-    refusal or a failed check is never stored.
+    of I, so the length of the chain the rounds start from.  The chain is
+    memoized for the whole process, in the memo ``_stable_chain`` keyed
+    on I.
     """
     degree = lcm_degree(I)
     limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"the generators' lcm has degree {degree}")
-    chain, rounds = _stable_chain(I)
-    limits.check("STABILIZATION_ROUND_LIMIT", rounds,
-                 f"z_stabilize needs {rounds} rounds", IterationCapExceededError)
-    return chain
+    return _stable_chain(I)
 
 
 @memos.memo(memos.STABLE_MEMO_SIZE)
-def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
-    """(the z-stable chain of I, the number of rounds it took).
+def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
+    """The z-stable chain of I.
 
     Every round's ``z_order_compare(cur, nxt)`` is its one Hilbert check:
     it reads the stored numerators of both chains, so each chain's are
-    computed once, in the round that makes it, and raises
-    HilbertMismatchError when their Hilbert functions differ, so the chain
-    keeps the Hilbert function of ``z_decompose(I)``, which is I's.  Its
-    answer is the check of the strict increase.  The round limit is
-    checked before each round, so the loop stops at the first round past
-    it.
+    computed once, in the round that makes it, and it raises when their
+    Hilbert functions differ, so the chain keeps the Hilbert function of
+    ``z_decompose(I)``, which is I's.  Its answer is the check of the
+    strict increase.  A failure of either check is a bug, raised as an
+    AssertionError.  The round limit is checked before each round, so the
+    loop stops at the first round past it.
     """
     cur = z_decompose(I)
     rounds = 0
@@ -456,9 +448,11 @@ def _stable_chain(I: MonomialIdeal) -> tuple[ZGradedIdeal, int]:
                      f"z_stabilize needs round {rounds}",
                      IterationCapExceededError)
         nxt = distraction_initial(cur, *viol)
-        if z_order_compare(cur, nxt) != "less":
-            raise IterationCapExceededError(
-                "stabilization step did not strictly increase (bug)"
-            )
+        try:
+            order = z_order_compare(cur, nxt)
+        except HilbertMismatchError:
+            raise AssertionError("a stabilization round changed the Hilbert function (bug)")
+        if order != "less":
+            raise AssertionError("a stabilization round did not strictly increase (bug)")
         cur = nxt
-    return cur, rounds
+    return cur

@@ -432,6 +432,16 @@ def test_cli_verify_family_key_values(tmp_path, capsys):
                         ("n=2,maxdeg=2,max_deg=3", "'max_deg'"), ("n=2,z,z=0", "'z'")):
         assert main(argv + [family]) == 2
         assert f"family key {key}" in capsys.readouterr().err
+    # a z theorem adjoins z when the family does not say, and refuses a false z
+    for theorem in ("zstabilize", "embedding-lemmas", "recurrences"):
+        z_argv = ["verify", theorem, "--samples", "1", "--json", str(out), "--family"]
+        for z in ("", ",z"):
+            assert main(z_argv + ["n=2,d=2,maxdeg=3" + z]) == 0
+            assert json.loads(out.read_text())["family"]["with_z"] is True
+        capsys.readouterr()
+        for z in ("z=0", "z=false", "z=no"):
+            assert main(z_argv + ["n=2,d=2,maxdeg=3," + z]) == 2
+            assert "family key 'z' is false" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

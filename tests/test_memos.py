@@ -3,8 +3,8 @@ complexes, per ideal the Betti entries, the merged cells of each backend,
 the z-decomposition and the stable chain, per Hilbert series the certified
 embedding, and per context the maximal ideal.  They are all made, bounded
 and emptied by ``memos``, keyed by the characteristic, hit on a second
-pass, immutable, equal to the unmemoized computations when warm, and a hit
-still meets every limit."""
+pass, immutable, equal to the unmemoized computations when warm, and
+setting a limit empties them, so a refusal reads the same warm and cold."""
 
 import importlib
 import itertools
@@ -206,7 +206,7 @@ def test_warm_and_cold_stabilizations_match_the_unmemoized_loop(I):
     # the examples share one memo, so the first call may read an entry of
     # an earlier example; the second call is a hit on this one
     warm = z_stabilize(I)
-    cold, _ = zstable._stable_chain.__wrapped__(I)
+    cold = zstable._stable_chain.__wrapped__(I)
     assert warm == cold == ref_z_stabilize(I)
     assert z_stabilize(I) is warm
 
@@ -221,11 +221,14 @@ def test_a_stabilization_memo_hit_still_refuses(monkeypatch):
     monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 3)
     want = z_stabilize(I)
     assert want == ref_z_stabilize(I)
+    assert z_stabilize(I) is want
+    # lowering the limit empties the memo, so the loop refuses again
     monkeypatch.setattr(limits, "STABILIZATION_ROUND_LIMIT", 2)
+    assert zstable._stable_chain.cache_info().currsize == 0
     with pytest.raises(IterationCapExceededError,
-                       match="needs 3 rounds, above limits.STABILIZATION_ROUND_LIMIT = 2"):
+                       match="needs round 3, above limits.STABILIZATION_ROUND_LIMIT = 2"):
         z_stabilize(I)
-    assert zstable._stable_chain.cache_info().hits == 1
+    assert zstable._stable_chain.cache_info().hits == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,19 +314,55 @@ def test_an_embedding_memo_hit_still_refuses(monkeypatch):
     want = lex_ideal_of(I)
     top = lcm_degree(want)
     assert lcm_degree(I) < top - 1
-    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top)
     assert lex_ideal_of(I) is want
+    # lowering the limit empties the memo, so the certificate is refused
+    # again, and the refusal is not stored
     monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
-    with pytest.raises(ResourceLimitError, match=f"limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"):
-        lex_ideal_of(I)
-    assert embeddings._certified_embedding.cache_info().hits == 2
-    # cold, the same limit refuses the certificate, and the refusal is not stored
-    embeddings._certified_embedding.cache_clear()
-    with pytest.raises(ResourceLimitError, match=f"limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"):
-        lex_ideal_of(I)
+    assert embeddings._certified_embedding.cache_info().currsize == 0
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match=f"the generators' lcm has degree {top}, "
+                                                     f"above limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"):
+            lex_ideal_of(I)
     assert embeddings._certified_embedding.cache_info().currsize == 0
     monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top)
     assert lex_ideal_of(I) == want == ref_embed_matching_series(I)
+
+
+def _lex_of_two_quartics():
+    return lex_ideal_of(MonomialIdeal.make(RingContext(3), [Monomial((4, 0, 0)),
+                                                            Monomial((0, 0, 4))]))
+
+
+def _three_rounds():
+    return z_stabilize(MonomialIdeal.make(RingContext(2).add_z(), [Monomial((0, 0, 3))]))
+
+
+# (limit, a call that runs at the value and is refused one below it, the value)
+REFUSALS = [
+    ("LATTICE_LIMIT", lambda: betti_table(lpp_like_ideal(32003)), 27),
+    ("NUMERATOR_DEGREE_LIMIT", _lex_of_two_quartics, 34),  # the lex ideal's lcm degree
+    ("STABILIZATION_ROUND_LIMIT", _three_rounds, 3),
+    ("CELL_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003)), 3 * 3 * 3 * 4),
+    ("EXT_GENERATOR_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003), backend="ext"), 5),
+    ("COHOM_VARIABLE_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003)), 4),
+]
+
+
+def _refusal(run) -> str:
+    with pytest.raises(ResourceLimitError) as info:
+        run()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("name, run, value", REFUSALS, ids=[r[0] for r in REFUSALS])
+def test_a_refusal_reads_the_same_warm_and_cold(monkeypatch, name, run, value):
+    monkeypatch.setattr(limits, name, value)
+    run()  # fills the memos
+    monkeypatch.setattr(limits, name, value - 1)
+    warm = _refusal(run)
+    memos.clear_all()
+    assert _refusal(run) == warm
+    assert warm.endswith(f", above limits.{name} = {value - 1}")
 
 
 def test_the_corrupted_embedding_still_fails_after_the_genuine_one_is_cached():

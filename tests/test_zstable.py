@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexcohom import zstable
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
                            saturate)
 from lexcohom.errors import HilbertMismatchError
@@ -244,6 +245,20 @@ def test_stabilize_contract_on_samples():
         assert z_order_compare(dec_in, out) in ("less", "equal")
         if is_z_stable(dec_in):
             assert z_recompose(out) == I
+
+
+@pytest.mark.parametrize("step, match", [
+    # a round that hands back its own chain does not move up
+    (lambda Z, j, k: Z, "did not strictly increase"),
+    # a round that lands on (x1) changes the Hilbert function of (z^3)
+    (lambda Z, j, k: z_decompose(MonomialIdeal.make(ctx2z, [M(1, 0, 0)])),
+     "changed the Hilbert function"),
+])
+def test_a_broken_stabilization_round_is_a_bug_not_a_refusal(monkeypatch, step, match):
+    monkeypatch.setattr(zstable, "distraction_initial", step)
+    I = MonomialIdeal.make(ctx2z, [M(0, 0, 3)])
+    with pytest.raises(AssertionError, match=rf"{match} \(bug\)$"):
+        z_stabilize(I)
 
 
 def test_stabilize_powers_context():
