@@ -19,7 +19,8 @@ Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
 generated ideal has the exact Hilbert series of the input, and it refuses,
 with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
-answer whose certificate that limit would refuse.  The certified answers
+answer whose certificate that limit would refuse; the refusal names the
+lex-first candidate, not the input.  The certified answers
 are memoized for the whole process, in the memo ``_certified_embedding``
 keyed on the Hilbert series.  ``lex_segment_ideal`` takes explicit dims
 and the shadow theorem on trust.
@@ -34,7 +35,7 @@ from itertools import islice
 from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
-from .hilbert import HilbertSeries, hilbert_series, ideal_stream
+from .hilbert import HilbertSeries, hilbert_series, ideal_stream, lcm_degree
 
 
 def _rank(e: tuple[int, ...], count) -> int:
@@ -173,9 +174,11 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
     loop certifies at degree max(G, top) + 1 at the latest.  Here top <= the
     limit, because the series is that of an ideal whose lcm degree, at
     least top, has passed the limit.  A generator above the limit puts the
-    lcm degree of the answer above it, and ``hilbert_series`` would refuse
-    the certificate anyway.  So a loop that ends uncertified raises that
-    limit's error.
+    lcm degree of the answer above it, and the certificate's
+    ``hilbert_series`` could not be read.  So a loop that ends uncertified
+    raises that limit's error.  A candidate whose lcm degree is past the
+    limit is refused before its certificate, and the refusal names the
+    candidate: its lcm degree may lie far above the input's.
     """
     ctx = series.ctx
     top = len(series.numer) - 1
@@ -190,6 +193,9 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
         elif grew and d > top:
             grew = False
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
+            degree = lcm_degree(out)
+            limits.check("NUMERATOR_DEGREE_LIMIT", degree,
+                         f"the lex-first candidate's lcm has degree {degree}")
             if hilbert_series(out).numer == series.numer:
                 return out
     # last is past the limit, so this refuses

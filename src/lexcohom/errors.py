@@ -9,15 +9,6 @@ class NotAttainableError(ValueError):
     """A requested Hilbert function is not attainable in the target quotient."""
 
 
-class NotAnIdealError(RuntimeError):
-    """The extended lex-first embedding of a z-stable ideal is not z-stable,
-    or has a component that is not embedded.
-
-    ``verify.verify_embedding_lemmas`` raises it; for a z-stable input it
-    signals a bug upstream.
-    """
-
-
 class HilbertMismatchError(ValueError):
     """Two ideals that must share a Hilbert function do not."""
 

@@ -14,15 +14,15 @@ the Buchberger engine of ``groebner`` are its test oracle.
 
 A chain stores the facts read from it, each computed on first use: its
 component numerators (one ``hilbert_series`` per component), their largest
-lcm degree, the total numerator and the answer of ``_first_violation``.
-``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
-chains' stored numerators (its equal-Hilbert-function precondition compares
-the stored totals, recomposing no chain), and ``ZGradedIdeal.window`` reads a
-component's window off its numerator and the numerator of R's power ideal
-(``hilbert.ideal_stream``), the one source of R's Hilbert function.  Every
-read of a numerator checks the stored lcm degree against
-``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller holds across a
-change of that limit never skips a refusal.
+lcm degree and the answer of ``_first_violation``.  ``is_z_stable`` reads
+the stored answer, ``z_order_compare`` reads both chains' stored numerators
+(its equal-Hilbert-function precondition is read off the same running
+difference as its sign tests, recomposing no chain), and
+``ZGradedIdeal.window`` reads a component's window off its numerator and
+the numerator of R's power ideal (``hilbert.ideal_stream``), the one source
+of R's Hilbert function.  Every read of a numerator checks the stored lcm
+degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller
+holds across a change of that limit never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -69,9 +69,17 @@ class ZGradedIdeal:
 
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
-    the chain (numerators, lcm degree, total numerator, first violation)
-    are computed on first use and stored on it; they take no part in its
-    equality or hash.
+    the chain (numerators, lcm degree, first violation) are computed on
+    first use and stored on it; they take no part in its equality or hash.
+
+    No total numerator is stored.  The series of R[z]/I is
+    sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
+    one exactly when (1-t) D + t^(H+1) delta = 0, where H = max(s_J, s_L),
+    D = sum_{h<=H} t^h (numer(R/J_<h>) - numer(R/L_<h>)) and
+    delta = numer(R/J_<H>) - numer(R/L_<H>).  Proof: every level past H
+    adds t^h delta, so the difference of the two series is
+    (D + t^(H+1) delta / (1-t)) / (1-t)^n; multiply by (1-t)^(n+1).
+    ``z_order_compare`` reads this off the D it builds anyway.
     """
 
     ctx: RingContext                      # the R[z] context
@@ -106,10 +114,6 @@ class ZGradedIdeal:
     def _numers(self) -> tuple[tuple[int, ...], ...]:
         return tuple(hilbert_series(c).numer for c in self.components)
 
-    @cached_property
-    def _total(self) -> tuple[int, ...]:
-        return _total_numerator(self._numers)
-
     def numerators(self) -> tuple[tuple[int, ...], ...]:
         """The numerators of Hilb(R/I_<h>) over (1-t)^n for h = 0..s.
 
@@ -121,12 +125,6 @@ class ZGradedIdeal:
         degree = self._lcm_degree
         limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
         return self._numers
-
-    def total_numerator(self) -> tuple[int, ...]:
-        """The numerator of Hilb(R[z]/I) over (1-t)^(n+1), from the stored
-        component numerators (``_total_numerator``)."""
-        self.numerators()  # checks the limit
-        return self._total
 
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R
@@ -200,26 +198,6 @@ def z_saturate(Z: ZGradedIdeal) -> ZGradedIdeal:
     return ZGradedIdeal(Z.ctx, (Z.components[-1],))
 
 
-def _total_numerator(numers) -> tuple[int, ...]:
-    """Numerator of Hilb(R[z]/I) over (1-t)^n from the numerators
-    N_0, ..., N_H of components 0..H, the last one standing for every
-    h >= H: (1-t) sum_{h<H} t^h N_h + t^H N_H.  Any H from the
-    stabilization index on gives the same polynomial.  Each coefficient is
-    added into one list in place, so the cost is the numerators' total
-    length, not H times the widest."""
-    H = len(numers) - 1
-    out = [0] * (H + 1 + max(map(len, numers)))
-    for h, numer in enumerate(numers[:-1]):
-        for i, c in enumerate(numer):
-            out[h + i] += c
-            out[h + i + 1] -= c
-    for i, c in enumerate(numers[-1]):
-        out[H + i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def default_window(*ideals) -> int:
     """Comparison window: past every generator degree of every ideal in play."""
     maxdeg = max(I.max_gen_degree() for I in ideals)
@@ -233,23 +211,28 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
 
     Both ideals must have the same Hilbert function (checked exactly).  The
     comparison is exact at every degree and every level: for a level h the
-    difference of partial sums is the series
-    sum_k t^k (numer(R/J_k) - numer(R/L_k)) / (1-t)^n, whose two signs
-    ``series_signs`` decides from one pass; levels past both stabilization
-    indices reduce (using the equality of total Hilbert functions) to one
-    cumulative comparison of the top components.
+    difference of partial sums is the series D_h / (1-t)^n, where
+    D_h = sum_{k<=h} t^k (numer(R/J_k) - numer(R/L_k)), whose two signs
+    ``series_signs`` decides from one pass.
 
-    Everything is read off the two chains' stored numerators: the
-    precondition compares their stored totals, recomposing neither chain.
-    A level where the two numerators are equal leaves the running
-    difference, and so both sign tests, unchanged, and is skipped; the
-    others are added into one list in place.
+    Levels past H = max(s_J, s_L) need no test.  Let D = D_H and delta the
+    difference of the top numerators.  The total series of R[z]/J minus
+    that of R[z]/L is (D + t^(H+1) delta / (1-t)) / (1-t)^n, so the totals
+    agree exactly when (1-t) D + t^(H+1) delta = 0.  Then for h > H,
+    D_h = D + (t^(H+1) - t^(h+1)) delta / (1-t) = t^(h-H) D, whose signs
+    are those of D.  So the precondition is read off D at the end, and a
+    mismatch raises even when the levels turned incomparable first: D is
+    built to the top, the sign tests stopping at the first incomparable
+    level.
+
+    Everything is read off the two chains' stored numerators, recomposing
+    neither chain.  A level where the two numerators are equal leaves D,
+    and so both sign tests, unchanged, and is skipped; the others are
+    added into one list in place.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
     numers_J, numers_L = J.numerators(), L.numerators()
-    if J.total_numerator() != L.total_numerator():
-        raise HilbertMismatchError("the ideals have different Hilbert functions")
     n = J.ctx.drop_z().n
     H = max(J.s, L.s)
     diff = [0] * (H + max(map(len, numers_J + numers_L)))
@@ -262,22 +245,19 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
             diff[h + i] += c
         for i, c in enumerate(b):
             diff[h + i] -= c
-        nonneg, nonpos = series_signs(diff, n)
-        le, ge = le and nonneg, ge and nonpos
-        if not (le or ge):
-            return "incomparable"
-    # levels past H: cumulative comparison of the stabilized components
-    a, b = numers_J[-1], numers_L[-1]
-    if a != b:
-        tail = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            tail[i] += c
-        for i, c in enumerate(b):
-            tail[i] -= c
-        nonneg, nonpos = series_signs(tail, n + 1)
-        le, ge = le and nonpos, ge and nonneg
-    # a nonzero difference is a nonzero series, which fails one of the two
-    # sign tests: le and ge together mean every difference vanished
+        if le or ge:
+            nonneg, nonpos = series_signs(diff, n)
+            le, ge = le and nonneg, ge and nonpos
+    # (1-t) D + t^(H+1) delta, with delta from the top numerators
+    total = [c - p for c, p in zip(diff + [0], [0] + diff)]
+    for i, c in enumerate(numers_J[-1]):
+        total[H + 1 + i] += c
+    for i, c in enumerate(numers_L[-1]):
+        total[H + 1 + i] -= c
+    if any(total):
+        raise HilbertMismatchError("the ideals have different Hilbert functions")
+    # a nonzero D_h fails one of the two sign tests: le and ge together
+    # mean every difference vanished
     if le and ge:
         return "equal"
     if le:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from lexcohom import zstable
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
                            saturate)
+from lexcohom.embeddings import epsilon_one
 from lexcohom.errors import HilbertMismatchError
 from lexcohom.groebner import buchberger, initial_ideal
-from lexcohom.hilbert import hilbert_series, ideal_window
+from lexcohom.hilbert import hilbert_series, ideal_window, series_signs
 from lexcohom.zstable import (_first_violation, bar, default_window,
                               distraction, distraction_initial, is_z_stable,
                               stabilization_order, z_decompose, z_order_compare,
@@ -393,6 +394,67 @@ def test_order_compare_sees_tails_behind_equal_level_sums():
         assert hilbert_series(z_recompose(J)).numer != hilbert_series(z_recompose(L)).numer
         with pytest.raises(HilbertMismatchError):
             z_order_compare(J, L)
+
+
+@st.composite
+def equal_hilbert_pairs(draw):
+    """Two chains with one Hilbert function, in either order: an ideal's and
+    that of its stabilization, of one stabilization round or of itself, or
+    a stable chain's and that of its extended embedding."""
+    ctx = draw(z_contexts().filter(lambda c: c.nx <= 2))
+    I = z_ideal(draw, ctx)
+    J = z_decompose(I)
+    kind = draw(st.sampled_from(["stabilized", "round", "same", "embedding"]))
+    if kind == "stabilized":
+        pair = J, z_stabilize(I)
+    elif kind == "round":
+        viol = _first_violation(J)
+        pair = J, distraction_initial(J, *viol) if viol else J
+    elif kind == "same":
+        pair = J, J
+    else:
+        S = z_stabilize(I)
+        pair = S, z_decompose(epsilon_one(z_recompose(S)))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=equal_hilbert_pairs())
+def test_equal_totals_give_the_top_level_the_tail_signs(pair):
+    # with D the level sums at H and delta the top difference, equal totals
+    # mean (1-t) D = -t^(H+1) delta, so D / (1-t)^n and delta / (1-t)^(n+1)
+    # have swapped signs: the tail test of ref_z_order_compare repeats the
+    # sign tests of level H
+    J, L = pair
+    assert hilbert_series(z_recompose(J)).numer == hilbert_series(z_recompose(L)).numer
+    n, H = J.ctx.nx, max(J.s, L.s)
+    numers = [(h, sign, hilbert_series(Z.component(h)).numer)
+              for Z, sign in ((J, 1), (L, -1)) for h in range(H + 1)]
+    D = [0] * (H + 1 + max(len(numer) for _, _, numer in numers))
+    delta = D[:]
+    for h, sign, numer in numers:
+        for i, c in enumerate(numer):
+            D[h + i] += sign * c
+            if h == H:
+                delta[i] += sign * c
+    nonneg, nonpos = series_signs(delta, n + 1)
+    assert series_signs(D, n) == (nonpos, nonneg)
+    assert z_order_compare(J, L) == ref_z_order_compare(J, L)
+
+
+def test_order_compare_raises_on_a_mismatch_behind_an_incomparable_level():
+    # (z) and (x1^2, z^2) in K[x1][z]: the level sums turn incomparable at
+    # h = 1, below H = 2, and the totals 1/(1-t) and (1+t)^2 differ
+    J = _chain(ctx1z, (0, 1))
+    L = _chain(ctx1z, (2, 0), (0, 2))
+    assert (J.s, L.s) == (1, 2)
+    assert series_signs([0, -1, 1, 1], 1) == (False, False)  # D_1 = t^2 - t + t^3
+    assert hilbert_series(z_recompose(J)).numer != hilbert_series(z_recompose(L)).numer
+    for a, b in ((J, L), (L, J)):
+        with pytest.raises(HilbertMismatchError):
+            z_order_compare(a, b)
+        with pytest.raises(HilbertMismatchError):
+            ref_z_order_compare(a, b)
 
 
 def test_order_compare_and_stabilize_recompose_no_chain(monkeypatch):
