@@ -15,7 +15,8 @@ class HilbertMismatchError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An input broke a resource or input limit; the message names its
-    ``limits`` constant."""
+    ``limits`` constant, or the value that ``limits.read_int`` found not
+    to be a digit string."""
 
 
 class DegreeCapExceededError(ResourceLimitError):

@@ -23,7 +23,7 @@ from math import comb
 from operator import sub
 
 from . import limits, memos
-from .core import MonomialIdeal, RingContext, _grlex_key
+from .core import MonomialIdeal, RingContext, _divides_any, _grlex_key
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -81,7 +81,7 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     prime = tuple(g for g in shared if not g[j])
     plus = _poly_mul((1, -1), _numerator(prime))
     lowered = [g[:j] + (g[j] - 1,) + g[j + 1:] for g in shared if g[j]]
-    kept = [h for h in prime if not any(all(a <= b for a, b in zip(g, h)) for g in lowered)]
+    kept = [h for h in prime if not _divides_any(lowered, h)]
     col = tuple(merge(lowered, kept, key=_grlex_key))
     return _poly_mul(out, _poly_add(plus, _shift(_numerator(col), 1)))
 

@@ -102,9 +102,13 @@ def check(name: str, value: int, what: str, error=ResourceLimitError) -> int:
 def read_int(name: str, digits: str, what: str, error=ResourceLimitError) -> int:
     """The integer ``digits`` spells, refused above the limit ``name`` by its
     digit count before int(), which refuses more than 4,300 digits, reads it.
-    Blanks around it, a leading + and leading zeros do not count."""
+    Blanks around it, a leading + and leading zeros do not count.  Anything
+    but ASCII digits after them, which int() would read too (as in 1_000)
+    or refuse naming no ``what``, is refused with ``error``."""
     digits = digits.strip()
     body = digits.lstrip("+0") or digits[-1:]  # zeros only: the last one
+    if not (body.isascii() and body.isdigit()):
+        raise error(f"{what} must be a digit string, not {digits!r}")
     limit = globals()[name]
     if len(body) > len(str(limit)):
         raise error(f"{what} of {len(body)} digits, above limits.{name} = {limit}")

@@ -179,6 +179,10 @@ def nonstable_instances(spec: FamilySpec):
 
 @dataclass
 class InstanceRecord:
+    """One instance's checks, by name.  ``first_fail`` is the first failing
+    coordinate, in the order the checks run, or None when no check that
+    reads coordinates failed."""
+
     ideal: str
     checks: dict[str, bool]
     lpp: str | None = None
@@ -255,22 +259,15 @@ def verify_betti_lpp_corners(I: MonomialIdeal,
     the corner identity beta_ij = H^{n-i} at j-n on both quotients."""
     L, TI, TL, cI, cL = _lpp_betti(I)
     n = I.ctx.n
-    corner_ok, fail = True, None
-    for c in cL:
-        if TI.beta(c.i, c.j) > c.value:
-            corner_ok, fail = False, (c.i, c.j)
-            break
-    cor_identity = True
-    for J, T, cs in ((I, TI, cI), (L, TL, cL)):
-        table = cohomology_table(J, backend=backend)
-        for c in cs:
-            if T.beta(c.i, c.j) != table.value(n - c.i, c.j - n):
-                cor_identity, fail = False, (c.i, c.j)
+    le_fail = next(((c.i, c.j) for c in cL if TI.beta(c.i, c.j) > c.value), None)
+    HI, HL = (cohomology_table(J, backend=backend) for J in (I, L))
+    id_fail = next(((c.i, c.j) for T, H, cs in ((TI, HI, cI), (TL, HL, cL)) for c in cs
+                    if T.beta(c.i, c.j) != H.value(n - c.i, c.j - n)), None)
     return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(L),
-        checks={"corner_le": corner_ok, "corner_identity": cor_identity},
-        first_fail=fail,
+        checks={"corner_le": le_fail is None, "corner_identity": id_fail is None},
+        first_fail=le_fail or id_fail,
         betti={"quotient": _betti_triples(TI), "lpp": _betti_triples(TL)},
     )
 
@@ -325,7 +322,6 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     embed = epsilon or epsilon_one
     E = embed(I)
     checks: dict[str, bool] = {}
-    fail = None
     W = zstable.default_window(I, E)
     ctx_R = ctx.drop_z()
     m = ctx.max_ideal()
@@ -354,30 +350,24 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     # generator-count inequality beta_1j(I) <= beta_1j(eps I)
     tI = _generator_tallies(I, W)
     tE = _generator_tallies(E, W)
-    checks["generator_counts"] = all(a <= b for a, b in zip(tI, tE))
-    if not checks["generator_counts"]:
-        fail = (1, next(d for d in range(W + 1) if tI[d] > tE[d]))
+    count_fail = next(((1, d) for d, (a, b) in enumerate(zip(tI, tE)) if a > b), None)
+    checks["generator_counts"] = count_fail is None
 
     # restriction inequality: Hilb(I + (z^j)) >= Hilb(eps(I) + (z^j)) for
     # j <= W.  In degree d both sides hold every monomial of z-degree >= j, so
     #   dim(I + (z^j))_d - dim(E + (z^j))_d
     #     = sum_{h<j} dim(I_<h>)_{d-h} - dim(E_<h>)_{d-h},
     # a running total over the component windows (j = 0 gives 0), read off
-    # the chains' stored numerators.
+    # the chains' stored numerators: gap number j of ``gaps`` holds it by d.
     winI = [dec.window(h, W) for h in range(dec.s + 1)]
     winE = [decE.window(h, W) for h in range(decE.s + 1)]
-    gap = [0] * (W + 1)
-    restriction = True
-    for j in range(1, W + 1):
-        h = j - 1
-        a, b = winI[min(h, dec.s)], winE[min(h, decE.s)]
-        for d in range(h, W + 1):
-            gap[d] += a[d - h] - b[d - h]
-        if any(x < 0 for x in gap):
-            restriction = False
-            fail = fail or (j, next(d for d, x in enumerate(gap) if x < 0))
-            break
-    checks["restriction_ineq"] = restriction
+    steps = ([0] * h + [a - b for a, b in zip(winI[min(h, dec.s)], winE[min(h, decE.s)])]
+             for h in range(W))
+    gaps = itertools.accumulate(steps, lambda gap, step: [x + y for x, y in zip(gap, step)],
+                                initial=[0] * (W + 1))
+    restriction_fail = next(((j, d) for j, gap in enumerate(gaps)
+                             for d, x in enumerate(gap) if x < 0), None)
+    checks["restriction_ineq"] = restriction_fail is None
 
     # saturations: eps(bar I)^sat == bar(eps_1 I)^sat
     barI = zstable.bar(dec)
@@ -396,16 +386,13 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     rhs = saturate(barI, ctx_R.max_ideal())
     checks["saturate_bar_swap"] = lhs == rhs
 
-    # top-degree partial sums (only meaningful for the genuine embedding);
-    # both chains were found z-stable above
-    if epsilon is None:
-        checks["top_partial_sums"] = _top_partial_sums(dec, decE)
+    checks["top_partial_sums"] = _top_partial_sums(dec, decE)
 
     return InstanceRecord(
         ideal=format_ideal(I),
         lpp=format_ideal(E),
         checks=checks,
-        first_fail=fail,
+        first_fail=count_fail or restriction_fail,
     )
 
 
@@ -422,13 +409,6 @@ def _holds_m_times(P: MonomialIdeal, E: MonomialIdeal) -> bool:
     return P.contains_ideal(P.ctx.powers_ideal())
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    first_mismatch: tuple[int, int] | None = None
-
-
 def _top_partial_sums(dec: zstable.ZGradedIdeal, decE: zstable.ZGradedIdeal) -> bool:
     """Partial-sum inequality between the push-downs of the z-saturations of
     a z-stable ideal I and of its extended embedding E, given as their
@@ -437,34 +417,32 @@ def _top_partial_sums(dec: zstable.ZGradedIdeal, decE: zstable.ZGradedIdeal) -> 
     is the degreewise restatement of the restriction inequality
     Hilb(I + (z^j)) >= Hilb(E + (z^j)), and the full sums at j = d agree
     because the Hilbert functions do).  The lemma suite, its one caller,
-    has checked that I is z-stable."""
+    has checked that I is z-stable, and runs it on a substituted embedding
+    too, which may break it."""
     d = max(dec.max_gen_degree(), decE.max_gen_degree()) + 2
     # the bar of the z-saturation is the top component, whose window is
     # read off its stored numerator; the components of a preimage's
     # z-decomposition already hold b
-    lhs = dec.window(dec.s, d)
-    rhs = decE.window(decE.s, d)
-    acc_l = acc_r = 0
-    for j in range(d + 1):
-        acc_l += lhs[d - j]
-        acc_r += rhs[d - j]
-        if acc_l < acc_r:
-            return False
-    return acc_l == acc_r  # equal Hilbert functions make the full sums agree
+    diff = [a - b for a, b in zip(dec.window(dec.s, d), decE.window(decE.s, d))]
+    *sums, total = itertools.accumulate(reversed(diff))
+    return all(x >= 0 for x in sums) and total == 0  # equal Hilbert functions: equal totals
 
 
 # --- extension recurrences along z ------------------------------------------
 
 
 def check_extension_recurrence(I: MonomialIdeal,
-                               backend: str = "combinatorial") -> list[CheckReport]:
+                               backend: str = "combinatorial"
+                               ) -> dict[str, tuple[int, int] | None]:
     """Verify the two summation recurrences tying H^i over R[z] to H^{i-1}
     over R, for a z-stable monomial ideal given by its preimage.
 
     For i > 0 the row of H^i(R[z]/I) at h equals the upper partial sum of
     the row of H^{i-1}(R/J) starting at h+1, where J is the z-saturation
     pushed down to R; for i > 1 the same holds with the downstairs
-    saturation of the plain push-down.
+    saturation of the plain push-down.  Returns ``{"upper-sum": m,
+    "bar-saturated": m}``, each m the first mismatch (i, h), by i and then
+    h, or None when the recurrence holds.
     """
     dec = zstable.z_decompose(I)
     if not zstable.is_z_stable(dec):
@@ -476,29 +454,28 @@ def check_extension_recurrence(I: MonomialIdeal,
     J_sat = zstable.bar(zstable.z_saturate(dec))      # bar of the z-saturation
     J_bar_sat = saturate(zstable.bar(dec), ctx.drop_z().max_ideal())
 
-    reports = []
+    mismatches = {}
     for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", J_bar_sat, 2)):
         small = cohomology_table(J, (lo, hi), backend=backend)
-        mismatch = None
-        for i in range(min_i, ctx.n + 1):
-            # above[k]: the sum of row i - 1 over degrees lo + k + 1..hi,
-            # one running sum from hi down
-            above = [*itertools.accumulate(reversed(small.rows[i - 1][1:]), initial=0)][::-1]
-            k = next((k for k, v in enumerate(big.rows[i]) if v != above[k]), None)
-            if k is not None:
-                mismatch = (i, lo + k)
-                break
-        reports.append(CheckReport(name, mismatch is None, mismatch))
-    return reports
+        mismatches[name] = next(((i, lo + k) for i in range(min_i, ctx.n + 1)
+                                 for k, (v, a) in enumerate(zip(big.rows[i],
+                                                                _sums_above(small.rows[i - 1])))
+                                 if v != a), None)
+    return mismatches
+
+
+def _sums_above(row) -> list[int]:
+    """Entry k is the sum of row[k + 1:]: one running sum from the end."""
+    return [*itertools.accumulate(reversed(row[1:]), initial=0)][::-1]
 
 
 def verify_recurrences(I: MonomialIdeal,
                        backend: str = "combinatorial") -> InstanceRecord:
-    reports = check_extension_recurrence(I, backend=backend)
+    mismatches = check_extension_recurrence(I, backend=backend)
     return InstanceRecord(
         ideal=format_ideal(I),
-        checks={r.name: r.passed for r in reports},
-        first_fail=next((r.first_mismatch for r in reports if not r.passed), None),
+        checks={name: m is None for name, m in mismatches.items()},
+        first_fail=next(filter(None, mismatches.values()), None),
     )
 
 
@@ -599,12 +576,9 @@ def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
     jobs = min(jobs, os.cpu_count() or 1)
     kind, op = THEOREMS[theorem]
     timed = functools.partial(_timed, op)
-    if kind == "stable":
-        instances = list(stable_instances(spec))
-    elif kind == "raw":
-        instances = list(nonstable_instances(spec))
-    else:
-        instances = list(enumerate_family(spec))
+    stream = {"family": enumerate_family, "stable": stable_instances,
+              "raw": nonstable_instances}[kind]
+    instances = list(stream(spec))
     distinct = list(dict.fromkeys(instances))
     if jobs > 1:
         import multiprocessing

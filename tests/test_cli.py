@@ -72,7 +72,7 @@ def test_parse_a_second_header_line_is_an_error(text, line_no, tmp_path, capsys)
 
 @pytest.mark.parametrize("gen, col", [
     ("x1^2^3", 5), ("x1*2^3", 5), ("x2^2*3^2", 7), ("x1*^2", 4), ("x1^-1", 3),
-    ("x1 ^2", 4), ("x1^", 3),
+    ("x1 ^2", 4), ("x1^", 3), ("x1^\u0663", 4),  # a non-ASCII digit, which int() reads
 ])
 def test_parse_exponent_only_directly_after_a_variable(gen, col, tmp_path):
     with pytest.raises(ParseError) as ei:
@@ -432,6 +432,11 @@ def test_cli_verify_family_key_values(tmp_path, capsys):
                         ("n=2,maxdeg=2,max_deg=3", "'max_deg'"), ("n=2,z,z=0", "'z'")):
         assert main(argv + [family]) == 2
         assert f"family key {key}" in capsys.readouterr().err
+    # a value that is not a digit string is refused, naming its key
+    for family, key in (("n=abc", "n"), ("n", "n"), ("n=2,maxdeg=x", "maxdeg"),
+                        ("n=2,d=2:y", "d"), ("n=1_0", "n"), ("n=\u0662", "n")):
+        assert main(argv + [family]) == 2
+        assert f"family {key} must be a digit string" in capsys.readouterr().err
     # a z theorem adjoins z when the family does not say, and refuses a false z
     for theorem in ("zstabilize", "embedding-lemmas", "recurrences"):
         z_argv = ["verify", theorem, "--samples", "1", "--json", str(out), "--family"]

@@ -39,6 +39,10 @@ def test_check_and_read_int_name_the_limit(monkeypatch):
         limits.read_int("POOL_LIMIT", "013", "k", ValueError)
     with pytest.raises(ResourceLimitError, match=r"^k of 5000 digits, above limits.POOL_LIMIT"):
         limits.read_int("POOL_LIMIT", "9" * 5000, "k")
+    # int() reads these, or refuses them naming no limit and no k
+    for digits in ("", "+", "1_2", "\u0661\u0662", "1.0", "-1", "x"):
+        with pytest.raises(ValueError, match=r"^k must be a digit string, not "):
+            limits.read_int("POOL_LIMIT", digits, "k", ValueError)
 
 
 def test_random_family_is_refused_past_the_instance_limit(monkeypatch):

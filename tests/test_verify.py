@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,36 @@ def test_corner_and_region_instances():
     assert verify_betti_lpp_corners(I).passed
     assert verify_region_inclusion(I).passed
     assert verify_betti_lpp_corners(ctxp.powers_ideal()).passed
+
+
+def test_lpp_corners_report_the_first_failing_corner(monkeypatch):
+    # the complete intersection x1^2, x2^2, x3*x4 has the one corner (3, 6);
+    # with its cohomology off by one, every corner identity breaks, and the
+    # first to fail is I's corner, checked before those of LPP(I)
+    I = MonomialIdeal.make(RingContext(4, powers=(2, 2)),
+                           [M(2, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 1, 1)])
+    real = verify.cohomology_table
+    shifted = set()
+
+    def table(J, window=None, backend="combinatorial"):
+        T = real(J, window, backend)
+        if J not in shifted:
+            return T
+        return replace(T, rows={i: tuple(v + 1 for v in row) for i, row in T.rows.items()})
+
+    monkeypatch.setattr(verify, "cohomology_table", table)
+    shifted.update((I, embeddings.lpp_ideal(I)))
+    rec = verify_betti_lpp_corners(I)
+    assert rec.checks == {"corner_le": True, "corner_identity": False}
+    assert rec.first_fail == (3, 6)
+    # with b in place of LPP(I), beta_24 = 3 > 1 breaks corner_le at b's
+    # corner (2, 4), which comes before I's broken identity at (3, 6)
+    monkeypatch.setattr(verify, "lpp_ideal", lambda J: J.ctx.powers_ideal())
+    shifted.clear()
+    shifted.add(I)
+    rec = verify_betti_lpp_corners(I)
+    assert rec.checks == {"corner_le": False, "corner_identity": False}
+    assert rec.first_fail == (2, 4)
 
 
 POWERS_EXAMPLE = MonomialIdeal.make(RingContext(3, powers=(2, 2)), [
@@ -429,6 +460,16 @@ def test_corrupted_embedding_trips_generator_counts():
         not verify_embedding_lemmas(I, epsilon=corrupt_epsilon).checks["generator_counts"]
         for I in stable_instances(spec)
     )
+
+
+def test_corrupted_embedding_trips_top_partial_sums():
+    # the lemma runs for a substituted embedding too
+    spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True,
+                      count=8, seed=21)
+    records = [verify_embedding_lemmas(I, epsilon=corrupt_epsilon)
+               for I in stable_instances(spec)]
+    assert all("top_partial_sums" in r.checks for r in records)
+    assert any(not r.checks["top_partial_sums"] for r in records)
 
 
 def test_zstabilize_record():
