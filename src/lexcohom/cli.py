@@ -1,5 +1,12 @@
 """Command-line surface.
 
+The six single-ideal commands (hilb, lex, lpp, betti, cohom, zstabilize)
+run through one driver, ``_run_single``: it reads the ideal, calls the
+command's ``cmd_*(I, args)``, which prints its text and returns its own
+report fields, and writes the JSON report with the shared header.  Past
+argparse, every refusal is an exception that ``main`` turns into one
+``error: ...`` or ``parse error: ...`` line on stderr and exit code 2.
+
 Exit codes: 0 = success / all checks passed, 1 = a theorem check failed,
 2 = usage, parse or resource errors (including a verify family with no
 instances to check).
@@ -9,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import limits, memos, zstable
@@ -37,8 +45,13 @@ def _read_ideal(args) -> MonomialIdeal:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    lo, hi = int(lo), int(hi)
+    """LO:HI, each bound an optionally signed ASCII digit string."""
+    # int() reads at most 4,300 digits, and any Unicode digit or 1_0 too
+    m = re.fullmatch(r"([+-]?[0-9]{1,4300}):([+-]?[0-9]{1,4300})", text)
+    if not m:
+        raise argparse.ArgumentTypeError(
+            f"expected LO:HI, two integers of at most 4,300 digits, not {text!r}")
+    lo, hi = int(m[1]), int(m[2])
     limits.check("WINDOW_SPAN_LIMIT", hi - lo + 1,
                  f"window {lo}:{hi} spans {hi - lo + 1} degrees", argparse.ArgumentTypeError)
     return lo, hi
@@ -51,51 +64,52 @@ def _emit_json(args, payload: dict):
             fh.write("\n")
 
 
-def _emit_ideal_json(args, I: MonomialIdeal, **fields):
-    """The report of a single-ideal command: the shared header (schema
-    version, command, context, input ideal) and the command's own fields."""
+def _run_single(args) -> int:
+    """The driver of every single-ideal command: read the ideal, run the
+    command, which prints its text and returns its own report fields, and
+    write the report, the shared header (schema version, command, context,
+    input ideal) and those fields."""
+    I = _read_ideal(args)
+    fields = args.cmd(I, args)
     _emit_json(args, {"schema_version": 1, "command": args.command,
                       "context": _ctx_json(I.ctx), "ideal": format_ideal(I), **fields})
+    return OK
 
 
-def cmd_hilb(args) -> int:
-    I = _read_ideal(args)
+def cmd_hilb(I: MonomialIdeal, args) -> dict:
     hs = hilbert_series(I)
     lo, hi = args.window or (0, 2 * max(I.max_gen_degree(), 1) + I.ctx.n)
     if lo > hi:
         raise ValueError("window must satisfy lo <= hi")
+    # the dims are read from degree 0 up to hi, whatever lo is
+    bottom = min(lo, 0)
+    limits.check("WINDOW_SPAN_LIMIT", hi - bottom + 1,
+                 f"window {lo}:{hi} reads the {hi - bottom + 1} degrees {bottom}..{hi}")
     # the quotient has nothing below degree 0
-    window = (0,) * (min(hi + 1, 0) - min(lo, 0)) + hs.quotient_window(hi)[max(lo, 0):]
+    window = (0,) * (min(hi + 1, 0) - bottom) + hs.quotient_window(hi)[max(lo, 0):]
     print("numerator:", " ".join(map(str, hs.numer)))
     print(f"quotient dims {lo}..{hi}:", " ".join(map(str, window)))
-    _emit_ideal_json(args, I, numerator=list(hs.numer), lo=lo, hi=hi,
-                     quotient_dims=list(window))
-    return OK
+    return {"numerator": list(hs.numer), "lo": lo, "hi": hi,
+            "quotient_dims": list(window)}
 
 
-def cmd_lex(args) -> int:
-    I = _read_ideal(args)
+def cmd_lex(I: MonomialIdeal, args) -> dict:
     if I.ctx.powers:
-        print("error: lex expects a ring without powers (use lpp)", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("lex expects a ring without powers (use lpp)")
     L = lex_segment_ideal(I.ctx, ideal_window(I, I.max_gen_degree() + 2))
     text = format_ideal(L)
     print(text)
-    _emit_ideal_json(args, I, lex=text)
-    return OK
+    return {"lex": text}
 
 
-def cmd_lpp(args) -> int:
-    I = _read_ideal(args)
+def cmd_lpp(I: MonomialIdeal, args) -> dict:
     L = lpp_ideal(I)
     text = format_ideal(L)
     print(text)
-    _emit_ideal_json(args, I, lpp=text)
-    return OK
+    return {"lpp": text}
 
 
-def cmd_betti(args) -> int:
-    I = _read_ideal(args)
+def cmd_betti(I: MonomialIdeal, args) -> dict:
     T = betti_table(I)
     for (i, j) in sorted(T.entries):
         if i > 0:
@@ -103,31 +117,26 @@ def cmd_betti(args) -> int:
     cs = corners(T)
     print(f"projdim {T.projdim}  regularity {T.regularity}  corners "
           + " ".join(f"({c.i},{c.slope})" for c in cs))
-    _emit_ideal_json(args, I, betti=_betti_triples(T), projdim=T.projdim,
-                     regularity=T.regularity,
-                     corners=[[c.i, c.slope, c.value] for c in cs])
-    return OK
+    return {"betti": _betti_triples(T), "projdim": T.projdim,
+            "regularity": T.regularity,
+            "corners": [[c.i, c.slope, c.value] for c in cs]}
 
 
-def cmd_cohom(args) -> int:
-    I = _read_ideal(args)
+def cmd_cohom(I: MonomialIdeal, args) -> dict:
     T = cohomology_table(I, args.window, backend=args.backend)
     for i in range(T.n + 1):
         print(f"H^{i} on [{T.lo},{T.hi}]: "
               + " ".join(map(str, T.rows[i]))
               + f"   tail {T.tails[i].printed()}")
-    _emit_ideal_json(args, I, backend=args.backend, cohomology=_cohom_rows(T))
-    return OK
+    return {"backend": args.backend, "cohomology": _cohom_rows(T)}
 
 
-def cmd_zstabilize(args) -> int:
-    I = _read_ideal(args)
+def cmd_zstabilize(I: MonomialIdeal, args) -> dict:
     dec = zstable.z_stabilize(I)
     J = zstable.z_recompose(dec)
     sys.stdout.write(write_ideal_file(J.ctx, J.gens))
-    _emit_ideal_json(args, I, stabilized=format_ideal(J),
-                     components=[format_ideal(c) for c in dec.components])
-    return OK
+    return {"stabilized": format_ideal(J),
+            "components": [format_ideal(c) for c in dec.components]}
 
 
 # the values of the family key z; a bare ``z`` reads as true
@@ -193,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, window=False):
+    def single(name, cmd, window=False, **kw):
+        p = sub.add_parser(name, **kw)
         p.add_argument("--input", help="ideal file (default: stdin)")
         p.add_argument("--json", help="write a JSON report to this path")
         if window:
@@ -201,36 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="LO:HI",
                            help="degree window; write a negative LO as "
                                 "--window=LO:HI (--window -4:3 reads -4:3 as a flag)")
+        p.set_defaults(fn=_run_single, cmd=cmd)
+        return p
 
-    p = sub.add_parser("hilb", help="Hilbert series and quotient dims")
-    common(p, window=True)
-    p.set_defaults(fn=cmd_hilb)
-
-    p = sub.add_parser(
-        "lex", help="lex-segment ideal truncated at degree maxgendeg + 2",
-        description="Print the lex-segment ideal truncated at degree maxgendeg + 2. "
-                    "Its Hilbert function matches the input's only up to that "
-                    "degree; the library's lex_ideal_of returns the full ideal.")
-    common(p)
-    p.set_defaults(fn=cmd_lex)
-
-    p = sub.add_parser("lpp", help="lex-plus-power ideal with the same Hilbert function")
-    common(p)
-    p.set_defaults(fn=cmd_lpp)
-
-    p = sub.add_parser("betti", help="graded Betti table, regularity, corners")
-    common(p)
-    p.set_defaults(fn=cmd_betti)
-
-    p = sub.add_parser("cohom", help="local-cohomology Hilbert functions")
-    common(p, window=True)
+    single("hilb", cmd_hilb, help="Hilbert series and quotient dims", window=True)
+    single("lex", cmd_lex, help="lex-segment ideal truncated at degree maxgendeg + 2",
+           description="Print the lex-segment ideal truncated at degree maxgendeg + 2. "
+                       "Its Hilbert function matches the input's only up to that "
+                       "degree; the library's lex_ideal_of returns the full ideal.")
+    single("lpp", cmd_lpp, help="lex-plus-power ideal with the same Hilbert function")
+    single("betti", cmd_betti, help="graded Betti table, regularity, corners")
+    p = single("cohom", cmd_cohom, help="local-cohomology Hilbert functions", window=True)
     p.add_argument("--backend", choices=("combinatorial", "ext"),
                    default="combinatorial")
-    p.set_defaults(fn=cmd_cohom)
-
-    p = sub.add_parser("zstabilize", help="stabilize along the last variable")
-    common(p)
-    p.set_defaults(fn=cmd_zstabilize)
+    single("zstabilize", cmd_zstabilize, help="stabilize along the last variable")
 
     p = sub.add_parser("verify", help="run a theorem check over a family")
     p.add_argument("theorem", choices=sorted(THEOREMS))

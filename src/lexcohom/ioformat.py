@@ -11,7 +11,7 @@ A generator is one monomial: a product of factors joined by optional
 ``*``, such as ``x1^2*x3`` or ``3*x1 x2^2``.  A factor is a variable with
 an optional exponent ``^<digits>``, which follows the variable directly
 (exponents of a repeated variable add up, to at most
-``limits.EXPONENT_LIMIT``), or a digit-string coefficient.  Coefficients,
+``limits.EXPONENT_LIMIT``), or a coefficient of ASCII digits.  Coefficients,
 of any length, only have to be nonzero modulo the characteristic; they are
 then dropped.  A ``+`` or ``-`` is a parse error: sums of terms are not
 monomials.  ``n`` counts the x variables only; with ``variable z`` the ring
@@ -56,7 +56,9 @@ def write_ideal_file(ctx: RingContext, gens) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TOKEN = re.compile(r"\s*(([a-z]\d*)(\^\d+)?|(\d+)|\S)", re.IGNORECASE)
+# a coefficient is ASCII digits, since _mod_digits reads any Unicode digit;
+# limits.read_int refuses a non-ASCII exponent at the exponent's own column
+_TOKEN = re.compile(r"\s*(([a-z]\d*)(\^\d+)?|([0-9]+)|\S)", re.IGNORECASE)
 
 
 def _mod_digits(digits: str, p: int) -> int:

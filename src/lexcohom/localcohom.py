@@ -519,8 +519,10 @@ def compare_tables(
     """Entrywise A <= B on the shared window and below it via tails.
 
     Returns (holds, first_failure_coordinates).  Raises on mixed
-    characteristics, and on a window from lo > 0, whose degrees 0..lo - 1
-    neither the rows nor the tails cover (never silently truncates).
+    characteristics, on a window from lo > 0, whose degrees 0..lo - 1
+    neither the rows nor the tails cover, and on a table whose window top
+    lies below its regularity (``hi_covers_reg`` False), whose degrees
+    above the top the rows do not cover (never silently truncates).
     """
     if A.char != B.char:
         raise ValueError("mixed-characteristic comparison rejected")
@@ -528,6 +530,9 @@ def compare_tables(
         raise ValueError("tables must be computed on a shared window")
     if A.lo > 0:
         raise ValueError(f"window from degree {A.lo} leaves degrees 0..{A.lo - 1} uncovered")
+    if not (A.hi_covers_reg and B.hi_covers_reg):
+        raise ValueError(f"window top {A.hi} lies below a table's regularity: "
+                         "the degrees above it are uncovered")
     for i in range(A.n + 1):
         for j, (a, b) in enumerate(zip(A.rows[i], B.rows[i]), A.lo):
             if a > b:

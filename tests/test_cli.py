@@ -117,6 +117,8 @@ def test_digit_strings_past_the_int_conversion_limit(gen, capsys, tmp_path):
     ("ring n=2 char=32003", "x1 - x1", 4, "'-'"),
     ("ring n=2 char=2", "2*x1", 1, "coefficient 2 vanishes modulo char=2"),
     ("ring n=2 char=3", "x1*2*3*x2", 6, "coefficient 3 vanishes modulo char=3"),
+    # a coefficient is ASCII digits: int() would read the Arabic-Indic three
+    ("ring n=2 char=32003", "\u0663*x1", 1, "unexpected character"),
 ])
 def test_a_generator_is_one_monomial(header, gen, col, words, capsys, tmp_path):
     with pytest.raises(ParseError) as ei:
@@ -309,6 +311,35 @@ def test_window_span_limit(cmd, lo, capsys, tmp_path):
             "limits.WINDOW_SPAN_LIMIT" in capsys.readouterr().err
 
 
+def test_hilb_window_far_up_is_bounded_by_the_degrees_it_reads(capsys, tmp_path):
+    # hilb reads its quotient dims from degree 0 up to HI, whatever LO is
+    f = tmp_path / "ideal.txt"
+    f.write_text("ring n=4 char=32003\nx1\n")
+    assert main(["hilb", "--input", str(f), "--window=4999999:5000000"]) == 2
+    assert "reads the 5000001 degrees 0..5000000, above limits.WINDOW_SPAN_LIMIT" \
+        in capsys.readouterr().err
+    hi = WINDOW_SPAN_LIMIT - 1
+    assert main(["hilb", "--input", str(f), f"--window={hi}:{hi}"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(f"quotient dims {hi}..{hi}: ")
+    assert main(["hilb", "--input", str(f), f"--window={hi + 1}:{hi + 1}"]) == 2
+    assert "limits.WINDOW_SPAN_LIMIT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["abc", "3", "7" * 5000 + ":5", "\u0663:5", "1_0:12"],
+                         ids=["abc", "3", "5000-digits", "arabic-indic-3", "1_0"])
+def test_window_bounds_are_signed_ascii_digit_strings(window, capsys, tmp_path):
+    f = tmp_path / "ideal.txt"
+    f.write_text(SIMPLE)
+    with pytest.raises(SystemExit) as ei:
+        main(["hilb", "--input", str(f), f"--window={window}"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "LO:HI, two integers" in err and "_parse_window" not in err
+    for window, dims in (("-8:3", "quotient dims -8..3:"), ("+3:5", "quotient dims 3..5:")):
+        assert main(["hilb", "--input", str(f), f"--window={window}"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(dims)
+
+
 def test_quotient_window_below_degree_zero_is_empty():
     hs = hilbert_series(as_monomial_ideal(*parse_ideal_file(SIMPLE)))
     assert [hs.quotient_window(upto) for upto in (-1, -2, -3)] == [(), (), ()]
@@ -388,6 +419,7 @@ def test_cli_lex_rejects_powers(capsys, tmp_path):
     f = tmp_path / "ideal.txt"
     f.write_text("ring n=2 char=32003\npowers d=2\nx1^2\n")
     assert main(["lex", "--input", str(f)]) == 2
+    assert capsys.readouterr() == ("", "error: lex expects a ring without powers (use lpp)\n")
 
 
 def test_cli_parse_error_exit_code(tmp_path):

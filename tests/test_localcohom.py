@@ -280,6 +280,16 @@ def test_compare_tables_and_window_mismatch():
     assert compare_tables(T0, T0) == (True, None)
 
 
+def test_compare_tables_refuses_a_window_top_below_the_regularity():
+    # reg A/(x1^3, x2^3) = 4: on (-5, 0) the failure at (0, 1) is above the top
+    I, L = MonomialIdeal.make(ctx2, [M(3, 0), M(0, 3)]), MonomialIdeal.make(ctx2, [M(1, 0), M(0, 1)])
+    assert compare_tables(*cohomology_tables((I, L), "combinatorial")) == (False, (0, 1))
+    for A, B in ((I, L), (L, I)):
+        TA, TB = cohomology_table(A, (-5, 0)), cohomology_table(B, (-5, 0))
+        with pytest.raises(ValueError, match="window top 0 lies below a table's regularity"):
+            compare_tables(TA, TB)
+
+
 def test_value_above_uncovered_window_raises():
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(0, 3)])
     reg = betti_table(I).regularity
