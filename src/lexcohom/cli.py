@@ -15,9 +15,9 @@ instances to check).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import limits, memos, zstable
 from .betti import betti_table, corners
@@ -57,11 +57,66 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# the encoder of each scalar type a report holds, as ``json`` writes it
+_SCALARS = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _scalar(v) -> str:
+    return _SCALARS[type(v)](v)
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)``, byte for byte, built
+    in one pass for the types a report holds: dicts with str keys, lists
+    and tuples, str, int, True, False and None; any other type, a subclass
+    of str or int included, raises TypeError.  A list of scalars, most of
+    a large report, is one join; ``json.dumps`` with an indent runs the
+    pure-Python encoder, element by element."""
+    parts = []
+
+    def emit(v, nl):
+        inner = nl + " "
+        if type(v) in _SCALARS:
+            parts.append(_scalar(v))
+        elif isinstance(v, (list, tuple)) and not v:
+            parts.append("[]")
+        elif isinstance(v, (list, tuple)):
+            kinds = set(map(type, v))
+            if kinds <= _SCALARS.keys():
+                encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
+                parts.append("[" + inner + ("," + inner).join(map(encode, v)) + nl + "]")
+                return
+            sep = "["
+            for x in v:
+                parts.append(sep + inner)
+                emit(x, inner)
+                sep = ","
+            parts.append(nl + "]")
+        elif isinstance(v, dict) and not v:
+            parts.append("{}")
+        elif isinstance(v, dict):
+            sep = "{"
+            for k in sorted(v):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                parts.append(sep + inner + _encode_str(k) + ": ")
+                emit(v[k], inner)
+                sep = ","
+            parts.append(nl + "}")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    emit(value, "\n")
+    return "".join(parts)
+
+
 def _emit_json(args, payload: dict):
+    """Write the report in one call."""
     if args.json:
+        text = _json_text(payload) + "\n"
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(text)
 
 
 def _run_single(args) -> int:
@@ -153,7 +208,7 @@ def _parse_family(text: str, args) -> FamilySpec:
             field, value = "n", limits.read_int("FILE_VARIABLE_LIMIT", val, "family n")
         elif key == "d":
             field, value = "powers", tuple(limits.read_int("EXPONENT_LIMIT", x, "family d")
-                                           for x in val.split(":") if x)
+                                           for x in val.split(":"))
         elif key in ("maxdeg", "max_deg"):
             field, value = "max_deg", limits.read_int("EXPONENT_LIMIT", val, "family maxdeg")
         elif key == "z" and val.lower() in _Z_VALUES:

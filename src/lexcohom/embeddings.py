@@ -17,10 +17,15 @@ multiplied by in S.
 
 Every embedding of an ideal (``lex_ideal_of``, ``lpp_ideal``,
 ``epsilon_one``, ``is_embedded``) is certified: it stops only when the
-generated ideal has the exact Hilbert series of the input, and it refuses,
-with the ``ResourceLimitError`` of ``limits.NUMERATOR_DEGREE_LIMIT``, an
-answer whose certificate that limit would refuse; the refusal names the
-lex-first candidate, not the input.  The certified answers
+generated ideal has the exact Hilbert series of the input.  The candidate's
+numerator is read off its generators in closed form
+(``hilbert._lex_numerator``, Eliahou-Kervaire's numerator extended to the
+powers), since its graded pieces are lex segments of S; no certificate
+runs the pivot recursion or fills its memo.  A candidate whose lcm degree
+passes ``limits.NUMERATOR_DEGREE_LIMIT`` is still refused with that
+limit's ``ResourceLimitError``, naming the lex-first candidate, not the
+input, so the embeddings refuse what they refused when the certificate
+was the generic series.  The certified answers
 are memoized for the whole process, in the memo ``_certified_embedding``
 keyed on the Hilbert series.  ``lex_segment_ideal`` takes explicit dims
 and the shadow theorem on trust.
@@ -35,7 +40,8 @@ from itertools import islice
 from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
-from .hilbert import HilbertSeries, hilbert_series, ideal_stream, lcm_degree
+from .hilbert import (HilbertSeries, _lex_numerator, hilbert_series, ideal_stream,
+                      lcm_degree)
 
 
 def _rank(e: tuple[int, ...], count) -> int:
@@ -158,8 +164,10 @@ def _embed_matching_series(I: MonomialIdeal) -> MonomialIdeal:
 @memos.memo(memos.EMBED_MEMO_SIZE)
 def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
     """The lex-first ideal selected with the ideal dims read off
-    ``series``, certified by the exact equality of its series with
-    ``series``.
+    ``series``, certified by the exact equality of its numerator with
+    ``series.numer``.  The candidate's graded pieces are lex segments of S,
+    so its numerator is the closed form ``_lex_numerator``, with no pivot
+    recursion.
 
     The certificate is checked at the first degree past the numerator's
     degree that adds no generators, and after that only at the first such
@@ -174,11 +182,12 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
     loop certifies at degree max(G, top) + 1 at the latest.  Here top <= the
     limit, because the series is that of an ideal whose lcm degree, at
     least top, has passed the limit.  A generator above the limit puts the
-    lcm degree of the answer above it, and the certificate's
-    ``hilbert_series`` could not be read.  So a loop that ends uncertified
-    raises that limit's error.  A candidate whose lcm degree is past the
-    limit is refused before its certificate, and the refusal names the
-    candidate: its lcm degree may lie far above the input's.
+    lcm degree of the answer above it, and such a candidate is refused
+    before its certificate, naming the candidate: its lcm degree may lie
+    far above the input's.  So a loop that ends uncertified raises that
+    limit's error.  The closed form could read any candidate; the lcm
+    check stays so that the embeddings refuse exactly what they refused
+    when the certificate was ``hilbert_series``, which that limit bounds.
     """
     ctx = series.ctx
     top = len(series.numer) - 1
@@ -196,7 +205,7 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
             degree = lcm_degree(out)
             limits.check("NUMERATOR_DEGREE_LIMIT", degree,
                          f"the lex-first candidate's lcm has degree {degree}")
-            if hilbert_series(out).numer == series.numer:
+            if _lex_numerator(out) == series.numer:
                 return out
     # last is past the limit, so this refuses
     limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")

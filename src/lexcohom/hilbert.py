@@ -86,6 +86,65 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return _poly_mul(out, _poly_add(plus, _shift(_numerator(col), 1)))
 
 
+def _lex_numerator(L: MonomialIdeal) -> tuple[int, ...]:
+    """Numerator of Hilb(S/L) over (1-t)^n in closed form, for a preimage
+    L of b = (x1^d1, ..., xr^dr) whose graded pieces in S = B/b are lex
+    segments; the same normal form as ``_numerator``, with no recursion
+    and no memo.
+
+    Let G be L's minimal generators other than the x_i^di, and m(u) the
+    largest index of a variable in u.  Then (Eliahou-Kervaire without
+    powers, J. Algebra 1990)
+      numer = prod_i (1 - t^di)
+              - sum_{u in G} t^deg(u) (1-t)^(m(u)-1) c_u prod_{m(u)<j<=r} (1 - t^dj),
+    where c_u = 1 - t^(d_m - u_m) when x_m, m = m(u), carries a power, and
+    c_u = 1 otherwise.  Every monomial w of S in L is u*v for exactly one
+    u in G and one monomial v in x_m(u), ..., x_n with uv in S: u is the
+    shortest prefix of w's sorted word that lies in L.  Were a shorter
+    divisor of u in L, the prefix of w of its degree, lex-larger and in S,
+    would lie in that degree's lex segment, so u would not be the
+    shortest.  Counting the v gives each term.
+
+    The generators are summed by m(u), and the sum is taken over
+    m = 1, 2, ... as acc <- acc * (1 - t^dm) - P_m (1-t)^(m-1), from
+    acc = 1, so each power factor and each step of (1-t)^(m-1) is one
+    multiplication.
+    """
+    powers = L.ctx.powers
+    groups: dict[int, dict[int, int]] = {}  # m(u) - 1 -> {degree: coefficient}
+    for g in L.gens:
+        e = g.exps
+        deg = sum(e)
+        if deg == 0:
+            return (0,)
+        m = max(i for i, a in enumerate(e) if a)
+        if m < len(powers) and e[m] == deg == powers[m]:
+            continue  # the power x_m^dm
+        p = groups.setdefault(m, {})
+        p[deg] = p.get(deg, 0) + 1
+        if m < len(powers):  # c_u = 1 - t^(d_m - u_m)
+            cut = deg + powers[m] - e[m]
+            p[cut] = p.get(cut, 0) - 1
+    last = max(groups, default=-1)
+    acc, ones = [1], [1]  # ones: (1-t)^m
+    for m in range(max(len(powers), last + 1)):
+        if m < len(powers):
+            acc = _times_one_minus_power(acc, powers[m])
+        for deg, c in groups.get(m, {}).items():
+            acc += [0] * (deg + len(ones) - len(acc))
+            acc[deg:deg + len(ones)] = [a - c * b for a, b in zip(acc[deg:], ones)]
+        if m < last:
+            ones = _times_one_minus_power(ones, 1)
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    return tuple(acc)
+
+
+def _times_one_minus_power(p: list[int], d: int) -> list[int]:
+    """p(t) * (1 - t^d), untrimmed."""
+    return [a - b for a, b in zip(p + [0] * d, [0] * d + p)]
+
+
 def series_stream(numer, nvars: int):
     """The coefficients of numer(t) / (1-t)^nvars from degree 0 on, each
     computed when read: each division by (1-t) is one running sum, so the

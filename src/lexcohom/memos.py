@@ -22,11 +22,12 @@ PRIME_MEMO_SIZE = 16
 # 15 s benchmark runs (perfbench) fill at most 3 entries in each.
 CONTEXT_MEMO_SIZE = 32
 # Entries of the Hilbert numerator memo ``hilbert._numerator``, one per
-# canonical antichain, about 1.45 KB each.  The seed-0 ops of 15 s
-# benchmark runs (perfbench) fill 332 in cohom-harness, 698 in
-# zstab-harness and 5,359 in embed-cli; a 500-sample n = 4 lex-cohomology
-# run fills 3,643 and the path ideal in 300 variables 595.  8,192 entries
-# never fill there, and a full memo takes about 12 MB.
+# canonical antichain, about 1.45 KB each.  The certificates of the
+# embeddings read a closed form and fill none.  The seed-0 ops of 15 s
+# benchmark runs (perfbench) fill 327 in cohom-harness, 698 in
+# zstab-harness and 3,644 in embed-cli; a 500-sample lex-cohomology run on
+# FamilySpec(n=4, max_deg=4) fills 715 and the path ideal in 300 variables
+# 595.  8,192 entries never fill there, and a full memo takes about 12 MB.
 NUMERATOR_MEMO_SIZE = 8_192
 # Entries of the Koszul homology memo, one per (supp(b), tight masks, p).
 # The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 322

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import verify
-from lexcohom.cli import build_parser, main
+from lexcohom.cli import _json_text, build_parser, main
 from lexcohom.core import DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _is_prime
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal, parse_ideal_file,
@@ -451,6 +451,26 @@ def test_cli_verify_family_limits(capsys):
     assert "1/1 instances passed" in capsys.readouterr().out
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_the_report_text_is_json_dumps_sorted_with_indent_1(value):
+    # non-ASCII text, empty containers, bools among ints and tuples included
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": {1, 2}}, [b"x"], {1: "a"}])
+def test_the_report_text_refuses_what_reports_never_hold(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
 def test_cli_verify_family_key_values(tmp_path, capsys):
     out = tmp_path / "r.json"
     argv = ["verify", "region", "--samples", "1", "--json", str(out), "--family"]
@@ -466,7 +486,8 @@ def test_cli_verify_family_key_values(tmp_path, capsys):
         assert f"family key {key}" in capsys.readouterr().err
     # a value that is not a digit string is refused, naming its key
     for family, key in (("n=abc", "n"), ("n", "n"), ("n=2,maxdeg=x", "maxdeg"),
-                        ("n=2,d=2:y", "d"), ("n=1_0", "n"), ("n=\u0662", "n")):
+                        ("n=2,d=2:y", "d"), ("n=1_0", "n"), ("n=\u0662", "n"),
+                        ("n=2,d=2::2", "d"), ("n=2,d=:2", "d"), ("n=2,d=", "d")):
         assert main(argv + [family]) == 2
         assert f"family {key} must be a digit string" in capsys.readouterr().err
     # a z theorem adjoins z when the family does not say, and refuses a false z

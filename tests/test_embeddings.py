@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import embeddings
+from lexcohom import embeddings, hilbert
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, _lex_walk, minimalize
 from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of,
                                  lex_segment_ideal, lpp_ideal)
 from lexcohom.errors import NotAttainableError, ResourceLimitError
-from lexcohom.hilbert import HilbertSeries, hilbert_series, ideal_window, is_O_sequence
+from lexcohom.hilbert import _lex_numerator, hilbert_series, ideal_window, is_O_sequence
 
 from conftest import all_monomials, brute_lex_first, graded_piece_dim, random_ideal
 
@@ -67,21 +67,42 @@ def test_lex_segment_is_lex_first_degreewise():
 
 
 def test_embedding_without_certificate_stops_at_the_safety_bound(monkeypatch):
-    # a certificate that can never hold: every series after the input's is off
-    real = embeddings.hilbert_series
+    # a certificate that can never hold: every candidate's numerator is off
+    real = embeddings._lex_numerator
     calls = []
 
     def skewed(J):
         calls.append(J)
-        hs = real(J)
-        return hs if len(calls) == 1 else HilbertSeries(hs.ctx, hs.numer + (1,))
+        return real(J) + (1,)
 
-    monkeypatch.setattr(embeddings, "hilbert_series", skewed)
+    monkeypatch.setattr(embeddings, "_lex_numerator", skewed)
     I = MonomialIdeal.make(ctx2, [M(2, 0), M(1, 2)])
     with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
         lex_ideal_of(I)
     # one check: the selection never gains generators after it
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_lex_numerator_examples():
+    # the unit ideal, the zero ideal, b alone, and one LPP ideal: the square
+    # of the maximal ideal of S = K[x1,x2]/(x1^2, x2^2), whose quotient has
+    # the series 1 + 2t = (1 - 3t^2 + 2t^3) / (1-t)^2
+    ctxp = RingContext(2, powers=(2, 2))
+    assert _lex_numerator(MonomialIdeal.unit(ctxp)) == (0,)
+    assert _lex_numerator(MonomialIdeal.zero(ctx2)) == (1,)
+    assert _lex_numerator(ctxp.powers_ideal()) == (1, 0, -2, 0, 1)
+    assert _lex_numerator(MonomialIdeal.make(ctxp, [M(2, 0), M(1, 1), M(0, 2)])) == \
+        (1, 0, -3, 2)
+
+
+def test_a_certificate_fills_no_numerator_memo():
+    # the 17-generator lex ideal of (x1^4, x3^4) is certified by the closed
+    # form, with no entry of the pivot recursion's memo
+    series = hilbert_series(MonomialIdeal.make(RingContext(3), [M(4, 0, 0), M(0, 0, 4)]))
+    before = hilbert._numerator.cache_info().currsize
+    L = embeddings._certified_embedding(series)
+    assert len(L.gens) == 17
+    assert hilbert._numerator.cache_info().currsize == before
 
 
 def test_lex_ideal_past_the_numerator_limit_names_it():
@@ -293,3 +314,18 @@ def test_lex_segment_ideal_of_a_window_is_the_certified_embedding(ctx, rng, extr
     certified = lpp_ideal(I) if ctx.powers else lex_ideal_of(I)
     D = certified.max_gen_degree() + extra
     assert lex_segment_ideal(ctx, ideal_window(I, D)) == certified
+
+
+@given(contexts(), st.randoms(use_true_random=False), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_lex_numerator_is_the_series_of_every_lex_first_ideal(ctx, rng, D):
+    # the certificate's closed form equals the pivot recursion on the
+    # certified embedding of a random ideal (lex, LPP, or the extension
+    # along z) and on lex_segment_ideal of its dims through degree D
+    I = random_ideal(rng, ctx, 4, 4).plus_powers()
+    if ctx.z:
+        certified = epsilon_one(I)
+    else:
+        certified = lpp_ideal(I) if ctx.powers else lex_ideal_of(I)
+    for L in (certified, lex_segment_ideal(ctx, ideal_window(I, D))):
+        assert _lex_numerator(L) == hilbert_series(L).numer
