@@ -68,9 +68,9 @@ EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.51 MB more traced memory after the run than with no
-# memo, the chains' stored numerators included (256 entries keep 3,619,
-# for 0.26 MB).
+# 3,702 hits, for 0.57 MB more traced memory after the run than with no
+# memo, the facts stored on the chains included (numerators, bar
+# saturations and the rest; 256 entries keep 3,619, for 0.34 MB).
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605

@@ -18,8 +18,10 @@ from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _divides_any,
                    _grlex_key, ideal_product, minimalize, saturate)
-from .embeddings import epsilon_one, is_embedded, lex_ideal_of, lpp_ideal
-from .hilbert import hilbert_series
+from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
+from .errors import HilbertMismatchError
+from .hilbert import (HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series,
+                      lcm_degree)
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables)
@@ -311,6 +313,12 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     genuine embedding (a ResourceLimitError naming its limit) is raised
     too, never read as a failed lemma; only a substituted embedding that
     refuses m * I fails ``multiply_then_embed``.
+
+    What follows from the numerators stored on the chains of I and E is
+    read off them: the restriction inequality, when ``z_order_compare``
+    already orders the chains; the saturation swap; and, for the genuine
+    embedding, the series of m * I + b.  The facts that depend on E alone,
+    which repeats once per Hilbert series, are stored on its chain.
     """
     ctx = I.ctx
     if not ctx.z:
@@ -324,10 +332,10 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     checks: dict[str, bool] = {}
     W = zstable.default_window(I, E)
     ctx_R = ctx.drop_z()
-    m = ctx.max_ideal()
 
     # same Hilbert function (embedding well-definedness)
-    checks["same_hilbert"] = hilbert_series(E).numer == hilbert_series(I).numer
+    numer = hilbert_series(I).numer
+    checks["same_hilbert"] = hilbert_series(E).numer == numer
 
     # the image is z-stable with embedded components
     decE = zstable.z_decompose(E)
@@ -335,12 +343,20 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     if epsilon is None:
         if not checks["image_z_stable"]:
             raise AssertionError("extended embedding produced a non-z-stable ideal (bug)")
-        if not all(is_embedded(c) for c in decE.components):
+        if not decE.all_embedded():
             raise AssertionError("extended embedding has a non-embedded component (bug)")
 
-    # m * eps(I) <= eps(m * I); a refusal of the genuine embedding is raised
+    # m * eps(I) <= eps(m * I); a refusal of the genuine embedding is raised.
+    # The genuine eps(m * I) is the certified embedding of the series of
+    # m * I + b, read off I's when no refusal can stand in the way: m * I + b
+    # has lcm degree at most lcm_degree(I) + n, so then its series is not
+    # refused.
+    tI = _generator_tallies(I, W)
     try:
-        EmI = embed(ideal_product(m, I).plus_powers())
+        if epsilon is None and lcm_degree(I) + ctx.n <= limits.NUMERATOR_DEGREE_LIMIT:
+            EmI = _certified_embedding(HilbertSeries(ctx, _times_m_numerator(numer, tI, ctx.n)))
+        else:
+            EmI = embed(ideal_product(ctx.max_ideal(), I).plus_powers())
         checks["multiply_then_embed"] = _holds_m_times(EmI, E)
     except (ValueError, RuntimeError):
         if epsilon is None:
@@ -348,43 +364,32 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
         checks["multiply_then_embed"] = False  # corrupted embeddings may not close
 
     # generator-count inequality beta_1j(I) <= beta_1j(eps I)
-    tI = _generator_tallies(I, W)
     tE = _generator_tallies(E, W)
     count_fail = next(((1, d) for d, (a, b) in enumerate(zip(tI, tE)) if a > b), None)
     checks["generator_counts"] = count_fail is None
 
     # restriction inequality: Hilb(I + (z^j)) >= Hilb(eps(I) + (z^j)) for
-    # j <= W.  In degree d both sides hold every monomial of z-degree >= j, so
-    #   dim(I + (z^j))_d - dim(E + (z^j))_d
-    #     = sum_{h<j} dim(I_<h>)_{d-h} - dim(E_<h>)_{d-h},
-    # a running total over the component windows (j = 0 gives 0), read off
-    # the chains' stored numerators: gap number j of ``gaps`` holds it by d.
-    winI = [dec.window(h, W) for h in range(dec.s + 1)]
-    winE = [decE.window(h, W) for h in range(decE.s + 1)]
-    steps = ([0] * h + [a - b for a, b in zip(winI[min(h, dec.s)], winE[min(h, decE.s)])]
-             for h in range(W))
-    gaps = itertools.accumulate(steps, lambda gap, step: [x + y for x, y in zip(gap, step)],
-                                initial=[0] * (W + 1))
-    restriction_fail = next(((j, d) for j, gap in enumerate(gaps)
-                             for d, x in enumerate(gap) if x < 0), None)
+    # j <= W.  It holds at every j and degree when the chain of E lies
+    # below that of I in the z order (``_restriction_fail``).
+    try:
+        order = zstable.z_order_compare(decE, dec)
+    except HilbertMismatchError:
+        order = None
+    restriction_fail = None if order in ("less", "equal") else _restriction_fail(dec, decE, W)
     checks["restriction_ineq"] = restriction_fail is None
 
     # saturations: eps(bar I)^sat == bar(eps_1 I)^sat
     barI = zstable.bar(dec)
     eps_bar = lpp_ideal(barI) if ctx_R.powers else lex_ideal_of(barI)
-    lhs_sat = saturate(eps_bar, ctx_R.max_ideal())
-    rhs_sat = saturate(zstable.bar(decE), ctx_R.max_ideal())
-    checks["saturated_bars_agree"] = lhs_sat == rhs_sat
+    checks["saturated_bars_agree"] = saturate(eps_bar, ctx_R.max_ideal()) == decE.bar_saturation()
 
     # equal Hilbert functions high up push down to the bars, whose windows
     # are those of the bottom components
     thresh = max(I.max_gen_degree(), E.max_gen_degree()) + 1
-    checks["bars_agree_high"] = winI[0][thresh:] == winE[0][thresh:]
+    checks["bars_agree_high"] = dec.window(0, W)[thresh:] == decE.window(0, W)[thresh:]
 
     # saturation commutes with killing z up to saturation
-    lhs = saturate(zstable.bar(zstable.z_saturate(dec)), ctx_R.max_ideal())
-    rhs = saturate(barI, ctx_R.max_ideal())
-    checks["saturate_bar_swap"] = lhs == rhs
+    checks["saturate_bar_swap"] = _bar_swap_holds(dec)
 
     checks["top_partial_sums"] = _top_partial_sums(dec, decE)
 
@@ -394,6 +399,62 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
         checks=checks,
         first_fail=count_fail or restriction_fail,
     )
+
+
+def _times_m_numerator(numer: tuple[int, ...], tallies, n: int) -> tuple[int, ...]:
+    """The numerator of Hilb(R/(m*P + b)) over (1-t)^n, from that of
+    R/(P + b) and the generator tallies of P/b (``_generator_tallies``,
+    taken past every generator degree).  The quotient by m*P + b gains
+    (P + b)/(m*P + b), whose dims are the tallies, so
+    numer(m*P + b) = numer(P + b) + (1-t)^n sum_d tallies[d] t^d."""
+    gained = list(tallies)
+    for _ in range(n):
+        gained = _times_one_minus_power(gained, 1)
+    return _poly_add(numer, gained)
+
+
+def _restriction_fail(dec: zstable.ZGradedIdeal, decE: zstable.ZGradedIdeal,
+                      W: int) -> tuple[int, int] | None:
+    """The first (j, d), j and d in 0..W, where the restriction inequality
+    Hilb(I + (z^j)) >= Hilb(E + (z^j)) fails, or None.  In degree d both
+    sides hold every monomial of z-degree >= j, so
+      dim(I + (z^j))_d - dim(E + (z^j))_d
+        = sum_{h<j} dim(I_<h>)_{d-h} - dim(E_<h>)_{d-h},
+    a running total over the component windows (j = 0 gives 0), read off
+    the chains' stored numerators: gap number j of ``gaps`` holds it by d.
+
+    That total is the coefficient of t^d in D_(j-1) / (1-t)^n, the level
+    j - 1 partial-sum difference of ``z_order_compare(decE, dec)``,
+    which is exact at every degree and level: its answer "less" or "equal"
+    means no gap is negative, and the lemma suite then skips this scan."""
+    winI = [dec.window(h, W) for h in range(dec.s + 1)]
+    winE = [decE.window(h, W) for h in range(decE.s + 1)]
+    steps = ([0] * h + [a - b for a, b in zip(winI[min(h, dec.s)], winE[min(h, decE.s)])]
+             for h in range(W))
+    gaps = itertools.accumulate(steps, lambda gap, step: [x + y for x, y in zip(gap, step)],
+                                initial=[0] * (W + 1))
+    return next(((j, d) for j, gap in enumerate(gaps) for d, x in enumerate(gap) if x < 0),
+                None)
+
+
+def _bar_swap_holds(dec: zstable.ZGradedIdeal) -> bool:
+    """Whether the bar of the z-saturation, I_<s>, and the bar I_<0> have
+    the same saturation by m_R, read off their stored numerators.
+
+    I_<0> lies in I_<s>, so the saturations agree exactly when I_<s>/I_<0>
+    has finite length, that is when its series
+    (numer(R/I_<0>) - numer(R/I_<s>)) / (1-t)^n is a polynomial: when
+    (1-t)^n divides the difference of the numerators.  One division by
+    1 - t is a running sum, exact when the coefficients sum to 0."""
+    numers = dec.numerators()
+    diff = [a - b for a, b in itertools.zip_longest(numers[0], numers[-1], fillvalue=0)]
+    for _ in range(dec.components[0].ctx.n):
+        if not any(diff):
+            return True
+        *diff, rest = itertools.accumulate(diff)
+        if rest:
+            return False
+    return True
 
 
 def _holds_m_times(P: MonomialIdeal, E: MonomialIdeal) -> bool:

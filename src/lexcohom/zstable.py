@@ -14,15 +14,18 @@ the Buchberger engine of ``groebner`` are its test oracle.
 
 A chain stores the facts read from it, each computed on first use: its
 component numerators (one ``hilbert_series`` per component), their largest
-lcm degree and the answer of ``_first_violation``.  ``is_z_stable`` reads
-the stored answer, ``z_order_compare`` reads both chains' stored numerators
-(its equal-Hilbert-function precondition is read off the same running
-difference as its sign tests, recomposing no chain), and
-``ZGradedIdeal.window`` reads a component's window off its numerator and
-the numerator of R's power ideal (``hilbert.ideal_stream``), the one source
-of R's Hilbert function.  Every read of a numerator checks the stored lcm
-degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller
-holds across a change of that limit never skips a refusal.
+lcm degree, the answer of ``_first_violation``, the top generator degree
+of the recomposed ideal, whether every component is embedded
+(``embeddings.is_embedded``) and the saturation of its bar by m_R.
+``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
+chains' stored numerators (its equal-Hilbert-function precondition is read
+off the same running difference as its sign tests, recomposing no chain),
+and ``ZGradedIdeal.window`` reads a component's window off its numerator
+and the numerator of R's power ideal (``hilbert.ideal_stream``), the one
+source of R's Hilbert function.  Every read of a stored fact but the
+violation, which no limit bounds, checks the stored lcm degree against
+``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller holds across a
+change of that limit never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -45,7 +48,8 @@ from functools import cached_property
 
 from . import limits, memos
 from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal, colon,
-                   ideal_intersection, ideal_sum)
+                   ideal_intersection, ideal_sum, saturate)
+from .embeddings import is_embedded
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
 from .hilbert import hilbert_series, ideal_stream, lcm_degree, series_signs, window
@@ -69,8 +73,9 @@ class ZGradedIdeal:
 
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
-    the chain (numerators, lcm degree, first violation) are computed on
-    first use and stored on it; they take no part in its equality or hash.
+    the chain (numerators, lcm degree, first violation, top generator
+    degree, embedded components, bar saturation) are computed on first use
+    and stored on it; they take no part in its equality or hash.
 
     No total numerator is stored.  The series of R[z]/I is
     sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
@@ -96,35 +101,63 @@ class ZGradedIdeal:
     def component(self, h: int) -> MonomialIdeal:
         return self.components[min(h, self.s)]
 
-    def max_gen_degree(self) -> int:
-        """Top degree of a minimal generator of the recomposed ideal: those
-        are the x^a z^h with x^a a generator of component h outside
-        component h - 1."""
+    @cached_property
+    def _lcm_degree(self) -> int:
+        return max(map(lcm_degree, self.components))
+
+    def _checked(self) -> None:
+        """Refuse, as ``hilbert_series`` would, a chain whose largest lcm
+        degree of a component passes ``limits.NUMERATOR_DEGREE_LIMIT``:
+        every read of a stored fact calls it, so a chain held across a
+        change of that limit never skips a refusal."""
+        degree = self._lcm_degree
+        limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
+
+    @cached_property
+    def _max_gen_degree(self) -> int:
         return max(
             (g.degree + h for h, comp in enumerate(self.components) for g in comp.gens
              if h == 0 or not self.components[h - 1].contains(g)),
             default=0,
         )
 
-    @cached_property
-    def _lcm_degree(self) -> int:
-        return max(map(lcm_degree, self.components))
+    def max_gen_degree(self) -> int:
+        """Top degree of a minimal generator of the recomposed ideal: those
+        are the x^a z^h with x^a a generator of component h outside
+        component h - 1.  Found once per chain."""
+        self._checked()
+        return self._max_gen_degree
 
     @cached_property
     def _numers(self) -> tuple[tuple[int, ...], ...]:
         return tuple(hilbert_series(c).numer for c in self.components)
 
     def numerators(self) -> tuple[tuple[int, ...], ...]:
-        """The numerators of Hilb(R/I_<h>) over (1-t)^n for h = 0..s.
-
-        They are computed once per chain; every read checks the largest lcm
-        degree of a component against ``limits.NUMERATOR_DEGREE_LIMIT``, as
-        ``hilbert_series`` would, so a chain held across a change of that
-        limit never skips a refusal.
-        """
-        degree = self._lcm_degree
-        limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
+        """The numerators of Hilb(R/I_<h>) over (1-t)^n for h = 0..s,
+        computed once per chain."""
+        self._checked()
         return self._numers
+
+    @cached_property
+    def _all_embedded(self) -> bool:
+        return all(map(is_embedded, self.components))
+
+    def all_embedded(self) -> bool:
+        """Whether every component is embedded (``embeddings.is_embedded``),
+        found once per chain."""
+        self._checked()
+        return self._all_embedded
+
+    @cached_property
+    def _bar_saturation(self) -> MonomialIdeal:
+        bottom = self.components[0]
+        return saturate(bottom, bottom.ctx.max_ideal())
+
+    def bar_saturation(self) -> MonomialIdeal:
+        """The saturation by m_R of the bar, the bottom component, found
+        once per chain."""
+        self._checked()
+        return self._bar_saturation
 
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R

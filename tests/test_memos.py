@@ -391,9 +391,8 @@ def test_the_maximal_ideal_is_built_once_per_context(monkeypatch):
     spec = FamilySpec(n=2, powers=(2, 2), max_deg=3, with_z=True, count=8, seed=21)
     for I in stable_instances(spec):
         verify_embedding_lemmas(I)
-    # one object per context, R[z] and R, however many calls
-    assert len(built) > 2
-    assert len({id(m) for m in built}) == 2
+    # one object per context, however many calls
+    assert built and all(m is real(m.ctx) for m in built)
     # the canonical antichain, built without minimalize
     calls = count_calls(monkeypatch, core.minimalize)
     ctx = RingContext(5, powers=(2, 3)).add_z()

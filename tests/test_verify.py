@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, core, embeddings, localcohom, verify
-from lexcohom.core import Monomial, MonomialIdeal, RingContext, ideal_product, minimalize
+from lexcohom import betti, core, embeddings, limits, localcohom, memos, verify
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
+                           saturate)
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import hilbert_series, ideal_window
+from lexcohom.hilbert import hilbert_series, ideal_window, lcm_degree
 from lexcohom.ioformat import format_ideal
 from lexcohom.limits import POOL_LIMIT
 from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
@@ -216,7 +217,7 @@ def test_lemma_suite_embeds_the_instance_once(monkeypatch):
     rec = verify_embedding_lemmas(I)
     assert rec.passed and "top_partial_sums" in rec.checks
     assert sum(args[0] == I for args in calls) == 1
-    assert len(calls) > 1  # the components, m*I and the bar are embedded too
+    assert len(calls) > 1  # the bar is embedded too
 
 
 def test_lemma_suite_checks_each_chain_for_stability_once(monkeypatch):
@@ -249,9 +250,11 @@ def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
 
 
 def test_lemma_suite_reads_each_component_window_once(monkeypatch):
-    # every window (the restriction inequality's, the bars' and the
-    # top-partial-sums lemma's) is read off the chains' stored numerators:
-    # no ideal_window, and one hilbert_series per component of each chain
+    # every window (the bars' and the top-partial-sums lemma's) is read off
+    # the chains' stored numerators: no ideal_window, and one hilbert_series
+    # per component of each chain.  The genuine embedding's restriction
+    # inequality follows from z_order_compare, so the suite reads only the
+    # bottom and top windows of each chain, none of the restriction scan
     spec = FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True,
                       count=30, seed=0)
     expected = []
@@ -268,12 +271,23 @@ def test_lemma_suite_reads_each_component_window_once(monkeypatch):
         return hilbert_series(J)
 
     monkeypatch.setattr(zs, "hilbert_series", counted)
+    levels = []  # whether each chain window read is of a bottom or top component
+    real_window = zs.ZGradedIdeal.window
+
+    def window(Z, h, upto):
+        levels.append(min(h, Z.s) in (0, Z.s))
+        return real_window(Z, h, upto)
+
+    monkeypatch.setattr(zs.ZGradedIdeal, "window", window)
+    restriction = count_calls(monkeypatch, verify._restriction_fail)
     for I, want in zip(instances, expected):
         zs._decomposition.cache_clear()  # fresh chains, none of their facts stored
         numerators.clear()
+        levels.clear()
         assert verify_embedding_lemmas(I).passed
         assert len(numerators) == want
-    assert windows == []
+        assert len(levels) == 4 and all(levels)
+    assert windows == [] and restriction == []
 
 
 def test_lemma_suite_raises_a_refusal_of_the_genuine_embedding():
@@ -283,6 +297,103 @@ def test_lemma_suite_raises_a_refusal_of_the_genuine_embedding():
     I = MonomialIdeal.make(ctx, [M(1, 0), M(0, 399)])
     with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
         verify_embedding_lemmas(I)
+
+
+@st.composite
+def times_m_inputs(draw):
+    """A context with 1..4 x variables, with or without powers and z, and an
+    ideal of it: random (holding b), zero, unit, or a P without b."""
+    nx = draw(st.integers(1, 4))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers)
+    ctx = ctx.add_z() if draw(st.booleans()) else ctx
+    kind = draw(st.sampled_from(["random", "random", "zero", "unit", "without b"]))
+    if kind == "zero":
+        return MonomialIdeal.zero(ctx)
+    if kind == "unit":
+        return MonomialIdeal.unit(ctx)
+    P = random_ideal(draw(st.randoms(use_true_random=False)), ctx, 3, 4)
+    if kind == "without b":
+        P = MonomialIdeal.make(ctx, [g for g in P.gens if not ctx.powers_ideal().contains(g)])
+    return P
+
+
+@given(times_m_inputs())
+@settings(max_examples=300, deadline=None)
+def test_the_series_of_m_times_an_ideal_is_read_off_its_generator_tallies(P):
+    # numer(m*P + b) = numer(P + b) + (1-t)^n sum_d tallies[d] t^d, against
+    # the series of the product
+    ctx = P.ctx
+    Pb = P.plus_powers()
+    closed = verify._times_m_numerator(hilbert_series(Pb).numer,
+                                       _generator_tallies(P, Pb.max_gen_degree()), ctx.n)
+    assert closed == hilbert_series(ideal_product(ctx.max_ideal(), P).plus_powers()).numer
+
+
+def test_m_times_i_one_past_the_closed_form_bound_multiplies_out(monkeypatch):
+    # lcm_degree(P) + n = 11.  Under a limit of 10 the suite forms m*P, whose
+    # sum with b has lcm degree 9, so nothing is refused, and the record is
+    # the one read off the closed form under a higher limit
+    ctx = RingContext(2, powers=(2, 3)).add_z()
+    P = MonomialIdeal.make(ctx, [M(2, 0, 0), M(1, 2, 0), M(0, 3, 0), M(0, 2, 1), M(1, 1, 2),
+                                 M(1, 0, 3), M(0, 1, 3)])
+    assert zs.is_z_stable(zs.z_decompose(P)) and lcm_degree(P) + ctx.n == 11
+    products = count_calls(monkeypatch, ideal_product)
+    raised = verify_embedding_lemmas(P)
+    assert raised.passed and raised.lpp != raised.ideal and products == []
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 10)
+    assert verify_embedding_lemmas(P) == raised
+    assert len(products) == 1
+    # past that bound the product's refusal stands: (x1, z^399) as above
+    I = MonomialIdeal.make(RingContext(1, powers=(2,)).add_z(), [M(1, 0), M(0, 399)])
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 400)
+    assert lcm_degree(I) + I.ctx.n == 402
+    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT = 400$"):
+        verify_embedding_lemmas(I)
+
+
+@st.composite
+def z_chains(draw):
+    """The chain of a preimage with 1..3 x variables, with or without
+    powers, as drawn or z-stabilized."""
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers).add_z()
+    I = random_ideal(draw(st.randoms(use_true_random=False)), ctx, 3, 4)
+    return zs.z_stabilize(I) if draw(st.booleans()) else zs.z_decompose(I)
+
+
+def _saturations_agree(dec):
+    m_R = dec.ctx.drop_z().max_ideal()
+    return saturate(dec.components[-1], m_R) == saturate(dec.components[0], m_R)
+
+
+@given(z_chains())
+@settings(max_examples=300, deadline=None)
+def test_bar_swap_is_read_off_the_numerators(dec):
+    # the divisibility test needs only I_<0> <= I_<s>, which every chain has
+    assert verify._bar_swap_holds(dec) == _saturations_agree(dec)
+
+
+def test_bar_swap_sees_both_outcomes():
+    # (x1, x2 z) in K[x1, x2][z]: the bar (x1) and the top (x1, x2) differ
+    # by a module of dimension 1, whose series (1-t) t / (1-t)^2 one
+    # division by 1 - t leaves no polynomial
+    ctx = RingContext(2).add_z()
+    dec = zs.z_decompose(MonomialIdeal.make(ctx, [M(1, 0, 0), M(0, 1, 1)]))
+    assert not verify._bar_swap_holds(dec) and not _saturations_agree(dec)
+    # a z-stable chain has m_R^s I_<s> inside I_<0>, so only drawn chains
+    # can make the two saturations differ
+    rng = random.Random(11)
+    seen = set()
+    for ctx in (ctx, RingContext(3).add_z(), RingContext(2, powers=(2, 3)).add_z()):
+        for _ in range(40):
+            I = random_ideal(rng, ctx, 3, 4)
+            dec = zs.z_decompose(I)
+            seen.add(verify._bar_swap_holds(dec))
+            assert verify._bar_swap_holds(dec) == _saturations_agree(dec)
+            assert verify._bar_swap_holds(zs.z_stabilize(I))
+    assert seen == {True, False}
 
 
 def test_lemma_suite_refuses_a_genuine_embedding_that_breaks_its_theorems(monkeypatch):
@@ -295,7 +406,8 @@ def test_lemma_suite_refuses_a_genuine_embedding_that_breaks_its_theorems(monkey
     with pytest.raises(AssertionError, match=r"non-z-stable ideal \(bug\)$"):
         verify_embedding_lemmas(I)
     monkeypatch.setattr(verify, "epsilon_one", embeddings.epsilon_one)
-    monkeypatch.setattr(verify, "is_embedded", lambda J: False)
+    monkeypatch.setattr(zs, "is_embedded", lambda J: False)
+    memos.clear_all()  # E's chain may have stored the genuine answer
     with pytest.raises(AssertionError, match=r"non-embedded component \(bug\)$"):
         verify_embedding_lemmas(I)
     # a substituted embedding is the mutation tests' business, not a defect
@@ -332,8 +444,12 @@ def _check_restriction_against_reference(I, epsilon):
     rec = verify_embedding_lemmas(I, epsilon=epsilon)
     P = I.plus_powers()
     E = embeddings.epsilon_one(P) if epsilon is None else epsilon(P)
-    ok, fail = ref_restriction(P, E, zs.default_window(P, E))
+    W = zs.default_window(P, E)
+    ok, fail = ref_restriction(P, E, W)
     assert rec.checks["restriction_ineq"] == ok
+    # the window scan, which the suite skips when z_order_compare already
+    # orders the chains, names the reference's first failure on every input
+    assert verify._restriction_fail(zs.z_decompose(P), zs.z_decompose(E), W) == fail
     if rec.checks["generator_counts"]:  # otherwise that check's fail comes first
         assert rec.first_fail == fail
     return ok
