@@ -32,7 +32,7 @@ builds no monomial: its result keeps the generators of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
+from functools import cached_property
 from operator import add, le
 
 from . import limits, memos
@@ -276,15 +276,19 @@ def _divides_any(exps, e: tuple[int, ...]) -> bool:
     return False
 
 
-def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
-    """The divisibility antichain of exponent vectors generating the same
-    monomial ideal, in ``_grlex_key`` order.
-
-    Two stable sorts give that order without a key tuple per vector:
-    lex-descending first, then by degree.
-    """
+def _grlex_sorted(exps) -> list[tuple[int, ...]]:
+    """The exponent vectors in ``_grlex_key`` order.  Two stable sorts give
+    that order without a key tuple per vector: lex-descending first, then
+    by degree."""
     order = sorted(exps, reverse=True)
     order.sort(key=sum)
+    return order
+
+
+def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
+    """The divisibility antichain of exponent vectors generating the same
+    monomial ideal, in ``_grlex_key`` order."""
+    order = _grlex_sorted(exps)
     kept: list[tuple[int, ...]] = []
     for g in order:
         if not _divides_any(kept, g):
@@ -329,6 +333,16 @@ class MonomialIdeal:
     degree).  :func:`ideal_sum`, :meth:`RingContext.powers_ideal` and
     ``zstable.z_decompose`` build ideals that way without re-minimalizing,
     and rely on their inputs holding the invariant.
+
+    Two facts read from the ideal are computed on first use and stored on
+    it: its text (``text``, which ``ioformat.format_ideal`` and ``str``
+    read) and its preimage closure (``plus_powers``).  No limit bounds
+    either: both depend on the context and the generators alone, and
+    neither builds an exponent that is not already a generator's nor runs
+    a recursion, so nothing in them can be refused.  A stored fact is
+    therefore right under any limits, also after a change of limits has
+    emptied the memos.  They take no part in equality or hashing, which
+    read the two fields alone.
     """
 
     ctx: RingContext
@@ -372,16 +386,33 @@ class MonomialIdeal:
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(self.contains(g) for g in other.gens)
 
+    @cached_property
+    def _closure(self) -> "MonomialIdeal | None":
+        """``ideal_sum`` with the power ideal, or None when that is the
+        ideal itself: storing the ideal on itself would make a cycle."""
+        closure = ideal_sum(self, self.ctx.powers_ideal())
+        return None if closure is self else closure
+
     def plus_powers(self) -> "MonomialIdeal":
-        """Preimage closure: the ideal plus the context's power generators."""
+        """Preimage closure: the ideal plus the context's power generators,
+        found once per ideal.  It is the ideal itself (the same object)
+        exactly when the ideal is a preimage, one that holds every power
+        generator: ``ideal_sum`` returns its first argument when no
+        generator of the second survives."""
         if not self.ctx.powers:
             return self
-        return ideal_sum(self, self.ctx.powers_ideal())
+        closure = self._closure
+        return self if closure is None else closure
+
+    @cached_property
+    def text(self) -> str:
+        """The generators in ``format_term`` form, comma-separated, or "0"
+        for the zero ideal; built once per ideal."""
+        names = self.ctx.var_names()
+        return ", ".join(format_term(names, g.exps, 1) for g in self.gens) or "0"
 
     def __str__(self):
-        names = self.ctx.var_names()
-        terms = ", ".join(format_term(names, g.exps, 1) for g in self.gens)
-        return f"({terms or '0'})"
+        return f"({self.text})"
 
 
 def _same_ctx(I: MonomialIdeal, J: MonomialIdeal):
@@ -395,7 +426,8 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     The generators of J that no generator of I divides survive.  A
     generator of I survives unless one of those divides it: a generator of
     J that some g of I divides can divide no other generator of I, so a
-    shared generator is kept once.  The survivors merge in grlex order.
+    shared generator is kept once.  The survivors are two grlex-sorted
+    runs, which one ``sorted`` merges.
     """
     _same_ctx(I, J)
     iexps = [g.exps for g in I.gens]
@@ -404,7 +436,7 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return I
     rexps = [h.exps for h in right]
     left = [g for g in I.gens if not _divides_any(rexps, g.exps)]
-    return MonomialIdeal(I.ctx, tuple(merge(left, right, key=lambda g: _grlex_key(g.exps))))
+    return MonomialIdeal(I.ctx, tuple(sorted(left + right, key=lambda g: _grlex_key(g.exps))))
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:

@@ -220,8 +220,7 @@ def lpp_ideal(I: MonomialIdeal) -> MonomialIdeal:
     ctx = I.ctx
     if not ctx.powers:
         raise ValueError("lpp_ideal expects a context with powers")
-    b = ctx.powers_ideal()
-    if not I.contains_ideal(b):
+    if I.plus_powers() is not I:
         raise ValueError("the ideal must contain the pure-power generators")
     return _embed_matching_series(I)
 

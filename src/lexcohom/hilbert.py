@@ -17,13 +17,12 @@ numerators.  A window of degrees 0..upto is the start of a stream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import merge
 from itertools import accumulate, chain, islice, repeat, tee
 from math import comb
 from operator import sub
 
 from . import limits, memos
-from .core import MonomialIdeal, RingContext, _divides_any, _grlex_key
+from .core import MonomialIdeal, RingContext, _divides_any, _grlex_sorted
 
 
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -56,6 +55,12 @@ def _shift(a: tuple[int, ...], k: int) -> tuple[int, ...]:
 def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Numerator of Hilb(B/(gens)) over (1-t)^n, for a canonical antichain.
 
+    Refuses an antichain whose lcm degree passes
+    ``limits.NUMERATOR_DEGREE_LIMIT``.  The check runs on a memo miss only:
+    setting a limit empties every memo, so every hit was computed under
+    the current limit.  The recursion's antichains have lcm degree at most
+    their caller's, so only the outermost call can refuse.
+
     A generator that shares no variable with the others splits off as the
     factor 1 - t^deg.  On the rest, pivot on the variable x found in the
     most of them, the lowest index on ties:
@@ -63,12 +68,15 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     I + (x) is (1-t) times that of the generators prime to x.  In I : x only
     the generators that contain x drop by one in x; they stay an antichain
     in canonical order, and a generator prime to x survives unless one of
-    them divides it, so the two canonical lists merge."""
+    them divides it, so the two canonical runs are sorted into one."""
+    columns = list(zip(*gens))
+    degree = sum(map(max, columns))
+    limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"the generators' lcm has degree {degree}")
     if not gens:
         return (1,)
     if any(sum(g) == 0 for g in gens):
         return (0,)
-    counts = [len(column) - column.count(0) for column in zip(*gens)]
+    counts = [len(column) - column.count(0) for column in columns]
     out, shared = (1,), []
     for g in gens:
         if all(counts[i] == 1 for i, e in enumerate(g) if e):
@@ -82,7 +90,7 @@ def _numerator(gens: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     plus = _poly_mul((1, -1), _numerator(prime))
     lowered = [g[:j] + (g[j] - 1,) + g[j + 1:] for g in shared if g[j]]
     kept = [h for h in prime if not _divides_any(lowered, h)]
-    col = tuple(merge(lowered, kept, key=_grlex_key))
+    col = tuple(_grlex_sorted(lowered + kept))
     return _poly_mul(out, _poly_add(plus, _shift(_numerator(col), 1)))
 
 
@@ -199,11 +207,10 @@ def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     """Exact Hilbert series of (B or S)/I; pass preimages for S-quotients.
 
     Raises ResourceLimitError when the lcm degree of the generators exceeds
-    ``limits.NUMERATOR_DEGREE_LIMIT``.
+    ``limits.NUMERATOR_DEGREE_LIMIT``.  ``_numerator`` checks that limit on
+    a memo miss, so a series whose numerator the memo holds reads no lcm
+    degree.
     """
-    degree = lcm_degree(I)
-    limits.check("NUMERATOR_DEGREE_LIMIT", degree,
-                 f"the generators' lcm has degree {degree}")
     return HilbertSeries(I.ctx, _numerator(tuple(g.exps for g in I.gens)))
 
 

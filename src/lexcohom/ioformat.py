@@ -39,9 +39,9 @@ class ParseError(ValueError):
 
 
 def format_ideal(I: MonomialIdeal) -> str:
-    """Canonical one-line form: generators sorted, comma-separated."""
-    names = I.ctx.var_names()
-    return ", ".join(format_term(names, g.exps, 1) for g in I.gens) or "0"
+    """Canonical one-line form: generators sorted, comma-separated; the
+    text stored on the ideal (``MonomialIdeal.text``)."""
+    return I.text
 
 
 def write_ideal_file(ctx: RingContext, gens) -> str:

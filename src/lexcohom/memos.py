@@ -24,7 +24,7 @@ CONTEXT_MEMO_SIZE = 32
 # Entries of the Hilbert numerator memo ``hilbert._numerator``, one per
 # canonical antichain, about 1.45 KB each.  The certificates of the
 # embeddings read a closed form and fill none.  The seed-0 ops of 15 s
-# benchmark runs (perfbench) fill 327 in cohom-harness, 698 in
+# benchmark runs (perfbench) fill 327 in cohom-harness, 655 in
 # zstab-harness and 3,644 in embed-cli; a 500-sample lex-cohomology run on
 # FamilySpec(n=4, max_deg=4) fills 715 and the path ideal in 300 variables
 # 595.  8,192 entries never fill there, and a full memo takes about 12 MB.
@@ -68,16 +68,19 @@ EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.57 MB more traced memory after the run than with no
-# memo, the facts stored on the chains included (numerators, bar
-# saturations and the rest; 256 entries keep 3,619, for 0.34 MB).
+# 3,702 hits, for 0.61 MB more traced memory after the run (the draws
+# included) than with no memo, the facts stored on the chains included
+# (numerators, bar saturations, recompositions and the rest; 256 entries
+# keep 3,373, for 0.34 MB).
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
-# times: 512 entries keep all 1,183 hits, for 0.70 MB more traced memory
-# after the run than with no memo (256 entries keep 1,122, for 0.44 MB).
-# An entry there takes 1.9 KB on average; the largest seen, a chain of 8
-# components with 22 generators in all, takes 5.6 KB.
+# times: 512 entries keep all 1,183 hits, for 0.68 MB more traced memory
+# after the run (the draws included) than with no memo (256 entries keep
+# 1,122, for 0.35 MB).  Emptying the memo after the run frees 2.0 KB an
+# entry on average, the chains' stored facts and recompositions included;
+# the largest seen, a chain of 8 components with 22 generators in all,
+# frees 5.1 KB.
 STABLE_MEMO_SIZE = 512
 # Entries of the parser memo ``cli.build_parser``: it takes no argument.
 PARSER_MEMO_SIZE = 1

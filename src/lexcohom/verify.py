@@ -445,7 +445,13 @@ def _bar_swap_holds(dec: zstable.ZGradedIdeal) -> bool:
     has finite length, that is when its series
     (numer(R/I_<0>) - numer(R/I_<s>)) / (1-t)^n is a polynomial: when
     (1-t)^n divides the difference of the numerators.  One division by
-    1 - t is a running sum, exact when the coefficients sum to 0."""
+    1 - t is a running sum, exact when the coefficients sum to 0.
+
+    On the z-stable chains that the lemma suite accepts it always holds:
+    I_<k+1> m_R lies in I_<k> for every k, so m_R^s I_<s> lies in I_<0>
+    and I_<s>/I_<0> has finite length.  No embedding, genuine or
+    substituted, can fail it; it guards the chain's stored numerators,
+    since a wrong numerator of the bottom or top component can fail it."""
     numers = dec.numerators()
     diff = [a - b for a, b in itertools.zip_longest(numers[0], numers[-1], fillvalue=0)]
     for _ in range(dec.components[0].ctx.n):

@@ -16,16 +16,17 @@ A chain stores the facts read from it, each computed on first use: its
 component numerators (one ``hilbert_series`` per component), their largest
 lcm degree, the answer of ``_first_violation``, the top generator degree
 of the recomposed ideal, whether every component is embedded
-(``embeddings.is_embedded``) and the saturation of its bar by m_R.
+(``embeddings.is_embedded``), the saturation of its bar by m_R and the
+recomposed ideal itself, which ``z_recompose`` reads.
 ``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
 chains' stored numerators (its equal-Hilbert-function precondition is read
 off the same running difference as its sign tests, recomposing no chain),
 and ``ZGradedIdeal.window`` reads a component's window off its numerator
 and the numerator of R's power ideal (``hilbert.ideal_stream``), the one
 source of R's Hilbert function.  Every read of a stored fact but the
-violation, which no limit bounds, checks the stored lcm degree against
-``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a caller holds across a
-change of that limit never skips a refusal.
+violation and the recomposition, which no limit bounds, checks the stored
+lcm degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a
+caller holds across a change of that limit never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -61,7 +62,9 @@ def _check_z_ctx(ctx: RingContext):
 
 
 def _check_preimage(I: MonomialIdeal):
-    if I.ctx.powers and not I.contains_ideal(I.ctx.powers_ideal()):
+    """Refuse an ideal that is no preimage: one whose stored closure
+    (``MonomialIdeal.plus_powers``) is not the ideal itself."""
+    if I.plus_powers() is not I:
         raise ValueError(
             "expected the preimage of a quotient ideal: include the power generators"
         )
@@ -74,8 +77,9 @@ class ZGradedIdeal:
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
     the chain (numerators, lcm degree, first violation, top generator
-    degree, embedded components, bar saturation) are computed on first use
-    and stored on it; they take no part in its equality or hash.
+    degree, embedded components, bar saturation, recomposition) are
+    computed on first use and stored on it; they take no part in its
+    equality or hash.
 
     No total numerator is stored.  The series of R[z]/I is
     sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
@@ -167,6 +171,13 @@ class ZGradedIdeal:
         return window(ideal_stream(self.components[0].ctx, numer), upto)
 
     @cached_property
+    def recomposed(self) -> MonomialIdeal:
+        """The ideal of R[z] with this chain (``z_recompose``), which no
+        limit bounds."""
+        return _minimal_ideal(self.ctx, [g.exps + (h,) for h, comp in enumerate(self.components)
+                                         for g in comp.gens])
+
+    @cached_property
     def violation(self) -> tuple[int, int] | None:
         """``_first_violation`` of the chain, found once."""
         return _first_violation(self)
@@ -208,9 +219,8 @@ def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
 
 def z_recompose(Z: ZGradedIdeal) -> MonomialIdeal:
     """Inverse of z_decompose: the x^a z^h for the generators x^a of each
-    component h, minimalized on exponent tuples."""
-    return _minimal_ideal(Z.ctx, [g.exps + (h,) for h, comp in enumerate(Z.components)
-                                  for g in comp.gens])
+    component h, minimalized on exponent tuples, built once per chain."""
+    return Z.recomposed
 
 
 def bar(Z: ZGradedIdeal) -> MonomialIdeal:
@@ -435,14 +445,17 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     memoized for the whole process, in the memo ``_stable_chain`` keyed
     on I.
     """
-    degree = lcm_degree(I)
-    limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"the generators' lcm has degree {degree}")
     return _stable_chain(I)
 
 
 @memos.memo(memos.STABLE_MEMO_SIZE)
 def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
     """The z-stable chain of I.
+
+    The lcm degree of I is checked against ``limits.NUMERATOR_DEGREE_LIMIT``
+    on a memo miss only: setting a limit empties every memo, so every hit
+    was computed under the current limit.  A chain that a caller holds
+    across such a change still refuses, by ``ZGradedIdeal._checked``.
 
     Every round's ``z_order_compare(cur, nxt)`` is its one Hilbert check:
     it reads the stored numerators of both chains, so each chain's are
@@ -453,6 +466,8 @@ def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
     AssertionError.  The round limit is checked before each round, so the
     loop stops at the first round past it.
     """
+    degree = lcm_degree(I)
+    limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"the generators' lcm has degree {degree}")
     cur = z_decompose(I)
     rounds = 0
     while (viol := cur.violation) is not None:

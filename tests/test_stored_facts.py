@@ -1,0 +1,135 @@
+"""Facts stored on ideals and chains: the text and the preimage closure of a
+``MonomialIdeal``, the recomposition of a ``ZGradedIdeal``, and the
+numerator limit checked only where an answer is computed.
+
+Each stored fact is built once, equals its recomputation on a fresh equal
+object, and leaves equality and hashing alone.  A limit lowered below an
+ideal's or a chain's lcm degree refuses with the same message whether the
+facts and memos are warm or emptied."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lexcohom import core, limits, memos, zstable
+from lexcohom.core import Monomial, MonomialIdeal, RingContext, format_term, ideal_sum
+from lexcohom.errors import ResourceLimitError
+from lexcohom.hilbert import hilbert_series, lcm_degree
+from lexcohom.ioformat import format_ideal
+
+from conftest import count_calls
+
+
+def _z_ideal():
+    # (x1^2, x1*x2*z, x2^3*z^2) in K[x1, x2]/(x1^2)[z]: not z-stable
+    ctx = RingContext(2, powers=(2,)).add_z()
+    return MonomialIdeal.make(ctx, [Monomial((2, 0, 0)), Monomial((1, 1, 1)),
+                                    Monomial((0, 3, 2))])
+
+
+def test_a_numerator_hit_reads_no_lcm_degree(monkeypatch):
+    I = _z_ideal()
+    numer = hilbert_series(I).numer
+    calls = count_calls(monkeypatch, lcm_degree)
+    assert hilbert_series(I).numer == numer
+    assert hilbert_series(MonomialIdeal(I.ctx, I.gens)).numer == numer
+    assert calls == []
+
+
+def test_repeated_text_and_recomposition_are_built_once(monkeypatch):
+    I = _z_ideal()
+    Z = zstable.z_stabilize(I)
+    J = zstable.z_recompose(Z)
+    terms = count_calls(monkeypatch, format_term)
+    texts = {format_ideal(J) for _ in range(3)} | {str(J)[1:-1]}
+    assert len(texts) == 1 and len(terms) == len(J.gens)
+    builds = count_calls(monkeypatch, core._minimal_ideal)
+    assert all(zstable.z_recompose(Z) is J for _ in range(3))
+    assert builds == []
+    fresh = zstable.ZGradedIdeal(Z.ctx, Z.components)
+    assert zstable.z_recompose(fresh) == J and len(builds) == 1
+
+
+@st.composite
+def ideals(draw):
+    """An ideal in 1..4 x variables, with or without powers and z, in
+    characteristic 2 or 32003; not always a preimage."""
+    nx = draw(st.integers(1, 4))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, char=draw(st.sampled_from([2, 32003])), powers=powers)
+    if draw(st.booleans()):
+        ctx = ctx.add_z()
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.n)
+    gens = [Monomial(e) for e in draw(st.lists(exps, max_size=6))]
+    if draw(st.booleans()):
+        gens += ctx.powers_ideal().gens
+    return MonomialIdeal.make(ctx, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals(), st.booleans())
+def test_every_stored_fact_equals_its_recomputation(I, facts_first):
+    fresh = MonomialIdeal(I.ctx, I.gens)
+    if facts_first:
+        assert fresh == I and hash(fresh) == hash(I)
+    names = I.ctx.var_names()
+    text = ", ".join(format_term(names, g.exps, 1) for g in fresh.gens) or "0"
+    assert format_ideal(I) == I.text == text and str(I) == f"({text})"
+    b = I.ctx.powers_ideal()
+    closure = I.plus_powers()
+    assert closure == ideal_sum(fresh, b) and I.plus_powers() is closure
+    assert (closure is I) == fresh.contains_ideal(b)
+    assert closure.plus_powers() is closure
+    if I.ctx.z:
+        Z = zstable.z_decompose(closure)
+        fresh_chain = zstable.ZGradedIdeal(Z.ctx, Z.components)
+        want = core._minimal_ideal(Z.ctx, [g.exps + (h,) for h, comp in
+                                           enumerate(fresh_chain.components)
+                                           for g in comp.gens])
+        assert zstable.z_recompose(Z) == want == closure
+        assert zstable.z_recompose(Z) is zstable.z_recompose(Z)
+        assert Z == fresh_chain and hash(Z) == hash(fresh_chain)
+    # equal ideals stay equal and hash equal, whichever had facts read
+    assert fresh == I and hash(fresh) == hash(I) and {I: 1}[fresh] == 1
+    fresh.plus_powers()
+    assert fresh.text == I.text
+    assert fresh == I and hash(fresh) == hash(I)
+
+
+def _refusal(read) -> str:
+    with pytest.raises(ResourceLimitError) as info:
+        read()
+    return str(info.value)
+
+
+def test_a_read_series_still_refuses_below_its_lcm_degree(monkeypatch):
+    I = _z_ideal()
+    degree = lcm_degree(I)
+    hilbert_series(I)
+    format_ideal(I)
+    I.plus_powers()
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", degree - 1)
+    warm = _refusal(lambda: hilbert_series(I))
+    memos.clear_all()
+    assert _refusal(lambda: hilbert_series(I)) == warm
+    assert warm == (f"the generators' lcm has degree {degree}, "
+                    f"above limits.NUMERATOR_DEGREE_LIMIT = {degree - 1}")
+
+
+def test_a_stabilized_chain_still_refuses_below_its_lcm_degree(monkeypatch):
+    I = _z_ideal()
+    Z = zstable.z_stabilize(I)
+    J = zstable.z_recompose(Z)
+    Z.numerators()
+    top = max(map(lcm_degree, Z.components))
+    limit = min(top, lcm_degree(I)) - 1
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", limit)
+    reads = (lambda: zstable.z_stabilize(I), Z.numerators, lambda: hilbert_series(J))
+    warm = [_refusal(read) for read in reads]
+    memos.clear_all()
+    assert [_refusal(read) for read in reads] == warm
+    assert all(msg.endswith(f", above limits.NUMERATOR_DEGREE_LIMIT = {limit}") for msg in warm)
+    assert warm[0] == (f"the generators' lcm has degree {lcm_degree(I)}, "
+                       f"above limits.NUMERATOR_DEGREE_LIMIT = {limit}")
+    assert warm[1] == (f"a component's lcm has degree {top}, "
+                       f"above limits.NUMERATOR_DEGREE_LIMIT = {limit}")
