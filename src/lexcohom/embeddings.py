@@ -21,14 +21,12 @@ generated ideal has the exact Hilbert series of the input.  The candidate's
 numerator is read off its generators in closed form
 (``hilbert._lex_numerator``, Eliahou-Kervaire's numerator extended to the
 powers), since its graded pieces are lex segments of S; no certificate
-runs the pivot recursion or fills its memo.  A candidate whose lcm degree
-passes ``limits.NUMERATOR_DEGREE_LIMIT`` is still refused with that
-limit's ``ResourceLimitError``, naming the lex-first candidate, not the
-input, so the embeddings refuse what they refused when the certificate
-was the generic series.  The certified answers
-are memoized for the whole process, in the memo ``_certified_embedding``
-keyed on the Hilbert series.  ``lex_segment_ideal`` takes explicit dims
-and the shadow theorem on trust.
+runs the pivot recursion or fills its memo.  The selection stops at
+degree ``limits.NUMERATOR_DEGREE_LIMIT + 1``; an embedding not certified by
+then is refused with that limit's ``ResourceLimitError``.  The certified
+answers are memoized for the whole process, in the memo
+``_certified_embedding`` keyed on the Hilbert series.
+``lex_segment_ideal`` takes explicit dims and the shadow theorem on trust.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
@@ -40,8 +38,7 @@ from itertools import islice
 from . import limits, memos
 from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
-from .hilbert import (HilbertSeries, _lex_numerator, hilbert_series, ideal_stream,
-                      lcm_degree)
+from .hilbert import HilbertSeries, _lex_numerator, hilbert_series, ideal_stream
 
 
 def _rank(e: tuple[int, ...], count) -> int:
@@ -176,18 +173,13 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
     a lex segment is again a lex segment (Macaulay; Clements-Lindstrom in
     S = B/b).
 
-    The loop needs no degree beyond limits.NUMERATOR_DEGREE_LIMIT + 1.  Let
-    G be the top generator degree of the answer and top the numerator's
+    The selection runs up to degree limits.NUMERATOR_DEGREE_LIMIT + 1, a
+    stated bound on the work and on the answer's generator degrees.  Let G
+    be the top generator degree of the answer and top the numerator's
     degree.  From degree G on the selection generates the answer, so the
-    loop certifies at degree max(G, top) + 1 at the latest.  Here top <= the
-    limit, because the series is that of an ideal whose lcm degree, at
-    least top, has passed the limit.  A generator above the limit puts the
-    lcm degree of the answer above it, and such a candidate is refused
-    before its certificate, naming the candidate: its lcm degree may lie
-    far above the input's.  So a loop that ends uncertified raises that
-    limit's error.  The closed form could read any candidate; the lcm
-    check stays so that the embeddings refuse exactly what they refused
-    when the certificate was ``hilbert_series``, which that limit bounds.
+    loop certifies at degree max(G, top) + 1 at the latest: every answer
+    with G and top at most the limit is found, and any other is refused
+    with that limit's error, naming the degree the loop reached.
     """
     ctx = series.ctx
     top = len(series.numer) - 1
@@ -202,9 +194,6 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
         elif grew and d > top:
             grew = False
             out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
-            degree = lcm_degree(out)
-            limits.check("NUMERATOR_DEGREE_LIMIT", degree,
-                         f"the lex-first candidate's lcm has degree {degree}")
             if _lex_numerator(out) == series.numer:
                 return out
     # last is past the limit, so this refuses

@@ -43,6 +43,11 @@ WINDOW_SPAN_LIMIT = 100_000
 # It bounds the numerator's degree and the pivot recursion's depth: each
 # level lowers the lcm degree, so at two interpreter frames a level the
 # recursion stays below Python's default limit of 1000, whatever n is.
+# It is checked in four places, each for its own reason:
+# ``hilbert._numerator``, the recursion's depth; the embeddings'
+# ``_certified_embedding``, whose selection stops at one degree past it;
+# ``zstable._stable_chain``, the length of the chain the rounds start from;
+# ``ZGradedIdeal._checked``, a chain held across a change of the limit.
 NUMERATOR_DEGREE_LIMIT = 400
 # Most multidegrees prod_i (rho_i + 1) a cohomology cell walk visits: over
 # four times the 449,875 of the largest lex ideal tried (240 generators of

@@ -62,8 +62,12 @@ CELL_MEMO_SIZE = 256
 # distinct series 1,350 times in embed-cli, where 256 entries keep 843 of
 # the 893 hits of an unbounded memo, for 0.50 MB more traced memory after
 # the run than with no memo (unbounded: 0.78 MB).  An entry there takes
-# 1.5-9.9 KB (at most 43 generators); the largest entry seen, the
-# 240-generator lex ideal in four variables of degree up to 74, takes 52 KB.
+# 1.5-9.9 KB (at most 43 generators).  The 256 ideals of
+# FamilySpec(n=5, max_deg=4, max_extra_gens=8) at seeds 0-3 leave 148
+# entries, and emptying the memo then frees 9.1 MB, 62 KB an entry on
+# average; the largest entry seen, their 2,158-generator lex ideal of
+# degree up to 382, frees 363 KB.  A full memo of such entries takes about
+# 16 MB, and one of entries as large as the largest about 93 MB.
 EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable

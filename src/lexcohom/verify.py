@@ -20,8 +20,7 @@ from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _divides_
                    _grlex_key, ideal_product, minimalize, saturate)
 from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import HilbertMismatchError
-from .hilbert import (HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series,
-                      lcm_degree)
+from .hilbert import HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series
 from .ioformat import format_ideal
 from .localcohom import (CohomologyTable, cohomology_table, cohomology_tables,
                          compare_tables)
@@ -348,12 +347,10 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
 
     # m * eps(I) <= eps(m * I); a refusal of the genuine embedding is raised.
     # The genuine eps(m * I) is the certified embedding of the series of
-    # m * I + b, read off I's when no refusal can stand in the way: m * I + b
-    # has lcm degree at most lcm_degree(I) + n, so then its series is not
-    # refused.
+    # m * I + b, read off I's; a substituted embedding is given m * I + b.
     tI = _generator_tallies(I, W)
     try:
-        if epsilon is None and lcm_degree(I) + ctx.n <= limits.NUMERATOR_DEGREE_LIMIT:
+        if epsilon is None:
             EmI = _certified_embedding(HilbertSeries(ctx, _times_m_numerator(numer, tI, ctx.n)))
         else:
             EmI = embed(ideal_product(ctx.max_ideal(), I).plus_powers())

@@ -192,7 +192,11 @@ def ref_embed_matching_series(I):
     """The lex-first embedding of the preimage I, unmemoized: the selection
     with the dims of the series of I (the listed bounded basis less the
     binomial sums of ``ref_series_value``), its certificate checked from the
-    first degree past the generators of I that adds no generators."""
+    first degree past the generators of I that adds no generators.  The
+    certificate is the generic ``hilbert_series``, independent of the
+    package's closed form, so it refuses a candidate whose lcm degree
+    passes ``limits.NUMERATOR_DEGREE_LIMIT``: compare it with the package
+    only where it answers."""
     ctx = I.ctx
     series = hilbert_series(I)
     top = I.max_gen_degree()

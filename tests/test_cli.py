@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import verify
+from lexcohom import limits, verify
 from lexcohom.cli import _json_text, build_parser, main
 from lexcohom.core import DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _is_prime
 from lexcohom.hilbert import hilbert_series
@@ -238,12 +238,13 @@ def test_cell_limit_exits_2(capsys, tmp_path):
 
 
 def test_lex_cohomology_past_the_numerator_limit_exits_2(monkeypatch, capsys):
-    # a family of one ideal whose lex ideal has generators past the limit
+    # a family of one ideal whose lcm degree 7 passes the lowered limit
     I = as_monomial_ideal(*parse_ideal_file("ring n=5 char=32003\nx1^4\nx1*x3^2*x4\n"))
     monkeypatch.setattr(verify, "enumerate_family", lambda spec: iter([I]))
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 6)
     assert main(["verify", "lex-cohomology", "--family", "n=5,maxdeg=4",
                  "--samples", "1"]) == 2
-    assert "limits.NUMERATOR_DEGREE_LIMIT" in capsys.readouterr().err
+    assert "lcm has degree 7, above limits.NUMERATOR_DEGREE_LIMIT = 6" in capsys.readouterr().err
 
 
 def test_cli_lpp(capsys, tmp_path):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import embeddings, hilbert
+from lexcohom import embeddings, hilbert, limits
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, _lex_walk, minimalize
 from lexcohom.embeddings import (_engine, epsilon_one, is_embedded, lex_ideal_of,
                                  lex_segment_ideal, lpp_ideal)
 from lexcohom.errors import NotAttainableError, ResourceLimitError
 from lexcohom.hilbert import _lex_numerator, hilbert_series, ideal_window, is_O_sequence
+from lexcohom.verify import FamilySpec, enumerate_family
 
 from conftest import all_monomials, brute_lex_first, graded_piece_dim, random_ideal
 
@@ -105,12 +106,26 @@ def test_a_certificate_fills_no_numerator_memo():
     assert hilbert._numerator.cache_info().currsize == before
 
 
-def test_lex_ideal_past_the_numerator_limit_names_it():
-    # its lex ideal needs generators whose lcm degree passes the limit, so
-    # the certificate's Hilbert series refuses it
+@pytest.mark.parametrize("seed", range(4))
+def test_lex_ideal_answers_the_n5_ladder_family(seed):
+    # the lex ideals of this family reach lcm degree 772 and 2,158
+    # generators; the closed-form certificate reads each in milliseconds
+    for I in enumerate_family(FamilySpec(n=5, max_deg=4, max_extra_gens=8, count=8,
+                                         seed=seed)):
+        t0 = time.perf_counter()
+        L = lex_ideal_of(I)
+        assert time.perf_counter() - t0 < 0.5
+        assert _lex_numerator(L) == hilbert_series(I).numer
+
+
+def test_lex_ideal_past_the_numerator_limit_names_it(monkeypatch):
+    # the input's lcm degree 7 passes the lowered limit, so its Hilbert
+    # series, which the embedding is keyed on, refuses it
     I = MonomialIdeal.make(RingContext(5), [M(4, 0, 0, 0, 0), M(1, 0, 2, 1, 0)])
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 6)
     t0 = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
+    with pytest.raises(ResourceLimitError, match="the generators' lcm has degree 7, "
+                                                 "above limits.NUMERATOR_DEGREE_LIMIT = 6"):
         lex_ideal_of(I)
     assert time.perf_counter() - t0 < 1.0
 

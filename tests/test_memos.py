@@ -308,25 +308,24 @@ def test_two_ideals_with_one_series_share_one_embedding(I, J, embed):
 
 
 def test_an_embedding_memo_hit_still_refuses(monkeypatch):
-    # the lex ideal of (x1^4, x3^4) has 17 generators up to degree 16: its
-    # lcm degree is far above the input's 8
+    # the lex ideal of (x1^4, x3^4) has 17 generators up to degree 16, far
+    # above the input's lcm degree 8, so the selection certifies it at 17
     I = MonomialIdeal.make(RingContext(3), [Monomial((4, 0, 0)), Monomial((0, 0, 4))])
     want = lex_ideal_of(I)
-    top = lcm_degree(want)
-    assert lcm_degree(I) < top - 1
+    assert lcm_degree(I) == 8 and len(want.gens) == 17 and want.max_gen_degree() == 16
+    assert want == ref_embed_matching_series(I)
     assert lex_ideal_of(I) is want
-    # lowering the limit empties the memo, so the certificate is refused
-    # again, and the refusal is not stored
-    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
+    # lowering the limit empties the memo, so the selection stops uncertified
+    # at degree 16 again, and the refusal is not stored
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 15)
     assert embeddings._certified_embedding.cache_info().currsize == 0
     for _ in range(2):
-        with pytest.raises(ResourceLimitError, match=f"the lex-first candidate's lcm has degree "
-                                                     f"{top}, above limits.NUMERATOR_DEGREE_LIMIT "
-                                                     f"= {top - 1}"):
+        with pytest.raises(ResourceLimitError, match="no certified embedding by degree 16, "
+                                                     "above limits.NUMERATOR_DEGREE_LIMIT = 15"):
             lex_ideal_of(I)
     assert embeddings._certified_embedding.cache_info().currsize == 0
-    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top)
-    assert lex_ideal_of(I) == want == ref_embed_matching_series(I)
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 16)
+    assert lex_ideal_of(I) == want
 
 
 def _lex_of_two_quartics():
@@ -341,7 +340,7 @@ def _three_rounds():
 # (limit, a call that runs at the value and is refused one below it, the value)
 REFUSALS = [
     ("LATTICE_LIMIT", lambda: betti_table(lpp_like_ideal(32003)), 27),
-    ("NUMERATOR_DEGREE_LIMIT", _lex_of_two_quartics, 34),  # the lex ideal's lcm degree
+    ("NUMERATOR_DEGREE_LIMIT", _lex_of_two_quartics, 16),  # the lex ideal's top degree
     ("STABILIZATION_ROUND_LIMIT", _three_rounds, 3),
     ("CELL_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003)), 3 * 3 * 3 * 4),
     ("EXT_GENERATOR_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003), backend="ext"), 5),
@@ -451,16 +450,19 @@ def test_clear_all_empties_every_memo(tmp_path, capsys):
     assert [m.cache_info().currsize for m in memos.registry] == [0] * len(memos.registry)
 
 
-def test_a_refused_lex_ideal_keeps_under_a_megabyte():
-    # seed 0 of the n = 5 ladder family: the certificate's series is refused
-    # at lcm degree 772, after the selection has counted the ring's dims up
-    # to that degree; a memo of those dims per top degree kept 2.6 MB
+def test_a_refused_lex_ideal_keeps_under_a_megabyte(monkeypatch):
+    # seed 0 of the n = 5 ladder family, whose lex ideal has 2,158
+    # generators up to degree 382: under a limit of 100 the selection is
+    # refused at degree 101, after it has counted the ring's dims up to that
+    # degree; a memo of those dims per top degree once kept 2.6 MB here
     I = MonomialIdeal.make(RingContext(5), [Monomial(e) for e in (
         (2, 0, 0, 1, 1), (0, 4, 0, 0, 0), (0, 1, 1, 2, 0), (0, 0, 1, 3, 0))])
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 100)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
+        with pytest.raises(ResourceLimitError, match="no certified embedding by degree 101, "
+                                                     "above limits.NUMERATOR_DEGREE_LIMIT = 100"):
             lex_ideal_of(I)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:

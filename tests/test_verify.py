@@ -292,7 +292,7 @@ def test_lemma_suite_reads_each_component_window_once(monkeypatch):
 
 def test_lemma_suite_raises_a_refusal_of_the_genuine_embedding():
     # m*(x1, z^399) = (x1^2, x1*z, z^400) has lcm degree 402: the embedding
-    # of m*I is refused, which is no failed lemma
+    # of its series is refused, which is no failed lemma
     ctx = RingContext(1, powers=(2,)).add_z()
     I = MonomialIdeal.make(ctx, [M(1, 0), M(0, 399)])
     with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT"):
@@ -330,26 +330,28 @@ def test_the_series_of_m_times_an_ideal_is_read_off_its_generator_tallies(P):
     assert closed == hilbert_series(ideal_product(ctx.max_ideal(), P).plus_powers()).numer
 
 
-def test_m_times_i_one_past_the_closed_form_bound_multiplies_out(monkeypatch):
-    # lcm_degree(P) + n = 11.  Under a limit of 10 the suite forms m*P, whose
-    # sum with b has lcm degree 9, so nothing is refused, and the record is
-    # the one read off the closed form under a higher limit
+def test_m_times_i_past_the_old_bound_reads_the_closed_form(monkeypatch):
+    # lcm_degree(P) + n = 11, yet under a limit of 10 the suite still reads
+    # the series of m*P + b off P's and forms no product: the record is the
+    # one under the default limit
     ctx = RingContext(2, powers=(2, 3)).add_z()
     P = MonomialIdeal.make(ctx, [M(2, 0, 0), M(1, 2, 0), M(0, 3, 0), M(0, 2, 1), M(1, 1, 2),
                                  M(1, 0, 3), M(0, 1, 3)])
     assert zs.is_z_stable(zs.z_decompose(P)) and lcm_degree(P) + ctx.n == 11
     products = count_calls(monkeypatch, ideal_product)
     raised = verify_embedding_lemmas(P)
-    assert raised.passed and raised.lpp != raised.ideal and products == []
+    assert raised.passed and raised.lpp != raised.ideal
     monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 10)
     assert verify_embedding_lemmas(P) == raised
-    assert len(products) == 1
-    # past that bound the product's refusal stands: (x1, z^399) as above
+    assert products == []
+    # the embedding of the series of m*I + b stays refused: (x1, z^399)
     I = MonomialIdeal.make(RingContext(1, powers=(2,)).add_z(), [M(1, 0), M(0, 399)])
     monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 400)
     assert lcm_degree(I) + I.ctx.n == 402
-    with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT = 400$"):
+    with pytest.raises(ResourceLimitError, match="no certified embedding by degree 401, "
+                                                 "above limits.NUMERATOR_DEGREE_LIMIT = 400$"):
         verify_embedding_lemmas(I)
+    assert products == []
 
 
 @st.composite
