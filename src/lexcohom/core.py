@@ -19,14 +19,16 @@ Monomial built by its public constructor -- by the parser, by
 ``RingContext.monomials``, ``variable`` and ``one``, by the validated methods
 ``Monomial.mul``, ``lcm`` and ``colon``, and by user code -- so each
 monomial is checked once, where it enters the package.  The ideal
-operations (``ideal_product``, ``ideal_intersection``, ``colon``,
-``saturate``, and ``z_decompose`` / ``z_recompose`` in ``zstable``) work on
-exponent tuples and build their results through :func:`_minimal_ideal`,
-the one constructor that skips that check, used only where the exponents
-are in range by construction: an lcm, a colon, a saturation, a product
-whose coordinate maxima were checked against ``limits.EXPONENT_LIMIT``,
-removing z, or appending a z-degree taken from the input.  ``ideal_sum``
-builds no monomial: its result keeps the generators of its inputs.
+operations (``ideal_sum``, ``ideal_product``, ``ideal_intersection``,
+``colon``, ``saturate``, and the chains of ``zstable``) work on exponent
+tuples, the intersection, sum and colon through the antichain kernels,
+and build their results through :func:`_antichain_ideal`, the one
+constructor that skips that check, used only where the exponents are in
+range by construction: a generator of an input, an lcm, a colon, a
+saturation, a product whose coordinate maxima were checked against
+``limits.EXPONENT_LIMIT``, removing z, appending a z-degree taken from the
+input, or a product by a variable in a stabilization round, whose chains
+``limits.NUMERATOR_DEGREE_LIMIT`` bounds.
 """
 
 from __future__ import annotations
@@ -296,6 +298,39 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
+# The antichain kernels take and return canonical antichains (the exponent
+# tuples of ``MonomialIdeal.gens``); the ideal operations and the rounds
+# of ``zstable`` run them.
+
+def antichain_sum(a, b) -> tuple[tuple[int, ...], ...]:
+    """The antichain of (a) + (b), ``a`` itself when no generator of b
+    survives.  The generators of b that no generator of a divides survive;
+    a generator of a survives unless one of those divides it (a generator
+    of b that some g of a divides can divide no other generator of a, so a
+    shared generator is kept once)."""
+    right = [h for h in b if not _divides_any(a, h)]
+    if not right:
+        return a
+    left = [g for g in a if not _divides_any(right, g)]
+    return tuple(_grlex_sorted(left + right))
+
+
+def antichain_intersection(a, b) -> tuple[tuple[int, ...], ...]:
+    """The antichain of (a) meet (b): the lcms of the generator pairs."""
+    return minimal_exponents([tuple(map(max, g, h)) for g in a for h in b])
+
+
+def antichain_colon(a, m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The antichain of (a) : (m): the g / gcd(g, m)."""
+    return minimal_exponents([tuple([x - y if x > y else 0 for x, y in zip(g, m)]) for g in a])
+
+
+def antichain_times_variable(a, j: int) -> tuple[tuple[int, ...], ...]:
+    """The antichain of x_{j+1} * (a): the same degree shift for every
+    generator keeps the order and the antichain."""
+    return tuple(g[:j] + (g[j] + 1,) + g[j + 1:] for g in a)
+
+
 def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
     """Divisibility antichain generating the same ideal; idempotent."""
     by_exps = {g.exps: g for g in gens}
@@ -307,20 +342,24 @@ def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
     return MonomialIdeal(ctx, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
 
 
-def _minimal_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
-    """The ideal of ``ctx`` generated by exponent vectors that are in range
-    by construction, each of length ``ctx.n``: ``minimal_exponents`` once,
-    and one Monomial per minimal generator.
+def _antichain_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
+    """The ideal of ``ctx`` generated by a canonical antichain of exponent
+    vectors in range by construction, each of length ``ctx.n``.
 
     The one place that builds a Monomial without ``Monomial.__post_init__``;
     the module docstring lists the operations that may call it.
     """
     gens = []
-    for e in minimal_exponents(exps):
+    for e in exps:
         g = object.__new__(Monomial)
         object.__setattr__(g, "exps", e)
         gens.append(g)
     return MonomialIdeal(ctx, tuple(gens))
+
+
+def _minimal_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
+    """``_antichain_ideal`` of ``minimal_exponents(exps)``."""
+    return _antichain_ideal(ctx, minimal_exponents(exps))
 
 
 @dataclass(frozen=True)
@@ -421,22 +460,11 @@ def _same_ctx(I: MonomialIdeal, J: MonomialIdeal):
 
 
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I + J from two canonical antichains, without ``minimalize``.
-
-    The generators of J that no generator of I divides survive.  A
-    generator of I survives unless one of those divides it: a generator of
-    J that some g of I divides can divide no other generator of I, so a
-    shared generator is kept once.  The survivors are two grlex-sorted
-    runs, which one ``sorted`` merges.
-    """
+    """I + J by ``antichain_sum``: I itself when no generator of J survives."""
     _same_ctx(I, J)
-    iexps = [g.exps for g in I.gens]
-    right = [h for h in J.gens if not _divides_any(iexps, h.exps)]
-    if not right:
-        return I
-    rexps = [h.exps for h in right]
-    left = [g for g in I.gens if not _divides_any(rexps, g.exps)]
-    return MonomialIdeal(I.ctx, tuple(sorted(left + right, key=lambda g: _grlex_key(g.exps))))
+    a = tuple(g.exps for g in I.gens)
+    out = antichain_sum(a, [h.exps for h in J.gens])
+    return I if out is a else _antichain_ideal(I.ctx, out)
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -459,19 +487,18 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """I meet J, generated by the lcms of the generator pairs."""
+    """I meet J by ``antichain_intersection``."""
     _same_ctx(I, J)
-    jexps = [b.exps for b in J.gens]
-    return _minimal_ideal(I.ctx, [tuple(map(max, a.exps, b)) for a in I.gens for b in jexps])
+    return _antichain_ideal(I.ctx, antichain_intersection([a.exps for a in I.gens],
+                                                          [b.exps for b in J.gens]))
 
 
 def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """The quotient ideal I : (m), generated by the g / gcd(g, m)."""
+    """The quotient ideal I : (m) by ``antichain_colon``."""
     e = m.exps
     if len(e) != I.ctx.n:
         raise MixedContextError(f"monomial {e} has {len(e)} exponents, context has {I.ctx.n}")
-    return _minimal_ideal(I.ctx, [tuple([a - b if a > b else 0 for a, b in zip(g.exps, e)])
-                                  for g in I.gens])
+    return _antichain_ideal(I.ctx, antichain_colon([g.exps for g in I.gens], e))
 
 
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -483,15 +510,14 @@ def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     powers give the same saturation, and I : (g_1^k, ..., g_r^k) is the
     intersection of the I : g_t^k.
 
-    The intersection runs on exponent tuples, minimalized at each step,
-    and only its minimal generators become Monomials.
+    The intersection runs on exponent tuples, by ``antichain_intersection``
+    at each step, and only its minimal generators become Monomials.
     """
     _same_ctx(I, J)
-    lcms = [(0,) * I.ctx.n]  # the unit ideal, the answer for a zero J
+    lcms = ((0,) * I.ctx.n,)  # the unit ideal, the answer for a zero J
     for g in J.gens:
-        support = g.exps
-        part = minimal_exponents(tuple([0 if s else e for e, s in zip(h.exps, support)])
+        part = minimal_exponents(tuple([0 if s else e for e, s in zip(h.exps, g.exps)])
                                  for h in I.gens)
-        lcms = [tuple(map(max, a, b)) for a in minimal_exponents(lcms) for b in part]
-    return _minimal_ideal(I.ctx, lcms)
+        lcms = antichain_intersection(lcms, part)
+    return _antichain_ideal(I.ctx, lcms)
 

@@ -72,19 +72,20 @@ EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.61 MB more traced memory after the run (the draws
+# 3,702 hits, for 0.66 MB more traced memory after the run (the draws
 # included) than with no memo, the facts stored on the chains included
-# (numerators, bar saturations, recompositions and the rest; 256 entries
-# keep 3,373, for 0.34 MB).
+# (antichains, numerators, bar saturations, recompositions and the rest;
+# 256 entries keep 3,619, for 0.39 MB).
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
-# times: 512 entries keep all 1,183 hits, for 0.68 MB more traced memory
+# times: 512 entries keep all 1,183 hits, for 0.87 MB more traced memory
 # after the run (the draws included) than with no memo (256 entries keep
-# 1,122, for 0.35 MB).  Emptying the memo after the run frees 2.0 KB an
-# entry on average, the chains' stored facts and recompositions included;
-# the largest seen, a chain of 8 components with 22 generators in all,
-# frees 5.1 KB.
+# 1,122, for 0.53 MB).  Emptying the memo after the run frees 2.1 KB an
+# entry on average, the facts the loop stores on its chains (antichains,
+# numerators) and their recompositions included; the largest seen, a
+# chain of 8 components with 22 generators in all, frees 5.1 KB when
+# stabilized and recomposed alone from empty memos.
 STABLE_MEMO_SIZE = 512
 # Entries of the parser memo ``cli.build_parser``: it takes no argument.
 PARSER_MEMO_SIZE = 1

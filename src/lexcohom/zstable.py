@@ -12,21 +12,31 @@ components of that initial ideal in closed form, from monomial sums, colons
 and intersections, so the loop runs no Groebner basis; ``distraction`` and
 the Buchberger engine of ``groebner`` are its test oracle.
 
+The loop runs on component antichains, the exponent tuples of each
+component's generators in the order ``MonomialIdeal.gens`` keeps.  A round
+is three kernels on them, ``_violation``, ``_initial_chain`` (on
+``core``'s antichain kernels) and ``_partial_sum_order``, with the
+numerators read straight from ``hilbert._numerator``; it builds no ideal.
+``_first_violation``, ``distraction_initial`` and ``z_order_compare``
+wrap the same kernels, so the oracles test the code the loop runs.
+
 A chain stores the facts read from it, each computed on first use: its
-component numerators (one ``hilbert_series`` per component), their largest
-lcm degree, the answer of ``_first_violation``, the top generator degree
-of the recomposed ideal, whether every component is embedded
-(``embeddings.is_embedded``), the saturation of its bar by m_R and the
-recomposed ideal itself, which ``z_recompose`` reads.
+component antichains and numerators, their largest lcm degree, the answer
+of ``_first_violation``, the top generator degree of the recomposed
+ideal, whether every component is embedded (``embeddings.is_embedded``),
+the saturation of its bar by m_R and the recomposed ideal itself, which
+``z_recompose`` reads.  The chain the loop returns comes with the
+antichains, numerators, lcm degree and violation its last round read.
 ``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
-chains' stored numerators (its equal-Hilbert-function precondition is read
-off the same running difference as its sign tests, recomposing no chain),
-and ``ZGradedIdeal.window`` reads a component's window off its numerator
-and the numerator of R's power ideal (``hilbert.ideal_stream``), the one
-source of R's Hilbert function.  Every read of a stored fact but the
-violation and the recomposition, which no limit bounds, checks the stored
-lcm degree against ``limits.NUMERATOR_DEGREE_LIMIT``, so a chain that a
-caller holds across a change of that limit never skips a refusal.
+chains' stored numerators (its equal-Hilbert-function precondition is
+read off the same running difference as its sign tests, recomposing no
+chain), and ``ZGradedIdeal.window`` reads a component's window off its
+numerator and the numerator of R's power ideal (``hilbert.ideal_stream``),
+the one source of R's Hilbert function.  Every read of a stored fact but
+the antichains, the violation and the recomposition, which no limit
+bounds, checks the stored lcm degree against
+``limits.NUMERATOR_DEGREE_LIMIT`` (``_check_lcm_degree``), so a chain
+that a caller holds across a change of that limit never skips a refusal.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -35,8 +45,8 @@ shared by every caller; its refusals of a context without z and of an
 ideal that is no preimage are raised on every call and never stored.
 ``z_stabilize`` reads ``_stable_chain``, each ideal's stable chain.  Every
 round of a computed entry compares the new chain with the one before by
-``z_order_compare``, and that one comparison is the round's Hilbert check
-and its check of the strict increase; a failure of either is a bug.
+``_partial_sum_order``, and that one comparison is the round's Hilbert
+check and its check of the strict increase; a failure of either is a bug.
 
 All computations happen on preimages in the ambient polynomial ring: when
 the context has powers the component ideals carry the power generators.
@@ -46,14 +56,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from . import limits, memos
-from .core import (Monomial, MonomialIdeal, RingContext, _divides_any, _minimal_ideal, colon,
-                   ideal_intersection, ideal_sum, saturate)
+from .core import (Monomial, MonomialIdeal, RingContext, _antichain_ideal, _divides_any,
+                   _minimal_ideal, antichain_colon, antichain_intersection, antichain_sum,
+                   antichain_times_variable, saturate)
 from .embeddings import is_embedded
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
-from .hilbert import hilbert_series, ideal_stream, lcm_degree, series_signs, window
+from .hilbert import _numerator, ideal_stream, lcm_degree, series_signs, window
 
 
 def _check_z_ctx(ctx: RingContext):
@@ -76,10 +88,11 @@ class ZGradedIdeal:
 
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
-    the chain (numerators, lcm degree, first violation, top generator
-    degree, embedded components, bar saturation, recomposition) are
-    computed on first use and stored on it; they take no part in its
-    equality or hash.
+    the chain (component antichains, numerators, lcm degree, first
+    violation, top generator degree, embedded components, bar saturation,
+    recomposition) are computed on first use and stored on it; they take
+    no part in its equality or hash.  A chain built by ``_chain_of``
+    comes with the facts its builder read.
 
     No total numerator is stored.  The series of R[z]/I is
     sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
@@ -106,16 +119,14 @@ class ZGradedIdeal:
         return self.components[min(h, self.s)]
 
     @cached_property
-    def _lcm_degree(self) -> int:
-        return max(map(lcm_degree, self.components))
+    def antichains(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The components' generators as canonical antichains of exponent
+        tuples (``core``'s antichain kernels), found once per chain."""
+        return tuple(tuple(g.exps for g in c.gens) for c in self.components)
 
-    def _checked(self) -> None:
-        """Refuse, as ``hilbert_series`` would, a chain whose largest lcm
-        degree of a component passes ``limits.NUMERATOR_DEGREE_LIMIT``:
-        every read of a stored fact calls it, so a chain held across a
-        change of that limit never skips a refusal."""
-        degree = self._lcm_degree
-        limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
+    @cached_property
+    def _lcm_degree(self) -> int:
+        return _top_lcm_degree(self.antichains)
 
     @cached_property
     def _max_gen_degree(self) -> int:
@@ -129,17 +140,17 @@ class ZGradedIdeal:
         """Top degree of a minimal generator of the recomposed ideal: those
         are the x^a z^h with x^a a generator of component h outside
         component h - 1.  Found once per chain."""
-        self._checked()
+        _check_lcm_degree(self._lcm_degree)
         return self._max_gen_degree
 
     @cached_property
     def _numers(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(hilbert_series(c).numer for c in self.components)
+        return tuple(map(_numerator, self.antichains))
 
     def numerators(self) -> tuple[tuple[int, ...], ...]:
         """The numerators of Hilb(R/I_<h>) over (1-t)^n for h = 0..s,
         computed once per chain."""
-        self._checked()
+        _check_lcm_degree(self._lcm_degree)
         return self._numers
 
     @cached_property
@@ -149,7 +160,7 @@ class ZGradedIdeal:
     def all_embedded(self) -> bool:
         """Whether every component is embedded (``embeddings.is_embedded``),
         found once per chain."""
-        self._checked()
+        _check_lcm_degree(self._lcm_degree)
         return self._all_embedded
 
     @cached_property
@@ -160,7 +171,7 @@ class ZGradedIdeal:
     def bar_saturation(self) -> MonomialIdeal:
         """The saturation by m_R of the bar, the bottom component, found
         once per chain."""
-        self._checked()
+        _check_lcm_degree(self._lcm_degree)
         return self._bar_saturation
 
     def window(self, h: int, upto: int) -> tuple[int, ...]:
@@ -188,10 +199,10 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
 
     Component h is component h - 1 plus the generators of z-degree h with
     z stripped.  Those form a canonical antichain of R: they are minimal
-    and grlex-sorted in R[z] and share one z-degree; and no generator of a
-    lower z-degree divides one of them, so ``ideal_sum`` needs no
-    ``minimalize``.  The stripped exponent tuples of each z-degree become
-    Monomials once, through ``core._minimal_ideal``.
+    and grlex-sorted in R[z] and share one z-degree; so the components are
+    the running ``antichain_sum`` of the levels, with no
+    ``minimal_exponents``, and each becomes a MonomialIdeal once
+    (``_chain_of``).
 
     The chain is memoized for the whole process, in the memo
     ``_decomposition`` keyed on I, so every caller shares one chain per
@@ -206,15 +217,26 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
 @memos.memo(memos.DECOMPOSE_MEMO_SIZE)
 def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
     """The chain of ``z_decompose``, for an I it has checked."""
-    ctx_R = I.ctx.drop_z()
     s = max((g.exps[-1] for g in I.gens), default=0)
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
     for g in I.gens:
         levels[g.exps[-1]].append(g.exps[:-1])
-    comps = [_minimal_ideal(ctx_R, levels[0])]
-    for level in levels[1:]:
-        comps.append(ideal_sum(comps[-1], _minimal_ideal(ctx_R, level)))
-    return ZGradedIdeal(I.ctx, tuple(comps))
+    return _chain_of(I.ctx, list(accumulate(map(tuple, levels), antichain_sum)))
+
+
+def _chain_of(ctx: RingContext, chain, known: ZGradedIdeal | None = None,
+              **facts) -> ZGradedIdeal:
+    """The chain with these component antichains, stored as its
+    ``antichains`` beside ``facts`` (by attribute name).  An antichain of
+    a component of ``known`` keeps that object; each other one becomes one
+    MonomialIdeal, shared by equal components."""
+    comps = {} if known is None else dict(zip(known.antichains, known.components))
+    for a in chain:
+        if a not in comps:
+            comps[a] = _antichain_ideal(ctx.drop_z(), a)
+    Z = ZGradedIdeal(ctx, tuple(comps[a] for a in chain))
+    vars(Z).update(antichains=tuple(chain), **facts)  # what cached_property would store
+    return Z
 
 
 def z_recompose(Z: ZGradedIdeal) -> MonomialIdeal:
@@ -269,19 +291,25 @@ def z_order_compare(J: ZGradedIdeal, L: ZGradedIdeal) -> str:
     level.
 
     Everything is read off the two chains' stored numerators, recomposing
-    neither chain.  A level where the two numerators are equal leaves D,
-    and so both sign tests, unchanged, and is skipped; the others are
-    added into one list in place.
+    neither chain, by ``_partial_sum_order``, which the stabilization
+    rounds run on the numerators they read.
     """
     if J.ctx != L.ctx:
         raise HilbertMismatchError("contexts differ")
-    numers_J, numers_L = J.numerators(), L.numerators()
-    n = J.ctx.drop_z().n
-    H = max(J.s, L.s)
+    return _partial_sum_order(J.numerators(), L.numerators(), J.ctx.nx)
+
+
+def _partial_sum_order(numers_J, numers_L, n: int) -> str:
+    """``z_order_compare`` of the chains with these component numerators
+    over (1-t)^n.  A level where the two numerators are equal leaves D,
+    and so both sign tests, unchanged, and is skipped; the others are
+    added into one list in place."""
+    s_J, s_L = len(numers_J) - 1, len(numers_L) - 1
+    H = max(s_J, s_L)
     diff = [0] * (H + max(map(len, numers_J + numers_L)))
     le = ge = True
     for h in range(H + 1):
-        a, b = numers_J[min(h, J.s)], numers_L[min(h, L.s)]
+        a, b = numers_J[min(h, s_J)], numers_L[min(h, s_L)]
         if a == b:
             continue
         for i, c in enumerate(a):
@@ -346,27 +374,21 @@ def stabilization_order(ctx: RingContext) -> TermOrder:
 
 
 def _first_violation(Z: ZGradedIdeal) -> tuple[int, int] | None:
-    """Least (d, j) with component d times x_{j+1} not inside component d-1.
+    """Least (d, j) with component d times x_{j+1} not inside component
+    d-1: ``_violation`` of the chain's antichains."""
+    return _violation(Z.antichains, Z.ctx.nx)
 
-    Works on exponent tuples: g * x_{j+1} is g's tuple with entry j raised
-    by one, tested against the generators of component d-1.
-    """
-    for d in range(1, Z.s + 1):
-        lower = [g.exps for g in Z.components[d - 1].gens]
-        upper = [g.exps for g in Z.components[d].gens]
-        for j in range(Z.ctx.n - 1):
+
+def _violation(chain, nx: int) -> tuple[int, int] | None:
+    """``_first_violation`` of a chain of component antichains: g * x_{j+1}
+    is g's tuple with entry j raised by one, tested against the generators
+    of component d-1."""
+    for d, (lower, upper) in enumerate(zip(chain, chain[1:]), 1):
+        for j in range(nx):
             for e in upper:
-                ej = e[:j] + (e[j] + 1,) + e[j + 1:]
-                if not _divides_any(lower, ej):
+                if not _divides_any(lower, e[:j] + (e[j] + 1,) + e[j + 1:]):
                     return d, j
     return None
-
-
-def _times_variable(I: MonomialIdeal, j: int) -> MonomialIdeal:
-    """x_{j+1} * I: the same degree shift for every generator keeps the
-    canonical antichain, so no ``minimalize``."""
-    return MonomialIdeal(I.ctx, tuple(
-        Monomial(g.exps[:j] + (g.exps[j] + 1,) + g.exps[j + 1:]) for g in I.gens))
 
 
 def distraction_initial(Z: ZGradedIdeal, d: int, j: int) -> ZGradedIdeal:
@@ -401,32 +423,41 @@ def distraction_initial(Z: ZGradedIdeal, d: int, j: int) -> ZGradedIdeal:
     stops at the first e > s with Q_e = Q_{e-1}.  The trailing components
     equal to their predecessor are then trimmed, which gives the chain
     ``z_decompose`` returns for in(D).
+
+    The walk is ``_initial_chain``, on the chain's antichains; components
+    it leaves alone stay the same objects.
     """
     if not 1 <= d <= Z.s + 1:
         raise ValueError(f"d must lie in 1..{Z.s + 1}")
     if not 0 <= j < Z.ctx.nx:
         raise ValueError(f"j must lie in 0..{Z.ctx.nx - 1}")
-    x = Z.components[0].ctx.variable(j)
-    x_top = _times_variable(Z.components[-1], j)
+    for h in (Z.s, *range(d, Z.s)):  # the products by x the walk reads, validated
+        for e in antichain_times_variable(Z.antichains[h], j):
+            Monomial(e)
+    return _chain_of(Z.ctx, _initial_chain(Z.antichains, d, j, Z.ctx.nx), Z)
 
-    def x_times(h: int) -> MonomialIdeal:  # x I_h, where I_h = I_s for h >= s
-        return _times_variable(Z.components[h], j) if h < Z.s else x_top
 
-    Q = Z.components[d - 1]
-    Q_colon_x = colon(Q, x)
-    comps = [*Z.components[:d - 1], ideal_sum(Q, x_times(d))]
+def _initial_chain(chain, d: int, j: int, nx: int) -> tuple:
+    """``distraction_initial`` on a chain of component antichains in nx
+    variables; those below d - 1 stay the input's own."""
+    s = len(chain) - 1
+    x = tuple(int(i == j) for i in range(nx))
+    x_I = [antichain_times_variable(a, j) for a in chain]  # x I_h, read at min(h, s)
+    Q = chain[d - 1]
+    Q_colon_x = antichain_colon(Q, x)
+    out = [*chain[:d - 1], antichain_sum(Q, x_I[min(d, s)])]
     e = d
     while True:
-        nxt = ideal_intersection(Z.component(e), Q_colon_x)
+        nxt = antichain_intersection(chain[min(e, s)], Q_colon_x)
         if nxt != Q:
-            Q, Q_colon_x = nxt, colon(nxt, x)
-        elif e > Z.s:
+            Q, Q_colon_x = nxt, antichain_colon(nxt, x)
+        elif e > s:
             break
-        comps.append(ideal_sum(Q, x_times(e + 1)))
+        out.append(antichain_sum(Q, x_I[min(e + 1, s)]))
         e += 1
-    while len(comps) > 1 and comps[-1] == comps[-2]:
-        comps.pop()
-    return ZGradedIdeal(Z.ctx, tuple(comps))
+    while len(out) > 1 and out[-1] == out[-2]:
+        out.pop()
+    return tuple(out)
 
 
 def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
@@ -441,7 +472,8 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
     IterationCapExceededError.  An I whose generators' lcm degree exceeds
     ``limits.NUMERATOR_DEGREE_LIMIT`` is refused before any round, as
     ``hilbert_series(I)`` would refuse it: that degree bounds the z-degree
-    of I, so the length of the chain the rounds start from.  The chain is
+    of I, so the length of the chain the rounds start from; so is a
+    round's chain with a component of lcm degree past it.  The chain is
     memoized for the whole process, in the memo ``_stable_chain`` keyed
     on I.
     """
@@ -450,37 +482,58 @@ def z_stabilize(I: MonomialIdeal) -> ZGradedIdeal:
 
 @memos.memo(memos.STABLE_MEMO_SIZE)
 def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
-    """The z-stable chain of I.
+    """The z-stable chain of I: ``z_decompose(I)`` itself when that is
+    stable, else the chain the rounds end on.
 
     The lcm degree of I is checked against ``limits.NUMERATOR_DEGREE_LIMIT``
     on a memo miss only: setting a limit empties every memo, so every hit
     was computed under the current limit.  A chain that a caller holds
-    across such a change still refuses, by ``ZGradedIdeal._checked``.
+    across such a change still refuses, by ``_check_lcm_degree``.
 
-    Every round's ``z_order_compare(cur, nxt)`` is its one Hilbert check:
-    it reads the stored numerators of both chains, so each chain's are
-    computed once, in the round that makes it, and it raises when their
-    Hilbert functions differ, so the chain keeps the Hilbert function of
-    ``z_decompose(I)``, which is I's.  Its answer is the check of the
-    strict increase.  A failure of either check is a bug, raised as an
-    AssertionError.  The round limit is checked before each round, so the
-    loop stops at the first round past it.
+    A round runs on antichains: ``_violation``, ``_initial_chain`` and
+    ``_partial_sum_order``.  It checks the round limit, then refuses a new
+    chain past the numerator limit before reading its numerators, one
+    ``_numerator`` per component (those of ``z_decompose(I)`` through its
+    ``numerators``, which store them).  The order of the two chains is its
+    one Hilbert check, as it raises when the Hilbert functions differ, so
+    the chain keeps I's Hilbert function; its answer is the check of the
+    strict increase.  A failure of either is a bug, raised as an
+    AssertionError.  Only the last chain becomes a ``ZGradedIdeal``, with
+    the numerators, lcm degree and violation its last round read; the
+    components the rounds left alone stay those of ``z_decompose(I)``.
     """
     degree = lcm_degree(I)
     limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"the generators' lcm has degree {degree}")
-    cur = z_decompose(I)
-    rounds = 0
-    while (viol := cur.violation) is not None:
+    dec = z_decompose(I)
+    if (viol := dec.violation) is None:
+        return dec
+    chain, numers, nx, rounds = dec.antichains, dec.numerators(), I.ctx.nx, 0
+    while viol is not None:
         rounds += 1
         limits.check("STABILIZATION_ROUND_LIMIT", rounds,
                      f"z_stabilize needs round {rounds}",
                      IterationCapExceededError)
-        nxt = distraction_initial(cur, *viol)
+        nxt = _initial_chain(chain, *viol, nx)
+        _check_lcm_degree(degree := _top_lcm_degree(nxt))
+        nxt_numers = tuple(map(_numerator, nxt))
         try:
-            order = z_order_compare(cur, nxt)
+            order = _partial_sum_order(numers, nxt_numers, nx)
         except HilbertMismatchError:
             raise AssertionError("a stabilization round changed the Hilbert function (bug)")
         if order != "less":
             raise AssertionError("a stabilization round did not strictly increase (bug)")
-        cur = nxt
-    return cur
+        chain, numers = nxt, nxt_numers
+        viol = _violation(chain, nx)
+    return _chain_of(I.ctx, chain, dec, _numers=numers, _lcm_degree=degree, violation=None)
+
+
+def _top_lcm_degree(chain) -> int:
+    """The largest lcm degree of a component antichain of a chain."""
+    return max(sum(map(max, zip(*a))) for a in chain)
+
+
+def _check_lcm_degree(degree: int) -> None:
+    """Refuse, as ``hilbert_series`` would, a chain whose largest lcm
+    degree of a component passes ``limits.NUMERATOR_DEGREE_LIMIT``: on
+    every read of a stored fact and on each round's new chain."""
+    limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")

@@ -1,13 +1,16 @@
 import itertools
 import random
 import time
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext, _is_prime, colon,
-                           ideal_intersection, ideal_product, ideal_sum, minimalize, saturate)
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, _is_prime, antichain_colon,
+                           antichain_intersection, antichain_sum, antichain_times_variable,
+                           colon, ideal_intersection, ideal_product, ideal_sum, minimalize,
+                           saturate)
 from lexcohom.errors import MixedContextError
 from lexcohom.hilbert import ideal_window
 from lexcohom.limits import MR_LIMIT, NUMERATOR_DEGREE_LIMIT
@@ -128,6 +131,52 @@ def test_ideal_sum_matches_the_minimalized_union(pair):
     assert ideal_sum(I, J).gens == ref_ideal_sum(I, J).gens
     assert ideal_sum(J, I).gens == ref_ideal_sum(I, J).gens
     assert I.plus_powers().gens == ref_ideal_sum(I, I.ctx.powers_ideal()).gens
+
+
+@st.composite
+def antichain_pairs(draw):
+    """Two canonical antichains in 1..3 x variables, each random or empty,
+    with or without the pure powers of a power ideal among its generators,
+    and a monomial and a variable index of the same ring."""
+    nx = draw(st.integers(1, 3))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers)
+    exps = st.tuples(*[st.integers(0, 3)] * nx)
+
+    def antichain():
+        I = minimalize(ctx, [Monomial(e) for e in draw(st.lists(exps, max_size=6))])
+        return tuple(g.exps for g in (I.plus_powers() if draw(st.booleans()) else I).gens)
+
+    m = draw(st.tuples(*[st.integers(0, 2)] * nx))
+    return antichain(), antichain(), m, draw(st.integers(0, nx - 1))
+
+
+def _in(a, u):
+    return any(all(map(le, g, u)) for g in a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(antichain_pairs())
+def test_antichain_kernels_match_the_definitions_in_a_box(case):
+    # every generator lies below 5 in each exponent, so two antichains whose
+    # ideals hold the same monomials of the box [0, 5]^n generate one ideal
+    a, b, m, j = case
+    x = tuple(int(i == j) for i in range(len(m)))
+    box = list(itertools.product(range(6), repeat=len(m)))
+    definitions = [
+        (antichain_sum(a, b), lambda u: _in(a, u) or _in(b, u)),
+        (antichain_intersection(a, b), lambda u: _in(a, u) and _in(b, u)),
+        (antichain_colon(a, m), lambda u: _in(a, tuple(map(add, u, m)))),
+        (antichain_times_variable(a, j), lambda u: u[j] > 0 and _in(a, tuple(map(sub, u, x)))),
+    ]
+    for out, member in definitions:
+        assert list(out) == sorted(out, key=lambda e: (sum(e), tuple(-c for c in e)))
+        assert not any(g != h and all(map(le, g, h)) for g in out for h in out)
+        assert all(max(g, default=0) <= 5 for g in out)
+        assert [u for u in box if _in(out, u)] == [u for u in box if member(u)]
+    # the sum hands back its first antichain when no generator of b survives
+    assert antichain_sum(a, b) is a or not all(_in(a, h) for h in b)
+    assert antichain_sum(a, a) is a
 
 
 def test_ideal_sum_of_mixed_contexts_raises_like_the_reference():

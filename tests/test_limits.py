@@ -5,7 +5,7 @@ import time
 import pytest
 
 import lexcohom
-from lexcohom import limits, verify
+from lexcohom import limits, memos, verify
 from lexcohom.cli import main
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
 from lexcohom.errors import IterationCapExceededError, ResourceLimitError
@@ -106,6 +106,30 @@ def test_stabilization_refuses_an_lcm_degree_past_the_numerator_limit(monkeypatc
     monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 301)
     with pytest.raises(ResourceLimitError, match="limits.NUMERATOR_DEGREE_LIMIT = 301"):
         z_stabilize(J)
+
+
+def test_a_round_past_the_numerator_limit_names_a_components_lcm(monkeypatch, tmp_path, capsys):
+    # (x1^2, z^4) in K[x1, x2][z] has lcm degree 6, and a round reaches a
+    # component of lcm degree 7: under limit 6 the input passes and that
+    # round's chain is refused before its numerators are read, with the
+    # text of a stored chain's refusal, warm, after memos.clear_all() and
+    # from the CLI
+    I = MonomialIdeal.make(RingContext(2).add_z(), [Monomial((2, 0, 0)), Monomial((0, 0, 4))])
+    want = "a component's lcm has degree 7, above limits.NUMERATOR_DEGREE_LIMIT = 6"
+    assert is_z_stable(z_stabilize(I))
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", 6)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError) as info:
+            z_stabilize(I)
+        assert str(info.value) == want
+    memos.clear_all()
+    with pytest.raises(ResourceLimitError) as info:
+        z_stabilize(I)
+    assert str(info.value) == want
+    f = tmp_path / "I.txt"
+    f.write_text("ring n=2 char=32003\nvariable z\nx1^2\nz^4\n")
+    assert main(["zstabilize", "--input", str(f)]) == 2
+    assert want in capsys.readouterr().err
 
 
 def test_stabilization_round_limit(monkeypatch):

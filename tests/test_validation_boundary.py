@@ -11,7 +11,7 @@ from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon, ideal_in
                            ideal_product, ideal_sum, minimalize, saturate)
 from lexcohom.errors import MixedContextError
 from lexcohom.limits import EXPONENT_LIMIT
-from lexcohom.zstable import ZGradedIdeal, z_decompose, z_recompose
+from lexcohom.zstable import ZGradedIdeal, distraction_initial, z_decompose, z_recompose
 
 from conftest import (ref_colon, ref_ideal_intersection, ref_ideal_product, ref_ideal_sum,
                       ref_saturate_by_parts, ref_z_decompose, ref_z_recompose)
@@ -134,6 +134,17 @@ def test_a_product_past_the_limit_is_refused_even_when_it_is_not_minimal():
     # at the limit itself the product is built
     top = MonomialIdeal.make(ctx, [M(0, 0, L - 1)])
     assert ideal_product(top, MonomialIdeal.make(ctx, [M(0, 0, 1)])).gens == (M(0, 0, L),)
+
+
+def test_a_distraction_past_the_limit_is_refused():
+    # x1^L z in K[x1, x2][z]: the walk multiplies component 1 by x1, which
+    # passes the limit, while the product by x2 stays at it; the walk runs
+    # on exponent tuples, so the products are validated before it
+    L = EXPONENT_LIMIT
+    Z = z_decompose(MonomialIdeal.make(RingContext(2).add_z(), [M(L, 0, 1)]))
+    with pytest.raises(OverflowError, match=rf"exponent overflow in \({L + 1}, 0\)"):
+        distraction_initial(Z, 1, 0)
+    assert [c.gens for c in distraction_initial(Z, 1, 1).components] == [(M(L, 1),)]
 
 
 def test_public_construction_still_validates():

@@ -251,7 +251,7 @@ def test_lemma_suite_decomposes_each_ideal_along_z_once(monkeypatch):
 
 def test_lemma_suite_reads_each_component_window_once(monkeypatch):
     # every window (the bars' and the top-partial-sums lemma's) is read off
-    # the chains' stored numerators: no ideal_window, and one hilbert_series
+    # the chains' stored numerators: no ideal_window, and one numerator
     # per component of each chain.  The genuine embedding's restriction
     # inequality follows from z_order_compare, so the suite reads only the
     # bottom and top windows of each chain, none of the restriction scan
@@ -264,13 +264,14 @@ def test_lemma_suite_reads_each_component_window_once(monkeypatch):
         E = embeddings.epsilon_one(P)
         expected.append(sum(len(zs.z_decompose(X).components) for X in {P, E}))
     windows = count_calls(monkeypatch, ideal_window)
-    numerators = []  # the chains' hilbert_series calls
+    numerators = []  # the chains' numerator reads
 
-    def counted(J):
-        numerators.append(J)
-        return hilbert_series(J)
+    def counted(gens):
+        numerators.append(gens)
+        return zs_numerator(gens)
 
-    monkeypatch.setattr(zs, "hilbert_series", counted)
+    zs_numerator = zs._numerator
+    monkeypatch.setattr(zs, "_numerator", counted)
     levels = []  # whether each chain window read is of a bottom or top component
     real_window = zs.ZGradedIdeal.window
 

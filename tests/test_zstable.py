@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcohom import zstable
+from lexcohom import hilbert, zstable
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
                            saturate)
 from lexcohom.embeddings import epsilon_one
@@ -250,13 +250,14 @@ def test_stabilize_contract_on_samples():
 
 @pytest.mark.parametrize("step, match", [
     # a round that hands back its own chain does not move up
-    (lambda Z, j, k: Z, "did not strictly increase"),
+    (lambda chain, d, j, nx: chain, "did not strictly increase"),
     # a round that lands on (x1) changes the Hilbert function of (z^3)
-    (lambda Z, j, k: z_decompose(MonomialIdeal.make(ctx2z, [M(1, 0, 0)])),
+    (lambda chain, d, j, nx: z_decompose(MonomialIdeal.make(ctx2z, [M(1, 0, 0)])).antichains,
      "changed the Hilbert function"),
 ])
 def test_a_broken_stabilization_round_is_a_bug_not_a_refusal(monkeypatch, step, match):
-    monkeypatch.setattr(zstable, "distraction_initial", step)
+    # the round step the loop runs, on the chains' component antichains
+    monkeypatch.setattr(zstable, "_initial_chain", step)
     I = MonomialIdeal.make(ctx2z, [M(0, 0, 3)])
     with pytest.raises(AssertionError, match=rf"{match} \(bug\)$"):
         z_stabilize(I)
@@ -468,11 +469,19 @@ def test_order_compare_and_stabilize_recompose_no_chain(monkeypatch):
 
 
 def test_a_stabilization_round_reads_one_numerator_list_per_chain(monkeypatch):
-    # the round's z_order_compare is its one Hilbert check; each chain
-    # stores its numerators, so the chain a round makes is read again by
-    # the next round for free: one numerator per component of every chain
-    # of the loop, none for a stable input
-    calls = count_calls(monkeypatch, hilbert_series)
+    # the round's order of two chains is its one Hilbert check; the loop
+    # keeps the numerators it read, so the chain a round makes is read
+    # again by the next round for free: one numerator per component of
+    # every chain of the loop, none for a stable input.  The loop and the
+    # input chain's numerators() read them through zstable's _numerator,
+    # whose recursion inside hilbert is not counted.
+    calls = []
+
+    def numerator(gens):
+        calls.append(gens)
+        return hilbert._numerator(gens)
+
+    monkeypatch.setattr(zstable, "_numerator", numerator)
     rng = random.Random(71)
     rounds = 0
     for _ in range(20):
@@ -484,6 +493,8 @@ def test_a_stabilization_round_reads_one_numerator_list_per_chain(monkeypatch):
         calls.clear()
         z_stabilize(I)
         assert len(calls) == (sum(c.s + 1 for c in chains) if len(chains) > 1 else 0)
+        if len(chains) > 1:
+            assert calls == [a for c in chains for a in c.antichains]
     assert rounds > 10
 
 
