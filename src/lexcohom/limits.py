@@ -47,8 +47,10 @@ WINDOW_SPAN_LIMIT = 100_000
 # ``hilbert._numerator``, the recursion's depth; the embeddings'
 # ``_certified_embedding``, whose selection stops at one degree past it;
 # ``zstable._stable_chain``, the length of the chain the rounds start from;
-# ``zstable._check_lcm_degree``, each round's new chain and a chain held
-# across a change of the limit.
+# ``zstable._check_lcm_degree``, each round's new chain, and the reads of
+# a chain's numerators and embedded components, which refuse on a chain
+# held across a change of the limit; its other stored facts run no
+# recursion and are read with no check.
 NUMERATOR_DEGREE_LIMIT = 400
 # Most multidegrees prod_i (rho_i + 1) a cohomology cell walk visits: over
 # four times the 449,875 of the largest lex ideal tried (240 generators of

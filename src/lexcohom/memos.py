@@ -74,8 +74,9 @@ EMBED_MEMO_SIZE = 256
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
 # 3,702 hits, for 0.66 MB more traced memory after the run (the draws
 # included) than with no memo, the facts stored on the chains included
-# (antichains, numerators, bar saturations, recompositions and the rest;
-# 256 entries keep 3,619, for 0.39 MB).
+# (antichains, numerators, bar saturations and the rest; 256 entries keep
+# 3,619, for 0.39 MB).  A chain's recomposition is its key, the ideal
+# itself, and adds nothing.
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
-from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _divides_any,
-                   _grlex_key, ideal_product, minimalize, saturate)
+from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _grlex_key,
+                   ideal_product, minimalize, saturate)
 from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import HilbertMismatchError
 from .hilbert import HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series
@@ -378,7 +378,7 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     # saturations: eps(bar I)^sat == bar(eps_1 I)^sat
     barI = zstable.bar(dec)
     eps_bar = lpp_ideal(barI) if ctx_R.powers else lex_ideal_of(barI)
-    checks["saturated_bars_agree"] = saturate(eps_bar, ctx_R.max_ideal()) == decE.bar_saturation()
+    checks["saturated_bars_agree"] = saturate(eps_bar, ctx_R.max_ideal()) == decE.bar_saturation
 
     # equal Hilbert functions high up push down to the bars, whose windows
     # are those of the bottom components
@@ -462,15 +462,12 @@ def _bar_swap_holds(dec: zstable.ZGradedIdeal) -> bool:
 
 def _holds_m_times(P: MonomialIdeal, E: MonomialIdeal) -> bool:
     """Whether P contains m*E + b, read without forming m*E: P holds b,
-    and x_i * g for every generator g of E and every variable x_i, which it
-    does whenever it holds g."""
-    pexps = [h.exps for h in P.gens]
-    for g in E.gens:
-        e = g.exps
-        if not P.contains(g) and not all(
-                _divides_any(pexps, e[:i] + (e[i] + 1,) + e[i + 1:]) for i in range(len(e))):
-            return False
-    return P.contains_ideal(P.ctx.powers_ideal())
+    and x_i * g for every generator g of E and every variable x_i: the
+    two-step chain (P, E) has no ``zstable._violation`` in all n
+    variables."""
+    chain = tuple(tuple(g.exps for g in J.gens) for J in (P, E))
+    return (zstable._violation(chain, P.ctx.n) is None
+            and P.contains_ideal(P.ctx.powers_ideal()))
 
 
 def _top_partial_sums(dec: zstable.ZGradedIdeal, decE: zstable.ZGradedIdeal) -> bool:
@@ -516,10 +513,9 @@ def check_extension_recurrence(I: MonomialIdeal,
     lo, hi = big.lo, big.hi
 
     J_sat = zstable.bar(zstable.z_saturate(dec))      # bar of the z-saturation
-    J_bar_sat = saturate(zstable.bar(dec), ctx.drop_z().max_ideal())
 
     mismatches = {}
-    for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", J_bar_sat, 2)):
+    for name, J, min_i in (("upper-sum", J_sat, 1), ("bar-saturated", dec.bar_saturation, 2)):
         small = cohomology_table(J, (lo, hi), backend=backend)
         mismatches[name] = next(((i, lo + k) for i in range(min_i, ctx.n + 1)
                                  for k, (v, a) in enumerate(zip(big.rows[i],

@@ -22,21 +22,24 @@ wrap the same kernels, so the oracles test the code the loop runs.
 
 A chain stores the facts read from it, each computed on first use: its
 component antichains and numerators, their largest lcm degree, the answer
-of ``_first_violation``, the top generator degree of the recomposed
-ideal, whether every component is embedded (``embeddings.is_embedded``),
-the saturation of its bar by m_R and the recomposed ideal itself, which
-``z_recompose`` reads.  The chain the loop returns comes with the
-antichains, numerators, lcm degree and violation its last round read.
+of ``_first_violation``, whether every component is embedded
+(``embeddings.is_embedded``), the saturation of its bar by m_R and the
+recomposed ideal, which ``z_recompose`` reads and whose top generator
+degree is the chain's.  The chain of ``z_decompose(I)`` comes with I as
+its recomposition, and the chain the loop returns with the antichains,
+numerators, lcm degree and violation its last round read.
 ``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
 chains' stored numerators (its equal-Hilbert-function precondition is
 read off the same running difference as its sign tests, recomposing no
 chain), and ``ZGradedIdeal.window`` reads a component's window off its
 numerator and the numerator of R's power ideal (``hilbert.ideal_stream``),
-the one source of R's Hilbert function.  Every read of a stored fact but
-the antichains, the violation and the recomposition, which no limit
-bounds, checks the stored lcm degree against
-``limits.NUMERATOR_DEGREE_LIMIT`` (``_check_lcm_degree``), so a chain
-that a caller holds across a change of that limit never skips a refusal.
+the one source of R's Hilbert function.  The facts whose computation runs
+the numerator recursion, the numerators (with the windows read off them)
+and the embedded components, check the stored lcm degree against
+``limits.NUMERATOR_DEGREE_LIMIT`` on every read (``_check_lcm_degree``),
+so a chain that a caller holds across a change of that limit never skips
+a refusal of theirs.  Every other fact is a plain stored value, which no
+limit bounds, read with no check.
 
 Two memos, keyed on the ideal (which carries its ring), hold chains for
 the whole process.  ``z_decompose`` reads ``_decomposition``, so each
@@ -89,10 +92,14 @@ class ZGradedIdeal:
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
     the chain (component antichains, numerators, lcm degree, first
-    violation, top generator degree, embedded components, bar saturation,
-    recomposition) are computed on first use and stored on it; they take
-    no part in its equality or hash.  A chain built by ``_chain_of``
-    comes with the facts its builder read.
+    violation, embedded components, bar saturation, recomposition) are
+    computed on first use and stored on it; they take no part in its
+    equality or hash.  A chain built by ``_chain_of`` comes with the facts
+    its builder read.  Only the numerators (and ``window``, read off
+    them) and the embedded components, whose computation runs the
+    numerator recursion, check the stored lcm degree on every read; the
+    other facts, the top generator degree read off the recomposition
+    among them, are plain stored values.
 
     No total numerator is stored.  The series of R[z]/I is
     sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
@@ -128,20 +135,9 @@ class ZGradedIdeal:
     def _lcm_degree(self) -> int:
         return _top_lcm_degree(self.antichains)
 
-    @cached_property
-    def _max_gen_degree(self) -> int:
-        return max(
-            (g.degree + h for h, comp in enumerate(self.components) for g in comp.gens
-             if h == 0 or not self.components[h - 1].contains(g)),
-            default=0,
-        )
-
     def max_gen_degree(self) -> int:
-        """Top degree of a minimal generator of the recomposed ideal: those
-        are the x^a z^h with x^a a generator of component h outside
-        component h - 1.  Found once per chain."""
-        _check_lcm_degree(self._lcm_degree)
-        return self._max_gen_degree
+        """Top degree of a minimal generator of the recomposed ideal."""
+        return self.recomposed.max_gen_degree()
 
     @cached_property
     def _numers(self) -> tuple[tuple[int, ...], ...]:
@@ -164,15 +160,11 @@ class ZGradedIdeal:
         return self._all_embedded
 
     @cached_property
-    def _bar_saturation(self) -> MonomialIdeal:
-        bottom = self.components[0]
-        return saturate(bottom, bottom.ctx.max_ideal())
-
     def bar_saturation(self) -> MonomialIdeal:
         """The saturation by m_R of the bar, the bottom component, found
         once per chain."""
-        _check_lcm_degree(self._lcm_degree)
-        return self._bar_saturation
+        bottom = self.components[0]
+        return saturate(bottom, bottom.ctx.max_ideal())
 
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R
@@ -184,7 +176,8 @@ class ZGradedIdeal:
     @cached_property
     def recomposed(self) -> MonomialIdeal:
         """The ideal of R[z] with this chain (``z_recompose``), which no
-        limit bounds."""
+        limit bounds: the decomposed ideal itself for ``z_decompose``'s
+        chains, else built once."""
         return _minimal_ideal(self.ctx, [g.exps + (h,) for h, comp in enumerate(self.components)
                                          for g in comp.gens])
 
@@ -206,8 +199,9 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
 
     The chain is memoized for the whole process, in the memo
     ``_decomposition`` keyed on I, so every caller shares one chain per
-    ideal and the facts stored on it.  Both refusals (no z in the context,
-    an ideal that is no preimage) are raised on every call, never stored.
+    ideal and the facts stored on it, I as its recomposition among them.
+    Both refusals (no z in the context, an ideal that is no preimage) are
+    raised on every call, never stored.
     """
     _check_z_ctx(I.ctx)
     _check_preimage(I)
@@ -216,12 +210,13 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
 
 @memos.memo(memos.DECOMPOSE_MEMO_SIZE)
 def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
-    """The chain of ``z_decompose``, for an I it has checked."""
+    """The chain of ``z_decompose``, for an I it has checked, with I
+    stored as its recomposition."""
     s = max((g.exps[-1] for g in I.gens), default=0)
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
     for g in I.gens:
         levels[g.exps[-1]].append(g.exps[:-1])
-    return _chain_of(I.ctx, list(accumulate(map(tuple, levels), antichain_sum)))
+    return _chain_of(I.ctx, list(accumulate(map(tuple, levels), antichain_sum)), recomposed=I)
 
 
 def _chain_of(ctx: RingContext, chain, known: ZGradedIdeal | None = None,
@@ -241,7 +236,9 @@ def _chain_of(ctx: RingContext, chain, known: ZGradedIdeal | None = None,
 
 def z_recompose(Z: ZGradedIdeal) -> MonomialIdeal:
     """Inverse of z_decompose: the x^a z^h for the generators x^a of each
-    component h, minimalized on exponent tuples, built once per chain."""
+    component h, minimalized on exponent tuples, built once per chain.
+    ``z_recompose(z_decompose(I))`` is I itself, or the equal ideal that
+    filled ``z_decompose``'s memo."""
     return Z.recomposed
 
 
@@ -488,7 +485,8 @@ def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
     The lcm degree of I is checked against ``limits.NUMERATOR_DEGREE_LIMIT``
     on a memo miss only: setting a limit empties every memo, so every hit
     was computed under the current limit.  A chain that a caller holds
-    across such a change still refuses, by ``_check_lcm_degree``.
+    across such a change still refuses a read of its numerators or
+    embedded components, by ``_check_lcm_degree``.
 
     A round runs on antichains: ``_violation``, ``_initial_chain`` and
     ``_partial_sum_order``.  It checks the round limit, then refuses a new
@@ -535,5 +533,6 @@ def _top_lcm_degree(chain) -> int:
 def _check_lcm_degree(degree: int) -> None:
     """Refuse, as ``hilbert_series`` would, a chain whose largest lcm
     degree of a component passes ``limits.NUMERATOR_DEGREE_LIMIT``: on
-    every read of a stored fact and on each round's new chain."""
+    every read of its numerators or embedded components, and on each
+    round's new chain."""
     limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")

@@ -5,13 +5,14 @@ numerator limit checked only where an answer is computed.
 Each stored fact is built once, equals its recomputation on a fresh equal
 object, and leaves equality and hashing alone.  A limit lowered below an
 ideal's or a chain's lcm degree refuses with the same message whether the
-facts and memos are warm or emptied."""
+facts and memos are warm or emptied; a chain refuses only the reads whose
+computation runs the numerator recursion."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import core, limits, memos, zstable
+from lexcohom import core, embeddings, limits, memos, verify, zstable
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, format_term, ideal_sum
 from lexcohom.errors import ResourceLimitError
 from lexcohom.hilbert import hilbert_series, lcm_degree
@@ -133,3 +134,46 @@ def test_a_stabilized_chain_still_refuses_below_its_lcm_degree(monkeypatch):
                        f"above limits.NUMERATOR_DEGREE_LIMIT = {limit}")
     assert warm[1] == (f"a component's lcm has degree {top}, "
                        f"above limits.NUMERATOR_DEGREE_LIMIT = {limit}")
+
+
+def test_a_decomposition_recomposes_to_its_ideal_itself():
+    I = _z_ideal()
+    assert zstable.z_recompose(zstable.z_decompose(I)) is I
+    J = zstable.z_recompose(zstable.z_stabilize(I))
+    memos.clear_all()
+    assert zstable.z_recompose(zstable.z_stabilize(J)) is J
+    assert zstable.z_recompose(zstable.z_decompose(J)) is J
+
+
+@pytest.mark.parametrize("build", [zstable.z_decompose, zstable.z_stabilize])
+def test_a_held_chain_refuses_below_its_lcm_degree_only_where_numerators_are_read(
+        monkeypatch, build):
+    # the bar saturation and the top generator degree run no numerator
+    # recursion, so they read the same under any limit; the numerators, the
+    # windows read off them and the embedded components refuse
+    Z = build(_z_ideal())
+    facts = (Z.bar_saturation, Z.max_gen_degree())
+    Z.numerators()
+    Z.all_embedded()
+    top = max(map(lcm_degree, Z.components))
+    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
+    want = f"a component's lcm has degree {top}, above limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"
+    fresh = zstable.ZGradedIdeal(Z.ctx, Z.components)
+    for chain in (Z, Z, fresh):  # warm, after emptying every memo, and cold
+        assert (chain.bar_saturation, chain.max_gen_degree()) == facts
+        reads = (chain.numerators, lambda: chain.window(0, 3), chain.all_embedded)
+        assert [_refusal(read) for read in reads] == [want] * 3
+        memos.clear_all()
+
+
+def test_a_chains_bar_is_saturated_once_by_the_lemma_suite_and_the_recurrences(monkeypatch):
+    I = zstable.z_recompose(zstable.z_stabilize(_z_ideal()))
+    E = embeddings.epsilon_one(I)
+    calls = count_calls(monkeypatch, core.saturate)
+    assert verify.verify_embedding_lemmas(I).passed
+    for J in (I, I, E, E):
+        assert verify.check_extension_recurrence(J) == {"upper-sum": None,
+                                                        "bar-saturated": None}
+    for J in (I, E):
+        bar = zstable.bar(zstable.z_decompose(J))
+        assert sum(args[0] is bar for args in calls) == 1

@@ -591,6 +591,38 @@ def test_corrupted_embedding_trips_top_partial_sums():
     assert any(not r.checks["top_partial_sums"] for r in records)
 
 
+def _plus_one_monomial(rng):
+    """A mutant embedding: the genuine one plus one random monomial outside
+    it, of degree 1 to one past its top generator degree."""
+    def epsilon(P):
+        E = embeddings.epsilon_one(P)
+        d = rng.randint(1, E.max_gen_degree() + 1)
+        outside = [m for m in E.ctx.monomials(d) if not E.contains(m)]
+        if not outside:
+            return E
+        return core.ideal_sum(E, MonomialIdeal.make(E.ctx, [rng.choice(outside)]))
+    return epsilon
+
+
+def test_an_added_monomial_trips_saturated_bars_agree():
+    # R = K[x1, x2, x3] is not Artinian, so a bar's saturation by m_R can move
+    instances = list(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=40)))
+    assert all(verify_embedding_lemmas(I).checks["saturated_bars_agree"] for I in instances)
+    epsilon = _plus_one_monomial(random.Random(0))
+    assert any(not verify_embedding_lemmas(I, epsilon=epsilon).checks["saturated_bars_agree"]
+               for I in instances)
+
+
+def test_a_replaced_stored_bar_saturation_trips_saturated_bars_agree():
+    I = next(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=1)))
+    assert verify_embedding_lemmas(I).checks["saturated_bars_agree"]
+    decE = zs.z_decompose(embeddings.epsilon_one(I))
+    unit = MonomialIdeal.unit(I.ctx.drop_z())
+    assert decE.bar_saturation != unit
+    vars(decE)["bar_saturation"] = unit  # the chain is the one the suite reads
+    assert not verify_embedding_lemmas(I).checks["saturated_bars_agree"]
+
+
 def test_zstabilize_record():
     ctx = RingContext(2).add_z()
     rec = verify_zstabilize(MonomialIdeal.make(ctx, [M(1, 0, 1)]))
