@@ -373,15 +373,18 @@ class MonomialIdeal:
     ``zstable.z_decompose`` build ideals that way without re-minimalizing,
     and rely on their inputs holding the invariant.
 
-    Two facts read from the ideal are computed on first use and stored on
+    Five facts read from the ideal are computed on first use and stored on
     it: its text (``text``, which ``ioformat.format_ideal`` and ``str``
-    read) and its preimage closure (``plus_powers``).  No limit bounds
-    either: both depend on the context and the generators alone, and
-    neither builds an exponent that is not already a generator's nor runs
-    a recursion, so nothing in them can be refused.  A stored fact is
-    therefore right under any limits, also after a change of limits has
-    emptied the memos.  They take no part in equality or hashing, which
-    read the two fields alone.
+    read), its preimage closure (``plus_powers``), its top generator degree
+    (``max_gen_degree``), the degreewise tallies of the minimal generators
+    of I/b (``generator_tallies``) and its saturation I : m^infinity by the
+    maximal ideal (``m_saturation``).  No limit bounds any of them: each
+    depends on the context and the generators alone, and none builds an
+    exponent above a generator's (a saturation only zeroes exponents and
+    takes coordinate maxima) nor runs a recursion, so nothing in them can
+    be refused.  A stored fact is therefore right under any limits, also
+    after a change of limits has emptied the memos.  They take no part in
+    equality or hashing, which read the two fields alone.
     """
 
     ctx: RingContext
@@ -408,6 +411,11 @@ class MonomialIdeal:
         return bool(self.gens) and self.gens[0].degree == 0
 
     def max_gen_degree(self) -> int:
+        """Top degree of a minimal generator, 0 for the zero ideal."""
+        return self._top_degree
+
+    @cached_property
+    def _top_degree(self) -> int:
         return max((g.degree for g in self.gens), default=0)
 
     def contains(self, m: Monomial) -> bool:
@@ -442,6 +450,27 @@ class MonomialIdeal:
             return self
         closure = self._closure
         return self if closure is None else closure
+
+    @cached_property
+    def generator_tallies(self) -> tuple[int, ...]:
+        """Degreewise counts of minimal generators of the quotient-ring
+        ideal I/b, on degrees 0 to the top generator degree of I + b: the
+        minimal generators of I + b outside b, which are all but the power
+        generators x_i^{d_i}.  This holds for every I, also for one that
+        does not contain b.  Found once per ideal."""
+        closure = self.plus_powers()
+        powers = set(self.ctx.powers_ideal().gens)
+        tallies = [0] * (closure.max_gen_degree() + 1)
+        for g in closure.gens:
+            if g not in powers:
+                tallies[g.degree] += 1
+        return tuple(tallies)
+
+    @cached_property
+    def m_saturation(self) -> "MonomialIdeal":
+        """I : m^infinity, the ``saturate`` of I by the maximal ideal of its
+        context, found once per ideal."""
+        return saturate(self, self.ctx.max_ideal())
 
     @cached_property
     def text(self) -> str:

@@ -72,21 +72,24 @@ EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.66 MB more traced memory after the run (the draws
-# included) than with no memo, the facts stored on the chains included
-# (antichains, numerators, bar saturations and the rest; 256 entries keep
-# 3,619, for 0.39 MB).  A chain's recomposition is its key, the ideal
-# itself, and adds nothing.
+# 3,702 hits, for 0.74 MB more traced memory after the run (the draws
+# included, after a garbage collection) than with no memo, the facts
+# stored on the chains included (antichains, numerators, component windows
+# at their longest length read, bar saturations and the rest; 256 entries
+# keep 3,619, for 0.45 MB).  A chain's recomposition is its key, the ideal
+# itself, and adds nothing.  The stored windows and the facts stored on
+# the components (top degree, generator tallies, m-saturation) add about
+# 0.08 MB of the 0.74.
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
-# times: 512 entries keep all 1,183 hits, for 0.87 MB more traced memory
-# after the run (the draws included) than with no memo (256 entries keep
-# 1,122, for 0.53 MB).  Emptying the memo after the run frees 2.1 KB an
-# entry on average, the facts the loop stores on its chains (antichains,
-# numerators) and their recompositions included; the largest seen, a
-# chain of 8 components with 22 generators in all, frees 5.1 KB when
-# stabilized and recomposed alone from empty memos.
+# times: 512 entries keep all 1,183 hits, for 0.90 MB more traced memory
+# after the run (the draws included, after a garbage collection) than with
+# no memo (256 entries keep 1,122, for 0.55 MB).  Emptying the memo after
+# the run frees 2.1 KB an entry on average, the facts the loop stores on
+# its chains (antichains, numerators) and their recompositions included;
+# the largest seen, a chain of 8 components with 22 generators in all,
+# frees 5.1 KB when stabilized and recomposed alone from empty memos.
 STABLE_MEMO_SIZE = 512
 # Entries of the parser memo ``cli.build_parser``: it takes no argument.
 PARSER_MEMO_SIZE = 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _grlex_key,
-                   ideal_product, minimalize, saturate)
+                   ideal_product, minimalize)
 from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import HilbertMismatchError
 from .hilbert import HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series
@@ -291,15 +291,10 @@ def verify_region_inclusion(I: MonomialIdeal) -> InstanceRecord:
 
 def _generator_tallies(P: MonomialIdeal, upto: int) -> tuple[int, ...]:
     """Degreewise counts of minimal generators of the quotient-ring ideal
-    P/b, i.e. dims of P/(m*P + b): the minimal generators of P + b outside
-    b, which are all but the power generators x_i^{d_i}.  This holds for
-    every P, also for one that does not contain b."""
-    powers = set(P.ctx.powers_ideal().gens)
-    tallies = [0] * (upto + 1)
-    for g in P.plus_powers().gens:
-        if g.degree <= upto and g not in powers:
-            tallies[g.degree] += 1
-    return tuple(tallies)
+    P/b, i.e. dims of P/(m*P + b), on degrees 0..upto: P's stored
+    ``generator_tallies``, cut or padded with zeros."""
+    tallies = P.generator_tallies[:max(upto + 1, 0)]
+    return tallies + (0,) * (upto + 1 - len(tallies))
 
 
 def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
@@ -318,6 +313,15 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     already orders the chains; the saturation swap; and, for the genuine
     embedding, the series of m * I + b.  The facts that depend on E alone,
     which repeats once per Hilbert series, are stored on its chain.
+
+    Every other fact the suite reads of an ideal or a chain is stored on
+    it too, so a repeated instance recomputes none of them: the top
+    generator degrees and the generator tallies of I and E, the
+    m-saturation of eps(bar I) (``MonomialIdeal.m_saturation``), and the
+    component windows of both chains (``ZGradedIdeal.window``).  Of these
+    only the windows check ``limits.NUMERATOR_DEGREE_LIMIT``, through the
+    numerators they are read off; the others run no recursion and can be
+    refused by no limit.
     """
     ctx = I.ctx
     if not ctx.z:
@@ -330,7 +334,6 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
     E = embed(I)
     checks: dict[str, bool] = {}
     W = zstable.default_window(I, E)
-    ctx_R = ctx.drop_z()
 
     # same Hilbert function (embedding well-definedness)
     numer = hilbert_series(I).numer
@@ -377,8 +380,8 @@ def verify_embedding_lemmas(I: MonomialIdeal, epsilon=None) -> InstanceRecord:
 
     # saturations: eps(bar I)^sat == bar(eps_1 I)^sat
     barI = zstable.bar(dec)
-    eps_bar = lpp_ideal(barI) if ctx_R.powers else lex_ideal_of(barI)
-    checks["saturated_bars_agree"] = saturate(eps_bar, ctx_R.max_ideal()) == decE.bar_saturation
+    eps_bar = lpp_ideal(barI) if ctx.powers else lex_ideal_of(barI)
+    checks["saturated_bars_agree"] = eps_bar.m_saturation == decE.bar_saturation
 
     # equal Hilbert functions high up push down to the bars, whose windows
     # are those of the bottom components

@@ -23,9 +23,11 @@ wrap the same kernels, so the oracles test the code the loop runs.
 A chain stores the facts read from it, each computed on first use: its
 component antichains and numerators, their largest lcm degree, the answer
 of ``_first_violation``, whether every component is embedded
-(``embeddings.is_embedded``), the saturation of its bar by m_R and the
-recomposed ideal, which ``z_recompose`` reads and whose top generator
-degree is the chain's.  The chain of ``z_decompose(I)`` comes with I as
+(``embeddings.is_embedded``), the saturation of its bar by m_R (the
+bar's stored ``MonomialIdeal.m_saturation``), each component's window at
+the longest length read so far, and the recomposed ideal, which
+``z_recompose`` reads and whose stored top generator degree is the
+chain's.  The chain of ``z_decompose(I)`` comes with I as
 its recomposition, and the chain the loop returns with the antichains,
 numerators, lcm degree and violation its last round read.
 ``is_z_stable`` reads the stored answer, ``z_order_compare`` reads both
@@ -33,9 +35,10 @@ chains' stored numerators (its equal-Hilbert-function precondition is
 read off the same running difference as its sign tests, recomposing no
 chain), and ``ZGradedIdeal.window`` reads a component's window off its
 numerator and the numerator of R's power ideal (``hilbert.ideal_stream``),
-the one source of R's Hilbert function.  The facts whose computation runs
-the numerator recursion, the numerators (with the windows read off them)
-and the embedded components, check the stored lcm degree against
+the one source of R's Hilbert function, and serves a shorter read as a
+slice of the window it holds.  The facts whose computation runs the
+numerator recursion, the numerators (with the windows read off them, held
+or not) and the embedded components, check the stored lcm degree against
 ``limits.NUMERATOR_DEGREE_LIMIT`` on every read (``_check_lcm_degree``),
 so a chain that a caller holds across a change of that limit never skips
 a refusal of theirs.  Every other fact is a plain stored value, which no
@@ -64,7 +67,7 @@ from itertools import accumulate
 from . import limits, memos
 from .core import (Monomial, MonomialIdeal, RingContext, _antichain_ideal, _divides_any,
                    _minimal_ideal, antichain_colon, antichain_intersection, antichain_sum,
-                   antichain_times_variable, saturate)
+                   antichain_times_variable)
 from .embeddings import is_embedded
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
@@ -92,14 +95,14 @@ class ZGradedIdeal:
     Components live in the context with z dropped and are constant from the
     stabilization index s = len(components) - 1 on.  The facts read from
     the chain (component antichains, numerators, lcm degree, first
-    violation, embedded components, bar saturation, recomposition) are
-    computed on first use and stored on it; they take no part in its
-    equality or hash.  A chain built by ``_chain_of`` comes with the facts
-    its builder read.  Only the numerators (and ``window``, read off
-    them) and the embedded components, whose computation runs the
-    numerator recursion, check the stored lcm degree on every read; the
-    other facts, the top generator degree read off the recomposition
-    among them, are plain stored values.
+    violation, embedded components, bar saturation, component windows,
+    recomposition) are computed on first use and stored on it; they take
+    no part in its equality or hash.  A chain built by ``_chain_of`` comes
+    with the facts its builder read.  Only the numerators (and ``window``,
+    read off them, stored or not) and the embedded components, whose
+    computation runs the numerator recursion, check the stored lcm degree
+    on every read; the other facts, the top generator degree read off the
+    recomposition among them, are plain stored values.
 
     No total numerator is stored.  The series of R[z]/I is
     sum_h t^h numer(R/I_<h>) / (1-t)^n, and two chains J, L have the same
@@ -161,17 +164,28 @@ class ZGradedIdeal:
 
     @cached_property
     def bar_saturation(self) -> MonomialIdeal:
-        """The saturation by m_R of the bar, the bottom component, found
-        once per chain."""
-        bottom = self.components[0]
-        return saturate(bottom, bottom.ctx.max_ideal())
+        """The saturation by m_R of the bar, the bottom component: the
+        component's stored ``m_saturation``."""
+        return self.components[0].m_saturation
+
+    @cached_property
+    def _windows(self) -> list[tuple[int, ...]]:
+        return [()] * (self.s + 1)
 
     def window(self, h: int, upto: int) -> tuple[int, ...]:
         """Degreewise dims of component h (component s from s on) inside R
         on degrees 0..upto: ``ideal_window`` of the component, read off its
-        stored numerator by ``ideal_stream``."""
-        numer = self.numerators()[min(h, self.s)]
-        return window(ideal_stream(self.components[0].ctx, numer), upto)
+        stored numerator by ``ideal_stream``.  Each component keeps its
+        window at the longest length read so far, and a shorter read is a
+        slice of it; the numerators are read first, so every read checks
+        the lcm degree."""
+        numers = self.numerators()
+        h = min(h, self.s)
+        held = self._windows[h]
+        if len(held) <= upto:
+            held = self._windows[h] = window(ideal_stream(self.components[0].ctx, numers[h]),
+                                             upto)
+        return held[:max(upto + 1, 0)]
 
     @cached_property
     def recomposed(self) -> MonomialIdeal:

@@ -1,6 +1,8 @@
-"""Facts stored on ideals and chains: the text and the preimage closure of a
-``MonomialIdeal``, the recomposition of a ``ZGradedIdeal``, and the
-numerator limit checked only where an answer is computed.
+"""Facts stored on ideals and chains: the text, the preimage closure, the
+top generator degree, the generator tallies and the m-saturation of a
+``MonomialIdeal``, the recomposition and the component windows of a
+``ZGradedIdeal``, and the numerator limit checked only where an answer is
+computed.
 
 Each stored fact is built once, equals its recomputation on a fresh equal
 object, and leaves equality and hashing alone.  A limit lowered below an
@@ -15,10 +17,10 @@ from hypothesis import strategies as st
 from lexcohom import core, embeddings, limits, memos, verify, zstable
 from lexcohom.core import Monomial, MonomialIdeal, RingContext, format_term, ideal_sum
 from lexcohom.errors import ResourceLimitError
-from lexcohom.hilbert import hilbert_series, lcm_degree
+from lexcohom.hilbert import hilbert_series, ideal_stream, ideal_window, lcm_degree
 from lexcohom.ioformat import format_ideal
 
-from conftest import count_calls
+from conftest import count_calls, ref_generator_tallies
 
 
 def _z_ideal():
@@ -81,6 +83,14 @@ def test_every_stored_fact_equals_its_recomputation(I, facts_first):
     assert closure == ideal_sum(fresh, b) and I.plus_powers() is closure
     assert (closure is I) == fresh.contains_ideal(b)
     assert closure.plus_powers() is closure
+    top = max((sum(g.exps) for g in fresh.gens), default=0)
+    assert I.max_gen_degree() == top
+    tallies = I.generator_tallies
+    assert tallies == ref_generator_tallies(fresh, len(tallies) - 1)
+    assert ref_generator_tallies(fresh, len(tallies) + 1) == tallies + (0, 0)
+    assert I.generator_tallies is tallies
+    saturation = I.m_saturation
+    assert saturation == core.saturate(fresh, I.ctx.max_ideal()) and I.m_saturation is saturation
     if I.ctx.z:
         Z = zstable.z_decompose(closure)
         fresh_chain = zstable.ZGradedIdeal(Z.ctx, Z.components)
@@ -89,11 +99,18 @@ def test_every_stored_fact_equals_its_recomputation(I, facts_first):
                                            for g in comp.gens])
         assert zstable.z_recompose(Z) == want == closure
         assert zstable.z_recompose(Z) is zstable.z_recompose(Z)
+        # windows read long then short on one chain, short then long on the other
+        for chain, lengths in ((Z, (9, 4, 0, 6)), (fresh_chain, (0, 4, 6, 9))):
+            for upto in lengths:
+                for h in range(Z.s + 2):
+                    assert chain.window(h, upto) == ideal_window(Z.component(h), upto)
         assert Z == fresh_chain and hash(Z) == hash(fresh_chain)
     # equal ideals stay equal and hash equal, whichever had facts read
     assert fresh == I and hash(fresh) == hash(I) and {I: 1}[fresh] == 1
     fresh.plus_powers()
     assert fresh.text == I.text
+    assert (fresh.max_gen_degree(), fresh.generator_tallies, fresh.m_saturation) == \
+        (top, tallies, saturation)
     assert fresh == I and hash(fresh) == hash(I)
 
 
@@ -150,20 +167,26 @@ def test_a_held_chain_refuses_below_its_lcm_degree_only_where_numerators_are_rea
         monkeypatch, build):
     # the bar saturation and the top generator degree run no numerator
     # recursion, so they read the same under any limit; the numerators, the
-    # windows read off them and the embedded components refuse
+    # windows read off them (held ones too) and the embedded components refuse
     Z = build(_z_ideal())
     facts = (Z.bar_saturation, Z.max_gen_degree())
     Z.numerators()
     Z.all_embedded()
+    long, short = Z.window(0, 5), Z.window(0, 3)  # the held window serves both
+    assert short == long[:4]
     top = max(map(lcm_degree, Z.components))
-    monkeypatch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
-    want = f"a component's lcm has degree {top}, above limits.NUMERATOR_DEGREE_LIMIT = {top - 1}"
-    fresh = zstable.ZGradedIdeal(Z.ctx, Z.components)
-    for chain in (Z, Z, fresh):  # warm, after emptying every memo, and cold
-        assert (chain.bar_saturation, chain.max_gen_degree()) == facts
-        reads = (chain.numerators, lambda: chain.window(0, 3), chain.all_embedded)
-        assert [_refusal(read) for read in reads] == [want] * 3
-        memos.clear_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(limits, "NUMERATOR_DEGREE_LIMIT", top - 1)
+        want = (f"a component's lcm has degree {top}, "
+                f"above limits.NUMERATOR_DEGREE_LIMIT = {top - 1}")
+        fresh = zstable.ZGradedIdeal(Z.ctx, Z.components)
+        for chain in (Z, Z, fresh):  # warm, after emptying every memo, and cold
+            assert (chain.bar_saturation, chain.max_gen_degree()) == facts
+            reads = (chain.numerators, lambda: chain.window(0, 5), lambda: chain.window(0, 3),
+                     chain.all_embedded)
+            assert [_refusal(read) for read in reads] == [want] * 4
+            memos.clear_all()
+    assert (Z.window(0, 5), Z.window(0, 3)) == (long, short)
 
 
 def test_a_chains_bar_is_saturated_once_by_the_lemma_suite_and_the_recurrences(monkeypatch):
@@ -177,3 +200,30 @@ def test_a_chains_bar_is_saturated_once_by_the_lemma_suite_and_the_recurrences(m
     for J in (I, E):
         bar = zstable.bar(zstable.z_decompose(J))
         assert sum(args[0] is bar for args in calls) == 1
+
+
+def test_a_repeated_lemma_suite_saturates_its_bar_embedding_and_reads_each_window_once(
+        monkeypatch):
+    I = zstable.z_recompose(zstable.z_stabilize(_z_ideal()))
+    eps_bar = embeddings.lpp_ideal(zstable.bar(zstable.z_decompose(I)))
+    saturations = count_calls(monkeypatch, core.saturate)
+    streams = []  # the streams of the chains' windows
+    reads = set()  # (chain, component, length) of every window read
+    window = zstable.ZGradedIdeal.window
+
+    def stream(*args):
+        streams.append(args)
+        return ideal_stream(*args)
+
+    def recorded(Z, h, upto):
+        reads.add((id(Z), min(h, Z.s), upto))
+        return window(Z, h, upto)
+
+    monkeypatch.setattr(zstable, "ideal_stream", stream)
+    monkeypatch.setattr(zstable.ZGradedIdeal, "window", recorded)
+    first = verify.verify_embedding_lemmas(I)
+    assert first.passed and streams and len(streams) <= len(reads)
+    once = len(streams)
+    assert verify.verify_embedding_lemmas(I) == first
+    assert len(streams) == once
+    assert sum(args[0] is eps_bar for args in saturations) == 1

@@ -623,6 +623,24 @@ def test_a_replaced_stored_bar_saturation_trips_saturated_bars_agree():
     assert not verify_embedding_lemmas(I).checks["saturated_bars_agree"]
 
 
+def test_an_added_monomial_trips_bars_agree_high():
+    instances = list(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=40)))
+    assert all(verify_embedding_lemmas(I).checks["bars_agree_high"] for I in instances)
+    epsilon = _plus_one_monomial(random.Random(0))
+    assert any(not verify_embedding_lemmas(I, epsilon=epsilon).checks["bars_agree_high"]
+               for I in instances)
+
+
+def test_a_replaced_stored_window_trips_bars_agree_high():
+    I = next(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=1)))
+    assert verify_embedding_lemmas(I).checks["bars_agree_high"]
+    E = embeddings.epsilon_one(I)
+    decE = zs.z_decompose(E)  # the chain the suite reads
+    held = decE.window(0, 2 * zs.default_window(I, E))
+    decE._windows[0] = tuple(x + 1 for x in held)  # a shorter read is a slice of it
+    assert not verify_embedding_lemmas(I).checks["bars_agree_high"]
+
+
 def test_zstabilize_record():
     ctx = RingContext(2).add_z()
     rec = verify_zstabilize(MonomialIdeal.make(ctx, [M(1, 0, 1)]))
