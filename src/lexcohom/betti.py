@@ -11,7 +11,10 @@ The homology of each upper Koszul complex is memoized across calls, for the
 whole process, in the memo ``_koszul_dims``, under the key
 (supp(b), tight masks, p).  The face rule of ``upper_koszul_faces`` reads
 nothing but supp(b) and the tight masks, so they determine the complex; p is
-in the key because the homology depends on the field.  Many ideals share
+in the key because the homology depends on the field.  The tight masks are
+taken on the vertices of supp(b), numbered 0, 1, ... in order, and keyed
+as one int (``homology._mask_family``), so a key has at most 2^|supp(b)|
+bits however many variables the ring has.  Many ideals share
 these small complexes, so most lattice points of a run of many ideals are
 memo hits.  Its values are tuples, so a caller cannot change them.
 
@@ -30,7 +33,7 @@ from functools import cached_property
 from . import limits, memos
 from .core import MonomialIdeal
 from .hilbert import hilbert_series
-from .homology import reduced_homology_dims
+from .homology import _family_masks, reduced_homology_dims
 
 NEG_INF = float("-inf")
 
@@ -54,7 +57,8 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
 def _koszul_keys(I: MonomialIdeal, lattice):
     """(deg b, supp(b), tight masks) for each point b of the lattice: the
     tight masks {i : g_i = b_i > 0} of the generators g dividing x^b, as
-    vertex bitmasks, are all that the face rule reads.
+    bitmasks on the vertices of supp(b) numbered in order, are all that the
+    face rule reads.  They come as one ``_mask_family`` int.
 
     Generators are bits too.  For each coordinate i and each distinct
     exponent e of x_i among the generators there is the set of generators
@@ -80,24 +84,33 @@ def _koszul_keys(I: MonomialIdeal, lattice):
         divisors = everyone
         for le, e in zip(below, b):
             divisors &= le[e]
-        tight = [(1 << i, equal[i][e] & divisors) for i, e in enumerate(b) if e]
-        masks = set()
+        supp = 0
+        tight = []
+        for i, e in enumerate(b):
+            if e:
+                supp |= 1 << i
+                tight.append((1 << len(tight), equal[i][e] & divisors))
+        family = 0
         rest = divisors
         while rest:
             t = rest & -rest
-            masks.add(sum(bit for bit, T in tight if T & t))
+            family |= 1 << sum(bit for bit, T in tight if T & t)
             rest ^= t
-        yield sum(b), sum(bit for bit, _ in tight), frozenset(masks)
+        yield sum(b), supp, family
 
 
-def upper_koszul_faces(supp: int, tight: frozenset[int]) -> list[int]:
+def upper_koszul_faces(supp: int, family: int) -> list[int]:
     """Faces (as vertex bitmasks) of the upper Koszul complex at b, from its
-    key (supp(b), tight masks) of ``_koszul_keys``.
+    key (supp(b), tight masks) of ``_koszul_keys``: ``family`` holds the
+    tight masks on the vertices of supp(b), which are placed back on the
+    ring's vertices here.
 
     tau is a face iff x^(b - tau) lies in I, i.e. iff some generator g
     divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
     among the submasks of supp(b).
     """
+    verts = [1 << i for i in range(supp.bit_length()) if supp >> i & 1]
+    tight = [sum(v for k, v in enumerate(verts) if m >> k & 1) for m in _family_masks(family)]
     faces = []
     tau = supp
     while True:
@@ -109,9 +122,9 @@ def upper_koszul_faces(supp: int, tight: frozenset[int]) -> list[int]:
 
 
 @memos.memo(memos.KOSZUL_MEMO_SIZE)
-def _koszul_dims(supp: int, tight: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    """((k, dim H~_k), ...) of the upper Koszul complex with key (supp, tight)."""
-    return tuple(reduced_homology_dims(upper_koszul_faces(supp, tight), p).items())
+def _koszul_dims(supp: int, family: int, p: int) -> tuple[tuple[int, int], ...]:
+    """((k, dim H~_k), ...) of the upper Koszul complex with key (supp, family)."""
+    return tuple(reduced_homology_dims(upper_koszul_faces(supp, family), p).items())
 
 
 @dataclass(frozen=True)
@@ -199,14 +212,23 @@ class Corner:
 
 
 def corners_via_reg(T: BettiTable) -> list[Corner]:
-    """Corners read off the strict jumps of the partial regularities."""
+    """Corners read off the strict jumps of the partial regularities.
+
+    reg_h(n - i) is the largest j - r over the rows r >= i, so one pass
+    over the entries finds each row's largest j - r, and a running maximum
+    from row n down gives reg_h(n - i) after row i and reg_h(n - i - 1)
+    before it (rows run 0..n)."""
+    top: dict[int, int] = {}
+    for i, j in T.entries:
+        if j - i > top.get(i, NEG_INF):
+            top[i] = j - i
     out = []
+    hi = NEG_INF
     for i in range(T.n, -1, -1):
-        lo, hi = T.reg_h(T.n - i - 1), T.reg_h(T.n - i)
-        if hi is not NEG_INF and lo < hi:
-            j = i + hi
-            out.append(Corner(i, hi, T.beta(i, j)))
-    return sorted(out, key=lambda c: c.i)
+        lo, hi = hi, max(hi, top.get(i, NEG_INF))
+        if lo < hi:
+            out.append(Corner(i, hi, T.beta(i, i + hi)))
+    return out[::-1]
 
 
 def corners_direct(T: BettiTable) -> list[Corner]:

@@ -9,6 +9,17 @@ silently corrupts first syzygies):
 
 * the void complex (no faces at all) has H~_k = 0 for every k;
 * the irrelevant complex {emptyset} has H~_{-1} = K and nothing else.
+
+The memos of the complexes (``betti._koszul_dims``,
+``localcohom._takayama_dims`` and ``localcohom._ext_dims``) name a
+complex by a family of bitmasks, which they key as one int with bit m set
+for mask m (``_mask_family``): canonical, free of duplicates, and a few
+dozen bytes where a frozenset takes hundreds.  Each caller keeps its masks
+below 2^v, v the number of vertices or generators the complex is built
+on, so a key has at most 2^v bits: a Koszul or Takayama miss walks 2^v
+candidate faces anyway (under ``limits.CELL_LIMIT`` a Takayama complex
+has at most 20 vertices), and an ext slice has at most
+``limits.EXT_GENERATOR_LIMIT`` generators.
 """
 
 from __future__ import annotations
@@ -18,6 +29,24 @@ from .linalg import rank_mod_p
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def _mask_family(masks) -> int:
+    """A set of bitmasks as one int, with bit m set for mask m."""
+    family = 0
+    for m in masks:
+        family |= 1 << m
+    return family
+
+
+def _family_masks(family: int) -> list[int]:
+    """The masks of a ``_mask_family`` int, in increasing order."""
+    masks = []
+    while family:
+        low = family & -family
+        masks.append(low.bit_length() - 1)
+        family ^= low
+    return masks
 
 
 def boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:

@@ -45,10 +45,11 @@ changes.  Each walk applies this one rule to its own masks (see
 
 Each backend memoizes the homology of its complexes across calls, for the
 whole process, in its own memo (``_takayama_dims``, ``_ext_dims``):
-a complex is named by a compact key that determines its faces, plus the
-characteristic p, and only a miss lists faces.  An ext slice is ranked on
-the nerve of its minimal masks, at most n vertices, when that is smaller
-than its order filter of up to 2^g generator subsets (``_ext_dims``).  The
+a complex is named by a compact key that determines its faces, with its
+masks as one int (``homology._mask_family``), plus the characteristic p,
+and only a miss lists faces.  An ext slice is ranked on the nerve of its
+minimal masks, at most n vertices, when that is smaller than its order
+filter of up to 2^g generator subsets (``_ext_dims``).  The
 two memos are separate, so one backend's cached answer never stands in for
 the other's.  Their values are immutable tuples of pairs, added into the
 walk's sums.
@@ -57,8 +58,16 @@ One level up, the memo ``_cells`` holds each ideal's cells, for the whole
 process, keyed on (I, backend); I carries its ring, so p is in the key.
 The two backends get separate entries, so the two-backend oracle still
 compares two independent computations.  An entry is the walk's answer,
-tuples of ints all the way down, and the checks of ``_table`` run on every
-call: a hit skips computation, never a check.
+tuples of ints all the way down.
+
+Above the cells, the memo ``_assembled`` holds what a table on a window
+is assembled from them, keyed on (I, backend, lo, hi): the module
+dimension, the rows as tuples and the tails, all immutable.  The backend
+is in this key too, so the two backends never share a table.  Every call
+of ``_table`` builds a fresh ``CohomologyTable``, with fresh ``rows`` and
+``tails`` dicts, and runs its negative-dimension check over the stored
+rows; ``compare_tables`` checks every pair of tables it is given.  So a
+hit of either memo skips computation, never a check.
 
 ``_cells`` checks the number of variables against
 ``limits.COHOM_VARIABLE_LIMIT``.  Both backends walk at most
@@ -71,14 +80,14 @@ before it starts; the ext walk first checks the generators against
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from . import limits, memos
 from .core import MonomialIdeal
 from .hilbert import _poly_mul, values_nonneg
-from .homology import reduced_homology_dims
+from .homology import _family_masks, _mask_family, reduced_homology_dims
 
 
 def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
@@ -107,11 +116,13 @@ def _cell_tuple(dims: dict[tuple[int, int, int], int]):
 
 
 @memos.memo(memos.TAKAYAMA_MEMO_SIZE)
-def _takayama_dims(pinned: int, exceed: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+def _takayama_dims(pinned: int, exceed: int, p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim H~_k), ...) of the complex on ``pinned`` vertices whose
-    faces are the masks with a complement meeting every exceed mask."""
+    faces are the masks with a complement meeting every exceed mask: the
+    masks, below 2^pinned, of the family ``exceed`` (``_mask_family``)."""
     full = (1 << pinned) - 1
-    faces = [mask for mask in range(full + 1) if all((full ^ mask) & e for e in exceed)]
+    masks = _family_masks(exceed)
+    faces = [mask for mask in range(full + 1) if all((full ^ mask) & e for e in masks)]
     return tuple(reduced_homology_dims(faces, p).items())
 
 
@@ -138,8 +149,8 @@ def _takayama_cells(I: MonomialIdeal):
     cones, hence no homology, and are skipped.  On the pinned vertices a
     generator's exceed mask marks where it lies above the pinned value; a
     face is kept iff its complement meets every exceed mask, so the number
-    of pinned vertices and the set of masks, with p, are the memo key of
-    ``_takayama_dims``.
+    of pinned vertices and the set of masks (``_mask_family``), with p, are
+    the memo key of ``_takayama_dims``.
 
     The multidegrees are walked depth first, coordinate by coordinate.
     The generators are carried down the walk in blocks of equal exceed
@@ -198,7 +209,7 @@ def _takayama_cells(I: MonomialIdeal):
         f = n - pinned
         # the complex lives on the pinned vertices, so -1 <= k <= pinned - 1
         # and the row k + f + 1 always lies in f..n
-        for k, dim in _takayama_dims(pinned, frozenset(mask for mask, _ in blocks), p):
+        for k, dim in _takayama_dims(pinned, _mask_family(mask for mask, _ in blocks), p):
             key = (fixed_sum, f, k + f + 1)
             dims[key] = dims.get(key, 0) + dim
     return _cell_tuple(dims)
@@ -209,9 +220,11 @@ def _takayama_cells(I: MonomialIdeal):
 
 
 @memos.memo(memos.EXT_MEMO_SIZE)
-def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+def _ext_dims(g: int, masks: int, p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim Ext^k), ...) of the cochain complex on the order filter F of
-    subsets of g generators that meet every mask.
+    subsets of g generators that meet every mask of the family ``masks``
+    (``_mask_family``; its masks lie below 2^g, and g is at most
+    ``limits.EXT_GENERATOR_LIMIT``).
 
     Only the inclusion-minimal masks M matter, since a subset meets every
     mask iff it meets every minimal one.  A cone (see ``_ext_cells``) is
@@ -230,7 +243,8 @@ def _ext_dims(g: int, masks: frozenset[int], p: int) -> tuple[tuple[int, int], .
     N has at most 2^|M| faces and F at most 2^g, so N is ranked when
     |M| < g and F otherwise; g = 0 lists F = {{}}.
     """
-    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
+    listed = _family_masks(masks)
+    minimal = [m for m in listed if not any(o != m and o & m == o for o in listed)]
     full = (1 << g) - 1
     union = 0
     for m in minimal:
@@ -255,11 +269,12 @@ def _ext_cells(I: MonomialIdeal):
     At a multidegree c of prod_i [0, rho_i] the dual Taylor slice is the
     order filter of generator subsets S with lcm(S) >= c, i.e. those meeting
     above[i][c_i] = {t : g_t[i] >= c_i} for every coordinate with c_i > 0;
-    the number of generators and the set of those bitmasks, with p, are the
-    memo key of ``_ext_dims``.  Its cohomology is Ext^k in the multidegrees
-    b with b_i = -c_i where c_i > 0 and b_i >= 0 where c_i = 0.  By
-    multigraded local duality, dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1},
-    so these are the multidegrees a of H^{n-k} with a_i pinned at c_i - 1
+    the number of generators and the set of those bitmasks
+    (``_mask_family``), with p, are the memo key of ``_ext_dims``.  Its
+    cohomology is Ext^k in the multidegrees b with b_i = -c_i where c_i > 0
+    and b_i >= 0 where c_i = 0.  By multigraded local duality,
+    dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1}, so these are the
+    multidegrees a of H^{n-k} with a_i pinned at c_i - 1
     where c_i > 0 and a_i <= -1 at the z coordinates where c_i = 0: a cell
     (sum(c) - n + z, z) in row n - k.  Ext^k(A/I, A) = 0 for k > n (A has
     global dimension n), so a slice with cohomology there is a bug.
@@ -272,15 +287,15 @@ def _ext_cells(I: MonomialIdeal):
     Such slices are memoized as () without listing any subset.
 
     The multidegrees are walked depth first, coordinate by coordinate, like
-    those of ``_takayama_cells``, carrying the masks chosen so far and
-    ``covered``, their union.  A node at coordinate i is skipped, with all
-    the multidegrees below it, when some generator t outside ``covered``
-    has no positive exponent on the coordinates i..n-1 (``_ended``): a
-    later mask above[k][c_k] with c_k >= 1 holds t only if g_t[k] >= 1, so
-    t lies in no mask and every slice below is a cone.  At i = n this
-    drops every slice whose masks miss a generator before its lookup.
-    Since above[i][c] shrinks as c grows, the values of a coordinate are
-    tried upwards until the first one that is skipped.
+    those of ``_takayama_cells``, carrying the family of the masks chosen
+    so far and ``covered``, their union.  A node at coordinate i is
+    skipped, with all the multidegrees below it, when some generator t
+    outside ``covered`` has no positive exponent on the coordinates
+    i..n-1 (``_ended``): a later mask above[k][c_k] with c_k >= 1 holds t
+    only if g_t[k] >= 1, so t lies in no mask and every slice below is a
+    cone.  At i = n this drops every slice whose masks miss a generator
+    before its lookup.  Since above[i][c] shrinks as c grows, the values of
+    a coordinate are tried upwards until the first one that is skipped.
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
@@ -294,21 +309,21 @@ def _ext_cells(I: MonomialIdeal):
     ]
     ended = _ended(gens, n)
     dims: dict[tuple[int, int, int], int] = {}
-    # (coordinate, sum(c), zero coordinates, masks, covered)
-    stack = [] if ended[0] else [(0, 0, 0, (), 0)]
+    # (coordinate, sum(c), zero coordinates, family of masks, covered)
+    stack = [] if ended[0] else [(0, 0, 0, 0, 0)]
     while stack:
-        i, total, z, masks, covered = stack.pop()
+        i, total, z, family, covered = stack.pop()
         if i < n:
             need = ended[i + 1]
             if not need & ~covered:
-                stack.append((i + 1, total, z + 1, masks, covered))
+                stack.append((i + 1, total, z + 1, family, covered))
             for c, mask in enumerate(above[i], 1):
                 cov = covered | mask
                 if need & ~cov:
                     break
-                stack.append((i + 1, total + c, z, masks + (mask,), cov))
+                stack.append((i + 1, total + c, z, family | 1 << mask, cov))
             continue
-        for k, dim in _ext_dims(g, frozenset(masks), p):
+        for k, dim in _ext_dims(g, family, p):
             if k > n:
                 raise AssertionError(f"Ext^{k}(A/I, A) != 0 in {n} variables (bug)")
             key = (total - n + z, z, n - k)
@@ -325,7 +340,7 @@ class TailPoly:
     """The polynomial that a row equals on every degree j <= -1, as integer
     coefficients over one scale: sum_e coeffs[e] j^e / scale."""
 
-    scale: int
+    scale: int  # >= 1
     coeffs: tuple[int, ...]  # low-to-high powers of j, times the scale
 
     def value(self, j: int) -> int:
@@ -340,8 +355,14 @@ class TailPoly:
         return q
 
     def printed(self) -> list[str]:
-        """The coefficients as reduced fractions, as reports print them."""
-        return [str(Fraction(c, self.scale)) for c in self.coeffs]
+        """The coefficients as reduced fractions, as reports print them:
+        each string is ``str(Fraction(c, scale))``."""
+        out = []
+        for c in self.coeffs:
+            g = gcd(c, self.scale)
+            num, den = c // g, self.scale // g
+            out.append(str(num) if den == 1 else f"{num}/{den}")
+        return out
 
 
 def _tails(cells, n: int, module_dim: int) -> dict[int, TailPoly]:
@@ -443,8 +464,9 @@ def _cells(I: MonomialIdeal, backend: str):
 def _regularity(cells) -> int:
     """reg(A/I) = max{i + j : H^i_m(A/I)_j != 0}, read off the cells; 0 when
     there are none (the unit ideal).  A cell reaches up to degree
-    fixed_sum - f, every negative coordinate at -1."""
-    return max((fs - f + i for fs, f, dims in cells for i, _ in dims), default=0)
+    fixed_sum - f, every negative coordinate at -1, and its last row is its
+    highest (the rows of a cell are sorted)."""
+    return max((fs - f + dims[-1][0] for fs, f, dims in cells), default=0)
 
 
 def _window_lo(I: MonomialIdeal) -> int:
@@ -458,22 +480,33 @@ def _window_lo(I: MonomialIdeal) -> int:
     return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
 
 
-def _table(I: MonomialIdeal, cells, reg: int, lo: int, hi: int) -> CohomologyTable:
-    ctx = I.ctx
+@memos.memo(memos.TABLE_MEMO_SIZE)
+def _assembled(I: MonomialIdeal, backend: str, lo: int, hi: int):
+    """(module dimension, rows, tails) of I in ``backend`` on [lo, hi],
+    assembled from its cells: the rows and the tails as tuples indexed by
+    i = 0..n."""
+    cells = _cells(I, backend)
     # by Grothendieck vanishing and non-vanishing, the top nonzero row is
     # the Krull dimension; -1 for the unit ideal, which has no cells
     dim = max((i for _, _, dims in cells for i, _ in dims), default=-1)
-    tails = _tails(cells, ctx.n, dim)
+    tails = _tails(cells, I.ctx.n, dim)
     rows = _rows(cells, lo, hi, tails)
-    if any(v < 0 for row in rows.values() for v in row):
+    return dim, tuple(map(tuple, rows.values())), tuple(tails.values())
+
+
+def _table(I: MonomialIdeal, backend: str, reg: int, lo: int, hi: int) -> CohomologyTable:
+    """A fresh table of I in ``backend`` on [lo, hi], its numbers read off
+    ``_assembled``, checked for a negative dimension on every call."""
+    dim, rows, tails = _assembled(I, backend, lo, hi)
+    if min(map(min, rows)) < 0:
         raise AssertionError("negative cohomology dimension (bug)")
     return CohomologyTable(
-        n=ctx.n,
-        char=ctx.char,
+        n=I.ctx.n,
+        char=I.ctx.char,
         lo=lo,
         hi=hi,
-        rows={i: tuple(v) for i, v in rows.items()},
-        tails=tails,
+        rows=dict(enumerate(rows)),
+        tails=dict(enumerate(tails)),
         module_dim=dim,
         hi_covers_reg=I.is_unit or hi >= reg,
     )
@@ -495,8 +528,7 @@ def cohomology_table(
         return cohomology_tables((I,), backend)[0]
     if window[0] > window[1]:
         raise ValueError("window must satisfy lo <= hi")
-    cells = _cells(I, backend)
-    return _table(I, cells, _regularity(cells), *window)
+    return _table(I, backend, _regularity(_cells(I, backend)), *window)
 
 
 def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
@@ -506,17 +538,19 @@ def cohomology_tables(ideals, backend: str) -> list[CohomologyTable]:
     The window runs from the lowest ``_window_lo`` to one above the largest
     regularity read off this backend's cells.
     """
-    cells = [_cells(I, backend) for I in ideals]
-    regs = [_regularity(c) for c in cells]
+    regs = [_regularity(_cells(I, backend)) for I in ideals]
     lo = min(_window_lo(I) for I in ideals)
     hi = max(regs) + 1
-    return [_table(I, c, reg, lo, hi) for I, c, reg in zip(ideals, cells, regs)]
+    return [_table(I, backend, reg, lo, hi) for I, reg in zip(ideals, regs)]
 
 
 def compare_tables(
     A: CohomologyTable, B: CohomologyTable
 ) -> tuple[bool, tuple[int, int] | None]:
     """Entrywise A <= B on the shared window and below it via tails.
+
+    Below the window a row holds when its two tails are equal, and is
+    otherwise decided on the values of their difference.
 
     Returns (holds, first_failure_coordinates).  Raises on mixed
     characteristics, on a window from lo > 0, whose degrees 0..lo - 1
@@ -534,11 +568,13 @@ def compare_tables(
         raise ValueError(f"window top {A.hi} lies below a table's regularity: "
                          "the degrees above it are uncovered")
     for i in range(A.n + 1):
-        for j, (a, b) in enumerate(zip(A.rows[i], B.rows[i]), A.lo):
-            if a > b:
-                return False, (i, j)
+        if not all(map(operator.le, A.rows[i], B.rows[i])):
+            j = next(j for j, (a, b) in enumerate(zip(A.rows[i], B.rows[i]), A.lo) if a > b)
+            return False, (i, j)
     for i in range(A.n + 1):
         ta, tb = A.tails[i], B.tails[i]
+        if ta == tb:  # equal below the window
+            continue
         below = range(A.lo - 1, A.lo - 1 - max(len(ta.coeffs), len(tb.coeffs)), -1)
         if not values_nonneg([tb.value(j) - ta.value(j) for j in below]):
             return False, (i, A.lo - 1)

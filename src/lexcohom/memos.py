@@ -29,10 +29,11 @@ CONTEXT_MEMO_SIZE = 32
 # FamilySpec(n=4, max_deg=4) fills 715 and the path ideal in 300 variables
 # 595.  8,192 entries never fill there, and a full memo takes about 12 MB.
 NUMERATOR_MEMO_SIZE = 8_192
-# Entries of the Koszul homology memo, one per (supp(b), tight masks, p).
-# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 322
-# distinct complexes 5,032 times, about 450 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 1.8 MB.
+# Entries of the Koszul homology memo, one per (supp(b), tight masks, p),
+# the masks keyed as one int (``homology._mask_family``).  The seed-0 ops of
+# a 15 s cohom-harness run (perfbench) look up 322 distinct complexes 5,032
+# times, about 225 bytes each, so 4,096 entries never fill there and a full
+# memo takes about 0.9 MB.
 KOSZUL_MEMO_SIZE = 4_096
 # Entries of the Betti memo, one per ideal.  The seed-0 ops of a 15 s
 # cohom-harness run (perfbench) build 740 tables of 162 distinct ideals;
@@ -41,21 +42,37 @@ KOSZUL_MEMO_SIZE = 4_096
 BETTI_MEMO_SIZE = 256
 # Entries of the Takayama homology memo, one per (pinned, exceed masks, p).
 # The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 528
-# distinct complexes 5,566 times, about 680 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 2.8 MB.
+# distinct complexes 5,566 times, about 235 bytes each, so 4,096 entries
+# never fill there and a full memo takes about 1 MB.
 TAKAYAMA_MEMO_SIZE = 4_096
 # Entries of the ext slice memo, one per (generators, masks, p).  The same
-# ops look up 982 distinct slices 4,301 times, about 420 bytes each, so
-# 8,192 entries never fill there and a full memo takes about 3.5 MB.
+# ops look up 982 distinct slices 4,301 times, about 240 bytes each, so
+# 8,192 entries never fill there and a full memo takes about 2 MB.  The
+# three complex memos key their masks as one int each
+# (``homology._mask_family``): after those ops the keys' families take 55 KB
+# (Takayama 15 KB, ext 31 KB, Koszul 9 KB), where frozensets took 544 KB.
 EXT_MEMO_SIZE = 8_192
 # Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
 # ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs
-# 1,850 times: 256 entries keep 1,186 of the 1,282 hits of an unbounded
-# memo, for 0.31 MB more traced memory after the run than with no memo
-# (1,024 entries keep all of them, for 0.66 MB).  The largest entry seen,
-# the 240-generator lex ideal in four variables of degree up to 74, holds
-# 146 cells, summed from 2,330 multidegrees with cohomology, in 28 KB.
+# 2,698 times: 1,850 times for a table's regularity and window top, and
+# once more for each miss of the table memo below.  256 entries keep 2,034
+# of the 2,130 hits of an unbounded memo, and emptying the memo after the
+# run frees 0.27 MB (unbounded: 0.63 MB).  The largest entry seen, the
+# 240-generator lex ideal in four variables of degree up to 74, holds 146
+# cells, summed from 2,330 multidegrees with cohomology, in 28 KB.
 CELL_MEMO_SIZE = 256
+# Entries of the table memo, one per (ideal, backend, window): a table's
+# module dimension, rows and tails.  The seed-0 ops of a 15 s
+# cohom-harness run (perfbench) build 1,850 tables on 576 distinct
+# windows of 568 pairs (ideal, backend): 128 entries keep 1,002 of the
+# 1,274 hits of an unbounded memo, and emptying the memo after the run
+# frees 0.27 MB, about 2.1 KB an entry (1,024 entries keep all of them,
+# for 1.22 MB).  A 500-sample lex-cohomology run on FamilySpec(n=4,
+# max_deg=4) fills the 128 entries with 1.39 MB.  An entry holds n + 1
+# rows as wide as its window: the largest seen, the 240-generator lex
+# ideal in four variables on its default window -6,171..74, takes 450 KB,
+# so a full memo of entries that large would take about 58 MB.
+TABLE_MEMO_SIZE = 128
 # Entries of the embedding memo, one per Hilbert series.  The seed-0 ops of
 # 15 s benchmark runs (perfbench) look up 72 distinct series 5,361 times in
 # zstab-harness, 56 distinct series 925 times in cohom-harness, and 457

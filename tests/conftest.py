@@ -370,13 +370,16 @@ def ref_rows(cells, n, lo, hi):
 
 def ref_koszul_key(I, b):
     """supp(b) and the tight masks {i : g_i = b_i > 0} of the generators g
-    dividing x^b, as vertex bitmasks, from the generators one at a time."""
-    tight = frozenset(
-        sum(1 << i for i, (e, top) in enumerate(zip(g.exps, b)) if e == top > 0)
+    dividing x^b, from the generators one at a time: each mask on the
+    vertices of supp(b) numbered in order, the set of masks as one int with
+    bit m set for mask m."""
+    supp = [i for i, e in enumerate(b) if e > 0]
+    tight = {
+        sum(1 << k for k, i in enumerate(supp) if g.exps[i] == b[i])
         for g in I.gens
         if all(e <= top for e, top in zip(g.exps, b))
-    )
-    return sum(1 << i for i, e in enumerate(b) if e > 0), tight
+    }
+    return sum(1 << i for i in supp), sum(1 << m for m in tight)
 
 
 def ref_betti_entries(I):

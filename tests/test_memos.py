@@ -416,7 +416,7 @@ def package_caches():
 
 def test_only_memos_makes_a_memo():
     caches = package_caches()
-    assert len(caches) == 14
+    assert len(caches) == 15
     assert caches.keys() == {id(m) for m in memos.registry}
     assert all(m.cache_info().maxsize is not None for m in memos.registry)
     bound = {}

@@ -641,6 +641,53 @@ def test_a_replaced_stored_window_trips_bars_agree_high():
     assert not verify_embedding_lemmas(I).checks["bars_agree_high"]
 
 
+def test_a_term_added_to_a_stored_bottom_numerator_trips_saturate_bar_swap():
+    # the check guards the stored numerators of the chain, not the embedding:
+    # one more term in the bottom one, on every chain with s >= 1
+    instances = list(dict.fromkeys(stable_instances(
+        FamilySpec(n=2, powers=(2, 2), max_deg=4, with_z=True, count=20))))
+    tried = 0
+    for I in instances:
+        dec = zs.z_decompose(I.plus_powers())  # the chain the suite reads
+        if dec.s < 1:
+            continue
+        tried += 1
+        assert verify_embedding_lemmas(I).passed
+        numers = dec.numerators()
+        vars(dec)["_numers"] = ((*numers[0], 1),) + numers[1:]
+        checks = verify_embedding_lemmas(I).checks
+        assert [key for key, ok in checks.items() if not ok] == ["saturate_bar_swap"]
+    assert tried >= 10
+
+
+def _lpp_of_plus_x1_xn(I):
+    """A mutant LPP map: the genuine LPP of I + (x1 * xn)."""
+    n = I.ctx.n
+    x1_xn = M(*(1 if k in (0, n - 1) else 0 for k in range(n)))
+    return embeddings.lpp_ideal(core.ideal_sum(I, MonomialIdeal.make(I.ctx, [x1_xn])))
+
+
+MUTATED_LPP_FAMILY = FamilySpec(3, powers=(2, 2, 3), max_deg=4, count=40, seed=3)
+
+
+def test_lpp_of_i_plus_x1_xn_trips_cohomology_le_on_warm_memos(monkeypatch):
+    # the genuine theorem warms every memo, the table memo among them, so
+    # the mutant's tables show that no stale table is served
+    instances = list(enumerate_family(MUTATED_LPP_FAMILY))
+    assert all(verify_cohomology_lpp(I).checks["cohomology_le"] for I in instances)
+    monkeypatch.setattr(verify, "lpp_ideal", _lpp_of_plus_x1_xn)
+    trips = [not verify_cohomology_lpp(I).checks["cohomology_le"] for I in instances]
+    assert sum(trips) == len(instances) == 40
+
+
+def test_lpp_of_i_plus_x1_xn_trips_region_dominated_on_warm_memos(monkeypatch):
+    instances = list(enumerate_family(MUTATED_LPP_FAMILY))
+    assert all(verify_region_inclusion(I).checks["region_dominated"] for I in instances)
+    monkeypatch.setattr(verify, "lpp_ideal", _lpp_of_plus_x1_xn)
+    trips = [not verify_region_inclusion(I).checks["region_dominated"] for I in instances]
+    assert sum(trips) == 17
+
+
 def test_zstabilize_record():
     ctx = RingContext(2).add_z()
     rec = verify_zstabilize(MonomialIdeal.make(ctx, [M(1, 0, 1)]))
