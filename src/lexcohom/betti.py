@@ -46,9 +46,9 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
     doubling the set, so a refusal comes by 2 * LATTICE_LIMIT + 1 points.
     """
     lattice: set[tuple[int, ...]] = set()
-    for g in I.gens:
-        lattice |= {tuple(map(max, a, g.exps)) for a in lattice}
-        lattice.add(g.exps)
+    for g in I.exps:
+        lattice |= {tuple(map(max, a, g)) for a in lattice}
+        lattice.add(g)
         limits.check("LATTICE_LIMIT", len(lattice),
                      f"the lcm lattice has at least {len(lattice)} points")
     return sorted(lattice)
@@ -67,7 +67,7 @@ def _koszul_keys(I: MonomialIdeal, lattice):
     of the sets with g_i <= b_i, and a divisor is tight at i iff it lies in
     the set with g_i = b_i.
     """
-    gens = [g.exps for g in I.gens]
+    gens = I.exps
     below, equal = [], []
     for i in range(I.ctx.n):
         eq: dict[int, int] = {}

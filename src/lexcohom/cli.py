@@ -25,7 +25,7 @@ from .core import DEFAULT_CHAR, MonomialIdeal
 from .embeddings import lex_segment_ideal, lpp_ideal
 from .errors import ResourceLimitError
 from .hilbert import hilbert_series, ideal_window
-from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal_file
+from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal
 from .localcohom import cohomology_table
 from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
                      run_family)
@@ -189,7 +189,7 @@ def cmd_cohom(I: MonomialIdeal, args) -> dict:
 def cmd_zstabilize(I: MonomialIdeal, args) -> dict:
     dec = zstable.z_stabilize(I)
     J = zstable.z_recompose(dec)
-    sys.stdout.write(write_ideal_file(J.ctx, J.gens))
+    sys.stdout.write(write_ideal(J))
     return {"stabilized": format_ideal(J),
             "components": [format_ideal(c) for c in dec.components]}
 

@@ -14,21 +14,24 @@ Conventions used throughout the package:
   ``hilbert.ideal_stream`` reads degree by degree.
 * All values are immutable and safe to share between threads.
 
-Where monomials are validated: ``Monomial.__post_init__`` checks every
-Monomial built by its public constructor -- by the parser, by
-``RingContext.monomials``, ``variable`` and ``one``, by the validated methods
-``Monomial.mul``, ``lcm`` and ``colon``, and by user code -- so each
-monomial is checked once, where it enters the package.  The ideal
-operations (``ideal_sum``, ``ideal_product``, ``ideal_intersection``,
-``colon``, ``saturate``, and the chains of ``zstable``) work on exponent
-tuples, the intersection, sum and colon through the antichain kernels,
-and build their results through :func:`_antichain_ideal`, the one
-constructor that skips that check, used only where the exponents are in
-range by construction: a generator of an input, an lcm, a colon, a
-saturation, a product whose coordinate maxima were checked against
-``limits.EXPONENT_LIMIT``, removing z, appending a z-degree taken from the
-input, or a product by a variable in a stabilization round, whose chains
-``limits.NUMERATOR_DEGREE_LIMIT`` bounds.
+Where monomials are validated: an ideal holds its generators as exponent
+tuples, and ``Monomial.__post_init__`` checks every Monomial, each built
+where input enters the package: by the parser, by ``RingContext.monomials``,
+``variable`` and ``one``, by the validated methods ``Monomial.mul``, ``lcm``
+and ``colon``, and by user code, whose Monomials ``MonomialIdeal.make``
+takes.  So each monomial is checked once.  The power ideal of a context
+checks its power generators once per context.  Past that boundary the
+ideal operations (``ideal_sum``, ``ideal_product``,
+``ideal_intersection``, ``colon``, ``saturate``, and the chains of
+``zstable``) and the embeddings' engine work on exponent tuples, the
+intersection, sum and colon through the antichain kernels, and build their
+results with the raw constructor ``MonomialIdeal(ctx, exps)``, which checks
+nothing.  Their exponents are in range by construction: a generator of an
+input, an lcm, a colon, a saturation, a product whose coordinate maxima
+were checked against ``limits.EXPONENT_LIMIT``, removing z, appending a
+z-degree taken from the input, a product by a variable in a stabilization
+round, whose chains ``limits.NUMERATOR_DEGREE_LIMIT`` bounds, or a
+lex-first selection, whose exponents are at most its degree.
 """
 
 from __future__ import annotations
@@ -193,12 +196,12 @@ class RingContext:
         The generators are already the canonical antichain: the degrees
         ascend, and equal degrees list x_i before x_{i+1}.
         """
-        gens = []
+        exps = []
         for i, di in enumerate(self.powers):
             e = [0] * self.n
             e[i] = di
-            gens.append(Monomial(tuple(e)))
-        return MonomialIdeal(self, tuple(gens))
+            exps.append(Monomial(tuple(e)).exps)  # a power past the exponent limit raises
+        return MonomialIdeal(self, tuple(exps))
 
     @memos.memo(memos.CONTEXT_MEMO_SIZE)
     def max_ideal(self) -> "MonomialIdeal":
@@ -207,7 +210,7 @@ class RingContext:
         The variables in order are already the canonical antichain: one
         degree, descending lex.
         """
-        return MonomialIdeal(self, tuple(self.variable(i) for i in range(self.n)))
+        return MonomialIdeal(self, tuple(self.variable(i).exps for i in range(self.n)))
 
     def variable(self, i: int) -> "Monomial":
         e = [0] * self.n
@@ -298,9 +301,9 @@ def minimal_exponents(exps) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-# The antichain kernels take and return canonical antichains (the exponent
-# tuples of ``MonomialIdeal.gens``); the ideal operations and the rounds
-# of ``zstable`` run them.
+# The antichain kernels take and return canonical antichains (a
+# ``MonomialIdeal.exps``); the ideal operations and the rounds of
+# ``zstable`` run them.
 
 def antichain_sum(a, b) -> tuple[tuple[int, ...], ...]:
     """The antichain of (a) + (b), ``a`` itself when no generator of b
@@ -331,47 +334,45 @@ def antichain_times_variable(a, j: int) -> tuple[tuple[int, ...], ...]:
     return tuple(g[:j] + (g[j] + 1,) + g[j + 1:] for g in a)
 
 
+def _check_length(e: tuple[int, ...], ctx: RingContext):
+    if len(e) != ctx.n:
+        raise MixedContextError(f"monomial {e} has {len(e)} exponents, context has {ctx.n}")
+
+
 def minimalize(ctx: RingContext, gens) -> "MonomialIdeal":
-    """Divisibility antichain generating the same ideal; idempotent."""
-    by_exps = {g.exps: g for g in gens}
-    for e in by_exps:
-        if len(e) != ctx.n:
-            raise MixedContextError(
-                f"monomial {e} has {len(e)} exponents, context has {ctx.n}"
-            )
-    return MonomialIdeal(ctx, tuple(by_exps[e] for e in minimal_exponents(by_exps)))
-
-
-def _antichain_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
-    """The ideal of ``ctx`` generated by a canonical antichain of exponent
-    vectors in range by construction, each of length ``ctx.n``.
-
-    The one place that builds a Monomial without ``Monomial.__post_init__``;
-    the module docstring lists the operations that may call it.
-    """
-    gens = []
+    """Divisibility antichain of the Monomials ``gens`` generating the same
+    ideal; idempotent."""
+    exps = [g.exps for g in gens]
     for e in exps:
-        g = object.__new__(Monomial)
-        object.__setattr__(g, "exps", e)
-        gens.append(g)
-    return MonomialIdeal(ctx, tuple(gens))
+        _check_length(e, ctx)
+    return _minimal_ideal(ctx, exps)
 
 
 def _minimal_ideal(ctx: RingContext, exps) -> "MonomialIdeal":
-    """``_antichain_ideal`` of ``minimal_exponents(exps)``."""
-    return _antichain_ideal(ctx, minimal_exponents(exps))
+    """The ideal of ``minimal_exponents(exps)``, exponent vectors of length
+    ``ctx.n`` in range by construction."""
+    return MonomialIdeal(ctx, minimal_exponents(exps))
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its minimal generators, canonically sorted.
+    """Monomial ideal given by its minimal generators, canonically sorted,
+    as exponent tuples.
 
-    Construct through :func:`minimalize` / :meth:`make`.  The raw
-    constructor trusts its input to be the canonical form: a divisibility
-    antichain in grlex order (ascending degree, lex-descending inside one
-    degree).  :func:`ideal_sum`, :meth:`RingContext.powers_ideal` and
-    ``zstable.z_decompose`` build ideals that way without re-minimalizing,
-    and rely on their inputs holding the invariant.
+    ``exps`` is the canonical form: a divisibility antichain of exponent
+    tuples in grlex order (ascending degree, lex-descending inside one
+    degree).  Construct from Monomials through :func:`minimalize` /
+    :meth:`make`, which validate nothing more: a Monomial is checked when
+    it is built.  The raw constructor ``MonomialIdeal(ctx, exps)`` trusts
+    its input to be the canonical form, of length ``ctx.n`` and in range;
+    the ideal operations, :meth:`RingContext.powers_ideal`, the embeddings
+    and ``zstable`` build ideals that way without re-minimalizing, and rely
+    on their inputs holding the invariant.  ``gens`` reads the generators
+    as Monomials, built anew on each read and never stored, so a memo that
+    holds an ideal holds its tuples alone.
+
+    Equality reads the two fields.  The hash is computed on first use and
+    stored on the ideal, so a memo lookup hashes its generators once.
 
     Five facts read from the ideal are computed on first use and stored on
     it: its text (``text``, which ``ioformat.format_ideal`` and ``str``
@@ -384,11 +385,23 @@ class MonomialIdeal:
     takes coordinate maxima) nor runs a recursion, so nothing in them can
     be refused.  A stored fact is therefore right under any limits, also
     after a change of limits has emptied the memos.  They take no part in
-    equality or hashing, which read the two fields alone.
+    equality or hashing.
     """
 
     ctx: RingContext
-    gens: tuple[Monomial, ...]
+    exps: tuple[tuple[int, ...], ...]
+
+    def __hash__(self):
+        stored = self.__dict__  # where the cached facts are stored too
+        h = stored.get("_hash")
+        if h is None:
+            h = stored["_hash"] = hash((self.ctx, self.exps))
+        return h
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The generators as Monomials, built on each read."""
+        return tuple(map(Monomial, self.exps))
 
     @staticmethod
     def make(ctx: RingContext, gens) -> "MonomialIdeal":
@@ -400,15 +413,15 @@ class MonomialIdeal:
 
     @staticmethod
     def unit(ctx: RingContext) -> "MonomialIdeal":
-        return MonomialIdeal(ctx, (ctx.one(),))
+        return MonomialIdeal(ctx, (ctx.one().exps,))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exps
 
     @property
     def is_unit(self) -> bool:
-        return bool(self.gens) and self.gens[0].degree == 0
+        return bool(self.exps) and not any(self.exps[0])
 
     def max_gen_degree(self) -> int:
         """Top degree of a minimal generator, 0 for the zero ideal."""
@@ -416,22 +429,16 @@ class MonomialIdeal:
 
     @cached_property
     def _top_degree(self) -> int:
-        return max((g.degree for g in self.gens), default=0)
+        return max(map(sum, self.exps), default=0)
 
     def contains(self, m: Monomial) -> bool:
-        e = m.exps
-        if len(e) != self.ctx.n:
-            raise MixedContextError(
-                f"monomial {e} has {len(e)} exponents, context has {self.ctx.n}"
-            )
-        # Monomial.divides inlined: every generator has the context's length
-        for g in self.gens:
-            if all(map(le, g.exps, e)):
-                return True
-        return False
+        _check_length(m.exps, self.ctx)
+        return _divides_any(self.exps, m.exps)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        if other.exps:  # every generator of other has the first one's length
+            _check_length(other.exps[0], self.ctx)
+        return all(_divides_any(self.exps, e) for e in other.exps)
 
     @cached_property
     def _closure(self) -> "MonomialIdeal | None":
@@ -459,11 +466,11 @@ class MonomialIdeal:
         generators x_i^{d_i}.  This holds for every I, also for one that
         does not contain b.  Found once per ideal."""
         closure = self.plus_powers()
-        powers = set(self.ctx.powers_ideal().gens)
+        powers = set(self.ctx.powers_ideal().exps)
         tallies = [0] * (closure.max_gen_degree() + 1)
-        for g in closure.gens:
-            if g not in powers:
-                tallies[g.degree] += 1
+        for e in closure.exps:
+            if e not in powers:
+                tallies[sum(e)] += 1
         return tuple(tallies)
 
     @cached_property
@@ -477,7 +484,7 @@ class MonomialIdeal:
         """The generators in ``format_term`` form, comma-separated, or "0"
         for the zero ideal; built once per ideal."""
         names = self.ctx.var_names()
-        return ", ".join(format_term(names, g.exps, 1) for g in self.gens) or "0"
+        return ", ".join(format_term(names, e, 1) for e in self.exps) or "0"
 
     def __str__(self):
         return f"({self.text})"
@@ -491,9 +498,8 @@ def _same_ctx(I: MonomialIdeal, J: MonomialIdeal):
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I + J by ``antichain_sum``: I itself when no generator of J survives."""
     _same_ctx(I, J)
-    a = tuple(g.exps for g in I.gens)
-    out = antichain_sum(a, [h.exps for h in J.gens])
-    return I if out is a else _antichain_ideal(I.ctx, out)
+    out = antichain_sum(I.exps, J.exps)
+    return I if out is I.exps else MonomialIdeal(I.ctx, out)
 
 
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -504,8 +510,7 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     it; then the validated products raise OverflowError at the first one.
     """
     _same_ctx(I, J)
-    iexps = [a.exps for a in I.gens]
-    jexps = [b.exps for b in J.gens]
+    iexps, jexps = I.exps, J.exps
     if iexps and jexps:
         top = max(map(add, map(max, zip(*iexps)), map(max, zip(*jexps))))
         if top > limits.EXPONENT_LIMIT:
@@ -518,16 +523,13 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def ideal_intersection(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I meet J by ``antichain_intersection``."""
     _same_ctx(I, J)
-    return _antichain_ideal(I.ctx, antichain_intersection([a.exps for a in I.gens],
-                                                          [b.exps for b in J.gens]))
+    return MonomialIdeal(I.ctx, antichain_intersection(I.exps, J.exps))
 
 
 def colon(I: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The quotient ideal I : (m) by ``antichain_colon``."""
-    e = m.exps
-    if len(e) != I.ctx.n:
-        raise MixedContextError(f"monomial {e} has {len(e)} exponents, context has {I.ctx.n}")
-    return _antichain_ideal(I.ctx, antichain_colon([g.exps for g in I.gens], e))
+    _check_length(m.exps, I.ctx)
+    return MonomialIdeal(I.ctx, antichain_colon(I.exps, m.exps))
 
 
 def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -540,13 +542,11 @@ def saturate(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     intersection of the I : g_t^k.
 
     The intersection runs on exponent tuples, by ``antichain_intersection``
-    at each step, and only its minimal generators become Monomials.
+    at each step.
     """
     _same_ctx(I, J)
     lcms = ((0,) * I.ctx.n,)  # the unit ideal, the answer for a zero J
-    for g in J.gens:
-        part = minimal_exponents(tuple([0 if s else e for e, s in zip(h.exps, g.exps)])
-                                 for h in I.gens)
+    for g in J.exps:
+        part = minimal_exponents(tuple([0 if s else e for e, s in zip(h, g)]) for h in I.exps)
         lcms = antichain_intersection(lcms, part)
-    return _antichain_ideal(I.ctx, lcms)
-
+    return MonomialIdeal(I.ctx, lcms)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import islice
 
 from . import limits, memos
-from .core import Monomial, MonomialIdeal, RingContext, _lex_walk
+from .core import MonomialIdeal, RingContext, _lex_walk
 from .errors import NotAttainableError
 from .hilbert import HilbertSeries, _lex_numerator, hilbert_series, ideal_stream
 
@@ -69,7 +69,7 @@ def _shadow_end(u: tuple[int, ...], bounds) -> tuple[int, ...] | None:
 
 def _engine(ctx: RingContext, dims):
     """Degree-by-degree lex-first selection, yielding each degree's new
-    generators.
+    generators as a list of exponent tuples.
 
     ``dims`` yields the requested dim of the ideal inside S_d (the
     bounded monomial basis when the context has powers) for d = 0, 1, ...
@@ -78,10 +78,12 @@ def _engine(ctx: RingContext, dims):
 
     The generators come out minimal and in canonical order (ascending
     degree, descending lex inside one), so the callers build their ideals
-    without ``minimalize``.  Each new generator has rank >= c, so it lies
-    outside the shadow of the previous degree's selection; every selection
-    holds the shadow of the one before, so no earlier generator divides it.
-    Inside a degree the ranks ascend, which is descending lex.
+    with the raw ``MonomialIdeal`` constructor, and validate none: an
+    exponent is at most its degree, the number of dims read so far, far
+    below ``limits.EXPONENT_LIMIT``.  Each new generator has rank >= c, so
+    it lies outside the shadow of the previous degree's selection; every
+    selection holds the shadow of the one before, so no earlier generator
+    divides it.  Inside a degree the ranks ascend, which is descending lex.
 
     One rank per degree fixes the selection: the shadow's last monomial has
     rank c - 1, so the new generators, of ranks c..want-1, are the
@@ -117,7 +119,7 @@ def _engine(ctx: RingContext, dims):
             )
         caps = [d if b is None else min(b, d) for b in bounds]
         new = list(islice(_lex_walk(caps, d, end), want - c))
-        yield list(map(Monomial, new))
+        yield new
         last = new[-1] if new else end  # the last monomial selected
         end = None if last is None else _shadow_end(last, bounds)
 
@@ -133,8 +135,8 @@ def lex_segment_ideal(ctx: RingContext, H) -> MonomialIdeal:
     is the unit ideal) when it has none.  Otherwise NotAttainableError
     names the first degree at which the selection fails.
     """
-    gens = tuple(g for new in _engine(ctx, H) for g in new)
-    return MonomialIdeal(ctx, gens).plus_powers()
+    exps = tuple(e for new in _engine(ctx, H) for e in new)
+    return MonomialIdeal(ctx, exps).plus_powers()
 
 
 def lex_ideal_of(I: MonomialIdeal) -> MonomialIdeal:
@@ -185,15 +187,15 @@ def _certified_embedding(series: HilbertSeries) -> MonomialIdeal:
     top = len(series.numer) - 1
     last = limits.NUMERATOR_DEGREE_LIMIT + 1
     dims = islice(ideal_stream(ctx, series.numer), last + 1)
-    gens: list[Monomial] = []
+    exps: list[tuple[int, ...]] = []
     grew = True  # generators were added since the last check
     for d, new in enumerate(_engine(ctx, dims)):
-        gens.extend(new)
+        exps.extend(new)
         if new:
             grew = True
         elif grew and d > top:
             grew = False
-            out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
+            out = MonomialIdeal(ctx, tuple(exps)).plus_powers()
             if _lex_numerator(out) == series.numer:
                 return out
     # last is past the limit, so this refuses

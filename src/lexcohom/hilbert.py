@@ -120,8 +120,7 @@ def _lex_numerator(L: MonomialIdeal) -> tuple[int, ...]:
     """
     powers = L.ctx.powers
     groups: dict[int, dict[int, int]] = {}  # m(u) - 1 -> {degree: coefficient}
-    for g in L.gens:
-        e = g.exps
+    for e in L.exps:
         deg = sum(e)
         if deg == 0:
             return (0,)
@@ -211,12 +210,12 @@ def hilbert_series(I: MonomialIdeal) -> HilbertSeries:
     a memo miss, so a series whose numerator the memo holds reads no lcm
     degree.
     """
-    return HilbertSeries(I.ctx, _numerator(tuple(g.exps for g in I.gens)))
+    return HilbertSeries(I.ctx, _numerator(I.exps))
 
 
 def lcm_degree(I: MonomialIdeal) -> int:
     """sum_i max_g e_i over the generators g of I: the degree of their lcm."""
-    return sum(map(max, zip(*(g.exps for g in I.gens)))) if I.gens else 0
+    return sum(map(max, zip(*I.exps))) if I.exps else 0
 
 
 def ideal_window(I: MonomialIdeal, upto: int) -> tuple[int, ...]:

@@ -44,6 +44,12 @@ def format_ideal(I: MonomialIdeal) -> str:
     return I.text
 
 
+def write_ideal(I: MonomialIdeal) -> str:
+    """The ideal file of I: ``write_ideal_file`` of its context and
+    generators."""
+    return write_ideal_file(I.ctx, I.gens)
+
+
 def write_ideal_file(ctx: RingContext, gens) -> str:
     lines = [f"ring n={ctx.nx} char={ctx.char}"]
     if ctx.powers:

@@ -90,7 +90,7 @@ from .hilbert import _poly_mul, values_nonneg
 from .homology import _family_masks, _mask_family, reduced_homology_dims
 
 
-def _exponent_bounds(gens: list[tuple[int, ...]], n: int) -> list[int]:
+def _exponent_bounds(gens: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     """rho_i = max_g g_i for each coordinate, after checking that the walk
     over prod_i (rho_i + 1) multidegrees stays within ``limits.CELL_LIMIT``."""
     rho = [max((g[i] for g in gens), default=0) for i in range(n)]
@@ -126,7 +126,7 @@ def _takayama_dims(pinned: int, exceed: int, p: int) -> tuple[tuple[int, int], .
     return tuple(reduced_homology_dims(faces, p).items())
 
 
-def _ended(gens: list[tuple[int, ...]], n: int) -> list[int]:
+def _ended(gens: tuple[tuple[int, ...], ...], n: int) -> list[int]:
     """ended[i], for i = 0..n, the bitmask of the generators with no
     positive exponent on the coordinates i..n-1 (all of them at i = n)."""
     ended = [0] * (n + 1)
@@ -175,7 +175,7 @@ def _takayama_cells(I: MonomialIdeal):
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
-    gens = [g.exps for g in I.gens]
+    gens = I.exps
     rho = _exponent_bounds(gens, n)
     exceeds = [
         [sum(1 << t for t, e in enumerate(gens) if e[i] > a) for a in range(rho[i])]
@@ -299,9 +299,9 @@ def _ext_cells(I: MonomialIdeal):
     """
     ctx = I.ctx
     n, p = ctx.n, ctx.char
-    g = len(I.gens)
+    gens = I.exps
+    g = len(gens)
     limits.check("EXT_GENERATOR_LIMIT", g, f"{g} generators for the Taylor complex")
-    gens = [gen.exps for gen in I.gens]
     rho = _exponent_bounds(gens, n)
     above = [
         [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(1, rho[i] + 1)]
@@ -477,7 +477,7 @@ def _window_lo(I: MonomialIdeal) -> int:
     recorded digests print the rows from it, byte for byte; a bottom that
     depends on n alone waits for a change that records the digests again.
     """
-    return -(I.ctx.n + sum(g.degree for g in I.gens)) - 2
+    return -(I.ctx.n + sum(map(sum, I.exps))) - 2
 
 
 @memos.memo(memos.TABLE_MEMO_SIZE)

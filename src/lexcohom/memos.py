@@ -77,36 +77,38 @@ TABLE_MEMO_SIZE = 128
 # 15 s benchmark runs (perfbench) look up 72 distinct series 5,361 times in
 # zstab-harness, 56 distinct series 925 times in cohom-harness, and 457
 # distinct series 1,350 times in embed-cli, where 256 entries keep 843 of
-# the 893 hits of an unbounded memo, for 0.50 MB more traced memory after
-# the run than with no memo (unbounded: 0.78 MB).  An entry there takes
-# 1.5-9.9 KB (at most 43 generators).  The 256 ideals of
+# the 893 hits of an unbounded memo, for 0.49 MB more traced memory after
+# the run than with no memo (unbounded: 0.86 MB), 1.9 KB an entry on
+# average; an entry holds its ideal's exponent tuples, where generator
+# objects took 0.79 and 1.41 MB.  The 256 ideals of
 # FamilySpec(n=5, max_deg=4, max_extra_gens=8) at seeds 0-3 leave 148
-# entries, and emptying the memo then frees 9.1 MB, 62 KB an entry on
+# entries, and emptying the memo then frees 4.8 MB, 32 KB an entry on
 # average; the largest entry seen, their 2,158-generator lex ideal of
-# degree up to 382, frees 363 KB.  A full memo of such entries takes about
-# 16 MB, and one of entries as large as the largest about 93 MB.
+# degree up to 382, frees 192 KB.  A full memo of such entries takes about
+# 8 MB, and one of entries as large as the largest about 49 MB.
 EMBED_MEMO_SIZE = 256
 # Entries of the decomposition memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench), with the draws of their non-stable
 # inputs, decompose 495 distinct ideals 4,197 times: 512 entries keep all
-# 3,702 hits, for 0.74 MB more traced memory after the run (the draws
+# 3,702 hits, for 0.55 MB more traced memory after the run (the draws
 # included, after a garbage collection) than with no memo, the facts
 # stored on the chains included (antichains, numerators, component windows
 # at their longest length read, bar saturations and the rest; 256 entries
-# keep 3,619, for 0.45 MB).  A chain's recomposition is its key, the ideal
+# keep 3,619, for 0.35 MB).  A chain's recomposition is its key, the ideal
 # itself, and adds nothing.  The stored windows and the facts stored on
-# the components (top degree, generator tallies, m-saturation) add about
-# 0.08 MB of the 0.74.
+# the components (top degree, generator tallies, m-saturation) added
+# about 0.08 MB of the 0.74 MB that the memo took when ideals held
+# generator objects.
 DECOMPOSE_MEMO_SIZE = 512
 # Entries of the stabilization memo, one per ideal.  The seed-0 ops of a
 # 15 s zstab-harness run (perfbench) stabilize 422 distinct ideals 1,605
-# times: 512 entries keep all 1,183 hits, for 0.90 MB more traced memory
+# times: 512 entries keep all 1,183 hits, for 0.62 MB more traced memory
 # after the run (the draws included, after a garbage collection) than with
-# no memo (256 entries keep 1,122, for 0.55 MB).  Emptying the memo after
-# the run frees 2.1 KB an entry on average, the facts the loop stores on
+# no memo (256 entries keep 1,122, for 0.40 MB).  Emptying the memo after
+# the run frees 1.5 KB an entry on average, the facts the loop stores on
 # its chains (antichains, numerators) and their recompositions included;
 # the largest seen, a chain of 8 components with 22 generators in all,
-# frees 5.1 KB when stabilized and recomposed alone from empty memos.
+# frees 2.9 KB when stabilized and recomposed alone from empty memos.
 STABLE_MEMO_SIZE = 512
 # Entries of the parser memo ``cli.build_parser``: it takes no argument.
 PARSER_MEMO_SIZE = 1

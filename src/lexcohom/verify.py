@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
 from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _grlex_key,
-                   ideal_product, minimalize)
+                   _minimal_ideal, ideal_product)
 from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import HilbertMismatchError
 from .hilbert import HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series
@@ -109,7 +109,8 @@ def _draw(spec: FamilySpec, ctx: RingContext, pool: list[Monomial],
     """One random ideal of the family: b plus up to ``spec.max_extra_gens``
     candidates sampled from ``pool``."""
     k = rng.randint(0, min(spec.max_extra_gens, len(pool)))
-    return minimalize(ctx, ctx.powers_ideal().gens + tuple(rng.sample(pool, k)))
+    extra = tuple(m.exps for m in rng.sample(pool, k))
+    return _minimal_ideal(ctx, ctx.powers_ideal().exps + extra)
 
 
 def enumerate_family(spec: FamilySpec):
@@ -119,16 +120,17 @@ def enumerate_family(spec: FamilySpec):
     if spec.mode == "exhaustive":
         limits.check("INSTANCE_LIMIT", 2 ** len(pool),
                      f"exhaustive family would scan 2^{len(pool)} subsets")
-        b = ctx.powers_ideal()
+        b = ctx.powers_ideal().exps
+        candidates = [m.exps for m in pool]
         seen = set()
         ideals = []
         for size in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, size):
-                I = minimalize(ctx, b.gens + combo)
-                if I.gens not in seen:
-                    seen.add(I.gens)
+            for combo in itertools.combinations(candidates, size):
+                I = _minimal_ideal(ctx, b + combo)
+                if I.exps not in seen:
+                    seen.add(I.exps)
                     ideals.append(I)
-        ideals.sort(key=lambda I: tuple(_grlex_key(g.exps) for g in I.gens))
+        ideals.sort(key=lambda I: tuple(map(_grlex_key, I.exps)))
         yield from ideals
     elif spec.mode == "random":
         rng = random.Random(spec.seed)
@@ -465,12 +467,12 @@ def _bar_swap_holds(dec: zstable.ZGradedIdeal) -> bool:
 
 def _holds_m_times(P: MonomialIdeal, E: MonomialIdeal) -> bool:
     """Whether P contains m*E + b, read without forming m*E: P holds b,
-    and x_i * g for every generator g of E and every variable x_i: the
+    which is P's stored closure being P itself (``plus_powers``), and
+    x_i * g for every generator g of E and every variable x_i: the
     two-step chain (P, E) has no ``zstable._violation`` in all n
     variables."""
-    chain = tuple(tuple(g.exps for g in J.gens) for J in (P, E))
-    return (zstable._violation(chain, P.ctx.n) is None
-            and P.contains_ideal(P.ctx.powers_ideal()))
+    return (zstable._violation((P.exps, E.exps), P.ctx.n) is None
+            and P.plus_powers() is P)
 
 
 def _top_partial_sums(dec: zstable.ZGradedIdeal, decE: zstable.ZGradedIdeal) -> bool:

@@ -12,11 +12,11 @@ components of that initial ideal in closed form, from monomial sums, colons
 and intersections, so the loop runs no Groebner basis; ``distraction`` and
 the Buchberger engine of ``groebner`` are its test oracle.
 
-The loop runs on component antichains, the exponent tuples of each
-component's generators in the order ``MonomialIdeal.gens`` keeps.  A round
-is three kernels on them, ``_violation``, ``_initial_chain`` (on
-``core``'s antichain kernels) and ``_partial_sum_order``, with the
-numerators read straight from ``hilbert._numerator``; it builds no ideal.
+The loop runs on component antichains, each component's
+``MonomialIdeal.exps``.  A round is three kernels on them,
+``_violation``, ``_initial_chain`` (on ``core``'s antichain kernels) and
+``_partial_sum_order``, with the numerators read straight from
+``hilbert._numerator``; it builds no ideal.
 ``_first_violation``, ``distraction_initial`` and ``z_order_compare``
 wrap the same kernels, so the oracles test the code the loop runs.
 
@@ -65,7 +65,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from . import limits, memos
-from .core import (Monomial, MonomialIdeal, RingContext, _antichain_ideal, _divides_any,
+from .core import (Monomial, MonomialIdeal, RingContext, _divides_any,
                    _minimal_ideal, antichain_colon, antichain_intersection, antichain_sum,
                    antichain_times_variable)
 from .embeddings import is_embedded
@@ -130,9 +130,9 @@ class ZGradedIdeal:
 
     @cached_property
     def antichains(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The components' generators as canonical antichains of exponent
-        tuples (``core``'s antichain kernels), found once per chain."""
-        return tuple(tuple(g.exps for g in c.gens) for c in self.components)
+        """The components' canonical antichains of exponent tuples, their
+        ``exps`` (``core``'s antichain kernels)."""
+        return tuple(c.exps for c in self.components)
 
     @cached_property
     def _lcm_degree(self) -> int:
@@ -192,8 +192,8 @@ class ZGradedIdeal:
         """The ideal of R[z] with this chain (``z_recompose``), which no
         limit bounds: the decomposed ideal itself for ``z_decompose``'s
         chains, else built once."""
-        return _minimal_ideal(self.ctx, [g.exps + (h,) for h, comp in enumerate(self.components)
-                                         for g in comp.gens])
+        return _minimal_ideal(self.ctx, [e + (h,) for h, comp in enumerate(self.components)
+                                         for e in comp.exps])
 
     @cached_property
     def violation(self) -> tuple[int, int] | None:
@@ -226,10 +226,10 @@ def z_decompose(I: MonomialIdeal) -> ZGradedIdeal:
 def _decomposition(I: MonomialIdeal) -> ZGradedIdeal:
     """The chain of ``z_decompose``, for an I it has checked, with I
     stored as its recomposition."""
-    s = max((g.exps[-1] for g in I.gens), default=0)
+    s = max((e[-1] for e in I.exps), default=0)
     levels: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
-    for g in I.gens:
-        levels[g.exps[-1]].append(g.exps[:-1])
+    for e in I.exps:
+        levels[e[-1]].append(e[:-1])
     return _chain_of(I.ctx, list(accumulate(map(tuple, levels), antichain_sum)), recomposed=I)
 
 
@@ -242,7 +242,7 @@ def _chain_of(ctx: RingContext, chain, known: ZGradedIdeal | None = None,
     comps = {} if known is None else dict(zip(known.antichains, known.components))
     for a in chain:
         if a not in comps:
-            comps[a] = _antichain_ideal(ctx.drop_z(), a)
+            comps[a] = MonomialIdeal(ctx.drop_z(), a)
     Z = ZGradedIdeal(ctx, tuple(comps[a] for a in chain))
     vars(Z).update(antichains=tuple(chain), **facts)  # what cached_property would store
     return Z
@@ -362,17 +362,17 @@ def distraction(Z: ZGradedIdeal, d: int, j: int | None) -> list[Polynomial]:
     ctx = Z.ctx
     gens: list[Polynomial] = []
     for h in range(min(d - 1, Z.s) + 1):
-        for g in Z.component(h).gens:
-            gens.append(Polynomial.make(ctx, [(g.exps + (h,), 1)]))
+        for e in Z.component(h).exps:
+            gens.append(Polynomial.make(ctx, [(e + (h,), 1)]))
     if j is None:
         l_terms = [((0,) * (ctx.n - 1) + (1,), 1)]
     else:
         xj = tuple(1 if i == j else 0 for i in range(ctx.n))
         l_terms = [(xj, 1), ((0,) * (ctx.n - 1) + (1,), 1)]
     for h in range(d, max(Z.s, d) + 1):
-        for g in Z.component(h).gens:
+        for e in Z.component(h).exps:
             terms = [
-                (tuple(a + b for a, b in zip(g.exps + (h - 1,), le)), c)
+                (tuple(a + b for a, b in zip(e + (h - 1,), le)), c)
                 for le, c in l_terms
             ]
             gens.append(Polynomial.make(ctx, terms))

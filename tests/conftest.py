@@ -203,15 +203,15 @@ def ref_embed_matching_series(I):
     last = limits.NUMERATOR_DEGREE_LIMIT + 1
     dims = (len(all_monomials(ctx, d, bounded=True)) - ref_series_value(series.numer, ctx.n, d)
             for d in range(last + 1))
-    gens = []
+    exps = []  # the engine's generators, exponent tuples
     grew = True  # generators were added since the last check
     for d, new in enumerate(embeddings._engine(ctx, dims)):
-        gens.extend(new)
+        exps.extend(new)
         if new:
             grew = True
         elif grew and d > top:
             grew = False
-            out = MonomialIdeal(ctx, tuple(gens)).plus_powers()
+            out = MonomialIdeal(ctx, tuple(exps)).plus_powers()
             if hilbert_series(out).numer == series.numer:
                 return out
     limits.check("NUMERATOR_DEGREE_LIMIT", last, f"no certified embedding by degree {last}")

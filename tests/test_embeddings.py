@@ -254,7 +254,9 @@ def test_rank_engine_matches_brute_force_selection(ctx, rng, D, perturb, far):
 
     with mock.patch.object(embeddings, "_rank", rank):
         outcome = _outcome(lambda: _engine(ctx, dims))
-    assert outcome == _outcome(lambda: brute_lex_first(ctx, dims))
+    # the engine yields exponent tuples, the brute force validated Monomials
+    assert outcome == _outcome(lambda: [[m.exps for m in new]
+                                        for new in brute_lex_first(ctx, dims)])
     # the engine's count of each suffix ring in each degree is its listed basis
     for i, row in enumerate(tables[-1] if tables else ()):
         assert row == [sum(not any(m.exps[:i]) for m in ctx.monomials(t, bounded=True))
@@ -297,10 +299,10 @@ def test_rank_engine_prefixes_are_minimal_and_canonical(ctx, rng, D):
     # every prefix of the engine's output is its own minimalization, so the
     # embeddings build their ideals from it directly
     dims = ideal_window(random_ideal(rng, ctx, 4, 4), D)
-    gens = []
+    exps = []
     for new in _engine(ctx, dims):
-        gens.extend(new)
-        assert minimalize(ctx, gens).gens == tuple(gens)
+        exps.extend(new)
+        assert minimalize(ctx, map(Monomial, exps)).exps == tuple(exps)
 
 
 @given(st.integers(1, 3), st.lists(st.integers(0, 11), min_size=1, max_size=6),

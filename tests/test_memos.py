@@ -240,8 +240,8 @@ def test_warm_and_cold_decompositions_match_the_reference(I):
     cold = zstable._decomposition.__wrapped__(I)
     want = ref_z_decompose(I)
     assert warm == cold == want
-    assert [c.gens for c in warm.components] == [c.gens for c in want.components]
-    assert zstable.z_decompose(MonomialIdeal(I.ctx, I.gens)) is warm
+    assert [c.exps for c in warm.components] == [c.exps for c in want.components]
+    assert zstable.z_decompose(MonomialIdeal(I.ctx, I.exps)) is warm
 
 
 def test_a_decomposition_refusal_is_raised_on_every_call():

@@ -35,7 +35,7 @@ def test_a_numerator_hit_reads_no_lcm_degree(monkeypatch):
     numer = hilbert_series(I).numer
     calls = count_calls(monkeypatch, lcm_degree)
     assert hilbert_series(I).numer == numer
-    assert hilbert_series(MonomialIdeal(I.ctx, I.gens)).numer == numer
+    assert hilbert_series(MonomialIdeal(I.ctx, I.exps)).numer == numer
     assert calls == []
 
 
@@ -72,7 +72,7 @@ def ideals(draw):
 @settings(max_examples=150, deadline=None)
 @given(ideals(), st.booleans())
 def test_every_stored_fact_equals_its_recomputation(I, facts_first):
-    fresh = MonomialIdeal(I.ctx, I.gens)
+    fresh = MonomialIdeal(I.ctx, I.exps)
     if facts_first:
         assert fresh == I and hash(fresh) == hash(I)
     names = I.ctx.var_names()
