@@ -16,7 +16,12 @@ The loop runs on component antichains, each component's
 ``MonomialIdeal.exps``.  A round is three kernels on them,
 ``_violation``, ``_initial_chain`` (on ``core``'s antichain kernels) and
 ``_partial_sum_order``, with the numerators read straight from
-``hilbert._numerator``; it builds no ideal.
+``hilbert._numerator``; it builds no ideal.  ``_violation`` reads each
+pair of consecutive components off ``_shadow_gaps``, one pass over the
+lower component per generator of the upper one for all variables at
+once.  A round at (d, j) leaves the components below d - 1 as they were,
+and the pairs among them had no violation, so the next round's scan
+starts at level d - 1.
 ``_first_violation``, ``distraction_initial`` and ``z_order_compare``
 wrap the same kernels, so the oracles test the code the loop runs.
 
@@ -65,9 +70,8 @@ from functools import cached_property
 from itertools import accumulate
 
 from . import limits, memos
-from .core import (Monomial, MonomialIdeal, RingContext, _divides_any,
-                   _minimal_ideal, antichain_colon, antichain_intersection, antichain_sum,
-                   antichain_times_variable)
+from .core import (Monomial, MonomialIdeal, RingContext, _minimal_ideal, antichain_colon,
+                   antichain_intersection, antichain_sum, antichain_times_variable)
 from .embeddings import is_embedded
 from .errors import HilbertMismatchError, IterationCapExceededError
 from .groebner import Polynomial, TermOrder
@@ -263,9 +267,10 @@ def bar(Z: ZGradedIdeal) -> MonomialIdeal:
 
 def is_z_stable(Z: ZGradedIdeal) -> bool:
     """Check I_<k+1> * m_R <= I_<k> for every k below the stabilization
-    index: generator by generator and variable by variable, which is the
-    same as containing the product I_<k+1> * m_R.  Reads the chain's
-    stored answer of ``_first_violation``."""
+    index: generator by generator, for every variable at once
+    (``_shadow_gaps``), which is the same as containing the product
+    I_<k+1> * m_R.  Reads the chain's stored answer of
+    ``_first_violation``."""
     return Z.violation is None
 
 
@@ -390,16 +395,52 @@ def _first_violation(Z: ZGradedIdeal) -> tuple[int, int] | None:
     return _violation(Z.antichains, Z.ctx.nx)
 
 
-def _violation(chain, nx: int) -> tuple[int, int] | None:
-    """``_first_violation`` of a chain of component antichains: g * x_{j+1}
-    is g's tuple with entry j raised by one, tested against the generators
-    of component d-1."""
-    for d, (lower, upper) in enumerate(zip(chain, chain[1:]), 1):
-        for j in range(nx):
-            for e in upper:
-                if not _divides_any(lower, e[:j] + (e[j] + 1,) + e[j + 1:]):
-                    return d, j
+def _violation(chain, nx: int, start: int = 1) -> tuple[int, int] | None:
+    """``_first_violation`` of a chain of component antichains, scanning the
+    pairs (d - 1, d) from d = ``start`` on: the least d with a nonzero
+    ``_shadow_gaps`` of the pair, with j its lowest gap.  A caller passes a
+    ``start`` past 1 only when it knows the pairs below have no gap."""
+    for d in range(start, len(chain)):
+        gaps = _shadow_gaps(chain[d - 1], chain[d], nx)
+        if gaps:
+            return d, (gaps & -gaps).bit_length() - 1
     return None
+
+
+def _shadow_gaps(lower, upper, n: int) -> int:
+    """The bitmask of the variables j < n for which x_{j+1} * e lies outside
+    the ideal of the antichain ``lower`` for some e of ``upper``, the
+    exponent tuples having n entries.
+
+    A generator g divides x_{j+1} * e exactly when g exceeds e at no
+    coordinate, and then it covers every j, or at coordinate j alone and
+    there by exactly 1.  So one pass over ``lower`` per e finds the
+    variables e's multiples are covered in; it stops once they hold every
+    variable not already a gap, and the scan stops once every variable is
+    a gap.  No tuple is built."""
+    full = (1 << n) - 1
+    gaps = 0
+    coords = range(n)
+    for e in upper:
+        if gaps == full:
+            break
+        covered = gaps  # a known gap needs no second witness
+        for g in lower:
+            over = -1
+            for i in coords:
+                if g[i] > e[i]:
+                    if over >= 0 or g[i] > e[i] + 1:
+                        break
+                    over = i
+            else:
+                if over < 0:  # g divides e itself
+                    covered = full
+                    break
+                covered |= 1 << over
+                if covered == full:
+                    break
+        gaps |= full & ~covered
+    return gaps
 
 
 def distraction_initial(Z: ZGradedIdeal, d: int, j: int) -> ZGradedIdeal:
@@ -453,7 +494,8 @@ def _initial_chain(chain, d: int, j: int, nx: int) -> tuple:
     variables; those below d - 1 stay the input's own."""
     s = len(chain) - 1
     x = tuple(int(i == j) for i in range(nx))
-    x_I = [antichain_times_variable(a, j) for a in chain]  # x I_h, read at min(h, s)
+    # x I_h, read at min(h, s) for h >= d
+    x_I = {h: antichain_times_variable(chain[h], j) for h in range(min(d, s), s + 1)}
     Q = chain[d - 1]
     Q_colon_x = antichain_colon(Q, x)
     out = [*chain[:d - 1], antichain_sum(Q, x_I[min(d, s)])]
@@ -503,7 +545,10 @@ def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
     embedded components, by ``_check_lcm_degree``.
 
     A round runs on antichains: ``_violation``, ``_initial_chain`` and
-    ``_partial_sum_order``.  It checks the round limit, then refuses a new
+    ``_partial_sum_order``.  ``_violation`` tests a pair of components by
+    ``_shadow_gaps``, and after a round at (d, j) it starts at level
+    max(d - 1, 1): the round kept the components below d - 1, whose pairs
+    had no violation.  A round checks the round limit, then refuses a new
     chain past the numerator limit before reading its numerators, one
     ``_numerator`` per component (those of ``z_decompose(I)`` through its
     ``numerators``, which store them).  The order of the two chains is its
@@ -535,7 +580,7 @@ def _stable_chain(I: MonomialIdeal) -> ZGradedIdeal:
         if order != "less":
             raise AssertionError("a stabilization round did not strictly increase (bug)")
         chain, numers = nxt, nxt_numers
-        viol = _violation(chain, nx)
+        viol = _violation(chain, nx, max(viol[0] - 1, 1))
     return _chain_of(I.ctx, chain, dec, _numers=numers, _lcm_degree=degree, violation=None)
 
 
@@ -548,5 +593,6 @@ def _check_lcm_degree(degree: int) -> None:
     """Refuse, as ``hilbert_series`` would, a chain whose largest lcm
     degree of a component passes ``limits.NUMERATOR_DEGREE_LIMIT``: on
     every read of its numerators or embedded components, and on each
-    round's new chain."""
-    limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")
+    round's new chain.  The message is built only for a refusal."""
+    if degree > limits.NUMERATOR_DEGREE_LIMIT:
+        limits.check("NUMERATOR_DEGREE_LIMIT", degree, f"a component's lcm has degree {degree}")

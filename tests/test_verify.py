@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import betti, core, embeddings, limits, localcohom, memos, verify
+from lexcohom import betti, cli, core, embeddings, limits, localcohom, memos, verify
 from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
                            saturate)
 from lexcohom.errors import ResourceLimitError
@@ -686,6 +686,53 @@ def test_lpp_of_i_plus_x1_xn_trips_region_dominated_on_warm_memos(monkeypatch):
     monkeypatch.setattr(verify, "lpp_ideal", _lpp_of_plus_x1_xn)
     trips = [not verify_region_inclusion(I).checks["region_dominated"] for I in instances]
     assert sum(trips) == 17
+
+
+def _drop_the_last_generator(I):
+    """A mutant map: ``I`` less its last generator that is not a power
+    generator, so that it stays a preimage."""
+    powers = set(I.ctx.powers_ideal().exps)
+    drop = [e for e in I.exps if e not in powers][-1:]
+    return MonomialIdeal(I.ctx, tuple(e for e in I.exps if e not in drop))
+
+
+def test_a_dropped_generator_trips_same_hilbert():
+    instances = list(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=20)))
+    assert all(verify_embedding_lemmas(I).checks["same_hilbert"] for I in instances)
+
+    def epsilon(P):
+        return _drop_the_last_generator(embeddings.epsilon_one(P))
+
+    trips = [not verify_embedding_lemmas(I, epsilon=epsilon).checks["same_hilbert"]
+             for I in instances]
+    assert any(trips)
+
+
+def test_a_dropped_generator_trips_hilbert_preserved_and_weakly_increased(monkeypatch,
+                                                                          tmp_path):
+    # the stabilizer's top component loses its last generator
+    spec = FamilySpec(n=2, max_deg=3, with_z=True, count=20)
+    instances = list(nonstable_instances(spec))
+    assert all(verify_zstabilize(I).passed for I in instances)
+    genuine = zs.z_stabilize
+
+    def stabilizer(I):
+        Z = genuine(I)
+        return zs.ZGradedIdeal(Z.ctx, (*Z.components[:-1],
+                                       _drop_the_last_generator(Z.components[-1])))
+
+    monkeypatch.setattr(zs, "z_stabilize", stabilizer)
+    records = [verify_zstabilize(I) for I in instances]
+    assert any(not r.checks["hilbert_preserved"] for r in records)
+    assert any(not r.checks["weakly_increased"] for r in records)
+    # the CLI reports the broken contract as failed checks, exit 1, and not
+    # as the order's refusal of two Hilbert functions, exit 2
+    out = tmp_path / "zs.json"
+    assert cli.main(["verify", "zstabilize", "--family", "n=2,z=1,maxdeg=3", "--samples", "20",
+                     "--json", str(out)]) == 1
+    failed = [r["checks"] for r in json.loads(out.read_text())["instances"]
+              if not r["checks"]["hilbert_preserved"]]
+    assert failed and not any(checks["weakly_increased"] for checks in failed)
 
 
 def test_zstabilize_record():

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcohom import hilbert, zstable
-from lexcohom.core import (Monomial, MonomialIdeal, RingContext, ideal_product, minimalize,
-                           saturate)
+from lexcohom import hilbert, limits, memos, verify, zstable
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, _divides_any, ideal_product,
+                           minimalize, saturate)
 from lexcohom.embeddings import epsilon_one
 from lexcohom.errors import HilbertMismatchError
 from lexcohom.groebner import buchberger, initial_ideal
 from lexcohom.hilbert import hilbert_series, ideal_window, series_signs
-from lexcohom.zstable import (_first_violation, bar, default_window,
+from lexcohom.zstable import (_first_violation, _shadow_gaps, bar, default_window,
                               distraction, distraction_initial, is_z_stable,
                               stabilization_order, z_decompose, z_order_compare,
                               z_recompose, z_saturate, z_stabilize)
@@ -593,11 +593,101 @@ def test_first_violation_matches_the_monomial_products(data):
 def test_first_violation_builds_no_monomial(monkeypatch):
     decs = [z_decompose(random_ideal(random.Random(k), ctx, 4, 6))
             for k in range(20) for ctx in (ctx2z, RingContext(3, powers=(2,)).add_z())]
+    # multiply_then_embed's containment, on preimages whose closure is stored
+    ideals = [z_recompose(dec).plus_powers() for dec in decs]
+    pairs = [*zip(ideals, ideals[2:]), *zip(ideals, ideals)]  # the contexts alternate
+    for P in ideals:
+        P.plus_powers()
     built = []
     monkeypatch.setattr(Monomial, "__post_init__", lambda self: built.append(self.exps))
     for dec in decs:
         _first_violation(dec)
+    answers = {verify._holds_m_times(P, E) for P, E in pairs}
     assert built == []
+    assert answers == {True, False}
+
+
+def ref_shadow_gaps(lower, upper, n):
+    """The variables j whose x_{j+1} * e lies outside (lower) for some e of
+    ``upper``, as a bitmask: the per-(j, e) scan, one tuple e + 1_j tested
+    against every generator of ``lower``."""
+    gaps = 0
+    for j in range(n):
+        for e in upper:
+            if not _divides_any(lower, e[:j] + (e[j] + 1,) + e[j + 1:]):
+                gaps |= 1 << j
+                break
+    return gaps
+
+
+@st.composite
+def antichain_pairs(draw):
+    """Two canonical antichains of one context, with or without z and
+    powers, either of them possibly empty or a preimage."""
+    nx = draw(st.integers(1, 4))
+    powers = tuple(sorted(draw(st.lists(st.integers(2, 3), max_size=nx))))
+    ctx = RingContext(nx, powers=powers)
+    if draw(st.booleans()):
+        ctx = ctx.add_z()
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.n)
+
+    def antichain():
+        I = minimalize(ctx, [Monomial(e) for e in draw(st.lists(exps, max_size=8))])
+        return (I.plus_powers() if draw(st.booleans()) else I).exps
+
+    return antichain(), antichain(), ctx.n
+
+
+@given(antichain_pairs())
+@settings(max_examples=400, deadline=None)
+@example(((), ((1, 0),), 2))
+@example((((1, 0),), (), 2))
+@example((((0, 0),), ((2, 1),), 2))
+def test_shadow_gaps_matches_the_per_variable_scan(pair):
+    lower, upper, n = pair
+    assert _shadow_gaps(lower, upper, n) == ref_shadow_gaps(lower, upper, n)
+
+
+def _checked_violation(monkeypatch) -> list:
+    """Wrap ``zstable._violation`` so that every call, from whatever level
+    it starts, must give the answer of a scan from level 1; returns the
+    levels the calls started from."""
+    scan, starts = zstable._violation, []
+
+    def restarted(chain, nx, start=1):
+        starts.append(start)
+        answer = scan(chain, nx, start)
+        assert answer == scan(chain, nx)
+        return answer
+
+    monkeypatch.setattr(zstable, "_violation", restarted)
+    return starts
+
+
+@given(distraction_inputs())
+@settings(max_examples=200, deadline=None)
+def test_a_round_restarts_the_violation_scan_where_a_full_scan_finds_it(I):
+    memos.clear_all()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _checked_violation(monkeypatch)
+        assert is_z_stable(z_stabilize(I))
+
+
+def test_rounds_restart_the_violation_scan_above_level_1(monkeypatch):
+    starts = _checked_violation(monkeypatch)
+    rng = random.Random(3)
+    for _ in range(40):
+        z_stabilize(random_ideal(rng, RingContext(2, powers=(2,)).add_z(), 4, 6))
+    assert max(starts) > 1
+
+
+def test_a_chain_read_under_the_limit_builds_no_refusal(monkeypatch):
+    Z = z_decompose(random_ideal(random.Random(8), ctx2z, 4, 6))
+    Z.numerators(), Z.all_embedded(), Z.window(0, 6)
+    calls = count_calls(monkeypatch, limits.check)
+    for _ in range(3):
+        Z.numerators(), Z.all_embedded(), Z.window(0, 6), Z.window(Z.s, 9)
+    assert calls == []
 
 
 def test_drop_z_is_built_once_per_context():
