@@ -3,8 +3,10 @@
 The six single-ideal commands (hilb, lex, lpp, betti, cohom, zstabilize)
 run through one driver, ``_run_single``: it reads the ideal, calls the
 command's ``cmd_*(I, args)``, which prints its text and returns its own
-report fields, and writes the JSON report with the shared header.  Past
-argparse, every refusal is an exception that ``main`` turns into one
+report fields, and writes the JSON report with the shared header.  A
+report, single-ideal or ``verify``, is ``json.dumps(report, sort_keys=True,
+indent=1)`` plus a newline; ``tests/golden/digests.json`` pins those bytes.
+Past argparse, every refusal is an exception that ``main`` turns into one
 ``error: ...`` or ``parse error: ...`` line on stderr and exit code 2.
 
 Exit codes: 0 = success / all checks passed, 1 = a theorem check failed,
@@ -15,9 +17,9 @@ instances to check).
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import limits, memos, zstable
 from .betti import betti_table, corners
@@ -57,64 +59,11 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# the encoder of each scalar type a report holds, as ``json`` writes it
-_SCALARS = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-            type(None): lambda _: "null"}
-
-
-def _scalar(v) -> str:
-    return _SCALARS[type(v)](v)
-
-
-def _json_text(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=1)``, byte for byte, built
-    in one pass for the types a report holds: dicts with str keys, lists
-    and tuples, str, int, True, False and None; any other type, a subclass
-    of str or int included, raises TypeError.  A list of scalars, most of
-    a large report, is one join; ``json.dumps`` with an indent runs the
-    pure-Python encoder, element by element."""
-    parts = []
-
-    def emit(v, nl):
-        inner = nl + " "
-        if type(v) in _SCALARS:
-            parts.append(_scalar(v))
-        elif isinstance(v, (list, tuple)) and not v:
-            parts.append("[]")
-        elif isinstance(v, (list, tuple)):
-            kinds = set(map(type, v))
-            if kinds <= _SCALARS.keys():
-                encode = _SCALARS[kinds.pop()] if len(kinds) == 1 else _scalar
-                parts.append("[" + inner + ("," + inner).join(map(encode, v)) + nl + "]")
-                return
-            sep = "["
-            for x in v:
-                parts.append(sep + inner)
-                emit(x, inner)
-                sep = ","
-            parts.append(nl + "]")
-        elif isinstance(v, dict) and not v:
-            parts.append("{}")
-        elif isinstance(v, dict):
-            sep = "{"
-            for k in sorted(v):
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                parts.append(sep + inner + _encode_str(k) + ": ")
-                emit(v[k], inner)
-                sep = ","
-            parts.append(nl + "}")
-        else:
-            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-    emit(value, "\n")
-    return "".join(parts)
-
-
 def _emit_json(args, payload: dict):
-    """Write the report in one call."""
+    """Write the report, ``json.dumps(payload, sort_keys=True, indent=1)``
+    and a newline, in one call."""
     if args.json:
-        text = _json_text(payload) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
         with open(args.json, "w") as fh:
             fh.write(text)
 

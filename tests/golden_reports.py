@@ -75,6 +75,8 @@ FAMILIES = (
     ("zstabilize", "n=3,z=1,maxdeg=3", 20),
     ("embedding-lemmas", "n=2,d=2:2,z=1,maxdeg=4", 20),
     ("embedding-lemmas", "n=3,d=2:2,z=1,maxdeg=3", 20),
+    ("embedding-lemmas", "n=3,z=1,maxdeg=3", 20),
+    ("embedding-lemmas", "n=2,d=2:3,z=1,maxdeg=4", 20),
     ("recurrences", "n=2,z=1,maxdeg=3", 20),
     ("recurrences", "n=3,z=1,maxdeg=3", 20),
 )

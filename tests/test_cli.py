@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcohom import limits, verify
-from lexcohom.cli import _json_text, build_parser, main
+from lexcohom.cli import build_parser, main
 from lexcohom.core import DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _is_prime
 from lexcohom.hilbert import hilbert_series
 from lexcohom.ioformat import (ParseError, as_monomial_ideal, format_ideal, parse_ideal_file,
@@ -450,26 +450,6 @@ def test_cli_verify_family_limits(capsys):
     assert main(["verify", "lpp-cohomology", "--samples", "1",
                  "--family", f"n=2,d=2:2,maxdeg={EXPONENT_LIMIT}"]) == 0
     assert "1/1 instances passed" in capsys.readouterr().out
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
-    max_leaves=40)
-
-
-@given(_JSON_VALUES)
-@settings(max_examples=300, deadline=None)
-def test_the_report_text_is_json_dumps_sorted_with_indent_1(value):
-    # non-ASCII text, empty containers, bools among ints and tuples included
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=1)
-
-
-@pytest.mark.parametrize("value", [1.5, {"a": {1, 2}}, [b"x"], {1: "a"}])
-def test_the_report_text_refuses_what_reports_never_hold(value):
-    with pytest.raises(TypeError):
-        _json_text(value)
 
 
 def test_cli_verify_family_key_values(tmp_path, capsys):

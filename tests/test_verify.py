@@ -613,14 +613,23 @@ def test_an_added_monomial_trips_saturated_bars_agree():
                for I in instances)
 
 
+def _failing(I) -> list[str]:
+    return [key for key, ok in verify_embedding_lemmas(I).checks.items() if not ok]
+
+
 def test_a_replaced_stored_bar_saturation_trips_saturated_bars_agree():
-    I = next(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=1)))
-    assert verify_embedding_lemmas(I).checks["saturated_bars_agree"]
-    decE = zs.z_decompose(embeddings.epsilon_one(I))
-    unit = MonomialIdeal.unit(I.ctx.drop_z())
-    assert decE.bar_saturation != unit
-    vars(decE)["bar_saturation"] = unit  # the chain is the one the suite reads
-    assert not verify_embedding_lemmas(I).checks["saturated_bars_agree"]
+    # the check fails alone, apart from bars_agree_high
+    instances = list(dict.fromkeys(stable_instances(
+        FamilySpec(n=3, max_deg=3, with_z=True, count=5))))
+    assert len(instances) == 5
+    for I in instances:
+        memos.clear_all()  # two instances can share an embedding's chain
+        assert verify_embedding_lemmas(I).passed
+        decE = zs.z_decompose(embeddings.epsilon_one(I))
+        unit = MonomialIdeal.unit(I.ctx.drop_z())
+        assert decE.bar_saturation != unit
+        vars(decE)["bar_saturation"] = unit  # the chain is the one the suite reads
+        assert _failing(I) == ["saturated_bars_agree"]
 
 
 def test_an_added_monomial_trips_bars_agree_high():
@@ -632,13 +641,24 @@ def test_an_added_monomial_trips_bars_agree_high():
 
 
 def test_a_replaced_stored_window_trips_bars_agree_high():
-    I = next(stable_instances(FamilySpec(n=3, max_deg=3, with_z=True, count=1)))
-    assert verify_embedding_lemmas(I).checks["bars_agree_high"]
-    E = embeddings.epsilon_one(I)
-    decE = zs.z_decompose(E)  # the chain the suite reads
-    held = decE.window(0, 2 * zs.default_window(I, E))
-    decE._windows[0] = tuple(x + 1 for x in held)  # a shorter read is a slice of it
-    assert not verify_embedding_lemmas(I).checks["bars_agree_high"]
+    # the check fails alone, apart from saturated_bars_agree, on a chain with
+    # s >= 1; with s = 0 the bottom window is the top one, and
+    # top_partial_sums trips too
+    instances = list(dict.fromkeys(stable_instances(
+        FamilySpec(n=3, max_deg=3, with_z=True, count=10))))
+    tried = 0
+    for I in instances:
+        memos.clear_all()  # two instances can share an embedding's chain
+        E = embeddings.epsilon_one(I)
+        decE = zs.z_decompose(E)  # the chain the suite reads
+        if decE.s < 1:
+            continue
+        tried += 1
+        assert verify_embedding_lemmas(I).passed
+        held = decE.window(0, 2 * zs.default_window(I, E))
+        decE._windows[0] = tuple(x + 1 for x in held)  # a shorter read is a slice of it
+        assert _failing(I) == ["bars_agree_high"]
+    assert tried >= 4
 
 
 def test_a_term_added_to_a_stored_bottom_numerator_trips_saturate_bar_swap():
@@ -708,20 +728,22 @@ def test_a_dropped_generator_trips_same_hilbert():
     assert any(trips)
 
 
-def test_a_dropped_generator_trips_hilbert_preserved_and_weakly_increased(monkeypatch,
-                                                                          tmp_path):
-    # the stabilizer's top component loses its last generator
-    spec = FamilySpec(n=2, max_deg=3, with_z=True, count=20)
-    instances = list(nonstable_instances(spec))
-    assert all(verify_zstabilize(I).passed for I in instances)
-    genuine = zs.z_stabilize
-
+def _top_less_its_last_generator(genuine):
+    """A mutant stabilizer: the chain of ``genuine``, its top component less
+    its last generator."""
     def stabilizer(I):
         Z = genuine(I)
         return zs.ZGradedIdeal(Z.ctx, (*Z.components[:-1],
                                        _drop_the_last_generator(Z.components[-1])))
+    return stabilizer
 
-    monkeypatch.setattr(zs, "z_stabilize", stabilizer)
+
+def test_a_dropped_generator_trips_hilbert_preserved_and_weakly_increased(monkeypatch,
+                                                                          tmp_path):
+    spec = FamilySpec(n=2, max_deg=3, with_z=True, count=20)
+    instances = list(nonstable_instances(spec))
+    assert all(verify_zstabilize(I).passed for I in instances)
+    monkeypatch.setattr(zs, "z_stabilize", _top_less_its_last_generator(zs.z_stabilize))
     records = [verify_zstabilize(I) for I in instances]
     assert any(not r.checks["hilbert_preserved"] for r in records)
     assert any(not r.checks["weakly_increased"] for r in records)
@@ -733,6 +755,34 @@ def test_a_dropped_generator_trips_hilbert_preserved_and_weakly_increased(monkey
     failed = [r["checks"] for r in json.loads(out.read_text())["instances"]
               if not r["checks"]["hilbert_preserved"]]
     assert failed and not any(checks["weakly_increased"] for checks in failed)
+
+
+def _increases(Z) -> bool:
+    """Each component of the chain lies in the next."""
+    return all(upper.contains_ideal(lower)
+               for lower, upper in zip(Z.components, Z.components[1:]))
+
+
+def test_a_dropped_generator_that_breaks_the_chain_trips_stable(monkeypatch, tmp_path):
+    # the mutant chain stays z-stable, but a lower component can keep the
+    # dropped generator; then the recomposition holds it and the components
+    # do not, so hilbert_preserved can pass while weakly_increased fails
+    spec = FamilySpec(n=2, max_deg=3, with_z=True, count=20)
+    instances = list(nonstable_instances(spec))
+    assert all(_increases(zs.z_stabilize(I)) for I in instances)
+    stabilizer = _top_less_its_last_generator(zs.z_stabilize)
+    increasing = [_increases(stabilizer(I)) for I in instances]
+    assert increasing.count(False) == 9
+    monkeypatch.setattr(zs, "z_stabilize", stabilizer)
+    records = [verify_zstabilize(I) for I in instances]
+    assert [r.checks["stable"] for r in records] == increasing
+    assert any(r.checks["hilbert_preserved"] for r in records if not r.checks["stable"])
+    out = tmp_path / "zs.json"
+    assert cli.main(["verify", "zstabilize", "--family", "n=2,z=1,maxdeg=3", "--samples", "20",
+                     "--json", str(out)]) == 1
+    unstable = {r["ideal"] for r in json.loads(out.read_text())["instances"]
+                if not r["checks"]["stable"]}
+    assert unstable == {format_ideal(I) for I, ok in zip(instances, increasing) if not ok}
 
 
 def test_zstabilize_record():
