@@ -1,11 +1,12 @@
 """Reduced simplicial homology ranks over GF(p).
 
 Complexes are given as collections of faces encoded as vertex bitmasks; the
-empty face is mask 0.  This module builds the package's only boundary
-matrices: Koszul and Takayama complexes are simplicial complexes, and the
-dual Taylor slices of the ext backend are nerves or order filters (see
-``reduced_homology_dims``).  Conventions (these matter: an off-by-one here
-silently corrupts first syzygies):
+empty face is mask 0.  Every complex of the package is ranked here, by
+the one sparse kernel ``linalg.boundary_ranks``: Koszul and Takayama
+complexes are simplicial complexes, and the dual Taylor slices of the ext
+backend are nerves or order filters (see ``reduced_homology_dims``).
+Conventions (these matter: an off-by-one here silently corrupts first
+syzygies):
 
 * the void complex (no faces at all) has H~_k = 0 for every k;
 * the irrelevant complex {emptyset} has H~_{-1} = K and nothing else.
@@ -24,11 +25,7 @@ has at most 20 vertices), and an ext slice has at most
 
 from __future__ import annotations
 
-from .linalg import rank_mod_p
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+from .linalg import boundary_ranks
 
 
 def _mask_family(masks) -> int:
@@ -49,25 +46,6 @@ def _family_masks(family: int) -> list[int]:
     return masks
 
 
-def boundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Signed boundary matrix from the span of ``upper`` faces to ``lower``,
-    as rows indexed by ``lower``."""
-    index = {f: i for i, f in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
-    for j, f in enumerate(upper):
-        sign = 1
-        v = f
-        while v:
-            low = v & (-v)
-            sub = f & ~low
-            i = index.get(sub)
-            if i is not None:
-                mat[i][j] = sign
-            sign = -sign
-            v &= v - 1
-    return mat
-
-
 def reduced_homology_dims(faces, p: int) -> dict[int, int]:
     """Reduced homology dims {k: dim H~_k} of a simplicial complex.
 
@@ -84,23 +62,16 @@ def reduced_homology_dims(faces, p: int) -> dict[int, int]:
     reported at k are those of H~_{k-1}(Gamma); ``localcohom._ext_dims``
     reads them off a nerve of Gamma this way.
     """
-    faces = set(faces)
+    faces = sorted(set(faces))
     if not faces:
         return {}
-    by_dim: dict[int, list[int]] = {}
+    levels: list[list[int]] = [[] for _ in range(max(f.bit_count() for f in faces) + 1)]
     for f in faces:
-        by_dim.setdefault(_popcount(f) - 1, []).append(f)
-    for level in by_dim.values():
-        level.sort()
-    top = max(by_dim)
-    ranks: dict[int, int] = {}
-    for k in range(0, top + 1):
-        lower = by_dim.get(k - 1, [])
-        upper = by_dim.get(k, [])
-        ranks[k] = rank_mod_p(boundary_matrix(lower, upper), p) if lower and upper else 0
+        levels[f.bit_count()].append(f)
+    ranks = boundary_ranks(levels, p) + [0]
     out = {}
-    for k in range(-1, top + 1):
-        dim = len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+    for k, level in enumerate(levels):
+        dim = len(level) - ranks[k] - ranks[k + 1]
         if dim:
-            out[k] = dim
+            out[k - 1] = dim
     return out

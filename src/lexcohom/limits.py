@@ -73,11 +73,14 @@ COHOM_VARIABLE_LIMIT = 32
 # 2^min(n, g) faces (localcohom._ext_dims), and with this cap raised the
 # same tables take 0.7-2.7 ms at 10, 1.0-3.9 ms at 11 and 2.0-4.2 ms at 18
 # (19 ideals, that one among them), about what the combinatorial backend
-# takes.  Those ideals have n = 4; with n growing beside g a slice's 2^n
-# faces still cost: on the path ideal x_i*x_{i+1}, with the cap raised and
-# cold memos, an ext table takes 2.5-3.7 s at 11 generators (n = 12) and
-# 14.5-15.7 s at 12 (n = 13), where the combinatorial one takes 0.17-0.19 s
-# and 0.73-0.75 s and gives the same table.  So the cap still bounds a cost.
+# takes.  Those ideals have n = 4.  With n growing beside g a slice has up
+# to 2^n faces, which the dense boundary matrices made cost: on the path
+# ideal x_i*x_{i+1}, with the cap raised and cold memos, an ext table took
+# 2.5-3.7 s at 11 generators (n = 12) and 14.5-15.7 s at 12 (n = 13).  With
+# the sparse kernel (linalg.boundary_ranks) it takes 0.11-0.15 s at 11,
+# 0.30-0.40 s at 12 and 2.1-2.2 s at 14 (n = 15), and the combinatorial
+# one 0.15-0.23 s, 0.42-0.50 s and 2.4-2.6 s, with the same table (three
+# runs each).  The cap now bounds no cost of its own beyond the walk's.
 EXT_GENERATOR_LIMIT = 10
 # Most points of an lcm lattice, each a Koszul complex for the Betti table.
 LATTICE_LIMIT = 20_000

@@ -13,7 +13,9 @@ the walk's order does not matter, and there are at most
 (sum_i rho_i + 1)(n + 1) cells however many multidegrees the walk visits.
 One routine assembles the rows of either backend from per-cell dims times
 lattice-point counts (binomials), and one reads the regularity.  Besides
-that assembly they share the rank kernel and the homology routine:
+that assembly they share the homology routine
+(``homology.reduced_homology_dims``) and its one sparse rank kernel
+(``linalg.boundary_ranks``):
 
 * ``ext``: graded local duality.  The dual of the Taylor complex of I is
   sliced per multidegree; the slice pattern only depends on clamp(-a, 0, rho)

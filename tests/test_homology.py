@@ -1,4 +1,8 @@
+from hypothesis import given, settings
+
 from lexcohom.homology import reduced_homology_dims
+
+from conftest import face_families, ref_reduced_homology_dims
 
 P = 32003
 
@@ -44,3 +48,10 @@ def test_wedge_like_complex():
     # two triangles sharing a vertex: two independent 1-cycles
     c = faces_of((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4))
     assert reduced_homology_dims(c, P) == {1: 2}
+
+
+@given(face_families())
+@settings(max_examples=300, deadline=None)
+def test_dims_match_the_dense_oracle_on_complexes_and_order_filters(case):
+    faces, p = case
+    assert reduced_homology_dims(faces, p) == ref_reduced_homology_dims(faces, p)

@@ -94,6 +94,19 @@ def test_backend_agreement_on_samples():
                 assert fit is not None and Ta.tails[i].printed() == [str(c) for c in fit]
 
 
+@pytest.mark.parametrize("n, gens", [
+    (14, [(1,) * 14]),  # x1...x14: 2^14 Takayama complexes on up to 14 vertices
+    # the path ideal x_i*x_{i+1}: 10 generators, at limits.EXT_GENERATOR_LIMIT
+    (11, [tuple(int(j in (i, i + 1)) for j in range(11)) for i in range(10)]),
+])
+def test_backend_agreement_on_large_squarefree_ideals(n, gens):
+    I = MonomialIdeal.make(RingContext(n), [Monomial(g) for g in gens])
+    Ta = cohomology_table(I, backend="combinatorial")
+    Tb = cohomology_table(I, backend="ext")
+    assert Ta.rows == Tb.rows and Ta.tails == Tb.tails
+    assert Ta.module_dim == krull_dim(hilbert_series(I))
+
+
 def test_h0_matches_backends():
     rng = random.Random(89)
     ctx = RingContext(3)
