@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import limits, zstable
 from .betti import betti_table, corners, region_dominates
-from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _grlex_key,
-                   _minimal_ideal, antichain_sum, ideal_product)
+from .core import (DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _divides_any,
+                   _grlex_key, _minimal_ideal, antichain_sum, ideal_product)
 from .embeddings import _certified_embedding, epsilon_one, lex_ideal_of, lpp_ideal
 from .errors import HilbertMismatchError
 from .hilbert import HilbertSeries, _poly_add, _times_one_minus_power, hilbert_series
@@ -114,22 +114,27 @@ def _draw(spec: FamilySpec, ctx: RingContext, pool: list[Monomial],
 
 
 def enumerate_family(spec: FamilySpec):
-    """Deterministic stream of monomial ideals containing b."""
+    """Deterministic stream of monomial ideals containing b.
+
+    An exhaustive family is every ideal b + (A), A an antichain of the pool
+    under divisibility, sorted by the grlex keys of its generators.  No
+    power divides a bounded pool monomial, and none of those, of degree at
+    least the largest power degree, divides a power, so b + A has minimal
+    generators b and A.  The pool is in grlex order, so a candidate divides
+    no earlier one: each antichain is listed once, from its members in pool
+    order, and the listing is refused once it holds more than
+    ``limits.INSTANCE_LIMIT`` antichains.
+    """
     ctx = spec.context()
     pool = _basis_pool(ctx, spec.max_deg)
     if spec.mode == "exhaustive":
-        limits.check("INSTANCE_LIMIT", 2 ** len(pool),
-                     f"exhaustive family would scan 2^{len(pool)} subsets")
+        chains = [()]
+        for c in (m.exps for m in pool):
+            chains += [a + (c,) for a in chains if not _divides_any(a, c)]
+            limits.check("INSTANCE_LIMIT", len(chains),
+                         f"the exhaustive family has at least {len(chains)} ideals")
         b = ctx.powers_ideal().exps
-        candidates = [m.exps for m in pool]
-        seen = set()
-        ideals = []
-        for size in range(len(pool) + 1):
-            for combo in itertools.combinations(candidates, size):
-                I = _minimal_ideal(ctx, b + combo)
-                if I.exps not in seen:
-                    seen.add(I.exps)
-                    ideals.append(I)
+        ideals = [_minimal_ideal(ctx, b + a) for a in chains]
         ideals.sort(key=lambda I: tuple(map(_grlex_key, I.exps)))
         yield from ideals
     elif spec.mode == "random":
@@ -638,9 +643,10 @@ def run_family(theorem: str, spec: FamilySpec, jobs: int = 1) -> Report:
     Each distinct instance is checked once, before the work is shared out,
     and a repeated one gets a shallow copy of its record (its ``seconds``
     are those of the one check).  ``jobs`` worker processes share the
-    distinct instances, at most one per CPU.  A random family of more than
-    ``limits.INSTANCE_LIMIT`` samples is refused before any is drawn, like
-    an exhaustive one of more subsets.
+    distinct instances, at most one per CPU.  A family of more than
+    ``limits.INSTANCE_LIMIT`` instances is refused before any is checked: a
+    random one by its sample count, before any is drawn, and an exhaustive
+    one while its ideals are listed, once it has listed more.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from "

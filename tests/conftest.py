@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from lexcohom import embeddings, limits, localcohom, memos, zstable
 from lexcohom.betti import lcm_lattice, upper_koszul_faces
-from lexcohom.core import (Monomial, MonomialIdeal, colon, ideal_intersection, ideal_product,
-                           minimalize, saturate)
+from lexcohom.core import (Monomial, MonomialIdeal, RingContext, colon, ideal_intersection,
+                           ideal_product, minimalize, saturate)
 from lexcohom.errors import (HilbertMismatchError, IterationCapExceededError,
                              MixedContextError, NotAttainableError)
 from lexcohom.hilbert import (_poly_add, _poly_mul, _shift, hilbert_series, ideal_window,
                               series_stream, values_nonneg, window)
-from lexcohom.verify import enumerate_family
+from lexcohom.verify import _basis_pool, enumerate_family
 from lexcohom.zstable import ZGradedIdeal
 
 
@@ -232,6 +232,38 @@ def corrupt_epsilon(I):
         if extra > 0:
             J = minimalize(ctx, J.gens + tuple(outside[::-1][:extra]))  # lex-last
     return J.plus_powers()
+
+def ref_exhaustive_ideals(spec):
+    """The ideals of an exhaustive family by the subset scan: b plus each
+    of the 2^|pool| subsets of the candidate pool, minimalized, repeats
+    dropped, sorted by their generators' grlex keys (ascending degree,
+    lex-descending inside one)."""
+    ctx = spec.context()
+    pool = _basis_pool(ctx, spec.max_deg)
+    b = list(ctx.powers_ideal().gens)
+    found = {}
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            I = minimalize(ctx, b + list(combo))
+            found.setdefault(I.exps, I)
+    return sorted(found.values(),
+                  key=lambda I: [(sum(e), [-x for x in e]) for e in I.exps])
+
+
+# the facets of the 6-vertex real projective plane
+RP2_FACETS = "123 134 145 156 126 235 245 246 346 356"
+
+
+def rp2_ideal(p):
+    """Stanley-Reisner ideal of the 6-vertex real projective plane over
+    GF(p), whose homology has 2-torsion: the ten square-free cubics of the
+    non-face triples 124, 125, 135, 136, 146, 234, 236, 256, 345, 456."""
+    faces = {frozenset(map(int, f)) for f in RP2_FACETS.split()}
+    gens = [Monomial(tuple(int(v in t) for v in range(1, 7)))
+            for t in itertools.combinations(range(1, 7), 3)
+            if frozenset(t) not in faces]
+    return MonomialIdeal.make(RingContext(6, char=p), gens)
+
 
 def random_ideal(rng, ctx, max_deg, max_gens):
     pool = []

@@ -73,10 +73,14 @@ def test_criterion_3_lpp_cohomology():
     rep2 = run_family("lpp-cohomology",
                       FamilySpec(n=3, char=P, powers=(2, 2), max_deg=4,
                                  count=500, seed=7, max_extra_gens=6))
-    s1, s2 = rep1.summary(), rep2.summary()
-    ok = rep1.passed and rep2.passed and s2["total"] == 500
+    rep3 = run_family("lpp-cohomology",
+                      FamilySpec(n=3, char=P, powers=(3, 3, 3), max_deg=6,
+                                 mode="exhaustive"))
+    s1, s2, s3 = rep1.summary(), rep2.summary(), rep3.summary()
+    ok = (rep1.passed and rep2.passed and rep3.passed and s2["total"] == 500
+          and s3["total"] == 494)
     _announce("3 lpp-cohomology", ok,
-              f"(exhaustive {s1['total']}, random {s2['total']}, "
+              f"(exhaustive {s1['total']} and {s3['total']}, random {s2['total']}, "
               f"{time.perf_counter() - t0:.1f}s)")
 
 
@@ -98,6 +102,7 @@ def test_criterion_5_corners_and_regions():
         FamilySpec(n=2, char=P, powers=(2, 2), max_deg=3, mode="exhaustive"),
         FamilySpec(n=3, char=P, powers=(2, 2), max_deg=4, count=500, seed=7,
                    max_extra_gens=6),
+        FamilySpec(n=3, char=P, powers=(3, 3, 3), max_deg=6, mode="exhaustive"),
     ]
     total = 0
     for spec in specs:
@@ -107,7 +112,7 @@ def test_criterion_5_corners_and_regions():
             rec2 = verify_region_inclusion(I)
             assert rec2.passed, f"region dominance failed on {rec2.ideal}"
             total += 1
-    _announce("5 corners-and-regions", total >= 501,
+    _announce("5 corners-and-regions", total >= 995,
               f"({total} instances, {time.perf_counter() - t0:.1f}s)")
 
 

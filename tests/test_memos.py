@@ -7,7 +7,6 @@ pass, immutable, equal to the unmemoized computations when warm, and
 setting a limit empties them, so a refusal reads the same warm and cold."""
 
 import importlib
-import itertools
 import pkgutil
 import tracemalloc
 
@@ -29,22 +28,9 @@ from lexcohom.zstable import z_stabilize
 
 from conftest import (corrupt_epsilon, count_calls, h0_via_saturation, merge_cells,
                       ref_betti_entries, ref_embed_matching_series, ref_ext_cells,
-                      ref_takayama_cells, ref_z_decompose, ref_z_stabilize)
+                      ref_takayama_cells, ref_z_decompose, ref_z_stabilize, rp2_ideal)
 
 BACKENDS = ("combinatorial", "ext")
-
-# the 6-vertex real projective plane, whose homology has 2-torsion
-RP2_FACETS = "123 134 145 156 126 235 245 246 346 356"
-
-
-def rp2_ideal(p):
-    """Stanley-Reisner ideal of RP^2 over GF(p): the 10 squarefree cubics of
-    the non-face triples."""
-    faces = {frozenset(map(int, f)) for f in RP2_FACETS.split()}
-    gens = [Monomial(tuple(int(v in t) for v in range(1, 7)))
-            for t in itertools.combinations(range(1, 7), 3)
-            if frozenset(t) not in faces]
-    return MonomialIdeal.make(RingContext(6, char=p), gens)
 
 
 def test_characteristic_is_part_of_every_key():

@@ -24,7 +24,8 @@ from lexcohom.verify import (FamilySpec, _basis_pool, _generator_tallies,
 import lexcohom.zstable as zs
 
 from conftest import (corrupt_epsilon, count_calls, graded_piece_dim, random_ideal,
-                      ref_generator_tallies, ref_nonstable_instances, ref_restriction)
+                      ref_exhaustive_ideals, ref_generator_tallies, ref_nonstable_instances,
+                      ref_restriction)
 
 
 def M(*exps):
@@ -55,8 +56,56 @@ def test_random_family_determinism():
 
 
 def test_exhaustive_cap():
-    with pytest.raises(ResourceLimitError, match="limits.INSTANCE_LIMIT"):
+    with pytest.raises(ResourceLimitError, match=r"^the exhaustive family has at least \d+ "
+                                                 r"ideals, above limits.INSTANCE_LIMIT = "):
         list(enumerate_family(FamilySpec(n=4, max_deg=4, mode="exhaustive")))
+
+
+# (n, powers, max_deg, with_z): every class whose 2^|pool| subsets the scan
+# oracle lists within limits.INSTANCE_LIMIT
+SCANNED_CLASSES = [
+    *((n, d, D, z) for n, d, D in [(2, (2, 2), 2), (2, (2, 2), 3), (2, (2, 3), 4), (3, (), 2)]
+      for z in (False, True)),
+    (3, (2, 2), 3, False), (3, (2, 2, 2), 3, False), (4, (2, 2, 2, 2), 4, False),
+    (2, (), 3, False), (2, (3,), 4, False),
+]
+
+
+@pytest.mark.parametrize("n, powers, max_deg, with_z", SCANNED_CLASSES)
+def test_exhaustive_family_lists_the_scanned_ideals_in_order(n, powers, max_deg, with_z):
+    spec = FamilySpec(n, powers=powers, max_deg=max_deg, with_z=with_z, mode="exhaustive")
+    assert list(enumerate_family(spec)) == ref_exhaustive_ideals(spec)
+
+
+def count_antichains(sets: list[int]) -> int:
+    """Antichains under inclusion of the bitmasks ``sets``: each set is left
+    out, or taken when it neither contains nor lies in a set taken before."""
+    def count(i, taken):
+        if i == len(sets):
+            return 1
+        s = sets[i]
+        free = all(a & s != a and a & s != s for a in taken)
+        return count(i + 1, taken) + (count(i + 1, taken + [s]) if free else 0)
+    return count(0, [])
+
+
+@pytest.mark.parametrize("n, want", [(4, 114), (5, 6894)])
+def test_all_squares_family_counts_the_antichains_of_subsets(n, want):
+    # with every power a square and maxdeg = n the pool is the square-free
+    # monomials of degree >= 2: the subsets of [n] of size at least 2
+    sets = [s for s in range(1 << n) if s.bit_count() >= 2]
+    assert count_antichains(sets) == want
+    spec = FamilySpec(n, powers=(2,) * n, max_deg=n, mode="exhaustive")
+    assert sum(1 for _ in enumerate_family(spec)) == want
+
+
+def test_exhaustive_family_counts_ideals_against_the_instance_limit(monkeypatch):
+    spec = FamilySpec(4, powers=(2, 2, 2, 2), max_deg=4, mode="exhaustive")
+    monkeypatch.setattr(limits, "INSTANCE_LIMIT", 113)
+    with pytest.raises(ResourceLimitError, match="limits.INSTANCE_LIMIT = 113"):
+        list(enumerate_family(spec))
+    monkeypatch.setattr(limits, "INSTANCE_LIMIT", 114)
+    assert len(list(enumerate_family(spec))) == 114
 
 
 @settings(max_examples=150, deadline=None)
