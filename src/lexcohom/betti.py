@@ -9,14 +9,14 @@ taken over GF(p), so tables carry the characteristic as a tag.
 
 The homology of each upper Koszul complex is memoized across calls, for the
 whole process, in the memo ``_koszul_dims``, under the key
-(supp(b), tight masks, p).  The face rule of ``upper_koszul_faces`` reads
-nothing but supp(b) and the tight masks, so they determine the complex; p is
-in the key because the homology depends on the field.  The tight masks are
-taken on the vertices of supp(b), numbered 0, 1, ... in order, and keyed
-as one int (``homology._mask_family``), so a key has at most 2^|supp(b)|
-bits however many variables the ring has.  Many ideals share
-these small complexes, so most lattice points of a run of many ideals are
-memo hits.  Its values are tuples, so a caller cannot change them.
+(|supp(b)|, tight masks, p).  The tight masks are taken on the vertices of
+supp(b), numbered 0, 1, ... in order, as a sorted tuple of distinct
+masks.  The face rule of ``upper_koszul_faces`` reads nothing but the
+vertex count and those masks, so they determine the complex up to the
+names of its vertices, which its homology does not see; p is in the key
+because the homology depends on the field.  Many ideals share these small
+complexes, so most lattice points of a run of many ideals are memo hits.
+Its values are tuples, so a caller cannot change them.
 
 One level up, ``betti_table`` memoizes the entries that the lattice walk
 finds, for the whole process, in the memo ``_lattice_entries``
@@ -33,7 +33,7 @@ from functools import cached_property
 from . import limits, memos
 from .core import MonomialIdeal
 from .hilbert import hilbert_series
-from .homology import _family_masks, reduced_homology_dims
+from .homology import reduced_homology_dims
 
 NEG_INF = float("-inf")
 
@@ -55,10 +55,10 @@ def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
 
 
 def _koszul_keys(I: MonomialIdeal, lattice):
-    """(deg b, supp(b), tight masks) for each point b of the lattice: the
+    """(deg b, |supp(b)|, tight masks) for each point b of the lattice: the
     tight masks {i : g_i = b_i > 0} of the generators g dividing x^b, as
     bitmasks on the vertices of supp(b) numbered in order, are all that the
-    face rule reads.  They come as one ``_mask_family`` int.
+    face rule reads.  They come as a sorted tuple of distinct masks.
 
     Generators are bits too.  For each coordinate i and each distinct
     exponent e of x_i among the generators there is the set of generators
@@ -84,47 +84,31 @@ def _koszul_keys(I: MonomialIdeal, lattice):
         divisors = everyone
         for le, e in zip(below, b):
             divisors &= le[e]
-        supp = 0
-        tight = []
-        for i, e in enumerate(b):
-            if e:
-                supp |= 1 << i
-                tight.append((1 << len(tight), equal[i][e] & divisors))
-        family = 0
+        tight = [equal[i][e] & divisors for i, e in enumerate(b) if e]
+        masks = set()
         rest = divisors
         while rest:
             t = rest & -rest
-            family |= 1 << sum(bit for bit, T in tight if T & t)
+            masks.add(sum(1 << k for k, T in enumerate(tight) if T & t))
             rest ^= t
-        yield sum(b), supp, family
+        yield sum(b), len(tight), tuple(sorted(masks))
 
 
-def upper_koszul_faces(supp: int, family: int) -> list[int]:
+def upper_koszul_faces(v: int, masks: tuple[int, ...]) -> list[int]:
     """Faces (as vertex bitmasks) of the upper Koszul complex at b, from its
-    key (supp(b), tight masks) of ``_koszul_keys``: ``family`` holds the
-    tight masks on the vertices of supp(b), which are placed back on the
-    ring's vertices here.
+    key (|supp(b)|, tight masks) of ``_koszul_keys``, on the vertices
+    0..v-1 that number supp(b) in order.
 
     tau is a face iff x^(b - tau) lies in I, i.e. iff some generator g
-    divides x^b and tau avoids {i : g_i = b_i > 0}; the faces are found
-    among the submasks of supp(b).
+    divides x^b and tau avoids its tight mask {i : g_i = b_i > 0}.
     """
-    verts = [1 << i for i in range(supp.bit_length()) if supp >> i & 1]
-    tight = [sum(v for k, v in enumerate(verts) if m >> k & 1) for m in _family_masks(family)]
-    faces = []
-    tau = supp
-    while True:
-        if any(not tau & t for t in tight):
-            faces.append(tau)
-        if not tau:
-            return faces
-        tau = (tau - 1) & supp
+    return [tau for tau in range(1 << v) if any(not tau & t for t in masks)]
 
 
 @memos.memo(memos.KOSZUL_MEMO_SIZE)
-def _koszul_dims(supp: int, family: int, p: int) -> tuple[tuple[int, int], ...]:
-    """((k, dim H~_k), ...) of the upper Koszul complex with key (supp, family)."""
-    return tuple(reduced_homology_dims(upper_koszul_faces(supp, family), p).items())
+def _koszul_dims(v: int, masks: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
+    """((k, dim H~_k), ...) of the upper Koszul complex with key (v, masks)."""
+    return tuple(reduced_homology_dims(upper_koszul_faces(v, masks), p).items())
 
 
 @dataclass(frozen=True)
@@ -172,8 +156,8 @@ def _lattice_entries(I: MonomialIdeal) -> tuple[tuple[tuple[int, int], int], ...
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     if not I.is_zero:
         p = I.ctx.char
-        for j, supp, tight in _koszul_keys(I, lcm_lattice(I)):
-            for k, dim in _koszul_dims(supp, tight, p):
+        for j, v, masks in _koszul_keys(I, lcm_lattice(I)):
+            for k, dim in _koszul_dims(v, masks, p):
                 i = k + 2  # H~_{i-2} of the upper Koszul complex at b
                 entries[(i, j)] = entries.get((i, j), 0) + dim
     return tuple(entries.items())

@@ -13,37 +13,17 @@ syzygies):
 
 The memos of the complexes (``betti._koszul_dims``,
 ``localcohom._takayama_dims`` and ``localcohom._ext_dims``) name a
-complex by a family of bitmasks, which they key as one int with bit m set
-for mask m (``_mask_family``): canonical, free of duplicates, and a few
-dozen bytes where a frozenset takes hundreds.  Each caller keeps its masks
-below 2^v, v the number of vertices or generators the complex is built
-on, so a key has at most 2^v bits: a Koszul or Takayama miss walks 2^v
-candidate faces anyway (under ``limits.CELL_LIMIT`` a Takayama complex
-has at most 20 vertices), and an ext slice has at most
-``limits.EXT_GENERATOR_LIMIT`` generators.
+complex by its own masks: a vertex count v, a sorted tuple of distinct
+bitmasks on the vertices 0..v-1, and p.  So a key is canonical and holds
+one int per mask, whatever v is: a Koszul complex has at most one mask
+per generator dividing x^b, a Takayama complex at most one per block of
+generators, and an ext slice at most n, one per coordinate of its
+multidegree.
 """
 
 from __future__ import annotations
 
 from .linalg import boundary_ranks
-
-
-def _mask_family(masks) -> int:
-    """A set of bitmasks as one int, with bit m set for mask m."""
-    family = 0
-    for m in masks:
-        family |= 1 << m
-    return family
-
-
-def _family_masks(family: int) -> list[int]:
-    """The masks of a ``_mask_family`` int, in increasing order."""
-    masks = []
-    while family:
-        low = family & -family
-        masks.append(low.bit_length() - 1)
-        family ^= low
-    return masks
 
 
 def reduced_homology_dims(faces, p: int) -> dict[int, int]:

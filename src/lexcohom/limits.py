@@ -54,7 +54,12 @@ WINDOW_SPAN_LIMIT = 100_000
 NUMERATOR_DEGREE_LIMIT = 400
 # Most multidegrees prod_i (rho_i + 1) a cohomology cell walk visits: over
 # four times the 449,875 of the largest lex ideal tried (240 generators of
-# degree up to 74 in four variables).
+# degree up to 74 in four variables).  It bounds the walks of both
+# backends.  The slowest legal walks found are those of powers of the
+# maximal ideal, where no two ext slices share their masks: on a 2-vCPU
+# Xeon host (x1,x2)^1400 (1,401 generators, 1.96 M multidegrees) takes
+# 2.6 s in the combinatorial backend and 13.3 s in ext, (x1,x2,x3)^124
+# 1.7 s and 7.2 s, (x1..x4)^36 0.8 s and 3.0 s.
 CELL_LIMIT = 2_000_000
 # Most variables of a cohomology table.  Its n + 1 tails hold n integer
 # coefficients each, and a table of (x1) is dominated by their polynomial
@@ -64,24 +69,6 @@ CELL_LIMIT = 2_000_000
 # A walk over prod_i (rho_i + 1) >= 2^n multidegrees meets CELL_LIMIT first
 # once the generators use 21 variables.
 COHOM_VARIABLE_LIMIT = 32
-# Most generators of the ext backend.  Its dual Taylor complex has 2^g
-# faces, and the value was set when each slice listed its subsets: on a
-# 2-vCPU Xeon host a cold ext table of an LPP ideal or a sample in four
-# variables (powers (2, 2), (2, 3) or (3, 3), maxdeg 3) took 0.4-1.1 s at 10
-# generators (15 ideals) and 1.9-8.5 s at 11 (10 ideals), and one of 18 died
-# of a MemoryError after 168 s under a 3 GB cap.  A slice now ranks at most
-# 2^min(n, g) faces (localcohom._ext_dims), and with this cap raised the
-# same tables take 0.7-2.7 ms at 10, 1.0-3.9 ms at 11 and 2.0-4.2 ms at 18
-# (19 ideals, that one among them), about what the combinatorial backend
-# takes.  Those ideals have n = 4.  With n growing beside g a slice has up
-# to 2^n faces, which the dense boundary matrices made cost: on the path
-# ideal x_i*x_{i+1}, with the cap raised and cold memos, an ext table took
-# 2.5-3.7 s at 11 generators (n = 12) and 14.5-15.7 s at 12 (n = 13).  With
-# the sparse kernel (linalg.boundary_ranks) it takes 0.11-0.15 s at 11,
-# 0.30-0.40 s at 12 and 2.1-2.2 s at 14 (n = 15), and the combinatorial
-# one 0.15-0.23 s, 0.42-0.50 s and 2.4-2.6 s, with the same table (three
-# runs each).  The cap now bounds no cost of its own beyond the walk's.
-EXT_GENERATOR_LIMIT = 10
 # Most points of an lcm lattice, each a Koszul complex for the Betti table.
 LATTICE_LIMIT = 20_000
 # Most candidate generators a verify family draws from, counted before they

@@ -47,11 +47,10 @@ changes.  Each walk applies this one rule to its own masks (see
 
 Each backend memoizes the homology of its complexes across calls, for the
 whole process, in its own memo (``_takayama_dims``, ``_ext_dims``):
-a complex is named by a compact key that determines its faces, with its
-masks as one int (``homology._mask_family``), plus the characteristic p,
-and only a miss lists faces.  An ext slice is ranked on the nerve of its
-minimal masks, at most n vertices, when that is smaller than its order
-filter of up to 2^g generator subsets (``_ext_dims``).  The
+a complex is named by its vertex count and the sorted tuple of its
+distinct masks, plus the characteristic p, and only a miss lists faces.  An ext slice has at most n masks, so it is ranked on the
+nerve of its minimal masks, at most 2^n faces, unless its order filter of
+generator subsets is no larger (``_ext_dims``).  The
 two memos are separate, so one backend's cached answer never stands in for
 the other's.  Their values are immutable tuples of pairs, added into the
 walk's sums.
@@ -75,8 +74,8 @@ hit of either memo skips computation, never a check.
 ``limits.COHOM_VARIABLE_LIMIT``.  Both backends walk at most
 prod_i (rho_i + 1) multidegrees, rho_i the largest exponent of x_i in a
 generator, and each walk checks that count against ``limits.CELL_LIMIT``
-before it starts; the ext walk first checks the generators against
-``limits.EXT_GENERATOR_LIMIT``.
+before it starts.  So the two backends refuse the same inputs, naming the
+same limit.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ from math import comb, factorial, gcd
 from . import limits, memos
 from .core import MonomialIdeal
 from .hilbert import _poly_mul, values_nonneg
-from .homology import _family_masks, _mask_family, reduced_homology_dims
+from .homology import reduced_homology_dims
 
 
 def _exponent_bounds(gens: tuple[tuple[int, ...], ...], n: int) -> list[int]:
@@ -118,13 +117,12 @@ def _cell_tuple(dims: dict[tuple[int, int, int], int]):
 
 
 @memos.memo(memos.TAKAYAMA_MEMO_SIZE)
-def _takayama_dims(pinned: int, exceed: int, p: int) -> tuple[tuple[int, int], ...]:
+def _takayama_dims(pinned: int, exceed: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim H~_k), ...) of the complex on ``pinned`` vertices whose
     faces are the masks with a complement meeting every exceed mask: the
-    masks, below 2^pinned, of the family ``exceed`` (``_mask_family``)."""
+    sorted tuple ``exceed`` of distinct masks below 2^pinned."""
     full = (1 << pinned) - 1
-    masks = _family_masks(exceed)
-    faces = [mask for mask in range(full + 1) if all((full ^ mask) & e for e in masks)]
+    faces = [mask for mask in range(full + 1) if all((full ^ mask) & e for e in exceed)]
     return tuple(reduced_homology_dims(faces, p).items())
 
 
@@ -151,8 +149,8 @@ def _takayama_cells(I: MonomialIdeal):
     cones, hence no homology, and are skipped.  On the pinned vertices a
     generator's exceed mask marks where it lies above the pinned value; a
     face is kept iff its complement meets every exceed mask, so the number
-    of pinned vertices and the set of masks (``_mask_family``), with p, are
-    the memo key of ``_takayama_dims``.
+    of pinned vertices and the sorted masks, with p, are the memo key of
+    ``_takayama_dims``.
 
     The multidegrees are walked depth first, coordinate by coordinate.
     The generators are carried down the walk in blocks of equal exceed
@@ -161,8 +159,8 @@ def _takayama_cells(I: MonomialIdeal):
     g_t[i] > a, and adds its bit (the number of coordinates pinned before
     it) to the mask of the part inside.  So a node costs its blocks, at
     most min(g, 2^pinned), not its g generators, and the leaf's key is the
-    set of the blocks' masks.  The walk also carries ``covered``, the
-    generators whose mask is not empty.  Each leaf adds its dims to the
+    sorted tuple of the blocks' masks, which are distinct.  The walk also
+    carries ``covered``, the generators whose mask is not empty.  Each leaf adds its dims to the
     sums of its (fixed_sum, f, row), so the cells come out merged and
     sorted, whatever the order of the walk.
 
@@ -211,7 +209,7 @@ def _takayama_cells(I: MonomialIdeal):
         f = n - pinned
         # the complex lives on the pinned vertices, so -1 <= k <= pinned - 1
         # and the row k + f + 1 always lies in f..n
-        for k, dim in _takayama_dims(pinned, _mask_family(mask for mask, _ in blocks), p):
+        for k, dim in _takayama_dims(pinned, tuple(sorted(mask for mask, _ in blocks)), p):
             key = (fixed_sum, f, k + f + 1)
             dims[key] = dims.get(key, 0) + dim
     return _cell_tuple(dims)
@@ -222,11 +220,10 @@ def _takayama_cells(I: MonomialIdeal):
 
 
 @memos.memo(memos.EXT_MEMO_SIZE)
-def _ext_dims(g: int, masks: int, p: int) -> tuple[tuple[int, int], ...]:
+def _ext_dims(g: int, masks: tuple[int, ...], p: int) -> tuple[tuple[int, int], ...]:
     """((k, dim Ext^k), ...) of the cochain complex on the order filter F of
-    subsets of g generators that meet every mask of the family ``masks``
-    (``_mask_family``; its masks lie below 2^g, and g is at most
-    ``limits.EXT_GENERATOR_LIMIT``).
+    subsets of g generators that meet every mask of ``masks``, a sorted
+    tuple of distinct masks below 2^g.
 
     Only the inclusion-minimal masks M matter, since a subset meets every
     mask iff it meets every minimal one.  A cone (see ``_ext_cells``) is
@@ -243,10 +240,12 @@ def _ext_dims(g: int, masks: int, p: int) -> tuple[tuple[int, int], ...]:
     Ext^1 = K, the filter of nonempty subsets.
 
     N has at most 2^|M| faces and F at most 2^g, so N is ranked when
-    |M| < g and F otherwise; g = 0 lists F = {{}}.
+    |M| < g and F otherwise; g = 0 lists F = {{}}.  This stays cheap
+    whatever g is: a slice of ``_ext_cells`` has at most n masks, one per
+    coordinate with c_i > 0, so N has at most 2^n faces, and F is listed
+    only when g <= |M| <= n.
     """
-    listed = _family_masks(masks)
-    minimal = [m for m in listed if not any(o != m and o & m == o for o in listed)]
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
     full = (1 << g) - 1
     union = 0
     for m in minimal:
@@ -271,8 +270,8 @@ def _ext_cells(I: MonomialIdeal):
     At a multidegree c of prod_i [0, rho_i] the dual Taylor slice is the
     order filter of generator subsets S with lcm(S) >= c, i.e. those meeting
     above[i][c_i] = {t : g_t[i] >= c_i} for every coordinate with c_i > 0;
-    the number of generators and the set of those bitmasks
-    (``_mask_family``), with p, are the memo key of ``_ext_dims``.  Its
+    the number of generators and the sorted tuple of those distinct
+    bitmasks, with p, are the memo key of ``_ext_dims``.  Its
     cohomology is Ext^k in the multidegrees b with b_i = -c_i where c_i > 0
     and b_i >= 0 where c_i = 0.  By multigraded local duality,
     dim H^i_m(A/I)_a = dim Ext^{n-i}(A/I, A)_{-a-1}, so these are the
@@ -289,8 +288,8 @@ def _ext_cells(I: MonomialIdeal):
     Such slices are memoized as () without listing any subset.
 
     The multidegrees are walked depth first, coordinate by coordinate, like
-    those of ``_takayama_cells``, carrying the family of the masks chosen
-    so far and ``covered``, their union.  A node at coordinate i is
+    those of ``_takayama_cells``, carrying the masks chosen so far and
+    ``covered``, their union.  A node at coordinate i is
     skipped, with all the multidegrees below it, when some generator t
     outside ``covered`` has no positive exponent on the coordinates
     i..n-1 (``_ended``): a later mask above[k][c_k] with c_k >= 1 holds t
@@ -303,7 +302,6 @@ def _ext_cells(I: MonomialIdeal):
     n, p = ctx.n, ctx.char
     gens = I.exps
     g = len(gens)
-    limits.check("EXT_GENERATOR_LIMIT", g, f"{g} generators for the Taylor complex")
     rho = _exponent_bounds(gens, n)
     above = [
         [sum(1 << t for t, e in enumerate(gens) if e[i] >= c) for c in range(1, rho[i] + 1)]
@@ -311,21 +309,21 @@ def _ext_cells(I: MonomialIdeal):
     ]
     ended = _ended(gens, n)
     dims: dict[tuple[int, int, int], int] = {}
-    # (coordinate, sum(c), zero coordinates, family of masks, covered)
-    stack = [] if ended[0] else [(0, 0, 0, 0, 0)]
+    # (coordinate, sum(c), zero coordinates, masks, covered)
+    stack = [] if ended[0] else [(0, 0, 0, (), 0)]
     while stack:
-        i, total, z, family, covered = stack.pop()
+        i, total, z, masks, covered = stack.pop()
         if i < n:
             need = ended[i + 1]
             if not need & ~covered:
-                stack.append((i + 1, total, z + 1, family, covered))
+                stack.append((i + 1, total, z + 1, masks, covered))
             for c, mask in enumerate(above[i], 1):
                 cov = covered | mask
                 if need & ~cov:
                     break
-                stack.append((i + 1, total + c, z, family | 1 << mask, cov))
+                stack.append((i + 1, total + c, z, masks + (mask,), cov))
             continue
-        for k, dim in _ext_dims(g, family, p):
+        for k, dim in _ext_dims(g, tuple(sorted(set(masks))), p):
             if k > n:
                 raise AssertionError(f"Ext^{k}(A/I, A) != 0 in {n} variables (bug)")
             key = (total - n + z, z, n - k)

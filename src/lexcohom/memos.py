@@ -29,11 +29,10 @@ CONTEXT_MEMO_SIZE = 32
 # FamilySpec(n=4, max_deg=4) fills 715 and the path ideal in 300 variables
 # 595.  8,192 entries never fill there, and a full memo takes about 12 MB.
 NUMERATOR_MEMO_SIZE = 8_192
-# Entries of the Koszul homology memo, one per (supp(b), tight masks, p),
-# the masks keyed as one int (``homology._mask_family``).  The seed-0 ops of
-# a 15 s cohom-harness run (perfbench) look up 322 distinct complexes 5,032
-# times, about 225 bytes each, so 4,096 entries never fill there and a full
-# memo takes about 0.9 MB.
+# Entries of the Koszul homology memo, one per (|supp(b)|, tight masks, p).
+# The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 247
+# distinct complexes 5,032 times, about 280 bytes each, so 4,096 entries
+# never fill there and a full memo takes about 1.1 MB.
 KOSZUL_MEMO_SIZE = 4_096
 # Entries of the Betti memo, one per ideal.  The seed-0 ops of a 15 s
 # cohom-harness run (perfbench) build 740 tables of 162 distinct ideals;
@@ -42,15 +41,18 @@ KOSZUL_MEMO_SIZE = 4_096
 BETTI_MEMO_SIZE = 256
 # Entries of the Takayama homology memo, one per (pinned, exceed masks, p).
 # The seed-0 ops of a 15 s cohom-harness run (perfbench) look up 528
-# distinct complexes 5,566 times, about 235 bytes each, so 4,096 entries
-# never fill there and a full memo takes about 1 MB.
+# distinct complexes 5,566 times, about 285 bytes each, so 4,096 entries
+# never fill there and a full memo takes about 1.2 MB.
 TAKAYAMA_MEMO_SIZE = 4_096
 # Entries of the ext slice memo, one per (generators, masks, p).  The same
-# ops look up 982 distinct slices 4,301 times, about 240 bytes each, so
-# 8,192 entries never fill there and a full memo takes about 2 MB.  The
-# three complex memos key their masks as one int each
-# (``homology._mask_family``): after those ops the keys' families take 55 KB
-# (Takayama 15 KB, ext 31 KB, Koszul 9 KB), where frozensets took 544 KB.
+# ops look up 982 distinct slices 4,301 times, about 275 bytes each, so
+# 8,192 entries never fill there and a full memo takes about 2.2 MB.  The
+# three complex memos key their masks as a sorted tuple each: after those
+# ops the keys' tuples take 120 KB (Takayama 40 KB, ext 64 KB, Koszul
+# 17 KB).  One int per family, with bit m set for mask m, took 55 KB but
+# has up to 2^g bits, g the generators of an ext slice, so it cannot key
+# the slices of an ideal with tens of generators; a tuple holds one int
+# per mask, at most n for an ext slice.
 EXT_MEMO_SIZE = 8_192
 # Entries of the merged-cell memo, one per (ideal, backend).  The seed-0
 # ops of a 15 s cohom-harness run (perfbench) look up 568 distinct pairs

@@ -442,12 +442,13 @@ def ref_ext_cells(I):
     return cells
 
 
-def ref_ext_dims(g, masks, p):
+def ref_ext_dims(g, masks, p, homology=ref_reduced_homology_dims):
     """((k, dim Ext^k), ...) of a dual Taylor slice, with every subset of
     the order filter listed: the subsets of g generators that meet every
-    mask, cones included."""
+    mask, cones included, ranked by ``homology`` (the dense reference by
+    default)."""
     subsets = [S for S in range(1 << g) if all(S & m for m in masks)]
-    return tuple((k + 1, d) for k, d in ref_reduced_homology_dims(subsets, p).items())
+    return tuple((k + 1, d) for k, d in homology(subsets, p).items())
 
 
 def merge_cells(cells):
@@ -482,17 +483,16 @@ def ref_rows(cells, n, lo, hi):
 
 
 def ref_koszul_key(I, b):
-    """supp(b) and the tight masks {i : g_i = b_i > 0} of the generators g
+    """|supp(b)| and the tight masks {i : g_i = b_i > 0} of the generators g
     dividing x^b, from the generators one at a time: each mask on the
-    vertices of supp(b) numbered in order, the set of masks as one int with
-    bit m set for mask m."""
+    vertices of supp(b) numbered in order, the distinct masks sorted."""
     supp = [i for i, e in enumerate(b) if e > 0]
     tight = {
         sum(1 << k for k, i in enumerate(supp) if g.exps[i] == b[i])
         for g in I.gens
         if all(e <= top for e, top in zip(g.exps, b))
     }
-    return sum(1 << i for i in supp), sum(1 << m for m in tight)
+    return len(supp), tuple(sorted(tight))
 
 
 def ref_betti_entries(I):

@@ -57,7 +57,7 @@ SINGLE = (
     + [(name, ["cohom", "--backend", b]) for name in IDEALS if name not in ("path60", "lex240")
        for b in ("combinatorial", "ext")]
     + [("path60", ["hilb"]), ("lex240", ["hilb"]), ("lex240", ["lex"]), ("lex240", ["cohom"]),
-       ("n2-x1", ["hilb", "--window=3:1"]),
+       ("lex240", ["cohom", "--backend", "ext"]), ("n2-x1", ["hilb", "--window=3:1"]),
        ("n2-x1", ["cohom", "--window=0:3"])]
     + [("n6", ["cohom", f"--window={w}", "--backend", b])
        for w in ("-2000:0", "-99999:0", "2:6") for b in ("combinatorial", "ext")]

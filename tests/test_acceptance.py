@@ -7,6 +7,7 @@ import time
 
 from lexcohom import limits
 from lexcohom.betti import betti_table
+from lexcohom.embeddings import lex_ideal_of, lpp_ideal
 from lexcohom.hilbert import hilbert_series
 from lexcohom.localcohom import cohomology_table
 from lexcohom.verify import (FamilySpec, enumerate_family,
@@ -36,9 +37,11 @@ def _mixed_sample_families():
 
 
 def test_criterion_1_backend_agreement():
-    """Two independent local-cohomology backends agree on >= 500 ideals."""
+    """Two independent local-cohomology backends agree on >= 500 ideals,
+    and on the distinct lex and LPP ideals of their families."""
     t0 = time.perf_counter()
     total = 0
+    embedded = set()
     for spec in _mixed_sample_families():
         for I in enumerate_family(spec):
             Ta = cohomology_table(I, backend="combinatorial")
@@ -46,10 +49,18 @@ def test_criterion_1_backend_agreement():
             assert Ta.rows == Tb.rows, f"backend mismatch on {I}"
             assert Ta.all_certified() and Tb.all_certified()
             total += 1
+            embedded.add(lpp_ideal(I) if I.ctx.powers else lex_ideal_of(I))
+    for L in embedded:
+        Ta = cohomology_table(L, backend="combinatorial")
+        Tb = cohomology_table(L, backend="ext")
+        assert Ta.rows == Tb.rows and Ta.tails == Tb.tails, f"backend mismatch on {L}"
+    # 52 of the 192 have more than 10 generators, up to 287
+    largest = max(len(L.gens) for L in embedded)
     elapsed = time.perf_counter() - t0
     _announce("1 backend-agreement",
-              total >= 500 and elapsed <= 600,
-              f"({total} ideals, {elapsed:.1f}s)")
+              total >= 500 and len(embedded) == 192 and largest == 287 and elapsed <= 600,
+              f"({total} ideals, {len(embedded)} lex and LPP ideals of up to "
+              f"{largest} generators, {elapsed:.1f}s)")
 
 
 def test_criterion_2_hilbert_identity():

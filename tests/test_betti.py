@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcohom import limits
+from lexcohom import betti, limits
 from lexcohom.betti import (Corner, _koszul_keys, betti_table, corners, corners_direct,
                             corners_via_reg, lcm_lattice, region_dominates,
                             upper_koszul_faces)
@@ -150,7 +150,8 @@ def test_lattice_refusal_comes_by_twice_the_limit(monkeypatch):
 
 
 def test_upper_koszul_faces_match_membership_oracle():
-    # tau is a face iff x^(b - tau) lies in I, tested by plain membership
+    # tau is a face iff x^(b - tau) lies in I, tested by plain membership;
+    # the faces lie on the vertices 0, 1, ... that number supp(b) in order
     rng = random.Random(107)
     for n, powers in ((2, ()), (2, (2, 3)), (3, ()), (3, (2,)), (4, ()),
                       (4, (2, 2)), (5, ()), (5, (2, 2, 3))):
@@ -160,7 +161,7 @@ def test_upper_koszul_faces_match_membership_oracle():
             for b in lcm_lattice(I):
                 supp = [i for i, e in enumerate(b) if e > 0]
                 want = {
-                    sum(1 << i for i in tau)
+                    sum(1 << supp.index(i) for i in tau)
                     for size in range(len(supp) + 1)
                     for tau in itertools.combinations(supp, size)
                     if I.contains(M(*(e - (i in tau) for i, e in enumerate(b))))
@@ -182,6 +183,18 @@ def test_koszul_keys_match_the_generator_by_generator_keys():
         lattice = lcm_lattice(I)
         assert list(_koszul_keys(I, lattice)) == [
             (sum(b), *ref_koszul_key(I, b)) for b in lattice]
+
+
+def test_koszul_memo_shares_a_complex_across_vertex_labels():
+    # x1*x2 in two variables and x3*x5 in five give one complex, on the two
+    # vertices that number supp(b), so the second table is a memo hit
+    I = MonomialIdeal.make(ctx2, [M(1, 1)])
+    J = MonomialIdeal.make(RingContext(5), [M(0, 0, 1, 0, 1)])
+    assert list(_koszul_keys(I, lcm_lattice(I))) == [(2, 2, (0b11,))]
+    assert list(_koszul_keys(J, lcm_lattice(J))) == [(2, 2, (0b11,))]
+    assert betti_table(I).entries == betti_table(J).entries == {(0, 0): 1, (1, 2): 1}
+    info = betti._koszul_dims.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_unit_ideal_rejected():

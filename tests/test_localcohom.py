@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lexcohom import limits, localcohom, verify
 from lexcohom.betti import betti_table, corners
 from lexcohom.core import Monomial, MonomialIdeal, RingContext
-from lexcohom.embeddings import epsilon_one
+from lexcohom.embeddings import epsilon_one, lex_ideal_of
 from lexcohom.errors import ResourceLimitError
 from lexcohom.hilbert import hilbert_series
 from lexcohom.homology import reduced_homology_dims
@@ -21,7 +21,7 @@ from lexcohom.zstable import (is_z_stable, z_decompose, z_recompose,
 
 from conftest import (count_calls, h0_via_saturation, krull_dim, merge_cells, random_ideal,
                       ref_ext_cells, ref_ext_dims, ref_extension_recurrence, ref_fit_tail,
-                      ref_rows, ref_takayama_cells)
+                      ref_reduced_homology_dims, ref_rows, ref_takayama_cells)
 
 
 def M(*exps):
@@ -96,8 +96,9 @@ def test_backend_agreement_on_samples():
 
 @pytest.mark.parametrize("n, gens", [
     (14, [(1,) * 14]),  # x1...x14: 2^14 Takayama complexes on up to 14 vertices
-    # the path ideal x_i*x_{i+1}: 10 generators, at limits.EXT_GENERATOR_LIMIT
+    # the path ideal x_i*x_{i+1}: 10 and 12 generators
     (11, [tuple(int(j in (i, i + 1)) for j in range(11)) for i in range(10)]),
+    (13, [tuple(int(j in (i, i + 1)) for j in range(13)) for i in range(12)]),
 ])
 def test_backend_agreement_on_large_squarefree_ideals(n, gens):
     I = MonomialIdeal.make(RingContext(n), [Monomial(g) for g in gens])
@@ -105,6 +106,14 @@ def test_backend_agreement_on_large_squarefree_ideals(n, gens):
     Tb = cohomology_table(I, backend="ext")
     assert Ta.rows == Tb.rows and Ta.tails == Tb.tails
     assert Ta.module_dim == krull_dim(hilbert_series(I))
+
+
+def test_backend_agreement_on_the_240_generator_lex_ideal():
+    spec = verify.FamilySpec(n=4, max_deg=5, max_extra_gens=8, count=8, seed=0)
+    L = next(L for L in map(lex_ideal_of, verify.enumerate_family(spec)) if len(L.gens) == 240)
+    Ta = cohomology_table(L, backend="combinatorial")
+    Tb = cohomology_table(L, backend="ext")
+    assert Ta.rows == Tb.rows and Ta.tails == Tb.tails
 
 
 def test_h0_matches_backends():
@@ -465,25 +474,30 @@ def test_no_walk_looks_up_a_complex_without_homology(I):
         ext = count_calls(mp, localcohom._ext_dims)
         assert localcohom._takayama_cells(I) == merge_cells(ref_takayama_cells(I))
         assert localcohom._ext_cells(I) == merge_cells(ref_ext_cells(I))
-    # bit m of a key is set for mask m
-    assert all(not exceed & 1 for _, exceed, _ in takayama)
+    # every key holds its masks sorted and distinct
+    for _, masks, _ in takayama + ext:
+        assert list(masks) == sorted(set(masks))
+    assert all(0 not in exceed for _, exceed, _ in takayama)
     for _, masks, _ in ext:
         union = 0
-        for m in range(masks.bit_length()):
-            if masks >> m & 1:
-                union |= m
+        for m in masks:
+            union |= m
         assert not g or union == (1 << g) - 1
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 9).flatmap(lambda g: st.tuples(
+@given(st.integers(0, 12).flatmap(lambda g: st.tuples(
     st.just(g),
     st.frozensets(st.integers(1, (1 << g) - 1), max_size=6) if g else st.just(frozenset()),
     st.sampled_from((2, 3, 32003)))))
 def test_ext_dims_match_the_listed_filter(case):
     g, masks, p = case
-    key = sum(1 << m for m in masks)  # bit m set for mask m
-    assert localcohom._ext_dims.__wrapped__(g, key, p) == ref_ext_dims(g, masks, p)
+    key = tuple(sorted(masks))
+    # the dense reference ranks a filter of up to 2^9 subsets in a few ms
+    # and one of 2^12 in about 1.5 s; above g = 9 the listed filter is
+    # ranked by the sparse kernel, which test_homology checks against it
+    homology = ref_reduced_homology_dims if g <= 9 else reduced_homology_dims
+    assert localcohom._ext_dims.__wrapped__(g, key, p) == ref_ext_dims(g, masks, p, homology)
 
 
 @pytest.mark.parametrize("g, masks, want", [
@@ -496,7 +510,7 @@ def test_ext_dims_match_the_listed_filter(case):
 ])
 def test_ext_dims_examples(g, masks, want):
     for p in (2, 32003):
-        key = sum(1 << m for m in masks)  # bit m set for mask m
+        key = tuple(sorted(masks))
         assert localcohom._ext_dims.__wrapped__(g, key, p) == ref_ext_dims(g, masks, p) == want
 
 
@@ -518,21 +532,6 @@ def test_ext_cells_rank_no_cone_slice(monkeypatch, ctx, gens, calls, lookups):
     assert len(looked_up) == lookups
 
 
-def test_ext_cells_cap_comes_before_any_slice(monkeypatch):
-    cap = limits.EXT_GENERATOR_LIMIT
-    I = MonomialIdeal.make(ctx2, [M(k, cap - k) for k in range(cap + 1)])
-    assert len(I.gens) == cap + 1
-
-    def no_slice(*args):
-        raise AssertionError("a slice was ranked above the cap")
-
-    monkeypatch.setattr(localcohom, "reduced_homology_dims", no_slice)
-    with pytest.raises(ResourceLimitError, match=f"limits.EXT_GENERATOR_LIMIT = {cap}"):
-        localcohom._ext_cells(I)
-    with pytest.raises(ResourceLimitError):
-        cohomology_table(I, backend="ext")
-
-
 @pytest.mark.parametrize("backend", ["combinatorial", "ext"])
 def test_cell_limit_bounds_the_walk(monkeypatch, backend):
     # rho = (2, 3): the walk covers (2 + 1) * (3 + 1) = 12 multidegrees
@@ -543,3 +542,18 @@ def test_cell_limit_bounds_the_walk(monkeypatch, backend):
     monkeypatch.setattr(limits, "CELL_LIMIT", 11)
     with pytest.raises(ResourceLimitError, match="limits.CELL_LIMIT = 11"):
         cohomology_table(I, backend=backend)
+
+
+def test_both_backends_refuse_a_ladder_lex_ideal_over_the_cell_limit():
+    # the third ideal of seed 0 of the n = 5 ladder family: its lex ideal
+    # has 498 generators and a walk over 8,390,304 multidegrees
+    spec = verify.FamilySpec(n=5, max_deg=4, max_extra_gens=8, count=3, seed=0)
+    L = lex_ideal_of(list(verify.enumerate_family(spec))[-1])
+    assert len(L.gens) == 498
+    refusals = []
+    for backend in BACKENDS:
+        with pytest.raises(ResourceLimitError) as info:
+            cohomology_table(L, backend=backend)
+        refusals.append(str(info.value))
+    assert refusals[0] == refusals[1] == (
+        f"the cell walk covers 8390304 multidegrees, above limits.CELL_LIMIT = {limits.CELL_LIMIT}")

@@ -93,7 +93,6 @@ def test_a_second_table_walks_nothing(monkeypatch):
 @pytest.mark.parametrize("backend, name, value", [
     ("combinatorial", "CELL_LIMIT", 3 * 3 * 3 * 4),  # rho = (2, 2, 2, 3)
     ("ext", "CELL_LIMIT", 3 * 3 * 3 * 4),
-    ("ext", "EXT_GENERATOR_LIMIT", 5),
     ("combinatorial", "COHOM_VARIABLE_LIMIT", 4),
     ("ext", "COHOM_VARIABLE_LIMIT", 4),
 ])
@@ -329,7 +328,6 @@ REFUSALS = [
     ("NUMERATOR_DEGREE_LIMIT", _lex_of_two_quartics, 16),  # the lex ideal's top degree
     ("STABILIZATION_ROUND_LIMIT", _three_rounds, 3),
     ("CELL_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003)), 3 * 3 * 3 * 4),
-    ("EXT_GENERATOR_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003), backend="ext"), 5),
     ("COHOM_VARIABLE_LIMIT", lambda: cohomology_table(lpp_like_ideal(32003)), 4),
 ]
 
