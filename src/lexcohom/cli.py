@@ -24,9 +24,9 @@ import sys
 from . import limits, memos, zstable
 from .betti import betti_table, corners
 from .core import DEFAULT_CHAR, MonomialIdeal
-from .embeddings import lex_segment_ideal, lpp_ideal
+from .embeddings import lex_ideal_of, lpp_ideal
 from .errors import ResourceLimitError
-from .hilbert import hilbert_series, ideal_window
+from .hilbert import hilbert_series
 from .ioformat import ParseError, format_ideal, parse_ideal_file, write_ideal
 from .localcohom import cohomology_table
 from .verify import (THEOREMS, FamilySpec, _betti_triples, _cohom_rows, _ctx_json,
@@ -100,15 +100,13 @@ def cmd_hilb(I: MonomialIdeal, args) -> dict:
 def cmd_lex(I: MonomialIdeal, args) -> dict:
     if I.ctx.powers:
         raise ValueError("lex expects a ring without powers (use lpp)")
-    L = lex_segment_ideal(I.ctx, ideal_window(I, I.max_gen_degree() + 2))
-    text = format_ideal(L)
+    text = format_ideal(lex_ideal_of(I))
     print(text)
     return {"lex": text}
 
 
 def cmd_lpp(I: MonomialIdeal, args) -> dict:
-    L = lpp_ideal(I)
-    text = format_ideal(L)
+    text = format_ideal(lpp_ideal(I))
     print(text)
     return {"lpp": text}
 
@@ -219,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     single("hilb", cmd_hilb, help="Hilbert series and quotient dims", window=True)
-    single("lex", cmd_lex, help="lex-segment ideal truncated at degree maxgendeg + 2",
-           description="Print the lex-segment ideal truncated at degree maxgendeg + 2. "
-                       "Its Hilbert function matches the input's only up to that "
-                       "degree; the library's lex_ideal_of returns the full ideal.")
+    single("lex", cmd_lex, help="lex-segment ideal with the same Hilbert function")
     single("lpp", cmd_lpp, help="lex-plus-power ideal with the same Hilbert function")
     single("betti", cmd_betti, help="graded Betti table, regularity, corners")
     p = single("cohom", cmd_cohom, help="local-cohomology Hilbert functions", window=True)

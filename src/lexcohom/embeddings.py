@@ -25,8 +25,15 @@ runs the pivot recursion or fills its memo.  The selection stops at
 degree ``limits.NUMERATOR_DEGREE_LIMIT + 1``; an embedding not certified by
 then is refused with that limit's ``ResourceLimitError``.  The certified
 answers are memoized for the whole process, in the memo
-``_certified_embedding`` keyed on the Hilbert series.
-``lex_segment_ideal`` takes explicit dims and the shadow theorem on trust.
+``_certified_embedding`` keyed on the Hilbert series; every lex and
+lex-plus-power ideal that the package prints or checks is one of them.
+``lex_segment_ideal`` is the entry point for explicit dims only: it takes
+them and the shadow theorem on trust, and certifies nothing.
+
+Before it lists a degree's generators, the engine refuses with
+``limits.ENGINE_ENTRY_LIMIT`` a selection that would then hold more than
+that many exponents, n for each generator selected so far: one degree
+can hold millions of generators long before the degree limit.
 The properties of the extended embedding along z (z-stability, embedded
 components) are theorems that the lemma suite of ``verify`` checks.
 """
@@ -88,6 +95,8 @@ def _engine(ctx: RingContext, dims):
     One rank per degree fixes the selection: the shadow's last monomial has
     rank c - 1, so the new generators, of ranks c..want-1, are the
     want - c lex successors of it (from the lex-first monomial when c = 0).
+    They are counted against ``limits.ENGINE_ENTRY_LIMIT`` before they are
+    listed; the message is built only for a refusal.
 
     ``count[i][t]``, the dim in degree t of the ring in the variables i..n-1
     (``count[n]``: no variables), grows by one entry per degree: adding a
@@ -99,6 +108,7 @@ def _engine(ctx: RingContext, dims):
     bounds = [ctx.exp_bound(i) for i in range(n)]  # z is never bounded
     end = None  # the last monomial of the shadow of the previous selection
     count = [[] for _ in range(n + 1)]
+    total = 0  # the generators selected so far
 
     for d, want in enumerate(dims):
         count[n].append(int(d == 0))
@@ -117,6 +127,11 @@ def _engine(ctx: RingContext, dims):
                 f"degree {d}: lex-first selection of size {want} is not closed "
                 f"under multiplication (needs {c} monomials)"
             )
+        total += want - c
+        if total * n > limits.ENGINE_ENTRY_LIMIT:
+            limits.check("ENGINE_ENTRY_LIMIT", total * n,
+                         f"degree {d}: the lex-first selection would hold {total} "
+                         f"generators in {n} variables ({total * n} exponents)")
         caps = [d if b is None else min(b, d) for b in bounds]
         new = list(islice(_lex_walk(caps, d, end), want - c))
         yield new

@@ -52,6 +52,18 @@ WINDOW_SPAN_LIMIT = 100_000
 # held across a change of the limit; its other stored facts run no
 # recursion and are read with no check.
 NUMERATOR_DEGREE_LIMIT = 400
+# Most exponents the lex-first engine holds, n for each generator selected
+# so far, checked before each degree's generators are listed, so that one
+# degree cannot exhaust memory on its own; each costs about 15 bytes.
+# The slowest input answered or refused at NUMERATOR_DEGREE_LIMIT,
+# (x1^3*x3^2, x1*x4*x5^3) in six variables, holds 2,032,269 generators
+# (12.2 M exponents) by degree 401, in 2.4-3.0 s and 219 MB on a 2-vCPU
+# Xeon host.  With no limit, the lex ideal of (x1*x3, x2^3) held 20.0 M
+# exponents by degree 96 at n = 8 (3.2 s, 306 MB), and the listing of
+# degree 10 alone exhausted 3 GB at n = 2,000; its lex-plus-power ideal
+# with x1^2 at n = 12 exhausted 2 GB.  At the limit these are refused in
+# 0.6-2.1 s, under 250 MB.
+ENGINE_ENTRY_LIMIT = 16_000_000
 # Most multidegrees prod_i (rho_i + 1) a cohomology cell walk visits: over
 # four times the 449,875 of the largest lex ideal tried (240 generators of
 # degree up to 74 in four variables).  It bounds the walks of both

@@ -77,12 +77,12 @@ CELL_MEMO_SIZE = 256
 TABLE_MEMO_SIZE = 128
 # Entries of the embedding memo, one per Hilbert series.  The seed-0 ops of
 # 15 s benchmark runs (perfbench) look up 72 distinct series 5,361 times in
-# zstab-harness, 56 distinct series 925 times in cohom-harness, and 457
-# distinct series 1,350 times in embed-cli, where 256 entries keep 843 of
-# the 893 hits of an unbounded memo, for 0.49 MB more traced memory after
-# the run than with no memo (unbounded: 0.86 MB), 1.9 KB an entry on
-# average; an entry holds its ideal's exponent tuples, where generator
-# objects took 0.79 and 1.41 MB.  The 256 ideals of
+# zstab-harness, 56 distinct series 925 times in cohom-harness, and 725
+# distinct series 2,700 times in embed-cli (one per lex and lpp op), where
+# 256 entries keep 1,712 of the 1,975 hits of an unbounded memo, for
+# 0.57 MB more traced memory after the run than with no memo (512 entries:
+# 1,930 hits, 1.13 MB; unbounded: 1.54 MB), 2.2 KB an entry on average; an
+# entry holds its ideal's exponent tuples.  The 256 ideals of
 # FamilySpec(n=5, max_deg=4, max_extra_gens=8) at seeds 0-3 leave 148
 # entries, and emptying the memo then frees 4.8 MB, 32 KB an entry on
 # average; the largest entry seen, their 2,158-generator lex ideal of

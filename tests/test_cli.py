@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_reports import IDEALS
 from lexcohom import limits, verify
 from lexcohom.cli import build_parser, main
 from lexcohom.core import DEFAULT_CHAR, Monomial, MonomialIdeal, RingContext, _is_prime
@@ -421,6 +423,54 @@ def test_cli_lex_rejects_powers(capsys, tmp_path):
     f.write_text("ring n=2 char=32003\npowers d=2\nx1^2\n")
     assert main(["lex", "--input", str(f)]) == 2
     assert capsys.readouterr() == ("", "error: lex expects a ring without powers (use lpp)\n")
+
+
+# the ideal-printing runs of the embed-cli benchmark workload: each command
+# on the first ideals of its family
+PRINTING_FAMILIES = (("lex", verify.FamilySpec(4, max_deg=4, count=300)),
+                     ("lpp", verify.FamilySpec(4, powers=(2, 2), max_deg=5, count=300)),
+                     ("lpp", verify.FamilySpec(5, powers=(2, 2, 2), max_deg=3, count=300)))
+
+
+def _printed_ideal_runs():
+    """(command, ideal file) of every run of a command that prints an ideal:
+    lex or lpp, and zstabilize along z, on each golden ideal, then the
+    benchmark's ideal-printing families."""
+    for text in IDEALS.values():
+        ctx, _ = parse_ideal_file(text)
+        yield "lpp" if ctx.powers else "lex", text
+        if ctx.z:
+            yield "zstabilize", text
+    for cmd, spec in PRINTING_FAMILIES:
+        for I in verify.enumerate_family(spec):
+            yield cmd, write_ideal_file(I.ctx, I.gens)
+
+
+def test_every_printed_ideal_has_the_input_series_or_a_limit_is_named(capsys, tmp_path):
+    f, report = tmp_path / "ideal.txt", tmp_path / "report.json"
+    answered, refused = 0, set()
+    for cmd, text in _printed_ideal_runs():
+        f.write_text(text)
+        code = main([cmd, "--input", str(f), "--json", str(report)])
+        err = capsys.readouterr().err
+        if code == 2:
+            named = re.search(r"limits\.[A-Z_]+_LIMIT", err)
+            assert named, (cmd, text, err)
+            refused.add(named[0])
+            continue
+        assert code == 0, (cmd, text, err)
+        printed = json.loads(report.read_text())
+        gens = printed["stabilized" if cmd == "zstabilize" else cmd]
+        gens = "" if gens == "0" else gens.replace(", ", "\n") + "\n"
+        ctx, polys = parse_ideal_file(text)
+        I = MonomialIdeal.make(ctx, polys).plus_powers()
+        J = as_monomial_ideal(*parse_ideal_file(write_ideal_file(ctx, []) + gens))
+        assert hilbert_series(J).numer == hilbert_series(I).numer, (cmd, text)
+        answered += 1
+    # n6's lex ideal passes the degree limit, and path60's would hold 430,773
+    # generators by degree 5; the two zstabilize runs are answered
+    assert refused == {"limits.NUMERATOR_DEGREE_LIMIT", "limits.ENGINE_ENTRY_LIMIT"}
+    assert answered == len(IDEALS) + 3 * 300
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -56,8 +56,7 @@ def test_lex_segment_is_lex_first_degreewise():
             L = lex_ideal_of(I)
             assert hilbert_series(L).numer == hilbert_series(I).numer
             _assert_lex_first(I, L)
-    # a lex ideal with generators far past the input's degrees and past the
-    # degree maxgendeg + 2 at which `lexcohom lex` truncates
+    # a lex ideal with generators far past the input's degrees
     ctx = RingContext(3)
     I = MonomialIdeal.make(ctx, [M(4, 0, 0), M(0, 0, 4)])
     L = lex_ideal_of(I)
@@ -128,6 +127,40 @@ def test_lex_ideal_past_the_numerator_limit_names_it(monkeypatch):
                                                  "above limits.NUMERATOR_DEGREE_LIMIT = 6"):
         lex_ideal_of(I)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_engine_refuses_past_its_entry_limit_before_it_lists(monkeypatch):
+    # the lex ideal of (x1^4, x3^4) selects 17 generators in three variables,
+    # 51 exponents, its last one in degree 16; the LPP ideal of (x1^2, x2^3)
+    # over K[x1, x2]/(x1^2) selects x1*x2^2 and x2^4
+    I = MonomialIdeal.make(RingContext(3), [M(4, 0, 0), M(0, 0, 4)])
+    ctxq = RingContext(2, powers=(2,))
+    P = MonomialIdeal.make(ctxq, [M(2, 0), M(0, 3)])
+    listed = []
+    real = embeddings._lex_walk
+
+    def counted(caps, d, end):
+        for e in real(caps, d, end):
+            listed.append(e)
+            yield e
+
+    monkeypatch.setattr(embeddings, "_lex_walk", counted)
+    monkeypatch.setattr(limits, "ENGINE_ENTRY_LIMIT", 50)
+    with pytest.raises(ResourceLimitError, match=r"^degree 16: the lex-first selection would "
+                       r"hold 17 generators in 3 variables \(51 exponents\), above "
+                       r"limits.ENGINE_ENTRY_LIMIT = 50$"):
+        lex_ideal_of(I)
+    assert len(listed) == 16  # no generator of degree 16 was listed
+    monkeypatch.setattr(limits, "ENGINE_ENTRY_LIMIT", 3)
+    with pytest.raises(ResourceLimitError, match=r"^degree 4: the lex-first selection would "
+                       r"hold 2 generators in 2 variables \(4 exponents\), above "
+                       r"limits.ENGINE_ENTRY_LIMIT = 3$"):
+        lpp_ideal(P)
+    # at the limit both are answered
+    monkeypatch.setattr(limits, "ENGINE_ENTRY_LIMIT", 51)
+    assert len(lex_ideal_of(I).gens) == 17
+    monkeypatch.setattr(limits, "ENGINE_ENTRY_LIMIT", 4)
+    assert lpp_ideal(P) == MonomialIdeal.make(ctxq, [M(2, 0), M(1, 2), M(0, 4)])
 
 
 def test_lex_segment_ideal_with_powers_examples():
